@@ -27,9 +27,6 @@ class CehDecayedSum : public DecayedAggregate {
  public:
   struct Options {
     double epsilon = 0.1;
-    /// Bucket-storage layout of the underlying histogram; see
-    /// ExponentialHistogram::Options::layout. Bit-identical either way.
-    HistogramLayout layout = HistogramLayout::kFlat;
   };
 
   static StatusOr<std::unique_ptr<CehDecayedSum>> Create(

@@ -1,7 +1,6 @@
 #ifndef TDS_CORE_COARSE_CEH_H_
 #define TDS_CORE_COARSE_CEH_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,10 +38,6 @@ class CoarseCehDecayedSum : public DecayedAggregate {
     /// Boundary grid ratio (1 + delta): the age quantization coarseness.
     double boundary_delta = 0.25;
     uint64_t seed = 0xa9e5;
-    /// Bucket-storage layout; see ExponentialHistogram::Options::layout.
-    /// Bit-identical either way, including the RNG consumption order of the
-    /// stochastic aging sweep.
-    HistogramLayout layout = HistogramLayout::kFlat;
   };
 
   static StatusOr<std::unique_ptr<CoarseCehDecayedSum>> Create(
@@ -60,6 +55,8 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   const DecayPtr& decay() const override { return decay_; }
 
   size_t BucketCount() const;
+  /// Sum of all live bucket counts.
+  uint64_t TotalCount() const { return total_count_; }
 
   /// Approximate boundary ages, oldest first (for tests).
   std::vector<double> BoundaryAges() const;
@@ -76,11 +73,6 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   Status DecodeState(class Decoder& decoder);
 
  private:
-  struct Bucket {
-    ApproxAge age;
-    uint64_t count = 0;
-  };
-
   CoarseCehDecayedSum(DecayPtr decay, const Options& options);
 
   void AdvanceTo(Tick t);
@@ -92,13 +84,9 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   uint64_t cap_;
   Rng rng_;
 
-  /// kChain storage — classes_[i]: buckets of count 2^i, oldest at the
-  /// front; every bucket in classes_[i] is newer than every bucket in
-  /// classes_[i+1]. Empty under kFlat.
-  std::vector<std::deque<Bucket>> classes_;
-  /// kFlat storage: the same buckets in contiguous SoA arrays (stamps =
-  /// approximate boundary ages). Empty under kChain.
-  FlatBucketStore<ApproxAge> flat_;
+  /// Buckets in contiguous SoA arrays, oldest first; a bucket's stamp is
+  /// its approximate boundary age.
+  FlatBucketStore<ApproxAge> store_;
 
   Tick now_ = 0;
   uint64_t total_count_ = 0;

@@ -81,13 +81,11 @@ StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
     case Backend::kCeh: {
       CehDecayedSum::Options ceh_options;
       ceh_options.epsilon = options.epsilon();
-      ceh_options.layout = options.layout();
       return Upcast(CehDecayedSum::Create(std::move(decay), ceh_options));
     }
     case Backend::kCoarseCeh: {
       CoarseCehDecayedSum::Options coarse_options;
       coarse_options.epsilon = options.epsilon();
-      coarse_options.layout = options.layout();
       return Upcast(
           CoarseCehDecayedSum::Create(std::move(decay), coarse_options));
     }
@@ -114,36 +112,5 @@ StatusOr<DecayedAverage> MakeDecayedAverage(DecayPtr decay,
   return DecayedAverage::Create(std::move(sum).value(),
                                 std::move(count).value());
 }
-
-namespace {
-
-StatusOr<AggregateOptions> FromLegacy(const LegacyAggregateOptions& legacy) {
-  return AggregateOptions::Builder()
-      .backend(legacy.backend)
-      .epsilon(legacy.epsilon)
-      .start(legacy.start)
-      .Build();
-}
-
-}  // namespace
-
-// Definitions of the deprecated shims (the attribute targets callers, not
-// the out-of-line definitions, but some toolchains warn on both).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
-    DecayPtr decay, const LegacyAggregateOptions& options) {
-  auto validated = FromLegacy(options);
-  if (!validated.ok()) return validated.status();
-  return MakeDecayedSum(std::move(decay), validated.value());
-}
-
-StatusOr<DecayedAverage> MakeDecayedAverage(
-    DecayPtr decay, const LegacyAggregateOptions& options) {
-  auto validated = FromLegacy(options);
-  if (!validated.ok()) return validated.status();
-  return MakeDecayedAverage(std::move(decay), validated.value());
-}
-#pragma GCC diagnostic pop
 
 }  // namespace tds

@@ -60,17 +60,11 @@ class AggregateOptions {
   double epsilon() const { return epsilon_; }
   /// First tick of the stream (WBMH layout origin), >= 1.
   Tick start() const { return start_; }
-  /// Histogram bucket-storage layout for EH-family backends (CEH,
-  /// CoarseCEH); other backends ignore it. kFlat and kChain are
-  /// bit-identical in every observable way — the flag exists so the two can
-  /// be diffed in-process (tests/flat_layout_differential_test.cc).
-  HistogramLayout layout() const { return layout_; }
 
  private:
   Backend backend_ = Backend::kAuto;
   double epsilon_ = 0.1;
   Tick start_ = 1;
-  HistogramLayout layout_ = HistogramLayout::kFlat;
 };
 
 class AggregateOptions::Builder {
@@ -89,10 +83,6 @@ class AggregateOptions::Builder {
     options_.start_ = start;
     return *this;
   }
-  Builder& layout(HistogramLayout layout) {
-    options_.layout_ = layout;
-    return *this;
-  }
 
   /// Validates and returns the options: epsilon must be a finite value in
   /// (0, 1] and start >= 1.
@@ -102,17 +92,6 @@ class AggregateOptions::Builder {
   AggregateOptions options_;
 };
 
-/// Deprecated pre-builder options struct, kept for one release so existing
-/// field-assignment call sites keep compiling (rename AggregateOptions ->
-/// LegacyAggregateOptions). The deprecated MakeDecayedSum overload funnels
-/// it through AggregateOptions::Builder, so invalid values now fail with a
-/// Status instead of reaching a backend.
-struct LegacyAggregateOptions {
-  Backend backend = Backend::kAuto;
-  double epsilon = 0.1;
-  Tick start = 1;
-};
-
 /// Creates a decayed-sum structure for `decay`.
 StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
     DecayPtr decay, const AggregateOptions& options);
@@ -120,14 +99,6 @@ StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
 /// Creates a decayed average (Problem 2.2) backed by two such structures.
 StatusOr<DecayedAverage> MakeDecayedAverage(DecayPtr decay,
                                             const AggregateOptions& options);
-
-[[deprecated("build options with AggregateOptions::Builder")]]
-StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
-    DecayPtr decay, const LegacyAggregateOptions& options);
-
-[[deprecated("build options with AggregateOptions::Builder")]]
-StatusOr<DecayedAverage> MakeDecayedAverage(
-    DecayPtr decay, const LegacyAggregateOptions& options);
 
 }  // namespace tds
 

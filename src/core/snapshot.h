@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "core/decayed_aggregate.h"
-#include "util/common.h"
 #include "util/status.h"
 
 namespace tds {
@@ -31,12 +30,9 @@ Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out);
 
 /// Reconstructs a structure from `data`, bound to `decay` (which must be
 /// the same decay function — verified by name — the snapshot was taken
-/// with). `layout` selects the in-memory bucket storage for EH-family
-/// structures (CEH, CoarseCEH); snapshots do not encode the layout because
-/// both layouts produce byte-identical payloads.
+/// with).
 StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
-    DecayPtr decay, std::string_view data,
-    HistogramLayout layout = HistogramLayout::kFlat);
+    DecayPtr decay, std::string_view data);
 
 /// Snapshots a decayed L_p norm sketch (all row structures; the projection
 /// matrix is regenerated from the encoded seed).

@@ -71,7 +71,6 @@ StatusOr<AggregateRegistry> AggregateRegistry::Create(DecayPtr decay,
                       .backend(backend)
                       .epsilon(options.aggregate.epsilon())
                       .start(options.aggregate.start())
-                      .layout(options.aggregate.layout())
                       .Build();
   if (!resolved.ok()) return resolved.status();
   AggregateRegistry registry(decay, options, backend, resolved.value());
@@ -345,8 +344,7 @@ size_t AggregateRegistry::IngestTickSegment(Tick t,
   // r does real work. The slot guess reads only the first probe entry — on a
   // collision the guess line is wasted but never wrong, and a rehash inside
   // GetOrCreate merely stales pending hints (prefetches are hints, never
-  // loads). Semantically inert by construction; options_.prefetch == false
-  // must be byte-identical (tests/property_test.cc diffs the two).
+  // loads), so the pipeline is semantically inert by construction.
   const size_t num_runs = runs_.size();
   auto prefetch_table = [this](size_t r) {
     TDS_PREFETCH(&table_[SplitMix64(runs_[r].key) & table_mask_]);
@@ -355,16 +353,14 @@ size_t AggregateRegistry::IngestTickSegment(Tick t,
     const uint32_t entry = table_[SplitMix64(runs_[r].key) & table_mask_];
     if (entry != kEmptyEntry && entry != kTombEntry) arena_.Prefetch(entry);
   };
-  if (options_.prefetch && num_runs > 0) {
+  if (num_runs > 0) {
     prefetch_table(0);
     if (num_runs > 1) prefetch_table(1);
     prefetch_slot_guess(0);
   }
   for (size_t r = 0; r < num_runs; ++r) {
-    if (options_.prefetch) {
-      if (r + 2 < num_runs) prefetch_table(r + 2);
-      if (r + 1 < num_runs) prefetch_slot_guess(r + 1);
-    }
+    if (r + 2 < num_runs) prefetch_table(r + 2);
+    if (r + 1 < num_runs) prefetch_slot_guess(r + 1);
     const Run& run = runs_[r];
     run_scratch_.clear();
     for (uint32_t i = run.head;; i = chain_[i]) {
@@ -820,8 +816,7 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
       if (!status.ok()) return status;
       if (!sub.Done()) return CorruptSnapshot("counter trailer");
     } else {
-      auto decoded = DecodeDecayedSum(registry.decay_, payload,
-                                      registry.resolved_.layout());
+      auto decoded = DecodeDecayedSum(registry.decay_, payload);
       if (!decoded.ok()) return decoded.status();
       if ((*decoded)->Name() != BackendTypeName(registry.backend_)) {
         return Status::InvalidArgument(

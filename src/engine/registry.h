@@ -70,11 +70,6 @@ class AggregateRegistry {
     /// (a single Update is one run, so the per-item path sweeps this many
     /// slots per item; a coalesced batch sweeps per distinct run).
     uint32_t sweep_per_update = 2;
-    /// Software-prefetch the next runs' table lines and slot guesses in the
-    /// grouped batch path. Semantically inert — prefetches only issue cache
-    /// hints — so disabling it must be byte-identical (the property test's
-    /// prefetch oracle diffs the two settings).
-    bool prefetch = true;
   };
 
   static StatusOr<AggregateRegistry> Create(DecayPtr decay,

@@ -10,23 +10,23 @@
 namespace tds {
 
 /// Contiguous (SoA) bucket storage for exponential-histogram-shaped
-/// structures — the FlatEH layout. Stamps and counts live in two parallel
-/// arrays in canonical oldest-first order (highest size class first, class 0
-/// last); `class_size_[c]` delimits the class segments and `head_` marks the
-/// oldest live bucket, so front expiry is an offset bump (a compaction sweep
-/// reclaims the dead prefix once it outgrows the live region).
+/// structures, after Sun & Li's Flattened EH. Stamps and counts live in two
+/// parallel arrays in canonical oldest-first order (highest size class
+/// first, class 0 last); `class_size_[c]` delimits the class segments and
+/// `head_` marks the oldest live bucket, so front expiry is an offset bump
+/// (a compaction sweep reclaims the dead prefix once it outgrows the live
+/// region).
 ///
-/// Why this is the same structure as a vector of per-class deques: the
-/// canonical EH ordering invariant — every bucket of class c is newer than
-/// every bucket of class c+1 — means the concatenation class N-1, ...,
-/// class 1, class 0 IS the global oldest-first order, so one array pair plus
-/// per-class sizes represents the chains bucket-for-bucket.
+/// Why one array suffices: the canonical EH ordering invariant — every
+/// bucket of class c is newer than every bucket of class c+1 — means the
+/// concatenation class N-1, ..., class 1, class 0 IS the global oldest-first
+/// order, so one array pair plus per-class sizes holds every class.
 ///
 /// Cost model: inserts are tail pushes (vector growth is geometric); a merge
 /// cascade that reaches class A rewrites only the array suffix occupied by
 /// classes A..0 as one in-place compaction sweep. A merge at class c fires
-/// once per ~2^c inserted units, so the amortized insert cost is O(cap) —
-/// the same as the chain layout, without its per-bucket heap scatter.
+/// once per ~2^c inserted units, so the amortized insert cost is O(cap),
+/// with no per-bucket heap allocation.
 ///
 /// `Stamp` is the per-bucket boundary representation: an exact end tick for
 /// the EH/CEH, an ApproxAge for the coarse CEH.
@@ -62,9 +62,8 @@ class FlatBucketStore {
   }
 
   /// Calls f(c, begin, end) for each class segment in ascending class order
-  /// (class 0 — the newest segment, at the array tail — first). This is the
-  /// chain layout's `for (cls : classes_)` iteration order, which the codecs
-  /// and the coarse-CEH RNG sweep depend on for bit-identity.
+  /// (class 0 — the newest segment, at the array tail — first). The codecs'
+  /// wire order and the coarse-CEH RNG sweep are defined by this order.
   template <typename F>
   void ForEachSegmentAscendingClass(F&& f) const {
     size_t end = stamps_.size();
@@ -97,11 +96,11 @@ class FlatBucketStore {
   }
 
   /// Pops buckets off the global front while `expired(stamp)` holds and
-  /// returns the total count removed. Canonical ordering makes the chain
-  /// layout's per-class front expiry (highest class down, stop at the first
-  /// survivor) exactly this global front pop. Class sizes shrink highest
-  /// class first; `class_size_` keeps its length — the chain layout never
-  /// drops emptied classes either, and codec byte-identity depends on that.
+  /// returns the total count removed. Canonical ordering makes this one
+  /// global front pop equal to per-class front expiry from the highest class
+  /// down. Class sizes shrink highest class first; `class_size_` keeps its
+  /// length, because the codecs encode emptied classes too and a decoded
+  /// copy must re-encode to the same bytes.
   template <typename Pred>
   uint64_t ExpireOldest(Pred&& expired) {
     size_t h = head_;
@@ -123,14 +122,15 @@ class FlatBucketStore {
 
   /// Inserts `incoming_units` unit buckets stamped `fresh` into class 0 and
   /// runs the EH merge cascade (the two oldest buckets of a class merge into
-  /// the next while the class exceeds `cap`), mirroring the chain layout's
-  /// sequential-insertion digit arithmetic step-for-step.
+  /// the next while the class exceeds `cap`). Digit arithmetic reproduces
+  /// inserting the units one at a time in O(cap * log units) steps.
   /// `merge_stamps(older, newer)` yields the merged bucket's stamp: the EH
   /// keeps the newer end timestamp, the coarse variant the younger age.
   template <typename MergeStamps>
   void InsertUnits(uint64_t incoming_units, const Stamp& fresh, uint64_t cap,
                    MergeStamps&& merge_stamps) {
-    // Lazy class-0 creation, matching the chain layout's emplace_back site.
+    // Class 0 is created by the first insert, so an empty store encodes
+    // zero classes.
     if (class_size_.empty()) class_size_.push_back(0);
     // Fast path: class 0 stays within budget — a pure tail append.
     if (class_size_[0] + incoming_units <= cap) {
@@ -149,7 +149,7 @@ class FlatBucketStore {
   /// original segment plus the buckets appended during the cascade (carries
   /// from below, then materialized incoming buckets) with their own pop
   /// cursor — later merges at the same class may consume appended carries,
-  /// so deque pop-front order is original-segment-first, then appended.
+  /// so the class pops oldest first: original segment, then appended.
   struct ClassWork {
     size_t orig_begin = 0;
     size_t orig_size = 0;
@@ -225,7 +225,7 @@ class FlatBucketStore {
     init_work(0);
     // `virtual_new` tracks not-yet-materialized incoming buckets of count
     // 2^i (all stamped `fresh`); real carries — which may inherit older
-    // stamps — materialize eagerly, exactly as in the chain layout.
+    // stamps — materialize eagerly.
     uint64_t virtual_new = incoming_units;
     size_t i = 0;
     while (true) {

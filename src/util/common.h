@@ -14,21 +14,6 @@ using Tick = int64_t;
 /// Sentinel for "no horizon": the decay function is positive for all ages.
 inline constexpr Tick kInfiniteHorizon = std::numeric_limits<Tick>::max();
 
-/// Bucket-storage layout for the exponential-histogram family (EH, CEH,
-/// CoarseCEH). Both layouts are behaviorally bit-identical — same query
-/// answers, same snapshot bytes, same audit results — and differ only in
-/// memory shape:
-///  * kFlat: contiguous SoA arrays (stamps and counts separate), per-class
-///    segments in canonical oldest-first order, front expiry by offset bump
-///    and merge cascades as suffix compaction sweeps. One or two cache
-///    lines per hot-path touch.
-///  * kChain: the original per-size-class deque chains — kept as the
-///    differential-testing oracle for the flat layout.
-enum class HistogramLayout {
-  kFlat,
-  kChain,
-};
-
 /// Best-effort cache-line prefetch with read intent (no-op off GCC/Clang).
 #if defined(__GNUC__) || defined(__clang__)
 #define TDS_PREFETCH(addr) __builtin_prefetch((addr), 0, 3)

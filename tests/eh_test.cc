@@ -425,5 +425,30 @@ TEST(ExponentialHistogramCodecTest, DecodeRejectsTruncatedBlob) {
   }
 }
 
+// A hostile blob whose bucket counts wrap the 64-bit total back to the
+// encoded total_count: two class-63 buckets of 2^63 sum to 0. Accepting it
+// would leave an empty-looking histogram whose next cascade reaches
+// class 64.
+TEST(ExponentialHistogramCodecTest, DecodeRejectsWrappingBucketTotal) {
+  Encoder encoder;
+  encoder.PutDouble(0.1);  // epsilon
+  encoder.PutSigned(100);  // window
+  encoder.PutSigned(10);   // now
+  encoder.PutSigned(5);    // first arrival
+  encoder.PutVarint(0);    // total count
+  encoder.PutVarint(64);   // classes
+  for (int c = 0; c < 63; ++c) encoder.PutVarint(0);
+  encoder.PutVarint(2);  // class 63: two buckets ending at tick 5
+  encoder.PutVarint(5);
+  encoder.PutVarint(uint64_t{1} << 63);
+  encoder.PutVarint(0);
+  encoder.PutVarint(uint64_t{1} << 63);
+  const std::string blob = encoder.Finish();
+
+  ExponentialHistogram target = MakeEh(0.1, 100);
+  Decoder decoder(blob);
+  EXPECT_FALSE(target.DecodeState(decoder).ok());
+}
+
 }  // namespace
 }  // namespace tds

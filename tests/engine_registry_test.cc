@@ -87,11 +87,28 @@ TEST(AggregateRegistryTest, PerKeyStateMatchesStandaloneAggregates) {
   EXPECT_TRUE(registry->AuditInvariants().ok());
 }
 
+// The grouped batch path (with its software-prefetch pipeline) must leave
+// every key bit-identical to per-item ingest. The large key space grows the
+// slot arena past its 4096- and 8192-slot chunk boundaries mid-batch, while
+// pending prefetch hints go stale.
 TEST(AggregateRegistryTest, BatchMatchesPerItemBitForBit) {
-  for (const Backend backend : {Backend::kCeh, Backend::kWbmh}) {
+  struct Run {
+    uint64_t key_space;
+    int steps;
+    Backend backend;
+  };
+  for (const Run run : {Run{50, 3000, Backend::kCeh},
+                        Run{50, 3000, Backend::kWbmh},
+                        Run{9000, 11000, Backend::kCeh},
+                        Run{9000, 11000, Backend::kWbmh}}) {
+    const Backend backend = run.backend;
+    SCOPED_TRACE("keys=" + std::to_string(run.key_space) +
+                 " backend=" + std::to_string(static_cast<int>(backend)));
     auto decay = PolynomialDecay::Create(1.0).value();
     auto options = RegistryOptions(backend, 0.1);
-    options.expiry_weight_floor = 0.0;  // expiry timing differs by design
+    // Expiry timing differs by design; the large run disables expiry
+    // entirely so the two registries stay byte-equal.
+    options.expiry_weight_floor = run.key_space > 50 ? -1.0 : 0.0;
     auto per_item = AggregateRegistry::Create(decay, options);
     auto batched = AggregateRegistry::Create(decay, options);
     ASSERT_TRUE(per_item.ok());
@@ -100,9 +117,16 @@ TEST(AggregateRegistryTest, BatchMatchesPerItemBitForBit) {
     Rng rng(7 + static_cast<uint64_t>(backend));
     Tick t = 1;
     std::vector<KeyedItem> items;
-    for (int step = 0; step < 3000; ++step) {
+    // The large run mostly brings in fresh keys (so it needs few items,
+    // each of which the audit build follows with an O(keys) audit), with
+    // revisits mixed in.
+    uint64_t next_key = 0;
+    for (int step = 0; step < run.steps; ++step) {
       if (rng.NextBelow(3) == 0) t += static_cast<Tick>(rng.NextBelow(4));
-      items.push_back(KeyedItem{rng.NextBelow(50), t, rng.NextBelow(6)});
+      const uint64_t key = run.key_space > 50 && rng.NextBelow(4) != 0
+                               ? next_key++ % run.key_space
+                               : rng.NextBelow(run.key_space);
+      items.push_back(KeyedItem{key, t, rng.NextBelow(6)});
     }
     for (const KeyedItem& item : items) {
       per_item->Update(item.key, item.t, item.value);
@@ -117,6 +141,17 @@ TEST(AggregateRegistryTest, BatchMatchesPerItemBitForBit) {
       offset += n;
     }
 
+    if (run.key_space > 50) {
+      EXPECT_GT(batched->ArenaExtent(), 8192u);
+      EXPECT_EQ(per_item->ArenaExtent(), batched->ArenaExtent());
+      // Encoding also syncs every lagging WBMH counter to the shared
+      // layout, which the storage comparison below needs once most keys
+      // sit idle between visits.
+      std::string per_item_bytes, batched_bytes;
+      ASSERT_TRUE(per_item->EncodeState(&per_item_bytes).ok());
+      ASSERT_TRUE(batched->EncodeState(&batched_bytes).ok());
+      EXPECT_EQ(per_item_bytes, batched_bytes);
+    }
     EXPECT_EQ(per_item->KeyCount(), batched->KeyCount());
     EXPECT_EQ(per_item->StorageBits(), batched->StorageBits());
     for (uint64_t key = 0; key < 50; ++key) {

@@ -5,8 +5,9 @@
 // stream, audits structural invariants after every operation, and compares
 // the estimate against a brute-force decayed sum at the guarantee each
 // structure actually makes (exact, fixed-point-rounded, eps-tail, or
-// constant-factor). Under -DTDS_LIBFUZZER the first input byte dispatches
-// among the five gtest-free cores.
+// constant-factor); the coarse CEH must also match a naive reference
+// histogram exactly. Under -DTDS_LIBFUZZER the first input byte dispatches
+// among the gtest-free cores.
 #include <algorithm>
 #include <cmath>
 #include <deque>
@@ -26,7 +27,10 @@
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
 #include "fuzz_util.h"
+#include "reference_eh.h"
+#include "util/approx_age.h"
 #include "util/codec.h"
+#include "util/random.h"
 
 namespace tds {
 namespace {
@@ -289,30 +293,111 @@ void RunPolyExpFuzz(int k, int max_ops, FuzzInput& in) {
 
 // ---------------------------------------------------------------------------
 // CoarseCehDecayedSum: only a constant-factor guarantee (grid quantization
-// plus stochastic aging), so the driver audits structure after every op and
-// requires the estimate to stay within a generous constant factor of the
-// brute-force sum. Deterministic: the input stream drives both the op
-// sequence and (indirectly) the aging RNG.
+// plus stochastic aging), so the driver audits structure after every op and,
+// under polynomial decay, requires the estimate to stay within a generous
+// constant factor of the brute-force sum. It also runs a naive coarse CEH
+// in lockstep — the textbook EH over approximate ages, aged with its own
+// copy of the seeded RNG — and requires exact agreement after every op.
+// Sliding-window runs add clock jumps past the horizon, so buckets expire.
 
-void RunCoarseCehFuzz(int max_ops, FuzzInput& in) {
-  const DecayPtr decay = PolynomialDecay::Create(1.0).value();
+/// Textbook coarse CEH over ReferenceEh<ApproxAge>: a merge keeps the
+/// younger age; a clock advance ages every bucket in ascending class order,
+/// oldest first in a class, drawing from one RNG, then drops the oldest
+/// buckets while their age exceeds the horizon; a query weights each bucket
+/// by g(its age plus the gap since the last advance).
+class NaiveCoarseCeh {
+ public:
+  NaiveCoarseCeh(DecayPtr decay, const CoarseCehDecayedSum::Options& options)
+      : decay_(std::move(decay)),
+        delta_(options.boundary_delta),
+        rng_(options.seed),
+        buckets_(static_cast<uint64_t>(std::ceil(1.0 / options.epsilon)) +
+                 1) {}
+
+  void Update(Tick t, uint64_t value) {
+    Advance(t);
+    buckets_.Insert(value, ApproxAge(delta_),
+                    [](const ApproxAge& older, const ApproxAge& newer) {
+                      ApproxAge merged = older;
+                      merged.TakeYounger(newer);
+                      return merged;
+                    });
+  }
+
+  void Advance(Tick t) {
+    const Tick gap = t - now_;
+    now_ = t;
+    if (gap == 0) return;
+    buckets_.ForEachAscendingClass([&](ReferenceEh<ApproxAge>::Bucket& b) {
+      b.stamp.Advance(gap, rng_);
+    });
+    const double horizon = static_cast<double>(decay_->Horizon());
+    buckets_.ExpireOldest(
+        [horizon](const ApproxAge& age) { return age.Estimate() > horizon; });
+  }
+
+  double Query(Tick now) const {
+    const double gap = static_cast<double>(now - now_);
+    double sum = 0.0;
+    buckets_.ForEachAscendingClass(
+        [&](const ReferenceEh<ApproxAge>::Bucket& b) {
+          const auto age = static_cast<Tick>(
+              std::llround(std::max(1.0, b.stamp.Estimate() + gap)));
+          if (age > decay_->Horizon()) return;
+          sum += static_cast<double>(b.count) * decay_->Weight(age);
+        });
+    return sum;
+  }
+
+  const ReferenceEh<ApproxAge>& buckets() const { return buckets_; }
+
+ private:
+  DecayPtr decay_;
+  double delta_;
+  Rng rng_;
+  ReferenceEh<ApproxAge> buckets_;
+  Tick now_ = 0;
+};
+
+void RunCoarseCehFuzz(bool sliding, uint64_t rng_seed, int max_ops,
+                      FuzzInput& in) {
+  const Tick window = 256;
+  const DecayPtr decay = sliding ? SlidingWindowDecay::Create(window).value()
+                                 : PolynomialDecay::Create(1.0).value();
   CoarseCehDecayedSum::Options options;
   options.epsilon = 0.1;
   options.boundary_delta = 0.25;
+  options.seed = rng_seed;
   auto coarse = CoarseCehDecayedSum::Create(decay, options).value();
+  NaiveCoarseCeh naive(decay, options);
   ExactDecayedReference reference(decay);
   Tick now = 1;
 
   auto check = [&](const char* op) {
     TDS_FUZZ_CHECK_OK(coarse->AuditInvariants(), in, "after ", op);
-    const double expected = reference.Sum(now);
+    const std::vector<double> ages = coarse->BoundaryAges();
+    const auto expected = naive.buckets().OldestFirst();
+    TDS_FUZZ_CHECK(ages.size() == expected.size() &&
+                       coarse->BucketCount() == naive.buckets().BucketCount(),
+                   in, "bucket count ", ages.size(), " vs reference ",
+                   expected.size(), " after ", op);
+    for (size_t i = 0; i < ages.size(); ++i) {
+      TDS_FUZZ_CHECK(ages[i] == expected[i].stamp.Estimate(), in, "age ", i,
+                     " = ", ages[i], " vs reference ",
+                     expected[i].stamp.Estimate(), " after ", op);
+    }
+    TDS_FUZZ_CHECK(coarse->TotalCount() == naive.buckets().TotalCount(), in,
+                   "total count after ", op);
     const double estimate = coarse->Query(now);
+    TDS_FUZZ_CHECK(estimate == naive.Query(now), in, "estimate=", estimate,
+                   " vs reference ", naive.Query(now), " after ", op);
     TDS_FUZZ_CHECK(std::isfinite(estimate) && estimate >= 0.0, in,
                    "estimate=", estimate);
-    if (expected > 1.0) {
-      TDS_FUZZ_CHECK(estimate >= expected / 8.0 &&
-                         estimate <= expected * 8.0,
-                     in, "estimate=", estimate, " expected=", expected,
+    const double expected_sum = reference.Sum(now);
+    if (!sliding && expected_sum > 1.0) {
+      TDS_FUZZ_CHECK(estimate >= expected_sum / 8.0 &&
+                         estimate <= expected_sum * 8.0,
+                     in, "estimate=", estimate, " expected=", expected_sum,
                      " after ", op);
     }
   };
@@ -320,15 +405,20 @@ void RunCoarseCehFuzz(int max_ops, FuzzInput& in) {
   for (int op = 0; op < max_ops && !in.exhausted(); ++op) {
     const uint64_t kind = in.Below(100);
     if (kind < 70) {
+      // Occasional large values drive the merge cascade many classes deep.
       now += static_cast<Tick>(in.Below(3));
       const uint64_t value =
-          in.Below(30) == 0 ? 1 + in.Below(200) : in.Below(4);
+          in.Below(30) == 0 ? 1 + in.Below(2000) : in.Below(4);
       coarse->Update(now, value);
+      naive.Update(now, value);
       if (value > 0) reference.Add(now, value);
       check("Update");
     } else if (kind < 85) {
-      now += static_cast<Tick>(in.Below(40));
+      // Sliding-window runs sometimes jump past the whole horizon.
+      const uint64_t jump = sliding && in.Below(4) == 0 ? 2 * window : 40;
+      now += static_cast<Tick>(in.Below(jump));
       coarse->Advance(now);
+      naive.Advance(now);
       check("Advance");
     } else {
       coarse = RoundTrip(*coarse, decay, in);
@@ -431,20 +521,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PolyExpFuzzTest,
 
 TEST(CoarseCehFuzzTest, ConstantFactorAndAuditsHold) {
   FuzzInput in = FuzzInput::FromSeed(0xee01, 600 * 8);
-  RunCoarseCehFuzz(600, in);
+  RunCoarseCehFuzz(/*sliding=*/false, CoarseCehDecayedSum::Options{}.seed,
+                   600, in);
 }
+
+struct CoarseCase {
+  uint64_t seed;
+  int ops;
+  bool sliding;  ///< sliding-window (expiring) vs polynomial decay
+};
+
+class CoarseCehFuzzSeedTest : public ::testing::TestWithParam<CoarseCase> {};
+
+TEST_P(CoarseCehFuzzSeedTest, MatchesNaiveReference) {
+  const CoarseCase fuzz = GetParam();
+  FuzzInput in = FuzzInput::FromSeed(
+      fuzz.seed, static_cast<size_t>(fuzz.ops) * 8);
+  RunCoarseCehFuzz(fuzz.sliding, fuzz.seed, fuzz.ops, in);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoarseCehFuzzSeedTest,
+                         ::testing::Values(CoarseCase{0xF1B1, 1100, false},
+                                           CoarseCase{0xF1B2, 1100, true},
+                                           CoarseCase{0xee02, 800, true}),
+                         [](const ::testing::TestParamInfo<CoarseCase>& info) {
+                           return "Seed" +
+                                  std::to_string(info.param.seed & 0xff) +
+                                  (info.param.sliding ? "Sliwin" : "Poly");
+                         });
 
 }  // namespace
 }  // namespace tds
 
 #else  // TDS_LIBFUZZER
 
-// Coverage-guided entry point: the first byte dispatches among the five
-// Section 3 counter cores, the next bytes pick that core's configuration.
+// Coverage-guided entry point: the first byte dispatches among the Section 3
+// counter cores (the coarse CEH twice: polynomial, then sliding-window
+// decay), the next bytes pick that core's configuration.
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   tds::FuzzInput in(data, size);
   constexpr int kMaxOps = 4096;
-  switch (in.Below(5)) {
+  const uint64_t coarse_seed = tds::CoarseCehDecayedSum::Options{}.seed;
+  switch (in.Below(6)) {
     case 0:
       tds::RunExactFuzz(in.Below(2) == 0, kMaxOps, in);
       break;
@@ -459,8 +577,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     case 3:
       tds::RunPolyExpFuzz(1 + static_cast<int>(in.Below(3)), kMaxOps, in);
       break;
+    case 4:
+      tds::RunCoarseCehFuzz(/*sliding=*/false, coarse_seed, kMaxOps, in);
+      break;
     default:
-      tds::RunCoarseCehFuzz(kMaxOps, in);
+      tds::RunCoarseCehFuzz(/*sliding=*/true, coarse_seed, kMaxOps, in);
       break;
   }
   return 0;

@@ -1,7 +1,8 @@
 // Dual-mode fuzz driver for ExponentialHistogram: randomized but
 // reproducible interleavings of Add / AdvanceTo / MergeFrom / EncodeState /
-// DecodeState / EstimateWindow, asserting AuditInvariants() and the
-// estimate-vs-exact error bound after every operation. The gtest-free core
+// DecodeState / EstimateWindow, asserting AuditInvariants(), the
+// estimate-vs-exact error bound, and exact agreement with a naive
+// unit-at-a-time reference histogram after every operation. The gtest-free core
 // consumes a FuzzInput byte stream, so the same code runs both as the
 // deterministic seed-driven ctest target and — under -DTDS_LIBFUZZER — as a
 // coverage-guided LLVMFuzzerTestOneInput harness (docs/CORRECTNESS.md,
@@ -11,13 +12,79 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "fuzz_util.h"
+#include "reference_eh.h"
 #include "util/codec.h"
 #include "util/common.h"
 
 namespace tds {
 namespace {
+
+/// Textbook sliding-window EH over ReferenceEh<Tick>: a bucket's stamp is
+/// the arrival tick of its newest item, a merge keeps the newer stamp,
+/// expiry drops the oldest bucket once its stamp leaves the window, and
+/// the estimate counts the oldest in-window bucket at half unless the whole
+/// stream lies inside the window.
+class NaiveEh {
+ public:
+  NaiveEh(double epsilon, Tick window)
+      : window_(window),
+        buckets_(static_cast<uint64_t>(std::ceil(1.0 / epsilon)) + 1) {}
+
+  void Add(Tick t, uint64_t value) {
+    AdvanceTo(t);
+    if (value == 0) return;
+    if (first_arrival_ == 0) first_arrival_ = t;
+    buckets_.Insert(value, t, [](Tick older, Tick newer) {
+      return std::max(older, newer);
+    });
+  }
+
+  void AdvanceTo(Tick t) {
+    now_ = t;
+    const Tick cutoff = now_ - window_ + 1;
+    buckets_.ExpireOldest([cutoff](Tick end) { return end < cutoff; });
+  }
+
+  double EstimateWindow(Tick w) const {
+    const Tick cutoff = now_ - w + 1;
+    double sum = 0.0;
+    double oldest_kept = 0.0;
+    bool skipped = false;
+    for (const auto& b : buckets_.OldestFirst()) {
+      if (b.stamp < cutoff) {
+        skipped = true;
+      } else {
+        if (oldest_kept == 0.0) oldest_kept = static_cast<double>(b.count);
+        sum += static_cast<double>(b.count);
+      }
+    }
+    if (oldest_kept > 1.0 && (skipped || first_arrival_ < cutoff)) {
+      sum -= oldest_kept / 2.0;
+    }
+    return sum;
+  }
+
+  /// Adopts the subject's buckets and clocks (after a MergeFrom, whose
+  /// replay is not the reference's business).
+  void Resync(const ExponentialHistogram& eh) {
+    std::vector<ReferenceEh<Tick>::Bucket> buckets;
+    for (const auto& b : eh.Buckets()) buckets.push_back({b.end, b.count});
+    buckets_.Assign(buckets);
+    now_ = eh.now();
+    first_arrival_ = eh.first_arrival();
+  }
+
+  const ReferenceEh<Tick>& buckets() const { return buckets_; }
+
+ private:
+  Tick window_;
+  ReferenceEh<Tick> buckets_;
+  Tick now_ = 0;
+  Tick first_arrival_ = 0;
+};
 
 struct EhFuzzConfig {
   double epsilon;
@@ -37,6 +104,7 @@ ExponentialHistogram MakeEh(double epsilon, Tick window,
 
 void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
   ExponentialHistogram eh = MakeEh(config.epsilon, config.window, in);
+  NaiveEh naive(config.epsilon, config.window);
   ExactWindowReference exact;
   Tick now = 0;
   // MergeFrom folds in a disjoint substream; each merge widens the error
@@ -45,6 +113,29 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
 
   auto check = [&](const char* op) {
     TDS_FUZZ_CHECK_OK(eh.AuditInvariants(), in, "after ", op);
+    // Bucket for bucket, and every estimate, against the naive reference.
+    const auto buckets = eh.Buckets();
+    const auto expected = naive.buckets().OldestFirst();
+    TDS_FUZZ_CHECK(buckets.size() == expected.size() &&
+                       eh.BucketCount() == naive.buckets().BucketCount(),
+                   in, "bucket count ", buckets.size(), " vs reference ",
+                   expected.size(), " after ", op);
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      TDS_FUZZ_CHECK(buckets[i].end == expected[i].stamp &&
+                         buckets[i].count == expected[i].count,
+                     in, "bucket ", i, " (", buckets[i].end, ", ",
+                     buckets[i].count, ") vs reference (", expected[i].stamp,
+                     ", ", expected[i].count, ") after ", op);
+    }
+    TDS_FUZZ_CHECK(eh.TotalCount() == naive.buckets().TotalCount(), in,
+                   "total count after ", op);
+    for (const Tick w : {Tick{1}, std::max<Tick>(1, config.window / 3)}) {
+      TDS_FUZZ_CHECK(eh.EstimateWindow(w) == naive.EstimateWindow(w), in,
+                     "EstimateWindow(", w, ")=", eh.EstimateWindow(w),
+                     " vs reference ", naive.EstimateWindow(w), " after ", op);
+    }
+    TDS_FUZZ_CHECK(eh.Estimate() == naive.EstimateWindow(config.window), in,
+                   "Estimate vs reference after ", op);
     if (now == 0) return;
     const double reference =
         static_cast<double>(exact.WindowCount(now, config.window));
@@ -64,6 +155,7 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
       const uint64_t value =
           in.Below(20) == 0 ? 1 + in.Below(5000) : in.Below(4);
       eh.Add(now, value);
+      naive.Add(now, value);
       exact.Add(now, value);
       check("Add");
     } else if (kind < 70) {
@@ -71,6 +163,7 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
       now += static_cast<Tick>(in.Below(
           static_cast<uint64_t>(config.window) + config.window / 2 + 2));
       eh.AdvanceTo(now);
+      naive.AdvanceTo(now);
       check("AdvanceTo");
     } else if (kind < 80) {
       // Codec round-trip: continue the run on the decoded instance, so any
@@ -103,14 +196,18 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
       }
       now = std::max(now, other_now);
       TDS_FUZZ_CHECK_OK(eh.MergeFrom(other), in, "MergeFrom");
+      naive.Resync(eh);
       exact.MergeFrom(other_exact);
       ++merges;
       check("MergeFrom");
     } else {
       // Lemma 4.1: the same structure answers every window w <= W.
       eh.AdvanceTo(now);
+      naive.AdvanceTo(now);
       const Tick w = 1 + static_cast<Tick>(
                              in.Below(static_cast<uint64_t>(config.window)));
+      TDS_FUZZ_CHECK(eh.EstimateWindow(w) == naive.EstimateWindow(w), in,
+                     "EstimateWindow vs reference at w=", w);
       const double reference =
           static_cast<double>(exact.WindowCount(now, w));
       const double envelope_rel = config.epsilon * (1.05 + merges);
@@ -154,7 +251,12 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{0xe402, 0.1, 512, 1200},
                       FuzzCase{0xe403, 0.02, 128, 900},
                       FuzzCase{0xe404, 0.5, 32, 1200},
-                      FuzzCase{0xe405, 0.25, 1024, 900}),
+                      FuzzCase{0xe405, 0.25, 1024, 900},
+                      FuzzCase{0xF1A1, 0.1, 64, 1200},
+                      FuzzCase{0xF1A2, 0.1, 512, 1200},
+                      FuzzCase{0xF1A3, 0.02, 128, 900},
+                      FuzzCase{0xF1A4, 0.5, 32, 1200},
+                      FuzzCase{0xF1A5, 0.25, 1024, 900}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return "Seed" + std::to_string(info.param.seed & 0xff) + "Eps" +
              std::to_string(static_cast<int>(info.param.epsilon * 100)) +

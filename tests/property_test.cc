@@ -16,10 +16,8 @@
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "engine/registry.h"
 #include "stream/generators.h"
 #include "stream/replay.h"
-#include "util/random.h"
 
 namespace tds {
 namespace {
@@ -240,75 +238,6 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParam{Backend::kWbmh, DecayKind::kPolyTwo, StreamKind::kConstant, 0.5, 0, 3},
         PropertyParam{Backend::kEwma, DecayKind::kExpd, StreamKind::kConstant, 0.1, 0, 4}),
     ParamName);
-
-// Prefetch oracle: the registry's grouped-batch prefetch pipeline issues
-// cache hints and nothing else, so a registry with prefetching disabled
-// must stay byte-for-byte identical — same EncodeState output, same
-// queries, same arena accounting — through grouped batch ingest, including
-// across slot-arena growth boundaries (the arena allocates 4096-slot
-// chunks, so >8192 distinct keys force two chunk-boundary crossings while
-// pending prefetch targets go stale).
-TEST(PrefetchOracleTest, PrefetchedIngestIsByteIdenticalAcrossArenaGrowth) {
-  struct Config {
-    DecayPtr decay;
-    Backend backend;
-  };
-  const std::vector<Config> configs = {
-      {SlidingWindowDecay::Create(400).value(), Backend::kCeh},
-      {PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
-  };
-  constexpr uint64_t kKeySpace = 9000;  // crosses the 4096/8192 boundaries
-  for (const Config& config : configs) {
-    AggregateRegistry::Options with;
-    with.aggregate = AggregateOptions::Builder()
-                         .backend(config.backend)
-                         .epsilon(0.1)
-                         .Build()
-                         .value();
-    with.prefetch = true;
-    AggregateRegistry::Options without = with;
-    without.prefetch = false;
-    auto pf = AggregateRegistry::Create(config.decay, with);
-    auto nopf = AggregateRegistry::Create(config.decay, without);
-    ASSERT_TRUE(pf.ok());
-    ASSERT_TRUE(nopf.ok());
-
-    Rng rng(0x9e3779b9);
-    Tick t = 1;
-    uint64_t next_key = 0;
-    for (int round = 0; round < 40; ++round) {
-      // Grouped batches: several same-tick segments, each mixing brand-new
-      // keys (arena growth) with revisits (prefetch guesses that hit).
-      std::vector<KeyedItem> batch;
-      const size_t segments = 1 + rng.NextBelow(3);
-      for (size_t s = 0; s < segments; ++s) {
-        const size_t n = 100 + rng.NextBelow(300);
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t key = rng.NextBelow(4) == 0 && next_key > 0
-                                   ? rng.NextBelow(next_key)
-                                   : next_key++ % kKeySpace;
-          batch.push_back(KeyedItem{key, t, 1 + rng.NextBelow(4)});
-        }
-        t += static_cast<Tick>(rng.NextBelow(3));
-      }
-      pf->UpdateBatch(batch);
-      nopf->UpdateBatch(batch);
-      ASSERT_EQ(pf->KeyCount(), nopf->KeyCount()) << "round=" << round;
-      ASSERT_EQ(pf->ArenaExtent(), nopf->ArenaExtent()) << "round=" << round;
-      ASSERT_EQ(pf->QueryTotal(t), nopf->QueryTotal(t)) << "round=" << round;
-      std::string pf_bytes, nopf_bytes;
-      ASSERT_TRUE(pf->EncodeState(&pf_bytes).ok());
-      ASSERT_TRUE(nopf->EncodeState(&nopf_bytes).ok());
-      ASSERT_EQ(pf_bytes, nopf_bytes)
-          << config.decay->Name() << " round=" << round;
-    }
-    // Both registries must have actually grown past two chunk boundaries,
-    // or the "across growth" claim in this test's name is vacuous.
-    ASSERT_GT(pf->ArenaExtent(), 8192u);
-    ASSERT_TRUE(pf->AuditInvariants().ok());
-    ASSERT_TRUE(nopf->AuditInvariants().ok());
-  }
-}
 
 }  // namespace
 }  // namespace tds

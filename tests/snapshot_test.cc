@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/coarse_ceh.h"
 #include "core/factory.h"
 #include "decay/exponential.h"
 #include "decay/polyexponential.h"
@@ -16,6 +17,7 @@
 #include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
 #include "stream/generators.h"
+#include "util/approx_age.h"
 #include "util/codec.h"
 #include "util/random.h"
 
@@ -195,6 +197,33 @@ TEST(SnapshotTest, RejectsCorruptData) {
   std::string flipped = bytes;
   flipped[2] ^= 0x5a;  // corrupt the magic
   EXPECT_FALSE(DecodeDecayedSum(decay, flipped).ok());
+}
+
+// A hostile CoarseCEH payload whose bucket counts wrap the 64-bit total
+// back to the encoded total: two class-63 buckets of 2^63 sum to 0.
+TEST(SnapshotTest, RejectsCoarseCehBucketTotalThatWraps) {
+  auto decay = PolynomialDecay::Create(1.0).value();
+  const CoarseCehDecayedSum::Options options;
+  Encoder encoder;
+  encoder.PutDouble(options.epsilon);
+  encoder.PutDouble(options.boundary_delta);
+  encoder.PutSigned(10);     // now
+  encoder.PutVarint(0);      // total count
+  encoder.PutDouble(2.0);    // max age seen
+  for (uint64_t word : {1, 2, 3, 4}) encoder.PutVarint(word);  // rng
+  encoder.PutVarint(64);     // classes
+  for (int c = 0; c < 63; ++c) encoder.PutVarint(0);
+  encoder.PutVarint(2);  // class 63: two fresh buckets
+  for (int b = 0; b < 2; ++b) {
+    ApproxAge(options.boundary_delta).EncodeTo(encoder);
+    encoder.PutVarint(uint64_t{1} << 63);
+  }
+  const std::string blob = encoder.Finish();
+
+  auto target = CoarseCehDecayedSum::Create(decay, options);
+  ASSERT_TRUE(target.ok());
+  Decoder decoder(blob);
+  EXPECT_FALSE((*target)->DecodeState(decoder).ok());
 }
 
 TEST(SnapshotTest, DecayedAverageRoundTrip) {

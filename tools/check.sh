@@ -113,12 +113,14 @@ for stage in $STAGES; do
       log "ASan leg: engine merge differential + fuzz drivers present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error -R 'EngineMerge|MergedSnapshot|RegistryMerge'
-      # The flat-vs-chain layout differential and its fuzz driver carry
-      # the bit-identity proof for the SoA histogram rework — they must
-      # run with audits armed, and must never silently vanish.
-      log "ASan leg: flat-layout differential + fuzz driver present"
+      # The EH and CoarseCEH fuzz drivers hold the flat bucket store to a
+      # naive reference histogram, and the registry batch test holds the
+      # grouped prefetch path to per-item ingest across arena growth. They
+      # must run with audits armed, and must never silently vanish.
+      log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-        --no-tests=error -R 'FlatLayoutDifferential|FlatEhFuzz|PrefetchOracle'
+        --no-tests=error \
+        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -128,12 +130,11 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
         -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace'
-      # Thread-local cascade scratch (flat_store.h) must hold under TSan:
-      # the layout differential and prefetch oracle exercise it from the
-      # engine's writer threads.
-      log "TSan leg: flat-layout differential + prefetch oracle present"
+      # Thread-local cascade scratch (flat_store.h) must hold under TSan.
+      log "TSan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-        --no-tests=error -R 'FlatLayoutDifferential|FlatEhFuzz|PrefetchOracle'
+        --no-tests=error \
+        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     faults)
       log "Fault-injection build (failpoints + ASan+UBSan + audits) + ctest"
@@ -146,11 +147,13 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
         -R 'EngineFault|CheckpointTest|BackpressureTest|CheckpointLog|Standby'
-      # The flat-layout twins must also survive the failpoint build (the
-      # decode funnels they drive are failpoint-instrumented).
-      log "faults leg: flat-layout differential + fuzz driver present"
+      # The reference-checked histogram fuzzers must also survive the
+      # failpoint build (the decode funnels they drive are
+      # failpoint-instrumented).
+      log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
-        --no-tests=error -R 'FlatLayoutDifferential|FlatEhFuzz'
+        --no-tests=error \
+        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
@@ -241,7 +244,7 @@ for stage in $STAGES; do
       cmake --build "$ROOT/build-cov" -j "$JOBS" --target \
         core_fuzz_test eh_fuzz_test ceh_fuzz_test wbmh_fuzz_test \
         mvd_fuzz_test snapshot_fuzz_test registry_fuzz_test \
-        engine_merge_fuzz_test engine_fault_fuzz_test flat_eh_fuzz_test \
+        engine_merge_fuzz_test engine_fault_fuzz_test \
         checkpoint_log_fuzz_test
       ctest --test-dir "$ROOT/build-cov" -j "$JOBS" --output-on-failure \
         --no-tests=error -R 'Fuzz'
@@ -249,8 +252,8 @@ for stage in $STAGES; do
       # coverage, loosening it requires editing this line in review.
       python3 "$ROOT/tools/coverage_report.py" \
         --build-dir "$ROOT/build-cov" --filter src/core --floor 70
-      # The histogram layer (flat store + EH + chain layout) gets its own
-      # floor so the flat-layout fuzz surface cannot quietly rot.
+      # The histogram layer (flat store, EH, WBMH) gets its own floor so
+      # the reference-checked fuzz surface cannot quietly rot.
       python3 "$ROOT/tools/coverage_report.py" \
         --build-dir "$ROOT/build-cov" --filter src/histogram --floor 70
       ;;
@@ -269,7 +272,7 @@ for stage in $STAGES; do
         wbmh_fuzz_test_fuzzer mvd_fuzz_test_fuzzer \
         snapshot_fuzz_test_fuzzer registry_fuzz_test_fuzzer \
         engine_merge_fuzz_test_fuzzer engine_fault_fuzz_test_fuzzer \
-        flat_eh_fuzz_test_fuzzer checkpoint_log_fuzz_test_fuzzer
+        checkpoint_log_fuzz_test_fuzzer
       # Bounded smoke: each driver replays its seed corpus, then fuzzes
       # briefly with coverage feedback. CI keeps this short; drop the cap
       # for a real fuzzing session.
@@ -277,7 +280,7 @@ for stage in $STAGES; do
       for driver in core_fuzz_test eh_fuzz_test ceh_fuzz_test \
           wbmh_fuzz_test mvd_fuzz_test snapshot_fuzz_test \
           registry_fuzz_test engine_merge_fuzz_test \
-          engine_fault_fuzz_test flat_eh_fuzz_test checkpoint_log_fuzz_test
+          engine_fault_fuzz_test checkpoint_log_fuzz_test
       do
         log "fuzz: $driver (${FUZZ_SECONDS}s)"
         "$ROOT/build-fuzz/tests/fuzz/${driver}_fuzzer" \

@@ -69,17 +69,6 @@ CORPUS = {
         ("eh_eps50_w32", bytes([3, 0]), 0xE404),
         ("eh_eps10_w1024", bytes([1, 4]), 0xE405),
     ],
-    "flat_eh_fuzz_test": [
-        # prefix: [harness Below(2)], then harness 0 (EH twins) draws
-        # [epsilon index Below(4), window index Below(5)]; harness 1
-        # (CoarseCEH twins) draws [seed offset Below(16)].
-        ("flat_eh_eps10_w128", bytes([0, 1, 2]), 0xF1A1),
-        ("flat_eh_eps02_w512", bytes([0, 0, 3]), 0xF1A2),
-        ("flat_eh_eps50_w32", bytes([0, 3, 0]), 0xF1A4),
-        ("flat_eh_eps25_w1024", bytes([0, 2, 4]), 0xF1A5),
-        ("flat_coarse_s1", bytes([1, 1]), 0xF1B1),
-        ("flat_coarse_s7", bytes([1, 7]), 0xF1B2),
-    ],
     "ceh_fuzz_test": [
         # prefix: [decay kind Below(4), tight flag Below(4) (0 => tight)]
         ("ceh_sliwin_tight", bytes([0, 0]), 0xCE01),
