@@ -31,7 +31,7 @@ constexpr uint32_t kIdlePollRounds = 1024;
 /// Upper bound on one idle park, and thus on how stale a sub-threshold
 /// backlog can get: pushes below half a ring don't wake the writer (see
 /// PushToShard), they ride until the slice expires. Deep backlogs, space
-/// waiters, drain waiters, snapshots, and commands all wake eagerly, so
+/// waiters, drain waiters, and writer requests all wake eagerly, so
 /// the slice only prices the background drain cadence — long enough that
 /// a fleet of parked writers doesn't preempt a busy producer every few
 /// hundred microseconds with timer wakes.
@@ -388,8 +388,8 @@ void ShardedAggregateEngine::WaitQueuesDrained() {
 
 void ShardedAggregateEngine::WakeWriter(Shard& shard) {
   // Dekker handshake with the writer's park sequence: callers publish
-  // work with a seq_cst store/RMW (enqueued, snapshot_requested,
-  // command_requested, stop_) before this seq_cst load, and the writer
+  // work with a seq_cst store/RMW (enqueued, requests_pending, stop_)
+  // before this seq_cst load, and the writer
   // stores writer_parked seq_cst before its seq_cst pre-park re-check of
   // those same flags. In the single total order over seq_cst operations
   // at least one side observes the other — either this load sees the
@@ -458,6 +458,7 @@ void ShardedAggregateEngine::UpdateStats(Shard& shard) {
 
 void ShardedAggregateEngine::WriterLoop(Shard& shard) {
   std::vector<KeyedItem> buffer(kDrainChunk);
+  std::vector<WriterRequest*> serving;
   const uint32_t idle_poll_rounds =
       std::thread::hardware_concurrency() > 1 ? kIdlePollRounds : 1;
   uint32_t idle_polls = 0;
@@ -490,12 +491,11 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
         shard.drain_cv.NotifyAll();
       }
     }
-    if (shard.snapshot_requested.exchange(false,
-                                          std::memory_order_acq_rel)) {
-      PublishSnapshot(shard);
-    }
-    if (shard.command_requested.exchange(false, std::memory_order_acq_rel)) {
-      RunPendingCommand(shard);
+    // The only per-chunk request check: one exchange, no lock. Acquire
+    // pairs with the poster's seq_cst raise, which follows its append, so
+    // the swap below sees every request whose raise this exchange read.
+    if (shard.requests_pending.exchange(false, std::memory_order_acq_rel)) {
+      ServeRequests(shard, serving);
     }
     if (n > 0) continue;  // keep draining while the queue is hot
     if (stop_.load(std::memory_order_acquire)) {
@@ -523,8 +523,7 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
       if (shard.enqueued.load(std::memory_order_seq_cst) ==
               shard.applied.load(std::memory_order_relaxed) &&
           !stop_.load(std::memory_order_seq_cst) &&
-          !shard.snapshot_requested.load(std::memory_order_seq_cst) &&
-          !shard.command_requested.load(std::memory_order_seq_cst)) {
+          !shard.requests_pending.load(std::memory_order_seq_cst)) {
         (void)shard.wake_cv.WaitFor(shard.wake_mutex, kWriterParkSlice);
       }
     }
@@ -536,17 +535,21 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     // ladder again before the next park.
     idle_polls = idle_poll_rounds;
   }
-  // Serve anything that raced shutdown: a pending command first (its poster
-  // is blocked on it), then a final publish so no snapshot reader hangs.
-  if (shard.command_requested.exchange(false, std::memory_order_acq_rel)) {
-    RunPendingCommand(shard);
-  }
-  PublishSnapshot(shard);
+  // Serve everything still pending, then close the queue in the same
+  // critical section: a request posted before `stopped` is served here,
+  // one posted after runs inline on its poster — none is lost or run
+  // twice, and no poster waits on a writer that is gone.
   {
-    MutexLock lock(shard.snapshot_mutex);
+    MutexLock lock(shard.request_mutex);
+    for (WriterRequest* request : shard.requests) {
+      request->fn(*shard.registry);
+      request->done = true;
+    }
+    shard.requests.clear();
+    UpdateStats(shard);
     shard.stopped = true;
   }
-  shard.snapshot_cv.NotifyAll();
+  shard.request_cv.NotifyAll();
   shard.writer_done.store(true, std::memory_order_release);
   // Release any waiter that raced shutdown (their predicates re-check
   // writer_done / the drained counters).
@@ -560,74 +563,64 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
   shard.space_cv.NotifyAll();
 }
 
-void ShardedAggregateEngine::PublishSnapshot(Shard& shard) {
-  uint64_t serving;
+void ShardedAggregateEngine::ServeRequests(
+    Shard& shard, std::vector<WriterRequest*>& batch) {
   {
-    MutexLock lock(shard.snapshot_mutex);
-    serving = shard.tickets_issued;
+    MutexLock lock(shard.request_mutex);
+    batch.swap(shard.requests);
   }
-  // Clone via the snapshot codec: everything applied before this point is
-  // in the clone, so any ticket issued before `serving` was read is served.
-  // The encode blob is retained alongside the clone — the merged-snapshot
-  // gather decodes from it without re-encoding.
-  //
-  // A codec failure (reachable only via failpoints; the encode/decode pair
-  // is self-inverse on any registry the audits admit) publishes a null
-  // snapshot: readers see "shard snapshot unavailable" / zero estimates
-  // for this publish, and the next request re-publishes from the intact
-  // registry — the shard keeps serving.
-  auto blob = std::make_shared<std::string>();
-  Status publish_status = shard.registry->EncodeState(blob.get());
-  std::shared_ptr<const AggregateRegistry> clone;
-  if (publish_status.ok()) {
-    auto decoded =
-        AggregateRegistry::Decode(decay_, options_.registry, *blob);
-    if (decoded.ok()) {
-      clone = std::make_shared<const AggregateRegistry>(
-          std::move(decoded).value());
-    } else {
-      publish_status = decoded.status();
-    }
-  }
-  if (!publish_status.ok()) blob = nullptr;
-  {
-    MutexLock lock(shard.snapshot_mutex);
-    shard.snapshot = std::move(clone);
-    shard.snapshot_blob = std::move(blob);
-    shard.tickets_served = std::max(shard.tickets_served, serving);
-  }
-  shard.snapshot_cv.NotifyAll();
-}
-
-void ShardedAggregateEngine::RunPendingCommand(Shard& shard) {
-  std::function<void(AggregateRegistry&)> fn;
-  {
-    MutexLock lock(shard.command_mutex);
-    fn = std::move(shard.command);
-    shard.command = nullptr;
-  }
-  if (fn) fn(*shard.registry);
+  if (batch.empty()) return;  // a raise whose request an earlier swap took
+  for (WriterRequest* request : batch) request->fn(*shard.registry);
+  // Mirrors before `done`: a poster that sees its request done also sees
+  // the occupancy a migration or Restore left behind.
   UpdateStats(shard);
   {
-    MutexLock lock(shard.command_mutex);
-    shard.command_done = true;
+    MutexLock lock(shard.request_mutex);
+    for (WriterRequest* request : batch) request->done = true;
   }
-  shard.command_cv.NotifyAll();
+  batch.clear();
+  shard.request_cv.NotifyAll();
+}
+
+void ShardedAggregateEngine::Post(Shard& shard, WriterRequest* request) {
+  {
+    MutexLock lock(shard.request_mutex);
+    if (shard.stopped) {
+      // The writer has exited: the registry is quiescent, and holding the
+      // queue mutex serializes inline requests against each other.
+      request->fn(*shard.registry);
+      request->done = true;
+      return;
+    }
+    shard.requests.push_back(request);
+  }
+  shard.requests_pending.store(true, std::memory_order_seq_cst);
+  WakeWriter(shard);
+}
+
+void ShardedAggregateEngine::Await(Shard& shard,
+                                   const WriterRequest& request) {
+  MutexLock lock(shard.request_mutex);
+  while (!request.done) shard.request_cv.Wait(shard.request_mutex);
 }
 
 void ShardedAggregateEngine::RunOnWriter(
     Shard& shard, std::function<void(AggregateRegistry&)> fn) {
-  {
-    MutexLock lock(shard.command_mutex);
-    TDS_CHECK_MSG(shard.command == nullptr,
-                  "one writer command at a time (hold the route lock)");
-    shard.command = std::move(fn);
-    shard.command_done = false;
+  WriterRequest request{std::move(fn)};
+  Post(shard, &request);
+  Await(shard, request);
+}
+
+void ShardedAggregateEngine::RunOnEveryWriter(
+    const std::function<void(uint32_t, AggregateRegistry&)>& fn) {
+  std::vector<WriterRequest> requests(shards_.size());
+  for (uint32_t i = 0; i < shards(); ++i) {
+    requests[i].fn = [&fn, i](AggregateRegistry& registry) {
+      fn(i, registry);
+    };
+    Post(*shards_[i], &requests[i]);
   }
-  shard.command_requested.store(true, std::memory_order_seq_cst);
-  WakeWriter(shard);
-  MutexLock lock(shard.command_mutex);
-  while (!shard.command_done) shard.command_cv.Wait(shard.command_mutex);
+  for (uint32_t i = 0; i < shards(); ++i) Await(*shards_[i], requests[i]);
 }
 
 void ShardedAggregateEngine::RunOnWriterForTest(
@@ -637,58 +630,38 @@ void ShardedAggregateEngine::RunOnWriterForTest(
   RunOnWriter(*shards_[shard], std::move(fn));
 }
 
-std::pair<std::shared_ptr<const AggregateRegistry>,
-          std::shared_ptr<const std::string>>
-ShardedAggregateEngine::TakeShardSnapshot(Shard& shard) {
-  uint64_t ticket;
-  {
-    MutexLock lock(shard.snapshot_mutex);
-    ticket = ++shard.tickets_issued;
-  }
-  shard.snapshot_requested.store(true, std::memory_order_seq_cst);
-  WakeWriter(shard);
-  MutexLock lock(shard.snapshot_mutex);
-  while (shard.tickets_served < ticket && !shard.stopped) {
-    shard.snapshot_cv.Wait(shard.snapshot_mutex);
-  }
-  return {shard.snapshot, shard.snapshot_blob};
-}
-
 std::shared_ptr<const AggregateRegistry> ShardedAggregateEngine::ShardSnapshot(
     uint32_t shard_index) {
   TDS_CHECK_LT(shard_index, shards_.size());
-  return TakeShardSnapshot(*shards_[shard_index]).first;
+  // The writer only encodes; the decode runs here, off the writer. A codec
+  // failure (reachable only via failpoints: the pair is self-inverse on
+  // any registry the audits admit) yields null and leaves the shard intact.
+  std::string blob;
+  Status encoded = Status::OK();
+  RunOnWriter(*shards_[shard_index], [&](AggregateRegistry& registry) {
+    encoded = registry.EncodeState(&blob);
+  });
+  if (!encoded.ok()) return nullptr;
+  auto decoded = AggregateRegistry::Decode(decay_, options_.registry, blob);
+  if (!decoded.ok()) return nullptr;
+  return std::make_shared<const AggregateRegistry>(std::move(decoded).value());
 }
 
 StatusOr<MergedSnapshot> ShardedAggregateEngine::Snapshot() {
   // Shared route lock across the whole gather: a migration between two
   // shard captures would otherwise double-count (or drop) the moving keys.
   // Concurrent flushes are fine — the cut is whatever each writer has
-  // applied — so the fence is not touched.
-  std::vector<std::string> blobs;
+  // applied — so the fence is not touched. Every writer encodes at once.
+  std::vector<std::string> blobs(shards_.size());
+  std::vector<Status> encoded(shards_.size());
   {
     ReaderMutexLock route_lock(route_mutex_);
-    // Issue every ticket first so the shard writers publish concurrently.
-    for (auto& shard : shards_) {
-      MutexLock lock(shard->snapshot_mutex);
-      ++shard->tickets_issued;
-    }
-    for (auto& shard : shards_) {
-      shard->snapshot_requested.store(true, std::memory_order_seq_cst);
-      WakeWriter(*shard);
-    }
-    blobs.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      MutexLock lock(shard->snapshot_mutex);
-      const uint64_t ticket = shard->tickets_issued;
-      while (shard->tickets_served < ticket && !shard->stopped) {
-        shard->snapshot_cv.Wait(shard->snapshot_mutex);
-      }
-      if (shard->snapshot_blob == nullptr) {
-        return Status::FailedPrecondition("shard snapshot unavailable");
-      }
-      blobs.push_back(*shard->snapshot_blob);
-    }
+    RunOnEveryWriter([&](uint32_t i, AggregateRegistry& registry) {
+      encoded[i] = registry.EncodeState(&blobs[i]);
+    });
+  }
+  for (const Status& status : encoded) {
+    if (!status.ok()) return status;
   }
   // Decode + fold outside the lock: the blobs are already a consistent cut.
   return MergedSnapshot::FromShardBlobs(decay_, options_.registry, blobs);
@@ -700,11 +673,9 @@ Status ShardedAggregateEngine::EnableCheckpointTracking() {
     return Status::FailedPrecondition(
         "EnableCheckpointTracking on a stopped engine");
   }
-  for (auto& shard : shards_) {
-    RunOnWriter(*shard, [](AggregateRegistry& registry) {
-      registry.EnableCheckpointTracking();
-    });
-  }
+  RunOnEveryWriter([](uint32_t, AggregateRegistry& registry) {
+    registry.EnableCheckpointTracking();
+  });
   ckpt_tracking_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -731,51 +702,49 @@ Status ShardedAggregateEngine::CaptureCheckpointDeltas(
     return Status::FailedPrecondition(
         "CaptureCheckpointDeltas on a stopped engine");
   }
-  Status capture = Status::OK();
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
+  // Every shard captures, even after another failed: epochs a failed pass
+  // already opened are harmless (the caller's committed watermarks don't
+  // move), and a full pass keeps shards in lockstep.
+  std::vector<Status> captured(shards_.size());
+  RunOnEveryWriter([&](uint32_t i, AggregateRegistry& registry) {
     (*out)[i].shard = i;
-    const uint64_t shard_since = since[i];
-    AggregateRegistry::CheckpointDelta* delta = &(*out)[i].delta;
-    Status shard_status = Status::OK();
-    RunOnWriter(*shards_[i], [&](AggregateRegistry& registry) {
-      shard_status = registry.CaptureCheckpointDelta(shard_since, delta);
-    });
-    // Keep capturing the remaining shards even after a failure: epochs a
-    // failed pass already opened are harmless (the caller's committed
-    // watermarks don't move), and a full pass keeps shards in lockstep.
-    if (!shard_status.ok() && capture.ok()) capture = shard_status;
+    captured[i] = registry.CaptureCheckpointDelta(since[i], &(*out)[i].delta);
+  });
+  for (const Status& status : captured) {
+    if (!status.ok()) return status;
   }
-  return capture;
+  return Status::OK();
 }
 
 double ShardedAggregateEngine::QueryKey(uint64_t key, Tick now) {
   // The shared route lock pins the key's shard for the duration (a
-  // migration between the route read and the snapshot would serve a
-  // snapshot that no longer holds the key).
+  // migration between the route read and the read request would ask a
+  // shard that no longer holds the key).
   ReaderMutexLock route_lock(route_mutex_);
-  const auto table = CurrentRoute();
-  const uint32_t shard_index = table->shard_of_slice[SliceForKey(
-      key, static_cast<uint32_t>(table->shard_of_slice.size()))];
-  const auto snapshot = TakeShardSnapshot(*shards_[shard_index]).first;
-  if (snapshot == nullptr) return 0.0;
-  return snapshot->Query(key, std::max(now, snapshot->now()));
+  double sum = 0.0;
+  RunOnWriter(*shards_[RouteForKey(key)], [&](AggregateRegistry& registry) {
+    sum = registry.Query(key, std::max(now, registry.now()));
+  });
+  return sum;
 }
 
 double ShardedAggregateEngine::QueryTotal(Tick now) {
-  double total = 0.0;
-  for (uint32_t i = 0; i < shards(); ++i) {
-    const auto snapshot = ShardSnapshot(i);
-    if (snapshot == nullptr) continue;
-    total += snapshot->QueryTotal(std::max(now, snapshot->now()));
+  std::vector<double> sums(shards_.size());
+  {
+    ReaderMutexLock route_lock(route_mutex_);
+    RunOnEveryWriter([&](uint32_t i, AggregateRegistry& registry) {
+      sums[i] = registry.QueryTotal(std::max(now, registry.now()));
+    });
   }
+  double total = 0.0;
+  for (const double sum : sums) total += sum;
   return total;
 }
 
-size_t ShardedAggregateEngine::KeyCount() {
+size_t ShardedAggregateEngine::KeyCount() const {
   size_t total = 0;
-  for (uint32_t i = 0; i < shards(); ++i) {
-    const auto snapshot = ShardSnapshot(i);
-    if (snapshot != nullptr) total += snapshot->KeyCount();
+  for (const auto& shard : shards_) {
+    total += shard->live_keys.load(std::memory_order_relaxed);
   }
   return total;
 }

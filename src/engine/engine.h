@@ -59,10 +59,14 @@ struct ProducerSessionOptions {
 /// contracts but new in-tree callers are rejected by tools/tds_lint.py
 /// (rule deprecated-ingest).
 ///
-/// Readers never block writers: queries are served from immutable
-/// point-in-time registry snapshots (encode → decode clones) that the
-/// writer publishes on request. A snapshot requested after Flush() reflects
-/// every item ingested before the Flush. Snapshot() assembles one
+/// Read path: every read is a request on its shard's writer queue, served
+/// between drain chunks against the live registry. QueryKey and QueryTotal
+/// evaluate the live aggregates in place (O(log N) buckets per key, no
+/// copy); ShardSnapshot and Snapshot ask the writer for the shard's encode
+/// blob only and decode it on the caller. KeyCount reads the writers'
+/// occupancy mirrors and posts nothing. A read issued after Flush()
+/// reflects every item ingested before the Flush; a read waits for at most
+/// the drain chunk the writer is applying. Snapshot() assembles one
 /// engine-wide MergedSnapshot from all shards at a single route-table cut.
 ///
 /// Backpressure: when a shard's ring fills, producers escalate through the
@@ -179,11 +183,11 @@ class ShardedAggregateEngine {
   ShardedAggregateEngine(const ShardedAggregateEngine&) = delete;
   ShardedAggregateEngine& operator=(const ShardedAggregateEngine&) = delete;
 
-  /// Drains every queue, stops the writer threads, and joins them.
-  /// Idempotent. After Stop() the ingest surface returns
-  /// kFailedPrecondition (never blocks), while queries keep serving the
-  /// final published snapshots. Items still staged in live sessions are
-  /// not drained — flush sessions first.
+  /// Drains every queue, serves every pending read, stops the writer
+  /// threads, and joins them. Idempotent. After Stop() the ingest surface
+  /// returns kFailedPrecondition (never blocks), while reads run inline on
+  /// the caller against the quiescent final state. Items still staged in
+  /// live sessions are not drained — flush sessions first.
   void Stop() TDS_EXCLUDES(route_mutex_);
 
   /// Opens a producer session — the preferred (and fastest) ingest
@@ -224,27 +228,31 @@ class ShardedAggregateEngine {
   /// session Flush() first.
   Status Flush();
 
-  /// Fresh immutable snapshot of one shard's registry, published by the
-  /// shard's writer without blocking ingestion. The snapshot reflects at
-  /// least everything applied before this call began.
+  /// Fresh immutable copy of one shard's registry: the writer encodes the
+  /// registry between drain chunks and the caller decodes the blob. The
+  /// copy reflects at least everything applied before this call began;
+  /// null if the encode or the decode fails.
   std::shared_ptr<const AggregateRegistry> ShardSnapshot(uint32_t shard);
 
-  /// One engine-wide merged view at a single route-table cut: per-shard
-  /// snapshots are gathered under the route lock (so no rebalance can slip
-  /// between shard captures and double-count a key) and folded into a
+  /// One engine-wide merged view at a single route-table cut: every shard
+  /// writer encodes its registry while the route lock is held (so no
+  /// rebalance can slip between shard captures and double-count a key);
+  /// the blobs are decoded and folded outside the lock into a
   /// MergedSnapshot whose cut tick is the max shard clock captured.
   StatusOr<MergedSnapshot> Snapshot() TDS_EXCLUDES(route_mutex_);
 
-  /// Decayed sum for `key` via a fresh snapshot of its owning shard.
-  /// Evaluated at max(now, snapshot clock) — a caller's clock may lag the
-  /// stream's.
+  /// Decayed sum for `key`, read by its owning shard's writer from the live
+  /// registry between drain chunks. Evaluated at max(now, shard clock) — a
+  /// caller's clock may lag the stream's.
   double QueryKey(uint64_t key, Tick now) TDS_EXCLUDES(route_mutex_);
 
-  /// Sum over all shards, each via a fresh snapshot at max(now, its clock).
-  double QueryTotal(Tick now);
+  /// Sum over all shards, each read by its writer from the live registry
+  /// at max(now, its clock), at one route-table cut.
+  double QueryTotal(Tick now) TDS_EXCLUDES(route_mutex_);
 
-  /// Total live keys across all shards (via fresh snapshots).
-  size_t KeyCount();
+  /// Total live keys across all shards, from the writers' occupancy
+  /// mirrors (exact after a Flush(); posts no request).
+  size_t KeyCount() const;
 
   /// Per-shard occupancy stats (the rebalance trigger's inputs).
   std::vector<ShardStats> Stats() const;
@@ -333,9 +341,7 @@ class ShardedAggregateEngine {
   /// Test hook: runs `fn` against `shard`'s registry on its writer thread
   /// and blocks until done. A blocking `fn` deterministically stalls that
   /// writer — the backpressure tests use this to fill a ring on purpose.
-  /// Holds the route lock shared (ingest keeps running); at most one
-  /// concurrent command per shard (migrations hold the lock exclusively,
-  /// so they never race this).
+  /// Holds the route lock shared (ingest keeps running, migrations wait).
   void RunOnWriterForTest(uint32_t shard,
                           std::function<void(AggregateRegistry&)> fn)
       TDS_EXCLUDES(route_mutex_);
@@ -356,6 +362,14 @@ class ShardedAggregateEngine {
   struct PushCounters {
     uint64_t rejected = 0;
     bool stalled = false;
+  };
+
+  /// One unit of work for a shard writer. Lives on the poster's stack
+  /// until `done`; the writer sets `done` under the shard's request_mutex
+  /// after `fn` ran and never touches the request again.
+  struct WriterRequest {
+    std::function<void(AggregateRegistry&)> fn;
+    bool done = false;
   };
 
   struct Shard {
@@ -382,8 +396,8 @@ class ShardedAggregateEngine {
     Atomic<uint32_t> drain_waiters{0};
 
     /// Writer-idle parking: the writer parks in bounded slices when it has
-    /// nothing to do; producers, snapshot requesters, command posters, and
-    /// Stop() wake it through WakeWriter().
+    /// nothing to do; producers, request posters, and Stop() wake it
+    /// through WakeWriter().
     Mutex wake_mutex;
     CondVar wake_cv;
     Atomic<bool> writer_parked{false};
@@ -399,39 +413,29 @@ class ShardedAggregateEngine {
 
     /// Written only by the shard's writer thread (constructed before the
     /// thread starts, which establishes the happens-before edge; a
-    /// migration mutates it on the writer thread via RunOnWriter). Thread
+    /// request mutates it on the writer thread via RunOnWriter; after
+    /// `stopped` it is touched only under request_mutex). Thread
     /// *ownership* is a discipline Clang TSA cannot express, so this field
     /// is deliberately unannotated.
     std::optional<AggregateRegistry> registry;
 
     /// Occupancy stats mirrored by the writer after every applied batch
-    /// and every command (readable without stopping the writer).
+    /// and every served request (readable without stopping the writer).
     Atomic<uint64_t> live_keys{0};
     Atomic<uint64_t> arena_extent{0};
 
-    /// Snapshot ticket channel: readers post a ticket and block; the
-    /// writer publishes a clone and serves every ticket issued before the
-    /// publish began.
-    Mutex snapshot_mutex;
-    CondVar snapshot_cv;
-    Atomic<bool> snapshot_requested{false};
-    std::shared_ptr<const AggregateRegistry> snapshot
-        TDS_GUARDED_BY(snapshot_mutex);
-    std::shared_ptr<const std::string> snapshot_blob
-        TDS_GUARDED_BY(snapshot_mutex);
-    uint64_t tickets_issued TDS_GUARDED_BY(snapshot_mutex) = 0;
-    uint64_t tickets_served TDS_GUARDED_BY(snapshot_mutex) = 0;
-    bool stopped TDS_GUARDED_BY(snapshot_mutex) = false;
-
-    /// Writer-command channel (migrations): the registry must only ever be
-    /// touched from its writer thread, so cross-shard moves post closures
-    /// here and block until the writer has run them.
-    Mutex command_mutex;
-    CondVar command_cv;
-    std::function<void(AggregateRegistry&)> command
-        TDS_GUARDED_BY(command_mutex);
-    bool command_done TDS_GUARDED_BY(command_mutex) = false;
-    Atomic<bool> command_requested{false};
+    /// Request queue: readers, migrations, Restore and checkpoint capture
+    /// append a request under request_mutex, raise `requests_pending`
+    /// (seq_cst, the Dekker partner of the writer's park re-check) and
+    /// wake the writer, which swaps the list out between drain chunks and
+    /// runs every request against the live registry. Once the writer has
+    /// exited it sets `stopped`, and requests run inline on the poster
+    /// under request_mutex.
+    Mutex request_mutex;
+    CondVar request_cv;  ///< posters wait here for their request's `done`
+    std::vector<WriterRequest*> requests TDS_GUARDED_BY(request_mutex);
+    bool stopped TDS_GUARDED_BY(request_mutex) = false;
+    Atomic<bool> requests_pending{false};
 
     std::thread writer;
   };
@@ -439,23 +443,29 @@ class ShardedAggregateEngine {
   explicit ShardedAggregateEngine(const Options& options);
 
   void WriterLoop(Shard& shard);
-  void PublishSnapshot(Shard& shard);
-  void RunPendingCommand(Shard& shard);
   void UpdateStats(Shard& shard);
 
-  /// Issues a snapshot ticket and blocks until the writer serves it;
-  /// returns the published registry clone and its encode blob.
-  std::pair<std::shared_ptr<const AggregateRegistry>,
-            std::shared_ptr<const std::string>>
-  TakeShardSnapshot(Shard& shard);
+  /// Writer side of the request queue: swaps the pending list into
+  /// `batch` (recycled, so steady serving allocates nothing), runs it,
+  /// and marks it done.
+  void ServeRequests(Shard& shard, std::vector<WriterRequest*>& batch);
+
+  /// Queues `request` on the shard's writer, or runs it inline if the
+  /// writer has stopped. Await blocks until it has run.
+  void Post(Shard& shard, WriterRequest* request);
+  void Await(Shard& shard, const WriterRequest& request);
 
   /// Runs `fn` against the shard's registry on the shard's writer thread
-  /// and waits for completion. Callers must hold the route lock (shared
-  /// suffices for the analysis; migrations hold it exclusively, which is
-  /// what actually keeps commands one-at-a-time — the test hook's shared
-  /// mode relies on migrations being excluded by its own lock).
-  void RunOnWriter(Shard& shard, std::function<void(AggregateRegistry&)> fn)
-      TDS_REQUIRES_SHARED(route_mutex_);
+  /// (inline once the engine has stopped) and waits for completion. Any
+  /// number of threads may post at once. A mutation that must not race
+  /// ingest or other mutations is the caller's to order: migrations and
+  /// Restore hold the route lock exclusively with the flush fence up.
+  void RunOnWriter(Shard& shard, std::function<void(AggregateRegistry&)> fn);
+
+  /// RunOnWriter on every shard at once: posts to all writers, then waits
+  /// for all, so the shards serve in parallel.
+  void RunOnEveryWriter(
+      const std::function<void(uint32_t, AggregateRegistry&)>& fn);
 
   /// Pushes `items` onto one shard's ring, escalating through the staged
   /// wait when full. Returns kUnavailable once `deadline` expires with
@@ -547,8 +557,8 @@ class ShardedAggregateEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Control-plane lock: migrations/Stop/Restore hold it exclusive;
-  /// snapshot gathers, per-key reads, and the writer-command test hook
-  /// hold it shared. Producers never take it.
+  /// snapshot gathers, point reads, checkpoint capture, and the
+  /// writer-request test hook hold it shared. Producers never take it.
   mutable SharedMutex route_mutex_;
 
   /// Current epoch-published route snapshot. Load via CurrentRoute()

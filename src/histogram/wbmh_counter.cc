@@ -39,20 +39,26 @@ int WbmhCounter::MantissaBitsForLevel(uint32_t level) const {
 }
 
 void WbmhCounter::Sync() {
-  const uint64_t latest = layout_->OpSeq();
   TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
                 "layout op log was trimmed past this counter's position");
-  for (; applied_seq_ < latest; ++applied_seq_) {
-    const WbmhLayout::Op& op = layout_->OpAt(applied_seq_);
+  applied_seq_ = ReplayOps(counts_, applied_seq_);
+  TDS_AUDIT_MUTATION(AuditInvariants());
+}
+
+uint64_t WbmhCounter::ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
+                                uint64_t from) const {
+  const uint64_t latest = layout_->OpSeq();
+  for (uint64_t seq = from; seq < latest; ++seq) {
+    const WbmhLayout::Op& op = layout_->OpAt(seq);
     switch (op.kind) {
       case WbmhLayout::OpKind::kSeal:
         break;  // counts materialize lazily on first Add
       case WbmhLayout::OpKind::kMerge: {
-        auto right = counts_.find(op.b);
-        if (right == counts_.end()) break;
+        auto right = counts.find(op.b);
+        if (right == counts.end()) break;
         Cell absorbed = right->second;
-        counts_.erase(right);
-        Cell& left = counts_[op.a];
+        counts.erase(right);
+        Cell& left = counts[op.a];
         const uint32_t level =
             std::max(left.level, absorbed.level) + 1;
         left.level = level;
@@ -61,11 +67,11 @@ void WbmhCounter::Sync() {
         break;
       }
       case WbmhLayout::OpKind::kDrop:
-        counts_.erase(op.a);
+        counts.erase(op.a);
         break;
     }
   }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  return latest;
 }
 
 void WbmhCounter::Add(Tick t, uint64_t value) {
@@ -166,53 +172,27 @@ double WbmhCounter::Estimate(Tick now) const {
   const DecayFunction& g = *layout_->decay();
   const Tick horizon = g.Horizon();
   TDS_CHECK_GE(now, layout_->now());
-  double sum = 0.0;
-  if (applied_seq_ == layout_->OpSeq()) {
-    layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
-      auto it = counts_.find(span.id);
-      if (it == counts_.end() || it->second.count.IsZero()) return;
-      const Tick age = std::max<Tick>(1, AgeAt(std::min(span.end, now), now));
-      if (horizon != kInfiniteHorizon && age > horizon) return;
-      sum += it->second.count.Value() * g.Weight(age);
-    });
-    return sum;
-  }
   // Behind the layout: replay the pending structural ops on a local copy of
-  // the count values. Merges add exactly (no re-round), a one-sided
-  // difference from the synced register bounded by the rounding schedule.
-  TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
-                "layout op log was trimmed past this counter's position");
-  std::unordered_map<uint64_t, double> values;
-  values.reserve(counts_.size());
-  for (const auto& [id, cell] : counts_) {
-    if (!cell.count.IsZero()) values[id] = cell.count.Value();
-  }
-  for (uint64_t seq = applied_seq_; seq < layout_->OpSeq(); ++seq) {
-    const WbmhLayout::Op& op = layout_->OpAt(seq);
-    switch (op.kind) {
-      case WbmhLayout::OpKind::kSeal:
-        break;
-      case WbmhLayout::OpKind::kMerge: {
-        auto right = values.find(op.b);
-        if (right == values.end()) break;
-        const double absorbed = right->second;
-        values.erase(right);
-        values[op.a] += absorbed;
-        break;
-      }
-      case WbmhLayout::OpKind::kDrop:
-        values.erase(op.a);
-        break;
-    }
+  // the cells, re-rounding exactly as Sync() would, so the estimate does
+  // not depend on when this counter last synced.
+  std::unordered_map<uint64_t, Cell> replayed;
+  const std::unordered_map<uint64_t, Cell>* counts = &counts_;
+  if (applied_seq_ != layout_->OpSeq()) {
+    TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
+                  "layout op log was trimmed past this counter's position");
+    replayed = counts_;
+    (void)ReplayOps(replayed, applied_seq_);
+    counts = &replayed;
   }
   // Buckets the (frozen) layout has not yet dropped may already be fully
   // past the horizon at `now`; they contribute nothing.
+  double sum = 0.0;
   layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
-    auto it = values.find(span.id);
-    if (it == values.end() || it->second == 0.0) return;
+    auto it = counts->find(span.id);
+    if (it == counts->end() || it->second.count.IsZero()) return;
     const Tick age = std::max<Tick>(1, AgeAt(std::min(span.end, now), now));
     if (horizon != kInfiniteHorizon && age > horizon) return;
-    sum += it->second * g.Weight(age);
+    sum += it->second.count.Value() * g.Weight(age);
   });
   return sum;
 }

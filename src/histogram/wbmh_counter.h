@@ -60,9 +60,10 @@ class WbmhCounter {
   /// the decayed sum over the bucket structure as of the layout's last
   /// advance, with true ages relative to `now`. If this counter has not
   /// applied the layout's latest ops, they are replayed on a local copy of
-  /// the count values (without re-rounding, a one-sided difference bounded
-  /// by the rounding eps). Buckets whose newest slot is past the horizon
-  /// contribute 0. Safe for concurrent readers of a quiescent structure.
+  /// the cells exactly as Sync() would, so the estimate is bit-identical
+  /// to Sync() followed by Estimate(). Buckets whose newest slot is past
+  /// the horizon contribute 0. Safe for concurrent readers of a quiescent
+  /// structure.
   double Estimate(Tick now) const;
 
   /// Sum of all bucket counts (no decay weighting).
@@ -101,6 +102,10 @@ class WbmhCounter {
   };
 
   int MantissaBitsForLevel(uint32_t level) const;
+  /// Applies the layout ops [from, OpSeq()) to `counts` (re-rounding each
+  /// merge) and returns OpSeq(). The one replay Sync and Estimate share.
+  uint64_t ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
+                     uint64_t from) const;
 
   std::shared_ptr<WbmhLayout> layout_;
   double count_epsilon_;

@@ -209,14 +209,13 @@ TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   EXPECT_EQ((*engine)->Stats()[0].items_rejected, 0u);
 
   // Flush on a drained stopped engine is a no-op success; Stop is
-  // idempotent; queries keep serving the final published snapshot.
+  // idempotent; reads run inline against the final state.
   EXPECT_TRUE((*engine)->Flush().ok());
   (*engine)->Stop();
   EXPECT_DOUBLE_EQ((*engine)->QueryKey(9, 1), 4.0);
   EXPECT_EQ((*engine)->KeyCount(), 1u);
 
-  // Route mutations on a stopped engine refuse instead of hanging on a
-  // writer command nobody will serve.
+  // Route mutations on a stopped engine refuse instead of mutating it.
   const std::vector<uint32_t> slices = {0, 1};
   EXPECT_EQ((*engine)->MigrateSlices(slices, 0).code(),
             StatusCode::kFailedPrecondition);

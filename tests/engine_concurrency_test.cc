@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -210,6 +211,17 @@ TEST(ShardedEngineTest, RebalanceRacesProducersAndSnapshotReaders) {
         std::this_thread::yield();
       }
     });
+    // Point reads race the migrations: the route lock pins a key's shard
+    // for the read, and the writer serves it between drain chunks.
+    std::thread point_reader([&] {
+      Rng rng(77);
+      while (!done.load(std::memory_order_acquire)) {
+        const double sum =
+            (*engine)->QueryKey(pool[rng.NextBelow(pool.size())], 0);
+        EXPECT_TRUE(std::isfinite(sum) && sum >= 0.0) << sum;
+        std::this_thread::yield();
+      }
+    });
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
@@ -226,6 +238,7 @@ TEST(ShardedEngineTest, RebalanceRacesProducersAndSnapshotReaders) {
     done.store(true, std::memory_order_release);
     rebalancer.join();
     snapshotter.join();
+    point_reader.join();
     ASSERT_TRUE((*engine)->Flush().ok());
 
     auto reference = AggregateRegistry::Create(config.decay, options.registry);
@@ -461,6 +474,73 @@ TEST(ShardedEngineTest, OversubscribedSessionsDontLoseOrDuplicate) {
         << "key=" << key;
   }
   EXPECT_EQ((*engine)->KeyCount(), reference->KeyCount());
+}
+
+// Writer requests from many threads at once. CaptureCheckpointDeltas and
+// EnableCheckpointTracking hold the route lock only shared, so their
+// writer requests race each other and point reads on the same shards
+// while a producer keeps ingesting. Every request must run exactly once
+// on its own caller's behalf: every call succeeds, and every captured
+// delta is a well-formed registry blob.
+TEST(ShardedEngineTest, ConcurrentWriterRequestsAllComplete) {
+  constexpr int kCapturers = 3;
+  constexpr int kCaptures = 400;
+  auto decay = SlidingWindowDecay::Create(256).value();
+  ShardedAggregateEngine::Options options;
+  options.registry = RegistryOptions(Backend::kCeh, 0.1);
+  options.shards = 2;
+  auto engine = ShardedAggregateEngine::Create(decay, options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->EnableCheckpointTracking().ok());
+
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    auto session = (*engine)->NewProducer();
+    ASSERT_TRUE(session.ok());
+    for (Tick t = 1; !done.load(std::memory_order_acquire); ++t) {
+      for (uint64_t key = 0; key < 64; ++key) {
+        ASSERT_TRUE((*session)->Add(key, t, 1 + key % 3).ok());
+      }
+      ASSERT_TRUE((*session)->Flush().ok());
+    }
+  });
+  std::thread tracker([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE((*engine)->EnableCheckpointTracking().ok());
+    }
+  });
+  std::thread reader([&] {
+    for (uint64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+      const double sum = (*engine)->QueryKey(i % 64, 0);
+      EXPECT_TRUE(std::isfinite(sum) && sum >= 0.0) << sum;
+    }
+  });
+  std::vector<std::thread> capturers;
+  for (int c = 0; c < kCapturers; ++c) {
+    capturers.emplace_back([&] {
+      const std::vector<uint64_t> since((*engine)->shards(), 0);
+      std::vector<ShardedAggregateEngine::ShardCheckpointDelta> deltas;
+      for (int i = 0; i < kCaptures; ++i) {
+        ASSERT_TRUE((*engine)->CaptureCheckpointDeltas(since, &deltas).ok());
+        ASSERT_EQ(deltas.size(), (*engine)->shards());
+        for (uint32_t s = 0; s < deltas.size(); ++s) {
+          EXPECT_EQ(deltas[s].shard, s);
+          EXPECT_GT(deltas[s].delta.epoch, 0u);
+          auto decoded = AggregateRegistry::Decode(decay, options.registry,
+                                                   deltas[s].delta.blob);
+          ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+          EXPECT_EQ(decoded->KeyCount(), deltas[s].delta.dirty_count);
+        }
+      }
+    });
+  }
+  for (auto& thread : capturers) thread.join();
+  done.store(true, std::memory_order_release);
+  producer.join();
+  tracker.join();
+  reader.join();
+  ASSERT_TRUE((*engine)->Flush().ok());
+  EXPECT_EQ((*engine)->KeyCount(), 64u);
 }
 
 TEST(ShardedEngineTest, BatchedAndUnbatchedApplyAgree) {

@@ -92,29 +92,34 @@ class EngineFaultTest : public ::testing::Test {
   }
 };
 
-TEST_F(EngineFaultTest, EncodeFailurePublishesNullAndRecovers) {
+TEST_F(EngineFaultTest, EncodeFailureFailsSnapshotsButNotPointReads) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
   failpoint::Arm("registry.encode", {.fire_on_hit = 1, .sticky = true});
-  // Per-key queries see a null snapshot (zero estimate), the merged
-  // snapshot reports a clean failure — and nothing crashes or hangs.
-  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), 0.0);
+  // Point reads never touch the codec: they keep serving the live
+  // registry through the outage. Full copies report a clean failure — and
+  // nothing crashes or hangs.
+  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
+  EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
   auto merged = fx.engine->Snapshot();
   EXPECT_FALSE(merged.ok());
   EXPECT_GE(failpoint::Fires("registry.encode"), 1u);
-  // Ingest keeps working through the outage (publishes are the only
-  // casualty), and everything recovers once the fault clears.
+  // Ingest keeps working through the outage, and everything recovers once
+  // the fault clears.
   EXPECT_TRUE(SessionIngest(*fx.engine, 3, fx.tick, 0).ok());
   EXPECT_TRUE(fx.engine->Flush().ok());
+  ExpectServesExpected(fx);
   failpoint::DisarmAll();
   ExpectServesExpected(fx);
   ExpectAuditClean(fx);
 }
 
-TEST_F(EngineFaultTest, DecodeFailurePublishesNullAndRecovers) {
+TEST_F(EngineFaultTest, DecodeFailureFailsSnapshotsButNotPointReads) {
   Fixture fx = MakeEngine(Backend::kWbmh, PolynomialDecay::Create(1.0).value());
   failpoint::Arm("registry.decode", {.fire_on_hit = 1, .sticky = true});
-  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), 0.0);
+  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
+  EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
   EXPECT_FALSE(fx.engine->Snapshot().ok());
+  ExpectServesExpected(fx);
   failpoint::DisarmAll();
   ExpectServesExpected(fx);
   ExpectAuditClean(fx);
@@ -122,8 +127,8 @@ TEST_F(EngineFaultTest, DecodeFailurePublishesNullAndRecovers) {
 
 TEST_F(EngineFaultTest, TransientDecodeFailureAffectsOneShardOnly) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
-  // Fire on the first decode only: one shard publishes a null snapshot,
-  // the other shards' publishes (later decode hits) keep serving.
+  // Fire on the first decode only. ShardSnapshot decodes on the caller,
+  // shard by shard: the first shard's copy is null, the others decode.
   failpoint::ArmNthHit("registry.decode", 1);
   size_t null_snapshots = 0;
   for (uint32_t shard = 0; shard < fx.engine->shards(); ++shard) {

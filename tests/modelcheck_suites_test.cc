@@ -417,6 +417,194 @@ TEST(StopIngestSuite, CheckingStopBeforeTheFenceLosesAnAcknowledgedPush) {
 }
 
 // ---------------------------------------------------------------------------
+// Suite 5: the shard request queue — readers' Post/Await, the writer's
+// ServeRequests between drain chunks, its park sequence, and its exit path
+// racing Stop() (engine.cc).
+//
+// Two readers each post one request and wait for it. The writer swaps the
+// pending list out whenever its exchange of `requests_pending` reads true,
+// runs the requests outside the queue mutex, marks them done under it, and
+// parks when idle (the same Dekker handshake as suite 3). Stop publishes
+// stop_ and wakes the writer, which serves what is still pending and sets
+// `stopped` in one critical section; a request posted after that runs
+// inline on its reader, under the mutex. The queue mutex is a CAS lock
+// whose waiters park on an eventcount gate, so it induces the real
+// mutex's happens-before edges; the posters' condition-variable wait is
+// the eventcount idiom under that lock. Checked properties:
+//  - every request runs exactly once, on the writer or inline;
+//  - no reader hangs and the writer always exits (deadlock detection);
+//  - no two threads touch the registry unordered (it is a Var).
+// The seeded bug raises `stopped` first and drains the pending list
+// afterwards through the ordinary serve path, which runs requests outside
+// the mutex: a reader that posts after `stopped` runs inline against a
+// registry the writer is still serving — caught as a data race.
+// ---------------------------------------------------------------------------
+
+constexpr int kReaders = 2;
+
+struct ReadModel {
+  Atomic<bool> locked{false};  ///< the queue mutex
+  Gate lock_gate;
+  // Guarded by the queue mutex (request ids as bit masks). Plain fields:
+  // the mutex model orders them, and the Vars below catch a broken order.
+  int pending = 0;
+  int done = 0;
+  bool stopped = false;
+  Gate done_gate;  ///< the posters' condition variable
+  Atomic<bool> requests_pending{false};
+  Atomic<bool> writer_parked{false};
+  Gate wake;
+  Atomic<bool> stop{false};
+  Var<int> registry{0, "registry"};
+  int served[kReaders] = {0, 0};
+};
+
+void ModelLock(ReadModel* m) {
+  while (true) {
+    bool expected = false;
+    if (m->locked.compare_exchange_strong(expected, true,
+                                          std::memory_order_acq_rel)) {
+      return;
+    }
+    const uint64_t epoch = m->lock_gate.PrepareWait();
+    if (m->locked.load(std::memory_order_acquire)) {
+      m->lock_gate.CommitWait(epoch);
+    }
+  }
+}
+
+void ModelUnlock(ReadModel* m) {
+  m->locked.store(false, std::memory_order_release);
+  m->lock_gate.Wake();
+}
+
+/// The request body: one registry access. `served` is bumped alongside.
+void ModelRunRequest(ReadModel* m, int id) {
+  m->registry.Write(m->registry.Read() + 1);
+  ++m->served[id];
+}
+
+void ModelWakeWriter(ReadModel* m) {
+  if (m->writer_parked.load(std::memory_order_seq_cst)) m->wake.Wake();
+}
+
+/// Post + Await for request `id` (RunOnWriter).
+void ModelReader(ReadModel* m, int id) {
+  const int bit = 1 << id;
+  ModelLock(m);
+  if (m->stopped) {
+    ModelRunRequest(m, id);  // inline: the writer is gone
+    m->done |= bit;
+    ModelUnlock(m);
+    return;
+  }
+  m->pending |= bit;
+  ModelUnlock(m);
+  m->requests_pending.store(true, std::memory_order_seq_cst);
+  ModelWakeWriter(m);
+  ModelLock(m);
+  while ((m->done & bit) == 0) {
+    const uint64_t epoch = m->done_gate.PrepareWait();
+    ModelUnlock(m);
+    m->done_gate.CommitWait(epoch);
+    ModelLock(m);
+  }
+  ModelUnlock(m);
+}
+
+/// ServeRequests: swap under the lock, run outside it, mark done under it.
+void ModelServe(ReadModel* m) {
+  ModelLock(m);
+  const int batch = m->pending;
+  m->pending = 0;
+  ModelUnlock(m);
+  if (batch == 0) return;
+  for (int id = 0; id < kReaders; ++id) {
+    if ((batch & (1 << id)) != 0) ModelRunRequest(m, id);
+  }
+  ModelLock(m);
+  m->done |= batch;
+  ModelUnlock(m);
+  m->done_gate.Wake();
+}
+
+void ModelRequestWriter(ReadModel* m, bool stopped_before_drain) {
+  while (true) {
+    if (m->requests_pending.exchange(false, std::memory_order_acq_rel)) {
+      ModelServe(m);
+    }
+    if (m->stop.load(std::memory_order_acquire)) break;
+    m->writer_parked.store(true, std::memory_order_seq_cst);
+    const uint64_t epoch = m->wake.PrepareWait();
+    if (!m->stop.load(std::memory_order_seq_cst) &&
+        !m->requests_pending.load(std::memory_order_seq_cst)) {
+      m->wake.CommitWait(epoch);
+    }
+    m->writer_parked.store(false, std::memory_order_relaxed);
+  }
+  if (stopped_before_drain) {
+    // The seeded bug: close the queue, then drain it the ordinary way.
+    ModelLock(m);
+    m->stopped = true;
+    ModelUnlock(m);
+    ModelServe(m);
+    return;
+  }
+  ModelLock(m);
+  for (int id = 0; id < kReaders; ++id) {
+    if ((m->pending & (1 << id)) != 0) ModelRunRequest(m, id);
+  }
+  m->done |= m->pending;
+  m->pending = 0;
+  m->stopped = true;
+  ModelUnlock(m);
+  m->done_gate.Wake();
+}
+
+/// Reader 0 races the writer's park sequence; the other thread runs
+/// Stop() (publish stop_, wake the writer — without the join, so the
+/// writer's exit stays concurrent) and then reads, racing the exit path.
+Result ExploreReadChannel(bool stopped_before_drain) {
+  Options opts;
+  opts.mode = Options::Mode::kDfs;
+  opts.max_schedules = 20000;
+  // Two preemptions reach every seeded interleaving (the bug needs a
+  // reader preempted between its append and its raise, and the writer
+  // preempted inside its drain) and keep the space exhaustible.
+  opts.preemption_bound = 2;
+  return Record(Explore(opts, [stopped_before_drain](McRun& run) {
+    auto model = std::make_unique<ReadModel>();
+    ReadModel* m = model.get();
+    run.Spawn([m] { ModelReader(m, 0); });
+    run.Spawn([m, stopped_before_drain] {
+      ModelRequestWriter(m, stopped_before_drain);
+    });
+    run.Spawn([m] {
+      m->stop.store(true, std::memory_order_seq_cst);
+      ModelWakeWriter(m);
+      ModelReader(m, 1);
+    });
+    run.Await();
+    for (int id = 0; id < kReaders; ++id) MC_CHECK(m->served[id] == 1);
+    MC_CHECK(m->registry.Read() == kReaders);
+    MC_CHECK(m->pending == 0 && m->stopped);
+  }));
+}
+
+TEST(ReadChannelSuite, EveryRequestServedExactlyOnceAcrossStop) {
+  const Result result = ExploreReadChannel(/*stopped_before_drain=*/false);
+  EXPECT_FALSE(result.failed) << result.failure;
+  EXPECT_TRUE(result.exhausted);
+}
+
+TEST(ReadChannelSuite, RaisingStoppedBeforeTheDrainIsCaught) {
+  const Result result = ExploreReadChannel(/*stopped_before_drain=*/true);
+  ASSERT_TRUE(result.failed);
+  EXPECT_NE(result.failure.find("registry"), std::string::npos)
+      << result.failure;
+}
+
+// ---------------------------------------------------------------------------
 // Acceptance floor: ≥10,000 interleavings across the suites. Runs last by
 // declaration order, but does not depend on it — if the DFS spaces above
 // came in under the floor (or the filter skipped them), seeded-random

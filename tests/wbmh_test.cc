@@ -403,6 +403,30 @@ TEST(WbmhCounterTest, SyncOrderIndependence) {
   EXPECT_DOUBLE_EQ(eager.Query(3000), lazy.Query(3000));
 }
 
+// Estimate() on a counter behind its shared layout replays the pending
+// merges exactly as Sync() would, re-rounding included, so a read never
+// depends on when the counter last synced (the engine answers point reads
+// from live registries whose counters sync lazily).
+TEST(WbmhCounterTest, EstimateBehindTheLayoutMatchesSynced) {
+  auto shared = MakeLayout(PolynomialDecay::Create(1.0).value(), 0.5);
+  WbmhCounter behind(shared, WbmhCounter::Options{0.1});
+  WbmhCounter synced(shared, WbmhCounter::Options{0.1});
+  for (Tick t = 1; t <= 300; ++t) {
+    const uint64_t value = 1000 + 37 * static_cast<uint64_t>(t % 11);
+    behind.Add(t, value);
+    synced.Add(t, value);
+  }
+  for (const Tick later : {Tick{400}, Tick{1000}, Tick{3000}}) {
+    shared->AdvanceTo(later);
+    synced.Sync();
+    EXPECT_LT(behind.AppliedSeq(), shared->OpSeq());
+    EXPECT_EQ(behind.Estimate(later), synced.Estimate(later))
+        << "later=" << later;
+    EXPECT_EQ(behind.Estimate(later + 50), synced.Estimate(later + 50))
+        << "later=" << later;
+  }
+}
+
 TEST(WbmhLayoutTest, NonUnitStartOffset) {
   // Streams whose life begins late: boundaries anchor at `start`.
   WbmhLayout::Options options;

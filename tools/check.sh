@@ -126,10 +126,10 @@ for stage in $STAGES; do
       log "TSan build + ctest"
       build_and_test build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTDS_SANITIZE=thread
-      log "TSan leg: engine merge differential + fuzz drivers present"
+      log "TSan leg: engine merge/read differentials + request races present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
-        -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace'
+        -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|ConcurrentWriterRequests|EngineReadTest'
       # Thread-local cascade scratch (flat_store.h) must hold under TSan.
       log "TSan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
@@ -222,7 +222,7 @@ for stage in $STAGES; do
       # so "zero tests matched" means the gate silently vanished.
       ctest --test-dir "$ROOT/build-modelcheck" --output-on-failure \
         --no-tests=error \
-        -R 'ModelCheck|SpscRingSuite|RoutePublishSuite|ParkWakeSuite|StopIngestSuite|CoverageFloor'
+        -R 'ModelCheck|SpscRingSuite|RoutePublishSuite|ParkWakeSuite|StopIngestSuite|ReadChannelSuite|CoverageFloor'
       ;;
     chaos)
       log "TSan + schedule chaos (TDS_SCHED_CHAOS=ON, pinned seed) + engine suites"
