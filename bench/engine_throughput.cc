@@ -18,12 +18,14 @@
 //   --smoke-atomics   wrapper-parity gate only: a tds::Atomic SpscRing must
 //                     hold >= 0.95x the throughput of a raw std::atomic
 //                     twin, proving the -DTDS_MODELCHECK=OFF wrappers are
-//                     zero-cost; self-skips in chaos/modelcheck builds
-//                     where the wrapped ring is deliberately instrumented
+//                     zero-cost; self-skips in modelcheck builds where
+//                     the wrapped ring is deliberately instrumented
 //   --out             JSON results path (default BENCH_engine.json)
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -389,16 +391,32 @@ Row RunAtomicsCase(const char* label, size_t items) {
   return row;
 }
 
-/// Interleaved best-of-`runs` for the wrapped and raw rings: alternating
-/// the two variants run-by-run cancels frequency drift, and best-of picks
-/// each variant's least-disturbed pass on a busy host.
-void RunAtomicsParity(size_t items, int runs, Row* wrapped, Row* raw) {
-  for (int r = 0; r < runs; ++r) {
-    Row w = RunAtomicsCase<SpscRing<uint64_t>>("ring-wrapped", items);
-    Row x = RunAtomicsCase<RawSpscRing>("ring-raw", items);
+/// Paired rounds for the wrapped and raw rings. Each round times both
+/// rings back to back, alternating which goes first so frequency drift
+/// does not favour one side, and records the paired wrapped/raw ratio.
+/// Returns the median paired ratio: a neighbour's burst on a shared host
+/// skews one round's pair, not the verdict, whereas comparing two
+/// independent best-ofs lets one lucky raw pass decide it. `wrapped` and
+/// `raw` receive each variant's best pass for the JSON rows.
+double RunAtomicsParity(size_t items, int rounds, Row* wrapped, Row* raw) {
+  std::vector<double> ratios;
+  for (int r = 0; r < rounds; ++r) {
+    Row w;
+    Row x;
+    if (r % 2 == 0) {
+      w = RunAtomicsCase<SpscRing<uint64_t>>("ring-wrapped", items);
+      x = RunAtomicsCase<RawSpscRing>("ring-raw", items);
+    } else {
+      x = RunAtomicsCase<RawSpscRing>("ring-raw", items);
+      w = RunAtomicsCase<SpscRing<uint64_t>>("ring-wrapped", items);
+    }
+    ratios.push_back(w.items_per_sec / x.items_per_sec);
     if (w.items_per_sec > wrapped->items_per_sec) *wrapped = w;
     if (x.items_per_sec > raw->items_per_sec) *raw = x;
   }
+  const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(rounds / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  return *mid;
 }
 
 void WriteJson(const std::string& path, const std::string& mode,
@@ -510,21 +528,20 @@ int Main(int argc, char** argv) {
     // that deliberately instrument the wrapped ring the comparison would
     // measure the instrumentation, not the wrapper — skip with a
     // ctest-visible banner, same contract as the sanitizer skip.
-#if defined(TDS_SCHED_CHAOS) || defined(TDS_MODELCHECK)
+#ifdef TDS_MODELCHECK
     std::printf(
         "SKIPPED: engine_throughput atomics parity gate skipped: the "
         "wrapped ring is deliberately instrumented in this build flavor "
-        "(schedule chaos / model check), so wrapper-vs-raw parity is not "
-        "measurable\n");
+        "(model check), so wrapper-vs-raw parity is not measurable\n");
     return 0;
 #else
-    const size_t gate_items = size_t{1} << 25;
+    const size_t gate_items = size_t{1} << 24;
     Row wrapped;
     Row raw;
-    RunAtomicsParity(gate_items, 5, &wrapped, &raw);
-    const double ratio = wrapped.items_per_sec / raw.items_per_sec;
+    const double ratio = RunAtomicsParity(gate_items, 21, &wrapped, &raw);
     std::printf(
-        "atomics wrapped vs raw ring: %.0f vs %.0f items/sec (%.3fx)\n",
+        "atomics wrapped vs raw ring: best %.0f vs %.0f items/sec, median "
+        "paired ratio %.3fx\n",
         wrapped.items_per_sec, raw.items_per_sec, ratio);
     if (ratio < 0.95) {
       std::fprintf(stderr,
@@ -592,10 +609,10 @@ int Main(int argc, char** argv) {
     }
   }
   // Wrapper-parity rows: the tds::Atomic ring vs its raw std::atomic twin
-  // (best-of-3, interleaved). The smoke gate asserts the >= 0.95x floor;
+  // (best pass of 3 paired rounds). The smoke gate asserts the >= 0.95x floor;
   // the full bench records the measured ratio here so BENCH_engine.json
   // carries the zero-cost evidence alongside the throughput sweeps.
-#if !defined(TDS_SCHED_CHAOS) && !defined(TDS_MODELCHECK)
+#ifndef TDS_MODELCHECK
   {
     Row wrapped;
     Row raw;

@@ -24,17 +24,6 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
   return Status::OK();
 }
 
-}  // namespace
-
-uint64_t Fnv1a(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 void AppendU64Le(std::string* out, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
@@ -50,6 +39,17 @@ uint64_t ReadU64Le(const char* p) {
   return value;
 }
 
+}  // namespace
+
+uint64_t Fnv1a(std::string_view data) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : data) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 Status IoError(const std::string& what, const std::string& path) {
   // kUnavailable: environmental IO failures are transient from the
   // engine's point of view — the in-memory state is intact and the write
@@ -60,13 +60,6 @@ Status IoError(const std::string& what, const std::string& path) {
   // state.
   return Status::Unavailable(what + " " + path + ": " +
                              std::strerror(errno));  // NOLINT(concurrency-mt-unsafe)
-}
-
-std::string DirOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
 }
 
 void SyncDir(const std::string& dir) {
@@ -134,22 +127,6 @@ Status WriteTmpDurable(const std::string& tmp_path, std::string_view bytes) {
   if (!written.ok()) {
     (void)::unlink(tmp_path.c_str());
     return written;
-  }
-  return Status::OK();
-}
-
-Status WriteFileAtomic(const std::string& path, std::string_view payload) {
-  std::string file(payload);
-  AppendFooter(&file);
-
-  const std::string tmp_path = path + ".tmp";
-  Status written = WriteTmpDurable(tmp_path, file);
-  if (!written.ok()) return written;
-  // rename(2) is atomic, so `path` never holds a half-written file.
-  if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    const Status renamed = IoError("rename", tmp_path);
-    (void)::unlink(tmp_path.c_str());
-    return renamed;
   }
   return Status::OK();
 }

@@ -8,11 +8,11 @@
 #include "util/status.h"
 
 namespace tds {
-/// Shared durable-file plumbing for the checkpoint family
-/// (engine/checkpoint.h full blobs, engine/checkpoint_log.h segments and
-/// manifests): the integrity footer, FNV-1a checksumming, and the
-/// tmp→fsync→rename commit protocol. Internal to src/engine — tests reach
-/// these paths through the checkpoint / checkpoint-log surfaces.
+/// Durable-file plumbing for the checkpoint log (engine/checkpoint_log.h
+/// segments, bases and manifests): the integrity footer, FNV-1a
+/// checksumming, and the tmp→fsync building block of the commit protocol.
+/// Internal to src/engine — tests reach these paths through the
+/// checkpoint-log surface.
 namespace ckptio {
 
 /// Every durable file ends in a fixed 24-byte footer: the magic
@@ -25,14 +25,10 @@ inline constexpr char kFooterMagic[8] = {'T', 'D', 'S', 'C', 'K', 'P', 'T',
 inline constexpr size_t kFooterSize = sizeof(kFooterMagic) + 8 + 8;
 
 uint64_t Fnv1a(std::string_view data);
-void AppendU64Le(std::string* out, uint64_t value);
-uint64_t ReadU64Le(const char* p);
 
 /// kUnavailable for environmental IO failures (errno carried in the
 /// message): the in-memory state is intact and the write can be retried.
 Status IoError(const std::string& what, const std::string& path);
-
-std::string DirOf(const std::string& path);
 
 /// fsync the directory so renames themselves are durable. Best-effort:
 /// some filesystems refuse O_RDONLY directory syncs; the data files are
@@ -47,7 +43,7 @@ void AppendFooter(std::string* file);
 
 /// Splits a raw footered file into its validated payload, or explains
 /// exactly which integrity check failed. `what` names the file kind in the
-/// error ("checkpoint", "segment", "manifest").
+/// error ("segment", "manifest").
 StatusOr<std::string_view> ValidateFooter(std::string_view file,
                                           const std::string& what);
 
@@ -56,13 +52,6 @@ StatusOr<std::string_view> ValidateFooter(std::string_view file,
 /// need a hook (a failpoint, a rotation) between the durable temp file and
 /// the rename that publishes it.
 Status WriteTmpDurable(const std::string& tmp_path, std::string_view bytes);
-
-/// Writes payload+footer to `path + ".tmp"`, fsyncs, and renames onto
-/// `path` (atomic against crashes: `path` either holds its old contents or
-/// the complete new file; a crash leaves at most a stale .tmp behind).
-/// Does NOT rotate a previous file and does not sync the directory —
-/// commit-protocol callers sequence those themselves.
-Status WriteFileAtomic(const std::string& path, std::string_view payload);
 
 /// Reads `path` and validates its footer, returning the payload.
 StatusOr<std::string> ReadValidatedFile(const std::string& path,

@@ -399,13 +399,9 @@ StatusOr<CheckpointLog> CheckpointLog::Create(ShardedAggregateEngine& engine,
     return ckptio::IoError("mkdir", dir);
   }
   CheckpointLog log(engine, std::move(dir), options);
-  const std::string manifest_path = log.dir_ + "/" + kManifestFile;
-  const bool have_manifest =
-      ::access(manifest_path.c_str(), F_OK) == 0 ||
-      ::access((manifest_path + ".prev").c_str(), F_OK) == 0;
   const Backend backend = ResolveBackend(
       *engine.decay(), engine.options().registry.aggregate.backend());
-  if (have_manifest) {
+  if (HasCheckpointLog(log.dir_)) {
     StatusOr<Manifest> manifest = LoadManifest(log.dir_);
     if (!manifest.ok()) return manifest.status();
     if (manifest->decay_name != engine.decay()->Name() ||
@@ -641,6 +637,12 @@ uint64_t CheckpointLog::LiveBytes() const {
 // Loaders
 // ---------------------------------------------------------------------------
 
+bool HasCheckpointLog(const std::string& dir) {
+  const std::string path = dir + "/" + kManifestFile;
+  return ::access(path.c_str(), F_OK) == 0 ||
+         ::access((path + ".prev").c_str(), F_OK) == 0;
+}
+
 StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir) {
   const std::string path = dir + "/" + kManifestFile;
   const auto load_one = [](const std::string& p)
@@ -653,8 +655,8 @@ StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir) {
   if (primary.ok()) return primary;
   StatusOr<CheckpointLog::Manifest> fallback = load_one(path + ".prev");
   if (fallback.ok()) return fallback;
-  // Both generations failed: name both failures (the LoadCheckpoint
-  // combined-error convention).
+  // Both generations failed: name both failures, so a corrupt primary is
+  // never hidden by the fallback's ENOENT (or the other way round).
   return Status(primary.status().code(),
                 primary.status().message() + "; fallback " + path +
                     ".prev: " + fallback.status().message());

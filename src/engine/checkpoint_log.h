@@ -13,9 +13,10 @@
 
 namespace tds {
 
-/// Incremental segment/manifest checkpointing — durability whose write
-/// cost scales with *churn*, not key population (the full-blob
-/// engine/checkpoint.h rewrites every key every time).
+/// Crash-consistent, incremental segment/manifest checkpointing — the
+/// engine's one checkpoint format. Write cost scales with *churn*, not key
+/// population; a full checkpoint is just a manifest naming one base file
+/// (or one generation of full-capture segments).
 ///
 /// On-disk layout (one directory per log):
 ///   seg-<generation>-s<shard>.tds   incremental segment (one shard's delta)
@@ -35,9 +36,10 @@ namespace tds {
 ///
 /// Commit protocol: segments are written first (tmp→fsync→rename; until
 /// the manifest names them they are invisible garbage), then the manifest
-/// commits via tmp→fsync→rotate-to-.prev→rename→dir-sync — the same
-/// all-or-nothing protocol as the full-blob checkpoint, so a crash at any
-/// point leaves the previous manifest generation fully loadable. Files no
+/// commits via tmp→fsync→rotate-to-.prev→rename→dir-sync, all or nothing:
+/// a crash at any point leaves the previous manifest generation fully
+/// loadable (at MANIFEST.tds or, between the rotate and the rename, at
+/// MANIFEST.tds.prev alone). Files no
 /// longer named by either the manifest or its .prev are garbage-collected
 /// after commit.
 ///
@@ -110,11 +112,12 @@ class CheckpointLog {
 
   /// Opens (creating the directory's manifest lineage lazily) a checkpoint
   /// log for `engine`, which must already have checkpoint tracking enabled
-  /// (EnableCheckpointTracking) and must outlive the log. If `dir` holds a
-  /// manifest, the log resumes *writing* after its newest generation —
-  /// restore the engine from it first (RestoreFromCheckpointLog) if the
-  /// history should carry over; the first capture after Create is a full
-  /// snapshot either way (in-memory epochs restart at zero).
+  /// (EnableCheckpointTracking) and must outlive the log. If
+  /// HasCheckpointLog(dir), the log resumes *writing* after its newest
+  /// generation — restore the engine from it first
+  /// (RestoreFromCheckpointLog) if the history should carry over; the
+  /// first capture after Create is a full snapshot either way (in-memory
+  /// epochs restart at zero).
   static StatusOr<CheckpointLog> Create(ShardedAggregateEngine& engine,
                                         std::string dir,
                                         const Options& options);
@@ -162,9 +165,16 @@ class CheckpointLog {
   Manifest manifest_;  ///< last committed
 };
 
+/// True when `dir` holds a manifest generation: MANIFEST.tds, or only its
+/// .prev (what a crash between the commit's rotate and rename leaves).
+/// CheckpointLog::Create resumes writing exactly when this holds, so a
+/// caller that should carry the history over restores
+/// (RestoreFromCheckpointLog) on the same test before calling Create.
+bool HasCheckpointLog(const std::string& dir);
+
 /// Loads the newest committed manifest in `dir` (falling back to the .prev
 /// generation when the primary fails validation — both failing reports
-/// both errors, mirroring LoadCheckpoint).
+/// both errors).
 StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir);
 
 /// Decodes and folds a manifest's files (validating manifest checksums,
@@ -175,8 +185,9 @@ StatusOr<AggregateRegistry> LoadCheckpointLog(
     DecayPtr decay, const AggregateRegistry::Options& options,
     const std::string& dir);
 
-/// LoadCheckpointLog + Restore onto a fresh engine (same contract as
-/// RestoreFromCheckpoint).
+/// LoadCheckpointLog + Restore onto a fresh engine (no items applied, no
+/// live keys; kFailedPrecondition otherwise). On any error the engine
+/// should be discarded — see ShardedAggregateEngine::Restore.
 Status RestoreFromCheckpointLog(ShardedAggregateEngine& engine,
                                 const std::string& dir);
 

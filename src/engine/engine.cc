@@ -5,11 +5,9 @@
 #include <thread>
 #include <utility>
 
-#include "engine/producer_session.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/random.h"
-#include "util/schedule_chaos.h"
 
 namespace tds {
 namespace {
@@ -145,46 +143,6 @@ uint32_t ShardedAggregateEngine::RouteForKey(uint64_t key) const {
       key, static_cast<uint32_t>(table->shard_of_slice.size()))];
 }
 
-Status ShardedAggregateEngine::Ingest(uint64_t key, Tick t, uint64_t value) {
-  const KeyedItem item{key, t, value};
-  return IngestBatch({&item, 1});
-}
-
-Status ShardedAggregateEngine::IngestBatch(std::span<const KeyedItem> items) {
-  const Deadline deadline =
-      options_.backpressure == BackpressurePolicy::kBlockWithDeadline
-          ? Deadline::After(options_.block_deadline)
-          : Deadline::Infinite();
-  return IngestRouted(items, options_.backpressure, deadline);
-}
-
-Status ShardedAggregateEngine::TryUpdateBatch(
-    std::span<const KeyedItem> items, std::chrono::nanoseconds deadline) {
-  // Always the staged ladder: a caller asking for admission control wants
-  // parked waiting (not a burned core) up to its deadline, regardless of
-  // the engine-wide policy. A zero deadline makes one non-blocking attempt
-  // per shard.
-  return IngestRouted(items, BackpressurePolicy::kAdaptive,
-                      Deadline::After(deadline));
-}
-
-Status ShardedAggregateEngine::IngestRouted(std::span<const KeyedItem> items,
-                                            BackpressurePolicy policy,
-                                            const Deadline& deadline) {
-  if (items.empty()) return Status::OK();
-  // The legacy surface is literally a session now: stage the whole batch
-  // on an internal one-shot session and flush once against the caller's
-  // deadline. staging_capacity of size+1 disables auto-flush so one
-  // deadline spans the whole batch, exactly the historical contract.
-  ProducerSessionOptions opts;
-  opts.staging_capacity = items.size() + 1;
-  opts.backpressure = policy;
-  ProducerSession session(this, opts, /*internal=*/true);
-  const Status staged = session.AddBatch(items);
-  if (!staged.ok()) return staged;
-  return session.FlushStaged(deadline);
-}
-
 Status ShardedAggregateEngine::EnterFlush(const Deadline& deadline,
                                           bool* stalled) {
   StagedWait wait(BackpressurePolicy::kAdaptive);
@@ -196,7 +154,6 @@ Status ShardedAggregateEngine::EnterFlush(const Deadline& deadline,
     // ExitFlush. Either the migration sees us, or we see the migration —
     // a flush can never run concurrently with a route publish.
     active_flushes_.fetch_add(1, std::memory_order_seq_cst);
-    TDS_INTERLEAVE_POINT("engine.fence.enter");
     if (!fence_raised_.load(std::memory_order_seq_cst)) {
       // Fence down: check stop_ only AFTER the fence load. Stop()
       // publishes stop_ seq_cst before LowerFence's store, so in the
@@ -251,9 +208,6 @@ void ShardedAggregateEngine::RaiseFence() {
   // model-check suite proves both the protocol and that exact demotion
   // failure (tests/modelcheck_suites_test.cc, tso mode).
   fence_raised_.store(true, std::memory_order_seq_cst);
-  // Chaos point: widen the store-to-quiescence-check window the Dekker
-  // pairing with EnterFlush protects.
-  TDS_INTERLEAVE_POINT("engine.fence.raise");
   StagedWait wait(BackpressurePolicy::kAdaptive);
   // seq_cst: the Dekker partner load (see above); also acquires the
   // release decrements in ExitFlush, so a zero count means every
@@ -300,9 +254,6 @@ Status ShardedAggregateEngine::PushToShard(Shard& shard,
       // seq_cst: one half of the Dekker handshake with the writer's park
       // sequence (see WakeWriter). Same x86 code as release (lock xadd).
       shard.enqueued.fetch_add(pushed, std::memory_order_seq_cst);
-      // Chaos point: widen the gap between publishing work and deciding
-      // whether to wake, so the writer's park decision races the count.
-      TDS_INTERLEAVE_POINT("engine.push.enqueued");
       // Lazy wake: a parked writer self-wakes every kWriterParkSlice and
       // drains whatever accumulated, so steady ingest rides the ring and
       // pays no wake syscall per push (on a single-core host every such
@@ -375,9 +326,6 @@ Status ShardedAggregateEngine::WaitShardApplied(Shard& shard,
 
 void ShardedAggregateEngine::WaitQueuesDrained() {
   for (auto& shard : shards_) {
-    // Chaos point: a flush may have pushed right up until the fence went
-    // up; widen the race between that and the drain's `enqueued` sample.
-    TDS_INTERLEAVE_POINT("engine.migrate.drain");
     // Writers are alive here (Stop() drains before raising stop_, and the
     // other callers refuse stopped engines) and the raised fence keeps
     // new pushes out, so the wait terminates.
@@ -400,9 +348,6 @@ void ShardedAggregateEngine::WakeWriter(Shard& shard) {
   // TSan does not model fences (and GCC rejects them under
   // -fsanitize=thread).
   if (!shard.writer_parked.load(std::memory_order_seq_cst)) return;
-  // Chaos point: the writer may un-park or re-park between our load and
-  // the lock; the notify must stay correct either way.
-  TDS_INTERLEAVE_POINT("engine.wake.notify");
   // Lock then notify: if the writer is between its pre-park predicate
   // check and the wait, this blocks until the wait begins, so the notify
   // is not lost.
@@ -466,13 +411,7 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     const size_t n = shard.queue.TryPopN(buffer.data(), buffer.size());
     if (n > 0) {
       idle_polls = 0;
-      if (options_.apply_batched) {
-        shard.registry->UpdateBatch({buffer.data(), n});
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          shard.registry->Update(buffer[i].key, buffer[i].t, buffer[i].value);
-        }
-      }
+      shard.registry->UpdateBatch({buffer.data(), n});
       // Stats before the applied-counter release: once Flush() observes the
       // count, the occupancy mirrors are current too.
       UpdateStats(shard);
@@ -515,9 +454,6 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     // but not yet counted can at worst ride out one park slice — the same
     // bound as any sub-threshold backlog.
     shard.writer_parked.store(true, std::memory_order_seq_cst);
-    // Chaos point: the parked-flag-to-predicate-recheck window is the
-    // exact interval the Dekker handshake protects; stretch it.
-    TDS_INTERLEAVE_POINT("engine.park.window");
     {
       MutexLock lock(shard.wake_mutex);
       if (shard.enqueued.load(std::memory_order_seq_cst) ==
@@ -794,10 +730,6 @@ Status ShardedAggregateEngine::MoveSlicesLocked(
     });
     return merge_status;
   }
-  // Chaos point: the epoch publish happens only after both registries
-  // settled; perturbing just before it hunts readers (and session
-  // flushes) that cached a stale table across the publish.
-  TDS_INTERLEAVE_POINT("engine.route.publish");
   auto next = std::make_shared<RouteTable>();
   next->generation = table->generation + 1;
   next->shard_of_slice = table->shard_of_slice;
@@ -895,8 +827,8 @@ StatusOr<bool> ShardedAggregateEngine::RebalanceLocked() {
   // Offered-load heat since the last selection: sessions publish per-slice
   // ingest counts at flush; the window diff ranks *hot* slices first so a
   // small slice taking most of the traffic moves before a populous cold
-  // one (live keys break rate ties, which also covers legacy-only feeds
-  // where every rate is zero — the historical key-count order).
+  // one (live keys break rate ties, e.g. between slices with no ingest
+  // since the last selection).
   std::vector<uint64_t> slice_rate(slice_count, 0);
   for (uint32_t s = 0; s < slice_count; ++s) {
     slice_rate[s] =
@@ -979,7 +911,7 @@ Status ShardedAggregateEngine::RestoreLocked(MergedSnapshot snapshot) {
       merged = registry.MergeFrom(std::move(part).value());
     });
     // A mid-restore failure leaves the engine partially loaded: callers
-    // (engine/checkpoint.h) treat any Restore error as "discard the
+    // (RestoreFromCheckpointLog) treat any Restore error as "discard the
     // engine and retry on a fresh one".
     if (!merged.ok()) return merged;
   }

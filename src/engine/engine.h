@@ -53,11 +53,8 @@ struct ProducerSessionOptions {
 /// engine/producer_session.h) that stages items into per-shard runs
 /// locally and publishes whole pre-grouped runs to the target rings — the
 /// hot path takes no shared lock and loads the route table once per flush
-/// (one atomic shared_ptr load per batch, not per item). The engine-global
-/// Ingest/IngestBatch/TryUpdateBatch entry points are DEPRECATED thin
-/// shims over an internal one-shot session; they keep their historical
-/// contracts but new in-tree callers are rejected by tools/tds_lint.py
-/// (rule deprecated-ingest).
+/// (one atomic load per batch, not per item). Sessions are the only way
+/// in.
 ///
 /// Read path: every read is a request on its shard's writer queue, served
 /// between drain chunks against the live registry. QueryKey and QueryTotal
@@ -72,11 +69,12 @@ struct ProducerSessionOptions {
 /// Backpressure: when a shard's ring fills, producers escalate through the
 /// staged wait (spin → yield → CondVar park; see BackpressurePolicy) and
 /// the writer signals on consumption — a blocked producer no longer burns
-/// a core. Admission control (TryUpdateBatch, kBlockWithDeadline) bounds
-/// the blocking and rejects the overflow with kUnavailable; rejects and
-/// parks are counted per shard in Stats(). Restore() (with
-/// engine/checkpoint.h) rebuilds a fresh engine from a checkpointed
-/// merged snapshot, byte-identical to the checkpointed state.
+/// a core. Admission control (kBlockWithDeadline, per engine or per
+/// session) bounds the blocking and rejects the overflow with
+/// kUnavailable; rejects and parks are counted per shard in Stats().
+/// Restore() (with RestoreFromCheckpointLog, engine/checkpoint_log.h)
+/// rebuilds a fresh engine from a checkpointed merged snapshot,
+/// byte-identical to the checkpointed state.
 ///
 /// Route-epoch protocol: the slice→shard table is an immutable snapshot
 /// (RouteTable) published through an atomic shared_ptr with a
@@ -121,19 +119,14 @@ class ShardedAggregateEngine {
     /// two). What a producer does when a queue is full is `backpressure`'s
     /// call.
     size_t queue_capacity = 1 << 16;
-    /// Full-queue behavior for session flushes and Ingest/IngestBatch (see
-    /// BackpressurePolicy in engine/wait_strategy.h). TryUpdateBatch
-    /// ignores this: it always runs the staged ladder against its
-    /// caller-supplied deadline.
+    /// Default full-queue behavior for session flushes (see
+    /// BackpressurePolicy in engine/wait_strategy.h); a session may
+    /// override it through ProducerSessionOptions::backpressure.
     BackpressurePolicy backpressure = BackpressurePolicy::kAdaptive;
     /// Admission deadline for kBlockWithDeadline: how long one flush
     /// episode may block before the remainder of the batch is rejected
     /// with Status::Unavailable.
     std::chrono::nanoseconds block_deadline = std::chrono::milliseconds(100);
-    /// Drain the queue through AggregateRegistry::UpdateBatch (amortized
-    /// hot path) instead of per-item Update. The resulting state is
-    /// bit-identical either way; this is the throughput knob.
-    bool apply_batched = true;
     /// Skew trigger for RebalanceIfSkewed: rebalance when the busiest
     /// shard holds at least this many times the live keys of the idlest.
     double rebalance_skew = 2.0;
@@ -162,9 +155,7 @@ class ShardedAggregateEngine {
   /// ProducerSession::stats()). `items_staged` counts items accepted into
   /// session staging buffers, `items_flushed` items handed to the shard
   /// rings, and `flush_stalls` flush episodes that had to wait (route
-  /// fence or full ring). The legacy shims run on internal one-shot
-  /// sessions and contribute to the item counters but not to
-  /// sessions_opened/closed.
+  /// fence or full ring).
   struct SessionStats {
     uint64_t sessions_opened = 0;
     uint64_t sessions_closed = 0;
@@ -190,35 +181,12 @@ class ShardedAggregateEngine {
   /// live sessions are not drained — flush sessions first.
   void Stop() TDS_EXCLUDES(route_mutex_);
 
-  /// Opens a producer session — the preferred (and fastest) ingest
-  /// surface. One session per producer thread: the handle itself is not
-  /// thread-safe. See ProducerSession in engine/producer_session.h for
-  /// the staging/flush semantics.
+  /// Opens a producer session — the ingest surface. One session per
+  /// producer thread: the handle itself is not thread-safe. See
+  /// ProducerSession in engine/producer_session.h for the staging/flush
+  /// semantics.
   StatusOr<std::unique_ptr<ProducerSession>> NewProducer(
       const ProducerSessionOptions& options = {});
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer(). Enqueues one item (thread-safe). Blocking behavior
-  /// follows Options::backpressure; a stopped engine returns
-  /// kFailedPrecondition, a missed kBlockWithDeadline deadline returns
-  /// kUnavailable. New in-tree callers are rejected by tools/tds_lint.py
-  /// (rule deprecated-ingest).
-  Status Ingest(uint64_t key, Tick t, uint64_t value);
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer(). Enqueues a batch, preserving per-shard arrival order
-  /// (thread-safe). Error contract as Ingest; on kUnavailable the items
-  /// that fit were enqueued and the remainder is counted in
-  /// ShardStats::items_rejected.
-  Status IngestBatch(std::span<const KeyedItem> items);
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer() with kBlockWithDeadline. Admission-controlled enqueue:
-  /// blocks at most `deadline` (0 = one non-blocking attempt per shard),
-  /// then rejects the remainder with kUnavailable and counts it in
-  /// ShardStats::items_rejected. Ignores Options::backpressure.
-  Status TryUpdateBatch(std::span<const KeyedItem> items,
-                        std::chrono::nanoseconds deadline);
 
   /// Returns once every item ingested before the call has been applied —
   /// or kFailedPrecondition if the engine stopped with items unapplied
@@ -277,9 +245,9 @@ class ShardedAggregateEngine {
       TDS_EXCLUDES(route_mutex_);
 
   /// Rebuilds shard state from a checkpointed merged snapshot (see
-  /// engine/checkpoint.h): the snapshot's registry is re-partitioned along
-  /// the current route table and merged onto the shard writers through the
-  /// same audited ExtractIf/MergeFrom path migrations use. Requires a
+  /// RestoreFromCheckpointLog): the snapshot's registry is re-partitioned
+  /// along the current route table and merged onto the shard writers
+  /// through the same audited ExtractIf/MergeFrom path migrations use. Requires a
   /// fresh engine (no items applied, no live keys) whose options match the
   /// checkpoint's; queries afterwards are byte-identical to the
   /// checkpointed state.
@@ -475,11 +443,6 @@ class ShardedAggregateEngine {
                      BackpressurePolicy policy, const Deadline& deadline,
                      PushCounters* counters = nullptr);
 
-  /// DEPRECATED-shim core: stages `items` on an internal one-shot session
-  /// and flushes once against `deadline`.
-  Status IngestRouted(std::span<const KeyedItem> items,
-                      BackpressurePolicy policy, const Deadline& deadline);
-
   /// The current epoch-published route snapshot (one plain acquire load —
   /// no refcount traffic, no lock word). The pointee is immutable and
   /// stays alive until the engine is destroyed (see route_history_), so
@@ -502,8 +465,8 @@ class ShardedAggregateEngine {
   }
 
   /// Flush fence — the generation fence of the route-epoch protocol.
-  /// EnterFlush/ExitFlush bracket every ring-push episode (sessions and
-  /// legacy shims): two seq_cst RMWs on the uncontended fast path.
+  /// EnterFlush/ExitFlush bracket every session's ring-push episode: two
+  /// seq_cst RMWs on the uncontended fast path.
   /// EnterFlush fails fast with kFailedPrecondition on a stopped engine
   /// and with kUnavailable when the fence stays up past `deadline`
   /// (`*stalled` is set if it had to wait at all).

@@ -5,7 +5,7 @@
 
 #include "util/audit.h"
 #include "util/check.h"
-#include "util/schedule_chaos.h"
+#include "util/deadline.h"
 
 namespace tds {
 
@@ -23,25 +23,20 @@ StatusOr<std::unique_ptr<ProducerSession>> ShardedAggregateEngine::NewProducer(
   }
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<ProducerSession>(
-      new ProducerSession(this, options, /*internal=*/false));
+      new ProducerSession(this, options));
 }
 
 ProducerSession::ProducerSession(ShardedAggregateEngine* engine,
-                                 const ProducerSessionOptions& options,
-                                 bool internal)
+                                 const ProducerSessionOptions& options)
     : engine_(engine),
       options_(options),
-      internal_(internal),
       policy_(options.backpressure.value_or(engine->options().backpressure)),
       block_deadline_(
           options.block_deadline.value_or(engine->options().block_deadline)) {
   runs_.resize(engine->shards());
   // Offered-load heat only matters where the rebalancer can act on it:
-  // long-lived sessions on multi-shard engines. The internal one-shot
-  // sessions behind the deprecated shims skip it, which keeps the legacy
-  // surface's per-call cost (and its key-count-ordered rebalancing
-  // behavior) unchanged.
-  if (!internal_ && engine->shards() > 1) {
+  // multi-shard engines.
+  if (engine->shards() > 1) {
     slice_counts_.assign(engine->route_slices(), 0);
   }
 }
@@ -50,9 +45,7 @@ ProducerSession::~ProducerSession() {
   if (staged_now_ > 0) {
     (void)Flush();
   }
-  if (!internal_) {
-    engine_->sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  engine_->sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status ProducerSession::Add(uint64_t key, Tick t, uint64_t value) {
@@ -86,19 +79,11 @@ Status ProducerSession::AddBatch(std::span<const KeyedItem> items) {
       const auto& shard_of_slice = table_->shard_of_slice;
       const auto slice_count =
           static_cast<uint32_t>(shard_of_slice.size());
-      if (slice_counts_.empty()) {
-        for (const KeyedItem& item : chunk) {
-          runs_[shard_of_slice[ShardedAggregateEngine::SliceForKey(
-                     item.key, slice_count)]]
-              .push_back(item);
-        }
-      } else {
-        for (const KeyedItem& item : chunk) {
-          const uint32_t slice =
-              ShardedAggregateEngine::SliceForKey(item.key, slice_count);
-          runs_[shard_of_slice[slice]].push_back(item);
-          ++slice_counts_[slice];
-        }
+      for (const KeyedItem& item : chunk) {
+        const uint32_t slice =
+            ShardedAggregateEngine::SliceForKey(item.key, slice_count);
+        runs_[shard_of_slice[slice]].push_back(item);
+        ++slice_counts_[slice];
       }
     }
     staged_now_ += take;
@@ -114,17 +99,11 @@ Status ProducerSession::AddBatch(std::span<const KeyedItem> items) {
 }
 
 Status ProducerSession::Flush() {
+  if (staged_now_ == 0) return Status::OK();
   const Deadline deadline =
       policy_ == BackpressurePolicy::kBlockWithDeadline
           ? Deadline::After(block_deadline_)
           : Deadline::Infinite();
-  const Status status = FlushStaged(deadline);
-  TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
-}
-
-Status ProducerSession::FlushStaged(const Deadline& deadline) {
-  if (staged_now_ == 0) return Status::OK();
   bool stalled = false;
   const Status enter = engine_->EnterFlush(deadline, &stalled);
   if (!enter.ok()) {
@@ -141,6 +120,7 @@ Status ProducerSession::FlushStaged(const Deadline& deadline) {
     }
     // kFailedPrecondition (stopped engine): items stay staged — nothing
     // was admitted, nothing is counted.
+    TDS_AUDIT_MUTATION(AuditInvariants());
     return enter;
   }
   // The fence is held from here on: the route table cannot change until
@@ -149,7 +129,6 @@ Status ProducerSession::FlushStaged(const Deadline& deadline) {
   if (table_ == nullptr || table->generation != table_->generation) {
     // A migration published a newer epoch since these items were staged:
     // re-group them so no run lands on a stale shard.
-    TDS_INTERLEAVE_POINT("engine.session.reroute");
     RepartitionStaged(*table);
     table_ = table;
   }
@@ -159,8 +138,8 @@ Status ProducerSession::FlushStaged(const Deadline& deadline) {
     std::vector<KeyedItem>& run = runs_[s];
     if (run.empty()) continue;
     ShardedAggregateEngine::PushCounters counters;
-    // Admission is per shard (as on the legacy surface): one shard
-    // rejecting does not stop the other shards' runs from landing.
+    // Admission is per shard: one shard rejecting does not stop the other
+    // shards' runs from landing.
     const Status status = engine_->PushToShard(
         *engine_->shards_[s], run, policy_, deadline, &counters);
     rejected += counters.rejected;
@@ -248,7 +227,7 @@ Status ProducerSession::AuditInvariants() const {
     return Status::FailedPrecondition(
         "session staging buffers disagree with staged()");
   }
-  if (!slice_counts_.empty() && runs_.size() > 1) {
+  if (!slice_counts_.empty()) {
     uint64_t counted = 0;
     for (const uint64_t c : slice_counts_) counted += c;
     if (counted != staged_now_) {

@@ -9,7 +9,6 @@
 #include "engine/engine.h"
 #include "engine/registry.h"
 #include "engine/wait_strategy.h"
-#include "util/deadline.h"
 #include "util/status.h"
 
 namespace tds {
@@ -39,16 +38,17 @@ namespace tds {
 /// double-count it. The engine's flush fence keeps the table stable for
 /// the duration of the push.
 ///
-/// Error contract (mirrors the legacy surface): a stopped engine returns
-/// kFailedPrecondition and *keeps* the items staged; a flush that misses
-/// its admission deadline (kBlockWithDeadline, or the fence held past the
-/// deadline) returns kUnavailable, drops the still-unpushed staged items,
-/// and counts them in ShardStats::items_rejected (and in stats()).
+/// Error contract: a stopped engine returns kFailedPrecondition and
+/// *keeps* the items staged; a flush that misses its admission deadline
+/// (kBlockWithDeadline, or the fence held past the deadline) returns
+/// kUnavailable, drops the still-unpushed staged items, and counts them in
+/// ShardStats::items_rejected (and in stats()). One deadline spans a whole
+/// flush episode; a block_deadline of 0 makes one non-blocking attempt
+/// per shard.
 ///
 /// Ordering: within a session, per-shard runs preserve Add order.
-/// Concurrent sessions must coordinate externally exactly like concurrent
-/// legacy producers (e.g. epoch-sliced ingestion: same tick within a
-/// round, Flush(), then barrier).
+/// Concurrent sessions must coordinate externally (e.g. epoch-sliced
+/// ingestion: same tick within a round, Flush(), then barrier).
 class ProducerSession {
  public:
   /// This session's counters; SessionTotals() aggregates engine-wide.
@@ -93,11 +93,7 @@ class ProducerSession {
   friend class ShardedAggregateEngine;
 
   ProducerSession(ShardedAggregateEngine* engine,
-                  const ProducerSessionOptions& options, bool internal);
-
-  /// Flush core against an explicit deadline (the legacy shims pass the
-  /// caller's whole-batch deadline through here).
-  Status FlushStaged(const Deadline& deadline);
+                  const ProducerSessionOptions& options);
 
   /// Re-groups staged runs under `table` after a route-epoch change.
   void RepartitionStaged(const ShardedAggregateEngine::RouteTable& table);
@@ -112,7 +108,6 @@ class ProducerSession {
 
   ShardedAggregateEngine* engine_;
   ProducerSessionOptions options_;
-  bool internal_;
   BackpressurePolicy policy_;
   std::chrono::nanoseconds block_deadline_;
 
@@ -122,8 +117,8 @@ class ProducerSession {
 
   std::vector<std::vector<KeyedItem>> runs_;  ///< per-shard staging
   std::vector<KeyedItem> scratch_;            ///< repartition workspace
-  /// Per-slice offered-load accumulator (empty for internal one-shot
-  /// sessions and single-shard engines, where the rebalancer never runs).
+  /// Per-slice offered-load accumulator (empty on single-shard engines,
+  /// where the rebalancer never runs).
   std::vector<uint64_t> slice_counts_;
   size_t staged_now_ = 0;
 

@@ -7,7 +7,6 @@
 
 #include "util/atomic.h"
 #include "util/check.h"
-#include "util/schedule_chaos.h"
 
 namespace tds {
 
@@ -48,15 +47,11 @@ class SpscRing {
   size_t TryPushN(const T* items, size_t n) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     const uint64_t head = head_.load(std::memory_order_acquire);
-    // Chaos point: stretch the claim-to-publish window so a concurrent
-    // consumer advances head_ between our snapshot and our store.
-    TDS_INTERLEAVE_POINT("ring.push.claim");
     const size_t free = slots_.size() - static_cast<size_t>(tail - head);
     const size_t count = n < free ? n : free;
     for (size_t i = 0; i < count; ++i) {
       slots_[static_cast<size_t>(tail + i) & mask_] = items[i];
     }
-    TDS_INTERLEAVE_POINT("ring.push.publish");
     tail_.store(tail + count, std::memory_order_release);
     return count;
   }
@@ -67,13 +62,11 @@ class SpscRing {
   size_t TryPopN(T* out, size_t max) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     const uint64_t tail = tail_.load(std::memory_order_acquire);
-    TDS_INTERLEAVE_POINT("ring.pop.claim");
     const size_t available = static_cast<size_t>(tail - head);
     const size_t count = max < available ? max : available;
     for (size_t i = 0; i < count; ++i) {
       out[i] = slots_[static_cast<size_t>(head + i) & mask_];
     }
-    TDS_INTERLEAVE_POINT("ring.pop.publish");
     head_.store(head + count, std::memory_order_release);
     return count;
   }

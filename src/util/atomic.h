@@ -221,12 +221,6 @@ using Atomic = atomic_internal::BasicAtomic<T, false>;
 template <typename T>
 using InstrumentedAtomic = atomic_internal::BasicAtomic<T, true>;
 
-/// Never-instrumented variant: bookkeeping that must stay OUT of the model
-/// even under -DTDS_MODELCHECK=ON (e.g. the chaos hit counter) — routing
-/// it through the scheduler would only bloat the interleaving space.
-template <typename T>
-using PlainAtomic = atomic_internal::BasicAtomic<T, false>;
-
 /// Standalone fence, same contract as the wrappers: plain
 /// std::atomic_thread_fence in production, a modeled scheduling point
 /// (seq_cst drains the TSO store buffer) inside a model run.

@@ -1,10 +1,7 @@
-// Backpressure and admission-control tests for ShardedAggregateEngine —
-// both the ProducerSession surface and the deprecated engine-global
-// shims, whose historical contracts these tests pin (hence the
-// deliberate tds-lint allow markers on the legacy calls).
-//
-// staged producer waits, TryUpdateBatch deadlines, overload counters, and
-// the stopped-engine ingest contract (the regression that used to spin a
+// Backpressure and admission-control tests for ShardedAggregateEngine's
+// ProducerSession ingest surface: staged producer waits, kBlockWithDeadline
+// deadlines (zero = one non-blocking attempt), overload counters, and the
+// stopped-engine ingest contract (the regression that used to spin a
 // producer forever against a ring whose writer had already exited).
 //
 // The writer is stalled *deterministically* through RunOnWriterForTest: a
@@ -23,6 +20,7 @@
 #include "decay/sliding_window.h"
 #include "engine/producer_session.h"
 #include "engine/registry.h"
+#include "engine_test_util.h"
 
 namespace tds {
 namespace {
@@ -80,7 +78,7 @@ class WriterStall {
   std::thread helper_;
 };
 
-TEST(BackpressureTest, TryUpdateBatchRejectsOnFullRingWithoutBlocking) {
+TEST(BackpressureTest, ZeroDeadlineRejectsOnFullRingWithoutBlocking) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());
   ASSERT_TRUE(engine.ok());
@@ -88,15 +86,14 @@ TEST(BackpressureTest, TryUpdateBatchRejectsOnFullRingWithoutBlocking) {
     WriterStall stall(**engine, 0);
 
     // Fill the stalled ring one item at a time until admission fails. The
-    // zero deadline means each call makes exactly one push attempt, so
+    // zero deadline means each flush makes exactly one push attempt, so
     // this loop is bounded by the ring capacity.
     const KeyedItem item{7, 1, 1};
     uint64_t accepted = 0;
     Status status = Status::OK();
     for (int i = 0; i < 1000 && status.ok(); ++i) {
-      status = (*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-          {&item, 1},
-                                         std::chrono::nanoseconds(0));
+      status = DeadlineIngest(**engine, {&item, 1},
+                              std::chrono::nanoseconds(0));
       if (status.ok()) ++accepted;
     }
     ASSERT_EQ(status.code(), StatusCode::kUnavailable);
@@ -116,33 +113,34 @@ TEST(BackpressureTest, TryUpdateBatchRejectsOnFullRingWithoutBlocking) {
   }
 }
 
-TEST(BackpressureTest, TryUpdateBatchDeadlineOutlastsStall) {
+TEST(BackpressureTest, SessionDeadlineOutlastsStall) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());
   ASSERT_TRUE(engine.ok());
   WriterStall stall(**engine, 0);
 
-  // Fill the ring to the brim, then issue one oversized batch with a
+  // Fill the ring to the brim, then flush one oversized batch with a
   // generous deadline while another thread releases the writer: the batch
   // must be admitted in full once the writer drains.
   std::vector<KeyedItem> fill(64, KeyedItem{1, 1, 1});
   ASSERT_TRUE(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(fill, std::chrono::nanoseconds(0)).ok());  // tds-lint: allow(deprecated-ingest)
+      DeadlineIngest(**engine, fill, std::chrono::nanoseconds(0)).ok());
   std::vector<KeyedItem> batch(256, KeyedItem{2, 1, 1});
+  // The stall must outlast the spin + yield stages even when every yield
+  // loses the core for a whole time slice (loaded sanitizer runs), so the
+  // producer provably reaches the park stage.
   std::thread releaser([&stall] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     stall.Release();
   });
   const Status status =
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(batch, std::chrono::seconds(60));  // tds-lint: allow(deprecated-ingest)
+      DeadlineIngest(**engine, batch, std::chrono::seconds(60));
   releaser.join();
   ASSERT_TRUE(status.ok()) << status.message();
   ASSERT_TRUE((*engine)->Flush().ok());
   EXPECT_DOUBLE_EQ((*engine)->QueryKey(2, 1), 256.0);
   // The producer parked while it waited out the stall (it did not burn a
-  // core through a 20ms block), and the stall length was recorded.
+  // core through a 200ms block), and the stall length was recorded.
   const auto stats = (*engine)->Stats();
   EXPECT_GE(stats[0].park_count, 1u);
   EXPECT_GE(stats[0].max_queue_stall,
@@ -160,8 +158,9 @@ TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
     WriterStall stall(**engine, 0);
     // More items than the stalled ring can hold: the call must give up
     // after ~block_deadline instead of blocking forever.
+    // The session inherits the engine-wide policy and deadline.
     std::vector<KeyedItem> batch(1024, KeyedItem{3, 1, 1});
-    const Status status = (*engine)->IngestBatch(batch);  // tds-lint: allow(deprecated-ingest)
+    const Status status = SessionIngest(**engine, batch);
     ASSERT_EQ(status.code(), StatusCode::kUnavailable);
     const auto stats = (*engine)->Stats();
     EXPECT_GE(stats[0].items_rejected, 1u);
@@ -181,7 +180,7 @@ TEST(BackpressureTest, SpinPolicyStillDrains) {
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
   std::vector<KeyedItem> batch(4096, KeyedItem{5, 1, 1});
-  ASSERT_TRUE((*engine)->IngestBatch(batch).ok());  // tds-lint: allow(deprecated-ingest)
+  ASSERT_TRUE(SessionIngest(**engine, batch).ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   EXPECT_EQ((*engine)->ItemsApplied(), 4096u);
 }
@@ -190,20 +189,27 @@ TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Ingest(9, 1, 4).ok());  // tds-lint: allow(deprecated-ingest)
+  // A session opened before Stop() still holds its engine pointer.
+  ProducerSessionOptions session_options;
+  session_options.staging_capacity = 2048;
+  auto session = (*engine)->NewProducer(session_options);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(SessionIngest(**engine, 9, 1, 4).ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   (*engine)->Stop();
 
   // The regression: a batch larger than the ring used to spin forever
-  // against writers that had already exited. It must now fail fast.
+  // against writers that had already exited. It must now fail fast, under
+  // every policy and deadline.
   std::vector<KeyedItem> batch(1024, KeyedItem{9, 2, 1});
-  EXPECT_EQ((*engine)->IngestBatch(batch).code(),  // tds-lint: allow(deprecated-ingest)
+  EXPECT_EQ((*session)->AddBatch(batch).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*engine)->Ingest(9, 2, 1).code(),  // tds-lint: allow(deprecated-ingest)
+  EXPECT_EQ((*session)->Add(9, 2, 1).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(SessionIngest(**engine, batch).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(batch, std::chrono::seconds(60)).code(),  // tds-lint: allow(deprecated-ingest)
+      DeadlineIngest(**engine, batch, std::chrono::seconds(60)).code(),
       StatusCode::kFailedPrecondition);
   // Nothing was admitted, so nothing counts as rejected-by-overload.
   EXPECT_EQ((*engine)->Stats()[0].items_rejected, 0u);

@@ -1,7 +1,9 @@
 // Incremental segment/manifest checkpoint tests (engine/checkpoint_log.h):
 // round-trips must be byte-identical to the engine's own snapshot blob,
 // incremental bytes must scale with churn rather than population,
-// compaction must fold without changing the recovered state, and every
+// compaction must fold without changing the recovered state, every
+// torn-file shape — truncation, bit flips, a crash between the commit
+// renames — must be detected instead of loading garbage, and every
 // injected fault — segment write, manifest commit, compaction — must leave
 // the previous manifest generation fully loadable.
 #include "engine/checkpoint_log.h"
@@ -135,6 +137,38 @@ TEST(CheckpointLogTest, IncrementalRoundTripIsByteIdentical) {
       EXPECT_EQ(log.manifest().generation, round + 1);
       EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
     }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointLogTest, IngestAfterRestoreStaysByteIdenticalToUninterrupted) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("resume_") + ec.label);
+
+    // Checkpoint mid-stream, "crash" (destroy the engine), restore, feed
+    // the rest: the result must match an engine that never went down.
+    Tick t1 = 0;
+    const auto first = Stream(2, 1, 4000, &t1);
+    Tick t2 = 0;
+    const auto second = Stream(3, t1, 4000, &t2);
+    auto uninterrupted = MakeEngine(ec);
+    ASSERT_TRUE(SessionIngest(*uninterrupted, first).ok());
+    ASSERT_TRUE(SessionIngest(*uninterrupted, second).ok());
+    ASSERT_TRUE(uninterrupted->Flush().ok());
+
+    {
+      auto crashing = MakeTrackedEngine(ec);
+      auto log = MakeLog(*crashing, dir);
+      ASSERT_TRUE(SessionIngest(*crashing, first).ok());
+      ASSERT_TRUE(log.WriteIncremental().ok());
+    }  // destroyed: everything after the checkpoint is lost, as in a crash
+
+    auto restored = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+    ASSERT_TRUE(SessionIngest(*restored, second).ok());
+    ASSERT_TRUE(restored->Flush().ok());
+    EXPECT_EQ(MergedBlob(*restored), MergedBlob(*uninterrupted));
     std::filesystem::remove_all(dir);
   }
 }
@@ -436,6 +470,294 @@ TEST(CheckpointLogTest, BothManifestGenerationsFailingReportsBoth) {
   EXPECT_NE(manifest.status().message().find("fallback"), std::string::npos)
       << manifest.status().ToString();
   EXPECT_NE(manifest.status().message().find(".prev"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointLogTest, CorruptionIsDetected) {
+  const EngineCase ec = Cases()[0];
+  const std::string pristine = TempDir("corrupt_pristine");
+  std::string source_blob;
+  {
+    auto source = MakeTrackedEngine(ec);
+    auto log = MakeLog(*source, pristine);
+    Tick t = 0;
+    ASSERT_TRUE(SessionIngest(*source, Stream(4, 1, 2000, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    source_blob = MergedBlob(*source);
+  }
+  // One generation only: no MANIFEST.tds.prev to fall back to.
+  ASSERT_FALSE(std::filesystem::exists(pristine + "/MANIFEST.tds.prev"));
+  auto manifest = LoadManifest(pristine);
+  ASSERT_TRUE(manifest.ok());
+  const std::string segment = manifest->entries[0].file;
+
+  struct Mutilation {
+    const char* label;
+    void (*apply)(const std::string& path);
+  };
+  const Mutilation mutilations[] = {
+      {"truncate-1", [](const std::string& p) {
+         std::filesystem::resize_file(p, std::filesystem::file_size(p) - 1);
+       }},
+      {"truncate-half", [](const std::string& p) {
+         std::filesystem::resize_file(p, std::filesystem::file_size(p) / 2);
+       }},
+      {"truncate-empty", [](const std::string& p) {
+         std::filesystem::resize_file(p, 0);
+       }},
+      {"bitflip-middle", [](const std::string& p) {
+         std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+         const auto size =
+             static_cast<std::streamoff>(std::filesystem::file_size(p));
+         f.seekg(size / 2);
+         char byte = 0;
+         f.read(&byte, 1);
+         byte = static_cast<char>(byte ^ 0x40);
+         f.seekp(size / 2);
+         f.write(&byte, 1);
+       }},
+      {"bitflip-footer", [](const std::string& p) {
+         std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+         const auto size =
+             static_cast<std::streamoff>(std::filesystem::file_size(p));
+         f.seekg(size - 4);
+         char byte = 0;
+         f.read(&byte, 1);
+         byte = static_cast<char>(byte ^ 0x01);
+         f.seekp(size - 4);
+         f.write(&byte, 1);
+       }},
+  };
+  const std::string victims[] = {segment, "MANIFEST.tds"};
+  for (const std::string& victim_file : victims) {
+    for (const Mutilation& m : mutilations) {
+      SCOPED_TRACE(victim_file + " " + m.label);
+      const std::string dir = TempDir("corrupt");
+      std::filesystem::copy(pristine, dir,
+                            std::filesystem::copy_options::recursive);
+      m.apply(dir + "/" + victim_file);
+      // No intact .prev exists, so the load must fail outright — never
+      // return state decoded from a damaged file.
+      EXPECT_FALSE(
+          LoadCheckpointLog(ec.decay, EngineOptions(ec).registry, dir).ok());
+      auto restored = MakeEngine(ec);
+      EXPECT_FALSE(RestoreFromCheckpointLog(*restored, dir).ok());
+      // The failed restore left the engine fresh: the intact log still
+      // restores onto it byte-exact, and it keeps ingesting.
+      EXPECT_EQ(restored->ItemsApplied(), 0u);
+      EXPECT_EQ(restored->KeyCount(), 0u);
+      ASSERT_TRUE(RestoreFromCheckpointLog(*restored, pristine).ok());
+      EXPECT_EQ(MergedBlob(*restored), source_blob);
+      EXPECT_TRUE(SessionIngest(*restored, 1, 5000, 1).ok());
+      EXPECT_TRUE(restored->Flush().ok());
+      std::filesystem::remove_all(dir);
+    }
+  }
+  std::filesystem::remove_all(pristine);
+}
+
+TEST(CheckpointLogTest, RestoreRequiresFreshEngine) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("fresh");
+  {
+    auto source = MakeTrackedEngine(ec);
+    auto log = MakeLog(*source, dir);
+    Tick t = 0;
+    ASSERT_TRUE(SessionIngest(*source, Stream(7, 1, 500, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+  }
+  auto dirty = MakeEngine(ec);
+  ASSERT_TRUE(SessionIngest(*dirty, 1, 1, 1).ok());
+  ASSERT_TRUE(dirty->Flush().ok());
+  EXPECT_EQ(RestoreFromCheckpointLog(*dirty, dir).code(),
+            StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointLogTest, MissingLogFailsCleanly) {
+  const EngineCase ec = Cases()[0];
+  const std::string missing = TempDir("does_not_exist");
+  const std::string empty = TempDir("empty");
+  std::filesystem::create_directory(empty);
+  for (const std::string& dir : {missing, empty}) {
+    SCOPED_TRACE(dir);
+    EXPECT_FALSE(HasCheckpointLog(dir));
+    auto engine = MakeEngine(ec);
+    EXPECT_FALSE(RestoreFromCheckpointLog(*engine, dir).ok());
+    EXPECT_TRUE(SessionIngest(*engine, 1, 1, 1).ok());
+    EXPECT_TRUE(engine->Flush().ok());
+    EXPECT_EQ(engine->KeyCount(), 1u);
+  }
+  std::filesystem::remove_all(empty);
+}
+
+// Recovery contracts of a checkpoint as a whole, held by the log: a
+// restored engine answers every read like the source, a damaged newest
+// manifest falls back to the previous generation, a double failure names
+// both causes, and an engine configured differently is refused.
+
+TEST(CheckpointTest, RoundTripIsByteIdentical) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("ckpt_roundtrip_") + ec.label);
+    auto source = MakeTrackedEngine(ec);
+    auto log = MakeLog(*source, dir);
+    Tick t = 0;
+    ASSERT_TRUE(SessionIngest(*source, Stream(1, 1, 5000, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    const std::string source_blob = MergedBlob(*source);
+
+    auto restored = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+    EXPECT_EQ(MergedBlob(*restored), source_blob);
+    EXPECT_EQ(restored->KeyCount(), source->KeyCount());
+    for (uint64_t key = 0; key < 80; ++key) {
+      EXPECT_DOUBLE_EQ(restored->QueryKey(key, t), source->QueryKey(key, t))
+          << "key=" << key;
+    }
+    auto merged = restored->Snapshot();
+    ASSERT_TRUE(merged.ok());
+    const auto source_top = source->Snapshot();
+    ASSERT_TRUE(source_top.ok());
+    const auto top_restored = merged->TopK(10, t);
+    const auto top_source = source_top->TopK(10, t);
+    ASSERT_EQ(top_restored.size(), top_source.size());
+    for (size_t i = 0; i < top_source.size(); ++i) {
+      EXPECT_EQ(top_restored[i].key, top_source[i].key);
+      EXPECT_DOUBLE_EQ(top_restored[i].weight, top_source[i].weight);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointTest, CorruptPrimaryFallsBackToPreviousCheckpoint) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("ckpt_fallback");
+  auto engine = MakeTrackedEngine(ec);
+  auto log = MakeLog(*engine, dir);
+  Tick t1 = 0;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(5, 1, 3000, &t1)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  const std::string old_blob = MergedBlob(*engine);
+
+  // The second commit rotates the first manifest to .prev; then one
+  // payload byte of the primary flips. The footer checksum must refuse it
+  // and recovery land on the previous generation, byte-exact.
+  Tick t2 = 0;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(6, t1, 3000, &t2)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  const std::string manifest_path = dir + "/MANIFEST.tds";
+  ASSERT_TRUE(std::filesystem::exists(manifest_path + ".prev"));
+  {
+    std::fstream f(manifest_path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(6);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    f.seekp(6);
+    f.write(&byte, 1);
+  }
+
+  auto restored = MakeEngine(ec);
+  ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+  EXPECT_EQ(MergedBlob(*restored), old_blob);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, BothGenerationsFailingReportsBothErrors) {
+  // With the primary *and* .prev both damaged, the error must name both
+  // failures — the fallback's cause is never hidden by the primary's.
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("ckpt_both_bad");
+  auto engine = MakeTrackedEngine(ec);
+  auto log = MakeLog(*engine, dir);
+  Tick t1 = 0;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(11, 1, 1000, &t1)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  Tick t2 = 0;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(12, t1, 1000, &t2)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  const std::string manifest_path = dir + "/MANIFEST.tds";
+  ASSERT_TRUE(std::filesystem::exists(manifest_path + ".prev"));
+
+  // Different failure shapes: truncate the primary below the footer,
+  // corrupt a payload byte in the fallback.
+  std::filesystem::resize_file(manifest_path, 5);
+  {
+    std::fstream f(manifest_path + ".prev",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(10);
+    const char byte = 0x3c;
+    f.write(&byte, 1);
+  }
+  auto loaded = LoadCheckpointLog(ec.decay, EngineOptions(ec).registry, dir);
+  ASSERT_FALSE(loaded.ok());
+  const std::string& msg = loaded.status().message();
+  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("fallback"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(".prev"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("mismatch"), std::string::npos) << msg;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, OptionsMismatchIsRejected) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("ckpt_mismatch");
+  {
+    auto source = MakeTrackedEngine(ec);
+    auto log = MakeLog(*source, dir);
+    Tick t = 0;
+    ASSERT_TRUE(SessionIngest(*source, Stream(8, 1, 500, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+  }
+  // A different decay parameter and a different epsilon: the restore must
+  // refuse both and leave the engine without keys.
+  ShardedAggregateEngine::Options other_epsilon = EngineOptions(ec);
+  other_epsilon.registry = RegistryOptions(ec.backend, 0.3);
+  const std::pair<DecayPtr, ShardedAggregateEngine::Options> mismatches[] = {
+      {SlidingWindowDecay::Create(1024).value(), EngineOptions(ec)},
+      {ec.decay, other_epsilon},
+  };
+  for (const auto& [decay, options] : mismatches) {
+    SCOPED_TRACE(decay->Name());
+    auto mismatched = ShardedAggregateEngine::Create(decay, options);
+    ASSERT_TRUE(mismatched.ok());
+    EXPECT_FALSE(RestoreFromCheckpointLog(**mismatched, dir).ok());
+    EXPECT_EQ((*mismatched)->KeyCount(), 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointLogTest, RotatedManifestAloneIsResumed) {
+  // A crash between the commit's rotate (MANIFEST.tds -> .prev) and its
+  // rename leaves only MANIFEST.tds.prev. That is still a log: restore
+  // must load it, and Create must resume writing after its generation.
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("rotated");
+  std::string committed;
+  {
+    auto engine = MakeTrackedEngine(ec);
+    auto log = MakeLog(*engine, dir);
+    Tick t = 1;
+    ASSERT_TRUE(SessionIngest(*engine, Stream(75, t, 1500, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    committed = MergedBlob(*engine);
+  }
+  std::filesystem::rename(dir + "/MANIFEST.tds", dir + "/MANIFEST.tds.prev");
+  ASSERT_TRUE(HasCheckpointLog(dir));
+
+  auto engine = MakeEngine(ec);
+  ASSERT_TRUE(RestoreFromCheckpointLog(*engine, dir).ok());
+  EXPECT_EQ(MergedBlob(*engine), committed);
+  ASSERT_TRUE(engine->EnableCheckpointTracking().ok());
+  auto log = MakeLog(*engine, dir);
+  EXPECT_EQ(log.manifest().generation, 1u);
+  Tick t = 5000;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(76, t, 500, &t)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  EXPECT_EQ(log.manifest().generation, 2u);
+  EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
   std::filesystem::remove_all(dir);
 }
 

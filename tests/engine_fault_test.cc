@@ -217,16 +217,16 @@ TEST_F(EngineFaultTest, RingPushStickyFaultRejectsNonBlockingAdmission) {
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
   failpoint::Arm("engine.ring.push", {.fire_on_hit = 1, .sticky = true});
-  // Deliberately exercises the deprecated TryUpdateBatch shim: its
-  // zero-deadline admission contract under sticky faults is pinned here.
+  // Zero-deadline admission under a sticky fault: one attempt, rejected
+  // and counted; the same flush succeeds once the fault clears.
   const KeyedItem item{1, 1, 1};
-  const Status status = (*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-      {&item, 1}, std::chrono::nanoseconds(0));
+  const Status status =
+      DeadlineIngest(**engine, {&item, 1}, std::chrono::nanoseconds(0));
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_GE((*engine)->Stats()[0].items_rejected, 1u);
   failpoint::DisarmAll();
-  ASSERT_TRUE((*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-      {&item, 1}, std::chrono::nanoseconds(0)).ok());
+  ASSERT_TRUE(
+      DeadlineIngest(**engine, {&item, 1}, std::chrono::nanoseconds(0)).ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   EXPECT_EQ((*engine)->ItemsApplied(), 1u);
 }

@@ -1,7 +1,6 @@
 // ProducerSession unit tests: lifecycle and stats, staging/auto-flush,
-// the route-epoch repartition path, the stopped-engine contract, the
-// rate-weighted rebalancer's hot-slice selection, and the deprecated
-// engine-global shims (which now run on internal one-shot sessions).
+// the route-epoch repartition path, the stopped-engine contract, and the
+// rate-weighted rebalancer's hot-slice selection.
 #include "engine/producer_session.h"
 
 #include <chrono>
@@ -267,42 +266,6 @@ TEST(ShardedEngineSessionTest, RebalancePrefersHotSliceOverPopulousColdOne) {
   for (const uint64_t key : cold_keys) {
     EXPECT_EQ((*engine)->RouteForKey(key), 0u) << "cold key=" << key;
   }
-}
-
-// The deprecated engine-global entry points must keep their historical
-// contracts while running on internal one-shot sessions (they are shims,
-// not a parallel implementation).
-TEST(ShardedEngineSessionTest, LegacyShimsKeepTheirContracts) {
-  auto decay = SlidingWindowDecay::Create(1 << 12).value();
-  auto engine = ShardedAggregateEngine::Create(decay, EngineOptions(2));
-  ASSERT_TRUE(engine.ok());
-
-  std::vector<KeyedItem> items;
-  for (uint64_t i = 0; i < 100; ++i) items.push_back(KeyedItem{i, 1, 2});
-  ASSERT_TRUE((*engine)->IngestBatch(items).ok());  // tds-lint: allow(deprecated-ingest)
-  ASSERT_TRUE((*engine)->Ingest(7, 2, 3).ok());  // tds-lint: allow(deprecated-ingest)
-  std::vector<KeyedItem> later;
-  for (uint64_t i = 0; i < 100; ++i) later.push_back(KeyedItem{i, 3, 2});
-  ASSERT_TRUE(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(later, std::chrono::milliseconds(50)).ok());  // tds-lint: allow(deprecated-ingest)
-  ASSERT_TRUE((*engine)->Flush().ok());
-  EXPECT_EQ((*engine)->ItemsApplied(), 201u);
-
-  // Internal one-shot sessions count items but not session open/close.
-  const auto totals = (*engine)->SessionTotals();
-  EXPECT_EQ(totals.sessions_opened, 0u);
-  EXPECT_EQ(totals.sessions_closed, 0u);
-  EXPECT_EQ(totals.items_staged, 201u);
-  EXPECT_EQ(totals.items_flushed, 201u);
-
-  (*engine)->Stop();
-  EXPECT_EQ((*engine)->Ingest(1, 3, 1).code(),  // tds-lint: allow(deprecated-ingest)
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(items, std::chrono::nanoseconds(0)).code(),  // tds-lint: allow(deprecated-ingest)
-      StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
 // Dual-mode fault-injection fuzz driver (docs/CORRECTNESS.md): a live
 // ShardedAggregateEngine is driven through byte-stream-derived
-// interleavings of ingest, queries, snapshots, migrations, and checkpoint
-// round-trips while failpoints (util/failpoint.h) are armed and disarmed at
-// random. The contract under test is the robustness one, not value
-// accuracy: every injected failure must surface as a clean Status — never a
-// crash, hang, or audit violation — and once the faults are cleared the
-// engine must stabilize: Flush succeeds, snapshots publish again,
-// invariants audit clean, and every submitted item is accounted for as
-// applied or rejected (conservation: nothing lost, nothing duplicated).
+// interleavings of ingest, queries, snapshots, migrations, and
+// checkpoint-log commit/load round-trips while failpoints
+// (util/failpoint.h) are armed and disarmed at random. The contract under
+// test is the robustness one, not value accuracy: every injected failure
+// must surface as a clean Status — never a crash, hang, or audit
+// violation — and once the faults are cleared the engine must stabilize:
+// Flush succeeds, snapshots publish again, invariants audit clean, and
+// every submitted item is accounted for as applied or rejected
+// (conservation: nothing lost, nothing duplicated).
 //
 // Ingest goes through a ProducerSession flushed under
 // kBlockWithDeadline with a finite deadline so that even a sticky
 // "engine.ring.push" fault ends in kUnavailable (staged items dropped as
-// rejected), keeping the driver hang-free by construction. The whole suite skips without -DTDS_FAILPOINTS
-// (tools/check.sh runs it in the `faults` stage under ASan+UBSan).
+// rejected), keeping the driver hang-free by construction. The whole
+// suite skips without -DTDS_FAILPOINTS (tools/check.sh runs it in the
+// `faults` stage under ASan+UBSan).
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -26,7 +28,7 @@
 #include "core/factory.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "engine/checkpoint.h"
+#include "engine/checkpoint_log.h"
 #include "engine/engine.h"
 #include "engine/merged_snapshot.h"
 #include "engine/producer_session.h"
@@ -44,9 +46,11 @@ constexpr uint64_t kKeySpace = 48;
 
 // Every failpoint the engine stack defines, all fair game for arming.
 constexpr const char* kFailpoints[] = {
-    "engine.ring.push",   "engine.migrate",     "registry.merge",
-    "registry.extract",   "registry.encode",    "registry.decode",
-    "registry.arena.grow", "checkpoint.write",  "checkpoint.commit",
+    "engine.ring.push",      "engine.migrate",
+    "registry.merge",        "registry.extract",
+    "registry.encode",       "registry.decode",
+    "registry.arena.grow",   "ckptlog.segment.write",
+    "ckptlog.manifest.commit", "ckptlog.compact",
 };
 
 ShardedAggregateEngine::Options EngineOptions(Backend backend) {
@@ -87,13 +91,19 @@ struct FaultFuzzCoverage {
 };
 
 FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
-                                     const std::string& ckpt_path,
+                                     const std::string& ckpt_dir,
                                      int max_ops, FuzzInput& in) {
   failpoint::DisarmAll();
   const auto options = EngineOptions(backend);
   auto created = ShardedAggregateEngine::Create(decay, options);
   TDS_FUZZ_CHECK(created.ok(), in, created.status().ToString());
   auto& engine = **created;
+  TDS_FUZZ_CHECK_OK(engine.EnableCheckpointTracking(), in, "tracking");
+  std::filesystem::remove_all(ckpt_dir);
+  CheckpointLog::Options log_options;
+  log_options.backoff.sleeper = [](std::chrono::nanoseconds) {};
+  auto log = CheckpointLog::Create(engine, ckpt_dir, log_options);
+  TDS_FUZZ_CHECK(log.ok(), in, log.status().ToString());
 
   Tick t = 1;
   uint64_t submitted = 0;
@@ -143,15 +153,15 @@ FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
                                static_cast<uint32_t>(in.Below(kShards))),
           in);
     } else if (kind == 11) {
-      // Checkpoint write/load round-trip under faults. A load is only
-      // attempted from a checkpoint that reported success — and then
+      // Checkpoint-log commit/load round-trip under faults. A load is
+      // only attempted after a commit that reported success — and then
       // it must decode (possibly via .prev) unless a fault hits the
       // load path itself.
-      const Status wrote = WriteCheckpoint(engine, ckpt_path);
+      const Status wrote = log->WriteIncremental();
       ExpectCleanStatus(wrote, in);
       if (wrote.ok()) {
         ++coverage.checkpoints_ok;
-        auto loaded = LoadCheckpoint(decay, options.registry, ckpt_path);
+        auto loaded = LoadCheckpointLog(decay, options.registry, ckpt_dir);
         if (!loaded.ok()) ExpectCleanStatus(loaded.status(), in);
       }
     } else if (kind < 15) {
@@ -205,11 +215,9 @@ FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
   return coverage;
 }
 
-void CleanupCheckpoint(const std::string& ckpt_path) {
+void CleanupCheckpoint(const std::string& ckpt_dir) {
   std::error_code ec;
-  std::filesystem::remove(ckpt_path, ec);
-  std::filesystem::remove(ckpt_path + ".prev", ec);
-  std::filesystem::remove(ckpt_path + ".tmp", ec);
+  std::filesystem::remove_all(ckpt_dir, ec);
 }
 
 }  // namespace
@@ -235,22 +243,22 @@ TEST(EngineFaultFuzzTest, InjectedFaultsNeverCrashHangOrCorrupt) {
       {"CEH", SlidingWindowDecay::Create(96).value(), Backend::kCeh},
       {"WBMH", PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
   };
-  const std::string ckpt_path =
-      ::testing::TempDir() + "tds_fault_fuzz_checkpoint";
+  const std::string ckpt_dir =
+      ::testing::TempDir() + "tds_fault_fuzz_ckptlog";
   for (const Config& config : configs) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(::testing::Message() << config.label << " seed=" << seed);
       FuzzInput in = FuzzInput::FromSeed(
           seed * 9176 + static_cast<uint64_t>(config.backend), 220 * 128);
       const FaultFuzzCoverage coverage =
-          RunEngineFaultFuzz(config.decay, config.backend, ckpt_path, 220,
+          RunEngineFaultFuzz(config.decay, config.backend, ckpt_dir, 220,
                              in);
       EXPECT_GT(coverage.faults_armed, 0u);
       EXPECT_GT(coverage.checkpoints_ok, 0u);
     }
   }
   failpoint::DisarmAll();
-  CleanupCheckpoint(ckpt_path);
+  CleanupCheckpoint(ckpt_dir);
 }
 
 }  // namespace
@@ -265,21 +273,21 @@ TEST(EngineFaultFuzzTest, InjectedFaultsNeverCrashHangOrCorrupt) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!tds::kFailpointsEnabled) return 0;
   tds::FuzzInput in(data, size);
-  const std::string ckpt_path =
-      (std::filesystem::temp_directory_path() / "tds_fault_fuzzer_ckpt")
+  const std::string ckpt_dir =
+      (std::filesystem::temp_directory_path() / "tds_fault_fuzzer_ckptlog")
           .string();
   constexpr int kMaxOps = 512;
   if (in.Below(2) == 0) {
     (void)tds::RunEngineFaultFuzz(
         tds::SlidingWindowDecay::Create(96).value(), tds::Backend::kCeh,
-        ckpt_path, kMaxOps, in);
+        ckpt_dir, kMaxOps, in);
   } else {
     (void)tds::RunEngineFaultFuzz(tds::PolynomialDecay::Create(1.0).value(),
-                                  tds::Backend::kWbmh, ckpt_path, kMaxOps,
+                                  tds::Backend::kWbmh, ckpt_dir, kMaxOps,
                                   in);
   }
   tds::failpoint::DisarmAll();
-  tds::CleanupCheckpoint(ckpt_path);
+  tds::CleanupCheckpoint(ckpt_dir);
   return 0;
 }
 

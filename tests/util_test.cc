@@ -9,7 +9,6 @@
 #include "util/morris.h"
 #include "util/random.h"
 #include "util/rounded_counter.h"
-#include "util/schedule_chaos.h"
 #include "util/stable.h"
 #include "util/status.h"
 
@@ -306,69 +305,6 @@ TEST(FuzzInputTest, ExhaustionIsZeroAndSticky) {
   EXPECT_EQ(in.U64(), 0u);
   EXPECT_EQ(in.Below(100), 0u);
   EXPECT_TRUE(in.exhausted());
-}
-
-// --- Schedule chaos: the seeded perturbation policy (src/util/schedule_chaos.h)
-// is compiled and testable even when TDS_SCHED_CHAOS is off; the macro must
-// also be usable (as a no-op) in unperturbed builds. ---
-
-TEST(ScheduleChaosTest, MacroCompilesInAnyBuild) {
-  TDS_INTERLEAVE_POINT("util_test.noop");
-}
-
-TEST(ScheduleChaosTest, DecisionIsPureFunctionOfInputs) {
-  for (uint64_t hit = 0; hit < 64; ++hit) {
-    EXPECT_EQ(sched_chaos::DecisionFor(7, "ring.push.publish", hit),
-              sched_chaos::DecisionFor(7, "ring.push.publish", hit));
-    EXPECT_EQ(sched_chaos::SleepMicrosFor(7, "ring.push.publish", hit),
-              sched_chaos::SleepMicrosFor(7, "ring.push.publish", hit));
-  }
-}
-
-TEST(ScheduleChaosTest, MixCoversAllDecisionsAtDocumentedRates) {
-  int sleeps = 0;
-  int yields = 0;
-  int nones = 0;
-  constexpr int kHits = 4096;
-  for (uint64_t hit = 0; hit < kHits; ++hit) {
-    switch (sched_chaos::DecisionFor(1, "engine.park.window", hit)) {
-      case sched_chaos::Decision::kSleep: ++sleeps; break;
-      case sched_chaos::Decision::kYield: ++yields; break;
-      case sched_chaos::Decision::kNone: ++nones; break;
-    }
-  }
-  // ~1/16 sleep, ~3/16 yield, rest undisturbed; generous 2x bands.
-  EXPECT_GT(sleeps, kHits / 32);
-  EXPECT_LT(sleeps, kHits / 8);
-  EXPECT_GT(yields, kHits / 11);
-  EXPECT_LT(yields, kHits / 3);
-  EXPECT_GT(nones, kHits / 2);
-}
-
-TEST(ScheduleChaosTest, SeedAndPointNameChangeTheSchedule) {
-  int diverged_by_seed = 0;
-  int diverged_by_name = 0;
-  for (uint64_t hit = 0; hit < 256; ++hit) {
-    if (sched_chaos::DecisionFor(1, "ring.pop.claim", hit) !=
-        sched_chaos::DecisionFor(2, "ring.pop.claim", hit)) {
-      ++diverged_by_seed;
-    }
-    if (sched_chaos::DecisionFor(1, "ring.pop.claim", hit) !=
-        sched_chaos::DecisionFor(1, "ring.push.claim", hit)) {
-      ++diverged_by_name;
-    }
-  }
-  EXPECT_GT(diverged_by_seed, 0);
-  EXPECT_GT(diverged_by_name, 0);
-}
-
-TEST(ScheduleChaosTest, SleepsAreBounded) {
-  for (uint64_t hit = 0; hit < 512; ++hit) {
-    const uint64_t micros =
-        sched_chaos::SleepMicrosFor(1, "engine.route.publish", hit);
-    EXPECT_GE(micros, 1u);
-    EXPECT_LE(micros, 100u);
-  }
 }
 
 }  // namespace

@@ -7,17 +7,19 @@
 #   tools/check.sh [stage...]
 #
 # Stages (default and "all": release asan tsan faults tidy thread-safety
-# lint analyze chaos coverage fuzz):
+# lint analyze modelcheck coverage fuzz):
 #   release   Release build + full ctest suite (tier-1 verify).
 #   asan      ASan+UBSan build with -DTDS_AUDIT=ON (structural invariant
 #             audits after every mutation) + full ctest suite.
 #   tsan      ThreadSanitizer build + full ctest suite — the required
 #             sanitizer coverage for the sharded engine's concurrent code
-#             (engine_concurrency_test: multi-producer ingest, snapshot
-#             readers, and the rebalancer racing the writer threads).
+#             (the ShardedEngine* suites: multi-producer ingest, snapshot
+#             readers, and the rebalancer racing the writer threads; the
+#             SpscRing* suites; the merge and read-path differentials),
+#             each asserted present with --no-tests=error.
 #   faults    Fault-injection matrix: ASan+UBSan build with
 #             -DTDS_FAILPOINTS=ON so the deterministic failpoints
-#             (util/failpoint.h) compile in, then the fault/checkpoint/
+#             (util/failpoint.h) compile in, then the fault/checkpoint-log/
 #             backpressure suites and the fault fuzz driver — every
 #             injected failure must surface as a clean Status, never a
 #             crash, hang, leak, or audit violation.
@@ -58,12 +60,6 @@
 #             publish, the park/wake handshake, stop-vs-ingest — which
 #             exhaustively or boundedly enumerate the interleavings and
 #             prove the engine's memory-order choices minimal.
-#   chaos     Schedule-perturbation race amplifier: TSan build with
-#             -DTDS_SCHED_CHAOS=ON so every TDS_INTERLEAVE_POINT
-#             (util/schedule_chaos.h) yields/sleeps on a seeded schedule,
-#             then the engine concurrency + ring suites. Catches
-#             interleavings a quiet TSan run rarely reaches; the seed is
-#             pinned so a failure replays.
 #   coverage  gcov line-coverage reports over src/core and src/histogram
 #             from the fuzz-driver leg (-DTDS_COVERAGE=ON build), each with
 #             a hard floor enforced by tools/coverage_report.py — the guard
@@ -81,9 +77,9 @@ set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
-STAGES="${*:-release asan tsan faults tidy thread-safety lint analyze modelcheck chaos coverage fuzz}"
+STAGES="${*:-release asan tsan faults tidy thread-safety lint analyze modelcheck coverage fuzz}"
 if [ "$STAGES" = "all" ]; then
-  STAGES="release asan tsan faults tidy thread-safety lint analyze modelcheck chaos coverage fuzz"
+  STAGES="release asan tsan faults tidy thread-safety lint analyze modelcheck coverage fuzz"
 fi
 
 log() { printf '\n== check.sh: %s ==\n' "$*"; }
@@ -126,10 +122,10 @@ for stage in $STAGES; do
       log "TSan build + ctest"
       build_and_test build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTDS_SANITIZE=thread
-      log "TSan leg: engine merge/read differentials + request races present"
+      log "TSan leg: sharded engine + ring suites, merge/read differentials present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
-        -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|ConcurrentWriterRequests|EngineReadTest'
+        -R 'ShardedEngine|SpscRing|EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|ConcurrentWriterRequests|EngineReadTest'
       # Thread-local cascade scratch (flat_store.h) must hold under TSan.
       log "TSan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
@@ -143,10 +139,10 @@ for stage in $STAGES; do
       # The fault matrix must actually run in this build (elsewhere the
       # suites GTEST_SKIP without failpoints): --no-tests=error turns a
       # silently-skipped matrix into a hard failure.
-      log "faults leg: fault matrix + checkpoint/backpressure suites present"
+      log "faults leg: fault matrix + checkpoint-log/backpressure suites present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EngineFault|CheckpointTest|BackpressureTest|CheckpointLog|Standby'
+        -R 'EngineFault|BackpressureTest|CheckpointLog|Standby'
       # The reference-checked histogram fuzzers must also survive the
       # failpoint build (the decode funnels they drive are
       # failpoint-instrumented).
@@ -224,19 +220,6 @@ for stage in $STAGES; do
         --no-tests=error \
         -R 'ModelCheck|SpscRingSuite|RoutePublishSuite|ParkWakeSuite|StopIngestSuite|ReadChannelSuite|CoverageFloor'
       ;;
-    chaos)
-      log "TSan + schedule chaos (TDS_SCHED_CHAOS=ON, pinned seed) + engine suites"
-      cmake -S "$ROOT" -B "$ROOT/build-chaos" -DTDS_WERROR=ON \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTDS_SANITIZE=thread \
-        -DTDS_SCHED_CHAOS=ON
-      cmake --build "$ROOT/build-chaos" -j "$JOBS" \
-        --target engine_concurrency_test spsc_ring_test util_test
-      # The perturbed interleavings must leave results byte-identical:
-      # the same suites that pass quiet TSan must pass chaotic TSan.
-      TDS_SCHED_CHAOS_SEED="${TDS_SCHED_CHAOS_SEED:-1}" \
-        ctest --test-dir "$ROOT/build-chaos" --output-on-failure \
-        --no-tests=error -R 'ShardedEngine|SpscRing|ScheduleChaos'
-      ;;
     coverage)
       log "fuzz-driver line coverage over src/core (gcov) + floor"
       cmake -S "$ROOT" -B "$ROOT/build-cov" -DTDS_WERROR=ON \
@@ -292,7 +275,7 @@ for stage in $STAGES; do
     *)
       echo "check.sh: unknown stage '$stage'" >&2
       echo "known stages: release asan tsan faults tidy thread-safety" \
-        "lint analyze modelcheck chaos coverage fuzz all" >&2
+        "lint analyze modelcheck coverage fuzz all" >&2
       exit 2
       ;;
   esac

@@ -38,47 +38,24 @@ if "$CLI" --engine=2 --save="$TMP/state.tds" "$TMP/keyed.txt" > /dev/null 2>&1; 
   exit 1
 fi
 
-# Engine checkpoint/restore: ingest -> checkpoint, restore into a fresh
-# engine with no further input -> identical top-k report (comments carry
-# run-local counters, so compare the data rows only).
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --checkpoint="$TMP/engine.ckpt" \
-  "$TMP/keyed.txt" > "$TMP/ckpt_run.txt" 2> "$TMP/ckpt_err.txt"
-grep -q '# checkpoint -> ' "$TMP/ckpt_err.txt"
+# Checkpoint log: ingest -> commit, then resume into a fresh engine with no
+# further input -> identical top-k report (comments carry run-local
+# counters, so compare the data rows only).
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 "$TMP/keyed.txt" \
+  | grep -v '^#' > "$TMP/ckpt_rows.txt"
 : > "$TMP/empty.txt"
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --restore="$TMP/engine.ckpt" \
-  "$TMP/empty.txt" > "$TMP/restored_run.txt"
-grep -v '^#' "$TMP/ckpt_run.txt" > "$TMP/ckpt_rows.txt"
-grep -v '^#' "$TMP/restored_run.txt" > "$TMP/restored_rows.txt"
-cmp "$TMP/ckpt_rows.txt" "$TMP/restored_rows.txt"
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
+  --checkpoint-dir="$TMP/fulllog" "$TMP/keyed.txt" > /dev/null 2>&1
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
+  --checkpoint-dir="$TMP/fulllog" "$TMP/empty.txt" \
+  2> "$TMP/fulllog_err.txt" | grep -v '^#' > "$TMP/restored_rows.txt"
+grep -q '# resumed from checkpoint log' "$TMP/fulllog_err.txt"
+cmp "$TMP/restored_rows.txt" "$TMP/ckpt_rows.txt"
 
-# Checkpoint mid-stream + restore + remainder must equal one uninterrupted
-# run (crash/recover then catch up).
+# Two chained runs committing generations 1 and 2 into one directory must
+# equal the uninterrupted run (crash/recover then catch up).
 printf '1 7 3\n1 9 2\n' > "$TMP/keyed_p1.txt"
 printf '2 7 5\n3 11 1\n' > "$TMP/keyed_p2.txt"
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --checkpoint="$TMP/mid.ckpt" \
-  "$TMP/keyed_p1.txt" > /dev/null 2> /dev/null
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --restore="$TMP/mid.ckpt" \
-  "$TMP/keyed_p2.txt" | grep -v '^#' > "$TMP/resumed_engine.txt"
-cmp "$TMP/resumed_engine.txt" "$TMP/ckpt_rows.txt"
-
-# A torn (truncated) checkpoint with no .prev must refuse to restore.
-SIZE="$(wc -c < "$TMP/mid.ckpt")"
-head -c "$((SIZE - 5))" "$TMP/mid.ckpt" > "$TMP/torn.ckpt"
-if "$CLI" --decay=sliwin:64 --engine=2 --restore="$TMP/torn.ckpt" \
-  "$TMP/empty.txt" > /dev/null 2>&1; then
-  echo "expected truncated checkpoint restore to fail" >&2
-  exit 1
-fi
-
-# Checkpoint options require engine mode.
-if "$CLI" --checkpoint="$TMP/x.ckpt" "$TMP/stream.txt" > /dev/null 2>&1; then
-  echo "expected --checkpoint without --engine to fail" >&2
-  exit 1
-fi
-
-# Incremental checkpoint log: two chained runs committing generations 1 and
-# 2 into one directory must equal the uninterrupted run (same rows as the
-# monolithic-checkpoint scenario above).
 "$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
   --checkpoint-dir="$TMP/ckptlog" "$TMP/keyed_p1.txt" \
   > /dev/null 2> "$TMP/ckptlog_err1.txt"
@@ -90,6 +67,46 @@ grep -q '# resumed from checkpoint log' "$TMP/ckptlog_err2.txt"
 grep -q 'generation 2' "$TMP/ckptlog_err2.txt"
 cmp "$TMP/ckptlog_rows.txt" "$TMP/ckpt_rows.txt"
 
+# A crash between the manifest commit's rotate and rename leaves only
+# MANIFEST.tds.prev. The next run must still resume from it (not start
+# empty and commit a full capture over the old generations), so a third
+# run sees the whole history: key 7 carries 3+5+2.
+printf '4 7 2\n' > "$TMP/keyed_p3.txt"
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
+  --checkpoint-dir="$TMP/prevlog" "$TMP/keyed_p1.txt" > /dev/null 2>&1
+mv "$TMP/prevlog/MANIFEST.tds" "$TMP/prevlog/MANIFEST.tds.prev"
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
+  --checkpoint-dir="$TMP/prevlog" "$TMP/keyed_p2.txt" \
+  2> "$TMP/prevlog_err.txt" | grep -v '^#' > "$TMP/prevlog_rows.txt"
+grep -q '# resumed from checkpoint log' "$TMP/prevlog_err.txt"
+cmp "$TMP/prevlog_rows.txt" "$TMP/ckpt_rows.txt"
+"$CLI" --decay=sliwin:64 --engine=2 --topk=1 \
+  --checkpoint-dir="$TMP/prevlog" "$TMP/keyed_p3.txt" 2> /dev/null \
+  | grep -q '^7	10.000000$'
+
+# A torn manifest or segment with no MANIFEST.tds.prev must refuse to
+# resume.
+"$CLI" --decay=sliwin:64 --engine=2 \
+  --checkpoint-dir="$TMP/tornlog" "$TMP/keyed_p1.txt" > /dev/null 2>&1
+test ! -e "$TMP/tornlog/MANIFEST.tds.prev"
+for victim in MANIFEST.tds seg-1-s0.tds; do
+  rm -rf "$TMP/torn"
+  cp -r "$TMP/tornlog" "$TMP/torn"
+  SIZE="$(wc -c < "$TMP/torn/$victim")"
+  head -c "$((SIZE - 5))" "$TMP/tornlog/$victim" > "$TMP/torn/$victim"
+  if "$CLI" --decay=sliwin:64 --engine=2 --checkpoint-dir="$TMP/torn" \
+    "$TMP/empty.txt" > /dev/null 2>&1; then
+    echo "expected resume from a torn $victim to fail" >&2
+    exit 1
+  fi
+done
+
+# Checkpoint options require engine mode.
+if "$CLI" --checkpoint-dir="$TMP/x" "$TMP/stream.txt" > /dev/null 2>&1; then
+  echo "expected --checkpoint-dir without --engine to fail" >&2
+  exit 1
+fi
+
 # Standby catch-up + promote: a follower fed only the checkpoint directory
 # must promote into an engine with the identical report, and the promoted
 # engine must keep ingesting (failover without data loss).
@@ -99,7 +116,6 @@ cmp "$TMP/ckptlog_rows.txt" "$TMP/ckpt_rows.txt"
 grep -q 'standby caught up to generation 2' "$TMP/standby_err.txt"
 grep -q 'promoted standby -> primary' "$TMP/standby_err.txt"
 cmp "$TMP/promoted_rows.txt" "$TMP/ckpt_rows.txt"
-printf '4 7 2\n' > "$TMP/keyed_p3.txt"
 "$CLI" --decay=sliwin:64 --engine=2 --topk=1 \
   --promote-from="$TMP/ckptlog" "$TMP/keyed_p3.txt" 2> /dev/null \
   | grep -q '^7	10.000000$'

@@ -33,7 +33,6 @@
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "engine/checkpoint.h"
 #include "engine/checkpoint_log.h"
 #include "engine/engine.h"
 #include "engine/producer_session.h"
@@ -62,16 +61,13 @@ void Usage() {
       "                       --probe/--save/--load)\n"
       "  --topk=K             keys to print in the engine report\n"
       "                       (default 10)\n"
-      "  --checkpoint=FILE    (engine mode) write a crash-consistent\n"
-      "                       checkpoint after the stream ends\n"
-      "  --restore=FILE       (engine mode) restore from a checkpoint\n"
-      "                       before ingesting (decay/backend/epsilon must\n"
-      "                       match the checkpointed run)\n"
-      "  --checkpoint-dir=DIR (engine mode) incremental checkpoint log:\n"
-      "                       resume from DIR's committed manifest if one\n"
-      "                       exists, then commit one incremental segment\n"
-      "                       generation after the stream ends (only keys\n"
-      "                       dirtied this run are written)\n"
+      "  --checkpoint-dir=DIR (engine mode) crash-consistent checkpoint\n"
+      "                       log: resume from DIR's committed manifest if\n"
+      "                       one exists (decay/backend/epsilon must match\n"
+      "                       the checkpointed run), then commit one\n"
+      "                       incremental segment generation after the\n"
+      "                       stream ends (only keys dirtied this run are\n"
+      "                       written)\n"
       "  --promote-from=DIR   (engine mode) warm-standby failover: catch a\n"
       "                       follower up on DIR's checkpoint log, promote\n"
       "                       it, and continue ingesting on the promoted\n"
@@ -108,8 +104,6 @@ StatusOr<Backend> ParseBackend(const std::string& name) {
 /// periodic skew checks -> merged-snapshot report.
 int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
                   uint32_t shards, size_t topk,
-                  const std::string& checkpoint_path,
-                  const std::string& restore_path,
                   const std::string& checkpoint_dir,
                   const std::string& promote_dir, std::istream& in) {
   ShardedAggregateEngine::Options options;
@@ -151,32 +145,22 @@ int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  if (!restore_path.empty()) {
-    const Status restored = RestoreFromCheckpoint(**engine, restore_path);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "error: %s\n", restored.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# restored from %s\n", restore_path.c_str());
-  }
   std::unique_ptr<CheckpointLog> ckpt_log;
   if (!checkpoint_dir.empty()) {
-    // Incremental mode: resume from the directory's committed manifest if
-    // one exists (promote mode already holds that state), track dirtied
-    // keys through the run, and commit one segment generation at the end.
-    if (promote_dir.empty()) {
-      std::ifstream manifest(checkpoint_dir + "/MANIFEST.tds",
-                             std::ios::binary);
-      if (manifest) {
-        const Status restored = RestoreFromCheckpointLog(**engine,
-                                                         checkpoint_dir);
-        if (!restored.ok()) {
-          std::fprintf(stderr, "error: %s\n", restored.ToString().c_str());
-          return 1;
-        }
-        std::fprintf(stderr, "# resumed from checkpoint log %s\n",
-                     checkpoint_dir.c_str());
+    // Resume from the directory's committed manifest if one exists
+    // (promote mode already holds that state), track dirtied keys through
+    // the run, and commit one segment generation at the end. The resume
+    // test is the one CheckpointLog::Create uses, so a log that Create
+    // would append to is always restored first.
+    if (promote_dir.empty() && HasCheckpointLog(checkpoint_dir)) {
+      const Status restored = RestoreFromCheckpointLog(**engine,
+                                                       checkpoint_dir);
+      if (!restored.ok()) {
+        std::fprintf(stderr, "error: %s\n", restored.ToString().c_str());
+        return 1;
       }
+      std::fprintf(stderr, "# resumed from checkpoint log %s\n",
+                   checkpoint_dir.c_str());
     }
     const Status tracking = (*engine)->EnableCheckpointTracking();
     if (!tracking.ok()) {
@@ -254,14 +238,6 @@ int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
     std::fprintf(stderr, "error: %s\n", flushed.ToString().c_str());
     return 1;
   }
-  if (!checkpoint_path.empty()) {
-    const Status written = WriteCheckpoint(**engine, checkpoint_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# checkpoint -> %s\n", checkpoint_path.c_str());
-  }
   if (ckpt_log) {
     const Status committed = ckpt_log->WriteIncremental();
     if (!committed.ok()) {
@@ -304,7 +280,6 @@ int main(int argc, char** argv) {
   std::string decay_spec = "poly:1.0";
   std::string backend_name = "auto";
   std::string save_path, load_path, input_path;
-  std::string checkpoint_path, restore_path;
   std::string checkpoint_dir, promote_dir;
   double epsilon = 0.1;
   Tick probe = 0;
@@ -333,10 +308,6 @@ int main(int argc, char** argv) {
       engine_shards = std::atoll(v);
     } else if (const char* v = value_of("--topk=")) {
       topk = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--checkpoint=")) {
-      checkpoint_path = v;
-    } else if (const char* v = value_of("--restore=")) {
-      restore_path = v;
     } else if (const char* v = value_of("--checkpoint-dir=")) {
       checkpoint_dir = v;
     } else if (const char* v = value_of("--promote-from=")) {
@@ -385,21 +356,14 @@ int main(int argc, char** argv) {
       }
       engine_in = &engine_file;
     }
-    if (!promote_dir.empty() && !restore_path.empty()) {
-      std::fprintf(stderr,
-                   "error: --promote-from is incompatible with --restore\n");
-      return 2;
-    }
     return RunEngineMode(std::move(decay).value(), *backend, epsilon,
                          static_cast<uint32_t>(engine_shards), topk,
-                         checkpoint_path, restore_path, checkpoint_dir,
-                         promote_dir, *engine_in);
+                         checkpoint_dir, promote_dir, *engine_in);
   }
-  if (!checkpoint_path.empty() || !restore_path.empty() ||
-      !checkpoint_dir.empty() || !promote_dir.empty()) {
+  if (!checkpoint_dir.empty() || !promote_dir.empty()) {
     std::fprintf(stderr,
-                 "error: --checkpoint/--restore/--checkpoint-dir/"
-                 "--promote-from require --engine mode\n");
+                 "error: --checkpoint-dir/--promote-from require --engine "
+                 "mode\n");
     return 2;
   }
 

@@ -29,13 +29,6 @@ Mechanical checks for conventions the compiler cannot enforce:
                       wait goes through StagedWait, which bounds spinning
                       and parks on a condition variable, so an overloaded
                       engine cannot silently burn a core per thread.
-  deprecated-ingest   No calls through the deprecated engine-global ingest
-                      shims (`Ingest` / `IngestBatch` / `TryUpdateBatch`)
-                      outside the engine sources that implement them —
-                      producers open a ProducerSession (NewProducer /
-                      Add / AddBatch / Flush) so items are pre-grouped per
-                      shard off the hot path. Tests that pin the shim
-                      contracts carry explicit allow markers.
   fuzz-dual-mode      Every fuzz driver (tests/fuzz/*_fuzz_test.cc) must
                       register both execution modes: a deterministic gtest
                       wrapper (the ctest leg) and an
@@ -107,10 +100,6 @@ AGGREGATE_DECL_PATTERN = re.compile(
 )
 
 AUDIT_DECL_PATTERN = re.compile(r"\bStatus\s+AuditInvariants\s*\(\s*\)")
-
-DEPRECATED_INGEST_PATTERN = re.compile(
-    r"(?:->|\.)\s*(Ingest|IngestBatch|TryUpdateBatch)\s*\("
-)
 
 ALLOW_PATTERN = re.compile(r"tds-lint:\s*allow\(([\w-]+)\)")
 
@@ -235,29 +224,6 @@ def check_spin_loop(root: Path, out):
         )
 
 
-def check_deprecated_ingest(root: Path, out):
-    engine_dir = root / "src" / "engine"
-    exempt = {
-        engine_dir / "engine.h",
-        engine_dir / "engine.cc",
-        engine_dir / "producer_session.h",
-        engine_dir / "producer_session.cc",
-    }
-    for path in iter_source_files(
-        root, ["src", "tests", "tools", "bench", "examples"], CXX_SUFFIXES
-    ):
-        if path in exempt:
-            continue
-        scan_pattern(
-            "deprecated-ingest",
-            DEPRECATED_INGEST_PATTERN,
-            path,
-            "call through a deprecated engine-global ingest shim; open a "
-            "ProducerSession (NewProducer / Add / AddBatch / Flush) instead",
-            out,
-        )
-
-
 def check_aggregate_coverage(root: Path, out):
     fuzz_dir = root / "tests" / "fuzz"
     fuzz_text = ""
@@ -353,7 +319,6 @@ def lint(root: Path):
     check_wall_clock(root, out)
     check_todo_owner(root, out)
     check_spin_loop(root, out)
-    check_deprecated_ingest(root, out)
     check_aggregate_coverage(root, out)
     check_fuzz_dual_mode(root, out)
     return out
@@ -370,7 +335,6 @@ def selftest(repo_root: Path) -> int:
         "wall-clock": fixtures / "wall_clock",
         "todo-owner": fixtures / "todo_owner",
         "spin-loop": fixtures / "spin_loop",
-        "deprecated-ingest": fixtures / "deprecated_ingest",
         "aggregate-coverage": fixtures / "aggregate_coverage",
         "fuzz-dual-mode": fixtures / "fuzz_dual_mode",
     }
