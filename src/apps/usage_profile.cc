@@ -34,7 +34,8 @@ double UsageProfileSet::Query(uint64_t customer, Tick now) {
     layout_->AdvanceTo(now);
     return 0.0;
   }
-  return it->second.Query(now);
+  it->second.Advance(now);
+  return it->second.Estimate(now);
 }
 
 void UsageProfileSet::SyncAll(Tick now) {

@@ -99,10 +99,8 @@ Status CoarseCehDecayedSum::AuditInvariants() const {
   uint64_t checksum = 0;
   size_t pos = store_.begin_index();
   for (size_t c = store_.num_classes(); c-- > 0;) {
+    const uint64_t count = uint64_t{1} << c;
     for (size_t k = 0; k < store_.class_size(c); ++k, ++pos) {
-      const uint64_t count = store_.count(pos);
-      TDS_AUDIT_CHECK(count == (uint64_t{1} << c),
-                      "bucket count not the class power of two");
       const double age = store_.stamp(pos).Estimate();
       TDS_AUDIT_CHECK(std::isfinite(age) && age >= 1.0,
                       "boundary age must be finite and >= 1");
@@ -126,13 +124,14 @@ double CoarseCehDecayedSum::Query(Tick now) const {
   double sum = 0.0;
   // Summed in ascending class order: a fixed floating-point summation
   // order, so a decoded copy answers bit-identically to its source.
-  store_.ForEachSegmentAscendingClass([&](size_t, size_t begin, size_t end) {
+  store_.ForEachSegmentAscendingClass([&](size_t c, size_t begin, size_t end) {
+    const auto count = static_cast<double>(uint64_t{1} << c);
     for (size_t k = begin; k < end; ++k) {
       const double age_estimate =
           std::max(1.0, store_.stamp(k).Estimate() + gap);
       const auto age = static_cast<Tick>(std::llround(age_estimate));
       if (age > horizon) continue;
-      sum += static_cast<double>(store_.count(k)) * decay_->Weight(age);
+      sum += count * decay_->Weight(age);
     }
   });
   return sum;
@@ -162,11 +161,11 @@ void CoarseCehDecayedSum::EncodeState(Encoder& encoder) const {
   // order; each class's buckets oldest first.
   encoder.PutVarint(store_.num_classes());
   store_.ForEachSegmentAscendingClass(
-      [this, &encoder](size_t, size_t begin, size_t end) {
+      [this, &encoder](size_t c, size_t begin, size_t end) {
         encoder.PutVarint(end - begin);
         for (size_t k = begin; k < end; ++k) {
           store_.stamp(k).EncodeTo(encoder);
-          encoder.PutVarint(store_.count(k));
+          encoder.PutVarint(uint64_t{1} << c);
         }
       });
 }
@@ -196,30 +195,24 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
     return CorruptSnapshot("CoarseCEH clock");
   }
   total_count_ = total;
-  struct Bucket {
-    ApproxAge age;
-    uint64_t count = 0;
-  };
-  std::vector<std::vector<Bucket>> decoded(class_count);
+  std::vector<std::vector<ApproxAge>> decoded(class_count);
   for (size_t c = 0; c < decoded.size(); ++c) {
-    auto& cls = decoded[c];
     uint64_t buckets = 0;
     if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
       return CorruptSnapshot("CoarseCEH class");
     }
-    const uint64_t expected = uint64_t{1} << c;
     for (uint64_t i = 0; i < buckets; ++i) {
-      Bucket bucket;
-      if (!bucket.age.DecodeFrom(decoder) ||
-          !decoder.GetVarint(&bucket.count) || bucket.count != expected) {
+      ApproxAge age;
+      uint64_t count = 0;
+      // The store keeps no counts: a class-c bucket holds 2^c units.
+      if (!age.DecodeFrom(decoder) || !decoder.GetVarint(&count) ||
+          count != uint64_t{1} << c) {
         return CorruptSnapshot("CoarseCEH bucket");
       }
-      cls.push_back(bucket);
+      decoded[c].push_back(age);
     }
   }
-  store_.AssignFromClasses(
-      decoded, [](const Bucket& b) { return b.age; },
-      [](const Bucket& b) { return b.count; });
+  store_.AssignFromClasses(decoded);
   // Hostile-snapshot funnel: reject blobs whose state fails the audit,
   // including bucket counts that do not sum to the total.
   const Status audit = AuditInvariants();

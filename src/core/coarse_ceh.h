@@ -61,8 +61,8 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   /// Approximate boundary ages, oldest first (for tests).
   std::vector<double> BoundaryAges() const;
 
-  /// Structural invariants: every bucket in class c counts exactly 2^c,
-  /// the class total matches total_count_, per-class sizes respect the
+  /// Structural invariants: the class counts (2^c per class-c bucket) sum
+  /// to total_count_ without overflow, per-class sizes respect the
   /// cap bound, and all boundary ages are finite, >= 1, and covered by
   /// max_age_seen_. (Age *ordering* across buckets is deliberately not
   /// audited: stochastic aging may reorder estimates.)
@@ -84,8 +84,8 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   uint64_t cap_;
   Rng rng_;
 
-  /// Buckets in contiguous SoA arrays, oldest first; a bucket's stamp is
-  /// its approximate boundary age.
+  /// Bucket stamps in one array, oldest first; a bucket's stamp is its
+  /// approximate boundary age and its count is implied by its class.
   FlatBucketStore<ApproxAge> store_;
 
   Tick now_ = 0;

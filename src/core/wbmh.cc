@@ -1,5 +1,7 @@
 #include "core/wbmh.h"
 
+#include <utility>
+
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/codec.h"
@@ -8,9 +10,7 @@ namespace tds {
 
 WbmhDecayedSum::WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout,
                                const Options& options, bool owns_layout)
-    : decay_(layout->decay()),
-      layout_(layout),
-      counter_(layout,
+    : counter_(std::move(layout),
                WbmhCounter::Options{options.count_epsilon < 0.0
                                         ? options.epsilon
                                         : options.count_epsilon}),
@@ -50,19 +50,19 @@ StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::CreateShared(
 
 void WbmhDecayedSum::Update(Tick t, uint64_t value) {
   counter_.Add(t, value);
-  if (owns_layout_) layout_->TrimLog(counter_.AppliedSeq());
+  if (owns_layout_) counter_.layout()->TrimLog(counter_.AppliedSeq());
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 void WbmhDecayedSum::UpdateBatch(std::span<const StreamItem> items) {
   counter_.AddBatch(items);
-  if (owns_layout_) layout_->TrimLog(counter_.AppliedSeq());
+  if (owns_layout_) counter_.layout()->TrimLog(counter_.AppliedSeq());
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 void WbmhDecayedSum::Advance(Tick now) {
   counter_.Advance(now);
-  if (owns_layout_) layout_->TrimLog(counter_.AppliedSeq());
+  if (owns_layout_) counter_.layout()->TrimLog(counter_.AppliedSeq());
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
@@ -71,7 +71,7 @@ double WbmhDecayedSum::Query(Tick now) const {
 }
 
 Status WbmhDecayedSum::AuditInvariants() {
-  Status status = layout_->AuditInvariants();
+  Status status = counter_.layout()->AuditInvariants();
   if (!status.ok()) return status;
   return counter_.AuditInvariants();
 }
@@ -81,11 +81,12 @@ Status WbmhDecayedSum::EncodeState(Encoder& encoder) {
     return Status::FailedPrecondition(
         "shared-layout WBMH sums are snapshotted via their layout owner");
   }
+  WbmhLayout& owned = *counter_.layout();
   counter_.Sync();
-  layout_->TrimLog(counter_.AppliedSeq());
-  encoder.PutDouble(layout_->epsilon());
-  encoder.PutSigned(layout_->start());
-  Status status = layout_->EncodeState(encoder);
+  owned.TrimLog(counter_.AppliedSeq());
+  encoder.PutDouble(owned.epsilon());
+  encoder.PutSigned(owned.start());
+  Status status = owned.EncodeState(encoder);
   if (!status.ok()) return status;
   status = counter_.EncodeState(encoder);
   // Sync + TrimLog mutate the shared representation even though the
@@ -104,10 +105,11 @@ Status WbmhDecayedSum::DecodeState(Decoder& decoder) {
   if (!decoder.GetDouble(&epsilon) || !decoder.GetSigned(&start)) {
     return CorruptSnapshot("WBMH header");
   }
-  if (epsilon != layout_->epsilon() || start != layout_->start()) {
+  WbmhLayout& owned = *counter_.layout();
+  if (epsilon != owned.epsilon() || start != owned.start()) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
-  Status status = layout_->DecodeState(decoder);
+  Status status = owned.DecodeState(decoder);
   if (!status.ok()) return status;
   status = counter_.DecodeState(decoder);
   if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());

@@ -54,9 +54,9 @@ class WbmhDecayedSum : public DecayedAggregate {
   double Query(Tick now) const override;
   size_t StorageBits() const override;
   std::string Name() const override { return "WBMH"; }
-  const DecayPtr& decay() const override { return decay_; }
+  const DecayPtr& decay() const override { return layout().decay(); }
 
-  const WbmhLayout& layout() const { return *layout_; }
+  const WbmhLayout& layout() const { return *counter_.layout(); }
   const WbmhCounter& counter() const { return counter_; }
 
   /// True when this instance owns its layout (its storage is then charged
@@ -84,8 +84,6 @@ class WbmhDecayedSum : public DecayedAggregate {
   WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout, const Options& options,
                  bool owns_layout);
 
-  DecayPtr decay_;
-  std::shared_ptr<WbmhLayout> layout_;
   WbmhCounter counter_;
   bool owns_layout_;
 };

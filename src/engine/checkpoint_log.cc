@@ -128,6 +128,13 @@ Status Segment::AuditInvariants() const {
   return Status::OK();
 }
 
+namespace {
+
+/// Applies one generation's decoded segments (pairwise key-disjoint: they
+/// came from different shards at one route cut) onto `registry`: fold the
+/// minis together, extract every key the generation supersedes (updated or
+/// dead), merge the fold in. On error `registry` is restored to its prior
+/// state (the extracted keys merge back) — unchanged-on-error for appliers.
 Status ApplyGeneration(AggregateRegistry& registry,
                        std::vector<AggregateRegistry> minis,
                        const std::vector<const Segment*>& segments) {
@@ -182,6 +189,9 @@ Status ApplyGeneration(AggregateRegistry& registry,
   return Status::OK();
 }
 
+/// Reads and fully validates one manifest-listed file: whole-file length
+/// and checksum against the manifest entry, then the footer, then the
+/// segment codec (which audits itself).
 StatusOr<Segment> ReadManifestEntry(
     const std::string& dir, const CheckpointLog::ManifestEntry& entry) {
   StatusOr<std::string> raw = ckptio::ReadWholeFile(dir + "/" + entry.file);
@@ -207,30 +217,22 @@ StatusOr<Segment> ReadManifestEntry(
   return segment;
 }
 
-StatusOr<AggregateRegistry> FoldManifest(
-    DecayPtr decay, const AggregateRegistry::Options& options,
-    const std::string& dir, const CheckpointLog::Manifest& manifest) {
-  auto created = AggregateRegistry::Create(decay, options);
-  if (!created.ok()) return created.status();
-  AggregateRegistry registry = std::move(created).value();
-  if (manifest.decay_name != decay->Name()) {
-    return Status::InvalidArgument("manifest decay mismatch: " +
-                                   manifest.decay_name);
-  }
+}  // namespace
+
+Status ApplyGenerationsAfter(AggregateRegistry& registry,
+                             const DecayPtr& decay,
+                             const AggregateRegistry::Options& options,
+                             const std::string& dir,
+                             const CheckpointLog::Manifest& manifest,
+                             uint64_t* applied) {
   size_t i = 0;
-  if (i < manifest.entries.size() &&
-      manifest.entries[i].shard == CheckpointLog::kBaseShard) {
-    StatusOr<Segment> base = ReadManifestEntry(dir, manifest.entries[i]);
-    if (!base.ok()) return base.status();
-    auto decoded =
-        AggregateRegistry::Decode(decay, options, base->registry_blob);
-    if (!decoded.ok()) return decoded.status();
-    Status merged = registry.MergeFrom(std::move(decoded).value());
-    if (!merged.ok()) return merged;
-    ++i;
-  }
   while (i < manifest.entries.size()) {
-    const uint64_t generation = manifest.entries[i].gen_lo;
+    const CheckpointLog::ManifestEntry& head = manifest.entries[i];
+    if (head.shard == CheckpointLog::kBaseShard || head.gen_lo <= *applied) {
+      ++i;
+      continue;
+    }
+    const uint64_t generation = head.gen_lo;
     std::vector<Segment> segments;
     while (i < manifest.entries.size() &&
            manifest.entries[i].gen_lo == generation) {
@@ -250,9 +252,38 @@ StatusOr<AggregateRegistry> FoldManifest(
       minis.push_back(std::move(mini).value());
       views.push_back(&segment);
     }
-    Status applied = ApplyGeneration(registry, std::move(minis), views);
-    if (!applied.ok()) return applied;
+    Status generation_applied =
+        ApplyGeneration(registry, std::move(minis), views);
+    if (!generation_applied.ok()) return generation_applied;
+    *applied = generation;
   }
+  return Status::OK();
+}
+
+StatusOr<AggregateRegistry> FoldManifest(
+    DecayPtr decay, const AggregateRegistry::Options& options,
+    const std::string& dir, const CheckpointLog::Manifest& manifest) {
+  auto created = AggregateRegistry::Create(decay, options);
+  if (!created.ok()) return created.status();
+  AggregateRegistry registry = std::move(created).value();
+  if (manifest.decay_name != decay->Name()) {
+    return Status::InvalidArgument("manifest decay mismatch: " +
+                                   manifest.decay_name);
+  }
+  if (!manifest.entries.empty() &&
+      manifest.entries.front().shard == CheckpointLog::kBaseShard) {
+    StatusOr<Segment> base = ReadManifestEntry(dir, manifest.entries.front());
+    if (!base.ok()) return base.status();
+    auto decoded =
+        AggregateRegistry::Decode(decay, options, base->registry_blob);
+    if (!decoded.ok()) return decoded.status();
+    Status merged = registry.MergeFrom(std::move(decoded).value());
+    if (!merged.ok()) return merged;
+  }
+  uint64_t applied = 0;
+  Status caught_up = ApplyGenerationsAfter(registry, decay, options, dir,
+                                           manifest, &applied);
+  if (!caught_up.ok()) return caught_up;
   return registry;
 }
 

@@ -208,21 +208,19 @@ struct Segment {
   Status AuditInvariants() const;
 };
 
-/// Applies one generation's decoded segments (pairwise key-disjoint: they
-/// came from different shards at one route cut) onto `registry`:
-/// fold the minis together, extract every key the generation supersedes
-/// (updated or dead), merge the fold in. On error `registry` is restored
-/// to its prior state (the extracted keys merge back) — unchanged-on-error
-/// for appliers. Exposed for the standby follower and the fuzz driver.
-Status ApplyGeneration(AggregateRegistry& registry,
-                       std::vector<AggregateRegistry> minis,
-                       const std::vector<const Segment*>& segments);
-
-/// Reads and fully validates one manifest-listed file: whole-file length
-/// and checksum against the manifest entry, then the footer, then the
-/// segment codec (which audits itself).
-StatusOr<Segment> ReadManifestEntry(const std::string& dir,
-                                    const CheckpointLog::ManifestEntry& entry);
+/// Applies every generation `manifest` lists after `*applied` onto
+/// `registry`, in ascending order: each generation's segments are read,
+/// decoded and applied together, then `*applied` moves to it. The base
+/// entry is skipped. A generation applies atomically, so on error
+/// `registry` holds every generation before the failing one and `*applied`
+/// names the last of them. The one catch-up loop of FoldManifest and the
+/// standby follower.
+Status ApplyGenerationsAfter(AggregateRegistry& registry,
+                             const DecayPtr& decay,
+                             const AggregateRegistry::Options& options,
+                             const std::string& dir,
+                             const CheckpointLog::Manifest& manifest,
+                             uint64_t* applied);
 
 /// Folds one already-loaded manifest's files into a registry equal to the
 /// checkpointed engine state: the base (if any) seeds it, then each

@@ -145,7 +145,7 @@ uint32_t ShardedAggregateEngine::RouteForKey(uint64_t key) const {
 
 Status ShardedAggregateEngine::EnterFlush(const Deadline& deadline,
                                           bool* stalled) {
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   while (true) {
     // seq_cst increment-then-check against RaiseFence's seq_cst
     // set-then-wait (Dekker): if our fence load below reads false, this
@@ -208,7 +208,7 @@ void ShardedAggregateEngine::RaiseFence() {
   // model-check suite proves both the protocol and that exact demotion
   // failure (tests/modelcheck_suites_test.cc, tso mode).
   fence_raised_.store(true, std::memory_order_seq_cst);
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   // seq_cst: the Dekker partner load (see above); also acquires the
   // release decrements in ExitFlush, so a zero count means every
   // in-flight episode's pushes are visible to the drain that follows.
@@ -234,11 +234,10 @@ void ShardedAggregateEngine::LowerFence() {
 
 Status ShardedAggregateEngine::PushToShard(Shard& shard,
                                            std::span<const KeyedItem> items,
-                                           BackpressurePolicy policy,
                                            const Deadline& deadline,
                                            PushCounters* counters) {
   MutexLock lock(shard.producer_mutex);
-  StagedWait wait(policy);
+  StagedWait wait;
   Status result = Status::OK();
   size_t offset = 0;
   while (offset < items.size()) {
@@ -307,7 +306,7 @@ Status ShardedAggregateEngine::Flush() {
 
 Status ShardedAggregateEngine::WaitShardApplied(Shard& shard,
                                                 uint64_t target) {
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   while (shard.applied.load(std::memory_order_acquire) < target) {
     if (shard.writer_done.load(std::memory_order_acquire)) {
       // Unreachable through the public API (Stop() drains first); defends

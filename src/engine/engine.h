@@ -440,7 +440,7 @@ class ShardedAggregateEngine {
   /// items still unqueued (the remainder is dropped and counted). Callers
   /// hold the flush fence (EnterFlush), not the route lock.
   Status PushToShard(Shard& shard, std::span<const KeyedItem> items,
-                     BackpressurePolicy policy, const Deadline& deadline,
+                     const Deadline& deadline,
                      PushCounters* counters = nullptr);
 
   /// The current epoch-published route snapshot (one plain acquire load —

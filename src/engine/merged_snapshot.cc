@@ -3,28 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/check.h"
-#include "util/codec.h"
-
 namespace tds {
-namespace {
-
-constexpr char kMergedMagic[] = "TDSMRG1";
-
-}  // namespace
 
 StatusOr<MergedSnapshot> MergedSnapshot::FromShards(
     std::vector<AggregateRegistry> shards) {
   if (shards.empty()) {
     return Status::InvalidArgument("merged snapshot needs at least one shard");
   }
-  const auto source_shards = static_cast<uint32_t>(shards.size());
   AggregateRegistry merged = std::move(shards.front());
   for (size_t i = 1; i < shards.size(); ++i) {
     const Status status = merged.MergeFrom(std::move(shards[i]));
     if (!status.ok()) return status;
   }
-  return MergedSnapshot(std::move(merged), source_shards);
+  return MergedSnapshot(std::move(merged));
 }
 
 StatusOr<MergedSnapshot> MergedSnapshot::FromShardBlobs(
@@ -80,41 +71,6 @@ std::vector<MergedSnapshot::WeightedKey> MergedSnapshot::TopK(size_t k,
   }
   std::sort(all.begin(), all.end(), heavier);
   return all;
-}
-
-Status MergedSnapshot::EncodeState(std::string* out) {
-  TDS_CHECK(out != nullptr);
-  std::string inner;
-  const Status status = registry_.EncodeState(&inner);
-  if (!status.ok()) return status;
-  Encoder encoder;
-  encoder.PutString(kMergedMagic);
-  encoder.PutVarint(source_shards_);
-  encoder.PutString(inner);
-  *out = encoder.Finish();
-  return Status::OK();
-}
-
-StatusOr<MergedSnapshot> MergedSnapshot::Decode(
-    DecayPtr decay, const AggregateRegistry::Options& options,
-    std::string_view data) {
-  Decoder decoder(data);
-  std::string magic;
-  if (!decoder.GetString(&magic) || magic != kMergedMagic) {
-    return CorruptSnapshot("merged snapshot magic");
-  }
-  uint64_t source_shards = 0;
-  std::string inner;
-  if (!decoder.GetVarint(&source_shards) || !decoder.GetString(&inner)) {
-    return CorruptSnapshot("merged snapshot header");
-  }
-  if (!decoder.Done()) return CorruptSnapshot("merged snapshot trailer");
-  if (source_shards == 0) return CorruptSnapshot("merged snapshot shards");
-  // The inner blob goes through the registry codec's full audit-on-decode.
-  auto registry = AggregateRegistry::Decode(std::move(decay), options, inner);
-  if (!registry.ok()) return registry.status();
-  return MergedSnapshot(std::move(registry).value(),
-                        static_cast<uint32_t>(source_shards));
 }
 
 }  // namespace tds

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/registry.h"
@@ -22,8 +21,8 @@ namespace tds {
 /// aggregates are pure functions of their own update sequences and the WBMH
 /// layout is a pure function of the clock, the merged registry is
 /// bit-identical to a single registry fed the same items serially — the
-/// merged snapshot's codec output can be byte-compared against a serial
-/// reference's EncodeState (see tests/engine_merge_test.cc).
+/// merged registry blob (EncodeRegistryState) can be byte-compared against
+/// a serial reference's EncodeState (see tests/engine_merge_test.cc).
 ///
 /// The cut tick is the maximum shard clock at capture: the shard that
 /// received the stream's newest item defines "now", and lagging shards'
@@ -54,9 +53,6 @@ class MergedSnapshot {
   /// The engine-wide cut tick (the merged registry clock).
   Tick cut() const { return registry_.now(); }
 
-  /// Shard snapshots this view was assembled from.
-  uint32_t source_shards() const { return source_shards_; }
-
   size_t KeyCount() const { return registry_.KeyCount(); }
   bool Contains(uint64_t key) const { return registry_.Contains(key); }
 
@@ -81,27 +77,19 @@ class MergedSnapshot {
   /// Restore() path re-partitions it across shards).
   AggregateRegistry ReleaseRegistry() && { return std::move(registry_); }
 
-  /// Merged-snapshot codec, self-inverse like the registry codec it wraps:
-  /// "TDSMRG1" header, source-shard count, then the merged registry blob.
-  /// Non-const for the same reason as AggregateRegistry::EncodeState (WBMH
-  /// counters sync and the layout log trims first).
-  Status EncodeState(std::string* out);
-  static StatusOr<MergedSnapshot> Decode(DecayPtr decay,
-                                         const AggregateRegistry::Options& options,
-                                         std::string_view data);
-
-  /// The inner registry blob alone (what a serially-fed reference's
-  /// EncodeState must byte-match).
+  /// The merged registry blob (what a serially-fed reference's EncodeState
+  /// must byte-match). Non-const for the same reason as
+  /// AggregateRegistry::EncodeState (WBMH counters sync and the layout log
+  /// trims first).
   Status EncodeRegistryState(std::string* out) {
     return registry_.EncodeState(out);
   }
 
  private:
-  MergedSnapshot(AggregateRegistry registry, uint32_t source_shards)
-      : registry_(std::move(registry)), source_shards_(source_shards) {}
+  explicit MergedSnapshot(AggregateRegistry registry)
+      : registry_(std::move(registry)) {}
 
   AggregateRegistry registry_;
-  uint32_t source_shards_ = 0;
 };
 
 }  // namespace tds

@@ -141,7 +141,7 @@ Status ProducerSession::Flush() {
     // Admission is per shard: one shard rejecting does not stop the other
     // shards' runs from landing.
     const Status status = engine_->PushToShard(
-        *engine_->shards_[s], run, policy_, deadline, &counters);
+        *engine_->shards_[s], run, deadline, &counters);
     rejected += counters.rejected;
     stalled = stalled || counters.stalled;
     if (result.ok() && !status.ok()) result = status;

@@ -1,7 +1,5 @@
 #include "engine/standby.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 #include <vector>
@@ -29,9 +27,7 @@ Status StandbyFollower::ApplyNew() {
   if (promoted_) {
     return Status::FailedPrecondition("standby follower already promoted");
   }
-  const std::string manifest_path = dir_ + "/MANIFEST.tds";
-  if (::access(manifest_path.c_str(), F_OK) != 0 &&
-      ::access((manifest_path + ".prev").c_str(), F_OK) != 0) {
+  if (!HasCheckpointLog(dir_)) {
     return Status::OK();  // primary has not committed anything yet
   }
   StatusOr<CheckpointLog::Manifest> loaded = LoadManifest(dir_);
@@ -65,40 +61,9 @@ Status StandbyFollower::ApplyNew() {
   }
 
   // Incremental catch-up: apply each generation newer than ours, in order.
-  size_t i = 0;
-  while (i < manifest.entries.size()) {
-    const CheckpointLog::ManifestEntry& head = manifest.entries[i];
-    if (head.shard == CheckpointLog::kBaseShard ||
-        head.gen_lo <= applied_generation_) {
-      ++i;
-      continue;
-    }
-    const uint64_t generation = head.gen_lo;
-    std::vector<ckptlog_internal::Segment> segments;
-    while (i < manifest.entries.size() &&
-           manifest.entries[i].gen_lo == generation) {
-      auto segment =
-          ckptlog_internal::ReadManifestEntry(dir_, manifest.entries[i]);
-      if (!segment.ok()) return segment.status();
-      segments.push_back(std::move(segment).value());
-      ++i;
-    }
-    std::vector<AggregateRegistry> minis;
-    std::vector<const ckptlog_internal::Segment*> views;
-    minis.reserve(segments.size());
-    views.reserve(segments.size());
-    for (const auto& segment : segments) {
-      auto mini =
-          AggregateRegistry::Decode(decay_, options_, segment.registry_blob);
-      if (!mini.ok()) return mini.status();
-      minis.push_back(std::move(mini).value());
-      views.push_back(&segment);
-    }
-    Status applied =
-        ckptlog_internal::ApplyGeneration(registry_, std::move(minis), views);
-    if (!applied.ok()) return applied;
-    applied_generation_ = generation;
-  }
+  Status caught_up = ckptlog_internal::ApplyGenerationsAfter(
+      registry_, decay_, options_, dir_, manifest, &applied_generation_);
+  if (!caught_up.ok()) return caught_up;
   // Commits without surviving segments (e.g. a compaction emptied by GC of
   // a later incremental) still advance the watermark.
   applied_generation_ = manifest.generation;

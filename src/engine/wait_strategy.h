@@ -15,10 +15,6 @@ namespace tds {
 
 /// How a producer behaves when its shard's ingest queue is full.
 enum class BackpressurePolicy {
-  /// Yield-spin until space appears (the pre-backpressure behavior; burns
-  /// a core per blocked producer — kept for latency-critical pinned-core
-  /// deployments and as the comparison baseline).
-  kSpin,
   /// Staged wait: bounded spin, then bounded yielding, then park on the
   /// shard's CondVar until the writer signals consumption. Blocked
   /// producers cost (almost) no CPU. The default.
@@ -49,18 +45,12 @@ class StagedWait {
   static constexpr std::chrono::nanoseconds kParkSlice =
       std::chrono::milliseconds(1);
 
-  explicit StagedWait(BackpressurePolicy policy) : policy_(policy) {}
-
   /// One escalation step after a failed attempt. Returns true to retry,
   /// false once `deadline` is expired (give up; nothing waited on then).
   bool Step(Mutex& mu, CondVar& cv, Atomic<uint32_t>& waiters,
             const Deadline& deadline) TDS_EXCLUDES(mu) {
     if (deadline.Expired()) return false;
     const uint64_t round = ++rounds_;
-    if (policy_ == BackpressurePolicy::kSpin) {
-      std::this_thread::yield();
-      return true;
-    }
     if (round <= kSpinRounds) return true;  // hot retry, no syscall
     if (round <= kSpinRounds + kYieldRounds) {
       std::this_thread::yield();
@@ -102,7 +92,6 @@ class StagedWait {
   uint64_t max_streak() const { return std::max(max_streak_, rounds_); }
 
  private:
-  BackpressurePolicy policy_;
   uint64_t rounds_ = 0;
   uint64_t parks_ = 0;
   uint64_t max_streak_ = 0;

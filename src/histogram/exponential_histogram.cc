@@ -207,13 +207,13 @@ void ExponentialHistogram::EncodeState(Encoder& encoder) const {
   // Wire order: every class, emptied ones included, in ascending class
   // order; each class's buckets oldest first as end-tick deltas.
   encoder.PutVarint(store_.num_classes());
-  store_.ForEachSegmentAscendingClass([&](size_t, size_t begin, size_t end) {
+  store_.ForEachSegmentAscendingClass([&](size_t c, size_t begin, size_t end) {
     encoder.PutVarint(end - begin);
     Tick previous = 0;
     for (size_t k = begin; k < end; ++k) {
       encoder.PutVarint(static_cast<uint64_t>(store_.stamp(k) - previous));
       previous = store_.stamp(k);
-      encoder.PutVarint(store_.count(k));
+      encoder.PutVarint(uint64_t{1} << c);
     }
   });
 }
@@ -237,8 +237,8 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   now_ = now;
   first_arrival_ = first_arrival;
   total_count_ = total;
-  std::vector<std::vector<Bucket>> decoded(class_count);
-  for (auto& cls : decoded) {
+  std::vector<std::vector<Tick>> decoded(class_count);
+  for (size_t c = 0; c < decoded.size(); ++c) {
     uint64_t buckets = 0;
     if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
       return CorruptSnapshot("EH class size");
@@ -246,21 +246,20 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
     Tick previous = 0;
     for (uint64_t i = 0; i < buckets; ++i) {
       uint64_t delta = 0, count = 0;
-      if (!decoder.GetVarint(&delta) || !decoder.GetVarint(&count)) {
+      // The store keeps no counts: a class-c bucket holds 2^c units.
+      if (!decoder.GetVarint(&delta) || !decoder.GetVarint(&count) ||
+          count != uint64_t{1} << c) {
         return CorruptSnapshot("EH bucket");
       }
       previous += static_cast<Tick>(delta);
-      cls.push_back(Bucket{previous, count});
+      decoded[c].push_back(previous);
     }
   }
-  store_.AssignFromClasses(
-      decoded, [](const Bucket& b) { return b.end; },
-      [](const Bucket& b) { return b.count; });
+  store_.AssignFromClasses(decoded);
   // Structural validation (hostile snapshots must not yield a structure
-  // that later trips internal CHECKs) is exactly the audit protocol:
-  // power-of-two counts matching the class, end timestamps within
-  // [first_arrival, now] non-decreasing in canonical order, the per-class
-  // cap, and the count checksum.
+  // that later trips internal CHECKs) is exactly the audit protocol: end
+  // timestamps within [first_arrival, now] non-decreasing in canonical
+  // order, the per-class cap, and the count checksum.
   const Status audit = AuditInvariants();
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
@@ -297,12 +296,9 @@ Status ExponentialHistogram::AuditInvariants() const {
                     "class " + std::to_string(c) + " holds " +
                         std::to_string(segment) + " buckets, cap " +
                         std::to_string(cap_));
+    const uint64_t count = uint64_t{1} << c;
     for (size_t k = 0; k < segment; ++k, ++pos) {
-      const uint64_t count = store_.count(pos);
       const Tick end = store_.stamp(pos);
-      TDS_AUDIT_CHECK(count == (uint64_t{1} << c),
-                      "class " + std::to_string(c) + " bucket count " +
-                          std::to_string(count));
       // Canonical EH ordering: walking classes oldest-to-newest, end
       // timestamps never decrease (equal stamps are legal — one batch
       // insert spawns buckets in several classes).

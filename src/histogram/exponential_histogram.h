@@ -115,10 +115,10 @@ class ExponentialHistogram {
 
   /// Verifies every structural invariant (see util/audit.h): the canonical
   /// ordering — walking classes newest-to-oldest class index, all bucket end
-  /// timestamps are globally non-decreasing oldest-to-newest — per-class
-  /// power-of-two counts and the `cap = ceil(1/eps) + 1` budget, timestamps
-  /// within [first_arrival, now], no bucket outside a finite window, and
-  /// `total_count_` equal to the sum of bucket counts.
+  /// timestamps are globally non-decreasing oldest-to-newest — the per-class
+  /// `cap = ceil(1/eps) + 1` budget, timestamps within [first_arrival, now],
+  /// no bucket outside a finite window, and `total_count_` equal to the
+  /// (non-overflowing) sum of the implied 2^c bucket counts.
   Status AuditInvariants() const;
 
  private:
@@ -135,8 +135,8 @@ class ExponentialHistogram {
   /// Max buckets per size class before a merge is forced.
   uint64_t cap_;
 
-  /// Buckets in contiguous SoA arrays, oldest first; a bucket's stamp is
-  /// its end tick.
+  /// Bucket stamps in one array, oldest first; a bucket's stamp is its end
+  /// tick and its count is implied by its class.
   FlatBucketStore<Tick> store_;
 
   Tick now_ = 0;

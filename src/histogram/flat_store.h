@@ -9,18 +9,19 @@
 
 namespace tds {
 
-/// Contiguous (SoA) bucket storage for exponential-histogram-shaped
-/// structures, after Sun & Li's Flattened EH. Stamps and counts live in two
-/// parallel arrays in canonical oldest-first order (highest size class
-/// first, class 0 last); `class_size_[c]` delimits the class segments and
-/// `head_` marks the oldest live bucket, so front expiry is an offset bump
-/// (a compaction sweep reclaims the dead prefix once it outgrows the live
-/// region).
+/// Contiguous bucket storage for exponential-histogram-shaped structures,
+/// after Sun & Li's Flattened EH. A bucket is its stamp alone: its count is
+/// implied by its size class (a class-c bucket holds 2^c units, paper
+/// Section 4.1), so one stamp array in canonical oldest-first order (highest
+/// size class first, class 0 last) plus `class_size_[c]`, which delimits the
+/// class segments, is the whole state. `head_` marks the oldest live bucket,
+/// so front expiry is an offset bump (a compaction sweep reclaims the dead
+/// prefix once it outgrows the live region).
 ///
 /// Why one array suffices: the canonical EH ordering invariant — every
 /// bucket of class c is newer than every bucket of class c+1 — means the
 /// concatenation class N-1, ..., class 1, class 0 IS the global oldest-first
-/// order, so one array pair plus per-class sizes holds every class.
+/// order, so one array plus per-class sizes holds every class.
 ///
 /// Cost model: inserts are tail pushes (vector growth is geometric); a merge
 /// cascade that reaches class A rewrites only the array suffix occupied by
@@ -45,20 +46,24 @@ class FlatBucketStore {
 
   const Stamp& stamp(size_t i) const { return stamps_[i]; }
   Stamp& stamp(size_t i) { return stamps_[i]; }
-  uint64_t count(size_t i) const { return counts_[i]; }
 
   void Clear() {
     stamps_.clear();
-    counts_.clear();
     class_size_.clear();
     head_ = 0;
   }
 
   /// Calls f(stamp, count) for every live bucket, oldest to newest: a single
-  /// linear scan — the layout's whole point.
+  /// linear scan of the stamps, class segment by class segment.
   template <typename F>
   void ForEachOldestFirst(F&& f) const {
-    for (size_t i = head_; i < stamps_.size(); ++i) f(stamps_[i], counts_[i]);
+    size_t i = head_;
+    for (size_t c = class_size_.size(); c-- > 0;) {
+      const uint64_t count = uint64_t{1} << c;
+      for (const size_t end = i + class_size_[c]; i < end; ++i) {
+        f(stamps_[i], count);
+      }
+    }
   }
 
   /// Calls f(c, begin, end) for each class segment in ascending class order
@@ -75,22 +80,16 @@ class FlatBucketStore {
     TDS_CHECK(end == head_);
   }
 
-  /// Replaces the contents with `classes` (classes[c] = the class-c buckets,
+  /// Replaces the contents with `classes` (classes[c] = the class-c stamps,
   /// oldest first), laid out canonically. Cold path: snapshot decode.
-  template <typename Classes, typename StampOf, typename CountOf>
-  void AssignFromClasses(const Classes& classes, StampOf&& stamp_of,
-                         CountOf&& count_of) {
+  void AssignFromClasses(const std::vector<std::vector<Stamp>>& classes) {
     Clear();
     size_t total = 0;
     for (const auto& cls : classes) total += cls.size();
     stamps_.reserve(total);
-    counts_.reserve(total);
     class_size_.assign(classes.size(), 0);
     for (size_t c = classes.size(); c-- > 0;) {
-      for (const auto& bucket : classes[c]) {
-        stamps_.push_back(stamp_of(bucket));
-        counts_.push_back(count_of(bucket));
-      }
+      stamps_.insert(stamps_.end(), classes[c].begin(), classes[c].end());
       class_size_[c] = classes[c].size();
     }
   }
@@ -98,23 +97,18 @@ class FlatBucketStore {
   /// Pops buckets off the global front while `expired(stamp)` holds and
   /// returns the total count removed. Canonical ordering makes this one
   /// global front pop equal to per-class front expiry from the highest class
-  /// down. Class sizes shrink highest class first; `class_size_` keeps its
-  /// length, because the codecs encode emptied classes too and a decoded
-  /// copy must re-encode to the same bytes.
+  /// down. `class_size_` keeps its length, because the codecs encode emptied
+  /// classes too and a decoded copy must re-encode to the same bytes.
   template <typename Pred>
   uint64_t ExpireOldest(Pred&& expired) {
-    size_t h = head_;
     uint64_t removed_count = 0;
-    while (h < stamps_.size() && expired(stamps_[h])) {
-      removed_count += counts_[h];
-      ++h;
-    }
-    size_t removed = h - head_;
-    head_ = h;
-    for (size_t c = class_size_.size(); c-- > 0 && removed > 0;) {
-      const size_t take = removed < class_size_[c] ? removed : class_size_[c];
-      class_size_[c] -= take;
-      removed -= take;
+    for (size_t c = class_size_.size(); c-- > 0;) {
+      while (class_size_[c] > 0 && expired(stamps_[head_])) {
+        removed_count += uint64_t{1} << c;
+        --class_size_[c];
+        ++head_;
+      }
+      if (class_size_[c] > 0) break;
     }
     MaybeCompact();
     return removed_count;
@@ -134,10 +128,7 @@ class FlatBucketStore {
     if (class_size_.empty()) class_size_.push_back(0);
     // Fast path: class 0 stays within budget — a pure tail append.
     if (class_size_[0] + incoming_units <= cap) {
-      for (uint64_t v = 0; v < incoming_units; ++v) {
-        stamps_.push_back(fresh);
-        counts_.push_back(1);
-      }
+      stamps_.insert(stamps_.end(), incoming_units, fresh);
       class_size_[0] += incoming_units;
       return;
     }
@@ -156,7 +147,6 @@ class FlatBucketStore {
     size_t popped = 0;
     size_t app_taken = 0;
     std::vector<Stamp> app_stamps;
-    std::vector<uint64_t> app_counts;
   };
 
   /// Cascade scratch, shared thread-local rather than member-owned: a
@@ -170,25 +160,16 @@ class FlatBucketStore {
     std::vector<ClassWork> work;
     std::vector<size_t> seg_offs;
     std::vector<Stamp> carry_stamps;
-    std::vector<uint64_t> carry_counts;
     std::vector<Stamp> rebuild_stamps;
-    std::vector<uint64_t> rebuild_counts;
   };
   static Scratch& TlsScratch() {
     static thread_local Scratch scratch;
     return scratch;
   }
 
-  void PopFront(ClassWork& w, Stamp* stamp, uint64_t* count) {
-    if (w.popped < w.orig_size) {
-      const size_t k = w.orig_begin + w.popped++;
-      *stamp = stamps_[k];
-      *count = counts_[k];
-    } else {
-      *stamp = w.app_stamps[w.app_taken];
-      *count = w.app_counts[w.app_taken];
-      ++w.app_taken;
-    }
+  Stamp PopFront(ClassWork& w) {
+    if (w.popped < w.orig_size) return stamps_[w.orig_begin + w.popped++];
+    return w.app_stamps[w.app_taken++];
   }
 
   template <typename MergeStamps>
@@ -198,9 +179,7 @@ class FlatBucketStore {
     std::vector<ClassWork>& work_ = s.work;
     std::vector<size_t>& seg_offs_ = s.seg_offs;
     std::vector<Stamp>& carry_stamps_ = s.carry_stamps;
-    std::vector<uint64_t>& carry_counts_ = s.carry_counts;
     std::vector<Stamp>& rebuild_stamps_ = s.rebuild_stamps;
-    std::vector<uint64_t>& rebuild_counts_ = s.rebuild_counts;
     // Segment offsets of the classes as they stand (class N-1 at head_).
     seg_offs_.resize(class_size_.size());
     {
@@ -220,12 +199,11 @@ class FlatBucketStore {
       w.popped = 0;
       w.app_taken = 0;
       w.app_stamps.clear();
-      w.app_counts.clear();
     };
     init_work(0);
-    // `virtual_new` tracks not-yet-materialized incoming buckets of count
-    // 2^i (all stamped `fresh`); real carries — which may inherit older
-    // stamps — materialize eagerly.
+    // `virtual_new` tracks not-yet-materialized incoming class-i buckets
+    // (all stamped `fresh`); real carries — which may inherit older stamps —
+    // materialize eagerly.
     uint64_t virtual_new = incoming_units;
     size_t i = 0;
     while (true) {
@@ -236,7 +214,6 @@ class FlatBucketStore {
       const uint64_t total = real_live + virtual_new;
       uint64_t next_virtual = 0;
       carry_stamps_.clear();
-      carry_counts_.clear();
       if (total > cap) {
         // Sequential-insertion semantics: a merge fires each time the class
         // reaches cap+1 buckets, pairing its two oldest.
@@ -245,23 +222,15 @@ class FlatBucketStore {
           const size_t real =
               (w.orig_size - w.popped) + (w.app_stamps.size() - w.app_taken);
           if (real >= 2) {
-            Stamp older_stamp;
-            Stamp newer_stamp;
-            uint64_t older_count = 0;
-            uint64_t newer_count = 0;
-            PopFront(w, &older_stamp, &older_count);
-            PopFront(w, &newer_stamp, &newer_count);
-            carry_stamps_.push_back(merge_stamps(older_stamp, newer_stamp));
-            carry_counts_.push_back(older_count + newer_count);
+            const Stamp older = PopFront(w);
+            const Stamp newer = PopFront(w);
+            carry_stamps_.push_back(merge_stamps(older, newer));
           } else if (real == 1) {
-            // One pre-existing bucket pairs with one incoming unit bucket.
-            Stamp older_stamp;
-            uint64_t older_count = 0;
-            PopFront(w, &older_stamp, &older_count);
+            // One pre-existing bucket pairs with one incoming bucket.
+            (void)PopFront(w);
             TDS_CHECK_GE(virtual_new, 1u);
             --virtual_new;
             carry_stamps_.push_back(fresh);
-            carry_counts_.push_back(older_count << 1);
           } else {
             // All remaining merges pair incoming buckets with each other:
             // pure arithmetic, closed out in one step (what keeps huge-value
@@ -275,20 +244,15 @@ class FlatBucketStore {
         }
       }
       // Materialize the surviving incoming buckets (newest in the class).
-      for (uint64_t v = 0; v < virtual_new; ++v) {
-        w.app_stamps.push_back(fresh);
-        w.app_counts.push_back(uint64_t{1} << i);
-      }
+      w.app_stamps.insert(w.app_stamps.end(), virtual_new, fresh);
       if (carry_stamps_.empty() && next_virtual == 0) break;
       if (i + 1 >= class_size_.size()) class_size_.push_back(0);
       init_work(i + 1);
       // Carries were produced oldest-first and are newer than everything in
       // class i+1, so appending preserves the ordering invariant.
       ClassWork& up = work_[i + 1];
-      for (size_t k = 0; k < carry_stamps_.size(); ++k) {
-        up.app_stamps.push_back(carry_stamps_[k]);
-        up.app_counts.push_back(carry_counts_[k]);
-      }
+      up.app_stamps.insert(up.app_stamps.end(), carry_stamps_.begin(),
+                           carry_stamps_.end());
       virtual_new = next_virtual;
       ++i;
     }
@@ -296,28 +260,24 @@ class FlatBucketStore {
     // every class above i kept its segment untouched.
     const size_t terminal = i;
     rebuild_stamps_.clear();
-    rebuild_counts_.clear();
     const size_t suffix_begin = work_[terminal].orig_begin;
     for (size_t c = terminal + 1; c-- > 0;) {
       ClassWork& w = work_[c];
-      for (size_t k = w.orig_begin + w.popped; k < w.orig_begin + w.orig_size;
-           ++k) {
-        rebuild_stamps_.push_back(stamps_[k]);
-        rebuild_counts_.push_back(counts_[k]);
-      }
-      for (size_t k = w.app_taken; k < w.app_stamps.size(); ++k) {
-        rebuild_stamps_.push_back(w.app_stamps[k]);
-        rebuild_counts_.push_back(w.app_counts[k]);
-      }
+      const auto orig = stamps_.begin() + static_cast<std::ptrdiff_t>(
+                                              w.orig_begin);
+      rebuild_stamps_.insert(rebuild_stamps_.end(),
+                             orig + static_cast<std::ptrdiff_t>(w.popped),
+                             orig + static_cast<std::ptrdiff_t>(w.orig_size));
+      rebuild_stamps_.insert(
+          rebuild_stamps_.end(),
+          w.app_stamps.begin() + static_cast<std::ptrdiff_t>(w.app_taken),
+          w.app_stamps.end());
       class_size_[c] =
           (w.orig_size - w.popped) + (w.app_stamps.size() - w.app_taken);
     }
     stamps_.resize(suffix_begin);
-    counts_.resize(suffix_begin);
     stamps_.insert(stamps_.end(), rebuild_stamps_.begin(),
                    rebuild_stamps_.end());
-    counts_.insert(counts_.end(), rebuild_counts_.begin(),
-                   rebuild_counts_.end());
   }
 
   /// Reclaims the expired prefix once it is at least as large as the live
@@ -327,14 +287,11 @@ class FlatBucketStore {
     if (stamps_.size() - head_ <= head_) {
       stamps_.erase(stamps_.begin(),
                     stamps_.begin() + static_cast<std::ptrdiff_t>(head_));
-      counts_.erase(counts_.begin(),
-                    counts_.begin() + static_cast<std::ptrdiff_t>(head_));
       head_ = 0;
     }
   }
 
   std::vector<Stamp> stamps_;
-  std::vector<uint64_t> counts_;
   std::vector<size_t> class_size_;
   size_t head_ = 0;
 };

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "util/audit.h"
@@ -12,6 +12,17 @@
 #include "util/common.h"
 
 namespace tds {
+namespace {
+
+/// First cell in id-sorted `cells` whose id is >= `id`.
+template <typename Cells>
+auto LowerBound(Cells& cells, uint64_t id) {
+  return std::lower_bound(
+      cells.begin(), cells.end(), id,
+      [](const auto& cell, uint64_t key) { return cell.id < key; });
+}
+
+}  // namespace
 
 WbmhCounter::WbmhCounter(std::shared_ptr<WbmhLayout> layout,
                          const Options& options)
@@ -41,11 +52,11 @@ int WbmhCounter::MantissaBitsForLevel(uint32_t level) const {
 void WbmhCounter::Sync() {
   TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
                 "layout op log was trimmed past this counter's position");
-  applied_seq_ = ReplayOps(counts_, applied_seq_);
+  applied_seq_ = ReplayOps(cells_, applied_seq_);
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
-uint64_t WbmhCounter::ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
+uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
                                 uint64_t from) const {
   const uint64_t latest = layout_->OpSeq();
   for (uint64_t seq = from; seq < latest; ++seq) {
@@ -54,11 +65,17 @@ uint64_t WbmhCounter::ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
       case WbmhLayout::OpKind::kSeal:
         break;  // counts materialize lazily on first Add
       case WbmhLayout::OpKind::kMerge: {
-        auto right = counts.find(op.b);
-        if (right == counts.end()) break;
-        Cell absorbed = right->second;
-        counts.erase(right);
-        Cell& left = counts[op.a];
+        auto right = LowerBound(cells, op.b);
+        if (right == cells.end() || right->id != op.b) break;
+        const Cell absorbed = *right;
+        // `a` is `b`'s older neighbor, so no cell lies between them: fold
+        // into the predecessor if it is `a`'s, else `a` takes `b`'s place.
+        if (right != cells.begin() && std::prev(right)->id == op.a) {
+          right = std::prev(cells.erase(right));
+        } else {
+          *right = Cell(op.a);
+        }
+        Cell& left = *right;
         const uint32_t level =
             std::max(left.level, absorbed.level) + 1;
         left.level = level;
@@ -67,11 +84,24 @@ uint64_t WbmhCounter::ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
         break;
       }
       case WbmhLayout::OpKind::kDrop:
-        counts.erase(op.a);
+        // The dropped bucket is the layout's oldest.
+        if (!cells.empty() && cells.front().id == op.a) {
+          cells.erase(cells.begin());
+        }
         break;
     }
   }
   return latest;
+}
+
+WbmhCounter::Cell& WbmhCounter::CellFor(uint64_t id) {
+  // Arrivals land in the open (newest) bucket or close to it.
+  if (cells_.empty() || cells_.back().id < id) {
+    return cells_.emplace_back(id);
+  }
+  auto it = LowerBound(cells_, id);
+  if (it->id != id) it = cells_.emplace(it, id);
+  return *it;
 }
 
 void WbmhCounter::Add(Tick t, uint64_t value) {
@@ -80,7 +110,7 @@ void WbmhCounter::Add(Tick t, uint64_t value) {
   if (value == 0) return;
   const uint64_t bucket = layout_->BucketForArrival(t);
   TDS_CHECK_MSG(bucket != 0, "arrival tick is before the oldest live bucket");
-  Cell& cell = counts_[bucket];
+  Cell& cell = CellFor(bucket);
   if (cell.count.mantissa_bits() == 0 && base_mantissa_bits_ > 0) {
     cell.count.set_mantissa_bits(MantissaBitsForLevel(cell.level));
   }
@@ -102,7 +132,7 @@ void WbmhCounter::AddBatch(std::span<const StreamItem> items) {
         bucket = layout_->BucketForArrival(t);
         TDS_CHECK_MSG(bucket != 0,
                       "arrival tick is before the oldest live bucket");
-        cell = &counts_[bucket];
+        cell = &CellFor(bucket);
         if (cell->count.mantissa_bits() == 0 && base_mantissa_bits_ > 0) {
           cell->count.set_mantissa_bits(MantissaBitsForLevel(cell->level));
         }
@@ -123,15 +153,11 @@ Status WbmhCounter::AuditInvariants() const {
                   "layout op log was trimmed past this counter");
   TDS_AUDIT_CHECK(applied_seq_ <= layout_->OpSeq(),
                   "counter is ahead of the layout's op sequence");
-  const bool synced = applied_seq_ == layout_->OpSeq();
-  std::unordered_set<uint64_t> live;
-  if (synced) {
-    live.reserve(layout_->BucketCount());
-    layout_->ForEachSpanOldestFirst(
-        [&live](const WbmhLayout::BucketSpan& span) { live.insert(span.id); });
-  }
-  for (const auto& [id, cell] : counts_) {
-    TDS_AUDIT_CHECK(id != 0, "count keyed by the null bucket id");
+  uint64_t previous_id = 0;
+  for (const Cell& cell : cells_) {
+    TDS_AUDIT_CHECK(cell.id > previous_id,
+                    "cell ids must be nonzero and strictly increasing");
+    previous_id = cell.id;
     const double value = cell.count.Value();
     TDS_AUDIT_CHECK(std::isfinite(value) && value >= 0.0,
                     "count register must be finite and nonnegative");
@@ -144,28 +170,17 @@ Status WbmhCounter::AuditInvariants() const {
           "mantissa width off the eps/i^2 schedule at level " +
               std::to_string(cell.level));
     }
-    if (synced) {
-      TDS_AUDIT_CHECK(live.contains(id),
-                      "count held for a bucket the layout dropped");
-    }
+  }
+  if (applied_seq_ == layout_->OpSeq()) {
+    // Both sides are in id order: one merge-join finds every live cell.
+    auto cell = cells_.begin();
+    layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
+      if (cell != cells_.end() && cell->id == span.id) ++cell;
+    });
+    TDS_AUDIT_CHECK(cell == cells_.end(),
+                    "count held for a bucket the layout dropped");
   }
   return Status::OK();
-}
-
-double WbmhCounter::Query(Tick now) {
-  layout_->AdvanceTo(now);
-  Sync();
-  double sum = 0.0;
-  const DecayFunction& g = *layout_->decay();
-  layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
-    auto it = counts_.find(span.id);
-    if (it == counts_.end() || it->second.count.IsZero()) return;
-    // All slots in a bucket carry weights within (1+eps); weight by the
-    // newest slot (one-sided overestimate, matching the paper's analysis).
-    const Tick age = std::max<Tick>(1, AgeAt(std::min(span.end, now), now));
-    sum += it->second.count.Value() * g.Weight(age);
-  });
-  return sum;
 }
 
 double WbmhCounter::Estimate(Tick now) const {
@@ -175,31 +190,36 @@ double WbmhCounter::Estimate(Tick now) const {
   // Behind the layout: replay the pending structural ops on a local copy of
   // the cells, re-rounding exactly as Sync() would, so the estimate does
   // not depend on when this counter last synced.
-  std::unordered_map<uint64_t, Cell> replayed;
-  const std::unordered_map<uint64_t, Cell>* counts = &counts_;
+  std::vector<Cell> replayed;
+  const std::vector<Cell>* cells = &cells_;
   if (applied_seq_ != layout_->OpSeq()) {
     TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
                   "layout op log was trimmed past this counter's position");
-    replayed = counts_;
+    replayed = cells_;
     (void)ReplayOps(replayed, applied_seq_);
-    counts = &replayed;
+    cells = &replayed;
   }
   // Buckets the (frozen) layout has not yet dropped may already be fully
   // past the horizon at `now`; they contribute nothing.
   double sum = 0.0;
+  auto cell = cells->begin();
   layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
-    auto it = counts->find(span.id);
-    if (it == counts->end() || it->second.count.IsZero()) return;
+    while (cell != cells->end() && cell->id < span.id) ++cell;
+    if (cell == cells->end() || cell->id != span.id || cell->count.IsZero()) {
+      return;
+    }
+    // All slots in a bucket carry weights within (1+eps); weight by the
+    // newest slot (one-sided overestimate, matching the paper's analysis).
     const Tick age = std::max<Tick>(1, AgeAt(std::min(span.end, now), now));
     if (horizon != kInfiniteHorizon && age > horizon) return;
-    sum += it->second.count.Value() * g.Weight(age);
+    sum += cell->count.Value() * g.Weight(age);
   });
   return sum;
 }
 
 double WbmhCounter::RawTotal() const {
   double total = 0.0;
-  for (const auto& [id, cell] : counts_) total += cell.count.Value();
+  for (const Cell& cell : cells_) total += cell.count.Value();
   return total;
 }
 
@@ -209,17 +229,9 @@ Status WbmhCounter::EncodeState(Encoder& encoder) const {
   }
   encoder.PutDouble(count_epsilon_);
   encoder.PutVarint(applied_seq_);
-  encoder.PutVarint(counts_.size());
-  // Deterministic cell order: the codec's self-inverse contract (see
-  // AuditSnapshotRoundTrip) requires byte-identical re-encoding, which the
-  // hash map's iteration order cannot provide.
-  std::vector<uint64_t> ids;
-  ids.reserve(counts_.size());
-  for (const auto& [id, cell] : counts_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const uint64_t id : ids) {
-    const Cell& cell = counts_.at(id);
-    encoder.PutVarint(id);
+  encoder.PutVarint(cells_.size());
+  for (const Cell& cell : cells_) {
+    encoder.PutVarint(cell.id);
     encoder.PutDouble(cell.count.Value());
     encoder.PutVarint(cell.level);
   }
@@ -246,7 +258,7 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
         "counter snapshot does not match the layout's op sequence");
   }
   applied_seq_ = applied;
-  counts_.clear();
+  cells_.clear();
   for (uint64_t i = 0; i < size; ++i) {
     uint64_t id = 0, level = 0;
     double value = 0.0;
@@ -254,14 +266,17 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
         !decoder.GetVarint(&level)) {
       return CorruptSnapshot("WBMH counter cell");
     }
-    if (id == 0 || !std::isfinite(value) || value < 0.0 || level > 64) {
+    // The cells are kept in id order; the encoder writes them that way.
+    if (id <= (cells_.empty() ? 0 : cells_.back().id)) {
+      return CorruptSnapshot("WBMH counter cell ids not strictly increasing");
+    }
+    if (!std::isfinite(value) || value < 0.0 || level > 64) {
       return CorruptSnapshot("WBMH counter cell value");
     }
-    Cell cell;
+    Cell& cell = cells_.emplace_back(id);
     cell.level = static_cast<uint32_t>(level);
     cell.count.set_mantissa_bits(MantissaBitsForLevel(cell.level));
     cell.count.Add(value);
-    counts_[id] = cell;
   }
   // Cross-structure validation: e.g. a hostile snapshot may carry counts
   // for bucket ids the (already decoded) layout does not hold.
@@ -275,7 +290,7 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
 size_t WbmhCounter::StorageBits() const {
   const double max_count = std::max(RawTotal(), 2.0);
   size_t bits = 0;
-  for (const auto& [id, cell] : counts_) {
+  for (const Cell& cell : cells_) {
     bits += static_cast<size_t>(cell.count.StorageBits(max_count));
   }
   // One op-sequence register (clock analogue), log2 of elapsed ticks.

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "histogram/wbmh_layout.h"
 #include "stream/stream.h"
@@ -14,10 +14,17 @@
 namespace tds {
 
 /// Per-stream state of a Weight-Based Merging Histogram (paper Section 5):
-/// one (approximate) count per layout bucket, keyed by the layout's stable
-/// bucket ids. Boundaries live in the shared WbmhLayout; this object stores
-/// only counts, which is the paper's point — for 100M customer streams the
-/// boundary process is amortized across all of them.
+/// one (approximate) count per layout bucket that has received items, in a
+/// single vector sorted by the layout's bucket id. Boundaries live in the
+/// shared WbmhLayout; this object stores only counts, which is the paper's
+/// point — for 100M customer streams the boundary process is amortized
+/// across all of them.
+///
+/// Layout ids only ever increase oldest-first (a seal takes a fresh id, a
+/// merge keeps the older id, a drop removes the oldest bucket), so id order
+/// is layout order: a merge folds a cell into its predecessor, a drop pops
+/// the front, an arrival almost always lands on the back, and a read is one
+/// merge-join of the cells with the layout's spans.
 ///
 /// Counts are held in RoundedCounter registers of ~log(1/eps) significant
 /// bits. Each merge re-rounds once; tracking the merge level l and widening
@@ -52,13 +59,10 @@ class WbmhCounter {
   /// Advances the shared layout to `now` and replays the resulting ops.
   void Advance(Tick now);
 
-  /// Estimated decayed sum at time `now` (advances the layout).
-  /// Each bucket contributes count * g(age of its newest slot).
-  double Query(Tick now);
-
   /// Side-effect-free estimate at `now` (>= the layout's clock): evaluates
   /// the decayed sum over the bucket structure as of the layout's last
-  /// advance, with true ages relative to `now`. If this counter has not
+  /// advance, with true ages relative to `now`; each bucket contributes
+  /// count * g(age of its newest slot). If this counter has not
   /// applied the layout's latest ops, they are replayed on a local copy of
   /// the cells exactly as Sync() would, so the estimate is bit-identical
   /// to Sync() followed by Estimate(). Buckets whose newest slot is past
@@ -70,7 +74,7 @@ class WbmhCounter {
   double RawTotal() const;
 
   /// Number of buckets with nonzero counts.
-  size_t ActiveBuckets() const { return counts_.size(); }
+  size_t ActiveBuckets() const { return cells_.size(); }
 
   /// Last layout op sequence number applied.
   uint64_t AppliedSeq() const { return applied_seq_; }
@@ -91,27 +95,31 @@ class WbmhCounter {
   /// Verifies every structural invariant (see util/audit.h): the applied
   /// sequence lies within the layout's retained log window, every count
   /// register is finite and nonnegative with a mantissa width matching the
-  /// beta_i = eps/i^2 schedule for its merge level, and — once fully synced
-  /// — every counted bucket id is live in the layout.
+  /// beta_i = eps/i^2 schedule for its merge level, cell ids are nonzero
+  /// and strictly increasing, and — once fully synced — every counted bucket
+  /// id is live in the layout.
   Status AuditInvariants() const;
 
  private:
   struct Cell {
+    explicit Cell(uint64_t bucket_id) : id(bucket_id) {}
+    uint64_t id;  ///< Layout bucket id.
     RoundedCounter count;
     uint32_t level = 0;  ///< Merge depth, drives the mantissa schedule.
   };
 
   int MantissaBitsForLevel(uint32_t level) const;
-  /// Applies the layout ops [from, OpSeq()) to `counts` (re-rounding each
+  /// Applies the layout ops [from, OpSeq()) to `cells` (re-rounding each
   /// merge) and returns OpSeq(). The one replay Sync and Estimate share.
-  uint64_t ReplayOps(std::unordered_map<uint64_t, Cell>& counts,
-                     uint64_t from) const;
+  uint64_t ReplayOps(std::vector<Cell>& cells, uint64_t from) const;
+  /// The cell of bucket `id`, created empty if absent.
+  Cell& CellFor(uint64_t id);
 
   std::shared_ptr<WbmhLayout> layout_;
   double count_epsilon_;
   int base_mantissa_bits_;  ///< 0 when rounding is disabled.
 
-  std::unordered_map<uint64_t, Cell> counts_;
+  std::vector<Cell> cells_;  ///< Sorted by id, so in layout order.
   uint64_t applied_seq_ = 0;
 };
 

@@ -279,7 +279,9 @@ Status WbmhLayout::AuditInvariants() {
   }
 
   // Walk the bucket list oldest-to-newest: ids in range, links consistent,
-  // spans partitioning the timeline from `start_`, open bucket last.
+  // spans partitioning the timeline from the head's start, open bucket last.
+  // The head starts at `start_` until a drop removes it, and only a finite
+  // horizon drops.
   size_t visited = 0;
   uint64_t previous = 0;
   Tick expected_start = start_;
@@ -289,10 +291,20 @@ Status WbmhLayout::AuditInvariants() {
     const Node& node = it->second;
     TDS_AUDIT_CHECK(++visited <= nodes_.size(), "cycle in the bucket list");
     TDS_AUDIT_CHECK(id < next_id_, "bucket id beyond the id allocator");
+    // A seal takes a fresh id and a merge keeps the older one, so ids
+    // increase oldest-first; counters keep their cells in that order.
+    TDS_AUDIT_CHECK(id > previous, "bucket ids must increase oldest-first");
     TDS_AUDIT_CHECK(node.prev == previous, "prev link mismatch");
-    TDS_AUDIT_CHECK(node.start == expected_start,
-                    "bucket spans must partition the timeline (gap at " +
-                        std::to_string(node.start) + ")");
+    if (previous == 0) {
+      TDS_AUDIT_CHECK(horizon_ != kInfiniteHorizon ? node.start >= start_
+                                                   : node.start == start_,
+                      "head bucket must start at the stream start, or "
+                      "after it once buckets drop");
+    } else {
+      TDS_AUDIT_CHECK(node.start == expected_start,
+                      "bucket spans must partition the timeline (gap at " +
+                          std::to_string(node.start) + ")");
+    }
     if (node.next != 0) {
       TDS_AUDIT_CHECK(node.end >= node.start, "inverted sealed span");
       expected_start = node.end + 1;
@@ -392,9 +404,10 @@ Status WbmhLayout::DecodeState(Decoder& decoder) {
         nodes_.contains(id)) {
       return CorruptSnapshot("WBMH layout node");
     }
-    // Spans must partition the timeline from `start` (open bucket last).
+    // Spans must partition the timeline from the head's start (open bucket
+    // last); the audit below pins the head's start itself.
     if (node_end < node_start ||
-        (i == 0 ? node_start != start_ : node_start != expected_start)) {
+        (i == 0 ? node_start < start_ : node_start != expected_start)) {
       return CorruptSnapshot("WBMH layout span");
     }
     expected_start = node_end + 1;

@@ -36,7 +36,9 @@ namespace tds {
 /// of structural operations (seal / merge / drop) with monotone sequence
 /// numbers, and each WbmhCounter replays the suffix it has not yet applied.
 /// Buckets are identified by stable 64-bit ids (a doubly linked list
-/// internally), so merges are O(1) regardless of bucket count.
+/// internally), so merges are O(1) regardless of bucket count. Ids increase
+/// oldest-first: a seal takes a fresh id, a merge keeps the older id, and a
+/// drop removes the oldest bucket.
 ///
 /// Time costs are amortized O(1) per elapsed tick: advancing over a gap of
 /// D ticks performs O(D / b_1) seal and merge events.
@@ -139,8 +141,9 @@ class WbmhLayout {
   Status DecodeState(class Decoder& decoder);
 
   /// Verifies every structural invariant (see util/audit.h): bucket spans
-  /// partition [start, ...] with consistent prev/next links and in-range
-  /// ids, op-log window accounting, strictly increasing region boundaries,
+  /// partition [head start, ...] (the head starts at `start` until a finite
+  /// horizon drops it) with consistent prev/next links and in-range
+  /// ids that strictly increase oldest-first, op-log window accounting, strictly increasing region boundaries,
   /// horizon-based drop eligibility of the head, and the weight-based merge
   /// condition — no adjacent sealed pair may still be merge-eligible at the
   /// last settled tick. Non-const only because the merge check can extend

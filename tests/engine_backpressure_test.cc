@@ -173,18 +173,6 @@ TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   EXPECT_EQ(stats[0].items_applied + stats[0].items_rejected, 1024u);
 }
 
-TEST(BackpressureTest, SpinPolicyStillDrains) {
-  auto options = TinyRingOptions();
-  options.backpressure = BackpressurePolicy::kSpin;
-  auto engine = ShardedAggregateEngine::Create(
-      SlidingWindowDecay::Create(1 << 20).value(), options);
-  ASSERT_TRUE(engine.ok());
-  std::vector<KeyedItem> batch(4096, KeyedItem{5, 1, 1});
-  ASSERT_TRUE(SessionIngest(**engine, batch).ok());
-  ASSERT_TRUE((*engine)->Flush().ok());
-  EXPECT_EQ((*engine)->ItemsApplied(), 4096u);
-}
-
 TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());

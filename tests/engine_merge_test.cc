@@ -311,50 +311,6 @@ TEST(MergedSnapshotTest, ExplicitSliceMigrationPreservesEquality) {
   EXPECT_EQ(merged_blob, MustEncode(*reference));
 }
 
-TEST(MergedSnapshotTest, CodecRoundTripsAndRejectsCorruption) {
-  for (const Config& config : MergeConfigs()) {
-    ShardedAggregateEngine::Options options;
-    options.registry = RegistryOptions(config.backend);
-    options.shards = 2;
-    options.route_slices = 8;
-    auto engine = ShardedAggregateEngine::Create(config.decay, options);
-    ASSERT_TRUE(engine.ok());
-    Rng rng(41);
-    std::vector<KeyedItem> items;
-    Tick t = 1;
-    for (int i = 0; i < 1000; ++i) {
-      if (rng.NextBelow(4) == 0) ++t;
-      items.push_back(KeyedItem{rng.NextBelow(50), t, 1 + rng.NextBelow(3)});
-    }
-    ASSERT_TRUE(SessionIngest(**engine, items).ok());
-    ASSERT_TRUE((*engine)->Flush().ok());
-    auto merged = (*engine)->Snapshot();
-    ASSERT_TRUE(merged.ok());
-
-    std::string blob;
-    ASSERT_TRUE(merged->EncodeState(&blob).ok());
-    auto decoded =
-        MergedSnapshot::Decode(config.decay, options.registry, blob);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-    EXPECT_EQ(decoded->cut(), merged->cut());
-    EXPECT_EQ(decoded->KeyCount(), merged->KeyCount());
-    EXPECT_EQ(decoded->source_shards(), 2u);
-    // Self-inverse: decode then re-encode is byte-identical.
-    std::string reencoded;
-    ASSERT_TRUE(decoded->EncodeState(&reencoded).ok());
-    EXPECT_EQ(reencoded, blob) << config.label;
-
-    // Corruption is rejected (audit-on-decode path).
-    std::string corrupt = blob;
-    corrupt[1] ^= 0x5a;  // inside the magic
-    EXPECT_FALSE(
-        MergedSnapshot::Decode(config.decay, options.registry, corrupt).ok());
-    EXPECT_FALSE(MergedSnapshot::Decode(config.decay, options.registry,
-                                        blob.substr(0, blob.size() / 2))
-                     .ok());
-  }
-}
-
 TEST(MergedSnapshotTest, TopKMatchesBruteForce) {
   auto decay = SlidingWindowDecay::Create(512).value();
   ShardedAggregateEngine::Options options;

@@ -147,8 +147,8 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
                      "merged blob diverged from serial reference, op=", op);
       ++coverage.snapshots;
     } else {
-      // Merged-snapshot codec round-trip: decode then re-encode must
-      // be byte-identical, and the inner registry re-audits on decode.
+      // Merged registry codec round-trip: decode then re-encode must be
+      // byte-identical, and the decode re-audits every key.
       std::vector<AggregateRegistry> copies;
       for (uint32_t s = 0; s < kShards; ++s) {
         auto copy = AggregateRegistry::Decode(decay, options,
@@ -160,15 +160,14 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
       TDS_FUZZ_CHECK(merged.ok(), in,
                      "FromShards: ", merged.status().ToString());
       std::string blob;
-      TDS_FUZZ_CHECK_OK(merged->EncodeState(&blob), in, "EncodeState");
-      auto decoded = MergedSnapshot::Decode(decay, options, blob);
+      TDS_FUZZ_CHECK_OK(merged->EncodeRegistryState(&blob), in,
+                        "EncodeRegistryState");
+      auto decoded = AggregateRegistry::Decode(decay, options, blob);
       TDS_FUZZ_CHECK(decoded.ok(), in,
                      "Decode: ", decoded.status().ToString());
-      std::string reencoded;
-      TDS_FUZZ_CHECK_OK(decoded->EncodeState(&reencoded), in, "re-encode");
-      TDS_FUZZ_CHECK(reencoded == blob, in,
-                     "merged snapshot not self-inverse, op=", op);
-      TDS_FUZZ_CHECK(decoded->cut() == merged->cut(), in, "cut mismatch");
+      TDS_FUZZ_CHECK(MustEncode(*decoded, in) == blob, in,
+                     "merged registry not self-inverse, op=", op);
+      TDS_FUZZ_CHECK(decoded->now() == merged->cut(), in, "cut mismatch");
     }
     audit_all(op);
   }

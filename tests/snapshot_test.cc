@@ -3,8 +3,11 @@
 // bit-identical answers forever after.
 #include "core/snapshot.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
+#include "histogram/exponential_histogram.h"
 #include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
 #include "stream/generators.h"
@@ -226,6 +230,135 @@ TEST(SnapshotTest, RejectsCoarseCehBucketTotalThatWraps) {
   EXPECT_FALSE((*target)->DecodeState(decoder).ok());
 }
 
+// The EH stores no counts, so a bucket whose count is not its class's
+// power of two is refused by the decoder itself — here a class-0 bucket of
+// count 2 with a total that agrees with it.
+TEST(SnapshotTest, RejectsEhBucketCountOffItsClass) {
+  ExponentialHistogram::Options options;
+  options.window = 100;
+  Encoder encoder;
+  encoder.PutDouble(options.epsilon);
+  encoder.PutSigned(options.window);
+  encoder.PutSigned(10);  // now
+  encoder.PutSigned(5);   // first arrival
+  encoder.PutVarint(2);   // total count
+  encoder.PutVarint(1);   // classes
+  encoder.PutVarint(1);   // class 0: one bucket
+  encoder.PutVarint(5);   // end tick delta
+  encoder.PutVarint(2);   // count
+  const std::string blob = encoder.Finish();
+
+  auto target = ExponentialHistogram::Create(options);
+  ASSERT_TRUE(target.ok());
+  Decoder decoder(blob);
+  const Status status = target->DecodeState(decoder);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("EH bucket"), std::string::npos)
+      << status.message();
+}
+
+std::shared_ptr<WbmhLayout> MakeSharedLayout() {
+  WbmhLayout::Options layout_options;
+  layout_options.decay = PolynomialDecay::Create(1.0).value();
+  layout_options.epsilon = 0.5;
+  return std::make_shared<WbmhLayout>(
+      std::move(WbmhLayout::Create(layout_options)).value());
+}
+
+// A counter keeps its cells in bucket-id order, so a blob whose cells are
+// out of order is corrupt even when every id is live in the layout.
+TEST(SnapshotTest, RejectsWbmhCounterCellsOutOfOrder) {
+  auto layout = MakeSharedLayout();
+  WbmhCounter counter(layout, WbmhCounter::Options{0.5});
+  for (Tick t = 1; t <= 500; ++t) counter.Add(t, 1);
+  Encoder encoder;
+  ASSERT_TRUE(counter.EncodeState(encoder).ok());
+  const std::string blob = encoder.Finish();
+
+  // Re-encode with the first two cells swapped.
+  Decoder decoder(blob);
+  double count_epsilon = 0.0;
+  uint64_t applied = 0, size = 0;
+  ASSERT_TRUE(decoder.GetDouble(&count_epsilon) &&
+              decoder.GetVarint(&applied) && decoder.GetVarint(&size));
+  ASSERT_GE(size, 2u);
+  struct RawCell {
+    uint64_t id = 0;
+    double value = 0.0;
+    uint64_t level = 0;
+  };
+  std::vector<RawCell> cells(size);
+  for (RawCell& cell : cells) {
+    ASSERT_TRUE(decoder.GetVarint(&cell.id) && decoder.GetDouble(&cell.value) &&
+                decoder.GetVarint(&cell.level));
+  }
+  std::swap(cells[0], cells[1]);
+  Encoder hostile;
+  hostile.PutDouble(count_epsilon);
+  hostile.PutVarint(applied);
+  hostile.PutVarint(size);
+  for (const RawCell& cell : cells) {
+    hostile.PutVarint(cell.id);
+    hostile.PutDouble(cell.value);
+    hostile.PutVarint(cell.level);
+  }
+  const std::string hostile_blob = hostile.Finish();
+
+  WbmhCounter target(layout, WbmhCounter::Options{0.5});
+  Decoder hostile_decoder(hostile_blob);
+  EXPECT_FALSE(target.DecodeState(hostile_decoder).ok());
+}
+
+// Layout ids increase oldest-first; a blob listing the same spans under
+// descending ids is refused by the decode audit.
+TEST(SnapshotTest, RejectsWbmhLayoutIdsNotIncreasing) {
+  auto layout = MakeSharedLayout();
+  layout->AdvanceTo(2000);
+  layout->TrimLog(layout->OpSeq());
+  Encoder encoder;
+  ASSERT_TRUE(layout->EncodeState(encoder).ok());
+  const std::string blob = encoder.Finish();
+
+  Decoder decoder(blob);
+  double epsilon = 0.0;
+  int64_t start = 0, now = 0, settled = 0, next_seal = 0;
+  uint64_t next_id = 0, next_seq = 0, node_count = 0;
+  ASSERT_TRUE(decoder.GetDouble(&epsilon) && decoder.GetSigned(&start) &&
+              decoder.GetSigned(&now) && decoder.GetSigned(&settled) &&
+              decoder.GetSigned(&next_seal) && decoder.GetVarint(&next_id) &&
+              decoder.GetVarint(&next_seq) && decoder.GetVarint(&node_count));
+  ASSERT_GE(node_count, 2u);
+  std::vector<uint64_t> ids(node_count);
+  std::vector<int64_t> starts(node_count), ends(node_count);
+  for (uint64_t i = 0; i < node_count; ++i) {
+    ASSERT_TRUE(decoder.GetVarint(&ids[i]) && decoder.GetSigned(&starts[i]) &&
+                decoder.GetSigned(&ends[i]));
+  }
+  std::reverse(ids.begin(), ids.end());
+  Encoder hostile;
+  hostile.PutDouble(epsilon);
+  hostile.PutSigned(start);
+  hostile.PutSigned(now);
+  hostile.PutSigned(settled);
+  hostile.PutSigned(next_seal);
+  hostile.PutVarint(next_id);
+  hostile.PutVarint(next_seq);
+  hostile.PutVarint(node_count);
+  for (uint64_t i = 0; i < node_count; ++i) {
+    hostile.PutVarint(ids[i]);
+    hostile.PutSigned(starts[i]);
+    hostile.PutSigned(ends[i]);
+  }
+  const std::string hostile_blob = hostile.Finish();
+
+  auto target = MakeSharedLayout();
+  Decoder hostile_decoder(hostile_blob);
+  const Status status = target->DecodeState(hostile_decoder);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("increase oldest-first"), std::string::npos)
+      << status.message();
+}
+
 TEST(SnapshotTest, DecayedAverageRoundTrip) {
   auto decay = PolynomialDecay::Create(1.0).value();
   const AggregateOptions options = AggregateOptions::Builder()
@@ -334,8 +467,12 @@ TEST(SnapshotTest, SharedLayoutCounterRoundTrip) {
     counter_a.Add(t, 1);
     restored_a.Add(t, 1);
   }
-  EXPECT_DOUBLE_EQ(counter_a.Query(3000), restored_a.Query(3000));
-  EXPECT_DOUBLE_EQ(counter_b.Query(3000), restored_b.Query(3000));
+  for (WbmhCounter* counter :
+       {&counter_a, &counter_b, &restored_a, &restored_b}) {
+    counter->Advance(3000);
+  }
+  EXPECT_DOUBLE_EQ(counter_a.Estimate(3000), restored_a.Estimate(3000));
+  EXPECT_DOUBLE_EQ(counter_b.Estimate(3000), restored_b.Estimate(3000));
 }
 
 }  // namespace

@@ -110,13 +110,15 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error -R 'EngineMerge|MergedSnapshot|RegistryMerge'
       # The EH and CoarseCEH fuzz drivers hold the flat bucket store to a
-      # naive reference histogram, and the registry batch test holds the
+      # naive reference histogram, the WBMH drivers hold the counters to the
+      # exact decayed sum, the encoding pins hold every histogram's wire
+      # format to fixed hashes, and the registry batch test holds the
       # grouped prefetch path to per-item ingest across arena growth. They
       # must run with audits armed, and must never silently vanish.
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CoarseCehFuzz|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -130,7 +132,7 @@ for stage in $STAGES; do
       log "TSan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CoarseCehFuzz|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     faults)
       log "Fault-injection build (failpoints + ASan+UBSan + audits) + ctest"
@@ -149,7 +151,7 @@ for stage in $STAGES; do
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CoarseCehFuzz|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CoarseCehFuzz|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
