@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "apps/usage_profile.h"
 #include "core/ceh.h"
 #include "decay/polynomial.h"
+#include "engine/registry.h"
 #include "util/random.h"
 
 namespace tds {
@@ -21,11 +21,15 @@ namespace {
 void Run(int streams, Tick ticks) {
   auto decay = PolynomialDecay::Create(1.0).value();
 
-  // Shared-layout WBMH via the usage-profile application.
-  UsageProfileSet::Options options;
-  options.epsilon = 0.5;
-  options.count_epsilon = 0.5;
-  auto profiles = UsageProfileSet::Create(decay, options).value();
+  // Shared-layout WBMH: one registry key per stream, all on the
+  // registry's one layout (counts round at the bucketing epsilon).
+  AggregateRegistry::Options options;
+  options.aggregate = AggregateOptions::Builder()
+                          .backend(Backend::kWbmh)
+                          .epsilon(0.5)
+                          .Build()
+                          .value();
+  auto profiles = AggregateRegistry::Create(decay, options).value();
 
   // Per-stream CEH baseline at a comparable accuracy point.
   CehDecayedSum::Options ceh_options;
@@ -44,23 +48,29 @@ void Run(int streams, Tick ticks) {
     for (int i = 0; i < active; ++i) {
       const auto stream =
           static_cast<uint64_t>(rng.NextBelow(static_cast<uint64_t>(streams)));
-      profiles.Record(stream, t, 1);
+      profiles.Update(stream, t, 1);
       cehs[stream]->Update(t, 1);
     }
   }
-  profiles.SyncAll(ticks);
+  profiles.Advance(ticks);
 
   size_t ceh_total = 0;
   for (auto& ceh : cehs) {
     ceh->Query(ticks);
     ceh_total += ceh->StorageBits();
   }
-  const size_t wbmh_total = profiles.TotalStorageBits();
+  const size_t wbmh_total = profiles.StorageBits();
+  size_t counter_total = 0;
+  profiles.ForEachKey([&](uint64_t, Tick, const DecayedAggregate& counter) {
+    counter_total += counter.StorageBits();
+  });
+  const double wbmh_per_stream = static_cast<double>(counter_total) /
+                                 static_cast<double>(profiles.KeyCount());
   bench::PrintRow(
       {bench::FmtInt(streams), bench::FmtInt(static_cast<long long>(ticks)),
        bench::FmtInt(static_cast<long long>(wbmh_total)),
        bench::FmtInt(static_cast<long long>(ceh_total)),
-       bench::Fmt(profiles.MeanCustomerBits(), 4),
+       bench::Fmt(wbmh_per_stream, 4),
        bench::Fmt(static_cast<double>(ceh_total) /
                       static_cast<double>(streams),
                   4),

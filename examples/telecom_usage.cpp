@@ -1,13 +1,13 @@
 // Carrier-scale usage profiles (paper Section 1.1, the AT&T giga-mining
 // application): one decayed usage score per customer, for very many
-// customers. This is the WBMH's flagship deployment shape — a single
-// shared, stream-independent bucket layout serves every customer, so each
-// customer pays only for approximate bucket counts.
+// customers. This is the WBMH's flagship deployment shape — a registry of
+// per-customer WBMH counters over a single shared, stream-independent
+// bucket layout, so each customer pays only for approximate bucket counts.
 #include <cstdio>
 #include <vector>
 
-#include "apps/usage_profile.h"
 #include "decay/polynomial.h"
+#include "engine/registry.h"
 #include "util/random.h"
 
 int main() {
@@ -15,11 +15,15 @@ int main() {
   const int kCustomers = 100000;
   const Tick kTicks = 5000;  // e.g. hours of service life
 
-  UsageProfileSet::Options options;
-  options.epsilon = 0.5;        // bucketing precision
-  options.count_epsilon = 0.5;  // per-bucket count rounding
+  AggregateRegistry::Options options;
+  // Bucketing precision; the per-bucket counts round at the same epsilon.
+  options.aggregate = AggregateOptions::Builder()
+                          .backend(Backend::kWbmh)
+                          .epsilon(0.5)
+                          .Build()
+                          .value();
   auto profiles =
-      UsageProfileSet::Create(PolynomialDecay::Create(1.0).value(), options)
+      AggregateRegistry::Create(PolynomialDecay::Create(1.0).value(), options)
           .value();
 
   // Zipf-ish activity: a few heavy hitters, a long tail.
@@ -31,21 +35,30 @@ int main() {
       const double u = rng.NextOpenDouble();
       const auto customer =
           static_cast<uint64_t>(static_cast<double>(kCustomers) * u * u);
-      profiles.Record(customer, t, 1 + rng.NextBelow(5));
+      profiles.Update(customer, t, 1 + rng.NextBelow(5));
       ++events;
     }
   }
-  profiles.SyncAll(kTicks);
+  // Periodic maintenance: bring every counter up to date, trim the shared
+  // op log.
+  profiles.Advance(kTicks);
 
-  std::printf("customers touched : %zu (of %d ids)\n",
-              profiles.CustomerCount(), kCustomers);
+  size_t customer_bits = 0;
+  profiles.ForEachKey([&](uint64_t, Tick, const DecayedAggregate& counter) {
+    customer_bits += counter.StorageBits();
+  });
+  const size_t total_bits = profiles.StorageBits();
+  std::printf("customers touched : %zu (of %d ids)\n", profiles.KeyCount(),
+              kCustomers);
   std::printf("usage events      : %llu\n",
               static_cast<unsigned long long>(events));
-  std::printf("shared layout     : %zu buckets (one copy for everyone)\n",
-              profiles.layout().BucketCount());
-  std::printf("mean bits/customer: %.1f\n", profiles.MeanCustomerBits());
+  std::printf("shared layout     : %zu bits (one copy for everyone)\n",
+              total_bits - customer_bits);
+  std::printf("mean bits/customer: %.1f\n",
+              static_cast<double>(customer_bits) /
+                  static_cast<double>(profiles.KeyCount()));
   std::printf("total storage     : %.2f MB equivalent\n",
-              static_cast<double>(profiles.TotalStorageBits()) / 8.0 / 1e6);
+              static_cast<double>(total_bits) / 8.0 / 1e6);
 
   std::printf("\nsample decayed usage scores at t=%lld:\n",
               static_cast<long long>(kTicks));

@@ -31,7 +31,7 @@ void EwmaCounter::AdvanceTo(Tick t) {
   TDS_CHECK_GE(t, now_);
   if (t != now_ && register_ != 0.0) {
     register_ *= std::exp(-lambda_ * static_cast<double>(t - now_));
-    register_ = RoundedCounter::RoundValue(register_, mantissa_bits_);
+    register_ = RoundValue(register_, mantissa_bits_);
   }
   now_ = t;
 }
@@ -41,7 +41,7 @@ void EwmaCounter::Update(Tick t, uint64_t value) {
   if (value == 0) return;
   if (first_arrival_ == 0) first_arrival_ = t;
   register_ += static_cast<double>(value);
-  register_ = RoundedCounter::RoundValue(register_, mantissa_bits_);
+  register_ = RoundValue(register_, mantissa_bits_);
   if (register_ > max_register_) max_register_ = register_;
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
@@ -60,7 +60,7 @@ void EwmaCounter::UpdateBatch(std::span<const StreamItem> items) {
       if (items[i].value == 0) continue;
       if (first_arrival_ == 0) first_arrival_ = t;
       register_ += static_cast<double>(items[i].value);
-      register_ = RoundedCounter::RoundValue(register_, mantissa_bits_);
+      register_ = RoundValue(register_, mantissa_bits_);
       if (register_ > max_register_) max_register_ = register_;
     }
   }
@@ -84,7 +84,7 @@ Status EwmaCounter::AuditInvariants() const {
                   "first arrival past the clock");
   if (mantissa_bits_ > 0) {
     TDS_AUDIT_CHECK(
-        RoundedCounter::RoundValue(register_, mantissa_bits_) == register_,
+        RoundValue(register_, mantissa_bits_) == register_,
         "register not a fixed point of its mantissa rounding");
   }
   return Status::OK();
@@ -97,7 +97,7 @@ double EwmaCounter::Query(Tick now) const {
   double reg = register_;
   if (now != now_ && reg != 0.0) {
     reg *= std::exp(-lambda_ * static_cast<double>(now - now_));
-    reg = RoundedCounter::RoundValue(reg, mantissa_bits_);
+    reg = RoundValue(reg, mantissa_bits_);
   }
   return reg * std::exp(-lambda_);
 }

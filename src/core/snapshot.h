@@ -21,9 +21,9 @@ namespace tds {
 /// Supported types: EXACT, EWMA, RECENT_ITEMS, POLYEXP_PIPE, CEH,
 /// COARSE_CEH, and WBMH (with an owned layout).
 ///
-/// Shared-layout WBMH deployments snapshot the layout once and each counter
-/// separately via their own EncodeState methods (see WbmhLayout and
-/// WbmhCounter); this API covers the self-contained structures.
+/// Shared-layout WBMH keys are snapshotted by their layout's owner,
+/// AggregateRegistry: the layout once, then each WbmhCounter's state; this
+/// API covers the self-contained structures.
 
 /// Serializes `aggregate` into `out`.
 Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out);

@@ -19,15 +19,17 @@ namespace tds {
 /// O(log(1/eps) + log log N) bits each: O(log N log log N) total, beating
 /// the CEH's O(log^2 N).
 ///
-/// The layout may be shared across many streams (see WbmhLayout); this
-/// wrapper owns a private layout for the common single-stream case.
+/// This is the single-stream form: one counter on a private layout whose
+/// op log is trimmed after every mutation. Many streams share one layout
+/// through AggregateRegistry, which keeps a bare WbmhCounter per key.
 class WbmhDecayedSum : public DecayedAggregate {
  public:
   struct Options {
     /// Bucketing precision: weights within one bucket agree within 1+eps.
     double epsilon = 0.5;
-    /// Count-rounding precision; <= 0 stores exact counts (ablation mode).
-    /// Defaults to tying it to `epsilon`.
+    /// Count-rounding precision; 0 stores exact counts (ablation mode), and
+    /// a negative value (the default) ties it to `epsilon`. Create rejects
+    /// values WbmhCounter::ValidateCountEpsilon refuses.
     double count_epsilon = -1.0;
     /// First tick of the stream's life.
     Tick start = 1;
@@ -38,10 +40,6 @@ class WbmhDecayedSum : public DecayedAggregate {
   static StatusOr<std::unique_ptr<WbmhDecayedSum>> Create(
       DecayPtr decay, const Options& options);
 
-  /// Builds a counter over an existing shared layout.
-  static StatusOr<std::unique_ptr<WbmhDecayedSum>> CreateShared(
-      std::shared_ptr<WbmhLayout> layout, const Options& options);
-
   void Update(Tick t, uint64_t value) override;
   /// Amortized batch path: layout advance / op replay / bucket lookup run
   /// once per distinct tick; counts still add per item so the rounded
@@ -50,7 +48,7 @@ class WbmhDecayedSum : public DecayedAggregate {
   void Advance(Tick now) override;
   /// Const and side-effect free: evaluates over the layout as frozen by the
   /// last mutation, with true ages relative to `now` (see
-  /// WbmhCounter::Estimate). Advance(now) first to roll merges/drops.
+  /// WbmhCounter::Query). Advance(now) first to roll merges/drops.
   double Query(Tick now) const override;
   size_t StorageBits() const override;
   std::string Name() const override { return "WBMH"; }
@@ -59,33 +57,20 @@ class WbmhDecayedSum : public DecayedAggregate {
   const WbmhLayout& layout() const { return *counter_.layout(); }
   const WbmhCounter& counter() const { return counter_; }
 
-  /// True when this instance owns its layout (its storage is then charged
-  /// in StorageBits; shared layouts are charged once, externally).
-  bool owns_layout() const { return owns_layout_; }
-
-  /// Snapshot support (owned layouts only: the layout state is embedded).
-  Status EncodeState(class Encoder& encoder);
+  /// Snapshot support: the layout state, then the counter's.
+  Status EncodeState(class Encoder& encoder) const;
   Status DecodeState(class Decoder& decoder);
-
-  /// Shared-layout registry support. SyncShared replays pending layout ops
-  /// without adding data, so the layout owner can TrimLog across all
-  /// counters. Encode/DecodeCounterState snapshot only the per-stream
-  /// counter — the owner encodes the shared layout once, separately, and
-  /// must decode it before any counter (the counter snapshot binds to the
-  /// layout's op sequence).
-  void SyncShared() { counter_.Sync(); }
-  Status EncodeCounterState(class Encoder& encoder);
-  Status DecodeCounterState(class Decoder& decoder);
 
   /// Audits the layout then the counter (see util/audit.h).
   Status AuditInvariants();
 
  private:
-  WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout, const Options& options,
-                 bool owns_layout);
+  WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout, double count_epsilon);
+
+  /// Drops the op log the counter has applied: nobody else reads it.
+  void TrimLog();
 
   WbmhCounter counter_;
-  bool owns_layout_;
 };
 
 }  // namespace tds

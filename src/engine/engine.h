@@ -34,11 +34,8 @@ struct ProducerSessionOptions {
   /// queries (and to engine Flush()) until a session flush — explicit,
   /// automatic, or on destruction.
   size_t staging_capacity = 4096;
-  /// Full-queue behavior for this session's flushes; defaults to the
-  /// engine-wide Options::backpressure.
-  std::optional<BackpressurePolicy> backpressure;
-  /// Admission deadline per flush episode when the effective policy is
-  /// kBlockWithDeadline; defaults to Options::block_deadline.
+  /// Admission deadline per flush episode; defaults to
+  /// Options::block_deadline.
   std::optional<std::chrono::nanoseconds> block_deadline;
 };
 
@@ -67,9 +64,9 @@ struct ProducerSessionOptions {
 /// engine-wide MergedSnapshot from all shards at a single route-table cut.
 ///
 /// Backpressure: when a shard's ring fills, producers escalate through the
-/// staged wait (spin → yield → CondVar park; see BackpressurePolicy) and
+/// staged wait (spin → yield → CondVar park; see StagedWait) and
 /// the writer signals on consumption — a blocked producer no longer burns
-/// a core. Admission control (kBlockWithDeadline, per engine or per
+/// a core. Admission control (a finite block_deadline, per engine or per
 /// session) bounds the blocking and rejects the overflow with
 /// kUnavailable; rejects and parks are counted per shard in Stats().
 /// Restore() (with RestoreFromCheckpointLog, engine/checkpoint_log.h)
@@ -116,17 +113,18 @@ class ShardedAggregateEngine {
     /// so migrations can move fine-grained key ranges).
     uint32_t route_slices = 256;
     /// Per-shard ingest queue capacity in items (rounded up to a power of
-    /// two). What a producer does when a queue is full is `backpressure`'s
-    /// call.
+    /// two). What a producer does when a queue is full is
+    /// `block_deadline`'s call.
     size_t queue_capacity = 1 << 16;
-    /// Default full-queue behavior for session flushes (see
-    /// BackpressurePolicy in engine/wait_strategy.h); a session may
-    /// override it through ProducerSessionOptions::backpressure.
-    BackpressurePolicy backpressure = BackpressurePolicy::kAdaptive;
-    /// Admission deadline for kBlockWithDeadline: how long one flush
-    /// episode may block before the remainder of the batch is rejected
-    /// with Status::Unavailable.
-    std::chrono::nanoseconds block_deadline = std::chrono::milliseconds(100);
+    /// Default admission deadline for session flushes; a session may
+    /// override it through ProducerSessionOptions::block_deadline. A
+    /// producer facing a full queue escalates through the staged wait
+    /// (StagedWait in engine/wait_strategy.h). The default, infinite
+    /// (nanoseconds::max()), waits until the writer makes room; a finite
+    /// deadline is admission control: once one flush episode has blocked
+    /// that long, the remainder of the batch is rejected with
+    /// Status::Unavailable and counted in ShardStats::items_rejected.
+    std::chrono::nanoseconds block_deadline = std::chrono::nanoseconds::max();
     /// Skew trigger for RebalanceIfSkewed: rebalance when the busiest
     /// shard holds at least this many times the live keys of the idlest.
     double rebalance_skew = 2.0;

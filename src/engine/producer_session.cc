@@ -30,7 +30,6 @@ ProducerSession::ProducerSession(ShardedAggregateEngine* engine,
                                  const ProducerSessionOptions& options)
     : engine_(engine),
       options_(options),
-      policy_(options.backpressure.value_or(engine->options().backpressure)),
       block_deadline_(
           options.block_deadline.value_or(engine->options().block_deadline)) {
   runs_.resize(engine->shards());
@@ -100,10 +99,7 @@ Status ProducerSession::AddBatch(std::span<const KeyedItem> items) {
 
 Status ProducerSession::Flush() {
   if (staged_now_ == 0) return Status::OK();
-  const Deadline deadline =
-      policy_ == BackpressurePolicy::kBlockWithDeadline
-          ? Deadline::After(block_deadline_)
-          : Deadline::Infinite();
+  const Deadline deadline = Deadline::After(block_deadline_);
   bool stalled = false;
   const Status enter = engine_->EnterFlush(deadline, &stalled);
   if (!enter.ok()) {

@@ -40,7 +40,7 @@ namespace tds {
 ///
 /// Error contract: a stopped engine returns kFailedPrecondition and
 /// *keeps* the items staged; a flush that misses its admission deadline
-/// (kBlockWithDeadline, or the fence held past the deadline) returns
+/// (a finite block_deadline passed on a full ring or a held fence) returns
 /// kUnavailable, drops the still-unpushed staged items, and counts them in
 /// ShardStats::items_rejected (and in stats()). One deadline spans a whole
 /// flush episode; a block_deadline of 0 makes one non-blocking attempt
@@ -108,7 +108,6 @@ class ProducerSession {
 
   ShardedAggregateEngine* engine_;
   ProducerSessionOptions options_;
-  BackpressurePolicy policy_;
   std::chrono::nanoseconds block_deadline_;
 
   /// Cached route snapshot the staged runs are grouped under (null until

@@ -6,7 +6,7 @@
 
 #include "core/ceh.h"
 #include "core/snapshot.h"
-#include "core/wbmh.h"
+#include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
 #include "util/audit.h"
 #include "util/check.h"
@@ -23,6 +23,14 @@ constexpr size_t kInitialTableCapacity = 64;
 /// registry syncs every counter and trims the whole log (amortized O(1)
 /// per op: each op is replayed at most once per counter either way).
 constexpr uint64_t kMaxRetainedOps = 16384;
+/// Slots the lazy expiry sweep examines per applied (tick, key) run: a
+/// single Update is one run, so the per-item path sweeps this many slots
+/// per item, while a coalesced batch sweeps per distinct run.
+constexpr size_t kSweepPerRun = 2;
+
+WbmhCounter& AsCounter(DecayedAggregate& aggregate) {
+  return static_cast<WbmhCounter&>(aggregate);
+}
 
 const char* BackendTypeName(Backend backend) {
   switch (backend) {
@@ -103,12 +111,10 @@ StatusOr<AggregateRegistry> AggregateRegistry::Create(DecayPtr decay,
 StatusOr<std::unique_ptr<DecayedAggregate>> AggregateRegistry::NewAggregate()
     const {
   if (layout_ != nullptr) {
-    WbmhDecayedSum::Options wbmh_options;
-    wbmh_options.epsilon = resolved_.epsilon();
-    wbmh_options.start = resolved_.start();
-    auto counter = WbmhDecayedSum::CreateShared(layout_, wbmh_options);
-    if (!counter.ok()) return counter.status();
-    return std::unique_ptr<DecayedAggregate>(std::move(counter).value());
+    // Counts round to the bucketing precision, like a private WbmhDecayedSum
+    // with the default count_epsilon.
+    return std::unique_ptr<DecayedAggregate>(std::make_unique<WbmhCounter>(
+        layout_, WbmhCounter::Options{resolved_.epsilon()}));
   }
   return MakeDecayedSum(decay_, resolved_);
 }
@@ -251,7 +257,7 @@ void AggregateRegistry::SyncAllCounters() {
   for (uint32_t i = 0; i < arena_.extent(); ++i) {
     Slot& slot = arena_.at(i);
     if (slot.aggregate == nullptr) continue;
-    static_cast<WbmhDecayedSum*>(slot.aggregate.get())->SyncShared();
+    AsCounter(*slot.aggregate).Sync();
   }
 }
 
@@ -272,7 +278,7 @@ void AggregateRegistry::Update(uint64_t key, Tick t, uint64_t value) {
   slot.aggregate->Update(t, value);
   slot.last_tick = t;
   if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
-  SweepStep(options_.sweep_per_update);
+  SweepStep(kSweepPerRun);
   MaybeTrimSharedLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
@@ -297,7 +303,7 @@ void AggregateRegistry::UpdateBatch(std::span<const KeyedItem> items) {
     total_runs += IngestTickSegment(t, items.subspan(begin, end - begin));
     begin = end;
   }
-  SweepStep(static_cast<size_t>(options_.sweep_per_update) * total_runs);
+  SweepStep(kSweepPerRun * total_runs);
   MaybeTrimSharedLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
@@ -376,31 +382,10 @@ size_t AggregateRegistry::IngestTickSegment(Tick t,
   return runs_.size();
 }
 
-namespace {
-
-/// Moves one WBMH counter's state onto another counter bound to a
-/// structurally identical layout (same clock, same bucket ids, same op
-/// sequence) through the counter codec — the decode side re-validates the
-/// binding and audits the result.
-Status TransplantWbmhCounter(DecayedAggregate& from, DecayedAggregate& to) {
-  Encoder encoder;
-  Status status =
-      static_cast<WbmhDecayedSum&>(from).EncodeCounterState(encoder);
-  if (!status.ok()) return status;
-  const std::string blob = encoder.Finish();
-  Decoder decoder(blob);
-  status = static_cast<WbmhDecayedSum&>(to).DecodeCounterState(decoder);
-  if (!status.ok()) return status;
-  if (!decoder.Done()) return CorruptSnapshot("counter trailer");
-  return Status::OK();
-}
-
-}  // namespace
-
 Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
-  // Entry-only injection: past this point the per-slot loop moves state
-  // (and WBMH transplant copies it), so a mid-loop abort could not honor
-  // "on error this registry is unchanged".
+  // Entry-only injection: past this point the per-slot loop moves state,
+  // so a mid-loop abort could not honor "on error this registry is
+  // unchanged".
   TDS_FAILPOINT_RETURN("registry.merge");
   if (decay_->Name() != other.decay_->Name() || backend_ != other.backend_ ||
       resolved_.epsilon() != other.resolved_.epsilon() ||
@@ -419,10 +404,10 @@ Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
     // Layout state at a given clock is stream-independent (the paper's
     // boundary-sharing argument), so advancing the lagging layout to the
     // leading layout's clock makes the two structurally identical — same
-    // bucket spans, same bucket ids, same op sequence — and counters can
-    // transplant across through the counter codec. Advancing a layout is
-    // exactly what ingesting at the later tick would have done, so the
-    // merged state stays bit-identical to a serially-fed registry.
+    // bucket spans, same bucket ids, same op sequence — and synced counters
+    // can move across as they are. Advancing a layout is exactly what
+    // ingesting at the later tick would have done, so the merged state
+    // stays bit-identical to a serially-fed registry.
     const Tick layout_cut = std::max(layout_->now(), other.layout_->now());
     layout_->AdvanceTo(layout_cut);
     other.layout_->AdvanceTo(layout_cut);
@@ -430,7 +415,8 @@ Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
     other.SyncAllCounters();
     layout_->TrimLog(layout_->OpSeq());
     other.layout_->TrimLog(other.layout_->OpSeq());
-    if (layout_->OpSeq() != other.layout_->OpSeq()) {
+    if (layout_->OpSeq() != other.layout_->OpSeq() ||
+        !std::ranges::equal(layout_->Spans(), other.layout_->Spans())) {
       return Status::FailedPrecondition(
           "MergeFrom: shared layouts diverged at one clock");
     }
@@ -445,13 +431,8 @@ Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
     if (src.aggregate == nullptr) continue;
     const uint32_t index = GetOrCreate(src.key);
     Slot& dst = arena_.at(index);
-    if (layout_ != nullptr) {
-      const Status status =
-          TransplantWbmhCounter(*src.aggregate, *dst.aggregate);
-      if (!status.ok()) return status;
-    } else {
-      dst.aggregate = std::move(src.aggregate);
-    }
+    dst.aggregate = std::move(src.aggregate);
+    if (layout_ != nullptr) AsCounter(*dst.aggregate).RebindLayout(layout_);
     dst.last_tick = src.last_tick;
   }
   TDS_AUDIT_MUTATION(AuditInvariants());
@@ -471,10 +452,11 @@ StatusOr<AggregateRegistry> AggregateRegistry::ExtractIf(
     layout_->TrimLog(layout_->OpSeq());
     // A fresh layout replayed to this layout's clock is structurally
     // identical (stream independence again), including bucket ids and the
-    // op sequence, so extracted counters can bind to it via the codec.
+    // op sequence, so extracted counters can bind to it as they are.
     out.layout_->AdvanceTo(layout_->now());
     out.layout_->TrimLog(out.layout_->OpSeq());
-    if (out.layout_->OpSeq() != layout_->OpSeq()) {
+    if (out.layout_->OpSeq() != layout_->OpSeq() ||
+        !std::ranges::equal(out.layout_->Spans(), layout_->Spans())) {
       return Status::FailedPrecondition(
           "ExtractIf: replayed layout diverged from the source layout");
     }
@@ -485,12 +467,9 @@ StatusOr<AggregateRegistry> AggregateRegistry::ExtractIf(
     if (src.aggregate == nullptr || !pred(src.key)) continue;
     const uint32_t index = out.GetOrCreate(src.key);
     Slot& dst = out.arena_.at(index);
+    dst.aggregate = std::move(src.aggregate);
     if (layout_ != nullptr) {
-      const Status status =
-          TransplantWbmhCounter(*src.aggregate, *dst.aggregate);
-      if (!status.ok()) return status;
-    } else {
-      dst.aggregate = std::move(src.aggregate);
+      AsCounter(*dst.aggregate).RebindLayout(out.layout_);
     }
     dst.last_tick = src.last_tick;
     Evict(i);
@@ -558,11 +537,9 @@ size_t AggregateRegistry::StorageBits() const {
     const Slot& slot = arena_.at(i);
     if (slot.aggregate != nullptr) bits += slot.aggregate->StorageBits();
   }
-  if (layout_ != nullptr) {
-    // Shared boundary storage, charged once across all keys (the paper's
-    // amortization): two tick endpoints per bucket.
-    bits += layout_->BucketCount() * 2 * sizeof(Tick) * 8;
-  }
+  // Shared boundary storage, charged once across all keys (the paper's
+  // amortization).
+  if (layout_ != nullptr) bits += layout_->StorageBits();
   return bits;
 }
 
@@ -613,9 +590,7 @@ Status AggregateRegistry::AuditInvariants() {
     Status sub = Status::OK();
     if (backend_ == Backend::kWbmh) {
       // Counter-level audit: the shared layout was audited once above.
-      sub = static_cast<const WbmhDecayedSum*>(slot.aggregate.get())
-                ->counter()
-                .AuditInvariants();
+      sub = static_cast<const WbmhCounter&>(*slot.aggregate).AuditInvariants();
     } else if (auto* ceh = dynamic_cast<CehDecayedSum*>(slot.aggregate.get());
                ceh != nullptr) {
       sub = ceh->AuditInvariants();
@@ -675,9 +650,7 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
     std::string payload;
     if (layout_ != nullptr) {
       Encoder sub;
-      const Status status =
-          static_cast<WbmhDecayedSum*>(slot.aggregate.get())
-              ->EncodeCounterState(sub);
+      const Status status = AsCounter(*slot.aggregate).EncodeState(sub);
       if (!status.ok()) return status;
       payload = sub.Finish();
     } else {
@@ -810,11 +783,14 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
     slot.last_tick = last_tick;
     if (registry.layout_ != nullptr) {
       Decoder sub(payload);
-      const Status status =
-          static_cast<WbmhDecayedSum*>(slot.aggregate.get())
-              ->DecodeCounterState(sub);
+      WbmhCounter& counter = AsCounter(*slot.aggregate);
+      const Status status = counter.DecodeState(sub);
       if (!status.ok()) return status;
       if (!sub.Done()) return CorruptSnapshot("counter trailer");
+      // Every key's counts round at the registry's one precision.
+      if (counter.count_epsilon() != registry.resolved_.epsilon()) {
+        return CorruptSnapshot("counter count_epsilon");
+      }
     } else {
       auto decoded = DecodeDecayedSum(registry.decay_, payload);
       if (!decoded.ok()) return decoded.status();

@@ -37,9 +37,12 @@ struct KeyedItem {
 ///    free list), each holding the key, its aggregate, and its last
 ///    arrival tick;
 ///  * for WBMH backends, all keys share ONE WbmhLayout — the paper's
-///    boundary-sharing argument — and the registry owns the op-log trim
-///    policy (a counter may only outrun the log if every counter has
-///    synced, so trims happen after sync-all passes).
+///    boundary-sharing argument (Section 5; Section 1.1's per-customer
+///    usage profiles are this shape) — and each key's aggregate is a bare
+///    WbmhCounter on it. The registry is the layout's only owner: it owns
+///    the op-log trim policy (a counter may only outrun the log if every
+///    counter has synced, so trims happen after sync-all passes), encodes
+///    the layout once per snapshot, and charges its storage once.
 ///
 /// Idle-key expiry: a key whose newest item has decayed to (essentially)
 /// nothing is evicted. The threshold age comes from the decay function
@@ -66,10 +69,6 @@ class AggregateRegistry {
     /// key rebuilds its histogram from scratch, which is within the
     /// accuracy bound but not bit-identical to an uninterrupted one).
     double expiry_weight_floor = 1e-9;
-    /// Slots examined per applied (tick, key) run by the lazy expiry sweep
-    /// (a single Update is one run, so the per-item path sweeps this many
-    /// slots per item; a coalesced batch sweeps per distinct run).
-    uint32_t sweep_per_update = 2;
   };
 
   static StatusOr<AggregateRegistry> Create(DecayPtr decay,
@@ -120,8 +119,9 @@ class AggregateRegistry {
   /// update sequence, so the merged registry is bit-identical to one that
   /// ingested both substreams serially (the cross-shard snapshot-merge
   /// guarantee). For WBMH, both shared layouts are aligned to the later
-  /// layout clock (a stream-independent advance) and the incoming counters
-  /// are transplanted onto this registry's layout via the counter codec.
+  /// layout clock (a stream-independent advance), every counter is synced,
+  /// the two layouts' spans are compared once, and the incoming counters
+  /// move over and rebind to this registry's layout.
   /// `other` is consumed; on error this registry is unchanged.
   Status MergeFrom(AggregateRegistry&& other);
 
@@ -129,8 +129,8 @@ class AggregateRegistry {
   /// the same options and clock (the shard-migration donor path). The
   /// extracted aggregates are not advanced, preserving bit-identity; for
   /// WBMH the new registry's layout is advanced to this layout's clock
-  /// (deterministically identical structure) and counters transplant via
-  /// the counter codec.
+  /// (deterministically identical structure, checked once) and the synced
+  /// counters move over and rebind to it.
   StatusOr<AggregateRegistry> ExtractIf(
       const std::function<bool(uint64_t)>& pred);
 
@@ -146,7 +146,7 @@ class AggregateRegistry {
   uint64_t sweep_epoch() const { return epoch_; }
 
   /// Paper storage metric over all keys; a shared WBMH layout's boundary
-  /// storage is charged once (two ticks per bucket).
+  /// storage is charged once (WbmhLayout::StorageBits).
   size_t StorageBits() const;
 
   /// Slot-arena footprint: slots ever allocated (extent) and slots live

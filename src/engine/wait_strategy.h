@@ -13,18 +13,6 @@
 
 namespace tds {
 
-/// How a producer behaves when its shard's ingest queue is full.
-enum class BackpressurePolicy {
-  /// Staged wait: bounded spin, then bounded yielding, then park on the
-  /// shard's CondVar until the writer signals consumption. Blocked
-  /// producers cost (almost) no CPU. The default.
-  kAdaptive,
-  /// kAdaptive, but gives up once Options::block_deadline has elapsed:
-  /// the remainder of the batch is rejected with Status::Unavailable and
-  /// counted in ShardStats::items_rejected (admission control).
-  kBlockWithDeadline,
-};
-
 /// The staged wait ladder — and the ONLY sanctioned retry-wait loop in
 /// src/engine (tools/tds_lint.py rule `spin-loop` rejects yield/spin
 /// retries anywhere else in the engine; waits either go through this class

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <string>
 #include <vector>
 
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/codec.h"
 #include "util/common.h"
+#include "util/rounded_counter.h"
 
 namespace tds {
 namespace {
@@ -22,20 +22,41 @@ auto LowerBound(Cells& cells, uint64_t id) {
       [](const auto& cell, uint64_t key) { return cell.id < key; });
 }
 
+/// RoundValue's per-round factor is (1 + 2^{1-bits}); the base width is
+/// the smallest bits with factor <= 1 + count_epsilon (the level schedule
+/// widens it from there). As a double: it is infinite, and no int, when
+/// 2 / count_epsilon overflows or count_epsilon is infinite; otherwise it
+/// is at most 1025.
+double BaseWidth(double count_epsilon) {
+  return std::ceil(std::log2(2.0 / count_epsilon));
+}
+
+/// ValidateCountEpsilon must have accepted `count_epsilon`.
+int BaseMantissaBits(double count_epsilon) {
+  if (!(count_epsilon > 0.0)) return 0;
+  return std::max(2, static_cast<int>(BaseWidth(count_epsilon)));
+}
+
 }  // namespace
+
+Status WbmhCounter::ValidateCountEpsilon(double count_epsilon) {
+  if (!std::isfinite(count_epsilon)) {
+    return Status::InvalidArgument("WBMH count_epsilon must be finite");
+  }
+  if (count_epsilon > 0.0 && !std::isfinite(BaseWidth(count_epsilon))) {
+    return Status::InvalidArgument(
+        "WBMH count_epsilon is too small for a mantissa width");
+  }
+  return Status::OK();
+}
 
 WbmhCounter::WbmhCounter(std::shared_ptr<WbmhLayout> layout,
                          const Options& options)
     : layout_(std::move(layout)), count_epsilon_(options.count_epsilon) {
   TDS_CHECK(layout_ != nullptr);
-  if (count_epsilon_ > 0.0) {
-    // RoundedCounter's per-round factor is (1 + 2^{1-bits}); choose bits so
-    // that factor <= 1 + eps (the level schedule widens it from here).
-    base_mantissa_bits_ = std::max(
-        2, static_cast<int>(std::ceil(std::log2(2.0 / count_epsilon_))));
-  } else {
-    base_mantissa_bits_ = 0;
-  }
+  TDS_CHECK_MSG(ValidateCountEpsilon(count_epsilon_).ok(),
+                "invalid WBMH count_epsilon");
+  base_mantissa_bits_ = BaseMantissaBits(count_epsilon_);
   applied_seq_ = layout_->OpSeq();
 }
 
@@ -63,7 +84,7 @@ uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
     const WbmhLayout::Op& op = layout_->OpAt(seq);
     switch (op.kind) {
       case WbmhLayout::OpKind::kSeal:
-        break;  // counts materialize lazily on first Add
+        break;  // counts materialize lazily on first Update
       case WbmhLayout::OpKind::kMerge: {
         auto right = LowerBound(cells, op.b);
         if (right == cells.end() || right->id != op.b) break;
@@ -73,14 +94,12 @@ uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
         if (right != cells.begin() && std::prev(right)->id == op.a) {
           right = std::prev(cells.erase(right));
         } else {
-          *right = Cell(op.a);
+          *right = Cell{op.a};
         }
         Cell& left = *right;
-        const uint32_t level =
-            std::max(left.level, absorbed.level) + 1;
-        left.level = level;
-        left.count.set_mantissa_bits(MantissaBitsForLevel(level));
-        left.count.Merge(absorbed.count);
+        left.level = std::max(left.level, absorbed.level) + 1;
+        left.count = RoundValue(left.count + absorbed.count,
+                                MantissaBitsForLevel(left.level));
         break;
       }
       case WbmhLayout::OpKind::kDrop:
@@ -97,47 +116,43 @@ uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
 WbmhCounter::Cell& WbmhCounter::CellFor(uint64_t id) {
   // Arrivals land in the open (newest) bucket or close to it.
   if (cells_.empty() || cells_.back().id < id) {
-    return cells_.emplace_back(id);
+    return cells_.emplace_back(Cell{id});
   }
   auto it = LowerBound(cells_, id);
-  if (it->id != id) it = cells_.emplace(it, id);
+  if (it->id != id) it = cells_.insert(it, Cell{id});
   return *it;
 }
 
-void WbmhCounter::Add(Tick t, uint64_t value) {
+void WbmhCounter::Update(Tick t, uint64_t value) {
   layout_->AdvanceTo(t);
   Sync();
   if (value == 0) return;
   const uint64_t bucket = layout_->BucketForArrival(t);
   TDS_CHECK_MSG(bucket != 0, "arrival tick is before the oldest live bucket");
-  Cell& cell = CellFor(bucket);
-  if (cell.count.mantissa_bits() == 0 && base_mantissa_bits_ > 0) {
-    cell.count.set_mantissa_bits(MantissaBitsForLevel(cell.level));
-  }
-  cell.count.Add(static_cast<double>(value));
+  // Arrivals add exactly (leaf accumulation); rounding happens once per
+  // merge, one level of the paper's summation tree.
+  CellFor(bucket).count += static_cast<double>(value);
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
-void WbmhCounter::AddBatch(std::span<const StreamItem> items) {
+void WbmhCounter::UpdateBatch(std::span<const StreamItem> items) {
   size_t i = 0;
   while (i < items.size()) {
     const Tick t = items[i].t;
     layout_->AdvanceTo(t);
     Sync();
-    uint64_t bucket = 0;
     Cell* cell = nullptr;
     for (; i < items.size() && items[i].t == t; ++i) {
       if (items[i].value == 0) continue;
       if (cell == nullptr) {
-        bucket = layout_->BucketForArrival(t);
+        const uint64_t bucket = layout_->BucketForArrival(t);
         TDS_CHECK_MSG(bucket != 0,
                       "arrival tick is before the oldest live bucket");
         cell = &CellFor(bucket);
-        if (cell->count.mantissa_bits() == 0 && base_mantissa_bits_ > 0) {
-          cell->count.set_mantissa_bits(MantissaBitsForLevel(cell->level));
-        }
       }
-      cell->count.Add(static_cast<double>(items[i].value));
+      // Per item, not a pre-summed run: double addition is not
+      // associative, and per-item Update adds one value at a time.
+      cell->count += static_cast<double>(items[i].value);
     }
   }
   TDS_AUDIT_MUTATION(AuditInvariants());
@@ -146,6 +161,14 @@ void WbmhCounter::AddBatch(std::span<const StreamItem> items) {
 void WbmhCounter::Advance(Tick now) {
   layout_->AdvanceTo(now);
   Sync();
+}
+
+void WbmhCounter::RebindLayout(std::shared_ptr<WbmhLayout> layout) {
+  TDS_CHECK(layout != nullptr);
+  TDS_CHECK_EQ(applied_seq_, layout_->OpSeq());
+  TDS_CHECK_EQ(layout->OpSeq(), layout_->OpSeq());
+  layout_ = std::move(layout);
+  TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 Status WbmhCounter::AuditInvariants() const {
@@ -158,32 +181,22 @@ Status WbmhCounter::AuditInvariants() const {
     TDS_AUDIT_CHECK(cell.id > previous_id,
                     "cell ids must be nonzero and strictly increasing");
     previous_id = cell.id;
-    const double value = cell.count.Value();
-    TDS_AUDIT_CHECK(std::isfinite(value) && value >= 0.0,
-                    "count register must be finite and nonnegative");
-    if (base_mantissa_bits_ == 0) {
-      TDS_AUDIT_CHECK(cell.count.mantissa_bits() == 0,
-                      "exact-mode register carries a mantissa width");
-    } else if (!cell.count.IsZero()) {
-      TDS_AUDIT_CHECK(
-          cell.count.mantissa_bits() == MantissaBitsForLevel(cell.level),
-          "mantissa width off the eps/i^2 schedule at level " +
-              std::to_string(cell.level));
-    }
+    TDS_AUDIT_CHECK(std::isfinite(cell.count) && cell.count >= 0.0,
+                    "count must be finite and nonnegative");
   }
   if (applied_seq_ == layout_->OpSeq()) {
     // Both sides are in id order: one merge-join finds every live cell.
     auto cell = cells_.begin();
-    layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
+    for (const WbmhLayout::BucketSpan& span : layout_->Spans()) {
       if (cell != cells_.end() && cell->id == span.id) ++cell;
-    });
+    }
     TDS_AUDIT_CHECK(cell == cells_.end(),
                     "count held for a bucket the layout dropped");
   }
   return Status::OK();
 }
 
-double WbmhCounter::Estimate(Tick now) const {
+double WbmhCounter::Query(Tick now) const {
   const DecayFunction& g = *layout_->decay();
   const Tick horizon = g.Horizon();
   TDS_CHECK_GE(now, layout_->now());
@@ -203,23 +216,23 @@ double WbmhCounter::Estimate(Tick now) const {
   // past the horizon at `now`; they contribute nothing.
   double sum = 0.0;
   auto cell = cells->begin();
-  layout_->ForEachSpanOldestFirst([&](const WbmhLayout::BucketSpan& span) {
+  for (const WbmhLayout::BucketSpan& span : layout_->Spans()) {
     while (cell != cells->end() && cell->id < span.id) ++cell;
-    if (cell == cells->end() || cell->id != span.id || cell->count.IsZero()) {
-      return;
+    if (cell == cells->end() || cell->id != span.id || cell->count == 0.0) {
+      continue;
     }
     // All slots in a bucket carry weights within (1+eps); weight by the
     // newest slot (one-sided overestimate, matching the paper's analysis).
     const Tick age = std::max<Tick>(1, AgeAt(std::min(span.end, now), now));
-    if (horizon != kInfiniteHorizon && age > horizon) return;
-    sum += cell->count.Value() * g.Weight(age);
-  });
+    if (horizon != kInfiniteHorizon && age > horizon) continue;
+    sum += cell->count * g.Weight(age);
+  }
   return sum;
 }
 
 double WbmhCounter::RawTotal() const {
   double total = 0.0;
-  for (const Cell& cell : cells_) total += cell.count.Value();
+  for (const Cell& cell : cells_) total += cell.count;
   return total;
 }
 
@@ -232,7 +245,7 @@ Status WbmhCounter::EncodeState(Encoder& encoder) const {
   encoder.PutVarint(cells_.size());
   for (const Cell& cell : cells_) {
     encoder.PutVarint(cell.id);
-    encoder.PutDouble(cell.count.Value());
+    encoder.PutDouble(cell.count);
     encoder.PutVarint(cell.level);
   }
   return Status::OK();
@@ -246,13 +259,11 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
     return CorruptSnapshot("WBMH counter header");
   }
   // count_epsilon is derived configuration: adopt the snapshot's value.
-  count_epsilon_ = count_epsilon;
-  if (count_epsilon_ > 0.0) {
-    base_mantissa_bits_ = std::max(
-        2, static_cast<int>(std::ceil(std::log2(2.0 / count_epsilon_))));
-  } else {
-    base_mantissa_bits_ = 0;
+  if (!ValidateCountEpsilon(count_epsilon).ok()) {
+    return CorruptSnapshot("WBMH counter count_epsilon");
   }
+  count_epsilon_ = count_epsilon;
+  base_mantissa_bits_ = BaseMantissaBits(count_epsilon_);
   if (applied != layout_->OpSeq() || applied < layout_->LogStart()) {
     return Status::FailedPrecondition(
         "counter snapshot does not match the layout's op sequence");
@@ -273,10 +284,7 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
     if (!std::isfinite(value) || value < 0.0 || level > 64) {
       return CorruptSnapshot("WBMH counter cell value");
     }
-    Cell& cell = cells_.emplace_back(id);
-    cell.level = static_cast<uint32_t>(level);
-    cell.count.set_mantissa_bits(MantissaBitsForLevel(cell.level));
-    cell.count.Add(value);
+    cells_.push_back(Cell{id, value, static_cast<uint32_t>(level)});
   }
   // Cross-structure validation: e.g. a hostile snapshot may carry counts
   // for bucket ids the (already decoded) layout does not hold.
@@ -288,10 +296,19 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
 }
 
 size_t WbmhCounter::StorageBits() const {
+  // Each count is bounded by the total. Exact counts take
+  // ceil(log2(total + 1)) bits; a rounded one takes its mantissa plus an
+  // exponent field addressing log2(total) + 1 exponents.
   const double max_count = std::max(RawTotal(), 2.0);
+  const int exact_bits =
+      static_cast<int>(std::ceil(std::log2(max_count + 1.0)));
+  const int exponent_bits =
+      static_cast<int>(std::ceil(std::log2(std::log2(max_count) + 1.0)));
   size_t bits = 0;
   for (const Cell& cell : cells_) {
-    bits += static_cast<size_t>(cell.count.StorageBits(max_count));
+    const int mantissa = MantissaBitsForLevel(cell.level);
+    bits += static_cast<size_t>(mantissa > 0 ? mantissa + exponent_bits
+                                             : exact_bits);
   }
   // One op-sequence register (clock analogue), log2 of elapsed ticks.
   const Tick elapsed = std::max<Tick>(2, layout_->now() - layout_->start() + 1);

@@ -1,6 +1,7 @@
 #include "histogram/wbmh_layout.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/audit.h"
@@ -38,9 +39,7 @@ WbmhLayout::WbmhLayout(const Options& options)
 
   now_ = start_;
   settled_through_ = start_ - 1;
-  const uint64_t id = next_id_++;
-  nodes_[id] = Node{start_, start_, 0, 0};
-  head_ = tail_ = id;
+  buckets_.push_back(BucketSpan{next_id_++, start_, start_});
   next_seal_ = start_ + seal_period_ - 1;
 }
 
@@ -117,7 +116,8 @@ int WbmhLayout::RegionCountUpTo(Tick n) {
   return r < 0 ? 0 : r + 1;
 }
 
-Tick WbmhLayout::NextMergeTime(const Node& left, const Node& right, Tick t0) {
+Tick WbmhLayout::NextMergeTime(const BucketSpan& left,
+                               const BucketSpan& right, Tick t0) {
   // Merged span would cover slots [left.start, right.end]; at time T its
   // ages run lo(T) .. lo(T)+L with lo(T) = T - right.end + 1. The pair can
   // merge at the first T >= t0 where that whole range fits in one region.
@@ -163,61 +163,66 @@ void WbmhLayout::Emit(Op op) {
   ++next_seq_;
 }
 
-void WbmhLayout::SchedulePair(uint64_t left, uint64_t right, Tick t0) {
-  auto left_it = nodes_.find(left);
-  auto right_it = nodes_.find(right);
-  if (left_it == nodes_.end() || right_it == nodes_.end()) return;
-  const Tick t = NextMergeTime(left_it->second, right_it->second, t0);
-  if (t != kInfiniteHorizon) merge_events_.push(PairEvent{t, left, right});
+size_t WbmhLayout::IndexOf(uint64_t id) const {
+  const auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), id,
+      [](const BucketSpan& bucket, uint64_t key) { return bucket.id < key; });
+  if (it == buckets_.end() || it->id != id) return buckets_.size();
+  return static_cast<size_t>(it - buckets_.begin());
+}
+
+void WbmhLayout::SchedulePair(size_t left, Tick t0) {
+  const BucketSpan& l = buckets_[left];
+  const BucketSpan& r = buckets_[left + 1];
+  const Tick t = NextMergeTime(l, r, t0);
+  if (t != kInfiniteHorizon) merge_events_.push(PairEvent{t, l.id, r.id});
 }
 
 void WbmhLayout::DoSeal(Tick e) {
-  Node& open = nodes_[tail_];
-  open.end = e;  // seal arithmetic guarantees full width
+  buckets_.back().end = e;  // seal arithmetic guarantees full width
   const uint64_t new_id = next_id_++;
-  const uint64_t sealed = tail_;
-  nodes_[new_id] = Node{e + 1, e + 1, sealed, 0};
-  nodes_[sealed].next = new_id;
-  tail_ = new_id;
+  buckets_.push_back(BucketSpan{new_id, e + 1, e + 1});
   Emit(Op{OpKind::kSeal, new_id, 0});
   next_seal_ += seal_period_;
-  const uint64_t prev = nodes_[sealed].prev;
-  if (prev != 0) SchedulePair(prev, sealed, e);
+  // The pair (previous, just sealed) may now merge.
+  if (buckets_.size() >= 3) SchedulePair(buckets_.size() - 3, e);
 }
 
-void WbmhLayout::DoMerge(uint64_t left, uint64_t right, Tick e) {
-  Node& ln = nodes_[left];
-  const Node rn = nodes_[right];
-  TDS_CHECK_NE(right, tail_);
-  ln.end = rn.end;
-  ln.next = rn.next;
-  TDS_CHECK_NE(rn.next, 0u);
-  nodes_[rn.next].prev = left;
-  nodes_.erase(right);
-  Emit(Op{OpKind::kMerge, left, right});
-  if (ln.prev != 0) SchedulePair(ln.prev, left, e);
-  if (ln.next != 0 && ln.next != tail_) SchedulePair(left, ln.next, e);
+void WbmhLayout::DoMerge(size_t left, Tick e) {
+  TDS_CHECK_LT(left + 2, buckets_.size());  // the right bucket is sealed
+  const BucketSpan right = buckets_[left + 1];
+  buckets_[left].end = right.end;
+  buckets_.erase(buckets_.begin() + static_cast<std::ptrdiff_t>(left) + 1);
+  Emit(Op{OpKind::kMerge, buckets_[left].id, right.id});
+  if (left > 0) SchedulePair(left - 1, e);
+  if (left + 2 < buckets_.size()) SchedulePair(left, e);
 }
 
 void WbmhLayout::DoDrops(Tick e) {
   if (horizon_ == kInfiniteHorizon) return;
-  while (head_ != 0 && head_ != tail_) {
-    const Node& h = nodes_[head_];
-    if (e < horizon_ + h.end) break;  // newest slot age == horizon+1 at drop
-    const uint64_t old = head_;
-    head_ = h.next;
-    nodes_[head_].prev = 0;
-    nodes_.erase(old);
-    Emit(Op{OpKind::kDrop, old, 0});
+  size_t dropped = 0;
+  // The open bucket never drops.
+  while (dropped + 1 < buckets_.size()) {
+    const BucketSpan& head = buckets_[dropped];
+    if (e < horizon_ + head.end) break;  // newest slot age == horizon+1
+    Emit(Op{OpKind::kDrop, head.id, 0});
+    ++dropped;
   }
+  buckets_.erase(buckets_.begin(),
+                 buckets_.begin() + static_cast<std::ptrdiff_t>(dropped));
 }
 
 void WbmhLayout::RefreshNextDrop() {
-  if (horizon_ == kInfiniteHorizon || head_ == tail_) {
+  if (horizon_ == kInfiniteHorizon || buckets_.size() == 1) {
     next_drop_ = kInfiniteHorizon;
     return;
   }
-  next_drop_ = horizon_ + nodes_[head_].end;
+  next_drop_ = horizon_ + buckets_.front().end;
+}
+
+void WbmhLayout::ExtendOpenBucket() {
+  BucketSpan& open = buckets_.back();
+  open.end = std::max(open.start, now_);
 }
 
 void WbmhLayout::ProcessTick(Tick e) {
@@ -225,13 +230,14 @@ void WbmhLayout::ProcessTick(Tick e) {
   while (!merge_events_.empty() && merge_events_.top().time <= e) {
     const PairEvent ev = merge_events_.top();
     merge_events_.pop();
-    auto left_it = nodes_.find(ev.left);
-    if (left_it == nodes_.end()) continue;
-    if (left_it->second.next != ev.right) continue;
-    if (ev.right == tail_) continue;
-    const Tick t = NextMergeTime(left_it->second, nodes_.at(ev.right), e);
+    // Stale events: the pair was split by an earlier merge or drop, or the
+    // right bucket is the open one.
+    const size_t left = IndexOf(ev.left);
+    if (left + 2 >= buckets_.size()) continue;
+    if (buckets_[left + 1].id != ev.right) continue;
+    const Tick t = NextMergeTime(buckets_[left], buckets_[left + 1], e);
     if (t <= e) {
-      DoMerge(ev.left, ev.right, e);
+      DoMerge(left, e);
     } else if (t != kInfiniteHorizon) {
       merge_events_.push(PairEvent{t, ev.left, ev.right});
     }
@@ -249,6 +255,7 @@ void WbmhLayout::AdvanceTo(Tick t) {
     ProcessTick(e);
   }
   now_ = t;
+  ExtendOpenBucket();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
@@ -259,12 +266,12 @@ void WbmhLayout::Settle() {
     ProcessTick(e);
   }
   settled_through_ = now_;
+  ExtendOpenBucket();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 Status WbmhLayout::AuditInvariants() {
-  TDS_AUDIT_CHECK(!nodes_.empty() && head_ != 0 && tail_ != 0,
-                  "the layout always holds an open bucket");
+  TDS_AUDIT_CHECK(!buckets_.empty(), "the layout always holds an open bucket");
   TDS_AUDIT_CHECK(now_ >= start_, "clock precedes the stream start");
   TDS_AUDIT_CHECK(settled_through_ <= now_,
                   "settled past the current clock");
@@ -278,50 +285,44 @@ Status WbmhLayout::AuditInvariants() {
                     "region boundaries must be strictly increasing");
   }
 
-  // Walk the bucket list oldest-to-newest: ids in range, links consistent,
-  // spans partitioning the timeline from the head's start, open bucket last.
-  // The head starts at `start_` until a drop removes it, and only a finite
-  // horizon drops.
-  size_t visited = 0;
+  // Oldest-to-newest: ids in range, spans partitioning the timeline from
+  // the head's start, open bucket last. The head starts at `start_` until a
+  // drop removes it, and only a finite horizon drops.
   uint64_t previous = 0;
   Tick expected_start = start_;
-  for (uint64_t id = head_; id != 0;) {
-    const auto it = nodes_.find(id);
-    TDS_AUDIT_CHECK(it != nodes_.end(), "dangling bucket link");
-    const Node& node = it->second;
-    TDS_AUDIT_CHECK(++visited <= nodes_.size(), "cycle in the bucket list");
-    TDS_AUDIT_CHECK(id < next_id_, "bucket id beyond the id allocator");
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    const BucketSpan& bucket = buckets_[i];
+    TDS_AUDIT_CHECK(bucket.id < next_id_, "bucket id beyond the id allocator");
     // A seal takes a fresh id and a merge keeps the older one, so ids
-    // increase oldest-first; counters keep their cells in that order.
-    TDS_AUDIT_CHECK(id > previous, "bucket ids must increase oldest-first");
-    TDS_AUDIT_CHECK(node.prev == previous, "prev link mismatch");
-    if (previous == 0) {
-      TDS_AUDIT_CHECK(horizon_ != kInfiniteHorizon ? node.start >= start_
-                                                   : node.start == start_,
+    // increase oldest-first; lookups and counters rely on that order.
+    TDS_AUDIT_CHECK(bucket.id > previous,
+                    "bucket ids must increase oldest-first");
+    if (i == 0) {
+      TDS_AUDIT_CHECK(horizon_ != kInfiniteHorizon ? bucket.start >= start_
+                                                   : bucket.start == start_,
                       "head bucket must start at the stream start, or "
                       "after it once buckets drop");
     } else {
-      TDS_AUDIT_CHECK(node.start == expected_start,
+      TDS_AUDIT_CHECK(bucket.start == expected_start,
                       "bucket spans must partition the timeline (gap at " +
-                          std::to_string(node.start) + ")");
+                          std::to_string(bucket.start) + ")");
     }
-    if (node.next != 0) {
-      TDS_AUDIT_CHECK(node.end >= node.start, "inverted sealed span");
-      expected_start = node.end + 1;
+    if (i + 1 < buckets_.size()) {
+      TDS_AUDIT_CHECK(bucket.end >= bucket.start, "inverted sealed span");
+      expected_start = bucket.end + 1;
     } else {
-      TDS_AUDIT_CHECK(id == tail_, "open bucket must be the tail");
-      TDS_AUDIT_CHECK(node.start <= now_ + 1,
+      TDS_AUDIT_CHECK(bucket.start <= now_ + 1,
                       "open bucket starts past the clock");
+      TDS_AUDIT_CHECK(bucket.end == std::max(bucket.start, now_),
+                      "open bucket does not end at the clock");
     }
-    previous = id;
-    id = node.next;
+    previous = bucket.id;
   }
-  TDS_AUDIT_CHECK(visited == nodes_.size(), "orphaned bucket nodes");
 
   // Drop eligibility: the head would have been dropped at the first settled
   // tick where even its newest slot fell past the horizon.
-  if (horizon_ != kInfiniteHorizon && head_ != tail_) {
-    TDS_AUDIT_CHECK(settled_through_ - nodes_.at(head_).end < horizon_,
+  if (horizon_ != kInfiniteHorizon && buckets_.size() > 1) {
+    TDS_AUDIT_CHECK(settled_through_ - buckets_.front().end < horizon_,
                     "head bucket outlived the decay horizon");
   }
 
@@ -330,11 +331,9 @@ Status WbmhLayout::AuditInvariants() {
   // sealed pair may be merge-eligible (NextMergeTime returns the earliest
   // T >= settled_through_; eligibility exactly at the settled tick means a
   // merge event was missed).
-  for (uint64_t id = head_; id != 0; id = nodes_.at(id).next) {
-    const uint64_t next = nodes_.at(id).next;
-    if (next == 0 || next == tail_) continue;
+  for (size_t i = 0; i + 2 < buckets_.size(); ++i) {
     const Tick t =
-        NextMergeTime(nodes_.at(id), nodes_.at(next), settled_through_);
+        NextMergeTime(buckets_[i], buckets_[i + 1], settled_through_);
     TDS_AUDIT_CHECK(t > settled_through_,
                     "adjacent sealed buckets were merge-eligible at the "
                     "settled tick");
@@ -354,13 +353,14 @@ Status WbmhLayout::EncodeState(Encoder& encoder) const {
   encoder.PutSigned(next_seal_);
   encoder.PutVarint(next_id_);
   encoder.PutVarint(next_seq_);
-  encoder.PutVarint(nodes_.size());
-  for (uint64_t id = head_; id != 0;) {
-    const Node& node = nodes_.at(id);
-    encoder.PutVarint(id);
-    encoder.PutSigned(node.start);
-    encoder.PutSigned(node.end);
-    id = node.next;
+  encoder.PutVarint(buckets_.size());
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    const BucketSpan& bucket = buckets_[i];
+    encoder.PutVarint(bucket.id);
+    encoder.PutSigned(bucket.start);
+    // The open bucket is encoded as it was created (end == start); decode
+    // stretches it to the clock again.
+    encoder.PutSigned(i + 1 < buckets_.size() ? bucket.end : bucket.start);
   }
   return Status::OK();
 }
@@ -391,18 +391,19 @@ Status WbmhLayout::DecodeState(Decoder& decoder) {
   next_seq_ = next_seq;
   log_start_ = next_seq;
   log_.clear();
-  nodes_.clear();
+  buckets_.clear();
   merge_events_ = {};
-  head_ = tail_ = 0;
-  uint64_t previous = 0;
   Tick expected_start = 0;
   for (uint64_t i = 0; i < node_count; ++i) {
     uint64_t id = 0;
     int64_t node_start = 0, node_end = 0;
     if (!decoder.GetVarint(&id) || !decoder.GetSigned(&node_start) ||
-        !decoder.GetSigned(&node_end) || id == 0 || id >= next_id_ ||
-        nodes_.contains(id)) {
+        !decoder.GetSigned(&node_end) || id == 0 || id >= next_id_) {
       return CorruptSnapshot("WBMH layout node");
+    }
+    if (!buckets_.empty() && id <= buckets_.back().id) {
+      return CorruptSnapshot(
+          "WBMH layout bucket ids must increase oldest-first");
     }
     // Spans must partition the timeline from the head's start (open bucket
     // last); the audit below pins the head's start itself.
@@ -411,24 +412,16 @@ Status WbmhLayout::DecodeState(Decoder& decoder) {
       return CorruptSnapshot("WBMH layout span");
     }
     expected_start = node_end + 1;
-    nodes_[id] = Node{node_start, node_end, previous, 0};
-    if (previous != 0) {
-      nodes_[previous].next = id;
-    } else {
-      head_ = id;
-    }
-    previous = id;
+    buckets_.push_back(BucketSpan{id, node_start, node_end});
   }
-  tail_ = previous;
-  if (nodes_.at(tail_).start > now_ + 1) {
+  const BucketSpan& open = buckets_.back();
+  if (open.start > now_ + 1 || open.end != open.start) {
     return CorruptSnapshot("WBMH layout open bucket");
   }
+  ExtendOpenBucket();
   // Rebuild the (memoryless) merge schedule for every adjacent sealed pair
   // and the drop horizon.
-  for (uint64_t id = head_; id != 0; id = nodes_.at(id).next) {
-    const uint64_t next = nodes_.at(id).next;
-    if (next != 0 && next != tail_) SchedulePair(id, next, now_);
-  }
+  for (size_t i = 0; i + 2 < buckets_.size(); ++i) SchedulePair(i, now_);
   RefreshNextDrop();
   // A hostile snapshot that passed the field-level checks must still form a
   // structurally valid layout (the audit covers cross-field invariants the
@@ -440,23 +433,18 @@ Status WbmhLayout::DecodeState(Decoder& decoder) {
   return Status::OK();
 }
 
-std::vector<WbmhLayout::BucketSpan> WbmhLayout::Spans() const {
-  std::vector<BucketSpan> spans;
-  spans.reserve(nodes_.size());
-  ForEachSpanOldestFirst([&](const BucketSpan& s) { spans.push_back(s); });
-  return spans;
-}
-
 uint64_t WbmhLayout::BucketForArrival(Tick t) const {
-  for (uint64_t id = tail_; id != 0;) {
-    const Node& node = nodes_.at(id);
-    if (node.start <= t) {
-      const Tick end = id == tail_ ? std::max(node.start, now_) : node.end;
-      return t <= end ? id : 0;
-    }
-    id = node.prev;
+  for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
+    if (it->start <= t) return t <= it->end ? it->id : 0;
   }
   return 0;
+}
+
+size_t WbmhLayout::StorageBits() const {
+  const double tick_bits = std::ceil(
+      std::log2(static_cast<double>(std::max<Tick>(now_, 2)) + 1.0));
+  return static_cast<size_t>(2.0 * tick_bits *
+                             static_cast<double>(buckets_.size()));
 }
 
 const WbmhLayout::Op& WbmhLayout::OpAt(uint64_t seq) const {

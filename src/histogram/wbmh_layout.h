@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "decay/decay_function.h"
@@ -35,10 +35,11 @@ namespace tds {
 /// boundary values need not be stored per stream. The layout publishes a log
 /// of structural operations (seal / merge / drop) with monotone sequence
 /// numbers, and each WbmhCounter replays the suffix it has not yet applied.
-/// Buckets are identified by stable 64-bit ids (a doubly linked list
-/// internally), so merges are O(1) regardless of bucket count. Ids increase
-/// oldest-first: a seal takes a fresh id, a merge keeps the older id, and a
-/// drop removes the oldest bucket.
+/// Buckets are identified by stable 64-bit ids that increase oldest-first:
+/// a seal takes a fresh id, a merge keeps the older id, and a drop removes
+/// the oldest bucket. So one id-ordered array holds the buckets in layout
+/// order; a merge erases one element of it, which is cheap because the
+/// array holds O(log_{1+eps} D(g)) buckets.
 ///
 /// Time costs are amortized O(1) per elapsed tick: advancing over a gap of
 /// D ticks performs O(D / b_1) seal and merge events.
@@ -67,7 +68,11 @@ class WbmhLayout {
   struct BucketSpan {
     uint64_t id = 0;
     Tick start = 0;  ///< Oldest item slot (arrival tick) covered.
-    Tick end = 0;    ///< Newest item slot covered.
+    /// Newest item slot covered. The open bucket's span extends with the
+    /// clock; a just-created open bucket may still lie one tick in the
+    /// future (start == end).
+    Tick end = 0;
+    bool operator==(const BucketSpan&) const = default;
   };
 
   static StatusOr<WbmhLayout> Create(const Options& options);
@@ -86,27 +91,19 @@ class WbmhLayout {
   const DecayPtr& decay() const { return decay_; }
   double epsilon() const { return epsilon_; }
 
-  /// Snapshot of bucket spans, oldest first; the last one is open.
-  std::vector<BucketSpan> Spans() const;
+  /// Bucket spans in id order, which is oldest first; the last one is
+  /// open. Valid until the next mutation.
+  std::span<const BucketSpan> Spans() const { return buckets_; }
 
   /// Id of the bucket whose span contains arrival tick t (searching from
   /// the newest side; arrivals are expected near `now`). 0 if none.
   uint64_t BucketForArrival(Tick t) const;
 
-  /// Calls f(const BucketSpan&) oldest-to-newest.
-  template <typename F>
-  void ForEachSpanOldestFirst(F&& f) const {
-    for (uint64_t id = head_; id != 0;) {
-      const Node& node = nodes_.at(id);
-      // The open bucket's span extends with the clock; a just-created open
-      // bucket may still lie one tick in the future (reported start==end).
-      const Tick end = node.next == 0 ? std::max(node.start, now_) : node.end;
-      f(BucketSpan{id, node.start, end});
-      id = node.next;
-    }
-  }
+  size_t BucketCount() const { return buckets_.size(); }
 
-  size_t BucketCount() const { return nodes_.size(); }
+  /// Boundary storage under the paper's metric: two ceil(log2(T+1))-bit
+  /// ticks per bucket. Charged once however many counters share the layout.
+  size_t StorageBits() const;
 
   /// Total ops emitted so far; ops are numbered [0, OpSeq()).
   uint64_t OpSeq() const { return next_seq_; }
@@ -142,22 +139,16 @@ class WbmhLayout {
 
   /// Verifies every structural invariant (see util/audit.h): bucket spans
   /// partition [head start, ...] (the head starts at `start` until a finite
-  /// horizon drops it) with consistent prev/next links and in-range
-  /// ids that strictly increase oldest-first, op-log window accounting, strictly increasing region boundaries,
-  /// horizon-based drop eligibility of the head, and the weight-based merge
-  /// condition — no adjacent sealed pair may still be merge-eligible at the
-  /// last settled tick. Non-const only because the merge check can extend
-  /// the memoized region table (derived configuration, not stream state).
+  /// horizon drops it) with in-range ids that strictly increase
+  /// oldest-first, the open bucket ends at the clock, op-log window
+  /// accounting, strictly increasing region boundaries, horizon-based drop
+  /// eligibility of the head, and the weight-based merge condition — no
+  /// adjacent sealed pair may still be merge-eligible at the last settled
+  /// tick. Non-const only because the merge check can extend the memoized
+  /// region table (derived configuration, not stream state).
   Status AuditInvariants();
 
  private:
-  struct Node {
-    Tick start = 0;
-    Tick end = 0;
-    uint64_t prev = 0;
-    uint64_t next = 0;
-  };
-
   struct PairEvent {
     Tick time;
     uint64_t left;
@@ -172,7 +163,8 @@ class WbmhLayout {
 
   /// Earliest T >= t0 at which buckets (left, right) could merge;
   /// kInfiniteHorizon if not found within the region-scan budget.
-  Tick NextMergeTime(const Node& left, const Node& right, Tick t0);
+  Tick NextMergeTime(const BucketSpan& left, const BucketSpan& right,
+                     Tick t0);
 
   /// Runs all end-of-tick events at tick e (seal first, then merges, then
   /// drops); requires e to be the earliest pending event time.
@@ -180,12 +172,19 @@ class WbmhLayout {
 
   Tick NextEventTime() const;
 
+  /// Index of bucket `id` in buckets_, or buckets_.size() if absent.
+  size_t IndexOf(uint64_t id) const;
+
   void Emit(Op op);
   void DoSeal(Tick e);
-  void DoMerge(uint64_t left, uint64_t right, Tick e);
+  /// Merges the bucket after `left` (both sealed) into buckets_[left].
+  void DoMerge(size_t left, Tick e);
   void DoDrops(Tick e);
-  void SchedulePair(uint64_t left, uint64_t right, Tick t0);
+  /// Schedules the pair (buckets_[left], buckets_[left + 1]).
+  void SchedulePair(size_t left, Tick t0);
   void RefreshNextDrop();
+  /// Stretches the open bucket's span to the clock.
+  void ExtendOpenBucket();
 
   DecayPtr decay_;
   double epsilon_;
@@ -201,9 +200,7 @@ class WbmhLayout {
   std::vector<Tick> starts_;   ///< Region start ages; starts_[0] == 1.
   bool starts_capped_ = false;
 
-  std::unordered_map<uint64_t, Node> nodes_;
-  uint64_t head_ = 0;  ///< Oldest bucket id.
-  uint64_t tail_ = 0;  ///< Open (newest) bucket id.
+  std::vector<BucketSpan> buckets_;  ///< Id order; the open bucket last.
   uint64_t next_id_ = 1;
 
   std::priority_queue<PairEvent, std::vector<PairEvent>,

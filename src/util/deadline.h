@@ -21,7 +21,9 @@ class Deadline {
   static Deadline Infinite() { return Deadline(); }
 
   /// Expires `budget` from now (a non-positive budget is already expired).
+  /// nanoseconds::max() is no budget at all: Infinite().
   static Deadline After(std::chrono::nanoseconds budget) {
+    if (budget == std::chrono::nanoseconds::max()) return Infinite();
     Deadline d;
     d.infinite_ = false;
     d.at_ = std::chrono::steady_clock::now() + budget;

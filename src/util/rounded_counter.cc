@@ -2,11 +2,9 @@
 
 #include <cmath>
 
-#include "util/check.h"
-
 namespace tds {
 
-double RoundedCounter::RoundValue(double x, int bits) {
+double RoundValue(double x, int bits) {
   if (x <= 0.0 || bits <= 0) return x;
   const int exponent = std::ilogb(x);
   // Unit in the last place of a `bits`-bit mantissa whose leading bit has
@@ -15,32 +13,6 @@ double RoundedCounter::RoundValue(double x, int bits) {
   // Round up: the stored value is in [x, x * (1 + 2^{1-bits})), matching the
   // paper's "multiply by a number between 1 and (1+beta)".
   return std::ceil(x / ulp) * ulp;
-}
-
-void RoundedCounter::Add(double amount) {
-  // Additions are exact: they model arrivals accumulating in an open
-  // (leaf-level) bucket. Rounding happens once per Merge — one level of the
-  // paper's summation tree — otherwise the (1+beta) factors would compound
-  // once per item instead of once per tree level.
-  TDS_CHECK_GE(amount, 0.0);
-  value_ += amount;
-}
-
-void RoundedCounter::Merge(const RoundedCounter& other) {
-  value_ = RoundValue(value_ + other.value_, mantissa_bits_);
-}
-
-int RoundedCounter::StorageBits(double max_value) const {
-  if (max_value < 2.0) max_value = 2.0;
-  const double log_max = std::log2(max_value);
-  if (mantissa_bits_ <= 0) {
-    // Exact integer counter: ceil(log2(maxN + 1)) bits.
-    return static_cast<int>(std::ceil(std::log2(max_value + 1.0)));
-  }
-  // Exponent field addresses log2(maxN) + 1 possible exponents.
-  const int exponent_bits =
-      static_cast<int>(std::ceil(std::log2(log_max + 1.0)));
-  return mantissa_bits_ + exponent_bits;
 }
 
 }  // namespace tds

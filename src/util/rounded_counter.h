@@ -1,63 +1,24 @@
 #ifndef TDS_UTIL_ROUNDED_COUNTER_H_
 #define TDS_UTIL_ROUNDED_COUNTER_H_
 
-#include <cstdint>
-
 namespace tds {
 
-/// A nonnegative counter stored in reduced-precision floating point: a
-/// mantissa of `mantissa_bits` significant bits plus an exponent. This is the
-/// approximate per-bucket count of Section 5 of the paper: storing only the
-/// most significant `log(1/beta)` bits of each bucket count, where every
-/// rounding step multiplies the stored value by a factor in [1, 1+beta).
+/// Reduced-precision rounding for approximate counters: the approximate
+/// per-bucket count of Section 5 of the paper stores only the most
+/// significant `log(1/beta)` bits of each count, where every rounding step
+/// multiplies the stored value by a factor in [1, 1+beta).
 ///
 /// WBMH merges bucket counts through a summation tree of depth <= log N; with
 /// beta = epsilon / log N the accumulated factor is (1+beta)^{log N} <=
 /// ~(1 + epsilon) (Lemma 5.1). The unknown-N variant rounds level i with
 /// beta_i = epsilon / i^2 so that the infinite product still converges below
-/// 1 + epsilon; callers implement that by widening `mantissa_bits` as the
-/// merge level grows (see WbmhCounter).
+/// 1 + epsilon; WbmhCounter implements that by widening `bits` as the
+/// merge level grows. EwmaCounter rounds its register the same way.
 ///
-/// `mantissa_bits == 0` disables rounding (exact mode, used for ablation).
-class RoundedCounter {
- public:
-  RoundedCounter() = default;
-  explicit RoundedCounter(int mantissa_bits) : mantissa_bits_(mantissa_bits) {}
-
-  /// Adds a nonnegative amount exactly (leaf-level accumulation).
-  void Add(double amount);
-
-  /// Absorbs another counter (bucket merge) and re-rounds once — one level
-  /// of the Section 5 summation tree.
-  void Merge(const RoundedCounter& other);
-
-  /// Current (rounded) value.
-  double Value() const { return value_; }
-
-  /// True if the stored count is exactly zero.
-  bool IsZero() const { return value_ == 0.0; }
-
-  int mantissa_bits() const { return mantissa_bits_; }
-
-  /// Re-targets the mantissa width (the beta_i = epsilon/i^2 schedule widens
-  /// it by 2*log2(level) bits as merge levels accumulate).
-  void set_mantissa_bits(int bits) { mantissa_bits_ = bits; }
-
-  /// Storage bits for this counter given a bound maxN on the count value:
-  /// mantissa + exponent field of ceil(log2(log2(maxN)+1)) bits. Exact mode
-  /// (mantissa_bits == 0) charges ceil(log2(maxN+1)) bits.
-  int StorageBits(double max_value) const;
-
-  /// Rounds `x` down to `bits` significant bits then reports the value
-  /// rounded *up* by one ulp-of-mantissa so the stored value is always an
-  /// overestimate by a factor < (1 + 2^{1-bits}); with bits >= log2(1/beta)
-  /// this is the (1+beta) step of the paper. Exposed for tests.
-  static double RoundValue(double x, int bits);
-
- private:
-  double value_ = 0.0;
-  int mantissa_bits_ = 0;
-};
+/// Rounds `x` up to `bits` significant bits, so the result lies in
+/// [x, x * (1 + 2^{1-bits})); with bits >= log2(1/beta) this is the
+/// (1+beta) step of the paper. `bits <= 0` returns x unchanged (exact mode).
+double RoundValue(double x, int bits);
 
 }  // namespace tds
 

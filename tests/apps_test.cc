@@ -6,12 +6,9 @@
 #include "apps/gateway.h"
 #include "apps/holding_policy.h"
 #include "apps/red.h"
-#include "apps/usage_profile.h"
-#include "core/wbmh.h"
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "util/random.h"
 
 namespace tds {
 namespace {
@@ -145,45 +142,6 @@ TEST(GatewaySelectorTest, PathManagement) {
   EXPECT_FALSE(selector->Rating(7, 10).ok());
 }
 
-TEST(UsageProfileSetTest, SharedLayoutAmortizesStorage) {
-  auto decay = PolynomialDecay::Create(1.5).value();
-  UsageProfileSet::Options options;
-  options.epsilon = 0.5;
-  auto profiles = UsageProfileSet::Create(decay, options);
-  ASSERT_TRUE(profiles.ok());
-  Rng rng(41);
-  const int customers = 500;
-  for (Tick t = 1; t <= 2000; ++t) {
-    // A few random customers are active per tick.
-    for (int k = 0; k < 5; ++k) {
-      profiles->Record(rng.NextBelow(customers), t, 1 + rng.NextBelow(3));
-    }
-  }
-  profiles->SyncAll(2000);
-  EXPECT_EQ(profiles->CustomerCount(), static_cast<size_t>(customers));
-  // Per-customer state must be tiny compared to one full histogram with
-  // boundaries: mean bits per customer stays in the low hundreds.
-  EXPECT_LT(profiles->MeanCustomerBits(), 600.0);
-  EXPECT_GT(profiles->Query(0, 2000), 0.0);
-  EXPECT_DOUBLE_EQ(profiles->Query(999999, 2000), 0.0);
-  // After SyncAll, the shared op log is trimmed.
-  EXPECT_EQ(profiles->layout().LogStart(), profiles->layout().OpSeq());
-}
-
-TEST(UsageProfileSetTest, LateJoinerStartsCleanAfterTrim) {
-  auto decay = PolynomialDecay::Create(1.0).value();
-  UsageProfileSet::Options options;
-  auto profiles = UsageProfileSet::Create(decay, options);
-  ASSERT_TRUE(profiles.ok());
-  for (Tick t = 1; t <= 1000; ++t) profiles->Record(1, t, 1);
-  profiles->SyncAll(1000);  // trims the shared op log
-  // A brand-new customer after the trim must work (starts at the trimmed
-  // op sequence) and not see anyone else's data.
-  profiles->Record(2, 1001, 5);
-  EXPECT_GT(profiles->Query(2, 1001), 0.0);
-  EXPECT_GT(profiles->Query(1, 1001), profiles->Query(2, 1001));
-}
-
 TEST(RedEstimatorTest, PolynomialDecayStaysCautiousLonger) {
   // After a congestion burst ends, the POLYD average must sit above the
   // EXPD average for a sustained period (the router_red example's claim).
@@ -208,25 +166,6 @@ TEST(RedEstimatorTest, PolynomialDecayStaysCautiousLonger) {
     }
   }
   EXPECT_GT(polyd_higher, 400);
-}
-
-TEST(UsageProfileSetTest, QueriesMatchPrivateStructure) {
-  auto decay = PolynomialDecay::Create(1.0).value();
-  UsageProfileSet::Options options;
-  options.epsilon = 1.0;
-  options.count_epsilon = 0.0;
-  auto profiles = UsageProfileSet::Create(decay, options);
-  ASSERT_TRUE(profiles.ok());
-  WbmhDecayedSum::Options solo_options;
-  solo_options.epsilon = 1.0;
-  solo_options.count_epsilon = 0.0;
-  auto solo = WbmhDecayedSum::Create(decay, solo_options);
-  ASSERT_TRUE(solo.ok());
-  for (Tick t = 1; t <= 1500; t += 3) {
-    profiles->Record(42, t, 2);
-    (*solo)->Update(t, 2);
-  }
-  EXPECT_DOUBLE_EQ(profiles->Query(42, 1500), (*solo)->Query(1500));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Backpressure and admission-control tests for ShardedAggregateEngine's
-// ProducerSession ingest surface: staged producer waits, kBlockWithDeadline
+// ProducerSession ingest surface: staged producer waits, finite block_deadline
 // deadlines (zero = one non-blocking attempt), overload counters, and the
 // stopped-engine ingest contract (the regression that used to spin a
 // producer forever against a ring whose writer had already exited).
@@ -149,7 +149,6 @@ TEST(BackpressureTest, SessionDeadlineOutlastsStall) {
 
 TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   auto options = TinyRingOptions();
-  options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   options.block_deadline = std::chrono::milliseconds(5);
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), options);
@@ -217,7 +216,7 @@ TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   EXPECT_FALSE(rebalanced.ok());
 }
 
-// Session flushes honor the per-session kBlockWithDeadline admission
+// Session flushes honor the per-session block_deadline admission
 // contract: a flush that cannot place its staged runs before the deadline
 // rejects the remainder (dropped + counted), and the session is reusable
 // afterwards.
@@ -227,7 +226,6 @@ TEST(BackpressureTest, SessionFlushRespectsBlockDeadline) {
   ASSERT_TRUE(engine.ok());
 
   ProducerSessionOptions session_options;
-  session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   session_options.block_deadline = std::chrono::milliseconds(5);
   session_options.staging_capacity = 2048;  // no auto-flush mid-test
   auto session = (*engine)->NewProducer(session_options);

@@ -369,10 +369,10 @@ TEST(ShardedEngineTest, SessionFlushesRaceMigrations) {
 }
 
 // Oversubscription: 2× more producer sessions than cores, rings far
-// smaller than the offered load, adaptive backpressure. Producers must
-// park (not burn a core each) while writers catch up, and the blocking
-// policy must admit every item exactly once — no loss, no duplication,
-// zero rejects.
+// smaller than the offered load, the default (infinite) block_deadline.
+// Producers must park (not burn a core each) while writers catch up, and
+// blocking without a deadline must admit every item exactly once — no
+// loss, no duplication, zero rejects.
 TEST(ShardedEngineTest, OversubscribedSessionsDontLoseOrDuplicate) {
   const int kProducers =
       2 * std::max(4u, std::thread::hardware_concurrency());
@@ -384,7 +384,6 @@ TEST(ShardedEngineTest, OversubscribedSessionsDontLoseOrDuplicate) {
   options.registry = RegistryOptions(Backend::kCeh, 0.2);
   options.shards = 2;
   options.queue_capacity = 64;  // far below the per-round offered load
-  options.backpressure = BackpressurePolicy::kAdaptive;
   auto decay = SlidingWindowDecay::Create(1 << 16).value();
   auto engine = ShardedAggregateEngine::Create(decay, options);
   ASSERT_TRUE(engine.ok());

@@ -38,7 +38,7 @@ std::vector<Config> MergeConfigs() {
       {"EH", SlidingWindowDecay::Create(1024).value(), Backend::kCeh},
       // CEH proper over a general decay.
       {"CEH", PolynomialDecay::Create(1.0).value(), Backend::kCeh},
-      // WBMH: shared layout + counter transplant across registries.
+      // WBMH: shared layout; counters move across registries and rebind.
       {"WBMH", PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
   };
 }

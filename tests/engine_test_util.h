@@ -32,7 +32,7 @@ inline Status SessionIngest(ShardedAggregateEngine& engine, uint64_t key,
   return SessionIngest(engine, {&item, 1});
 }
 
-/// SessionIngest under kBlockWithDeadline admission control: blocks at
+/// SessionIngest under block_deadline admission control: blocks at
 /// most `deadline` for the whole batch (0 = one non-blocking push attempt
 /// per shard), then rejects the remainder with kUnavailable and counts it
 /// in ShardStats::items_rejected.
@@ -40,7 +40,6 @@ inline Status DeadlineIngest(ShardedAggregateEngine& engine,
                              std::span<const KeyedItem> items,
                              std::chrono::nanoseconds deadline) {
   ProducerSessionOptions options;
-  options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   options.block_deadline = deadline;
   return SessionIngest(engine, items, options);
 }

@@ -11,7 +11,7 @@
 // (conservation: nothing lost, nothing duplicated).
 //
 // Ingest goes through a ProducerSession flushed under
-// kBlockWithDeadline with a finite deadline so that even a sticky
+// a finite block_deadline so that even a sticky
 // "engine.ring.push" fault ends in kUnavailable (staged items dropped as
 // rejected), keeping the driver hang-free by construction. The whole
 // suite skips without -DTDS_FAILPOINTS (tools/check.sh runs it in the
@@ -122,7 +122,6 @@ FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
       }
       ProducerSessionOptions session_options;
       session_options.staging_capacity = batch.size() + 1;
-      session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
       session_options.block_deadline = std::chrono::milliseconds(50);
       auto session = engine.NewProducer(session_options);
       TDS_FUZZ_CHECK(session.ok(), in, session.status().ToString());

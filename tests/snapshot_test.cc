@@ -4,6 +4,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 
 #include "core/coarse_ceh.h"
 #include "core/factory.h"
+#include "core/wbmh.h"
 #include "decay/exponential.h"
 #include "decay/polyexponential.h"
 #include "decay/polynomial.h"
@@ -270,7 +272,7 @@ std::shared_ptr<WbmhLayout> MakeSharedLayout() {
 TEST(SnapshotTest, RejectsWbmhCounterCellsOutOfOrder) {
   auto layout = MakeSharedLayout();
   WbmhCounter counter(layout, WbmhCounter::Options{0.5});
-  for (Tick t = 1; t <= 500; ++t) counter.Add(t, 1);
+  for (Tick t = 1; t <= 500; ++t) counter.Update(t, 1);
   Encoder encoder;
   ASSERT_TRUE(counter.EncodeState(encoder).ok());
   const std::string blob = encoder.Finish();
@@ -307,6 +309,38 @@ TEST(SnapshotTest, RejectsWbmhCounterCellsOutOfOrder) {
   WbmhCounter target(layout, WbmhCounter::Options{0.5});
   Decoder hostile_decoder(hostile_blob);
   EXPECT_FALSE(target.DecodeState(hostile_decoder).ok());
+}
+
+// A standalone WBMH blob adopts its counter's count_epsilon, so decode
+// must refuse one that names no mantissa width instead of casting it.
+TEST(SnapshotTest, RejectsWbmhCountEpsilonWithoutMantissaWidth) {
+  auto decay = PolynomialDecay::Create(1.0).value();
+  WbmhDecayedSum::Options options;
+  options.epsilon = 0.5;
+  auto sum = WbmhDecayedSum::Create(decay, options);
+  ASSERT_TRUE(sum.ok());
+  for (Tick t = 1; t <= 300; ++t) (*sum)->Update(t, 1 + t % 3);
+  std::string blob;
+  ASSERT_TRUE(EncodeDecayedSum(**sum, &blob).ok());
+  ASSERT_TRUE(DecodeDecayedSum(decay, blob).ok());
+
+  // The counter state ends the blob; its first field is count_epsilon.
+  Encoder counter;
+  ASSERT_TRUE((*sum)->counter().EncodeState(counter).ok());
+  const std::string counter_bytes = counter.Finish();
+  ASSERT_TRUE(blob.ends_with(counter_bytes));
+  const size_t offset = blob.size() - counter_bytes.size();
+  for (const double count_epsilon :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e-320}) {
+    Encoder field;
+    field.PutDouble(count_epsilon);
+    std::string hostile = blob;
+    hostile.replace(offset, 8, field.Finish());
+    EXPECT_FALSE(DecodeDecayedSum(decay, hostile).ok())
+        << "count_epsilon=" << count_epsilon;
+  }
 }
 
 // Layout ids increase oldest-first; a blob listing the same spans under
@@ -435,8 +469,8 @@ TEST(SnapshotTest, SharedLayoutCounterRoundTrip) {
   WbmhCounter counter_a(source_layout, WbmhCounter::Options{0.5});
   WbmhCounter counter_b(source_layout, WbmhCounter::Options{0.5});
   for (Tick t = 1; t <= 2000; ++t) {
-    counter_a.Add(t, 1);
-    if (t % 3 == 0) counter_b.Add(t, 2);
+    counter_a.Update(t, 1);
+    if (t % 3 == 0) counter_b.Update(t, 2);
   }
   counter_a.Sync();
   counter_b.Sync();
@@ -464,15 +498,15 @@ TEST(SnapshotTest, SharedLayoutCounterRoundTrip) {
 
   // Continue both worlds identically.
   for (Tick t = 2001; t <= 3000; ++t) {
-    counter_a.Add(t, 1);
-    restored_a.Add(t, 1);
+    counter_a.Update(t, 1);
+    restored_a.Update(t, 1);
   }
   for (WbmhCounter* counter :
        {&counter_a, &counter_b, &restored_a, &restored_b}) {
     counter->Advance(3000);
   }
-  EXPECT_DOUBLE_EQ(counter_a.Estimate(3000), restored_a.Estimate(3000));
-  EXPECT_DOUBLE_EQ(counter_b.Estimate(3000), restored_b.Estimate(3000));
+  EXPECT_DOUBLE_EQ(counter_a.Query(3000), restored_a.Query(3000));
+  EXPECT_DOUBLE_EQ(counter_b.Query(3000), restored_b.Query(3000));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,7 +176,7 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
   ASSERT_TRUE(truncated.ok());
   auto layout = MakeLayout(truncated.value(), 0.5);
   WbmhCounter counter(layout, WbmhCounter::Options{0.5});
-  for (Tick t = 1; t <= 1000; ++t) counter.Add(t, 1 + t % 3);
+  for (Tick t = 1; t <= 1000; ++t) counter.Update(t, 1 + t % 3);
   counter.Sync();
   layout->TrimLog(layout->OpSeq());
   ASSERT_GT(layout->Spans().front().start, 1);
@@ -198,7 +199,7 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
   Encoder reencoded;
   ASSERT_TRUE(restored->EncodeState(reencoded).ok());
   EXPECT_EQ(reencoded.Finish(), layout_bytes);
-  EXPECT_DOUBLE_EQ(restored_counter.Estimate(1000), counter.Estimate(1000));
+  EXPECT_DOUBLE_EQ(restored_counter.Query(1000), counter.Query(1000));
 }
 
 TEST(WbmhCounterTest, CountsAreConservedAcrossMerges) {
@@ -207,7 +208,7 @@ TEST(WbmhCounterTest, CountsAreConservedAcrossMerges) {
   uint64_t total = 0;
   for (Tick t = 1; t <= 500; ++t) {
     const uint64_t value = 1 + (t % 3);
-    counter.Add(t, value);
+    counter.Update(t, value);
     total += value;
   }
   counter.Sync();
@@ -221,8 +222,8 @@ TEST(WbmhCounterTest, RoundedCountsStayWithinEpsilon) {
   WbmhCounter exact(layout, WbmhCounter::Options{0.0});
   uint64_t total = 0;
   for (Tick t = 1; t <= 4000; ++t) {
-    rounded.Add(t, 1);
-    exact.Add(t, 1);
+    rounded.Update(t, 1);
+    exact.Update(t, 1);
     ++total;
   }
   // Rounding drift is one-sided (up) and bounded by (1 + eps).
@@ -236,13 +237,11 @@ TEST(WbmhCounterTest, SharedLayoutCountersAgree) {
   // behave exactly as a privately-owned structure would.
   auto decay = InverseSquare();
   auto shared = MakeLayout(decay, 1.0);
+  WbmhCounter a(shared, WbmhCounter::Options{0.0});
+  WbmhCounter b(shared, WbmhCounter::Options{0.0});
   WbmhDecayedSum::Options options;
   options.epsilon = 1.0;
   options.count_epsilon = 0.0;
-  auto a = WbmhDecayedSum::CreateShared(shared, options);
-  auto b = WbmhDecayedSum::CreateShared(shared, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
   auto solo = WbmhDecayedSum::Create(decay, options);
   ASSERT_TRUE(solo.ok());
 
@@ -251,17 +250,55 @@ TEST(WbmhCounterTest, SharedLayoutCountersAgree) {
   size_t ia = 0, ib = 0;
   for (Tick t = 1; t <= 2000; ++t) {
     if (ia < stream_a.size() && stream_a[ia].t == t) {
-      (*a)->Update(t, stream_a[ia].value);
+      a.Update(t, stream_a[ia].value);
       (*solo)->Update(t, stream_a[ia].value);
       ++ia;
     }
     if (ib < stream_b.size() && stream_b[ib].t == t) {
-      (*b)->Update(t, stream_b[ib].value);
+      b.Update(t, stream_b[ib].value);
       ++ib;
     }
   }
-  EXPECT_DOUBLE_EQ((*a)->Query(2000), (*solo)->Query(2000));
-  EXPECT_GT((*b)->Query(2000), 0.0);
+  EXPECT_DOUBLE_EQ(a.Query(2000), (*solo)->Query(2000));
+  EXPECT_GT(b.Query(2000), 0.0);
+}
+
+// Arrivals add exactly; a merge re-rounds once, at the width its merge
+// level gives, to an overestimate within that width's factor.
+TEST(WbmhCounterTest, AddIsExactMergeRounds) {
+  // Paper example layout: slots {1,2} and {3,4} are sealed apart and merge
+  // into {1..4} a few ticks later.
+  auto layout = MakeLayout(InverseSquare(), 4.0);
+  WbmhCounter counter(layout, WbmhCounter::Options{0.5});
+  counter.Update(1, 1000);
+  counter.Update(1, 3);
+  EXPECT_DOUBLE_EQ(counter.RawTotal(), 1003.0);  // leaf adds are exact
+  counter.Update(3, 1);
+  EXPECT_EQ(counter.ActiveBuckets(), 2u);
+  EXPECT_DOUBLE_EQ(counter.RawTotal(), 1004.0);
+  for (Tick t = 4; counter.ActiveBuckets() == 2 && t < 20; ++t) {
+    counter.Advance(t);
+  }
+  ASSERT_EQ(counter.ActiveBuckets(), 1u);
+  // Level 1 at count_epsilon 0.5: 2 base bits + 2 level bits, so the
+  // merged count is rounded up by a factor below 1 + 2^-3.
+  EXPECT_GE(counter.RawTotal(), 1004.0);
+  EXPECT_LE(counter.RawTotal(), 1004.0 * (1.0 + std::ldexp(1.0, -3)));
+}
+
+TEST(WbmhCounterTest, StorageBitsAccounting) {
+  auto layout = MakeLayout(InverseSquare(), 4.0);
+  // One sequence register: ceil(log2(elapsed + 1)) bits with elapsed
+  // clamped to at least 2.
+  const size_t clock_bits = 2;
+  WbmhCounter exact(layout, WbmhCounter::Options{0.0});
+  exact.Update(1, 1000);
+  EXPECT_EQ(exact.StorageBits(), 10 + clock_bits);  // ceil(log2(1001))
+  WbmhCounter rounded(layout, WbmhCounter::Options{0.01});
+  rounded.Update(1, 1000000);
+  // Level-0 mantissa: 8 base bits for eps 0.01 plus 2 level bits; the
+  // exponent field addresses log2(1e6) + 1 exponents (5 bits).
+  EXPECT_EQ(rounded.StorageBits(), 8 + 2 + 5 + clock_bits);
 }
 
 struct WbmhAccuracyParam {
@@ -340,6 +377,25 @@ TEST(WbmhDecayedSumTest, RejectsNonAdmissibleDecay) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A count_epsilon names a mantissa width; one that does not (non-finite,
+// or so small that 2 / count_epsilon overflows) is refused up front.
+TEST(WbmhDecayedSumTest, CreateRejectsCountEpsilonWithoutMantissaWidth) {
+  auto decay = PolynomialDecay::Create(1.0).value();
+  for (const double count_epsilon :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e-320}) {
+    WbmhDecayedSum::Options options;
+    options.count_epsilon = count_epsilon;
+    auto result = WbmhDecayedSum::Create(decay, options);
+    ASSERT_FALSE(result.ok()) << "count_epsilon=" << count_epsilon;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  WbmhDecayedSum::Options tiny;
+  tiny.count_epsilon = 1e-300;  // a wide but finite mantissa
+  EXPECT_TRUE(WbmhDecayedSum::Create(decay, tiny).ok());
+}
+
 TEST(WbmhDecayedSumTest, ExponentialDecayIsAdmissibleButBucketHeavy) {
   // EXPD is admissible (constant ratio) but WBMH needs Theta(N) buckets for
   // it (paper Section 5) — verify it still *works*.
@@ -370,7 +426,7 @@ TEST(WbmhLayoutTest, OpLogTrimContract) {
   // A counter created now starts at the trimmed position and never looks
   // back.
   WbmhCounter counter(layout, WbmhCounter::Options{0.0});
-  counter.Add(100, 5);
+  counter.Update(100, 5);
   EXPECT_DOUBLE_EQ(counter.RawTotal(), 5.0);
 }
 
@@ -434,16 +490,16 @@ TEST(WbmhCounterTest, SyncOrderIndependence) {
   WbmhCounter lazy(shared, WbmhCounter::Options{0.0});
   const Stream stream = BernoulliStream(3000, 0.4, 5);
   for (const StreamItem& item : stream) {
-    eager.Add(item.t, item.value);
+    eager.Update(item.t, item.value);
     eager.Sync();  // syncs after every update
-    lazy.Add(item.t, item.value);  // relies on Add's internal sync only
+    lazy.Update(item.t, item.value);  // relies on Update's internal sync only
   }
   eager.Advance(3000);
   lazy.Advance(3000);
-  EXPECT_DOUBLE_EQ(eager.Estimate(3000), lazy.Estimate(3000));
+  EXPECT_DOUBLE_EQ(eager.Query(3000), lazy.Query(3000));
 }
 
-// Estimate() on a counter behind its shared layout replays the pending
+// Query() on a counter behind its shared layout replays the pending
 // merges exactly as Sync() would, re-rounding included, so a read never
 // depends on when the counter last synced (the engine answers point reads
 // from live registries whose counters sync lazily).
@@ -453,16 +509,16 @@ TEST(WbmhCounterTest, EstimateBehindTheLayoutMatchesSynced) {
   WbmhCounter synced(shared, WbmhCounter::Options{0.1});
   for (Tick t = 1; t <= 300; ++t) {
     const uint64_t value = 1000 + 37 * static_cast<uint64_t>(t % 11);
-    behind.Add(t, value);
-    synced.Add(t, value);
+    behind.Update(t, value);
+    synced.Update(t, value);
   }
   for (const Tick later : {Tick{400}, Tick{1000}, Tick{3000}}) {
     shared->AdvanceTo(later);
     synced.Sync();
     EXPECT_LT(behind.AppliedSeq(), shared->OpSeq());
-    EXPECT_EQ(behind.Estimate(later), synced.Estimate(later))
+    EXPECT_EQ(behind.Query(later), synced.Query(later))
         << "later=" << later;
-    EXPECT_EQ(behind.Estimate(later + 50), synced.Estimate(later + 50))
+    EXPECT_EQ(behind.Query(later + 50), synced.Query(later + 50))
         << "later=" << later;
   }
 }
