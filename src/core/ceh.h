@@ -43,6 +43,7 @@ class CehDecayedSum : public DecayedAggregate {
   /// SafeWeight, so skipping the histogram's expiry sweep never changes the
   /// estimate. Call Advance(now) to actually reclaim their storage.
   double Query(Tick now) const override;
+  Tick now() const override { return eh_.now(); }
   size_t StorageBits() const override;
   std::string Name() const override { return "CEH"; }
   const DecayPtr& decay() const override { return decay_; }

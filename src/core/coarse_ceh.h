@@ -50,6 +50,7 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   /// mutation (the stochastic aging itself only runs inside
   /// Update/Advance, so reads never touch the RNG).
   double Query(Tick now) const override;
+  Tick now() const override { return now_; }
   size_t StorageBits() const override;
   std::string Name() const override { return "COARSE_CEH"; }
   const DecayPtr& decay() const override { return decay_; }

@@ -61,6 +61,9 @@ class DecayedAggregate {
   /// Const and side-effect free; see the class comment for the contract.
   virtual double Query(Tick now) const = 0;
 
+  /// The structure's clock: the last mutation tick (or the decoded one).
+  virtual Tick now() const = 0;
+
   /// Storage consumed under the paper's bit-accounting metric.
   virtual size_t StorageBits() const = 0;
 

@@ -33,6 +33,7 @@ class EwmaCounter : public DecayedAggregate {
   void UpdateBatch(std::span<const StreamItem> items) override;
   void Advance(Tick now) override;
   double Query(Tick now) const override;
+  Tick now() const override { return now_; }
   size_t StorageBits() const override;
   std::string Name() const override { return "EWMA"; }
   const DecayPtr& decay() const override { return decay_; }

@@ -36,6 +36,7 @@ class PolyExpCounter : public DecayedAggregate {
   void UpdateBatch(std::span<const StreamItem> items) override;
   void Advance(Tick now) override;
   double Query(Tick now) const override;
+  Tick now() const override { return now_; }
   size_t StorageBits() const override;
   std::string Name() const override { return "POLYEXP_PIPE"; }
   const DecayPtr& decay() const override { return decay_; }

@@ -32,6 +32,7 @@ class RecentItemsExpCounter : public DecayedAggregate {
   void Update(Tick t, uint64_t value) override;
   void Advance(Tick now) override;
   double Query(Tick now) const override;
+  Tick now() const override { return now_; }
   size_t StorageBits() const override;
   std::string Name() const override { return "RECENT_ITEMS"; }
   const DecayPtr& decay() const override { return decay_; }

@@ -50,6 +50,7 @@ class WbmhDecayedSum : public DecayedAggregate {
   /// last mutation, with true ages relative to `now` (see
   /// WbmhCounter::Query). Advance(now) first to roll merges/drops.
   double Query(Tick now) const override;
+  Tick now() const override { return counter_.now(); }
   size_t StorageBits() const override;
   std::string Name() const override { return "WBMH"; }
   const DecayPtr& decay() const override { return layout().decay(); }

@@ -26,12 +26,7 @@ std::string SegmentName(uint64_t generation, uint32_t shard) {
          ".tds";
 }
 
-std::string BaseName(uint64_t gen_lo, uint64_t gen_hi) {
-  return "base-" + std::to_string(gen_lo) + "-" + std::to_string(gen_hi) +
-         ".tds";
-}
-
-/// Durably lands one already-footered segment/base file. Unchanged on
+/// Durably lands one already-footered segment file. Unchanged on
 /// error: until a manifest names the file it is invisible garbage, and the
 /// injected fault (or a real crash) leaves at most an unreferenced temp.
 Status WriteSegmentFile(const std::string& path, std::string_view file_bytes) {
@@ -228,14 +223,13 @@ Status ApplyGenerationsAfter(AggregateRegistry& registry,
   size_t i = 0;
   while (i < manifest.entries.size()) {
     const CheckpointLog::ManifestEntry& head = manifest.entries[i];
-    if (head.shard == CheckpointLog::kBaseShard || head.gen_lo <= *applied) {
+    if (head.gen_hi <= *applied) {
       ++i;
       continue;
     }
-    const uint64_t generation = head.gen_lo;
     std::vector<Segment> segments;
     while (i < manifest.entries.size() &&
-           manifest.entries[i].gen_lo == generation) {
+           manifest.entries[i].gen_lo == head.gen_lo) {
       StatusOr<Segment> segment = ReadManifestEntry(dir, manifest.entries[i]);
       if (!segment.ok()) return segment.status();
       segments.push_back(std::move(segment).value());
@@ -252,10 +246,9 @@ Status ApplyGenerationsAfter(AggregateRegistry& registry,
       minis.push_back(std::move(mini).value());
       views.push_back(&segment);
     }
-    Status generation_applied =
-        ApplyGeneration(registry, std::move(minis), views);
-    if (!generation_applied.ok()) return generation_applied;
-    *applied = generation;
+    Status group_applied = ApplyGeneration(registry, std::move(minis), views);
+    if (!group_applied.ok()) return group_applied;
+    *applied = head.gen_hi;
   }
   return Status::OK();
 }
@@ -263,23 +256,13 @@ Status ApplyGenerationsAfter(AggregateRegistry& registry,
 StatusOr<AggregateRegistry> FoldManifest(
     DecayPtr decay, const AggregateRegistry::Options& options,
     const std::string& dir, const CheckpointLog::Manifest& manifest) {
-  auto created = AggregateRegistry::Create(decay, options);
-  if (!created.ok()) return created.status();
-  AggregateRegistry registry = std::move(created).value();
   if (manifest.decay_name != decay->Name()) {
     return Status::InvalidArgument("manifest decay mismatch: " +
                                    manifest.decay_name);
   }
-  if (!manifest.entries.empty() &&
-      manifest.entries.front().shard == CheckpointLog::kBaseShard) {
-    StatusOr<Segment> base = ReadManifestEntry(dir, manifest.entries.front());
-    if (!base.ok()) return base.status();
-    auto decoded =
-        AggregateRegistry::Decode(decay, options, base->registry_blob);
-    if (!decoded.ok()) return decoded.status();
-    Status merged = registry.MergeFrom(std::move(decoded).value());
-    if (!merged.ok()) return merged;
-  }
+  auto created = AggregateRegistry::Create(decay, options);
+  if (!created.ok()) return created.status();
+  AggregateRegistry registry = std::move(created).value();
   uint64_t applied = 0;
   Status caught_up = ApplyGenerationsAfter(registry, decay, options, dir,
                                            manifest, &applied);
@@ -506,10 +489,24 @@ Status CheckpointLog::CommitManifest(Manifest next) {
 }
 
 Status CheckpointLog::WriteIncremental() {
+  // A plain commit adds one file per shard; one that would leave more than
+  // compact_min_segments live files is a compaction instead.
+  if (options_.compact_min_segments > 0 &&
+      manifest_.entries.size() + engine_->shards() >
+          options_.compact_min_segments) {
+    return Compact();
+  }
+  return Commit(manifest_.shard_epochs);
+}
+
+Status CheckpointLog::Compact() {
+  TDS_FAILPOINT_RETURN("ckptlog.compact");
+  return Commit(std::vector<uint64_t>(engine_->shards(), 0));
+}
+
+Status CheckpointLog::Commit(const std::vector<uint64_t>& since) {
   Status flushed = engine_->Flush();
   if (!flushed.ok()) return flushed;
-  std::vector<uint64_t> since = manifest_.shard_epochs;
-  since.resize(engine_->shards(), 0);
   std::vector<ShardedAggregateEngine::ShardCheckpointDelta> deltas;
   Status captured = engine_->CaptureCheckpointDeltas(since, &deltas);
   if (!captured.ok()) return captured;
@@ -517,6 +514,11 @@ Status CheckpointLog::WriteIncremental() {
   const uint64_t generation = manifest_.generation + 1;
   Manifest next = manifest_;
   next.generation = generation;
+  // A full capture holds every key, so it replaces the whole history.
+  if (std::all_of(since.begin(), since.end(),
+                  [](uint64_t epoch) { return epoch == 0; })) {
+    next.entries.clear();
+  }
   std::vector<std::string> written;
   auto unlink_written = [&] {
     for (const std::string& name : written) {
@@ -560,60 +562,9 @@ Status CheckpointLog::WriteIncremental() {
   }
   Status committed = CommitManifest(std::move(next));
   if (!committed.ok()) {
-    // The segments are unreferenced garbage now; a retried WriteIncremental
+    // The segments are unreferenced garbage now; a retried commit
     // re-captures a superset delta under fresh names.
     unlink_written();
-    return committed;
-  }
-  CollectGarbage();
-  if (options_.compact_min_segments > 0 &&
-      manifest_.entries.size() > options_.compact_min_segments) {
-    // The incremental commit above already landed; a compaction failure
-    // only means live bytes stay un-folded until the next opportunity.
-    return Compact();
-  }
-  return Status::OK();
-}
-
-Status CheckpointLog::Compact() {
-  TDS_FAILPOINT_RETURN("ckptlog.compact");
-  if (manifest_.generation == 0 || manifest_.entries.size() <= 1) {
-    return Status::OK();  // nothing to fold
-  }
-  StatusOr<AggregateRegistry> folded = ckptlog_internal::FoldManifest(
-      engine_->decay(), engine_->options().registry, dir_, manifest_);
-  if (!folded.ok()) return folded.status();
-  ckptlog_internal::Segment base;
-  base.shard = kBaseShard;
-  base.gen_lo = manifest_.entries.front().gen_lo;
-  base.gen_hi = manifest_.generation;
-  Status encoded = folded->EncodeState(&base.registry_blob);
-  if (!encoded.ok()) return encoded;
-  std::string payload;
-  encoded = base.Encode(&payload);
-  if (!encoded.ok()) return encoded;
-  std::string file_bytes = std::move(payload);
-  ckptio::AppendFooter(&file_bytes);
-  const std::string name = BaseName(base.gen_lo, base.gen_hi);
-  Status landed = WithRetry([&] {
-    return WriteSegmentFile(dir_ + "/" + name, file_bytes);
-  });
-  if (!landed.ok()) return landed;
-
-  Manifest next = manifest_;
-  next.generation = manifest_.generation + 1;
-  next.entries.clear();
-  ManifestEntry entry;
-  entry.file = name;
-  entry.shard = kBaseShard;
-  entry.gen_lo = base.gen_lo;
-  entry.gen_hi = base.gen_hi;
-  entry.length = file_bytes.size();
-  entry.checksum = ckptio::Fnv1a(file_bytes);
-  next.entries.push_back(std::move(entry));
-  Status committed = CommitManifest(std::move(next));
-  if (!committed.ok()) {
-    (void)::unlink((dir_ + "/" + name).c_str());
     return committed;
   }
   CollectGarbage();
@@ -707,12 +658,7 @@ Status RestoreFromCheckpointLog(ShardedAggregateEngine& engine,
   StatusOr<AggregateRegistry> registry = LoadCheckpointLog(
       engine.decay(), engine.options().registry, dir);
   if (!registry.ok()) return registry.status();
-  std::vector<AggregateRegistry> shards;
-  shards.push_back(std::move(registry).value());
-  StatusOr<MergedSnapshot> snapshot =
-      MergedSnapshot::FromShards(std::move(shards));
-  if (!snapshot.ok()) return snapshot.status();
-  return engine.Restore(std::move(snapshot).value());
+  return engine.Restore(std::move(registry).value());
 }
 
 }  // namespace tds

@@ -15,12 +15,14 @@ namespace tds {
 
 /// Crash-consistent, incremental segment/manifest checkpointing — the
 /// engine's one checkpoint format. Write cost scales with *churn*, not key
-/// population; a full checkpoint is just a manifest naming one base file
-/// (or one generation of full-capture segments).
+/// population; a full checkpoint is one generation of full-capture
+/// segments (every shard captured since epoch 0), and its manifest names
+/// nothing older.
 ///
 /// On-disk layout (one directory per log):
-///   seg-<generation>-s<shard>.tds   incremental segment (one shard's delta)
-///   base-<glo>-<ghi>.tds            compacted base (generations glo..ghi)
+///   seg-<generation>-s<shard>.tds   one shard's segment for a generation
+///   base-<glo>-<ghi>.tds            older logs' compacted base: read and
+///                                   garbage-collected, never written
 ///   MANIFEST.tds                    the manifest; .prev = prior generation
 /// Every file carries the engine/checkpoint_io.h "TDSCKPT1" integrity
 /// footer, and the manifest additionally records each live file's length
@@ -43,12 +45,13 @@ namespace tds {
 /// longer named by either the manifest or its .prev are garbage-collected
 /// after commit.
 ///
-/// Compaction folds every live segment into one base file and commits a
-/// manifest naming only it, bounding live bytes by (current population +
-/// churn since the last compaction) instead of total history. Writers
-/// auto-compact when the live segment count crosses
-/// Options::compact_min_segments; a crashed compaction leaves the
-/// pre-compaction manifest generation intact.
+/// Compaction is a full commit: it captures every shard in full and
+/// commits a manifest naming only those segments, bounding live bytes by
+/// (current population + churn since the last full commit) instead of
+/// total history. No file is decoded to write it. WriteIncremental
+/// compacts instead of committing plainly when a plain commit would leave
+/// more than Options::compact_min_segments live files; a crashed
+/// compaction leaves the previous manifest generation intact.
 ///
 /// Transient IO failures (Status kUnavailable) retry up to
 /// Options::io_retries times with bounded exponential backoff
@@ -61,7 +64,9 @@ namespace tds {
 ///   "ckptlog.segment.write"  fails a segment write before any IO
 ///   "ckptlog.manifest.commit" fails after the manifest temp file is
 ///                             durable but before the commit renames
-///   "ckptlog.compact"         fails a compaction before any IO
+///   "ckptlog.compact"         fails a compaction (Compact, or a
+///                             WriteIncremental past the segment bound)
+///                             before any capture or IO
 class CheckpointLog {
  public:
   struct Options {
@@ -71,8 +76,9 @@ class CheckpointLog {
     /// Backoff schedule for those retries; supply Options::backoff.sleeper
     /// to make waits deterministic (tests inject a recorder).
     ExponentialBackoff::Options backoff;
-    /// WriteIncremental auto-compacts once the manifest holds more than
-    /// this many live files. 0 disables auto-compaction.
+    /// WriteIncremental compacts (commits in full) instead of adding a
+    /// plain generation that would leave more than this many live files.
+    /// 0 disables auto-compaction.
     size_t compact_min_segments = 32;
   };
 
@@ -90,7 +96,7 @@ class CheckpointLog {
   /// The decoded manifest ("TDSMAN1"). All Status-returning methods are
   /// const or static: the codec mutates only its explicit outputs.
   struct Manifest {
-    uint64_t generation = 0;  ///< bumped by every commit (incl. compaction)
+    uint64_t generation = 0;  ///< bumped by one on every commit
     /// Config fingerprint — a manifest only applies to a matching engine.
     std::string decay_name;
     uint64_t backend = 0;
@@ -98,8 +104,10 @@ class CheckpointLog {
     int64_t start = 0;
     /// Per-shard committed checkpoint-epoch watermarks (size == shards).
     std::vector<uint64_t> shard_epochs;
-    /// Live files, ordered: at most one base first, then segments by
-    /// (gen_lo, shard) ascending.
+    /// Live files, ordered: segments by (gen_lo, shard) ascending, after
+    /// at most one base that an older writer compacted. The first entry
+    /// group (one generation's segments, or the base) is always a full
+    /// state.
     std::vector<ManifestEntry> entries;
 
     Status Encode(std::string* out) const;
@@ -115,9 +123,9 @@ class CheckpointLog {
   /// (EnableCheckpointTracking) and must outlive the log. If
   /// HasCheckpointLog(dir), the log resumes *writing* after its newest
   /// generation — restore the engine from it first
-  /// (RestoreFromCheckpointLog) if the history should carry over; the
-  /// first capture after Create is a full snapshot either way (in-memory
-  /// epochs restart at zero).
+  /// (RestoreFromCheckpointLog) if the history should carry over. The
+  /// first commit after Create is a full one either way (in-memory epochs
+  /// restart at zero): it replaces the history with `engine`'s state.
   static StatusOr<CheckpointLog> Create(ShardedAggregateEngine& engine,
                                         std::string dir,
                                         const Options& options);
@@ -127,15 +135,17 @@ class CheckpointLog {
 
   /// Flushes the engine, captures every shard's delta since its committed
   /// watermark at one route-table cut, writes one segment per shard, and
-  /// commits a manifest naming them. On any error the previous manifest
+  /// commits a manifest naming them: one generation per call. When that
+  /// would leave more than Options::compact_min_segments live files, the
+  /// call is a Compact() instead. On any error the previous manifest
   /// generation (and the in-memory watermarks) are unchanged — a retried
-  /// call re-captures a superset of the lost delta. Auto-compacts per
-  /// Options::compact_min_segments after a successful commit; a compaction
-  /// failure is surfaced but the incremental commit has already landed.
+  /// call re-captures a superset of the lost delta.
   Status WriteIncremental();
 
-  /// Folds all live files into one base and commits a manifest naming only
-  /// it. A crash or injected fault leaves the previous generation intact.
+  /// Commits a full generation: captures every shard since epoch 0, writes
+  /// one segment per shard, and commits a manifest naming only them. Needs
+  /// a running engine. A crash or injected fault leaves the previous
+  /// generation intact.
   Status Compact();
 
   /// The last committed manifest (empty, generation 0, before the first
@@ -152,6 +162,9 @@ class CheckpointLog {
                 const Options& options)
       : engine_(&engine), dir_(std::move(dir)), options_(options) {}
 
+  /// Captures every shard since `since` (one epoch per shard) and commits
+  /// one generation; all-zero epochs make it a full commit.
+  Status Commit(const std::vector<uint64_t>& since);
   Status CommitManifest(Manifest next);
   /// Runs `write` (which must be unchanged-on-error), retrying
   /// kUnavailable per Options::io_retries.
@@ -177,7 +190,7 @@ bool HasCheckpointLog(const std::string& dir);
 /// both errors).
 StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir);
 
-/// Decodes and folds a manifest's files (validating manifest checksums,
+/// Decodes and applies a manifest's files (validating manifest checksums,
 /// file footers, and the registry codec's invariants) into one registry
 /// equal to the checkpointed engine state. `decay`/`options` must match
 /// the engine the log came from.
@@ -208,13 +221,13 @@ struct Segment {
   Status AuditInvariants() const;
 };
 
-/// Applies every generation `manifest` lists after `*applied` onto
-/// `registry`, in ascending order: each generation's segments are read,
-/// decoded and applied together, then `*applied` moves to it. The base
-/// entry is skipped. A generation applies atomically, so on error
-/// `registry` holds every generation before the failing one and `*applied`
-/// names the last of them. The one catch-up loop of FoldManifest and the
-/// standby follower.
+/// Applies every entry group `manifest` lists after `*applied` onto
+/// `registry`, in ascending order: a group (one generation's segments, or
+/// an older writer's base) is read, decoded and applied together, then
+/// `*applied` moves to its gen_hi. Groups with gen_hi <= `*applied` are
+/// skipped. A group applies atomically, so on error `registry` holds every
+/// group before the failing one and `*applied` names the last of them. The
+/// one reader loop of recovery and the standby follower.
 Status ApplyGenerationsAfter(AggregateRegistry& registry,
                              const DecayPtr& decay,
                              const AggregateRegistry::Options& options,
@@ -222,10 +235,10 @@ Status ApplyGenerationsAfter(AggregateRegistry& registry,
                              const CheckpointLog::Manifest& manifest,
                              uint64_t* applied);
 
-/// Folds one already-loaded manifest's files into a registry equal to the
-/// checkpointed engine state: the base (if any) seeds it, then each
-/// surviving generation applies in ascending order. The standby follower
-/// uses this for full rebuilds; LoadCheckpointLog is LoadManifest + this.
+/// A fresh registry plus ApplyGenerationsAfter from generation 0: the
+/// checkpointed engine state of one already-loaded manifest. The standby
+/// follower uses this for full rebuilds; LoadCheckpointLog is
+/// LoadManifest + this.
 StatusOr<AggregateRegistry> FoldManifest(
     DecayPtr decay, const AggregateRegistry::Options& options,
     const std::string& dir, const CheckpointLog::Manifest& manifest);

@@ -875,18 +875,18 @@ StatusOr<bool> ShardedAggregateEngine::RebalanceLocked() {
   return true;
 }
 
-Status ShardedAggregateEngine::Restore(MergedSnapshot snapshot) {
+Status ShardedAggregateEngine::Restore(AggregateRegistry registry) {
   WriterMutexLock route_lock(route_mutex_);
   if (stop_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("engine is stopped");
   }
   RaiseFence();
-  const Status status = RestoreLocked(std::move(snapshot));
+  const Status status = RestoreLocked(std::move(registry));
   LowerFence();
   return status;
 }
 
-Status ShardedAggregateEngine::RestoreLocked(MergedSnapshot snapshot) {
+Status ShardedAggregateEngine::RestoreLocked(AggregateRegistry full) {
   WaitQueuesDrained();
   for (const auto& shard : shards_) {
     if (shard->applied.load(std::memory_order_acquire) != 0 ||
@@ -895,7 +895,6 @@ Status ShardedAggregateEngine::RestoreLocked(MergedSnapshot snapshot) {
           "Restore requires a fresh engine (no items applied, no live keys)");
     }
   }
-  AggregateRegistry full = std::move(snapshot).ReleaseRegistry();
   const auto table = CurrentRoute();
   const auto slice_count =
       static_cast<uint32_t>(table->shard_of_slice.size());

@@ -70,8 +70,8 @@ struct ProducerSessionOptions {
 /// session) bounds the blocking and rejects the overflow with
 /// kUnavailable; rejects and parks are counted per shard in Stats().
 /// Restore() (with RestoreFromCheckpointLog, engine/checkpoint_log.h)
-/// rebuilds a fresh engine from a checkpointed merged snapshot,
-/// byte-identical to the checkpointed state.
+/// rebuilds a fresh engine from a checkpointed registry, byte-identical
+/// to the checkpointed state.
 ///
 /// Route-epoch protocol: the slice→shard table is an immutable snapshot
 /// (RouteTable) published through an atomic shared_ptr with a
@@ -242,14 +242,14 @@ class ShardedAggregateEngine {
   Status MigrateSlices(std::span<const uint32_t> slices, uint32_t to_shard)
       TDS_EXCLUDES(route_mutex_);
 
-  /// Rebuilds shard state from a checkpointed merged snapshot (see
-  /// RestoreFromCheckpointLog): the snapshot's registry is re-partitioned
-  /// along the current route table and merged onto the shard writers
-  /// through the same audited ExtractIf/MergeFrom path migrations use. Requires a
+  /// Rebuilds shard state from a checkpointed registry (see
+  /// RestoreFromCheckpointLog): `registry` is re-partitioned along the
+  /// current route table and merged onto the shard writers through the
+  /// same audited ExtractIf/MergeFrom path migrations use. Requires a
   /// fresh engine (no items applied, no live keys) whose options match the
   /// checkpoint's; queries afterwards are byte-identical to the
   /// checkpointed state.
-  Status Restore(MergedSnapshot snapshot) TDS_EXCLUDES(route_mutex_);
+  Status Restore(AggregateRegistry registry) TDS_EXCLUDES(route_mutex_);
 
   /// One shard's incremental-checkpoint delta (the unit the checkpoint log
   /// turns into a segment file — see engine/checkpoint_log.h).
@@ -511,7 +511,7 @@ class ShardedAggregateEngine {
   StatusOr<bool> RebalanceLocked() TDS_REQUIRES(route_mutex_);
 
   /// Restore's body under the same bracket as RebalanceLocked.
-  Status RestoreLocked(MergedSnapshot snapshot) TDS_REQUIRES(route_mutex_);
+  Status RestoreLocked(AggregateRegistry full) TDS_REQUIRES(route_mutex_);
 
   DecayPtr decay_;
   Options options_;

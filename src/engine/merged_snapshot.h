@@ -73,8 +73,8 @@ class MergedSnapshot {
   /// against a serially-fed reference).
   const AggregateRegistry& registry() const { return registry_; }
 
-  /// Consumes the snapshot, yielding the merged registry (the engine's
-  /// Restore() path re-partitions it across shards).
+  /// Consumes the snapshot, yielding the merged registry (which the
+  /// engine's Restore() re-partitions across shards).
   AggregateRegistry ReleaseRegistry() && { return std::move(registry_); }
 
   /// The merged registry blob (what a serially-fed reference's EncodeState

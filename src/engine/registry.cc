@@ -567,6 +567,10 @@ Status AggregateRegistry::AuditInvariants() {
                     "slot unreachable from its key's probe chain");
     TDS_AUDIT_CHECK(slot.last_tick <= now_,
                     "slot clock ahead of the registry clock");
+    // A key clocked past the registry would abort the next in-order
+    // update; Decode rejects such a blob through this check.
+    TDS_AUDIT_CHECK(slot.aggregate->now() <= now_,
+                    "key aggregate clock ahead of the registry clock");
     ++live;
   }
   TDS_AUDIT_CHECK(live == live_, "live-count drift");

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
-#include "engine/merged_snapshot.h"
 #include "util/audit.h"
 #include "util/failpoint.h"
 
@@ -43,29 +41,24 @@ Status StandbyFollower::ApplyNew() {
   }
   if (manifest.generation == applied_generation_) return Status::OK();
 
-  const bool base_covers_applied =
-      !manifest.entries.empty() &&
-      manifest.entries.front().shard == CheckpointLog::kBaseShard &&
-      manifest.entries.front().gen_hi > applied_generation_;
-  if (base_covers_applied || applied_generation_ == 0) {
-    // Compaction rewrote generations we already hold (or we hold nothing):
-    // rebuild aside, then swap — the old view serves until the new one is
+  if (!manifest.entries.empty() &&
+      manifest.entries.front().gen_hi > applied_generation_) {
+    // The manifest's first entry group is a full state newer than our view:
+    // a full commit replaced the history we hold (or we hold nothing).
+    // Rebuild aside, then swap — the old view serves until the new one is
     // fully validated.
     StatusOr<AggregateRegistry> rebuilt =
         ckptlog_internal::FoldManifest(decay_, options_, dir_, manifest);
     if (!rebuilt.ok()) return rebuilt.status();
     registry_ = std::move(rebuilt).value();
-    applied_generation_ = manifest.generation;
-    TDS_AUDIT_MUTATION(AuditInvariants());
-    return Status::OK();
+  } else {
+    // Incremental catch-up: apply each generation newer than ours, in order.
+    Status caught_up = ckptlog_internal::ApplyGenerationsAfter(
+        registry_, decay_, options_, dir_, manifest, &applied_generation_);
+    if (!caught_up.ok()) return caught_up;
   }
-
-  // Incremental catch-up: apply each generation newer than ours, in order.
-  Status caught_up = ckptlog_internal::ApplyGenerationsAfter(
-      registry_, decay_, options_, dir_, manifest, &applied_generation_);
-  if (!caught_up.ok()) return caught_up;
-  // Commits without surviving segments (e.g. a compaction emptied by GC of
-  // a later incremental) still advance the watermark.
+  // An older writer's compaction committed a generation with no entries
+  // of its own; the watermark still moves to the manifest's generation.
   applied_generation_ = manifest.generation;
   TDS_AUDIT_MUTATION(AuditInvariants());
   return Status::OK();
@@ -80,17 +73,11 @@ StatusOr<std::unique_ptr<ShardedAggregateEngine>> StandbyFollower::Promote(
   if (!caught_up.ok()) return caught_up;
   auto engine = ShardedAggregateEngine::Create(decay_, options);
   if (!engine.ok()) return engine.status();
-  // The registry moves into the snapshot below; from here on the follower
+  // The registry moves into the engine below; from here on the follower
   // is consumed even if the restore fails.
   promoted_ = true;
-  std::vector<AggregateRegistry> shards;
-  shards.push_back(std::move(registry_));
-  StatusOr<MergedSnapshot> snapshot =
-      MergedSnapshot::FromShards(std::move(shards));
-  if (!snapshot.ok()) return snapshot.status();
-  Status restored = (*engine)->Restore(std::move(snapshot).value());
+  Status restored = (*engine)->Restore(std::move(registry_));
   if (!restored.ok()) return restored;
-  promoted_ = true;
   return std::move(engine).value();
 }
 

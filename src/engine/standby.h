@@ -21,11 +21,15 @@ namespace tds {
 /// The follower holds one folded registry plus the generation it has
 /// applied through. ApplyNew() is cheap when little has been committed:
 /// catch-up work is proportional to the segments written since the last
-/// apply, not to the key population — unless a compaction rewrote history
-/// underneath us (the new base covers generations we already applied), in
-/// which case the follower rebuilds from the base. Either way a failed or
-/// injected-fault apply leaves the follower serving its last consistent
-/// view ("standby.apply" honors unchanged-on-error).
+/// apply, not to the key population — unless the manifest's first entry
+/// group (always a full state) is newer than the follower's view. Then a
+/// full commit replaced the history the follower applied, and it rebuilds
+/// from the manifest on a fresh registry. A rebuild is needed even when
+/// the follower had applied everything before that commit: a primary that
+/// reopened the log without restoring from it writes no dead keys for the
+/// history it replaces. Either way a failed or injected-fault apply leaves
+/// the follower serving its last consistent view ("standby.apply" honors
+/// unchanged-on-error).
 ///
 /// Reads (Query/QueryTotal/KeyCount) serve the follower's current view at
 /// any time; they never block on the primary.

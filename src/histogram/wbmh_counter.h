@@ -78,6 +78,8 @@ class WbmhCounter : public DecayedAggregate {
   /// the horizon contribute 0. Safe for concurrent readers of a quiescent
   /// structure.
   double Query(Tick now) const override;
+  /// The layout's clock.
+  Tick now() const override { return layout_->now(); }
 
   /// Storage bits under the paper's metric: per active bucket, the rounded
   /// count's mantissa+exponent (or exact log-count bits), plus one

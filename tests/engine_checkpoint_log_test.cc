@@ -1,7 +1,7 @@
 // Incremental segment/manifest checkpoint tests (engine/checkpoint_log.h):
 // round-trips must be byte-identical to the engine's own snapshot blob,
 // incremental bytes must scale with churn rather than population,
-// compaction must fold without changing the recovered state, every
+// compaction (a full commit) must not change the recovered state, every
 // torn-file shape — truncation, bit flips, a crash between the commit
 // renames — must be detected instead of loading garbage, and every
 // injected fault — segment write, manifest commit, compaction — must leave
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,9 @@
 #include "core/factory.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
+#include "engine/checkpoint_io.h"
 #include "engine/engine.h"
+#include "engine/standby.h"
 #include "engine_test_util.h"
 #include "util/failpoint.h"
 #include "util/random.h"
@@ -281,8 +284,12 @@ TEST(CheckpointLogTest, CompactionFoldsWithoutChangingRecovery) {
     const uint64_t live_before = log.LiveBytes();
 
     ASSERT_TRUE(log.Compact().ok());
-    ASSERT_EQ(log.manifest().entries.size(), 1u);
-    EXPECT_EQ(log.manifest().entries[0].shard, CheckpointLog::kBaseShard);
+    // A compaction is one full generation: one segment per shard.
+    ASSERT_EQ(log.manifest().generation, 6u);
+    ASSERT_EQ(log.manifest().entries.size(), engine->shards());
+    for (const auto& entry : log.manifest().entries) {
+      EXPECT_EQ(entry.gen_lo, 6u);
+    }
     EXPECT_LT(log.LiveBytes(), live_before);
     EXPECT_EQ(RecoveredBlob(ec, dir), before);
 
@@ -306,7 +313,8 @@ TEST(CheckpointLogTest, AutoCompactionBoundsLiveSegmentCount) {
   for (uint64_t round = 0; round < 8; ++round) {
     ASSERT_TRUE(SessionIngest(*engine, Stream(40 + round, t, 500, &t)).ok());
     ASSERT_TRUE(log.WriteIncremental().ok());
-    EXPECT_LE(log.manifest().entries.size(), options.compact_min_segments + 1);
+    EXPECT_EQ(log.manifest().generation, round + 1);
+    EXPECT_LE(log.manifest().entries.size(), options.compact_min_segments);
   }
   EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
   std::filesystem::remove_all(dir);
@@ -327,7 +335,7 @@ TEST(CheckpointLogTest, GarbageCollectionDropsSupersededFiles) {
   }
   ASSERT_TRUE(log.Compact().ok());
   // One more commit rotates the pre-compaction manifest out of .prev, so
-  // only the base and the newest segments may remain on disk.
+  // only the full generation's and the newest segments may remain on disk.
   ASSERT_TRUE(SessionIngest(*engine, Stream(60, t, 500, &t)).ok());
   ASSERT_TRUE(log.WriteIncremental().ok());
   size_t files = 0;
@@ -335,8 +343,8 @@ TEST(CheckpointLogTest, GarbageCollectionDropsSupersededFiles) {
     const std::string name = ent.path().filename().string();
     if (name.rfind("seg-", 0) == 0 || name.rfind("base-", 0) == 0) ++files;
   }
-  // base + (newest generation + .prev's generation) segments at most.
-  EXPECT_LE(files, 1 + 2 * 3u);
+  // The full generation + the newest generation's segments at most.
+  EXPECT_LE(files, 2 * 3u);
   EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
   std::filesystem::remove_all(dir);
 }
@@ -909,6 +917,221 @@ TEST(CheckpointLogTest, RetryDisabledFailsOnFirstFault) {
   ASSERT_TRUE(log.WriteIncremental().ok());
   EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
   std::filesystem::remove_all(dir);
+}
+
+// Every call commits at most one generation, so a call that returns an
+// error committed nothing: the generation and the recovered state stay
+// put. That holds for the automatic full commit too, which fails at the
+// same "ckptlog.compact" failpoint as Compact().
+TEST(CheckpointLogTest, FailedCommitLeavesGenerationUnchanged) {
+  if (!kFailpointsEnabled) {
+    GTEST_SKIP() << "build without -DTDS_FAILPOINTS=ON";
+  }
+  failpoint::DisarmAll();
+  const EngineCase ec = Cases()[0];
+  failpoint::Scenario sticky;
+  sticky.fire_on_hit = 1;
+  sticky.sticky = true;
+  enum class Call { kPlain, kAutoFull, kCompact };
+  const std::pair<std::string_view, Call> cases[] = {
+      {"ckptlog.segment.write", Call::kPlain},
+      {"ckptlog.segment.write", Call::kAutoFull},
+      {"ckptlog.segment.write", Call::kCompact},
+      {"ckptlog.manifest.commit", Call::kPlain},
+      {"ckptlog.manifest.commit", Call::kAutoFull},
+      {"ckptlog.manifest.commit", Call::kCompact},
+      {"ckptlog.compact", Call::kAutoFull},
+      {"ckptlog.compact", Call::kCompact},
+  };
+  for (const auto& [fp, call] : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << fp << " call=" << static_cast<int>(call));
+    const std::string dir = TempDir("unchanged");
+    auto engine = MakeTrackedEngine(ec);
+    CheckpointLog::Options options;
+    options.io_retries = 1;
+    options.backoff.sleeper = [](std::chrono::nanoseconds) {};
+    // The first commit leaves one file per shard (3), so with a bound of 3
+    // every later WriteIncremental is an automatic full commit.
+    options.compact_min_segments = call == Call::kAutoFull ? 3 : 0;
+    auto log = MakeLog(*engine, dir, options);
+
+    Tick t = 1;
+    ASSERT_TRUE(SessionIngest(*engine, Stream(180, t, 1200, &t)).ok());
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    const std::string committed = MergedBlob(*engine);
+    const uint64_t committed_gen = log.manifest().generation;
+
+    ASSERT_TRUE(SessionIngest(*engine, Stream(181, t, 600, &t)).ok());
+    failpoint::Arm(fp, sticky);
+    const Status failed =
+        call == Call::kCompact ? log.Compact() : log.WriteIncremental();
+    failpoint::DisarmAll();
+    EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(log.manifest().generation, committed_gen);
+    auto on_disk = LoadManifest(dir);
+    ASSERT_TRUE(on_disk.ok());
+    EXPECT_EQ(on_disk->generation, committed_gen);
+    EXPECT_EQ(RecoveredBlob(ec, dir), committed);
+
+    // Cleared, the next call commits exactly one generation.
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    EXPECT_EQ(log.manifest().generation, committed_gen + 1);
+    EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// A log reopened on an engine that was not restored from it: the first
+// commit is a full one and replaces the history, so recovery yields
+// exactly the new engine and none of the old keys.
+TEST(CheckpointLogTest, ReopenOnUnrestoredEngineReplacesHistory) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("reopen_") + ec.label);
+    {
+      auto old_engine = MakeTrackedEngine(ec);
+      auto log = MakeLog(*old_engine, dir);
+      Tick t = 1;
+      for (uint64_t round = 0; round < 3; ++round) {
+        ASSERT_TRUE(
+            SessionIngest(*old_engine, Stream(160 + round, t, 800, &t)).ok());
+        ASSERT_TRUE(log.WriteIncremental().ok());
+      }
+    }
+    auto engine = MakeTrackedEngine(ec);
+    std::vector<KeyedItem> items;
+    for (uint64_t i = 0; i < 40; ++i) {
+      items.push_back(KeyedItem{1000 + i, 1 + static_cast<Tick>(i / 8), 2});
+    }
+    ASSERT_TRUE(SessionIngest(*engine, items).ok());
+    auto log = MakeLog(*engine, dir);
+    EXPECT_EQ(log.manifest().generation, 3u);
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    EXPECT_EQ(log.manifest().generation, 4u);
+    EXPECT_EQ(log.manifest().entries.size(), engine->shards());
+
+    auto restored = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+    EXPECT_EQ(restored->KeyCount(), engine->KeyCount());
+    EXPECT_EQ(MergedBlob(*restored), MergedBlob(*engine));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+/// Footers `payload`, writes it to `path`, and returns its manifest entry.
+CheckpointLog::ManifestEntry WriteLogFile(const std::string& dir,
+                                          const std::string& name,
+                                          uint32_t shard, uint64_t gen_lo,
+                                          uint64_t gen_hi,
+                                          std::string payload) {
+  ckptio::AppendFooter(&payload);
+  std::ofstream out(dir + "/" + name, std::ios::binary | std::ios::trunc);
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  EXPECT_TRUE(out.good());
+  CheckpointLog::ManifestEntry entry;
+  entry.file = name;
+  entry.shard = shard;
+  entry.gen_lo = gen_lo;
+  entry.gen_hi = gen_hi;
+  entry.length = payload.size();
+  entry.checksum = ckptio::Fnv1a(payload);
+  return entry;
+}
+
+// Logs from before compaction became a full commit hold a base file: one
+// registry blob folding generations gen_lo..gen_hi, shard kBaseShard, no
+// dead keys. Such a log (base 1..3, compaction committed as generation 4,
+// one incremental generation 5) must load byte-identically, feed a
+// follower, and take new commits, which shed the base.
+TEST(CheckpointLogTest, LegacyBaseLogLoadsResumesAndFeedsFollower) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("legacy_base_") + ec.label);
+    std::filesystem::create_directories(dir);
+    auto engine = MakeTrackedEngine(ec);
+    Tick t = 1;
+    ASSERT_TRUE(SessionIngest(*engine, Stream(170, t, 1500, &t)).ok());
+    ASSERT_TRUE(engine->Flush().ok());
+
+    CheckpointLog::Manifest manifest;
+    manifest.generation = 5;
+    manifest.decay_name = ec.decay->Name();
+    manifest.backend =
+        static_cast<uint64_t>(ResolveBackend(*ec.decay, ec.backend));
+    manifest.epsilon = engine->options().registry.aggregate.epsilon();
+    manifest.start = engine->options().registry.aggregate.start();
+    manifest.shard_epochs.assign(engine->shards(), 0);
+
+    // The base: the whole engine state at one cut. The full capture opens
+    // the epochs generation 5's segments start from.
+    std::vector<ShardedAggregateEngine::ShardCheckpointDelta> cut;
+    ASSERT_TRUE(engine
+                    ->CaptureCheckpointDeltas(
+                        std::vector<uint64_t>(engine->shards(), 0), &cut)
+                    .ok());
+    ckptlog_internal::Segment base;
+    base.shard = CheckpointLog::kBaseShard;
+    base.gen_lo = 1;
+    base.gen_hi = 3;
+    base.registry_blob = MergedBlob(*engine);
+    std::string payload;
+    ASSERT_TRUE(base.Encode(&payload).ok());
+    manifest.entries.push_back(WriteLogFile(dir, "base-1-3.tds",
+                                            CheckpointLog::kBaseShard, 1, 3,
+                                            std::move(payload)));
+
+    ASSERT_TRUE(SessionIngest(*engine, Stream(171, t, 600, &t)).ok());
+    ASSERT_TRUE(engine->Flush().ok());
+    std::vector<uint64_t> since;
+    for (const auto& shard_delta : cut) since.push_back(shard_delta.delta.epoch);
+    std::vector<ShardedAggregateEngine::ShardCheckpointDelta> deltas;
+    ASSERT_TRUE(engine->CaptureCheckpointDeltas(since, &deltas).ok());
+    for (const auto& shard_delta : deltas) {
+      ckptlog_internal::Segment segment;
+      segment.shard = shard_delta.shard;
+      segment.gen_lo = 5;
+      segment.gen_hi = 5;
+      segment.epoch = shard_delta.delta.epoch;
+      segment.dead_keys = shard_delta.delta.dead_keys;
+      segment.registry_blob = shard_delta.delta.blob;
+      ASSERT_TRUE(segment.Encode(&payload).ok());
+      manifest.entries.push_back(WriteLogFile(
+          dir, "seg-5-s" + std::to_string(shard_delta.shard) + ".tds",
+          shard_delta.shard, 5, 5, std::move(payload)));
+      manifest.shard_epochs[shard_delta.shard] = shard_delta.delta.epoch;
+    }
+    ASSERT_TRUE(manifest.Encode(&payload).ok());
+    (void)WriteLogFile(dir, "MANIFEST.tds", 0, 0, 0, std::move(payload));
+
+    // Loads byte-identically; a fresh follower builds from the base.
+    EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
+    auto follower =
+        StandbyFollower::Create(ec.decay, EngineOptions(ec).registry, dir);
+    ASSERT_TRUE(follower.ok());
+    ASSERT_TRUE(follower->ApplyNew().ok());
+    EXPECT_EQ(follower->applied_generation(), 5u);
+
+    // Resume writing on an engine restored from the log.
+    auto resumed = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*resumed, dir).ok());
+    ASSERT_TRUE(resumed->EnableCheckpointTracking().ok());
+    auto log = MakeLog(*resumed, dir);
+    for (uint64_t round = 0; round < 2; ++round) {
+      ASSERT_TRUE(SessionIngest(*resumed, Stream(172 + round, t, 600, &t)).ok());
+      ASSERT_TRUE(log.WriteIncremental().ok());
+      EXPECT_EQ(log.manifest().generation, 6 + round);
+      EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*resumed));
+      ASSERT_TRUE(follower->ApplyNew().ok());
+      EXPECT_EQ(follower->applied_generation(), 6 + round);
+    }
+    // Neither the manifest nor its .prev names the base any more.
+    EXPECT_FALSE(std::filesystem::exists(dir + "/base-1-3.tds"));
+    auto promoted = follower->Promote(EngineOptions(ec));
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_EQ(MergedBlob(**promoted), MergedBlob(*resumed));
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

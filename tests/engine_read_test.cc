@@ -219,7 +219,8 @@ TEST(EngineReadTest, PointReadsMatchMergedSnapshotAfterRestore) {
     auto restored =
         ShardedAggregateEngine::Create(rc.decay, EngineOptions(rc));
     ASSERT_TRUE(restored.ok());
-    ASSERT_TRUE((*restored)->Restore(std::move(checkpoint).value()).ok());
+    ASSERT_TRUE(
+        (*restored)->Restore(std::move(*checkpoint).ReleaseRegistry()).ok());
     ExpectReadsMatchSnapshot(**restored, rc);
     for (uint64_t key = 0; key < kKeys; ++key) {
       EXPECT_EQ(Bits((*restored)->QueryKey(key, end)),

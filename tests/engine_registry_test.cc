@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
+#include "core/snapshot.h"
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
@@ -474,6 +475,63 @@ TEST(AggregateRegistryTest, RejectsWbmhCounterOffTheRegistryEpsilon) {
     hostile.replace(offset, 8, field.Finish());
     EXPECT_FALSE(AggregateRegistry::Decode(decay, options, hostile).ok())
         << "count_epsilon=" << count_epsilon;
+  }
+}
+
+// A "TDSREG1" blob with registry clock 100 holding one key (42, last tick
+// 50) whose state is `aggregate`, written field by field as EncodeState
+// lays it out for an owned backend.
+std::string OneKeyBlob(const DecayFunction& decay,
+                       const AggregateOptions& options,
+                       DecayedAggregate& aggregate) {
+  Encoder encoder;
+  encoder.PutString("TDSREG1");
+  encoder.PutString(decay.Name());
+  encoder.PutVarint(static_cast<uint64_t>(options.backend()));
+  encoder.PutDouble(options.epsilon());
+  encoder.PutSigned(options.start());
+  encoder.PutSigned(100);
+  encoder.PutVarint(1);
+  encoder.PutVarint(42);
+  encoder.PutSigned(50);
+  std::string payload;
+  EXPECT_TRUE(EncodeDecayedSum(aggregate, &payload).ok());
+  encoder.PutString(payload);
+  return encoder.Finish();
+}
+
+// A key whose aggregate is clocked past the registry would abort the next
+// in-order update (t >= the registry clock, but < the key's clock), so
+// decode refuses it.
+TEST(AggregateRegistryTest, RejectsKeyClockAheadOfRegistry) {
+  struct Case {
+    const char* label;
+    DecayPtr decay;
+    Backend backend;
+  };
+  const Case cases[] = {
+      {"CEH", SlidingWindowDecay::Create(1024).value(), Backend::kCeh},
+      {"EWMA", ExponentialDecay::Create(0.01).value(), Backend::kEwma},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const auto options = RegistryOptions(c.backend, 0.1);
+    for (const Tick key_clock : {Tick{50}, Tick{1000000}}) {
+      SCOPED_TRACE(key_clock);
+      auto aggregate = MakeDecayedSum(c.decay, options.aggregate);
+      ASSERT_TRUE(aggregate.ok());
+      (*aggregate)->Update(key_clock, 1);
+      auto decoded = AggregateRegistry::Decode(
+          c.decay, options, OneKeyBlob(*c.decay, options.aggregate, **aggregate));
+      if (key_clock <= 100) {
+        // With the clocks in order the hand-built blob is well formed.
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        decoded->Update(42, 101, 1);
+        EXPECT_GT(decoded->Query(42, 101), 0.0);
+      } else {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Warm-standby follower tests (engine/standby.h): the follower tails the
 // checkpoint log's manifest, catches up in time proportional to what was
-// committed since its last apply, survives compactions rewriting history
-// underneath it, serves its last consistent view across injected apply
+// committed since its last apply, rebuilds when a full commit replaces
+// the history underneath it, serves its last consistent view across injected apply
 // faults, and promotes to an engine byte-identical to the primary's last
 // committed checkpoint — including after crashes at every failpoint.
 #include "engine/standby.h"
@@ -187,8 +187,9 @@ TEST(StandbyTest, FollowerSurvivesCompactionRewritingHistory) {
     ASSERT_TRUE(log.WriteIncremental().ok());
     ASSERT_TRUE(follower.ApplyNew().ok());
 
-    // The primary writes more, then compacts: the base now covers the
-    // generations the follower already applied, forcing the rebuild path.
+    // The primary writes more, then compacts: the full generation replaces
+    // the generations the follower already applied, forcing the rebuild
+    // path.
     ASSERT_TRUE(SessionIngest(*primary, Stream(21, t, 1000, &t)).ok());
     ASSERT_TRUE(log.WriteIncremental().ok());
     ASSERT_TRUE(log.Compact().ok());
@@ -349,6 +350,45 @@ TEST(StandbyTest, PromoteConsumesTheFollower) {
   EXPECT_EQ(follower.Promote(EngineOptions(ec)).status().code(),
             StatusCode::kFailedPrecondition);
   std::filesystem::remove_all(dir);
+}
+
+// The primary restarts without restoring and reopens the log: its first
+// commit is a full one that replaces the history, with no dead keys for
+// the old keys. A follower that tailed the old history must rebuild onto
+// the new engine's state instead of applying that generation on top.
+TEST(StandbyTest, FollowerRebuildsOntoLogReopenedByAnotherEngine) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("reopened_") + ec.label);
+    auto follower = MakeFollower(ec, dir);
+    {
+      auto old_primary = MakeTrackedEngine(ec);
+      auto log = MakeLog(*old_primary, dir);
+      Tick t = 1;
+      for (uint64_t round = 0; round < 2; ++round) {
+        ASSERT_TRUE(
+            SessionIngest(*old_primary, Stream(70 + round, t, 1000, &t)).ok());
+        ASSERT_TRUE(log.WriteIncremental().ok());
+        ASSERT_TRUE(follower.ApplyNew().ok());
+      }
+      ASSERT_EQ(follower.applied_generation(), 2u);
+    }
+    auto primary = MakeTrackedEngine(ec);
+    std::vector<KeyedItem> items;
+    for (uint64_t i = 0; i < 40; ++i) {
+      items.push_back(KeyedItem{1000 + i, 1 + static_cast<Tick>(i / 8), 2});
+    }
+    ASSERT_TRUE(SessionIngest(*primary, items).ok());
+    auto log = MakeLog(*primary, dir);
+    ASSERT_TRUE(log.WriteIncremental().ok());
+    ASSERT_TRUE(follower.ApplyNew().ok());
+    EXPECT_EQ(follower.applied_generation(), 3u);
+    EXPECT_EQ(follower.KeyCount(), primary->KeyCount());
+    auto promoted = follower.Promote(EngineOptions(ec));
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_EQ(MergedBlob(**promoted), MergedBlob(*primary));
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

@@ -122,9 +122,9 @@ CkptLogFuzzCoverage RunCheckpointLogFuzz(const DecayPtr& decay,
 
   // A successful WriteIncremental (or Compact) moved the committed state;
   // refresh the reference. Injected faults must NOT reach this point.
-  const auto record_commit = [&](bool state_changed) {
+  const auto record_commit = [&] {
     failpoint::DisarmAll();
-    if (state_changed) committed_blob = MergedBlob(engine, in);
+    committed_blob = MergedBlob(engine, in);
     committed_gen = log->manifest().generation;
     have_commit = true;
   };
@@ -186,16 +186,16 @@ CkptLogFuzzCoverage RunCheckpointLogFuzz(const DecayPtr& decay,
       const Status wrote = log->WriteIncremental();
       ExpectCleanStatus(wrote, in);
       if (wrote.ok()) {
-        record_commit(/*state_changed=*/true);
+        record_commit();
         ++coverage.commits;
       }
     } else if (kind == 12) {
-      // Compaction folds history without changing the recovered state:
-      // the reference blob stays, only the generation moves.
+      // Compaction is a full commit of the engine's current state, so a
+      // success refreshes the reference exactly like WriteIncremental.
       const Status compacted = log->Compact();
       ExpectCleanStatus(compacted, in);
-      if (compacted.ok() && have_commit) {
-        record_commit(/*state_changed=*/false);
+      if (compacted.ok()) {
+        record_commit();
         ++coverage.compactions;
       }
     } else if (kind == 13) {
@@ -236,7 +236,7 @@ CkptLogFuzzCoverage RunCheckpointLogFuzz(const DecayPtr& decay,
     if ((op + 1) % 48 == 0) {
       failpoint::DisarmAll();
       TDS_FUZZ_CHECK_OK(log->WriteIncremental(), in, "stabilize op=", op);
-      record_commit(/*state_changed=*/true);
+      record_commit();
       check_cold_restore();
       TDS_FUZZ_CHECK_OK(follower->ApplyNew(), in, "stabilize standby");
       TDS_FUZZ_CHECK(follower->applied_generation() == committed_gen, in,
@@ -249,7 +249,7 @@ CkptLogFuzzCoverage RunCheckpointLogFuzz(const DecayPtr& decay,
   // reference (and therefore to the primary).
   failpoint::DisarmAll();
   TDS_FUZZ_CHECK_OK(log->WriteIncremental(), in, "final commit");
-  record_commit(/*state_changed=*/true);
+  record_commit();
   check_cold_restore();
   TDS_FUZZ_CHECK_OK(follower->ApplyNew(), in, "final standby catch-up");
   auto promoted = follower->Promote(EngineOptions(backend));
