@@ -47,6 +47,9 @@ class CehDecayedSum : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "CEH"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<CehDecayedSum>(*this);
+  }
 
   const ExponentialHistogram& histogram() const { return eh_; }
 

@@ -195,24 +195,28 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
     return CorruptSnapshot("CoarseCEH clock");
   }
   total_count_ = total;
-  std::vector<std::vector<ApproxAge>> decoded(class_count);
-  for (size_t c = 0; c < decoded.size(); ++c) {
-    uint64_t buckets = 0;
-    if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
-      return CorruptSnapshot("CoarseCEH class");
-    }
-    for (uint64_t i = 0; i < buckets; ++i) {
-      ApproxAge age;
-      uint64_t count = 0;
-      // The store keeps no counts: a class-c bucket holds 2^c units.
-      if (!age.DecodeFrom(decoder) || !decoder.GetVarint(&count) ||
-          count != uint64_t{1} << c) {
-        return CorruptSnapshot("CoarseCEH bucket");
-      }
-      decoded[c].push_back(age);
-    }
-  }
-  store_.AssignFromClasses(decoded);
+  // The store keeps no counts: a class-c bucket holds 2^c units.
+  const char* corrupt = nullptr;
+  const bool parsed = store_.AssignFromAscendingClasses(
+      class_count, [&](size_t c, std::vector<ApproxAge>& out) {
+        uint64_t buckets = 0;
+        if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
+          corrupt = "CoarseCEH class";
+          return false;
+        }
+        for (uint64_t i = 0; i < buckets; ++i) {
+          ApproxAge age;
+          uint64_t count = 0;
+          if (!age.DecodeFrom(decoder) || !decoder.GetVarint(&count) ||
+              count != uint64_t{1} << c) {
+            corrupt = "CoarseCEH bucket";
+            return false;
+          }
+          out.push_back(age);
+        }
+        return true;
+      });
+  if (!parsed) return CorruptSnapshot(corrupt);
   // Hostile-snapshot funnel: reject blobs whose state fails the audit,
   // including bucket counts that do not sum to the total.
   const Status audit = AuditInvariants();

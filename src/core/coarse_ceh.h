@@ -54,6 +54,9 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "COARSE_CEH"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<CoarseCehDecayedSum>(*this);
+  }
 
   size_t BucketCount() const;
   /// Sum of all live bucket counts.

@@ -2,6 +2,7 @@
 #define TDS_CORE_DECAYED_AGGREGATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -72,6 +73,13 @@ class DecayedAggregate {
 
   /// The decay function being maintained.
   virtual const DecayPtr& decay() const = 0;
+
+  /// An independent deep copy: same state, same answers, same snapshot
+  /// bytes, and no state shared with this one (except a WbmhCounter's
+  /// shared layout, which its owner rebinds). Each structure copies itself
+  /// with its copy constructor — the in-memory alternative to an encode /
+  /// decode round trip.
+  virtual std::unique_ptr<DecayedAggregate> Clone() const = 0;
 };
 
 }  // namespace tds

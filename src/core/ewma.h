@@ -37,6 +37,9 @@ class EwmaCounter : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "EWMA"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<EwmaCounter>(*this);
+  }
 
   /// Structural invariants: a finite nonnegative register bounded by the
   /// running maximum, clock ordering, and (with mantissa rounding on) the

@@ -26,6 +26,9 @@ class ExactDecayedSum : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "EXACT"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<ExactDecayedSum>(*this);
+  }
 
   /// Number of retained (tick, value) pairs.
   size_t ItemCount() const { return items_.size(); }

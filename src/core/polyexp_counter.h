@@ -40,6 +40,9 @@ class PolyExpCounter : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "POLYEXP_PIPE"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<PolyExpCounter>(*this);
+  }
 
   /// Decayed sum under p(x) e^{-lambda x} where p(x) = sum_j coeffs[j] x^j
   /// (coeffs.size() <= k+1).

@@ -36,6 +36,9 @@ class RecentItemsExpCounter : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "RECENT_ITEMS"; }
   const DecayPtr& decay() const override { return decay_; }
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<RecentItemsExpCounter>(*this);
+  }
 
   /// The retention constant C from Lemma 3.1.
   size_t capacity() const { return capacity_; }

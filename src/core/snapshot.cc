@@ -56,12 +56,36 @@ Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out) {
   if (!status.ok()) return status;
 
   Encoder encoder;
-  encoder.PutString(kMagic);
-  encoder.PutString(name);
-  encoder.PutString(aggregate.decay()->Name());
-  std::string payload = payload_encoder.Finish();
-  encoder.PutString(payload);
+  PutSnapshotEnvelopePrefix(encoder, name, aggregate.decay()->Name());
+  encoder.PutString(payload_encoder.view());
   *out = encoder.Finish();
+  return Status::OK();
+}
+
+void PutSnapshotEnvelopePrefix(Encoder& encoder, std::string_view type,
+                               std::string_view decay_name) {
+  encoder.PutString(kMagic);
+  encoder.PutString(type);
+  encoder.PutString(decay_name);
+}
+
+Status ParseSnapshotEnvelope(std::string_view data, std::string_view decay_name,
+                             std::string_view* type,
+                             std::string_view* payload) {
+  Decoder decoder(data);
+  std::string_view magic, encoded_decay;
+  if (!decoder.GetView(&magic) || magic != kMagic) {
+    return CorruptSnapshot("bad magic");
+  }
+  if (!decoder.GetView(type) || !decoder.GetView(&encoded_decay) ||
+      !decoder.GetView(payload)) {
+    return CorruptSnapshot("bad envelope");
+  }
+  if (encoded_decay != decay_name) {
+    return Status::InvalidArgument(
+        "snapshot was taken under decay '" + std::string(encoded_decay) +
+        "' but decoding with '" + std::string(decay_name) + "'");
+  }
   return Status::OK();
 }
 
@@ -70,20 +94,10 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  Decoder decoder(data);
-  std::string magic, type, decay_name, payload;
-  if (!decoder.GetString(&magic) || magic != kMagic) {
-    return CorruptSnapshot("bad magic");
-  }
-  if (!decoder.GetString(&type) || !decoder.GetString(&decay_name) ||
-      !decoder.GetString(&payload)) {
-    return CorruptSnapshot("bad envelope");
-  }
-  if (decay_name != decay->Name()) {
-    return Status::InvalidArgument(
-        "snapshot was taken under decay '" + decay_name +
-        "' but decoding with '" + decay->Name() + "'");
-  }
+  std::string_view type, payload;
+  const Status envelope =
+      ParseSnapshotEnvelope(data, decay->Name(), &type, &payload);
+  if (!envelope.ok()) return envelope;
 
   // Peek the option fields (each payload leads with them) to construct an
   // identically-configured instance, then let DecodeState verify + load.
@@ -151,7 +165,8 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
     status = (*created)->DecodeState(body);
     result = std::move(created).value();
   } else {
-    return Status::Unimplemented("unknown snapshot type: " + type);
+    return Status::Unimplemented("unknown snapshot type: " +
+                                 std::string(type));
   }
   if (!status.ok()) return status;
   return result;

@@ -28,6 +28,21 @@ namespace tds {
 /// Serializes `aggregate` into `out`.
 Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out);
 
+/// The EncodeDecayedSum envelope is [magic, type, decay name, payload],
+/// each length-prefixed. These two halves of it let a caller that encodes
+/// many structures of one type under one decay (AggregateRegistry) write
+/// the fixed prefix once per call and decode payloads in place, with bytes
+/// identical to EncodeDecayedSum / DecodeDecayedSum.
+///
+/// Writes the envelope up to (not including) the payload.
+void PutSnapshotEnvelopePrefix(class Encoder& encoder, std::string_view type,
+                               std::string_view decay_name);
+/// Checks the magic and the decay name (against `decay_name`, the decoding
+/// decay function's Name()) and yields the type and payload as views into
+/// `data`.
+Status ParseSnapshotEnvelope(std::string_view data, std::string_view decay_name,
+                             std::string_view* type, std::string_view* payload);
+
 /// Reconstructs a structure from `data`, bound to `decay` (which must be
 /// the same decay function — verified by name — the snapshot was taken
 /// with).

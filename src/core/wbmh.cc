@@ -12,6 +12,12 @@ WbmhDecayedSum::WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout,
                                double count_epsilon)
     : counter_(std::move(layout), WbmhCounter::Options{count_epsilon}) {}
 
+WbmhDecayedSum::WbmhDecayedSum(const WbmhDecayedSum& other)
+    : counter_(other.counter_) {
+  // The counter is synced after every mutation, so it may rebind.
+  counter_.RebindLayout(std::make_shared<WbmhLayout>(other.layout()));
+}
+
 StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
     DecayPtr decay, const Options& options) {
   if (decay == nullptr) {

@@ -40,6 +40,10 @@ class WbmhDecayedSum : public DecayedAggregate {
   static StatusOr<std::unique_ptr<WbmhDecayedSum>> Create(
       DecayPtr decay, const Options& options);
 
+  /// Deep copy: the layout is private, so the copy gets its own.
+  WbmhDecayedSum(const WbmhDecayedSum& other);
+  WbmhDecayedSum& operator=(const WbmhDecayedSum&) = delete;
+
   void Update(Tick t, uint64_t value) override;
   /// Amortized batch path: layout advance / op replay / bucket lookup run
   /// once per distinct tick; counts still add per item so the rounded
@@ -54,6 +58,10 @@ class WbmhDecayedSum : public DecayedAggregate {
   size_t StorageBits() const override;
   std::string Name() const override { return "WBMH"; }
   const DecayPtr& decay() const override { return layout().decay(); }
+  /// Copies the private layout too, so the copy is independent.
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<WbmhDecayedSum>(*this);
+  }
 
   const WbmhLayout& layout() const { return *counter_.layout(); }
   const WbmhCounter& counter() const { return counter_; }

@@ -69,8 +69,8 @@ Status Segment::Encode(std::string* out) const {
 StatusOr<Segment> Segment::Decode(std::string_view data) {
   Decoder decoder(data);
   Segment segment;
-  std::string magic;
-  if (!decoder.GetString(&magic) || magic != kSegmentMagic) {
+  std::string_view magic;
+  if (!decoder.GetView(&magic) || magic != kSegmentMagic) {
     return Status::InvalidArgument("corrupt segment: magic");
   }
   uint64_t shard = 0;
@@ -306,8 +306,8 @@ StatusOr<CheckpointLog::Manifest> CheckpointLog::Manifest::Decode(
     std::string_view data) {
   Decoder decoder(data);
   Manifest manifest;
-  std::string magic;
-  if (!decoder.GetString(&magic) || magic != kManifestMagic) {
+  std::string_view magic;
+  if (!decoder.GetView(&magic) || magic != kManifestMagic) {
     return Status::InvalidArgument("corrupt manifest: magic");
   }
   uint64_t shard_count = 0;
@@ -525,14 +525,14 @@ Status CheckpointLog::Commit(const std::vector<uint64_t>& since) {
       (void)::unlink((dir_ + "/" + name).c_str());
     }
   };
-  for (const auto& shard_delta : deltas) {
+  for (auto& shard_delta : deltas) {
     ckptlog_internal::Segment segment;
     segment.shard = shard_delta.shard;
     segment.gen_lo = generation;
     segment.gen_hi = generation;
     segment.epoch = shard_delta.delta.epoch;
-    segment.dead_keys = shard_delta.delta.dead_keys;
-    segment.registry_blob = shard_delta.delta.blob;
+    segment.dead_keys = std::move(shard_delta.delta.dead_keys);
+    segment.registry_blob = std::move(shard_delta.delta.blob);
     std::string payload;
     Status encoded = segment.Encode(&payload);
     if (!encoded.ok()) {

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -568,38 +569,38 @@ void ShardedAggregateEngine::RunOnWriterForTest(
 std::shared_ptr<const AggregateRegistry> ShardedAggregateEngine::ShardSnapshot(
     uint32_t shard_index) {
   TDS_CHECK_LT(shard_index, shards_.size());
-  // The writer only encodes; the decode runs here, off the writer. A codec
-  // failure (reachable only via failpoints: the pair is self-inverse on
-  // any registry the audits admit) yields null and leaves the shard intact.
-  std::string blob;
-  Status encoded = Status::OK();
+  // The writer copies the registry structurally between drain chunks; no
+  // codec runs. A failed copy (reachable only via the "registry.copy"
+  // failpoint) yields null and leaves the shard intact.
+  std::optional<StatusOr<AggregateRegistry>> copy;
   RunOnWriter(*shards_[shard_index], [&](AggregateRegistry& registry) {
-    encoded = registry.EncodeState(&blob);
+    copy.emplace(registry.Copy());
   });
-  if (!encoded.ok()) return nullptr;
-  auto decoded = AggregateRegistry::Decode(decay_, options_.registry, blob);
-  if (!decoded.ok()) return nullptr;
-  return std::make_shared<const AggregateRegistry>(std::move(decoded).value());
+  if (!copy->ok()) return nullptr;
+  return std::make_shared<const AggregateRegistry>(std::move(*copy).value());
 }
 
 StatusOr<MergedSnapshot> ShardedAggregateEngine::Snapshot() {
   // Shared route lock across the whole gather: a migration between two
   // shard captures would otherwise double-count (or drop) the moving keys.
   // Concurrent flushes are fine — the cut is whatever each writer has
-  // applied — so the fence is not touched. Every writer encodes at once.
-  std::vector<std::string> blobs(shards_.size());
-  std::vector<Status> encoded(shards_.size());
+  // applied — so the fence is not touched. Every writer copies at once.
+  std::vector<std::optional<StatusOr<AggregateRegistry>>> copies(
+      shards_.size());
   {
     ReaderMutexLock route_lock(route_mutex_);
     RunOnEveryWriter([&](uint32_t i, AggregateRegistry& registry) {
-      encoded[i] = registry.EncodeState(&blobs[i]);
+      copies[i].emplace(registry.Copy());
     });
   }
-  for (const Status& status : encoded) {
-    if (!status.ok()) return status;
+  std::vector<AggregateRegistry> shards;
+  shards.reserve(copies.size());
+  for (auto& copy : copies) {
+    if (!copy->ok()) return copy->status();
+    shards.push_back(std::move(*copy).value());
   }
-  // Decode + fold outside the lock: the blobs are already a consistent cut.
-  return MergedSnapshot::FromShardBlobs(decay_, options_.registry, blobs);
+  // Fold outside the lock: the copies are already a consistent cut.
+  return MergedSnapshot::FromShards(std::move(shards));
 }
 
 Status ShardedAggregateEngine::EnableCheckpointTracking() {

@@ -56,11 +56,12 @@ struct ProducerSessionOptions {
 /// Read path: every read is a request on its shard's writer queue, served
 /// between drain chunks against the live registry. QueryKey and QueryTotal
 /// evaluate the live aggregates in place (O(log N) buckets per key, no
-/// copy); ShardSnapshot and Snapshot ask the writer for the shard's encode
-/// blob only and decode it on the caller. KeyCount reads the writers'
-/// occupancy mirrors and posts nothing. A read issued after Flush()
-/// reflects every item ingested before the Flush; a read waits for at most
-/// the drain chunk the writer is applying. Snapshot() assembles one
+/// copy); ShardSnapshot and Snapshot ask the writer for a structural copy
+/// of its registry (AggregateRegistry::Copy: each key's state cloned, the
+/// WBMH layout copied once — no encode, no decode). KeyCount reads the
+/// writers' occupancy mirrors and posts nothing. A read issued after
+/// Flush() reflects every item ingested before the Flush; a read waits for
+/// at most the drain chunk the writer is applying. Snapshot() assembles one
 /// engine-wide MergedSnapshot from all shards at a single route-table cut.
 ///
 /// Backpressure: when a shard's ring fills, producers escalate through the
@@ -194,17 +195,19 @@ class ShardedAggregateEngine {
   /// session Flush() first.
   Status Flush();
 
-  /// Fresh immutable copy of one shard's registry: the writer encodes the
-  /// registry between drain chunks and the caller decodes the blob. The
-  /// copy reflects at least everything applied before this call began;
-  /// null if the encode or the decode fails.
+  /// Fresh immutable copy of one shard's registry: the writer copies the
+  /// registry structurally (AggregateRegistry::Copy) between drain chunks.
+  /// The copy reflects at least everything applied before this call began
+  /// and shares no state with the live shard; null if the copy fails.
   std::shared_ptr<const AggregateRegistry> ShardSnapshot(uint32_t shard);
 
   /// One engine-wide merged view at a single route-table cut: every shard
-  /// writer encodes its registry while the route lock is held (so no
-  /// rebalance can slip between shard captures and double-count a key);
-  /// the blobs are decoded and folded outside the lock into a
-  /// MergedSnapshot whose cut tick is the max shard clock captured.
+  /// writer copies its registry at once while the route lock is held (so
+  /// no rebalance can slip between shard captures and double-count a key);
+  /// the copies are folded outside the lock (MergedSnapshot::FromShards)
+  /// into a MergedSnapshot whose cut tick is the max shard clock captured.
+  /// Nothing is encoded or decoded; the first failed copy's status is
+  /// returned.
   StatusOr<MergedSnapshot> Snapshot() TDS_EXCLUDES(route_mutex_);
 
   /// Decayed sum for `key`, read by its owning shard's writer from the live

@@ -18,19 +18,6 @@ StatusOr<MergedSnapshot> MergedSnapshot::FromShards(
   return MergedSnapshot(std::move(merged));
 }
 
-StatusOr<MergedSnapshot> MergedSnapshot::FromShardBlobs(
-    DecayPtr decay, const AggregateRegistry::Options& options,
-    std::span<const std::string> blobs) {
-  std::vector<AggregateRegistry> shards;
-  shards.reserve(blobs.size());
-  for (const std::string& blob : blobs) {
-    auto decoded = AggregateRegistry::Decode(decay, options, blob);
-    if (!decoded.ok()) return decoded.status();
-    shards.push_back(std::move(decoded).value());
-  }
-  return FromShards(std::move(shards));
-}
-
 double MergedSnapshot::Query(uint64_t key, Tick now) const {
   return registry_.Query(key, std::max(now, cut()));
 }

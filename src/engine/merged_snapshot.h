@@ -2,7 +2,6 @@
 #define TDS_ENGINE_MERGED_SNAPSHOT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -16,13 +15,14 @@ namespace tds {
 /// "top decayed-sum keys across all flows" read the paper's per-key
 /// deployments (RED flow state, per-customer usage) ask for.
 ///
-/// Built by decoding each shard's snapshot blob and folding the decoded
-/// registries together with AggregateRegistry::MergeFrom. Because per-key
-/// aggregates are pure functions of their own update sequences and the WBMH
-/// layout is a pure function of the clock, the merged registry is
-/// bit-identical to a single registry fed the same items serially — the
-/// merged registry blob (EncodeRegistryState) can be byte-compared against
-/// a serial reference's EncodeState (see tests/engine_merge_test.cc).
+/// Built from one structural copy of each shard's registry
+/// (AggregateRegistry::Copy, taken on the shard writers) folded together
+/// with AggregateRegistry::MergeFrom. Because per-key aggregates are pure
+/// functions of their own update sequences and the WBMH layout is a pure
+/// function of the clock, the merged registry is bit-identical to a single
+/// registry fed the same items serially — the merged registry blob
+/// (EncodeRegistryState) can be byte-compared against a serial reference's
+/// EncodeState (see tests/engine_merge_test.cc).
 ///
 /// The cut tick is the maximum shard clock at capture: the shard that
 /// received the stream's newest item defines "now", and lagging shards'
@@ -35,17 +35,11 @@ class MergedSnapshot {
     double weight = 0.0;
   };
 
-  /// Folds already-decoded shard registries (at least one) into one view.
-  /// All registries must share decay/backend/epsilon/start and have
-  /// pairwise-disjoint keys; they are consumed.
+  /// Folds shard registries (at least one: copies, or decoded blobs) into
+  /// one view. All registries must share decay/backend/epsilon/start and
+  /// have pairwise-disjoint keys; they are consumed.
   static StatusOr<MergedSnapshot> FromShards(
       std::vector<AggregateRegistry> shards);
-
-  /// Decodes each shard snapshot blob (through the registry codec's full
-  /// audit-on-decode path) and folds the results.
-  static StatusOr<MergedSnapshot> FromShardBlobs(
-      DecayPtr decay, const AggregateRegistry::Options& options,
-      std::span<const std::string> blobs);
 
   MergedSnapshot(MergedSnapshot&&) = default;
   MergedSnapshot& operator=(MergedSnapshot&&) = default;

@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "core/ceh.h"
+#include "core/coarse_ceh.h"
+#include "core/ewma.h"
+#include "core/exact.h"
+#include "core/polyexp_counter.h"
+#include "core/recent_items.h"
 #include "core/snapshot.h"
 #include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
@@ -53,6 +59,43 @@ const char* BackendTypeName(Backend backend) {
   }
   TDS_CHECK_MSG(false, "unresolved backend");
   return "";
+}
+
+/// Calls f on `aggregate` as the concrete type the registry builds for
+/// `backend` (NewAggregate), so the codec's per-key calls bind statically.
+template <typename F>
+Status WithConcreteType(Backend backend, DecayedAggregate& aggregate, F&& f) {
+  switch (backend) {
+    case Backend::kExact:
+      return f(static_cast<ExactDecayedSum&>(aggregate));
+    case Backend::kEwma:
+      return f(static_cast<EwmaCounter&>(aggregate));
+    case Backend::kRecentItems:
+      return f(static_cast<RecentItemsExpCounter&>(aggregate));
+    case Backend::kCeh:
+      return f(static_cast<CehDecayedSum&>(aggregate));
+    case Backend::kCoarseCeh:
+      return f(static_cast<CoarseCehDecayedSum&>(aggregate));
+    case Backend::kWbmh:
+      return f(AsCounter(aggregate));
+    case Backend::kPolyExp:
+      return f(static_cast<PolyExpCounter&>(aggregate));
+    case Backend::kAuto:
+      break;
+  }
+  TDS_CHECK_MSG(false, "unresolved backend");
+  return Status::OK();
+}
+
+/// EncodeState is infallible for every backend but WBMH.
+template <typename T>
+Status EncodePayload(const T& aggregate, Encoder& encoder) {
+  if constexpr (std::is_void_v<decltype(aggregate.EncodeState(encoder))>) {
+    aggregate.EncodeState(encoder);
+    return Status::OK();
+  } else {
+    return aggregate.EncodeState(encoder);
+  }
 }
 
 }  // namespace
@@ -158,7 +201,9 @@ uint32_t AggregateRegistry::Find(uint64_t key) const {
   }
 }
 
-uint32_t AggregateRegistry::GetOrCreate(uint64_t key) {
+template <typename MakeAggregate>
+uint32_t AggregateRegistry::FindOrInsert(uint64_t key, Tick last_tick,
+                                         MakeAggregate&& make) {
   RehashIfNeeded();
   size_t pos = SplitMix64(key) & table_mask_;
   size_t insert_pos = table_.size();  // first tombstone on the probe path
@@ -177,25 +222,40 @@ uint32_t AggregateRegistry::GetOrCreate(uint64_t key) {
   } else {
     --tombstones_;
   }
-  auto aggregate = NewAggregate();
-  TDS_CHECK_MSG(aggregate.ok(), "per-key aggregate construction failed");
   const uint32_t index = arena_.Allocate();
   Slot& slot = arena_.at(index);
-  slot.aggregate = std::move(aggregate).value();
+  slot.aggregate = make();
   slot.key = key;
-  slot.last_tick = now_;
+  slot.last_tick = last_tick;
   if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
   table_[insert_pos] = index;
   ++live_;
   return index;
 }
 
-StatusOr<uint32_t> AggregateRegistry::TryGetOrCreate(uint64_t key) {
-  if (Find(key) == SlotArena<Slot>::kNone &&
-      arena_.occupied() == arena_.extent()) {
-    TDS_FAILPOINT_RETURN("registry.arena.grow");
-  }
-  return GetOrCreate(key);
+uint32_t AggregateRegistry::GetOrCreate(uint64_t key) {
+  return FindOrInsert(key, now_, [this] {
+    auto aggregate = NewAggregate();
+    TDS_CHECK_MSG(aggregate.ok(), "per-key aggregate construction failed");
+    return std::move(aggregate).value();
+  });
+}
+
+void AggregateRegistry::Insert(uint64_t key,
+                               std::unique_ptr<DecayedAggregate> aggregate,
+                               Tick last_tick) {
+  bool inserted = false;
+  FindOrInsert(key, last_tick, [&] {
+    inserted = true;
+    return std::move(aggregate);
+  });
+  TDS_CHECK_MSG(inserted, "slot insert of a key that is already live");
+}
+
+void AggregateRegistry::ReserveTable(size_t keys) {
+  size_t capacity = table_.size();
+  while ((keys + 1) * 10 >= capacity * 7) capacity *= 2;
+  if (capacity != table_.size()) Rehash(capacity);
 }
 
 void AggregateRegistry::RehashIfNeeded() {
@@ -426,14 +486,12 @@ Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
   // an extra decay-and-reround step that a serially-fed registry never
   // performs).
   now_ = std::max(now_, other.now_);
+  ReserveTable(live_ + other.live_);
   for (uint32_t i = 0; i < other.arena_.extent(); ++i) {
     Slot& src = other.arena_.at(i);
     if (src.aggregate == nullptr) continue;
-    const uint32_t index = GetOrCreate(src.key);
-    Slot& dst = arena_.at(index);
-    dst.aggregate = std::move(src.aggregate);
-    if (layout_ != nullptr) AsCounter(*dst.aggregate).RebindLayout(layout_);
-    dst.last_tick = src.last_tick;
+    if (layout_ != nullptr) AsCounter(*src.aggregate).RebindLayout(layout_);
+    Insert(src.key, std::move(src.aggregate), src.last_tick);
   }
   TDS_AUDIT_MUTATION(AuditInvariants());
   return Status::OK();
@@ -465,18 +523,41 @@ StatusOr<AggregateRegistry> AggregateRegistry::ExtractIf(
   for (uint32_t i = 0; i < arena_.extent(); ++i) {
     Slot& src = arena_.at(i);
     if (src.aggregate == nullptr || !pred(src.key)) continue;
-    const uint32_t index = out.GetOrCreate(src.key);
-    Slot& dst = out.arena_.at(index);
-    dst.aggregate = std::move(src.aggregate);
-    if (layout_ != nullptr) {
-      AsCounter(*dst.aggregate).RebindLayout(out.layout_);
-    }
-    dst.last_tick = src.last_tick;
+    if (layout_ != nullptr) AsCounter(*src.aggregate).RebindLayout(out.layout_);
+    out.Insert(src.key, std::move(src.aggregate), src.last_tick);
     Evict(i);
   }
   TDS_AUDIT_MUTATION(AuditInvariants());
   TDS_AUDIT_MUTATION(out.AuditInvariants());
   return out;
+}
+
+StatusOr<AggregateRegistry> AggregateRegistry::Copy() {
+  // Entry-only injection, like MergeFrom / ExtractIf: a fired copy leaves
+  // this registry untouched.
+  TDS_FAILPOINT_RETURN("registry.copy");
+  AggregateRegistry copy(decay_, options_, backend_, resolved_);
+  copy.now_ = now_;
+  copy.expiry_age_ = expiry_age_;
+  if (layout_ != nullptr) {
+    // Synced counters at a trimmed log, so the copied layout needs no log
+    // and every cloned counter can rebind to it as it is.
+    SyncAllCounters();
+    layout_->TrimLog(layout_->OpSeq());
+    copy.layout_ = std::make_shared<WbmhLayout>(*layout_);
+  }
+  copy.ReserveTable(live_);
+  for (uint32_t i = 0; i < arena_.extent(); ++i) {
+    const Slot& slot = arena_.at(i);
+    if (slot.aggregate == nullptr) continue;
+    std::unique_ptr<DecayedAggregate> clone = slot.aggregate->Clone();
+    if (layout_ != nullptr) AsCounter(*clone).RebindLayout(copy.layout_);
+    copy.Insert(slot.key, std::move(clone), slot.last_tick);
+  }
+  // Syncing and trimming are representation mutations of the source.
+  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(copy.AuditInvariants());
+  return copy;
 }
 
 void AggregateRegistry::Advance(Tick now) {
@@ -614,9 +695,10 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
                                           size_t* entry_count) {
   TDS_CHECK(out != nullptr);
   TDS_FAILPOINT_RETURN("registry.encode");
+  const std::string decay_name = decay_->Name();
   Encoder encoder;
   encoder.PutString(kRegistryMagic);
-  encoder.PutString(decay_->Name());
+  encoder.PutString(decay_name);
   encoder.PutVarint(static_cast<uint64_t>(backend_));
   encoder.PutDouble(resolved_.epsilon());
   encoder.PutSigned(resolved_.start());
@@ -637,31 +719,42 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
   std::sort(entries.begin(), entries.end());
   *entry_count = entries.size();
   encoder.PutVarint(entries.size());
+  // One scratch encoder takes every per-key payload in turn.
+  Encoder scratch;
   if (layout_ != nullptr) {
     // Layout snapshots carry no op log, so every counter must be at the
     // layout's op sequence before the log is dropped.
     SyncAllCounters();
     layout_->TrimLog(layout_->OpSeq());
-    Encoder sub;
-    const Status status = layout_->EncodeState(sub);
+    const Status status = layout_->EncodeState(scratch);
     if (!status.ok()) return status;
-    encoder.PutString(sub.Finish());
+    encoder.PutString(scratch.view());
   }
+  // Every other backend wraps each key's payload in the EncodeDecayedSum
+  // envelope, whose prefix (magic, type, decay name) is the same for every
+  // key: built once here.
+  Encoder envelope_prefix;
+  if (layout_ == nullptr) {
+    PutSnapshotEnvelopePrefix(envelope_prefix, BackendTypeName(backend_),
+                              decay_name);
+  }
+  const std::string_view prefix = envelope_prefix.view();
   for (const auto& [key, index] : entries) {
     Slot& slot = arena_.at(index);
     encoder.PutVarint(key);
     encoder.PutSigned(slot.last_tick);
-    std::string payload;
-    if (layout_ != nullptr) {
-      Encoder sub;
-      const Status status = AsCounter(*slot.aggregate).EncodeState(sub);
-      if (!status.ok()) return status;
-      payload = sub.Finish();
-    } else {
-      const Status status = EncodeDecayedSum(*slot.aggregate, &payload);
-      if (!status.ok()) return status;
+    scratch.Clear();
+    const Status status =
+        WithConcreteType(backend_, *slot.aggregate, [&scratch](auto& agg) {
+          return EncodePayload(agg, scratch);
+        });
+    if (!status.ok()) return status;
+    if (layout_ == nullptr) {
+      encoder.PutVarint(prefix.size() + VarintLength(scratch.size()) +
+                        scratch.size());
+      encoder.PutRaw(prefix);
     }
-    encoder.PutString(payload);
+    encoder.PutString(scratch.view());
   }
   *out = encoder.Finish();
   // Encoding syncs counters and trims the layout log — representation
@@ -729,15 +822,17 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
   auto created = Create(std::move(decay), options);
   if (!created.ok()) return created.status();
   AggregateRegistry registry = std::move(created).value();
+  const std::string decay_name = registry.decay_->Name();
   Decoder decoder(data);
-  std::string magic;
-  std::string name;
-  if (!decoder.GetString(&magic) || magic != kRegistryMagic) {
+  std::string_view magic;
+  std::string_view name;
+  if (!decoder.GetView(&magic) || magic != kRegistryMagic) {
     return CorruptSnapshot("registry magic");
   }
-  if (!decoder.GetString(&name)) return CorruptSnapshot("decay name");
-  if (name != registry.decay_->Name()) {
-    return Status::InvalidArgument("snapshot decay mismatch: " + name);
+  if (!decoder.GetView(&name)) return CorruptSnapshot("decay name");
+  if (name != decay_name) {
+    return Status::InvalidArgument("snapshot decay mismatch: " +
+                                   std::string(name));
   }
   uint64_t backend = 0;
   double epsilon = 0.0;
@@ -757,8 +852,8 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
   if (now < registry.now_) return CorruptSnapshot("registry clock");
   registry.now_ = now;
   if (registry.layout_ != nullptr) {
-    std::string blob;
-    if (!decoder.GetString(&blob)) return CorruptSnapshot("layout blob");
+    std::string_view blob;
+    if (!decoder.GetView(&blob)) return CorruptSnapshot("layout blob");
     Decoder sub(blob);
     const Status status = registry.layout_->DecodeState(sub);
     if (!status.ok()) return status;
@@ -767,13 +862,16 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
       return CorruptSnapshot("layout clock ahead of the registry");
     }
   }
+  // Every entry takes at least three bytes, which bounds a hostile count.
+  registry.ReserveTable(std::min<uint64_t>(count, decoder.remaining() / 3));
+  const std::string_view type_name = BackendTypeName(registry.backend_);
   uint64_t prev_key = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t key = 0;
     int64_t last_tick = 0;
-    std::string payload;
+    std::string_view payload;
     if (!decoder.GetVarint(&key) || !decoder.GetSigned(&last_tick) ||
-        !decoder.GetString(&payload)) {
+        !decoder.GetView(&payload)) {
       return CorruptSnapshot("registry entry");
     }
     if (i > 0 && key <= prev_key) {
@@ -781,29 +879,43 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
     }
     prev_key = key;
     if (last_tick > now) return CorruptSnapshot("entry clock");
-    const StatusOr<uint32_t> index = registry.TryGetOrCreate(key);
-    if (!index.ok()) return index.status();
-    Slot& slot = registry.arena_.at(*index);
-    slot.last_tick = last_tick;
+    // Injectable allocation failure: the insert below grows the arena (a
+    // decoded registry never has a freed slot to recycle). The ingest
+    // path treats allocation failure as fatal by design and evaluates no
+    // per-item failpoint.
+    TDS_FAILPOINT_RETURN("registry.arena.grow");
+    // The payload decodes into an aggregate built from the registry's own
+    // options, so each structure's DecodeState rejects state encoded under
+    // other options instead of adopting it.
+    auto aggregate = registry.NewAggregate();
+    if (!aggregate.ok()) return aggregate.status();
+    // A WBMH payload is the counter's bare state; every other one is framed
+    // in the EncodeDecayedSum envelope.
+    std::string_view body = payload;
+    if (registry.layout_ == nullptr) {
+      std::string_view type;
+      const Status envelope =
+          ParseSnapshotEnvelope(payload, decay_name, &type, &body);
+      if (!envelope.ok()) return envelope;
+      if (type != type_name) {
+        return Status::InvalidArgument("snapshot backend mismatch: " +
+                                       std::string(type));
+      }
+    }
+    Decoder sub(body);
+    const Status status = WithConcreteType(
+        registry.backend_, **aggregate,
+        [&sub](auto& concrete) { return concrete.DecodeState(sub); });
+    if (!status.ok()) return status;
     if (registry.layout_ != nullptr) {
-      Decoder sub(payload);
-      WbmhCounter& counter = AsCounter(*slot.aggregate);
-      const Status status = counter.DecodeState(sub);
-      if (!status.ok()) return status;
       if (!sub.Done()) return CorruptSnapshot("counter trailer");
       // Every key's counts round at the registry's one precision.
-      if (counter.count_epsilon() != registry.resolved_.epsilon()) {
+      if (AsCounter(**aggregate).count_epsilon() !=
+          registry.resolved_.epsilon()) {
         return CorruptSnapshot("counter count_epsilon");
       }
-    } else {
-      auto decoded = DecodeDecayedSum(registry.decay_, payload);
-      if (!decoded.ok()) return decoded.status();
-      if ((*decoded)->Name() != BackendTypeName(registry.backend_)) {
-        return Status::InvalidArgument(
-            "snapshot backend mismatch: " + (*decoded)->Name());
-      }
-      slot.aggregate = std::move(decoded).value();
     }
+    registry.Insert(key, std::move(aggregate).value(), last_tick);
   }
   if (!decoder.Done()) return CorruptSnapshot("registry trailer");
   const Status audit = registry.AuditInvariants();

@@ -53,9 +53,9 @@ struct KeyedItem {
 /// arena completes one epoch; Advance() runs a full pass eagerly.
 ///
 /// Threading contract (same as DecayedAggregate): Update / UpdateBatch /
-/// Advance / EncodeState require exclusive access and non-decreasing ticks;
-/// Query / QueryTotal are const and side-effect free, so any number of
-/// readers may run concurrently on a quiescent registry.
+/// Advance / EncodeState / Copy require exclusive access and non-decreasing
+/// ticks; Query / QueryTotal are const and side-effect free, so any number
+/// of readers may run concurrently on a quiescent registry.
 class AggregateRegistry {
  public:
   struct Options {
@@ -133,6 +133,16 @@ class AggregateRegistry {
   /// counters move over and rebind to it.
   StatusOr<AggregateRegistry> ExtractIf(
       const std::function<bool(uint64_t)>& pred);
+
+  /// An independent deep copy: the same options, clock, keys, last-arrival
+  /// ticks and per-key state (DecayedAggregate::Clone), so it answers and
+  /// encodes exactly like this registry, and later updates to either one
+  /// leave the other as it was. For WBMH every counter is synced and the
+  /// log trimmed first (as EncodeState does), then the layout is copied
+  /// once and every cloned counter rebinds to the copy. The copy does not
+  /// track checkpoints, like a decoded registry. Same exclusive-access
+  /// contract as EncodeState; on error this registry is unchanged.
+  StatusOr<AggregateRegistry> Copy();
 
   size_t KeyCount() const { return live_; }
   Tick now() const { return now_; }
@@ -240,7 +250,21 @@ class AggregateRegistry {
   size_t IngestTickSegment(Tick t, std::span<const KeyedItem> segment);
 
   uint32_t Find(uint64_t key) const;
+  /// The slot holding `key`; if it is not live, a new slot with the
+  /// aggregate make() returns and the given last-arrival tick. The one
+  /// probe loop, instantiated (and inlined) once per caller below.
+  template <typename MakeAggregate>
+  uint32_t FindOrInsert(uint64_t key, Tick last_tick, MakeAggregate&& make);
+  /// The ingest path's lookup: creates a fresh aggregate for a new key.
   uint32_t GetOrCreate(uint64_t key);
+  /// Inserts a key that is not live, with the aggregate the caller already
+  /// holds for it (merge, extraction, decode and copy overwrite every
+  /// aggregate they insert, so they build none of their own).
+  void Insert(uint64_t key, std::unique_ptr<DecayedAggregate> aggregate,
+              Tick last_tick);
+  /// Sizes the key table for `keys` live keys, so a bulk insert up to that
+  /// many never rehashes.
+  void ReserveTable(size_t keys);
 
   /// Shared body of EncodeState (partial == false: every live key) and
   /// CaptureCheckpointDelta (partial == true: keys with dirty_epoch >
@@ -248,13 +272,6 @@ class AggregateRegistry {
   Status EncodeStateImpl(std::string* out, bool partial, uint64_t since,
                          size_t* entry_count);
 
-  /// GetOrCreate with injectable allocation failure: the failpoint
-  /// "registry.arena.grow" fires when `key` is absent and the slot arena
-  /// has no freed slot to recycle (the insert would grow the arena). Only
-  /// the Decode funnel calls this — the ingest hot path's GetOrCreate
-  /// treats allocation failure as fatal by design and must stay free of
-  /// per-item failpoint evaluations.
-  StatusOr<uint32_t> TryGetOrCreate(uint64_t key);
   void RehashIfNeeded();
   void Rehash(size_t new_capacity);
   void Evict(uint32_t index);

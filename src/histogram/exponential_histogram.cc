@@ -237,25 +237,29 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   now_ = now;
   first_arrival_ = first_arrival;
   total_count_ = total;
-  std::vector<std::vector<Tick>> decoded(class_count);
-  for (size_t c = 0; c < decoded.size(); ++c) {
-    uint64_t buckets = 0;
-    if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
-      return CorruptSnapshot("EH class size");
-    }
-    Tick previous = 0;
-    for (uint64_t i = 0; i < buckets; ++i) {
-      uint64_t delta = 0, count = 0;
-      // The store keeps no counts: a class-c bucket holds 2^c units.
-      if (!decoder.GetVarint(&delta) || !decoder.GetVarint(&count) ||
-          count != uint64_t{1} << c) {
-        return CorruptSnapshot("EH bucket");
-      }
-      previous += static_cast<Tick>(delta);
-      decoded[c].push_back(previous);
-    }
-  }
-  store_.AssignFromClasses(decoded);
+  // The store keeps no counts: a class-c bucket holds 2^c units.
+  const char* corrupt = nullptr;
+  const bool parsed = store_.AssignFromAscendingClasses(
+      class_count, [&](size_t c, std::vector<Tick>& out) {
+        uint64_t buckets = 0;
+        if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
+          corrupt = "EH class size";
+          return false;
+        }
+        Tick previous = 0;
+        for (uint64_t i = 0; i < buckets; ++i) {
+          uint64_t delta = 0, count = 0;
+          if (!decoder.GetVarint(&delta) || !decoder.GetVarint(&count) ||
+              count != uint64_t{1} << c) {
+            corrupt = "EH bucket";
+            return false;
+          }
+          previous += static_cast<Tick>(delta);
+          out.push_back(previous);
+        }
+        return true;
+      });
+  if (!parsed) return CorruptSnapshot(corrupt);
   // Structural validation (hostile snapshots must not yield a structure
   // that later trips internal CHECKs) is exactly the audit protocol: end
   // timestamps within [first_arrival, now] non-decreasing in canonical

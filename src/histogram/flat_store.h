@@ -80,18 +80,35 @@ class FlatBucketStore {
     TDS_CHECK(end == head_);
   }
 
-  /// Replaces the contents with `classes` (classes[c] = the class-c stamps,
-  /// oldest first), laid out canonically. Cold path: snapshot decode.
-  void AssignFromClasses(const std::vector<std::vector<Stamp>>& classes) {
-    Clear();
-    size_t total = 0;
-    for (const auto& cls : classes) total += cls.size();
-    stamps_.reserve(total);
-    class_size_.assign(classes.size(), 0);
-    for (size_t c = classes.size(); c-- > 0;) {
-      stamps_.insert(stamps_.end(), classes[c].begin(), classes[c].end());
-      class_size_[c] = classes[c].size();
+  /// Replaces the contents with buckets given in the codecs' wire order:
+  /// `read_class(c, out)` runs for c = 0 .. num_classes - 1 and appends
+  /// class c's stamps to `out`, oldest first, returning false to abort (the
+  /// store is then unchanged). The stamps collect in the thread's cascade
+  /// scratch (idle during a decode) and land canonically, highest class
+  /// first, in one exactly-sized array. Cold path: snapshot decode.
+  template <typename ReadClass>
+  bool AssignFromAscendingClasses(size_t num_classes, ReadClass&& read_class) {
+    Scratch& s = TlsScratch();
+    std::vector<Stamp>& wire = s.rebuild_stamps;
+    std::vector<size_t>& sizes = s.seg_offs;
+    wire.clear();
+    sizes.assign(num_classes, 0);
+    for (size_t c = 0; c < num_classes; ++c) {
+      const size_t before = wire.size();
+      if (!read_class(c, wire)) return false;
+      sizes[c] = wire.size() - before;
     }
+    Clear();
+    stamps_.reserve(wire.size());
+    class_size_.assign(sizes.begin(), sizes.end());
+    size_t end = wire.size();
+    for (size_t c = num_classes; c-- > 0;) {
+      const auto last = wire.begin() + static_cast<std::ptrdiff_t>(end);
+      end -= sizes[c];
+      stamps_.insert(stamps_.end(),
+                     wire.begin() + static_cast<std::ptrdiff_t>(end), last);
+    }
+    return true;
   }
 
   /// Pops buckets off the global front while `expired(stamp)` holds and

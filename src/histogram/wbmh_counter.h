@@ -89,6 +89,11 @@ class WbmhCounter : public DecayedAggregate {
 
   std::string Name() const override { return "WBMH"; }
   const DecayPtr& decay() const override { return layout_->decay(); }
+  /// Copies the cells; the copy shares this counter's layout until its
+  /// owner rebinds it (AggregateRegistry::Copy copies the layout once).
+  std::unique_ptr<DecayedAggregate> Clone() const override {
+    return std::make_unique<WbmhCounter>(*this);
+  }
 
   /// Replays structural ops up to the layout's current sequence number
   /// without adding data (call before WbmhLayout::TrimLog when sharing).

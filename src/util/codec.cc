@@ -1,38 +1,14 @@
 #include "util/codec.h"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
 
 namespace tds {
 
-void Encoder::PutVarint(uint64_t value) {
-  while (value >= 0x80) {
-    buffer_.push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  buffer_.push_back(static_cast<char>(value));
+void Encoder::Grow(size_t n) {
+  buffer_.resize(std::max({buffer_.size() * 2, size_ + n, size_t{64}}));
 }
 
-void Encoder::PutSigned(int64_t value) {
-  // Zigzag encoding.
-  PutVarint((static_cast<uint64_t>(value) << 1) ^
-            static_cast<uint64_t>(value >> 63));
-}
-
-void Encoder::PutDouble(double value) {
-  uint64_t bits = std::bit_cast<uint64_t>(value);
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<char>(bits & 0xff));
-    bits >>= 8;
-  }
-}
-
-void Encoder::PutString(std::string_view value) {
-  PutVarint(value.size());
-  buffer_.append(value);
-}
-
-bool Decoder::GetVarint(uint64_t* value) {
+bool Decoder::GetVarintSlow(uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
   size_t position = position_;
@@ -47,33 +23,6 @@ bool Decoder::GetVarint(uint64_t* value) {
     shift += 7;
   }
   return false;
-}
-
-bool Decoder::GetSigned(int64_t* value) {
-  uint64_t raw = 0;
-  if (!GetVarint(&raw)) return false;
-  *value = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-  return true;
-}
-
-bool Decoder::GetDouble(double* value) {
-  if (remaining() < 8) return false;
-  uint64_t bits = 0;
-  for (int i = 7; i >= 0; --i) {
-    bits = (bits << 8) | static_cast<uint8_t>(data_[position_ + i]);
-  }
-  position_ += 8;
-  *value = std::bit_cast<double>(bits);
-  return true;
-}
-
-bool Decoder::GetString(std::string* value) {
-  uint64_t length = 0;
-  if (!GetVarint(&length)) return false;
-  if (remaining() < length) return false;
-  value->assign(data_.substr(position_, length));
-  position_ += length;
-  return true;
 }
 
 }  // namespace tds

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <barrier>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -259,6 +261,117 @@ TEST(ShardedEngineTest, RebalanceRacesProducersAndSnapshotReaders) {
     EXPECT_EQ(merged_blob, reference_blob)
         << "backend=" << static_cast<int>(config.backend)
         << " migrations=" << migrations.load();
+  }
+}
+
+// Structural copies under full-rate ingest: Snapshot() and ShardSnapshot()
+// clone each shard on its writer between drain chunks while producers keep
+// feeding it. Every merged copy must pass the structural audit, a copy
+// taken mid-stream must keep answering exactly as it did when taken (it
+// shares no state the writer goes on mutating — TSan watches that too),
+// and the final copy must equal a serially-fed reference byte for byte.
+TEST(ShardedEngineTest, SnapshotCopiesRaceIngest) {
+  constexpr int kProducers = 3;
+  constexpr int kRounds = 40;
+  constexpr int kItemsPerRound = 60;
+  constexpr uint64_t kKeysPerProducer = 32;
+  struct Config {
+    DecayPtr decay;
+    Backend backend;
+  };
+  const std::vector<Config> configs = {
+      {PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
+      {SlidingWindowDecay::Create(4096).value(), Backend::kCeh},
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE(static_cast<int>(config.backend));
+    ShardedAggregateEngine::Options options;
+    options.registry = RegistryOptions(config.backend, 0.15);
+    options.registry.expiry_weight_floor = -1.0;  // byte-equality oracle
+    options.shards = 3;
+    options.route_slices = 24;
+    auto engine = ShardedAggregateEngine::Create(config.decay, options);
+    ASSERT_TRUE(engine.ok());
+    // Each producer owns a disjoint key range (deterministic per-key order).
+    std::vector<std::vector<std::vector<KeyedItem>>> schedule(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+      Rng rng(3000 + p);
+      schedule[p].resize(kRounds);
+      for (int r = 0; r < kRounds; ++r) {
+        for (int i = 0; i < kItemsPerRound; ++i) {
+          const uint64_t key =
+              p * kKeysPerProducer + rng.NextBelow(kKeysPerProducer);
+          schedule[p][r].push_back(KeyedItem{key, r + 1, rng.NextBelow(5)});
+        }
+      }
+    }
+
+    std::barrier round_barrier(kProducers);
+    std::atomic<bool> done{false};
+    std::thread copier([&] {
+      std::shared_ptr<const AggregateRegistry> held;
+      std::vector<double> held_answers;
+      Tick held_at = 0;
+      uint32_t shard = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        auto merged = (*engine)->Snapshot();
+        ASSERT_TRUE(merged.ok()) << merged.status().message();
+        EXPECT_LE(merged->KeyCount(), kProducers * kKeysPerProducer);
+        AggregateRegistry registry = std::move(*merged).ReleaseRegistry();
+        EXPECT_TRUE(registry.AuditInvariants().ok());
+        if (held == nullptr) {
+          held = (*engine)->ShardSnapshot(shard);
+          ASSERT_NE(held, nullptr);
+          held_at = held->now();
+          for (uint64_t key = 0; key < kProducers * kKeysPerProducer; ++key) {
+            held_answers.push_back(held->Query(key, held_at));
+          }
+        } else {
+          // The held copy still answers as it did, whatever ingest did since.
+          for (uint64_t key = 0; key < held_answers.size(); ++key) {
+            EXPECT_EQ(held->Query(key, held_at), held_answers[key])
+                << "key=" << key;
+          }
+          held = nullptr;
+          held_answers.clear();
+          shard = (shard + 1) % (*engine)->shards();
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        auto session = (*engine)->NewProducer();
+        ASSERT_TRUE(session.ok());
+        for (int r = 0; r < kRounds; ++r) {
+          EXPECT_TRUE((*session)->AddBatch(schedule[p][r]).ok());
+          EXPECT_TRUE((*session)->Flush().ok());
+          round_barrier.arrive_and_wait();
+        }
+      });
+    }
+    for (auto& thread : producers) thread.join();
+    done.store(true, std::memory_order_release);
+    copier.join();
+    ASSERT_TRUE((*engine)->Flush().ok());
+
+    auto reference = AggregateRegistry::Create(config.decay, options.registry);
+    ASSERT_TRUE(reference.ok());
+    for (int r = 0; r < kRounds; ++r) {
+      for (int p = 0; p < kProducers; ++p) {
+        for (const KeyedItem& item : schedule[p][r]) {
+          reference->Update(item.key, item.t, item.value);
+        }
+      }
+    }
+    auto merged = (*engine)->Snapshot();
+    ASSERT_TRUE(merged.ok()) << merged.status().message();
+    std::string merged_blob;
+    ASSERT_TRUE(merged->EncodeRegistryState(&merged_blob).ok());
+    std::string reference_blob;
+    ASSERT_TRUE(reference->EncodeState(&reference_blob).ok());
+    EXPECT_EQ(merged_blob, reference_blob);
   }
 }
 

@@ -6,6 +6,8 @@
 #include "util/failpoint.h"
 
 #include <chrono>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "core/factory.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
+#include "engine/checkpoint_log.h"
 #include "engine/engine.h"
 #include "engine/registry.h"
 #include "engine_test_util.h"
@@ -94,15 +97,15 @@ class EngineFaultTest : public ::testing::Test {
 
 TEST_F(EngineFaultTest, EncodeFailureFailsSnapshotsButNotPointReads) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
-  failpoint::Arm("registry.encode", {.fire_on_hit = 1, .sticky = true});
-  // Point reads never touch the codec: they keep serving the live
-  // registry through the outage. Full copies report a clean failure — and
-  // nothing crashes or hangs.
+  failpoint::Arm("registry.copy", {.fire_on_hit = 1, .sticky = true});
+  // Point reads never copy: they keep serving the live registry through
+  // the outage. Full copies report a clean failure — and nothing crashes
+  // or hangs.
   EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
   EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
   auto merged = fx.engine->Snapshot();
   EXPECT_FALSE(merged.ok());
-  EXPECT_GE(failpoint::Fires("registry.encode"), 1u);
+  EXPECT_GE(failpoint::Fires("registry.copy"), 1u);
   // Ingest keeps working through the outage, and everything recovers once
   // the fault clears.
   EXPECT_TRUE(SessionIngest(*fx.engine, 3, fx.tick, 0).ok());
@@ -115,7 +118,7 @@ TEST_F(EngineFaultTest, EncodeFailureFailsSnapshotsButNotPointReads) {
 
 TEST_F(EngineFaultTest, DecodeFailureFailsSnapshotsButNotPointReads) {
   Fixture fx = MakeEngine(Backend::kWbmh, PolynomialDecay::Create(1.0).value());
-  failpoint::Arm("registry.decode", {.fire_on_hit = 1, .sticky = true});
+  failpoint::Arm("registry.copy", {.fire_on_hit = 1, .sticky = true});
   EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
   EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
   EXPECT_FALSE(fx.engine->Snapshot().ok());
@@ -127,9 +130,9 @@ TEST_F(EngineFaultTest, DecodeFailureFailsSnapshotsButNotPointReads) {
 
 TEST_F(EngineFaultTest, TransientDecodeFailureAffectsOneShardOnly) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
-  // Fire on the first decode only. ShardSnapshot decodes on the caller,
-  // shard by shard: the first shard's copy is null, the others decode.
-  failpoint::ArmNthHit("registry.decode", 1);
+  // Fire on the first copy only. ShardSnapshot copies shard by shard: the
+  // first shard's copy is null, the others succeed.
+  failpoint::ArmNthHit("registry.copy", 1);
   size_t null_snapshots = 0;
   for (uint32_t shard = 0; shard < fx.engine->shards(); ++shard) {
     if (fx.engine->ShardSnapshot(shard) == nullptr) ++null_snapshots;
@@ -137,6 +140,50 @@ TEST_F(EngineFaultTest, TransientDecodeFailureAffectsOneShardOnly) {
   EXPECT_EQ(null_snapshots, 1u);
   failpoint::DisarmAll();
   ExpectServesExpected(fx);
+}
+
+// Snapshots copy structurally and never run the codec, so a codec outage
+// leaves them serving; the checkpoint commit, which must encode, fails
+// cleanly and succeeds once the fault clears.
+TEST_F(EngineFaultTest, CodecFaultsLeaveSnapshotsServing) {
+  Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
+  ASSERT_TRUE(fx.engine->EnableCheckpointTracking().ok());
+  const std::string dir = ::testing::TempDir() + "tds_fault_codec_outage";
+  std::filesystem::remove_all(dir);
+  CheckpointLog::Options log_options;
+  log_options.backoff.sleeper = [](std::chrono::nanoseconds) {};
+  auto log = CheckpointLog::Create(*fx.engine, dir, log_options);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  failpoint::Arm("registry.encode", {.fire_on_hit = 1, .sticky = true});
+  failpoint::Arm("registry.decode", {.fire_on_hit = 1, .sticky = true});
+
+  auto merged = fx.engine->Snapshot();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_GT(merged->KeyCount(), 0u);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_DOUBLE_EQ(merged->Query(key, fx.tick), fx.expected[key])
+        << "key=" << key;
+  }
+  for (uint32_t shard = 0; shard < fx.engine->shards(); ++shard) {
+    const auto copy = fx.engine->ShardSnapshot(shard);
+    ASSERT_NE(copy, nullptr) << "shard=" << shard;
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      if (fx.engine->RouteForKey(key) != shard) continue;
+      EXPECT_DOUBLE_EQ(copy->Query(key, fx.tick), fx.expected[key])
+          << "key=" << key;
+    }
+  }
+  const uint64_t generation = log->manifest().generation;
+  const Status written = log->WriteIncremental();
+  EXPECT_EQ(written.code(), StatusCode::kUnavailable) << written.ToString();
+  EXPECT_EQ(log->manifest().generation, generation);
+  EXPECT_GE(failpoint::Fires("registry.encode"), 1u);
+
+  failpoint::DisarmAll();
+  EXPECT_TRUE(log->WriteIncremental().ok());
+  ExpectServesExpected(fx);
+  ExpectAuditClean(fx);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EngineFaultTest, MigrationExtractFailureLeavesDonorIntact) {

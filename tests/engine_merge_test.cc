@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.h"
+#include "decay/exponential.h"
+#include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
 #include "engine/engine.h"
@@ -256,6 +258,90 @@ TEST(MergedSnapshotTest, BitIdenticalToSerialReferenceAcrossRebalance) {
     for (const uint64_t key : heavy) {
       EXPECT_DOUBLE_EQ(merged->Query(key, t), reference->Query(key, t));
       EXPECT_DOUBLE_EQ((*engine)->QueryKey(key, t), reference->Query(key, t));
+    }
+  }
+}
+
+// Snapshot() and ShardSnapshot() copy every shard structurally. What they
+// yield must equal the codec path they replaced, rebuilt here from public
+// API: each writer encodes its registry, the blobs decode, FromShards folds
+// the decoded shards. The newest items reach shard 0 only, so the other
+// shards' clocks (and for WBMH their layouts) lag the cut the fold
+// advances them to.
+TEST(MergedSnapshotTest, SnapshotMatchesCodecPathForEveryBackend) {
+  constexpr uint32_t kShards = 3;
+  constexpr uint32_t kSlices = 24;
+  const std::vector<Config> configs = {
+      {"EXACT", SlidingWindowDecay::Create(96).value(), Backend::kExact},
+      {"EWMA", ExponentialDecay::Create(0.01).value(), Backend::kEwma},
+      {"RECENT_ITEMS", ExponentialDecay::Create(0.01).value(),
+       Backend::kRecentItems},
+      {"POLYEXP_PIPE", PolyExponentialDecay::Create(2, 0.05).value(),
+       Backend::kPolyExp},
+      {"CEH", PolynomialDecay::Create(1.0).value(), Backend::kCeh},
+      {"COARSE_CEH", PolynomialDecay::Create(1.0).value(),
+       Backend::kCoarseCeh},
+      {"WBMH", PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
+  };
+  for (const Config& config : configs) {
+    SCOPED_TRACE(config.label);
+    ShardedAggregateEngine::Options options;
+    options.registry = RegistryOptions(config.backend);
+    options.shards = kShards;
+    options.route_slices = kSlices;
+    auto engine = ShardedAggregateEngine::Create(config.decay, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Rng rng(29);
+    std::vector<KeyedItem> items;
+    Tick t = 1;
+    for (int i = 0; i < 4000; ++i) {
+      if (rng.NextBelow(5) == 0) t += rng.NextBelow(3);
+      items.push_back(KeyedItem{rng.NextBelow(150), t, rng.NextBelow(5)});
+    }
+    for (const uint64_t key : KeysOnShard(0, kShards, kSlices, 5, 1)) {
+      items.push_back(KeyedItem{key, t + 40, 1});
+    }
+    ASSERT_TRUE(SessionIngest(**engine, items).ok());
+    ASSERT_TRUE((*engine)->Flush().ok());
+
+    std::vector<AggregateRegistry> decoded;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      std::string blob;
+      (*engine)->RunOnWriterForTest(s, [&](AggregateRegistry& registry) {
+        blob = MustEncode(registry);
+      });
+      auto shard = AggregateRegistry::Decode(config.decay, options.registry,
+                                             blob);
+      ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+      // The writer's structural copy answers like the decoded blob.
+      const auto copy = (*engine)->ShardSnapshot(s);
+      ASSERT_NE(copy, nullptr);
+      EXPECT_EQ(copy->KeyCount(), shard->KeyCount());
+      EXPECT_EQ(copy->now(), shard->now());
+      shard->ForEachKey([&](uint64_t key, Tick, const DecayedAggregate&) {
+        EXPECT_EQ(copy->Query(key, t + 40), shard->Query(key, t + 40))
+            << "shard=" << s << " key=" << key;
+      });
+      decoded.push_back(std::move(shard).value());
+    }
+    EXPECT_LT(decoded[1].now(), decoded[0].now());
+    auto codec_path = MergedSnapshot::FromShards(std::move(decoded));
+    ASSERT_TRUE(codec_path.ok()) << codec_path.status().ToString();
+    std::string expected;
+    ASSERT_TRUE(codec_path->EncodeRegistryState(&expected).ok());
+
+    auto merged = (*engine)->Snapshot();
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    std::string merged_blob;
+    ASSERT_TRUE(merged->EncodeRegistryState(&merged_blob).ok());
+    EXPECT_EQ(merged_blob, expected);
+    EXPECT_EQ(merged->cut(), codec_path->cut());
+    const auto top = merged->TopK(10, t + 40);
+    const auto expected_top = codec_path->TopK(10, t + 40);
+    ASSERT_EQ(top.size(), expected_top.size());
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].key, expected_top[i].key);
+      EXPECT_EQ(top[i].weight, expected_top[i].weight);
     }
   }
 }

@@ -1,18 +1,22 @@
 // AggregateRegistry unit tests: key-table/arena bookkeeping, per-key state
 // fidelity against standalone aggregates, batch/per-item bit-identity, lazy
-// idle-key expiry, and the registry snapshot codec.
+// idle-key expiry, the registry snapshot codec, and structural copies.
 #include "engine/registry.h"
 
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/ceh.h"
+#include "core/coarse_ceh.h"
 #include "core/factory.h"
 #include "core/snapshot.h"
 #include "decay/exponential.h"
+#include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
 #include "histogram/wbmh_counter.h"
@@ -531,6 +535,142 @@ TEST(AggregateRegistryTest, RejectsKeyClockAheadOfRegistry) {
       } else {
         EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
       }
+    }
+  }
+}
+
+// One decay per registry backend, each one the backend accepts.
+struct BackendCase {
+  const char* label;
+  DecayPtr decay;
+  Backend backend;
+};
+
+std::vector<BackendCase> EveryBackend() {
+  return {
+      {"EXACT", SlidingWindowDecay::Create(96).value(), Backend::kExact},
+      {"EWMA", ExponentialDecay::Create(0.01).value(), Backend::kEwma},
+      {"RECENT_ITEMS", ExponentialDecay::Create(0.01).value(),
+       Backend::kRecentItems},
+      {"POLYEXP_PIPE", PolyExponentialDecay::Create(2, 0.05).value(),
+       Backend::kPolyExp},
+      {"CEH", SlidingWindowDecay::Create(128).value(), Backend::kCeh},
+      {"COARSE_CEH", PolynomialDecay::Create(1.0).value(), Backend::kCoarseCeh},
+      {"WBMH", PolynomialDecay::Create(1.5).value(), Backend::kWbmh},
+  };
+}
+
+/// Feeds `steps` updates over 40 keys from tick `*t` on, with gaps, so
+/// keys idle, expire and (for WBMH) the shared layout merges.
+void FeedRandom(AggregateRegistry& registry, Rng& rng, int steps, Tick* t) {
+  for (int step = 0; step < steps; ++step) {
+    *t += static_cast<Tick>(rng.NextBelow(3));
+    registry.Update(rng.NextBelow(40), *t, rng.NextBelow(4));
+  }
+}
+
+std::string MustEncode(AggregateRegistry& registry) {
+  std::string blob;
+  EXPECT_TRUE(registry.EncodeState(&blob).ok());
+  return blob;
+}
+
+TEST(AggregateRegistryTest, CopyEncodesLikeItsSourceForEveryBackend) {
+  for (const BackendCase& c : EveryBackend()) {
+    SCOPED_TRACE(c.label);
+    const auto options = RegistryOptions(c.backend, 0.1);
+    auto registry = AggregateRegistry::Create(c.decay, options);
+    ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+    Rng rng(17);
+    Tick t = 1;
+    FeedRandom(*registry, rng, 1500, &t);
+    auto copy = registry->Copy();
+    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+    EXPECT_EQ(MustEncode(*copy), MustEncode(*registry));
+    EXPECT_EQ(copy->KeyCount(), registry->KeyCount());
+    EXPECT_EQ(copy->now(), registry->now());
+    EXPECT_EQ(copy->StorageBits(), registry->StorageBits());
+    EXPECT_FALSE(copy->checkpoint_tracking());
+    EXPECT_TRUE(copy->AuditInvariants().ok());
+    for (uint64_t key = 0; key < 40; ++key) {
+      EXPECT_EQ(copy->Query(key, t + 10), registry->Query(key, t + 10))
+          << "key=" << key;
+    }
+    EXPECT_EQ(copy->QueryTotal(t + 10), registry->QueryTotal(t + 10));
+  }
+}
+
+// Updating either side after a copy leaves the other's encoding as it was:
+// no stamps, cells, or layout are shared between the two.
+TEST(AggregateRegistryTest, CopiesAreIndependentOfTheirSource) {
+  for (const BackendCase& c : EveryBackend()) {
+    SCOPED_TRACE(c.label);
+    const auto options = RegistryOptions(c.backend, 0.1);
+    auto registry = AggregateRegistry::Create(c.decay, options);
+    ASSERT_TRUE(registry.ok());
+    Rng rng(23);
+    Tick t = 1;
+    FeedRandom(*registry, rng, 800, &t);
+    auto copy = registry->Copy();
+    ASSERT_TRUE(copy.ok());
+    const std::string copied = MustEncode(*copy);
+
+    Tick source_t = t;
+    FeedRandom(*registry, rng, 800, &source_t);
+    registry->Advance(source_t + 5);
+    EXPECT_EQ(MustEncode(*copy), copied) << "source update leaked into copy";
+
+    const std::string source = MustEncode(*registry);
+    Tick copy_t = t;
+    FeedRandom(*copy, rng, 800, &copy_t);
+    copy->Advance(copy_t + 7);
+    EXPECT_EQ(MustEncode(*registry), source)
+        << "copy update leaked into source";
+    EXPECT_TRUE(registry->AuditInvariants().ok());
+    EXPECT_TRUE(copy->AuditInvariants().ok());
+  }
+}
+
+// Per-key state encoded under other options than the registry's must not
+// decode: such a key would answer with another accuracy bound (or storage)
+// than the registry claims. The header carries the registry's options; the
+// key's own payload carries the stray ones.
+TEST(AggregateRegistryTest, DecodeRejectsKeyStateBuiltUnderOtherOptions) {
+  {
+    SCOPED_TRACE("CEH epsilon");
+    auto decay = SlidingWindowDecay::Create(1024).value();
+    const auto options = RegistryOptions(Backend::kCeh, 0.1);
+    CehDecayedSum::Options loose;
+    loose.epsilon = 0.5;
+    auto key = CehDecayedSum::Create(decay, loose);
+    ASSERT_TRUE(key.ok());
+    for (Tick t = 1; t <= 50; ++t) (*key)->Update(t, 1);
+    auto decoded = AggregateRegistry::Decode(
+        decay, options, OneKeyBlob(*decay, options.aggregate, **key));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto decay = PolynomialDecay::Create(1.0).value();
+  const auto options = RegistryOptions(Backend::kCoarseCeh, 0.1);
+  CoarseCehDecayedSum::Options registry_like;
+  registry_like.epsilon = 0.1;
+  CoarseCehDecayedSum::Options other_epsilon = registry_like;
+  other_epsilon.epsilon = 0.5;
+  CoarseCehDecayedSum::Options other_delta = registry_like;
+  other_delta.boundary_delta = registry_like.boundary_delta * 2;
+  for (const auto& [label, key_options, accept] :
+       {std::tuple{"COARSE_CEH as built", registry_like, true},
+        std::tuple{"COARSE_CEH epsilon", other_epsilon, false},
+        std::tuple{"COARSE_CEH boundary_delta", other_delta, false}}) {
+    SCOPED_TRACE(label);
+    auto key = CoarseCehDecayedSum::Create(decay, key_options);
+    ASSERT_TRUE(key.ok());
+    for (Tick t = 1; t <= 50; ++t) (*key)->Update(t, 1);
+    auto decoded = AggregateRegistry::Decode(
+        decay, options, OneKeyBlob(*decay, options.aggregate, **key));
+    if (accept) {
+      EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
     }
   }
 }

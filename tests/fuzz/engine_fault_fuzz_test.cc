@@ -49,8 +49,9 @@ constexpr const char* kFailpoints[] = {
     "engine.ring.push",      "engine.migrate",
     "registry.merge",        "registry.extract",
     "registry.encode",       "registry.decode",
-    "registry.arena.grow",   "ckptlog.segment.write",
-    "ckptlog.manifest.commit", "ckptlog.compact",
+    "registry.copy",         "registry.arena.grow",
+    "ckptlog.segment.write", "ckptlog.manifest.commit",
+    "ckptlog.compact",
 };
 
 ShardedAggregateEngine::Options EngineOptions(Backend backend) {

@@ -129,15 +129,19 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
         ++coverage.migrations;
       }
     } else if (kind == 8) {
-      // Merged snapshot through the shard-blob decode path (the same
-      // assembly Snapshot() performs), byte-compared to the reference.
-      std::vector<std::string> blobs;
+      // Merged snapshot through the shard-blob decode path (each blob
+      // passes the registry codec's audit-on-decode), byte-compared to the
+      // reference.
+      std::vector<AggregateRegistry> decoded;
       for (uint32_t s = 0; s < kShards; ++s) {
-        blobs.push_back(MustEncode(shards[s], in));
+        auto shard = AggregateRegistry::Decode(decay, options,
+                                               MustEncode(shards[s], in));
+        TDS_FUZZ_CHECK(shard.ok(), in, "Decode: ", shard.status().ToString());
+        decoded.push_back(std::move(shard).value());
       }
-      auto merged = MergedSnapshot::FromShardBlobs(decay, options, blobs);
+      auto merged = MergedSnapshot::FromShards(std::move(decoded));
       TDS_FUZZ_CHECK(merged.ok(), in,
-                     "FromShardBlobs: ", merged.status().ToString());
+                     "FromShards: ", merged.status().ToString());
       TDS_FUZZ_CHECK(merged->KeyCount() == reference->KeyCount(), in,
                      "KeyCount mismatch op=", op);
       std::string merged_blob;

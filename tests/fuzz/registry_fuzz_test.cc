@@ -1,13 +1,13 @@
 // Dual-mode fuzz driver for AggregateRegistry (docs/CORRECTNESS.md
 // conventions): byte-stream-driven interleavings of single updates, batches,
-// advances, queries, and snapshot round-trips, checked after every phase
-// against a per-key map of standalone aggregates fed the identical item
-// sequence — plus structural audits. With expiry disabled the registry adds
-// bookkeeping but never arithmetic, so every per-key answer must match
-// bit-for-bit; a second driver re-enables expiry and checks estimates
-// against exact window counts instead (an evicted-then-recreated key
-// rebuilds its histogram, which is within the accuracy bound but not
-// bit-identical to an uninterrupted one).
+// advances, queries, snapshot round-trips and structural copies, checked
+// after every phase against a per-key map of standalone aggregates fed the
+// identical item sequence — plus structural audits. With expiry disabled
+// the registry adds bookkeeping but never arithmetic, so every per-key
+// answer must match bit-for-bit; a second driver re-enables expiry and
+// checks estimates against exact window counts instead (an
+// evicted-then-recreated key rebuilds its histogram, which is within the
+// accuracy bound but not bit-identical to an uninterrupted one).
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,6 +50,22 @@ struct Reference {
     return it == keys.end() ? 0.0 : it->second->Query(now);
   }
 };
+
+/// The structural copy agrees with the codec: it encodes to `blob` (the
+/// source's own encoding) and answers like the source. Draws no input, so
+/// the corpora replay unchanged.
+void CheckCopyMatchesCodec(AggregateRegistry& registry, const std::string& blob,
+                           Tick t, int op, FuzzInput& in) {
+  auto copy = registry.Copy();
+  TDS_FUZZ_CHECK(copy.ok(), in, "op=", op, ": ", copy.status().ToString());
+  std::string copied;
+  TDS_FUZZ_CHECK_OK(copy->EncodeState(&copied), in, "copy encode");
+  TDS_FUZZ_CHECK(copied == blob, in, "copy diverged from the codec, op=", op);
+  for (uint64_t key = 0; key < kKeySpace; ++key) {
+    TDS_FUZZ_CHECK_DOUBLE_EQ(copy->Query(key, t), registry.Query(key, t), in,
+                             "copy key=", key);
+  }
+}
 
 void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
                                int max_ops, FuzzInput& in) {
@@ -117,6 +133,7 @@ void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
         TDS_FUZZ_CHECK_DOUBLE_EQ(decoded->Query(key, t),
                                  registry->Query(key, t), in, "key=", key);
       }
+      CheckCopyMatchesCodec(*registry, blob, t, op, in);
     }
     if (op % 25 == 0) {
       TDS_FUZZ_CHECK_OK(registry->AuditInvariants(), in, "op=", op);
@@ -211,6 +228,7 @@ int RunRegistryEvictionFuzz(int max_ops, FuzzInput& in) {
         TDS_FUZZ_CHECK_DOUBLE_EQ(decoded->Query(key, t),
                                  registry->Query(key, t), in, "key=", key);
       }
+      CheckCopyMatchesCodec(*registry, blob, t, op, in);
     }
     if (op % 25 == 0) {
       TDS_FUZZ_CHECK_OK(registry->AuditInvariants(), in, "op=", op);

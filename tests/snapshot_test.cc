@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,35 @@ TEST(CodecTest, TruncationDetected) {
   EXPECT_FALSE(empty.GetVarint(&big));
 }
 
+// A reused scratch encoder, raw appends and in-place string views: the
+// registry codec's building blocks.
+TEST(CodecTest, ScratchReuseAndViews) {
+  Encoder scratch;
+  for (const uint64_t value : {0ull, 127ull, 128ull, 1ull << 40, ~0ull}) {
+    scratch.Clear();
+    scratch.PutVarint(value);
+    EXPECT_EQ(scratch.size(), VarintLength(value));
+  }
+  scratch.Clear();
+  scratch.PutString("payload");
+  Encoder encoder;
+  encoder.PutRaw(scratch.view());
+  encoder.PutString(std::string(300, 'x'));  // a two-byte length prefix
+  const std::string bytes = encoder.Finish();
+  EXPECT_EQ(encoder.size(), 0u);
+  Decoder decoder(bytes);
+  std::string_view first, second;
+  ASSERT_TRUE(decoder.GetView(&first));
+  ASSERT_TRUE(decoder.GetView(&second));
+  EXPECT_EQ(first, "payload");
+  EXPECT_EQ(second, std::string(300, 'x'));
+  EXPECT_EQ(first.data(), bytes.data() + 1);  // a view, not a copy
+  EXPECT_TRUE(decoder.Done());
+  Decoder truncated(std::string_view(bytes).substr(0, bytes.size() - 1));
+  ASSERT_TRUE(truncated.GetView(&first));
+  EXPECT_FALSE(truncated.GetView(&second));
+}
+
 struct SnapshotCase {
   const char* label;
   DecayPtr decay;
@@ -156,6 +186,49 @@ TEST(SnapshotTest, MidStreamRoundTripContinuesIdentically) {
         << test_case.label;
     EXPECT_EQ((*original)->StorageBits(), (*restored)->StorageBits())
         << test_case.label;
+  }
+}
+
+// Clone() is the in-memory twin of an encode / decode round trip: the copy
+// encodes to the same bytes, keeps them while the source moves on (a
+// private WBMH layout is copied, not shared), and continues identically.
+TEST(SnapshotTest, CloneEncodesAndContinuesLikeItsSource) {
+  for (const SnapshotCase& test_case : Cases()) {
+    SCOPED_TRACE(test_case.label);
+    const AggregateOptions options = AggregateOptions::Builder()
+                                     .backend(test_case.backend)
+                                     .epsilon(0.1)
+                                     .Build()
+                                     .value();
+    auto original = MakeDecayedSum(test_case.decay, options);
+    ASSERT_TRUE(original.ok());
+    const Stream stream = BurstyStream(3000, 25, 40, 2.0, 17);
+    const size_t half = stream.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      (*original)->Update(stream[i].t, stream[i].value);
+    }
+    const std::unique_ptr<DecayedAggregate> clone = (*original)->Clone();
+    EXPECT_EQ(clone->Name(), (*original)->Name());
+    std::string source_bytes, clone_bytes;
+    ASSERT_TRUE(EncodeDecayedSum(**original, &source_bytes).ok());
+    ASSERT_TRUE(EncodeDecayedSum(*clone, &clone_bytes).ok());
+    EXPECT_EQ(clone_bytes, source_bytes);
+
+    for (size_t i = half; i < stream.size(); ++i) {
+      (*original)->Update(stream[i].t, stream[i].value);
+    }
+    std::string unchanged;
+    ASSERT_TRUE(EncodeDecayedSum(*clone, &unchanged).ok());
+    EXPECT_EQ(unchanged, clone_bytes) << "the source's updates reached it";
+
+    for (size_t i = half; i < stream.size(); ++i) {
+      clone->Update(stream[i].t, stream[i].value);
+    }
+    ASSERT_TRUE(EncodeDecayedSum(**original, &source_bytes).ok());
+    ASSERT_TRUE(EncodeDecayedSum(*clone, &clone_bytes).ok());
+    EXPECT_EQ(clone_bytes, source_bytes);
+    const Tick end = StreamEnd(stream) + 500;
+    EXPECT_EQ(clone->Query(end), (*original)->Query(end));
   }
 }
 
