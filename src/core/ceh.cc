@@ -8,7 +8,7 @@
 namespace tds {
 
 CehDecayedSum::CehDecayedSum(DecayPtr decay, ExponentialHistogram eh)
-    : decay_(std::move(decay)), eh_(std::move(eh)) {}
+    : eh_(std::move(eh)), decay_(std::move(decay)) {}
 
 StatusOr<std::unique_ptr<CehDecayedSum>> CehDecayedSum::Create(
     DecayPtr decay, const Options& options) {

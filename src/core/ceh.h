@@ -39,6 +39,7 @@ class CehDecayedSum : public DecayedAggregate {
   /// EH's InsertUnits implements sequential-insertion semantics).
   void UpdateBatch(std::span<const StreamItem> items) override;
   void Advance(Tick now) override;
+  void PrefetchState() const override { eh_.Prefetch(); }
   /// Const and side-effect free: expired buckets contribute weight 0 via
   /// SafeWeight, so skipping the histogram's expiry sweep never changes the
   /// estimate. Call Advance(now) to actually reclaim their storage.
@@ -72,8 +73,10 @@ class CehDecayedSum : public DecayedAggregate {
 
   double SafeWeight(Tick age) const;
 
-  DecayPtr decay_;
+  // The histogram leads so that its hot members share the object's first
+  // lines with the vtable pointer; the decay is read by queries only.
   ExponentialHistogram eh_;
+  DecayPtr decay_;
 };
 
 }  // namespace tds

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/audit.h"
 #include "util/check.h"
@@ -10,17 +11,21 @@ namespace tds {
 
 CoarseCehDecayedSum::CoarseCehDecayedSum(DecayPtr decay,
                                          const Options& options)
-    : decay_(std::move(decay)), options_(options), rng_(options.seed) {
-  cap_ = static_cast<uint64_t>(std::ceil(1.0 / options_.epsilon)) + 1;
-}
+    : decay_(std::move(decay)),
+      options_(options),
+      cap_(ClassBudget(options.epsilon)),
+      rng_(options.seed) {}
 
 StatusOr<std::unique_ptr<CoarseCehDecayedSum>> CoarseCehDecayedSum::Create(
     DecayPtr decay, const Options& options) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  if (!(options.epsilon > 0.0) || options.epsilon > 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  if (ClassBudget(options.epsilon) == 0) {
+    return Status::InvalidArgument(
+        "epsilon must be in (0, 1] with a per-class budget ceil(1/epsilon) "
+        "+ 1 of at most " +
+        std::to_string(kMaxClassBudget));
   }
   if (!(options.boundary_delta > 0.0)) {
     return Status::InvalidArgument("boundary_delta must be > 0");
@@ -87,15 +92,15 @@ Status CoarseCehDecayedSum::AuditInvariants() const {
   TDS_AUDIT_CHECK(now_ >= 0, "negative clock");
   TDS_AUDIT_CHECK(std::isfinite(max_age_seen_) && max_age_seen_ >= 1.0,
                   "max age must be finite and >= 1");
-  TDS_AUDIT_CHECK(store_.num_classes() <= 64, "more than 64 size classes");
-  size_t segment_sum = 0;
+  TDS_AUDIT_CHECK(cap_ != 0 && cap_ == ClassBudget(options_.epsilon),
+                  "per-class budget must be ceil(1/eps) + 1, at most " +
+                      std::to_string(kMaxClassBudget));
+  const Status store = store_.AuditInvariants();
+  if (!store.ok()) return store;
   for (size_t c = 0; c < store_.num_classes(); ++c) {
     TDS_AUDIT_CHECK(store_.class_size(c) <= 2 * cap_ + 2,
                     "class exceeds cap bound");
-    segment_sum += store_.class_size(c);
   }
-  TDS_AUDIT_CHECK(segment_sum == store_.size(),
-                  "class segments disagree with bucket storage");
   uint64_t checksum = 0;
   size_t pos = store_.begin_index();
   for (size_t c = store_.num_classes(); c-- > 0;) {
@@ -200,6 +205,8 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
   const bool parsed = store_.AssignFromAscendingClasses(
       class_count, [&](size_t c, std::vector<ApproxAge>& out) {
         uint64_t buckets = 0;
+        // cap_ <= kMaxClassBudget, so the bound cannot overflow and any
+        // class it admits fits the store's counter.
         if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
           corrupt = "CoarseCEH class";
           return false;

@@ -40,11 +40,14 @@ class CoarseCehDecayedSum : public DecayedAggregate {
     uint64_t seed = 0xa9e5;
   };
 
+  /// Rejects an epsilon that ClassBudget does not accept (outside (0, 1],
+  /// or a per-class budget above kMaxClassBudget).
   static StatusOr<std::unique_ptr<CoarseCehDecayedSum>> Create(
       DecayPtr decay, const Options& options);
 
   void Update(Tick t, uint64_t value) override;
   void Advance(Tick now) override;
+  void PrefetchState() const override { store_.Prefetch(); }
   /// Const and side-effect free: weights each bucket by its stored
   /// approximate boundary age plus the deterministic gap since the last
   /// mutation (the stochastic aging itself only runs inside
@@ -65,9 +68,11 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   /// Approximate boundary ages, oldest first (for tests).
   std::vector<double> BoundaryAges() const;
 
-  /// Structural invariants: the class counts (2^c per class-c bucket) sum
-  /// to total_count_ without overflow, per-class sizes respect the
-  /// cap bound, and all boundary ages are finite, >= 1, and covered by
+  /// Structural invariants: the per-class budget is ClassBudget(epsilon)
+  /// (so a tiny epsilon fails here too), the store's block invariants hold
+  /// (FlatBucketStore::AuditInvariants), the class counts (2^c per class-c
+  /// bucket) sum to total_count_ without overflow, per-class sizes respect
+  /// the cap bound, and all boundary ages are finite, >= 1, and covered by
   /// max_age_seen_. (Age *ordering* across buckets is deliberately not
   /// audited: stochastic aging may reorder estimates.)
   Status AuditInvariants() const;

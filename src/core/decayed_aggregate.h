@@ -53,6 +53,12 @@ class DecayedAggregate {
     for (const StreamItem& item : items) Update(item.t, item.value);
   }
 
+  /// Issues cache prefetches for the state an update reads first (a bucket
+  /// block, a cell array) without touching it: a hint for batched ingest,
+  /// which calls it one run ahead. Const, reads only the object itself, and
+  /// changes nothing. The default does nothing.
+  virtual void PrefetchState() const {}
+
   /// Explicitly advances internal clocks to `now` (>= the last mutation
   /// tick): runs expiry, merges, and register decay. Equivalent to
   /// Update(now, 0) for every backend, which is the default.

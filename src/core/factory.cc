@@ -1,6 +1,6 @@
 #include "core/factory.h"
 
-#include <cmath>
+#include <string>
 
 #include "core/ceh.h"
 #include "core/coarse_ceh.h"
@@ -12,6 +12,7 @@
 #include "decay/exponential.h"
 #include "decay/polyexponential.h"
 #include "decay/sliding_window.h"
+#include "histogram/flat_store.h"
 
 namespace tds {
 
@@ -49,9 +50,13 @@ Backend ResolveBackend(const DecayFunction& decay, Backend requested) {
 }
 
 StatusOr<AggregateOptions> AggregateOptions::Builder::Build() const {
-  if (!std::isfinite(options_.epsilon_) || !(options_.epsilon_ > 0.0) ||
-      options_.epsilon_ > 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  // Every backend takes the bucket-budget bound, so an epsilon accepted
+  // here builds whichever histogram kAuto resolves to.
+  if (ClassBudget(options_.epsilon_) == 0) {
+    return Status::InvalidArgument(
+        "epsilon must be in (0, 1] with a per-class budget ceil(1/epsilon) "
+        "+ 1 of at most " +
+        std::to_string(kMaxClassBudget));
   }
   if (options_.start_ < 1) {
     return Status::InvalidArgument("start tick must be >= 1");

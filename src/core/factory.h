@@ -84,8 +84,10 @@ class AggregateOptions::Builder {
     return *this;
   }
 
-  /// Validates and returns the options: epsilon must be a finite value in
-  /// (0, 1] and start >= 1.
+  /// Validates and returns the options: epsilon must be in (0, 1] with a
+  /// per-class bucket budget ceil(1/epsilon) + 1 no larger than
+  /// kMaxClassBudget (ClassBudget, histogram/flat_store.h: epsilon at least
+  /// 1/32765), and start >= 1.
   StatusOr<AggregateOptions> Build() const;
 
  private:

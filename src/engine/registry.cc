@@ -404,29 +404,57 @@ size_t AggregateRegistry::IngestTickSegment(Tick t,
       probe = (probe + 1) & cap_mask;
     }
   }
-  // Two-stage prefetch pipeline over the run directory: the cold-key wall is
-  // two dependent misses per run (the table line, then the slot it names),
-  // so run r+2's table line and run r+1's slot guess are requested while run
-  // r does real work. The slot guess reads only the first probe entry — on a
-  // collision the guess line is wasted but never wrong, and a rehash inside
-  // GetOrCreate merely stales pending hints (prefetches are hints, never
-  // loads), so the pipeline is semantically inert by construction.
+  // Four-stage prefetch pipeline over the run directory. A cold key costs
+  // four dependent misses: the table line, the slot it names, the
+  // aggregate object the slot points at, and the state block the object
+  // points at. While run r does real work, run r+4's table line, run r+3's
+  // slot, run r+2's aggregate object and run r+1's state are requested, so
+  // each miss has about one run's work to land. Every stage re-reads the
+  // table's first probe entry and checks the slot's key, and issues only
+  // prefetches and const reads: on a collision or a key not yet created the
+  // stage does nothing, and a rehash inside GetOrCreate can make a pending
+  // guess stale but never wrong (hints, never loads of mutable state).
   const size_t num_runs = runs_.size();
   auto prefetch_table = [this](size_t r) {
     TDS_PREFETCH(&table_[SplitMix64(runs_[r].key) & table_mask_]);
   };
-  auto prefetch_slot_guess = [this](size_t r) {
+  auto prefetch_slot = [this](size_t r) {
     const uint32_t entry = table_[SplitMix64(runs_[r].key) & table_mask_];
     if (entry != kEmptyEntry && entry != kTombEntry) arena_.Prefetch(entry);
   };
-  if (num_runs > 0) {
-    prefetch_table(0);
-    if (num_runs > 1) prefetch_table(1);
-    prefetch_slot_guess(0);
-  }
+  // The live aggregate of run r's key if the first probe finds it.
+  auto guessed_aggregate = [this](size_t r) -> const DecayedAggregate* {
+    const uint64_t key = runs_[r].key;
+    const uint32_t entry = table_[SplitMix64(key) & table_mask_];
+    if (entry == kEmptyEntry || entry == kTombEntry) return nullptr;
+    const Slot& slot = arena_.at(entry);
+    return slot.key == key ? slot.aggregate.get() : nullptr;
+  };
+  auto prefetch_aggregate = [&guessed_aggregate](size_t r) {
+    // The hot members of every aggregate sit in its first 80 bytes, which
+    // two lines cover at any 16-byte-aligned address.
+    if (const DecayedAggregate* aggregate = guessed_aggregate(r)) {
+      const auto* bytes = reinterpret_cast<const char*>(aggregate);
+      TDS_PREFETCH(bytes);
+      TDS_PREFETCH(bytes + 64);
+    }
+  };
+  auto prefetch_state = [&guessed_aggregate](size_t r) {
+    if (const DecayedAggregate* aggregate = guessed_aggregate(r)) {
+      aggregate->PrefetchState();
+    }
+  };
+  // While run r is applied, runs r+4 .. r+1 each move one stage on; the
+  // four calls before run 0 fill the pipeline.
+  auto advance_pipeline = [&](size_t lead) {
+    if (lead < num_runs) prefetch_table(lead);
+    if (lead >= 1 && lead - 1 < num_runs) prefetch_slot(lead - 1);
+    if (lead >= 2 && lead - 2 < num_runs) prefetch_aggregate(lead - 2);
+    if (lead >= 3 && lead - 3 < num_runs) prefetch_state(lead - 3);
+  };
+  for (size_t lead = 0; lead < 4; ++lead) advance_pipeline(lead);
   for (size_t r = 0; r < num_runs; ++r) {
-    if (r + 2 < num_runs) prefetch_table(r + 2);
-    if (r + 1 < num_runs) prefetch_slot_guess(r + 1);
+    advance_pipeline(r + 4);
     const Run& run = runs_[r];
     run_scratch_.clear();
     for (uint32_t i = run.head;; i = chain_[i]) {

@@ -224,8 +224,10 @@ class AggregateRegistry {
   /// Hot-first field order: the ingest loop touches key (probe-chain
   /// confirmation), then last_tick and the aggregate pointer, in the first
   /// 24 bytes — with the arena's cache-line-aligned chunks, one prefetched
-  /// line covers the whole header plus the start of the aggregate object's
-  /// pointer chase.
+  /// line covers the whole header. A cold run's chain goes on past the slot
+  /// to the aggregate object and then its state block (bucket block or
+  /// cell array); IngestTickSegment prefetches each link a run ahead of
+  /// the one before it.
   struct Slot {
     uint64_t key = 0;
     Tick last_tick = 0;
@@ -245,8 +247,10 @@ class AggregateRegistry {
   StatusOr<std::unique_ptr<DecayedAggregate>> NewAggregate() const;
   Tick DeriveExpiryAge() const;
 
-  /// Applies one same-tick segment of a batch, hash-grouped by key; returns
-  /// the number of (tick, key) runs applied (the sweep budget unit).
+  /// Applies one same-tick segment of a batch, hash-grouped by key, with
+  /// a four-stage prefetch pipeline over the runs (table line, slot,
+  /// aggregate object, aggregate state); returns the number of (tick, key)
+  /// runs applied (the sweep budget unit).
   size_t IngestTickSegment(Tick t, std::span<const KeyedItem> segment);
 
   uint32_t Find(uint64_t key) const;

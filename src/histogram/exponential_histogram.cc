@@ -9,19 +9,22 @@
 
 namespace tds {
 
+// Per-class bucket budget k = ceil(1/eps) + 1 (Datar et al.): with at
+// least cap_-1 buckets per smaller class, the straddling bucket's half-count
+// correction is at most an eps fraction of the window count, including the
+// worst case of a size-2 straddler.
 ExponentialHistogram::ExponentialHistogram(const Options& options)
-    : epsilon_(options.epsilon), window_(options.window) {
-  // Per-class bucket budget k = ceil(1/eps) + 1 (Datar et al.): with at
-  // least cap_-1 buckets per smaller class, the straddling bucket's
-  // half-count correction is at most an eps fraction of the window count,
-  // including the worst case of a size-2 straddler.
-  cap_ = static_cast<uint64_t>(std::ceil(1.0 / epsilon_)) + 1;
-}
+    : window_(options.window),
+      cap_(ClassBudget(options.epsilon)),
+      epsilon_(options.epsilon) {}
 
 StatusOr<ExponentialHistogram> ExponentialHistogram::Create(
     const Options& options) {
-  if (!(options.epsilon > 0.0) || options.epsilon > 1.0) {
-    return Status::InvalidArgument("EH requires epsilon in (0, 1]");
+  if (ClassBudget(options.epsilon) == 0) {
+    return Status::InvalidArgument(
+        "EH requires epsilon in (0, 1] with a per-class budget "
+        "ceil(1/epsilon) + 1 of at most " +
+        std::to_string(kMaxClassBudget));
   }
   if (options.window < 1) {
     return Status::InvalidArgument("EH requires window >= 1");
@@ -242,6 +245,8 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   const bool parsed = store_.AssignFromAscendingClasses(
       class_count, [&](size_t c, std::vector<Tick>& out) {
         uint64_t buckets = 0;
+        // cap_ <= kMaxClassBudget, so the bound cannot overflow and any
+        // class it admits fits the store's counter.
         if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
           corrupt = "EH class size";
           return false;
@@ -272,9 +277,11 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
 }
 
 Status ExponentialHistogram::AuditInvariants() const {
-  TDS_AUDIT_CHECK(
-      cap_ == static_cast<uint64_t>(std::ceil(1.0 / epsilon_)) + 1,
-      "per-class budget must be ceil(1/eps) + 1");
+  TDS_AUDIT_CHECK(cap_ != 0 && cap_ == ClassBudget(epsilon_),
+                  "per-class budget must be ceil(1/eps) + 1, at most " +
+                      std::to_string(kMaxClassBudget));
+  const Status store = store_.AuditInvariants();
+  if (!store.ok()) return store;
   TDS_AUDIT_CHECK(first_arrival_ >= 0 && now_ >= first_arrival_,
                   "clock precedes first arrival");
   if (first_arrival_ == 0) {
@@ -284,13 +291,6 @@ Status ExponentialHistogram::AuditInvariants() const {
   const Tick cutoff = window_ == kInfiniteHorizon
                           ? std::numeric_limits<Tick>::min()
                           : now_ - window_ + 1;
-  TDS_AUDIT_CHECK(store_.num_classes() <= 64, "more than 64 size classes");
-  size_t segment_sum = 0;
-  for (size_t c = 0; c < store_.num_classes(); ++c) {
-    segment_sum += store_.class_size(c);
-  }
-  TDS_AUDIT_CHECK(segment_sum == store_.size(),
-                  "class segments disagree with bucket storage");
   uint64_t checksum = 0;
   Tick previous_end = std::numeric_limits<Tick>::min();
   size_t pos = store_.begin_index();
@@ -317,8 +317,6 @@ Status ExponentialHistogram::AuditInvariants() const {
                       "bucket counts overflow the total");
     }
   }
-  TDS_AUDIT_CHECK(pos == store_.end_index(),
-                  "segment walk missed trailing buckets");
   TDS_AUDIT_CHECK(checksum == total_count_,
                   "total_count_ " + std::to_string(total_count_) +
                       " != bucket sum " + std::to_string(checksum));

@@ -46,6 +46,8 @@ class ExponentialHistogram {
     uint64_t count = 0;  ///< Number of unit items aggregated in the bucket.
   };
 
+  /// Rejects an epsilon outside (0, 1] or one whose per-class budget
+  /// exceeds kMaxClassBudget (ClassBudget returns 0), and a window < 1.
   static StatusOr<ExponentialHistogram> Create(const Options& options);
 
   /// Adds `value` unit items at tick `t`. Requires t >= now().
@@ -68,6 +70,9 @@ class ExponentialHistogram {
 
   /// Number of live buckets.
   size_t BucketCount() const;
+
+  /// Requests the bucket block's first lines (FlatBucketStore::Prefetch).
+  void Prefetch() const { store_.Prefetch(); }
 
   /// True if no unexpired items remain.
   bool Empty() const { return total_count_ == 0; }
@@ -116,8 +121,10 @@ class ExponentialHistogram {
   /// Verifies every structural invariant (see util/audit.h): the canonical
   /// ordering — walking classes newest-to-oldest class index, all bucket end
   /// timestamps are globally non-decreasing oldest-to-newest — the per-class
-  /// `cap = ceil(1/eps) + 1` budget, timestamps within [first_arrival, now],
-  /// no bucket outside a finite window, and `total_count_` equal to the
+  /// `cap = ceil(1/eps) + 1` budget (ClassBudget, so a tiny epsilon fails
+  /// here too), the store's block invariants (FlatBucketStore::
+  /// AuditInvariants), timestamps within [first_arrival, now], no bucket
+  /// outside a finite window, and `total_count_` equal to the
   /// (non-overflowing) sum of the implied 2^c bucket counts.
   Status AuditInvariants() const;
 
@@ -130,18 +137,19 @@ class ExponentialHistogram {
   /// Expires buckets whose end timestamp has left the window.
   void Expire();
 
-  double epsilon_;
-  Tick window_;
-  /// Max buckets per size class before a merge is forced.
-  uint64_t cap_;
+  // Hot-first: ingest touches the store, the clocks, the window and the
+  // budget, so they lead; epsilon_ (queries, codecs and audits) trails.
 
-  /// Bucket stamps in one array, oldest first; a bucket's stamp is its end
+  /// Bucket stamps in one block, oldest first; a bucket's stamp is its end
   /// tick and its count is implied by its class.
   FlatBucketStore<Tick> store_;
-
   Tick now_ = 0;
   Tick first_arrival_ = 0;
   uint64_t total_count_ = 0;
+  Tick window_;
+  /// Max buckets per size class before a merge is forced.
+  uint64_t cap_;
+  double epsilon_;
 };
 
 }  // namespace tds

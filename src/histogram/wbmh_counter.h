@@ -10,6 +10,7 @@
 #include "core/decayed_aggregate.h"
 #include "histogram/wbmh_layout.h"
 #include "stream/stream.h"
+#include "util/common.h"
 #include "util/status.h"
 
 namespace tds {
@@ -67,6 +68,14 @@ class WbmhCounter : public DecayedAggregate {
 
   /// Advances the layout to `now` and replays the resulting ops.
   void Advance(Tick now) override;
+
+  /// Requests the cell array's first and last lines: an op replay walks it
+  /// from the front, an arrival lands on the back.
+  void PrefetchState() const override {
+    if (cells_.empty()) return;
+    TDS_PREFETCH(cells_.data());
+    TDS_PREFETCH(&cells_.back());
+  }
 
   /// Side-effect-free estimate at `now` (>= the layout's clock): evaluates
   /// the decayed sum over the bucket structure as of the layout's last

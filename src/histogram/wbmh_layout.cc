@@ -14,10 +14,13 @@ namespace {
 /// Boundary search cap for decays that never (or barely) decay: a region
 /// whose end would exceed this is treated as unbounded.
 constexpr Tick kMaxBoundary = Tick{1} << 40;
-/// How many regions ahead NextMergeTime scans before giving up. Missing a
-/// merge only costs storage (extra buckets), never accuracy; for decays
-/// where region widths grow (the WBMH-admissible families of interest,
-/// e.g. POLYD) the scan succeeds within a few regions.
+/// How many regions ahead one NextMergeTime call scans. For decays where
+/// region widths grow (the WBMH-admissible families of interest, e.g.
+/// POLYD) the scan succeeds within a few regions at epsilon 0.1, but a
+/// small epsilon makes regions narrow enough to need more; a call that
+/// runs out returns the time its scan would resume at, so the pair is
+/// asked again then and its merge still fires at the earliest eligible
+/// tick.
 constexpr int kRegionScanBudget = 128;
 }  // namespace
 
@@ -126,7 +129,12 @@ Tick WbmhLayout::NextMergeTime(const BucketSpan& left,
   int r = RegionIndex(lo0);
   if (r < 0) return kInfiniteHorizon;  // already past the horizon
   const Tick span = right.end - left.start;
-  for (int iter = 0; iter < kRegionScanBudget; ++iter, ++r) {
+  for (int iter = 0;; ++iter, ++r) {
+    if (iter == kRegionScanBudget) {
+      // Every T before the one whose lo(T) reaches region r was scanned
+      // and is ineligible; the last pass extended starts_ past r.
+      return right.end - 1 + starts_[r];
+    }
     while (static_cast<int>(starts_.size()) <= r + 1 && !starts_capped_) {
       ExtendBoundaries(starts_.back());
     }

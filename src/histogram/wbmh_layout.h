@@ -161,8 +161,10 @@ class WbmhLayout {
   /// Extends starts_ until it covers `age` or the horizon/search cap.
   void ExtendBoundaries(Tick age);
 
-  /// Earliest T >= t0 at which buckets (left, right) could merge;
-  /// kInfiniteHorizon if not found within the region-scan budget.
+  /// Earliest T >= t0 at which buckets (left, right) could merge, or, when
+  /// the region-scan budget runs out first, the first T > t0 the scan did
+  /// not reach (every earlier T is ineligible; ask again then);
+  /// kInfiniteHorizon if no T qualifies.
   Tick NextMergeTime(const BucketSpan& left, const BucketSpan& right,
                      Tick t0);
 

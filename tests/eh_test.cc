@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/ceh.h"
+#include "core/coarse_ceh.h"
+#include "core/factory.h"
+#include "decay/polynomial.h"
+#include "histogram/flat_store.h"
 #include "stream/generators.h"
 #include "util/codec.h"
 #include "util/random.h"
@@ -37,6 +43,124 @@ TEST(ExponentialHistogramTest, CreateValidatesOptions) {
   EXPECT_FALSE(ExponentialHistogram::Create(options).ok());
   options.window = 100;
   EXPECT_TRUE(ExponentialHistogram::Create(options).ok());
+}
+
+// An epsilon whose per-class budget ceil(1/eps) + 1 does not fit the bucket
+// store's class-size counter is refused wherever an epsilon enters: the
+// options builder and every histogram's Create. Casting ceil(1/1e-300) to an
+// integer budget is undefined behaviour, so such an epsilon must never reach
+// a constructor.
+TEST(ExponentialHistogramTest, CreateRejectsEpsilonWithoutClassBudget) {
+  auto decay = PolynomialDecay::Create(1.0).value();
+  for (const double epsilon :
+       {1e-300, std::numeric_limits<double>::denorm_min(), 1e-5, 3e-5}) {
+    SCOPED_TRACE(epsilon);
+    ExponentialHistogram::Options eh;
+    eh.epsilon = epsilon;
+    eh.window = 100;
+    EXPECT_EQ(ExponentialHistogram::Create(eh).status().code(),
+              StatusCode::kInvalidArgument);
+    CehDecayedSum::Options ceh;
+    ceh.epsilon = epsilon;
+    EXPECT_EQ(CehDecayedSum::Create(decay, ceh).status().code(),
+              StatusCode::kInvalidArgument);
+    CoarseCehDecayedSum::Options coarse;
+    coarse.epsilon = epsilon;
+    EXPECT_EQ(CoarseCehDecayedSum::Create(decay, coarse).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(AggregateOptions::Builder().epsilon(epsilon).Build()
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ClassBudget(epsilon), 0u);
+  }
+  // A small epsilon whose budget fits builds, holds its units, and audits.
+  ExponentialHistogram::Options fine;
+  fine.epsilon = 1e-4;
+  fine.window = 100;
+  auto eh = ExponentialHistogram::Create(fine);
+  ASSERT_TRUE(eh.ok()) << eh.status().ToString();
+  eh->Add(1, 3);
+  EXPECT_EQ(eh->TotalCount(), 3u);
+  EXPECT_EQ(eh->BucketCount(), 3u);
+  EXPECT_TRUE(eh->AuditInvariants().ok());
+  EXPECT_EQ(ClassBudget(1e-4), 10001u);
+  EXPECT_TRUE(AggregateOptions::Builder().epsilon(1e-4).Build().ok());
+}
+
+// The bucket block's transitions, one by one: it grows only when its live
+// buckets fill it, slides its live buckets over an expired prefix instead of
+// growing, rewinds when expiry empties it, and copies into an exact fit.
+TEST(FlatBucketStoreTest, BlockGrowsSlidesAndIsReusedAfterExpiry) {
+  FlatBucketStore<Tick> store;
+  const auto newer = [](Tick /*older*/, Tick newer_stamp) {
+    return newer_stamp;
+  };
+  const uint64_t cap = 100;  // no merges below 101 class-0 buckets
+  auto stamps = [&store] {
+    std::vector<Tick> out;
+    store.ForEachOldestFirst([&out](Tick stamp, uint64_t count) {
+      EXPECT_EQ(count, 1u);
+      out.push_back(stamp);
+    });
+    return out;
+  };
+  Tick t = 0;
+  size_t growths = 0;
+  for (; t < 40; ) {
+    const size_t capacity = store.capacity();
+    const bool full = store.size() == capacity;
+    store.InsertUnits(1, ++t, cap, newer);
+    if (store.capacity() != capacity) {
+      EXPECT_TRUE(full) << "grew at t=" << t << " with room to spare";
+      ++growths;
+    }
+    ASSERT_TRUE(store.AuditInvariants().ok());
+  }
+  EXPECT_GE(growths, 3u);
+  ASSERT_EQ(store.size(), 40u);
+
+  // Slide: expire 30, then fill the tail; the next insert moves the 10+
+  // live buckets to the front and the block keeps its size.
+  const size_t capacity = store.capacity();
+  EXPECT_EQ(store.ExpireOldest([](Tick stamp) { return stamp <= 30; }), 30u);
+  EXPECT_EQ(store.begin_index(), 30u);
+  while (store.end_index() < capacity) store.InsertUnits(1, ++t, cap, newer);
+  store.InsertUnits(1, ++t, cap, newer);
+  EXPECT_EQ(store.capacity(), capacity);
+  EXPECT_EQ(store.begin_index(), 0u);
+  ASSERT_TRUE(store.AuditInvariants().ok());
+  std::vector<Tick> expected;
+  for (Tick s = 31; s <= t; ++s) expected.push_back(s);
+  EXPECT_EQ(stamps(), expected);
+
+  // Reuse: expiry empties the store, which rewinds into the same block and
+  // keeps its (emptied) class directory.
+  store.ExpireOldest([](Tick) { return true; });
+  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(store.end_index(), 0u);
+  EXPECT_EQ(store.capacity(), capacity);
+  EXPECT_EQ(store.num_classes(), 1u);
+  store.InsertUnits(3, ++t, cap, newer);
+  EXPECT_EQ(store.capacity(), capacity);
+  EXPECT_EQ(stamps(), std::vector<Tick>(3, t));
+  ASSERT_TRUE(store.AuditInvariants().ok());
+
+  // A deep cascade adds classes past the directory's first allocation.
+  store.InsertUnits(uint64_t{1} << 20, ++t, cap, newer);
+  EXPECT_GT(store.num_classes(), 8u);
+  ASSERT_TRUE(store.AuditInvariants().ok());
+  uint64_t total = 0;
+  store.ForEachOldestFirst([&total](Tick, uint64_t count) { total += count; });
+  EXPECT_EQ(total, (uint64_t{1} << 20) + 3);
+
+  const FlatBucketStore<Tick> copy(store);
+  EXPECT_EQ(copy.capacity(), copy.size());
+  EXPECT_EQ(copy.num_classes(), store.num_classes());
+  ASSERT_TRUE(copy.AuditInvariants().ok());
+  for (size_t c = 0; c < store.num_classes(); ++c) {
+    EXPECT_EQ(copy.class_size(c), store.class_size(c));
+  }
 }
 
 TEST(ExponentialHistogramTest, EmptyEstimatesZero) {

@@ -569,6 +569,17 @@ void FeedRandom(AggregateRegistry& registry, Rng& rng, int steps, Tick* t) {
   }
 }
 
+// Multi-class values into one key, one tick apart: an EH-family key's bucket
+// block grows through several sizes and gains classes.
+constexpr uint64_t kGrownKey = 1000;
+void FeedGrownKey(AggregateRegistry& registry, Rng& rng, int steps, Tick* t) {
+  for (int step = 0; step < steps; ++step) {
+    *t += 1;
+    registry.Update(kGrownKey, *t,
+                    (1 + rng.NextBelow(8)) << rng.NextBelow(12));
+  }
+}
+
 std::string MustEncode(AggregateRegistry& registry) {
   std::string blob;
   EXPECT_TRUE(registry.EncodeState(&blob).ok());
@@ -611,18 +622,24 @@ TEST(AggregateRegistryTest, CopiesAreIndependentOfTheirSource) {
     Rng rng(23);
     Tick t = 1;
     FeedRandom(*registry, rng, 800, &t);
+    FeedGrownKey(*registry, rng, 300, &t);
     auto copy = registry->Copy();
     ASSERT_TRUE(copy.ok());
     const std::string copied = MustEncode(*copy);
+    EXPECT_EQ(copy->Query(kGrownKey, t), registry->Query(kGrownKey, t));
 
+    // Both sides keep feeding the grown key, so the copy's exactly-sized
+    // block has to grow again on its own.
     Tick source_t = t;
     FeedRandom(*registry, rng, 800, &source_t);
+    FeedGrownKey(*registry, rng, 100, &source_t);
     registry->Advance(source_t + 5);
     EXPECT_EQ(MustEncode(*copy), copied) << "source update leaked into copy";
 
     const std::string source = MustEncode(*registry);
     Tick copy_t = t;
     FeedRandom(*copy, rng, 800, &copy_t);
+    FeedGrownKey(*copy, rng, 100, &copy_t);
     copy->Advance(copy_t + 7);
     EXPECT_EQ(MustEncode(*registry), source)
         << "copy update leaked into source";

@@ -189,7 +189,9 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzCase{0xce02, DecayKind::kPolyOne, 0.1, 0.3, 900},
         FuzzCase{0xce03, DecayKind::kPolyTwo, 0.1, 0.3, 700},
         FuzzCase{0xce04, DecayKind::kExpd, 0.1, 0.3, 700},
-        FuzzCase{0xce05, DecayKind::kPolyOne, 0.02, 0.06, 600}),
+        FuzzCase{0xce05, DecayKind::kPolyOne, 0.02, 0.06, 600},
+        // Wide classes (cap 101): bucket blocks of hundreds of stamps.
+        FuzzCase{0xce06, DecayKind::kSliwin, 0.01, 0.015, 600}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return "Seed" + std::to_string(info.param.seed & 0xff) + "Decay" +
              std::to_string(static_cast<int>(info.param.decay)) + "Eps" +

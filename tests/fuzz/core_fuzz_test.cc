@@ -359,13 +359,13 @@ class NaiveCoarseCeh {
   Tick now_ = 0;
 };
 
-void RunCoarseCehFuzz(bool sliding, uint64_t rng_seed, int max_ops,
-                      FuzzInput& in) {
+void RunCoarseCehFuzz(bool sliding, double epsilon, uint64_t rng_seed,
+                      int max_ops, FuzzInput& in) {
   const Tick window = 256;
   const DecayPtr decay = sliding ? SlidingWindowDecay::Create(window).value()
                                  : PolynomialDecay::Create(1.0).value();
   CoarseCehDecayedSum::Options options;
-  options.epsilon = 0.1;
+  options.epsilon = epsilon;
   options.boundary_delta = 0.25;
   options.seed = rng_seed;
   auto coarse = CoarseCehDecayedSum::Create(decay, options).value();
@@ -404,7 +404,19 @@ void RunCoarseCehFuzz(bool sliding, uint64_t rng_seed, int max_ops,
 
   for (int op = 0; op < max_ops && !in.exhausted(); ++op) {
     const uint64_t kind = in.Below(100);
-    if (kind < 70) {
+    if (kind < 6) {
+      // A burst of multi-class values over a few ticks: the bucket block
+      // grows and gains classes, and later slides over expired buckets.
+      const int burst = 4 + static_cast<int>(in.Below(20));
+      for (int i = 0; i < burst; ++i) {
+        now += static_cast<Tick>(in.Below(2));
+        const uint64_t value = (1 + in.Below(8)) << in.Below(10);
+        coarse->Update(now, value);
+        naive.Update(now, value);
+        reference.Add(now, value);
+        check("burst Update");
+      }
+    } else if (kind < 70) {
       // Occasional large values drive the merge cascade many classes deep.
       now += static_cast<Tick>(in.Below(3));
       const uint64_t value =
@@ -521,14 +533,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PolyExpFuzzTest,
 
 TEST(CoarseCehFuzzTest, ConstantFactorAndAuditsHold) {
   FuzzInput in = FuzzInput::FromSeed(0xee01, 600 * 8);
-  RunCoarseCehFuzz(/*sliding=*/false, CoarseCehDecayedSum::Options{}.seed,
-                   600, in);
+  RunCoarseCehFuzz(/*sliding=*/false, /*epsilon=*/0.1,
+                   CoarseCehDecayedSum::Options{}.seed, 600, in);
 }
 
 struct CoarseCase {
   uint64_t seed;
   int ops;
   bool sliding;  ///< sliding-window (expiring) vs polynomial decay
+  /// Epsilon 0.01 (cap 101) instead of 0.1. A flag rather than a double,
+  /// so the parameter keeps its size and the older cases their names.
+  bool wide = false;
 };
 
 class CoarseCehFuzzSeedTest : public ::testing::TestWithParam<CoarseCase> {};
@@ -537,17 +552,23 @@ TEST_P(CoarseCehFuzzSeedTest, MatchesNaiveReference) {
   const CoarseCase fuzz = GetParam();
   FuzzInput in = FuzzInput::FromSeed(
       fuzz.seed, static_cast<size_t>(fuzz.ops) * 8);
-  RunCoarseCehFuzz(fuzz.sliding, fuzz.seed, fuzz.ops, in);
+  RunCoarseCehFuzz(fuzz.sliding, fuzz.wide ? 0.01 : 0.1, fuzz.seed, fuzz.ops,
+                   in);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoarseCehFuzzSeedTest,
                          ::testing::Values(CoarseCase{0xF1B1, 1100, false},
                                            CoarseCase{0xF1B2, 1100, true},
-                                           CoarseCase{0xee02, 800, true}),
+                                           CoarseCase{0xee02, 800, true},
+                                           // Wide classes (cap 101).
+                                           CoarseCase{0xee03, 800, true, true},
+                                           CoarseCase{0xee04, 800, false,
+                                                      true}),
                          [](const ::testing::TestParamInfo<CoarseCase>& info) {
                            return "Seed" +
                                   std::to_string(info.param.seed & 0xff) +
-                                  (info.param.sliding ? "Sliwin" : "Poly");
+                                  (info.param.sliding ? "Sliwin" : "Poly") +
+                                  (info.param.wide ? "Wide" : "");
                          });
 
 }  // namespace
@@ -578,10 +599,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       tds::RunPolyExpFuzz(1 + static_cast<int>(in.Below(3)), kMaxOps, in);
       break;
     case 4:
-      tds::RunCoarseCehFuzz(/*sliding=*/false, coarse_seed, kMaxOps, in);
+      tds::RunCoarseCehFuzz(/*sliding=*/false, /*epsilon=*/0.1, coarse_seed,
+                            kMaxOps, in);
       break;
     default:
-      tds::RunCoarseCehFuzz(/*sliding=*/true, coarse_seed, kMaxOps, in);
+      tds::RunCoarseCehFuzz(/*sliding=*/true, /*epsilon=*/0.1, coarse_seed,
+                            kMaxOps, in);
       break;
   }
   return 0;

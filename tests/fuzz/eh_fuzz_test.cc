@@ -147,7 +147,22 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
 
   for (int op = 0; op < config.max_ops && !in.exhausted(); ++op) {
     const uint64_t kind = in.Below(100);
-    if (kind < 55) {
+    if (kind < 6) {
+      // A burst of multi-class values over a few ticks: each value spans
+      // several size classes at once, so the bucket block grows, its
+      // directory gains classes, and the tail fills behind expired buckets
+      // (the slide) as the window moves on.
+      const int burst = 4 + static_cast<int>(in.Below(20));
+      for (int i = 0; i < burst; ++i) {
+        now += static_cast<Tick>(in.Below(2));
+        if (now == 0) now = 1;
+        const uint64_t value = (1 + in.Below(8)) << in.Below(10);
+        eh.Add(now, value);
+        naive.Add(now, value);
+        exact.Add(now, value);
+        check("burst Add");
+      }
+    } else if (kind < 55) {
       // Add at the current tick or a short hop forward; occasional large
       // values exercise the O(cap log v) digit insertion.
       now += static_cast<Tick>(in.Below(3));
@@ -256,7 +271,11 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{0xF1A2, 0.1, 512, 1200},
                       FuzzCase{0xF1A3, 0.02, 128, 900},
                       FuzzCase{0xF1A4, 0.5, 32, 1200},
-                      FuzzCase{0xF1A5, 0.25, 1024, 900}),
+                      FuzzCase{0xF1A5, 0.25, 1024, 900},
+                      // Wide classes (cap 101): blocks of hundreds of
+                      // buckets that grow, slide and empty.
+                      FuzzCase{0xe406, 0.01, 256, 900},
+                      FuzzCase{0xe407, 0.01, 2048, 900}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return "Seed" + std::to_string(info.param.seed & 0xff) + "Eps" +
              std::to_string(static_cast<int>(info.param.epsilon * 100)) +

@@ -202,6 +202,35 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
   EXPECT_DOUBLE_EQ(restored_counter.Query(1000), counter.Query(1000));
 }
 
+// At epsilon 0.01 the regions of 1/x^2 are narrow, and a sealed pair can
+// need more regions scanned than one merge-time search covers before its
+// merge turns eligible. It must still merge at its earliest eligible tick:
+// no settled tick leaves a merge-eligible sealed pair (the audit), and a
+// layout decoded mid-stream evolves exactly like the one encoded.
+TEST(WbmhLayoutTest, SmallEpsilonMergesAtTheEarliestEligibleTick) {
+  auto layout = MakeLayout(InverseSquare(), 0.01);
+  std::shared_ptr<WbmhLayout> restored;
+  for (Tick t = 1; t <= 1500; ++t) {
+    layout->AdvanceTo(t);
+    const Status audit = layout->AuditInvariants();
+    ASSERT_TRUE(audit.ok()) << "t=" << t << ": " << audit.ToString();
+    if (restored != nullptr) {
+      restored->AdvanceTo(t);
+      ASSERT_TRUE(std::ranges::equal(restored->Spans(), layout->Spans()))
+          << "decoded layout diverged at t=" << t;
+    }
+    if (t == 600) {
+      layout->TrimLog(layout->OpSeq());
+      Encoder encoder;
+      ASSERT_TRUE(layout->EncodeState(encoder).ok());
+      const std::string bytes = encoder.Finish();
+      restored = MakeLayout(InverseSquare(), 0.01);
+      Decoder decoder(bytes);
+      ASSERT_TRUE(restored->DecodeState(decoder).ok());
+    }
+  }
+}
+
 TEST(WbmhCounterTest, CountsAreConservedAcrossMerges) {
   auto layout = MakeLayout(InverseSquare(), 4.0);
   WbmhCounter counter(layout, WbmhCounter::Options{0.0});  // exact counts

@@ -110,15 +110,19 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error -R 'EngineMerge|MergedSnapshot|RegistryMerge'
       # The EH and CoarseCEH fuzz drivers hold the flat bucket store to a
-      # naive reference histogram, the WBMH drivers hold the counters to the
-      # exact decayed sum, the encoding pins hold every histogram's wire
-      # format to fixed hashes, and the registry batch test holds the
-      # grouped prefetch path to per-item ingest across arena growth. They
-      # must run with audits armed, and must never silently vanish.
+      # naive reference histogram (their wide-class seeds grow, slide and
+      # empty its block), the CEH driver holds it to the exact decayed sum,
+      # the block-transition and tiny-epsilon tests pin the block's growth
+      # policy and the class-budget bound, the WBMH drivers hold the
+      # counters to the exact decayed sum, the encoding pins hold every
+      # histogram's wire format to fixed hashes, and the registry batch
+      # test holds the grouped prefetch path to per-item ingest across
+      # arena growth. They must run with audits armed, and must never
+      # silently vanish.
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CoarseCehFuzz|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -145,13 +149,13 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
         -R 'EngineFault|BackpressureTest|CheckpointLog|Standby'
-      # The reference-checked histogram fuzzers must also survive the
-      # failpoint build (the decode funnels they drive are
-      # failpoint-instrumented).
+      # The reference-checked histogram fuzzers, the block-transition and
+      # tiny-epsilon tests must also survive the failpoint build (the
+      # decode funnels they drive are failpoint-instrumented).
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CoarseCehFuzz|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
