@@ -61,7 +61,8 @@ void Run(int streams, Tick ticks) {
   }
   const size_t wbmh_total = profiles.StorageBits();
   size_t counter_total = 0;
-  profiles.ForEachKey([&](uint64_t, Tick, const DecayedAggregate& counter) {
+  profiles.ForEachKey([&](uint64_t, Tick,
+                          const AggregateRegistry::KeyView& counter) {
     counter_total += counter.StorageBits();
   });
   const double wbmh_per_stream = static_cast<double>(counter_total) /

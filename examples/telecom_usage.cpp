@@ -44,7 +44,8 @@ int main() {
   profiles.Advance(kTicks);
 
   size_t customer_bits = 0;
-  profiles.ForEachKey([&](uint64_t, Tick, const DecayedAggregate& counter) {
+  profiles.ForEachKey([&](uint64_t, Tick,
+                          const AggregateRegistry::KeyView& counter) {
     customer_bits += counter.StorageBits();
   });
   const size_t total_bits = profiles.StorageBits();

@@ -1,35 +1,63 @@
 #include "core/ceh.h"
 
-#include <vector>
+#include <utility>
 
 #include "util/audit.h"
 #include "util/check.h"
 
 namespace tds {
+namespace {
 
-CehDecayedSum::CehDecayedSum(DecayPtr decay, ExponentialHistogram eh)
-    : eh_(std::move(eh)), decay_(std::move(decay)) {}
+/// g(age) with ages clamped to >= 1 and weight 0 past the horizon.
+double SafeWeight(const DecayFunction& decay, Tick age) {
+  if (age < 1) age = 1;
+  if (age > decay.Horizon()) return 0.0;
+  return decay.Weight(age);
+}
 
-StatusOr<std::unique_ptr<CehDecayedSum>> CehDecayedSum::Create(
-    DecayPtr decay, const Options& options) {
+}  // namespace
+
+StatusOr<CehParams> CehParams::Create(DecayPtr decay, double epsilon) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  ExponentialHistogram::Options eh_options;
-  eh_options.epsilon = options.epsilon;
-  eh_options.window = decay->Horizon();  // N(g); infinite keeps everything
-  auto eh = ExponentialHistogram::Create(eh_options);
+  // N(g) is the window; an infinite horizon keeps everything.
+  auto eh = EhParams::Create(epsilon, decay->Horizon());
   if (!eh.ok()) return eh.status();
+  return CehParams{eh.value(), std::move(decay)};
+}
+
+StatusOr<std::unique_ptr<CehDecayedSum>> CehDecayedSum::Create(
+    DecayPtr decay, const Options& options) {
+  auto params = CehParams::Create(std::move(decay), options.epsilon);
+  if (!params.ok()) return params.status();
   return std::unique_ptr<CehDecayedSum>(
-      new CehDecayedSum(std::move(decay), std::move(eh).value()));
+      new CehDecayedSum(std::move(params).value()));
 }
 
-void CehDecayedSum::Update(Tick t, uint64_t value) {
-  eh_.Add(t, value);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+Status CehDecayedSum::MergeFrom(const CehDecayedSum& other) {
+  if (other.params_.eh != params_.eh) {
+    return Status::InvalidArgument(
+        "cannot merge histograms with different options");
+  }
+  const Status status = state_.eh_.MergeFrom(params_.eh, other.state_.eh_);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
 }
 
-void CehDecayedSum::UpdateBatch(std::span<const StreamItem> items) {
+Status CehDecayedSum::DecodeState(Decoder& decoder) {
+  const Status status = state_.DecodeState(params_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+void CehState::Update(const CehParams& params, Tick t, uint64_t value) {
+  eh_.Add(params.eh, t, value);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
+}
+
+void CehState::UpdateBatch(const CehParams& params,
+                           std::span<const StreamItem> items) {
   // Coalesce runs of equal ticks into one Add: InsertUnits' sequential-
   // insertion semantics make Add(t, a + b) identical to Add(t, a); Add(t, b),
   // so the cascade fires once per distinct tick, not once per item.
@@ -38,59 +66,50 @@ void CehDecayedSum::UpdateBatch(std::span<const StreamItem> items) {
     const Tick t = items[i].t;
     uint64_t total = 0;
     for (; i < items.size() && items[i].t == t; ++i) total += items[i].value;
-    eh_.Add(t, total);
+    eh_.Add(params.eh, t, total);
   }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void CehDecayedSum::Advance(Tick now) {
-  eh_.AdvanceTo(now);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+void CehState::Advance(const CehParams& params, Tick now) {
+  eh_.AdvanceTo(params.eh, now);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-Status CehDecayedSum::DecodeState(Decoder& decoder) {
-  Status status = eh_.DecodeState(decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+Status CehState::DecodeState(const CehParams& params, Decoder& decoder) {
+  Status status = eh_.DecodeState(params.eh, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants(params));
   return status;
 }
 
-Status CehDecayedSum::AuditInvariants() const { return eh_.AuditInvariants(); }
-
-double CehDecayedSum::SafeWeight(Tick age) const {
-  if (age < 1) age = 1;
-  if (age > decay_->Horizon()) return 0.0;
-  return decay_->Weight(age);
-}
-
-double CehDecayedSum::Query(Tick now) const {
+double CehState::Query(const CehParams& params, Tick now) const {
   if (eh_.Empty()) return 0.0;
+  const DecayFunction& decay = *params.decay;
   // Walk buckets oldest -> newest; each bucket's trapezoid partner is the
-  // end-age of its older neighbor (Eq. 4 telescoped; see class comment).
+  // end-age of its older neighbor (Eq. 4 telescoped; see CehDecayedSum).
   // Buckets past the horizon take SafeWeight == 0, so the unswept tail a
   // const query cannot expire contributes nothing.
   double sum = 0.0;
   Tick older_age;  // end-age of the previous (older) bucket
   const Tick first_age = AgeAt(eh_.first_arrival(), now);
-  if (decay_->Horizon() != kInfiniteHorizon &&
-      first_age > decay_->Horizon()) {
-    older_age = decay_->Horizon() + 1;  // oldest items expired: weight 0
+  if (decay.Horizon() != kInfiniteHorizon && first_age > decay.Horizon()) {
+    older_age = decay.Horizon() + 1;  // oldest items expired: weight 0
   } else {
     older_age = first_age;
   }
-  eh_.ForEachBucketOldestFirst([&](const ExponentialHistogram::Bucket& b) {
+  eh_.ForEachBucketOldestFirst([&](const EhBucket& b) {
     const Tick age = AgeAt(b.end, now);
     // Size-1 buckets pin their single item at the stored timestamp, so they
     // take the exact weight; larger buckets take the telescoped trapezoid
     // (the EH's half-count straddling rule summed across window sizes).
-    const double w = b.count == 1
-                         ? SafeWeight(age)
-                         : (SafeWeight(age) + SafeWeight(older_age)) / 2.0;
+    const double w =
+        b.count == 1
+            ? SafeWeight(decay, age)
+            : (SafeWeight(decay, age) + SafeWeight(decay, older_age)) / 2.0;
     sum += static_cast<double>(b.count) * w;
     older_age = age;
   });
   return sum;
 }
-
-size_t CehDecayedSum::StorageBits() const { return eh_.StorageBits(); }
 
 }  // namespace tds

@@ -9,32 +9,42 @@
 
 namespace tds {
 
-CoarseCehDecayedSum::CoarseCehDecayedSum(DecayPtr decay,
-                                         const Options& options)
-    : decay_(std::move(decay)),
-      options_(options),
-      cap_(ClassBudget(options.epsilon)),
-      rng_(options.seed) {}
-
-StatusOr<std::unique_ptr<CoarseCehDecayedSum>> CoarseCehDecayedSum::Create(
-    DecayPtr decay, const Options& options) {
+StatusOr<CoarseCehParams> CoarseCehParams::Create(DecayPtr decay,
+                                                  double epsilon,
+                                                  double boundary_delta,
+                                                  uint64_t seed) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  if (ClassBudget(options.epsilon) == 0) {
+  const uint64_t cap = ClassBudget(epsilon);
+  if (cap == 0) {
     return Status::InvalidArgument(
         "epsilon must be in (0, 1] with a per-class budget ceil(1/epsilon) "
         "+ 1 of at most " +
         std::to_string(kMaxClassBudget));
   }
-  if (!(options.boundary_delta > 0.0)) {
+  if (!(boundary_delta > 0.0)) {
     return Status::InvalidArgument("boundary_delta must be > 0");
   }
-  return std::unique_ptr<CoarseCehDecayedSum>(
-      new CoarseCehDecayedSum(std::move(decay), options));
+  return CoarseCehParams{std::move(decay), epsilon, boundary_delta, seed, cap};
 }
 
-void CoarseCehDecayedSum::AdvanceTo(Tick t) {
+StatusOr<std::unique_ptr<CoarseCehDecayedSum>> CoarseCehDecayedSum::Create(
+    DecayPtr decay, const Options& options) {
+  auto params = CoarseCehParams::Create(std::move(decay), options.epsilon,
+                                        options.boundary_delta, options.seed);
+  if (!params.ok()) return params.status();
+  return std::unique_ptr<CoarseCehDecayedSum>(
+      new CoarseCehDecayedSum(std::move(params).value()));
+}
+
+Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
+  const Status status = state_.DecodeState(params_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+void CoarseCehState::AdvanceTo(const CoarseCehParams& params, Tick t) {
   TDS_CHECK_GE(t, now_);
   const Tick gap = t - now_;
   now_ = t;
@@ -50,23 +60,30 @@ void CoarseCehDecayedSum::AdvanceTo(Tick t) {
           max_age_seen_ = std::max(max_age_seen_, age.Estimate());
         }
       });
-  Expire();
+  Expire(params);
 }
 
-void CoarseCehDecayedSum::Update(Tick t, uint64_t value) {
-  AdvanceTo(t);
+void CoarseCehState::Update(const CoarseCehParams& params, Tick t,
+                            uint64_t value) {
+  AdvanceTo(params, t);
   if (value == 0) return;
   total_count_ += value;
-  InsertUnits(value);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  InsertUnits(params, value);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void CoarseCehDecayedSum::InsertUnits(uint64_t incoming_units) {
+void CoarseCehState::UpdateBatch(const CoarseCehParams& params,
+                                 std::span<const StreamItem> items) {
+  for (const StreamItem& item : items) Update(params, item.t, item.value);
+}
+
+void CoarseCehState::InsertUnits(const CoarseCehParams& params,
+                                 uint64_t incoming_units) {
   // Same canonical digit arithmetic as ExponentialHistogram::InsertUnits,
   // with approximate ages in place of timestamps: all incoming buckets are
   // brand new (age 1); a merge keeps the *younger* boundary.
-  const ApproxAge fresh_age(options_.boundary_delta);
-  store_.InsertUnits(incoming_units, fresh_age, cap_,
+  const ApproxAge fresh_age(params.boundary_delta);
+  store_.InsertUnits(incoming_units, fresh_age, params.cap,
                      [](const ApproxAge& older, const ApproxAge& newer) {
                        ApproxAge merged = older;
                        merged.TakeYounger(newer);
@@ -74,8 +91,8 @@ void CoarseCehDecayedSum::InsertUnits(uint64_t incoming_units) {
                      });
 }
 
-void CoarseCehDecayedSum::Expire() {
-  const Tick horizon = decay_->Horizon();
+void CoarseCehState::Expire(const CoarseCehParams& params) {
+  const Tick horizon = params.decay->Horizon();
   if (horizon == kInfiniteHorizon || total_count_ == 0) return;
   const double horizon_age = static_cast<double>(horizon);
   total_count_ -= store_.ExpireOldest([horizon_age](const ApproxAge& age) {
@@ -83,22 +100,23 @@ void CoarseCehDecayedSum::Expire() {
   });
 }
 
-void CoarseCehDecayedSum::Advance(Tick now) {
-  AdvanceTo(now);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+void CoarseCehState::Advance(const CoarseCehParams& params, Tick now) {
+  AdvanceTo(params, now);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-Status CoarseCehDecayedSum::AuditInvariants() const {
+Status CoarseCehState::AuditInvariants(const CoarseCehParams& params) const {
+  const uint64_t cap = params.cap;
   TDS_AUDIT_CHECK(now_ >= 0, "negative clock");
   TDS_AUDIT_CHECK(std::isfinite(max_age_seen_) && max_age_seen_ >= 1.0,
                   "max age must be finite and >= 1");
-  TDS_AUDIT_CHECK(cap_ != 0 && cap_ == ClassBudget(options_.epsilon),
+  TDS_AUDIT_CHECK(cap != 0 && cap == ClassBudget(params.epsilon),
                   "per-class budget must be ceil(1/eps) + 1, at most " +
                       std::to_string(kMaxClassBudget));
   const Status store = store_.AuditInvariants();
   if (!store.ok()) return store;
   for (size_t c = 0; c < store_.num_classes(); ++c) {
-    TDS_AUDIT_CHECK(store_.class_size(c) <= 2 * cap_ + 2,
+    TDS_AUDIT_CHECK(store_.class_size(c) <= 2 * cap + 2,
                     "class exceeds cap bound");
   }
   uint64_t checksum = 0;
@@ -122,10 +140,11 @@ Status CoarseCehDecayedSum::AuditInvariants() const {
   return Status::OK();
 }
 
-double CoarseCehDecayedSum::Query(Tick now) const {
+double CoarseCehState::Query(const CoarseCehParams& params, Tick now) const {
   TDS_CHECK_GE(now, now_);
   const double gap = static_cast<double>(now - now_);
-  const Tick horizon = decay_->Horizon();
+  const DecayFunction& decay = *params.decay;
+  const Tick horizon = decay.Horizon();
   double sum = 0.0;
   // Summed in ascending class order: a fixed floating-point summation
   // order, so a decoded copy answers bit-identically to its source.
@@ -136,15 +155,13 @@ double CoarseCehDecayedSum::Query(Tick now) const {
           std::max(1.0, store_.stamp(k).Estimate() + gap);
       const auto age = static_cast<Tick>(std::llround(age_estimate));
       if (age > horizon) continue;
-      sum += count * decay_->Weight(age);
+      sum += count * decay.Weight(age);
     }
   });
   return sum;
 }
 
-size_t CoarseCehDecayedSum::BucketCount() const { return store_.size(); }
-
-std::vector<double> CoarseCehDecayedSum::BoundaryAges() const {
+std::vector<double> CoarseCehState::BoundaryAges() const {
   std::vector<double> ages;
   ages.reserve(store_.size());
   store_.ForEachOldestFirst([&ages](const ApproxAge& age, uint64_t) {
@@ -153,9 +170,10 @@ std::vector<double> CoarseCehDecayedSum::BoundaryAges() const {
   return ages;
 }
 
-void CoarseCehDecayedSum::EncodeState(Encoder& encoder) const {
-  encoder.PutDouble(options_.epsilon);
-  encoder.PutDouble(options_.boundary_delta);
+void CoarseCehState::EncodeState(const CoarseCehParams& params,
+                                 Encoder& encoder) const {
+  encoder.PutDouble(params.epsilon);
+  encoder.PutDouble(params.boundary_delta);
   encoder.PutSigned(now_);
   encoder.PutVarint(total_count_);
   encoder.PutDouble(max_age_seen_);
@@ -175,12 +193,13 @@ void CoarseCehDecayedSum::EncodeState(Encoder& encoder) const {
       });
 }
 
-Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
+Status CoarseCehState::DecodeState(const CoarseCehParams& params,
+                                   Decoder& decoder) {
   double epsilon = 0.0, delta = 0.0;
   if (!decoder.GetDouble(&epsilon) || !decoder.GetDouble(&delta)) {
     return CorruptSnapshot("CoarseCEH header");
   }
-  if (epsilon != options_.epsilon || delta != options_.boundary_delta) {
+  if (epsilon != params.epsilon || delta != params.boundary_delta) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
   uint64_t total = 0, class_count = 0;
@@ -205,9 +224,9 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
   const bool parsed = store_.AssignFromAscendingClasses(
       class_count, [&](size_t c, std::vector<ApproxAge>& out) {
         uint64_t buckets = 0;
-        // cap_ <= kMaxClassBudget, so the bound cannot overflow and any
+        // cap <= kMaxClassBudget, so the bound cannot overflow and any
         // class it admits fits the store's counter.
-        if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
+        if (!decoder.GetVarint(&buckets) || buckets > 2 * params.cap + 2) {
           corrupt = "CoarseCEH class";
           return false;
         }
@@ -226,18 +245,18 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
   if (!parsed) return CorruptSnapshot(corrupt);
   // Hostile-snapshot funnel: reject blobs whose state fails the audit,
   // including bucket counts that do not sum to the total.
-  const Status audit = AuditInvariants();
+  const Status audit = AuditInvariants(params);
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
   }
   return Status::OK();
 }
 
-size_t CoarseCehDecayedSum::StorageBits() const {
+size_t CoarseCehState::StorageBits(const CoarseCehParams& params) const {
   // Per bucket: an O(log log N) boundary plus a count exponent (counts are
   // powers of two). One exact clock register is charged once.
   const int age_bits =
-      ApproxAge::StorageBits(options_.boundary_delta, max_age_seen_);
+      ApproxAge::StorageBits(params.boundary_delta, max_age_seen_);
   const double count_log =
       std::log2(static_cast<double>(std::max<uint64_t>(total_count_, 2)));
   const int exp_bits =
@@ -245,7 +264,7 @@ size_t CoarseCehDecayedSum::StorageBits() const {
   const double clock_bits = std::ceil(
       std::log2(static_cast<double>(std::max<Tick>(now_, 2)) + 1.0));
   return static_cast<size_t>(
-      static_cast<double>(BucketCount()) * (age_bits + exp_bits) +
+      static_cast<double>(store_.size()) * (age_bits + exp_bits) +
       clock_bits);
 }
 

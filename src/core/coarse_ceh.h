@@ -2,7 +2,9 @@
 #define TDS_CORE_COARSE_CEH_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/decayed_aggregate.h"
@@ -12,6 +14,75 @@
 #include "util/status.h"
 
 namespace tds {
+
+/// The constants of a coarse CEH, shared by every key of a registry.
+struct CoarseCehParams {
+  DecayPtr decay;
+  /// Bucket-count budget parameter, as in the exact CEH.
+  double epsilon = 0.1;
+  /// Boundary grid ratio (1 + delta): the age quantization coarseness.
+  double boundary_delta = 0.25;
+  /// Seed of a fresh state's aging RNG.
+  uint64_t seed = 0xa9e5;
+  /// ClassBudget(epsilon).
+  uint64_t cap = 0;
+
+  /// Rejects a null decay, an epsilon that ClassBudget does not accept
+  /// (outside (0, 1], or a per-class budget above kMaxClassBudget) and a
+  /// boundary_delta <= 0.
+  static StatusOr<CoarseCehParams> Create(DecayPtr decay, double epsilon,
+                                          double boundary_delta,
+                                          uint64_t seed);
+};
+
+/// One coarse CEH's state without its constants (CoarseCehParams): the
+/// bucket block of approximate ages, the clock, the total, the largest age
+/// seen and the aging RNG. CoarseCehDecayedSum owns one; a coarse-CEH
+/// registry keeps one inline in each key's entry.
+class CoarseCehState {
+ public:
+  using Params = CoarseCehParams;
+
+  /// An empty state; a live one starts from the params' seed.
+  CoarseCehState() : rng_(0) {}
+  explicit CoarseCehState(const CoarseCehParams& params) : rng_(params.seed) {}
+
+  void Update(const CoarseCehParams& params, Tick t, uint64_t value);
+  void UpdateBatch(const CoarseCehParams& params,
+                   std::span<const StreamItem> items);
+  void Advance(const CoarseCehParams& params, Tick now);
+  /// See CoarseCehDecayedSum::Query.
+  double Query(const CoarseCehParams& params, Tick now) const;
+  Tick now(const CoarseCehParams& /*params*/) const { return now_; }
+  size_t StorageBits(const CoarseCehParams& params) const;
+  void Prefetch() const { store_.Prefetch(); }
+
+  size_t BucketCount() const { return store_.size(); }
+  uint64_t TotalCount() const { return total_count_; }
+  /// Approximate boundary ages, oldest first.
+  std::vector<double> BoundaryAges() const;
+
+  /// See CoarseCehDecayedSum::AuditInvariants.
+  Status AuditInvariants(const CoarseCehParams& params) const;
+
+  /// Snapshot support.
+  void EncodeState(const CoarseCehParams& params,
+                   class Encoder& encoder) const;
+  Status DecodeState(const CoarseCehParams& params, class Decoder& decoder);
+
+ private:
+  void AdvanceTo(const CoarseCehParams& params, Tick t);
+  void InsertUnits(const CoarseCehParams& params, uint64_t units);
+  void Expire(const CoarseCehParams& params);
+
+  /// Bucket stamps in one array, oldest first; a bucket's stamp is its
+  /// approximate boundary age and its count is implied by its class.
+  FlatBucketStore<ApproxAge> store_;
+  Tick now_ = 0;
+  uint64_t total_count_ = 0;
+  double max_age_seen_ = 2.0;
+  Rng rng_;
+};
 
 /// CEH with approximately-maintained time boundaries — the paper's
 /// Section 5 closing remark (attributed to Y. Matias): for polynomial
@@ -24,7 +95,8 @@ namespace tds {
 /// The histogram is the same domination-based structure as the exact CEH
 /// (power-of-two bucket counts, at most `cap` buckets per size class, two
 /// oldest merge on overflow); only the boundary representation changes.
-/// The estimate weights each bucket by g(approximate boundary age).
+/// The estimate weights each bucket by g(approximate boundary age). The
+/// object owns one CoarseCehState and its CoarseCehParams.
 ///
 /// Guarantee: a constant-factor approximation for POLYD (the grid ratio
 /// and stochastic aging each contribute a bounded factor); the
@@ -40,33 +112,30 @@ class CoarseCehDecayedSum : public DecayedAggregate {
     uint64_t seed = 0xa9e5;
   };
 
-  /// Rejects an epsilon that ClassBudget does not accept (outside (0, 1],
-  /// or a per-class budget above kMaxClassBudget).
+  /// Rejects what CoarseCehParams::Create rejects.
   static StatusOr<std::unique_ptr<CoarseCehDecayedSum>> Create(
       DecayPtr decay, const Options& options);
 
-  void Update(Tick t, uint64_t value) override;
-  void Advance(Tick now) override;
-  void PrefetchState() const override { store_.Prefetch(); }
+  void Update(Tick t, uint64_t value) override {
+    state_.Update(params_, t, value);
+  }
+  void Advance(Tick now) override { state_.Advance(params_, now); }
   /// Const and side-effect free: weights each bucket by its stored
   /// approximate boundary age plus the deterministic gap since the last
   /// mutation (the stochastic aging itself only runs inside
   /// Update/Advance, so reads never touch the RNG).
-  double Query(Tick now) const override;
-  Tick now() const override { return now_; }
-  size_t StorageBits() const override;
+  double Query(Tick now) const override { return state_.Query(params_, now); }
+  Tick now() const override { return state_.now(params_); }
+  size_t StorageBits() const override { return state_.StorageBits(params_); }
   std::string Name() const override { return "COARSE_CEH"; }
-  const DecayPtr& decay() const override { return decay_; }
-  std::unique_ptr<DecayedAggregate> Clone() const override {
-    return std::make_unique<CoarseCehDecayedSum>(*this);
-  }
+  const DecayPtr& decay() const override { return params_.decay; }
 
-  size_t BucketCount() const;
+  size_t BucketCount() const { return state_.BucketCount(); }
   /// Sum of all live bucket counts.
-  uint64_t TotalCount() const { return total_count_; }
+  uint64_t TotalCount() const { return state_.TotalCount(); }
 
   /// Approximate boundary ages, oldest first (for tests).
-  std::vector<double> BoundaryAges() const;
+  std::vector<double> BoundaryAges() const { return state_.BoundaryAges(); }
 
   /// Structural invariants: the per-class budget is ClassBudget(epsilon)
   /// (so a tiny epsilon fails here too), the store's block invariants hold
@@ -75,31 +144,20 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   /// the cap bound, and all boundary ages are finite, >= 1, and covered by
   /// max_age_seen_. (Age *ordering* across buckets is deliberately not
   /// audited: stochastic aging may reorder estimates.)
-  Status AuditInvariants() const;
+  Status AuditInvariants() const { return state_.AuditInvariants(params_); }
 
   /// Snapshot support.
-  void EncodeState(class Encoder& encoder) const;
+  void EncodeState(class Encoder& encoder) const {
+    state_.EncodeState(params_, encoder);
+  }
   Status DecodeState(class Decoder& decoder);
 
  private:
-  CoarseCehDecayedSum(DecayPtr decay, const Options& options);
+  explicit CoarseCehDecayedSum(CoarseCehParams params)
+      : params_(std::move(params)), state_(params_) {}
 
-  void AdvanceTo(Tick t);
-  void InsertUnits(uint64_t units);
-  void Expire();
-
-  DecayPtr decay_;
-  Options options_;
-  uint64_t cap_;
-  Rng rng_;
-
-  /// Bucket stamps in one array, oldest first; a bucket's stamp is its
-  /// approximate boundary age and its count is implied by its class.
-  FlatBucketStore<ApproxAge> store_;
-
-  Tick now_ = 0;
-  uint64_t total_count_ = 0;
-  double max_age_seen_ = 2.0;
+  CoarseCehParams params_;
+  CoarseCehState state_;
 };
 
 }  // namespace tds

@@ -35,6 +35,12 @@ namespace tds {
 /// Single-threaded ("thread-compatible") by design, like the streaming
 /// model itself: one writer owns the structure; concurrent const access is
 /// safe only while no writer is active.
+///
+/// Each implementation is a thin owner of a backend state type and its
+/// constants (e.g. CehDecayedSum holds a CehState and a CehParams). The
+/// multi-key AggregateRegistry keeps those same state types inline in its
+/// per-key entries with one copy of the constants, and no object per key;
+/// copying an implementation copies its state deeply.
 class DecayedAggregate {
  public:
   virtual ~DecayedAggregate() = default;
@@ -52,12 +58,6 @@ class DecayedAggregate {
   virtual void UpdateBatch(std::span<const StreamItem> items) {
     for (const StreamItem& item : items) Update(item.t, item.value);
   }
-
-  /// Issues cache prefetches for the state an update reads first (a bucket
-  /// block, a cell array) without touching it: a hint for batched ingest,
-  /// which calls it one run ahead. Const, reads only the object itself, and
-  /// changes nothing. The default does nothing.
-  virtual void PrefetchState() const {}
 
   /// Explicitly advances internal clocks to `now` (>= the last mutation
   /// tick): runs expiry, merges, and register decay. Equivalent to
@@ -79,13 +79,6 @@ class DecayedAggregate {
 
   /// The decay function being maintained.
   virtual const DecayPtr& decay() const = 0;
-
-  /// An independent deep copy: same state, same answers, same snapshot
-  /// bytes, and no state shared with this one (except a WbmhCounter's
-  /// shared layout, which its owner rebinds). Each structure copies itself
-  /// with its copy constructor — the in-memory alternative to an encode /
-  /// decode round trip.
-  virtual std::unique_ptr<DecayedAggregate> Clone() const = 0;
 };
 
 }  // namespace tds

@@ -16,88 +16,106 @@ StatusOr<std::unique_ptr<ExactDecayedSum>> ExactDecayedSum::Create(
   return std::unique_ptr<ExactDecayedSum>(new ExactDecayedSum(std::move(decay)));
 }
 
-void ExactDecayedSum::Update(Tick t, uint64_t value) {
-  TDS_CHECK_GE(t, now_);
-  now_ = t;
+Status ExactDecayedSum::DecodeState(Decoder& decoder) {
+  const Status status = state_.DecodeState(params_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+void ExactState::Prune(const ExactParams& params) {
+  const Tick horizon = params.decay->Horizon();
+  if (horizon == kInfiniteHorizon || !block_) return;
+  std::deque<Entry>& items = block_->items;
+  while (!items.empty() && AgeAt(items.front().t, block_->now) > horizon) {
+    items.pop_front();
+  }
+}
+
+void ExactState::Update(const ExactParams& params, Tick t, uint64_t value) {
+  Block& b = block();
+  TDS_CHECK_GE(t, b.now);
+  b.now = t;
   // Prune even when value == 0: a zero-value update still advances the
   // clock, and entries past the horizon must not outlive it (the audit's
   // horizon invariant; an early return here once leaked expired entries
   // until the next non-zero update).
   if (value != 0) {
-    if (!items_.empty() && items_.back().t == t) {
-      items_.back().value += value;
+    if (!b.items.empty() && b.items.back().t == t) {
+      b.items.back().value += value;
     } else {
-      items_.push_back(Entry{t, value});
+      b.items.push_back(Entry{t, value});
     }
   }
-  const Tick horizon = decay_->Horizon();
-  if (horizon != kInfiniteHorizon) {
-    while (!items_.empty() && AgeAt(items_.front().t, now_) > horizon) {
-      items_.pop_front();
-    }
-  }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  Prune(params);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void ExactDecayedSum::Advance(Tick now) {
-  TDS_CHECK_GE(now, now_);
-  now_ = now;
-  const Tick horizon = decay_->Horizon();
-  if (horizon != kInfiniteHorizon) {
-    while (!items_.empty() && AgeAt(items_.front().t, now_) > horizon) {
-      items_.pop_front();
-    }
-  }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+void ExactState::UpdateBatch(const ExactParams& params,
+                             std::span<const StreamItem> items) {
+  for (const StreamItem& item : items) Update(params, item.t, item.value);
 }
 
-Status ExactDecayedSum::AuditInvariants() const {
+void ExactState::Advance(const ExactParams& params, Tick now) {
+  Block& b = block();
+  TDS_CHECK_GE(now, b.now);
+  b.now = now;
+  Prune(params);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
+}
+
+Status ExactState::AuditInvariants(const ExactParams& params) const {
+  if (!block_) return Status::OK();
   Tick previous = -1;
   bool first = true;
-  const Tick horizon = decay_->Horizon();
-  for (const Entry& entry : items_) {
+  const Tick horizon = params.decay->Horizon();
+  for (const Entry& entry : block_->items) {
     TDS_AUDIT_CHECK(first || entry.t > previous, "item ticks not increasing");
-    TDS_AUDIT_CHECK(entry.t <= now_, "item tick past the clock");
+    TDS_AUDIT_CHECK(entry.t <= block_->now, "item tick past the clock");
     TDS_AUDIT_CHECK(entry.value > 0, "zero-value item retained");
     previous = entry.t;
     first = false;
   }
-  if (horizon != kInfiniteHorizon && !items_.empty()) {
-    TDS_AUDIT_CHECK(AgeAt(items_.front().t, now_) <= horizon,
+  if (horizon != kInfiniteHorizon && !block_->items.empty()) {
+    TDS_AUDIT_CHECK(AgeAt(block_->items.front().t, block_->now) <= horizon,
                     "item retained past the decay horizon");
   }
   return Status::OK();
 }
 
-double ExactDecayedSum::Query(Tick now) const {
-  TDS_CHECK_GE(now, now_);
+double ExactState::Query(const ExactParams& params, Tick now) const {
+  TDS_CHECK_GE(now, this->now(params));
+  if (!block_) return 0.0;
+  const DecayFunction& decay = *params.decay;
   double sum = 0.0;
-  const Tick horizon = decay_->Horizon();
-  for (const Entry& e : items_) {
+  const Tick horizon = decay.Horizon();
+  for (const Entry& e : block_->items) {
     const Tick age = AgeAt(e.t, now);
     if (horizon != kInfiniteHorizon && age > horizon) continue;
-    sum += static_cast<double>(e.value) * decay_->Weight(age);
+    sum += static_cast<double>(e.value) * decay.Weight(age);
   }
   return sum;
 }
 
-void ExactDecayedSum::EncodeState(Encoder& encoder) const {
-  encoder.PutSigned(now_);
-  encoder.PutVarint(items_.size());
+void ExactState::EncodeState(const ExactParams& params,
+                             Encoder& encoder) const {
+  encoder.PutSigned(now(params));
+  encoder.PutVarint(ItemCount());
+  if (!block_) return;
   Tick previous = 0;
-  for (const Entry& entry : items_) {
+  for (const Entry& entry : block_->items) {
     encoder.PutVarint(static_cast<uint64_t>(entry.t - previous));
     previous = entry.t;
     encoder.PutVarint(entry.value);
   }
 }
 
-Status ExactDecayedSum::DecodeState(Decoder& decoder) {
+Status ExactState::DecodeState(const ExactParams& params, Decoder& decoder) {
+  Block& b = block();
   uint64_t size = 0;
-  if (!decoder.GetSigned(&now_) || !decoder.GetVarint(&size)) {
+  if (!decoder.GetSigned(&b.now) || !decoder.GetVarint(&size)) {
     return CorruptSnapshot("Exact header");
   }
-  items_.clear();
+  b.items.clear();
   Tick previous = 0;
   for (uint64_t i = 0; i < size; ++i) {
     uint64_t delta = 0, value = 0;
@@ -105,24 +123,27 @@ Status ExactDecayedSum::DecodeState(Decoder& decoder) {
       return CorruptSnapshot("Exact entry");
     }
     previous += static_cast<Tick>(delta);
-    items_.push_back(Entry{previous, value});
+    b.items.push_back(Entry{previous, value});
   }
   // Hostile-snapshot funnel: structural validation IS the audit protocol,
   // so a corrupt blob is rejected instead of installed.
-  const Status audit = AuditInvariants();
+  const Status audit = AuditInvariants(params);
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
   }
   return Status::OK();
 }
 
-size_t ExactDecayedSum::StorageBits() const {
+size_t ExactState::StorageBits(const ExactParams& params) const {
   // Each entry: a timestamp plus an exact count.
-  const Tick elapsed = items_.empty() ? 1 : now_ - items_.front().t + 1;
+  const Tick now = this->now(params);
+  const size_t count = ItemCount();
+  const Tick elapsed = count == 0 ? 1 : now - block_->items.front().t + 1;
   const double ts_bits =
       std::ceil(std::log2(static_cast<double>(std::max<Tick>(elapsed, 2)) + 1));
   double bits = ts_bits;  // clock register
-  for (const Entry& e : items_) {
+  if (count == 0) return static_cast<size_t>(bits);
+  for (const Entry& e : block_->items) {
     bits += ts_bits +
             std::ceil(std::log2(static_cast<double>(e.value) + 1.0));
   }

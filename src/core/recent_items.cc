@@ -8,107 +8,138 @@
 
 namespace tds {
 
-RecentItemsExpCounter::RecentItemsExpCounter(DecayPtr decay, double lambda,
-                                             size_t capacity)
-    : decay_(std::move(decay)), lambda_(lambda), capacity_(capacity) {}
-
-StatusOr<std::unique_ptr<RecentItemsExpCounter>> RecentItemsExpCounter::Create(
-    DecayPtr decay, const Options& options) {
+StatusOr<RecentItemsParams> RecentItemsParams::Create(DecayPtr decay,
+                                                      double epsilon) {
   const auto* expd = dynamic_cast<const ExponentialDecay*>(decay.get());
   if (expd == nullptr) {
     return Status::InvalidArgument(
         "RecentItemsExpCounter requires ExponentialDecay");
   }
-  if (!(options.epsilon > 0.0) || options.epsilon >= 1.0) {
+  if (!(epsilon > 0.0) || epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
   const double lambda = expd->lambda();
   const double c = std::ceil(
-      std::log(1.0 / ((1.0 - std::exp(-lambda)) * options.epsilon)) / lambda);
+      std::log(1.0 / ((1.0 - std::exp(-lambda)) * epsilon)) / lambda);
   const size_t capacity = static_cast<size_t>(std::max(1.0, c));
-  return std::unique_ptr<RecentItemsExpCounter>(
-      new RecentItemsExpCounter(decay, lambda, capacity));
+  return RecentItemsParams{std::move(decay), lambda, capacity};
 }
 
-void RecentItemsExpCounter::Update(Tick t, uint64_t value) {
-  TDS_CHECK_GE(t, now_);
-  now_ = t;
+StatusOr<std::unique_ptr<RecentItemsExpCounter>> RecentItemsExpCounter::Create(
+    DecayPtr decay, const Options& options) {
+  auto params = RecentItemsParams::Create(std::move(decay), options.epsilon);
+  if (!params.ok()) return params.status();
+  return std::unique_ptr<RecentItemsExpCounter>(
+      new RecentItemsExpCounter(std::move(params).value()));
+}
+
+Status RecentItemsExpCounter::DecodeState(Decoder& decoder) {
+  const Status status = state_.DecodeState(params_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+void RecentItemsState::Update(const RecentItemsParams& params, Tick t,
+                              uint64_t value) {
+  Block& b = block(params);
+  TDS_CHECK_GE(t, b.now);
+  b.now = t;
   if (value == 0) return;
   const double effective =
       static_cast<double>(t) +
-      std::log(static_cast<double>(value)) / lambda_;
-  effective_times_.insert(effective);
-  while (effective_times_.size() > capacity_) {
-    effective_times_.erase(effective_times_.begin());  // smallest = oldest
+      std::log(static_cast<double>(value)) / params.lambda;
+  b.effective_times.insert(effective);
+  while (b.effective_times.size() > b.capacity) {
+    b.effective_times.erase(b.effective_times.begin());  // smallest = oldest
   }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void RecentItemsExpCounter::Advance(Tick now) {
-  TDS_CHECK_GE(now, now_);
-  now_ = now;
-  TDS_AUDIT_MUTATION(AuditInvariants());
+void RecentItemsState::UpdateBatch(const RecentItemsParams& params,
+                                   std::span<const StreamItem> items) {
+  for (const StreamItem& item : items) Update(params, item.t, item.value);
 }
 
-Status RecentItemsExpCounter::AuditInvariants() const {
-  TDS_AUDIT_CHECK(capacity_ >= 1, "capacity must be positive");
-  TDS_AUDIT_CHECK(effective_times_.size() <= capacity_,
+void RecentItemsState::Advance(const RecentItemsParams& params, Tick now) {
+  Block& b = block(params);
+  TDS_CHECK_GE(now, b.now);
+  b.now = now;
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
+}
+
+Status RecentItemsState::AuditInvariants(
+    const RecentItemsParams& params) const {
+  const size_t capacity = this->capacity(params);
+  TDS_AUDIT_CHECK(capacity >= 1, "capacity must be positive");
+  if (!block_) return Status::OK();
+  TDS_AUDIT_CHECK(block_->effective_times.size() <= capacity,
                   "retained more than C timestamps");
-  for (double effective : effective_times_) {
+  for (double effective : block_->effective_times) {
     TDS_AUDIT_CHECK(std::isfinite(effective),
                     "non-finite effective timestamp");
   }
   return Status::OK();
 }
 
-double RecentItemsExpCounter::Query(Tick now) const {
-  TDS_CHECK_GE(now, now_);
+double RecentItemsState::Query(const RecentItemsParams& params,
+                               Tick now) const {
+  TDS_CHECK_GE(now, this->now(params));
+  if (!block_) return 0.0;
   double sum = 0.0;
-  for (double effective : effective_times_) {
-    sum += std::exp(-lambda_ * (static_cast<double>(now) + 1.0 - effective));
+  for (double effective : block_->effective_times) {
+    sum += std::exp(-params.lambda *
+                    (static_cast<double>(now) + 1.0 - effective));
   }
   return sum;
 }
 
-void RecentItemsExpCounter::EncodeState(Encoder& encoder) const {
-  encoder.PutVarint(capacity_);
-  encoder.PutSigned(now_);
-  encoder.PutVarint(effective_times_.size());
-  for (double effective : effective_times_) encoder.PutDouble(effective);
+void RecentItemsState::EncodeState(const RecentItemsParams& params,
+                                   Encoder& encoder) const {
+  encoder.PutVarint(capacity(params));
+  encoder.PutSigned(now(params));
+  if (!block_) {
+    encoder.PutVarint(0);
+    return;
+  }
+  encoder.PutVarint(block_->effective_times.size());
+  for (double effective : block_->effective_times) encoder.PutDouble(effective);
 }
 
-Status RecentItemsExpCounter::DecodeState(Decoder& decoder) {
+Status RecentItemsState::DecodeState(const RecentItemsParams& params,
+                                     Decoder& decoder) {
+  Block& b = block(params);
   uint64_t capacity = 0, size = 0;
-  if (!decoder.GetVarint(&capacity) || !decoder.GetSigned(&now_) ||
+  if (!decoder.GetVarint(&capacity) || !decoder.GetSigned(&b.now) ||
       !decoder.GetVarint(&size)) {
     return CorruptSnapshot("RecentItems header");
   }
   if (capacity == 0) return CorruptSnapshot("RecentItems capacity");
-  capacity_ = capacity;
+  b.capacity = capacity;
   if (size > capacity) return CorruptSnapshot("RecentItems size");
-  effective_times_.clear();
+  b.effective_times.clear();
   for (uint64_t i = 0; i < size; ++i) {
     double effective = 0.0;
     if (!decoder.GetDouble(&effective)) {
       return CorruptSnapshot("RecentItems entry");
     }
-    effective_times_.insert(effective);
+    b.effective_times.insert(effective);
   }
   // Hostile-snapshot funnel: reject blobs whose state fails the audit.
-  const Status audit = AuditInvariants();
+  const Status audit = AuditInvariants(params);
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
   }
   return Status::OK();
 }
 
-size_t RecentItemsExpCounter::StorageBits() const {
+size_t RecentItemsState::StorageBits(const RecentItemsParams& params) const {
   // C timestamps of ceil(log2(elapsed)) bits (value shifting adds the same
   // O(log(v_max)/lambda) additive range to each timestamp).
-  const double elapsed = std::max<double>(2.0, static_cast<double>(now_));
+  const double elapsed =
+      std::max<double>(2.0, static_cast<double>(now(params)));
   const double ts_bits = std::ceil(std::log2(elapsed + 1.0));
-  return static_cast<size_t>(
-      (static_cast<double>(effective_times_.size()) + 1.0) * ts_bits);
+  const size_t retained = block_ ? block_->effective_times.size() : 0;
+  return static_cast<size_t>((static_cast<double>(retained) + 1.0) * ts_bits);
 }
 
 }  // namespace tds

@@ -3,13 +3,90 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "core/decayed_aggregate.h"
 #include "decay/exponential.h"
 #include "util/status.h"
 
 namespace tds {
+
+/// The constants of a recent-items counter: the decay rate and the
+/// retention constant C a fresh counter starts with.
+struct RecentItemsParams {
+  DecayPtr decay;
+  double lambda = 0.0;
+  size_t capacity = 1;
+
+  /// Rejects a decay that is not ExponentialDecay and an epsilon outside
+  /// (0, 1); sizes C from epsilon (Lemma 3.1).
+  static StatusOr<RecentItemsParams> Create(DecayPtr decay, double epsilon);
+};
+
+/// One recent-items counter's state: a handle to a heap block holding the
+/// retained effective timestamps, the clock and the counter's C (a decoded
+/// counter keeps the C its snapshot names), allocated on the first mutation
+/// or decode. RecentItemsExpCounter owns one; a RECENT_ITEMS registry keeps
+/// the handle in each key's entry. Copies are deep.
+class RecentItemsState {
+ public:
+  using Params = RecentItemsParams;
+
+  RecentItemsState() = default;
+  RecentItemsState(const RecentItemsState& other)
+      : block_(other.block_ ? std::make_unique<Block>(*other.block_)
+                            : nullptr) {}
+  RecentItemsState(RecentItemsState&&) noexcept = default;
+  RecentItemsState& operator=(const RecentItemsState& other) {
+    RecentItemsState copy(other);
+    return *this = std::move(copy);
+  }
+  RecentItemsState& operator=(RecentItemsState&&) noexcept = default;
+
+  void Update(const RecentItemsParams& params, Tick t, uint64_t value);
+  void UpdateBatch(const RecentItemsParams& params,
+                   std::span<const StreamItem> items);
+  void Advance(const RecentItemsParams& params, Tick now);
+  double Query(const RecentItemsParams& params, Tick now) const;
+  Tick now(const RecentItemsParams& /*params*/) const {
+    return block_ ? block_->now : 0;
+  }
+  size_t StorageBits(const RecentItemsParams& params) const;
+
+  /// The retention constant C.
+  size_t capacity(const RecentItemsParams& params) const {
+    return block_ ? block_->capacity : params.capacity;
+  }
+
+  /// At most C finite effective timestamps.
+  Status AuditInvariants(const RecentItemsParams& params) const;
+
+  /// Snapshot support.
+  void EncodeState(const RecentItemsParams& params,
+                   class Encoder& encoder) const;
+  Status DecodeState(const RecentItemsParams& params, class Decoder& decoder);
+
+ private:
+  struct Block {
+    /// Effective (value-shifted) timestamps, largest = most recent; kept
+    /// to the C largest.
+    std::multiset<double> effective_times;
+    Tick now = 0;
+    size_t capacity = 1;
+  };
+
+  Block& block(const RecentItemsParams& params) {
+    if (!block_) {
+      block_ = std::make_unique<Block>();
+      block_->capacity = params.capacity;
+    }
+    return *block_;
+  }
+
+  std::unique_ptr<Block> block_;
+};
 
 /// The "C most recent items" algorithm from the upper bound of Lemma 3.1:
 /// for exponential decay it suffices to remember the timestamps of the
@@ -18,7 +95,8 @@ namespace tds {
 /// Non-binary values are folded into shifted timestamps (the paper's
 /// footnote 3): an item of value v at tick t is treated as a unit item at
 /// effective time t + ln(v)/lambda, which has the same decayed
-/// contribution. Storage: C timestamps of log N bits each.
+/// contribution. Storage: C timestamps of log N bits each. The object owns
+/// one RecentItemsState and its RecentItemsParams.
 class RecentItemsExpCounter : public DecayedAggregate {
  public:
   struct Options {
@@ -29,38 +107,34 @@ class RecentItemsExpCounter : public DecayedAggregate {
   static StatusOr<std::unique_ptr<RecentItemsExpCounter>> Create(
       DecayPtr decay, const Options& options);
 
-  void Update(Tick t, uint64_t value) override;
-  void Advance(Tick now) override;
-  double Query(Tick now) const override;
-  Tick now() const override { return now_; }
-  size_t StorageBits() const override;
-  std::string Name() const override { return "RECENT_ITEMS"; }
-  const DecayPtr& decay() const override { return decay_; }
-  std::unique_ptr<DecayedAggregate> Clone() const override {
-    return std::make_unique<RecentItemsExpCounter>(*this);
+  void Update(Tick t, uint64_t value) override {
+    state_.Update(params_, t, value);
   }
+  void Advance(Tick now) override { state_.Advance(params_, now); }
+  double Query(Tick now) const override { return state_.Query(params_, now); }
+  Tick now() const override { return state_.now(params_); }
+  size_t StorageBits() const override { return state_.StorageBits(params_); }
+  std::string Name() const override { return "RECENT_ITEMS"; }
+  const DecayPtr& decay() const override { return params_.decay; }
 
   /// The retention constant C from Lemma 3.1.
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return state_.capacity(params_); }
 
   /// Structural invariants: at most C finite effective timestamps.
-  Status AuditInvariants() const;
+  Status AuditInvariants() const { return state_.AuditInvariants(params_); }
 
   /// Snapshot support.
-  void EncodeState(class Encoder& encoder) const;
+  void EncodeState(class Encoder& encoder) const {
+    state_.EncodeState(params_, encoder);
+  }
   Status DecodeState(class Decoder& decoder);
 
  private:
-  RecentItemsExpCounter(DecayPtr decay, double lambda, size_t capacity);
+  explicit RecentItemsExpCounter(RecentItemsParams params)
+      : params_(std::move(params)) {}
 
-  DecayPtr decay_;
-  double lambda_;
-  size_t capacity_;
-
-  /// Effective (value-shifted) timestamps, largest = most recent; kept to
-  /// the C largest.
-  std::multiset<double> effective_times_;
-  Tick now_ = 0;
+  RecentItemsParams params_;
+  RecentItemsState state_;
 };
 
 }  // namespace tds

@@ -8,15 +8,15 @@
 
 namespace tds {
 
-WbmhDecayedSum::WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout,
-                               double count_epsilon)
-    : counter_(std::move(layout), WbmhCounter::Options{count_epsilon}) {}
+WbmhDecayedSum::WbmhDecayedSum(WbmhLayout layout, double count_epsilon)
+    : layout_(std::move(layout)),
+      params_(&layout_, count_epsilon),
+      state_(params_) {}
 
 WbmhDecayedSum::WbmhDecayedSum(const WbmhDecayedSum& other)
-    : counter_(other.counter_) {
-  // The counter is synced after every mutation, so it may rebind.
-  counter_.RebindLayout(std::make_shared<WbmhLayout>(other.layout()));
-}
+    : layout_(other.layout_),
+      params_(&layout_, other.params_.count_epsilon),
+      state_(other.state_) {}
 
 StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
     DecayPtr decay, const Options& options) {
@@ -34,7 +34,7 @@ StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
   // The option itself (-inf would otherwise pass as "tie") and the value
   // it resolves to must both name a mantissa width.
   for (const double value : {options.count_epsilon, count_epsilon}) {
-    const Status valid = WbmhCounter::ValidateCountEpsilon(value);
+    const Status valid = WbmhParams::ValidateCountEpsilon(value);
     if (!valid.ok()) return valid;
   }
   WbmhLayout::Options layout_options;
@@ -43,50 +43,42 @@ StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
   layout_options.start = options.start;
   auto layout = WbmhLayout::Create(layout_options);
   if (!layout.ok()) return layout.status();
-  return std::unique_ptr<WbmhDecayedSum>(new WbmhDecayedSum(
-      std::make_shared<WbmhLayout>(std::move(layout).value()),
-      count_epsilon));
-}
-
-void WbmhDecayedSum::TrimLog() {
-  counter_.layout()->TrimLog(counter_.AppliedSeq());
+  return std::unique_ptr<WbmhDecayedSum>(
+      new WbmhDecayedSum(std::move(layout).value(), count_epsilon));
 }
 
 void WbmhDecayedSum::Update(Tick t, uint64_t value) {
-  counter_.Update(t, value);
+  state_.Update(params_, t, value);
   TrimLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 void WbmhDecayedSum::UpdateBatch(std::span<const StreamItem> items) {
-  counter_.UpdateBatch(items);
+  state_.UpdateBatch(params_, items);
   TrimLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
 void WbmhDecayedSum::Advance(Tick now) {
-  counter_.Advance(now);
+  state_.Advance(params_, now);
   TrimLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
-double WbmhDecayedSum::Query(Tick now) const { return counter_.Query(now); }
-
 Status WbmhDecayedSum::AuditInvariants() {
-  Status status = counter_.layout()->AuditInvariants();
+  Status status = layout_.AuditInvariants();
   if (!status.ok()) return status;
-  return counter_.AuditInvariants();
+  return state_.AuditInvariants(params_);
 }
 
 Status WbmhDecayedSum::EncodeState(Encoder& encoder) const {
-  // Every mutation trims the log, so the counter is synced and the layout
+  // Every mutation trims the log, so the state is synced and the layout
   // carries no log here.
-  const WbmhLayout& owned = layout();
-  encoder.PutDouble(owned.epsilon());
-  encoder.PutSigned(owned.start());
-  Status status = owned.EncodeState(encoder);
+  encoder.PutDouble(layout_.epsilon());
+  encoder.PutSigned(layout_.start());
+  Status status = layout_.EncodeState(encoder);
   if (!status.ok()) return status;
-  return counter_.EncodeState(encoder);
+  return state_.EncodeState(params_, encoder);
 }
 
 Status WbmhDecayedSum::DecodeState(Decoder& decoder) {
@@ -95,22 +87,14 @@ Status WbmhDecayedSum::DecodeState(Decoder& decoder) {
   if (!decoder.GetDouble(&epsilon) || !decoder.GetSigned(&start)) {
     return CorruptSnapshot("WBMH header");
   }
-  WbmhLayout& owned = *counter_.layout();
-  if (epsilon != owned.epsilon() || start != owned.start()) {
+  if (epsilon != layout_.epsilon() || start != layout_.start()) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
-  Status status = owned.DecodeState(decoder);
+  Status status = layout_.DecodeState(decoder);
   if (!status.ok()) return status;
-  status = counter_.DecodeState(decoder);
+  status = WbmhCounter::DecodeAdopting(params_, state_, decoder);
   if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
   return status;
-}
-
-size_t WbmhDecayedSum::StorageBits() const {
-  // Paper accounting: per-stream storage is the bucket counts only — the
-  // boundary process is a deterministic function of (g, eps, T) and is
-  // never stored per stream (Section 5).
-  return counter_.StorageBits();
 }
 
 }  // namespace tds

@@ -13,15 +13,15 @@ namespace tds {
 
 /// Weight-Based Merging Histogram decayed sum (paper Section 5, Lemma 5.1):
 /// combines the stream-independent boundary process (WbmhLayout) with a
-/// per-stream approximate counter (WbmhCounter). Applicable when
+/// per-stream approximate count vector (WbmhState). Applicable when
 /// g(x)/g(x+1) is non-increasing — exponential, polynomial, and smoother
 /// decays. For POLYD it uses O(eps^{-1} log N) buckets of
 /// O(log(1/eps) + log log N) bits each: O(log N log log N) total, beating
 /// the CEH's O(log^2 N).
 ///
-/// This is the single-stream form: one counter on a private layout whose
-/// op log is trimmed after every mutation. Many streams share one layout
-/// through AggregateRegistry, which keeps a bare WbmhCounter per key.
+/// This is the single-stream form: one state on a private layout whose op
+/// log is trimmed after every mutation. Many streams share one layout
+/// through AggregateRegistry, which keeps a bare WbmhState per key.
 class WbmhDecayedSum : public DecayedAggregate {
  public:
   struct Options {
@@ -29,7 +29,7 @@ class WbmhDecayedSum : public DecayedAggregate {
     double epsilon = 0.5;
     /// Count-rounding precision; 0 stores exact counts (ablation mode), and
     /// a negative value (the default) ties it to `epsilon`. Create rejects
-    /// values WbmhCounter::ValidateCountEpsilon refuses.
+    /// values WbmhParams::ValidateCountEpsilon refuses.
     double count_epsilon = -1.0;
     /// First tick of the stream's life.
     Tick start = 1;
@@ -52,19 +52,17 @@ class WbmhDecayedSum : public DecayedAggregate {
   void Advance(Tick now) override;
   /// Const and side-effect free: evaluates over the layout as frozen by the
   /// last mutation, with true ages relative to `now` (see
-  /// WbmhCounter::Query). Advance(now) first to roll merges/drops.
-  double Query(Tick now) const override;
-  Tick now() const override { return counter_.now(); }
-  size_t StorageBits() const override;
+  /// WbmhState::Query). Advance(now) first to roll merges/drops.
+  double Query(Tick now) const override { return state_.Query(params_, now); }
+  Tick now() const override { return state_.now(params_); }
+  /// Paper accounting: per-stream storage is the bucket counts only — the
+  /// boundary process is a deterministic function of (g, eps, T) and is
+  /// never stored per stream (Section 5).
+  size_t StorageBits() const override { return state_.StorageBits(params_); }
   std::string Name() const override { return "WBMH"; }
-  const DecayPtr& decay() const override { return layout().decay(); }
-  /// Copies the private layout too, so the copy is independent.
-  std::unique_ptr<DecayedAggregate> Clone() const override {
-    return std::make_unique<WbmhDecayedSum>(*this);
-  }
+  const DecayPtr& decay() const override { return layout_.decay(); }
 
-  const WbmhLayout& layout() const { return *counter_.layout(); }
-  const WbmhCounter& counter() const { return counter_; }
+  const WbmhLayout& layout() const { return layout_; }
 
   /// Snapshot support: the layout state, then the counter's.
   Status EncodeState(class Encoder& encoder) const;
@@ -74,12 +72,14 @@ class WbmhDecayedSum : public DecayedAggregate {
   Status AuditInvariants();
 
  private:
-  WbmhDecayedSum(std::shared_ptr<WbmhLayout> layout, double count_epsilon);
+  WbmhDecayedSum(WbmhLayout layout, double count_epsilon);
 
-  /// Drops the op log the counter has applied: nobody else reads it.
-  void TrimLog();
+  /// Drops the op log the state has applied: nobody else reads it.
+  void TrimLog() { layout_.TrimLog(state_.AppliedSeq()); }
 
-  WbmhCounter counter_;
+  WbmhLayout layout_;
+  WbmhParams params_;  ///< Points at layout_.
+  WbmhState state_;
 };
 
 }  // namespace tds

@@ -141,7 +141,7 @@ Status ApplyGeneration(AggregateRegistry& registry,
   // keys are simply dropped.
   std::vector<uint64_t> superseded;
   for (const auto& mini : minis) {
-    mini.ForEachKey([&](uint64_t key, Tick, const DecayedAggregate&) {
+    mini.ForEachKey([&](uint64_t key, Tick, const AggregateRegistry::KeyView&) {
       superseded.push_back(key);
     });
   }

@@ -820,9 +820,10 @@ StatusOr<bool> ShardedAggregateEngine::RebalanceLocked() {
       static_cast<uint32_t>(table->shard_of_slice.size());
   std::vector<uint64_t> slice_keys(slice_count, 0);
   RunOnWriter(*shards_[donor_index], [&](AggregateRegistry& registry) {
-    registry.ForEachKey([&](uint64_t key, Tick, const DecayedAggregate&) {
-      ++slice_keys[SliceForKey(key, slice_count)];
-    });
+    registry.ForEachKey(
+        [&](uint64_t key, Tick, const AggregateRegistry::KeyView&) {
+          ++slice_keys[SliceForKey(key, slice_count)];
+        });
   });
   // Offered-load heat since the last selection: sessions publish per-slice
   // ingest counts at flush; the window diff ranks *hot* slices first so a

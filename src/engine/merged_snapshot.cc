@@ -30,7 +30,9 @@ std::vector<uint64_t> MergedSnapshot::Keys() const {
   std::vector<uint64_t> keys;
   keys.reserve(registry_.KeyCount());
   registry_.ForEachKey(
-      [&](uint64_t key, Tick, const DecayedAggregate&) { keys.push_back(key); });
+      [&](uint64_t key, Tick, const AggregateRegistry::KeyView&) {
+        keys.push_back(key);
+      });
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -41,8 +43,8 @@ std::vector<MergedSnapshot::WeightedKey> MergedSnapshot::TopK(size_t k,
   std::vector<WeightedKey> all;
   all.reserve(registry_.KeyCount());
   registry_.ForEachKey(
-      [&](uint64_t key, Tick, const DecayedAggregate& aggregate) {
-        all.push_back(WeightedKey{key, aggregate.Query(at)});
+      [&](uint64_t key, Tick, const AggregateRegistry::KeyView& view) {
+        all.push_back(WeightedKey{key, view.Query(at)});
       });
   // Partial selection: O(n + k log k) instead of sorting all n live keys.
   // The comparator is a strict total order (key breaks weight ties), so the

@@ -5,15 +5,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/ceh.h"
-#include "core/coarse_ceh.h"
-#include "core/ewma.h"
-#include "core/exact.h"
-#include "core/polyexp_counter.h"
-#include "core/recent_items.h"
 #include "core/snapshot.h"
-#include "histogram/wbmh_counter.h"
-#include "histogram/wbmh_layout.h"
 #include "util/audit.h"
 #include "util/check.h"
 #include "util/codec.h"
@@ -26,17 +18,13 @@ namespace {
 constexpr char kRegistryMagic[] = "TDSREG1";
 constexpr size_t kInitialTableCapacity = 64;
 /// Shared-layout op-log high-water mark: past this many retained ops, the
-/// registry syncs every counter and trims the whole log (amortized O(1)
-/// per op: each op is replayed at most once per counter either way).
+/// registry syncs every state and trims the whole log (amortized O(1)
+/// per op: each op is replayed at most once per state either way).
 constexpr uint64_t kMaxRetainedOps = 16384;
-/// Slots the lazy expiry sweep examines per applied (tick, key) run: a
-/// single Update is one run, so the per-item path sweeps this many slots
+/// Entries the lazy expiry sweep examines per applied (tick, key) run: a
+/// single Update is one run, so the per-item path sweeps this many entries
 /// per item, while a coalesced batch sweeps per distinct run.
 constexpr size_t kSweepPerRun = 2;
-
-WbmhCounter& AsCounter(DecayedAggregate& aggregate) {
-  return static_cast<WbmhCounter&>(aggregate);
-}
 
 const char* BackendTypeName(Backend backend) {
   switch (backend) {
@@ -61,40 +49,31 @@ const char* BackendTypeName(Backend backend) {
   return "";
 }
 
-/// Calls f on `aggregate` as the concrete type the registry builds for
-/// `backend` (NewAggregate), so the codec's per-key calls bind statically.
-template <typename F>
-Status WithConcreteType(Backend backend, DecayedAggregate& aggregate, F&& f) {
-  switch (backend) {
-    case Backend::kExact:
-      return f(static_cast<ExactDecayedSum&>(aggregate));
-    case Backend::kEwma:
-      return f(static_cast<EwmaCounter&>(aggregate));
-    case Backend::kRecentItems:
-      return f(static_cast<RecentItemsExpCounter&>(aggregate));
-    case Backend::kCeh:
-      return f(static_cast<CehDecayedSum&>(aggregate));
-    case Backend::kCoarseCeh:
-      return f(static_cast<CoarseCehDecayedSum&>(aggregate));
-    case Backend::kWbmh:
-      return f(AsCounter(aggregate));
-    case Backend::kPolyExp:
-      return f(static_cast<PolyExpCounter&>(aggregate));
-    case Backend::kAuto:
-      break;
+template <typename State>
+constexpr bool kIsWbmh = std::is_same_v<State, WbmhState>;
+
+/// The state of a key the registry creates: built from the constants when
+/// the state type starts from them (a WBMH state at the layout's op
+/// sequence, a coarse CEH's RNG at its seed), empty otherwise.
+template <typename State>
+State NewState(const typename State::Params& params) {
+  if constexpr (std::is_constructible_v<State,
+                                        const typename State::Params&>) {
+    return State(params);
+  } else {
+    return State();
   }
-  TDS_CHECK_MSG(false, "unresolved backend");
-  return Status::OK();
 }
 
 /// EncodeState is infallible for every backend but WBMH.
-template <typename T>
-Status EncodePayload(const T& aggregate, Encoder& encoder) {
-  if constexpr (std::is_void_v<decltype(aggregate.EncodeState(encoder))>) {
-    aggregate.EncodeState(encoder);
+template <typename State>
+Status EncodePayload(const State& state, const typename State::Params& params,
+                     Encoder& encoder) {
+  if constexpr (std::is_void_v<decltype(state.EncodeState(params, encoder))>) {
+    state.EncodeState(params, encoder);
     return Status::OK();
   } else {
-    return aggregate.EncodeState(encoder);
+    return state.EncodeState(params, encoder);
   }
 }
 
@@ -137,29 +116,57 @@ StatusOr<AggregateRegistry> AggregateRegistry::Create(DecayPtr decay,
     layout_options.start = options.aggregate.start();
     auto layout = WbmhLayout::Create(layout_options);
     if (!layout.ok()) return layout.status();
-    registry.layout_ = std::make_shared<WbmhLayout>(std::move(layout).value());
+    registry.layout_ = std::make_unique<WbmhLayout>(std::move(layout).value());
     // A fresh layout already sits at the stream start tick; align the
     // registry clock so an empty registry's snapshot is self-consistent
     // (decode rejects blobs whose layout clock is ahead of the registry).
     registry.now_ = registry.layout_->now();
   }
-  // Probe construction: surface option/decay incompatibilities here, so the
-  // per-key create inside the ingest hot path can simply CHECK.
-  auto probe = registry.NewAggregate();
-  if (!probe.ok()) return probe.status();
+  // The constants are built (and option/decay incompatibilities surface)
+  // here, so the per-key create inside the ingest hot path cannot fail.
+  auto slab = registry.MakeSlab();
+  if (!slab.ok()) return slab.status();
+  registry.slab_ = std::move(slab).value();
   registry.expiry_age_ = registry.DeriveExpiryAge();
   return registry;
 }
 
-StatusOr<std::unique_ptr<DecayedAggregate>> AggregateRegistry::NewAggregate()
-    const {
-  if (layout_ != nullptr) {
-    // Counts round to the bucketing precision, like a private WbmhDecayedSum
-    // with the default count_epsilon.
-    return std::unique_ptr<DecayedAggregate>(std::make_unique<WbmhCounter>(
-        layout_, WbmhCounter::Options{resolved_.epsilon()}));
+template <typename State>
+StatusOr<AggregateRegistry::Slabs> AggregateRegistry::SlabOf(
+    StatusOr<typename State::Params> params) {
+  if (!params.ok()) return params.status();
+  return Slabs(std::in_place_type<Slab<State>>,
+               Slab<State>{std::move(params).value(), {}});
+}
+
+StatusOr<AggregateRegistry::Slabs> AggregateRegistry::MakeSlab() const {
+  // Each backend's constants, as MakeDecayedSum would build them for one
+  // key; a WBMH key's counts round at the bucketing precision.
+  const double epsilon = resolved_.epsilon();
+  switch (backend_) {
+    case Backend::kExact:
+      return SlabOf<ExactState>(ExactParams{decay_});
+    case Backend::kEwma:
+      return SlabOf<EwmaState>(
+          EwmaParams::Create(decay_, EwmaCounter::Options{}.mantissa_bits));
+    case Backend::kRecentItems:
+      return SlabOf<RecentItemsState>(
+          RecentItemsParams::Create(decay_, epsilon));
+    case Backend::kCeh:
+      return SlabOf<CehState>(CehParams::Create(decay_, epsilon));
+    case Backend::kCoarseCeh: {
+      const CoarseCehDecayedSum::Options defaults;
+      return SlabOf<CoarseCehState>(CoarseCehParams::Create(
+          decay_, epsilon, defaults.boundary_delta, defaults.seed));
+    }
+    case Backend::kWbmh:
+      return SlabOf<WbmhState>(WbmhParams(layout_.get(), epsilon));
+    case Backend::kPolyExp:
+      return SlabOf<PolyExpState>(PolyExpParams::Create(decay_));
+    case Backend::kAuto:
+      break;
   }
-  return MakeDecayedSum(decay_, resolved_);
+  return Status::InvalidArgument("unknown backend");
 }
 
 Tick AggregateRegistry::DeriveExpiryAge() const {
@@ -191,20 +198,29 @@ Tick AggregateRegistry::DeriveExpiryAge() const {
   return hi;
 }
 
+
 uint32_t AggregateRegistry::Find(uint64_t key) const {
+  return std::visit(
+      [&](const auto& slab) { return FindIn(slab.entries, key); }, slab_);
+}
+
+template <typename State>
+uint32_t AggregateRegistry::FindIn(const Entries<State>& entries,
+                                   uint64_t key) const {
   size_t pos = SplitMix64(key) & table_mask_;
   while (true) {
     const uint32_t entry = table_[pos];
-    if (entry == kEmptyEntry) return SlotArena<Slot>::kNone;
-    if (entry != kTombEntry && arena_.at(entry).key == key) return entry;
+    if (entry == kEmptyEntry) return kNone;
+    if (entry != kTombEntry && entries.at(entry).key == key) return entry;
     pos = (pos + 1) & table_mask_;
   }
 }
 
-template <typename MakeAggregate>
-uint32_t AggregateRegistry::FindOrInsert(uint64_t key, Tick last_tick,
-                                         MakeAggregate&& make) {
-  RehashIfNeeded();
+template <typename State, typename Init>
+uint32_t AggregateRegistry::FindOrInsert(Slab<State>& slab, uint64_t key,
+                                         Tick last_tick, Init&& init) {
+  Entries<State>& entries = slab.entries;
+  RehashIfNeeded(entries);
   size_t pos = SplitMix64(key) & table_mask_;
   size_t insert_pos = table_.size();  // first tombstone on the probe path
   while (true) {
@@ -212,7 +228,7 @@ uint32_t AggregateRegistry::FindOrInsert(uint64_t key, Tick last_tick,
     if (entry == kEmptyEntry) break;
     if (entry == kTombEntry) {
       if (insert_pos == table_.size()) insert_pos = pos;
-    } else if (arena_.at(entry).key == key) {
+    } else if (entries.at(entry).key == key) {
       return entry;
     }
     pos = (pos + 1) & table_mask_;
@@ -222,125 +238,123 @@ uint32_t AggregateRegistry::FindOrInsert(uint64_t key, Tick last_tick,
   } else {
     --tombstones_;
   }
-  const uint32_t index = arena_.Allocate();
-  Slot& slot = arena_.at(index);
-  slot.aggregate = make();
-  slot.key = key;
-  slot.last_tick = last_tick;
-  if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
+  const uint32_t index = entries.Allocate();
+  Entry<State>& entry = entries.at(index);
+  entry.key = key;
+  entry.last_tick = last_tick;
+  if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
+  init(entry.state);
   table_[insert_pos] = index;
   ++live_;
   return index;
 }
 
-uint32_t AggregateRegistry::GetOrCreate(uint64_t key) {
-  return FindOrInsert(key, now_, [this] {
-    auto aggregate = NewAggregate();
-    TDS_CHECK_MSG(aggregate.ok(), "per-key aggregate construction failed");
-    return std::move(aggregate).value();
+template <typename State>
+uint32_t AggregateRegistry::GetOrCreate(Slab<State>& slab, uint64_t key) {
+  return FindOrInsert(slab, key, now_, [&slab](State& state) {
+    // A freed or fresh entry already holds an empty state.
+    state = NewState<State>(slab.params);
   });
 }
 
-void AggregateRegistry::Insert(uint64_t key,
-                               std::unique_ptr<DecayedAggregate> aggregate,
-                               Tick last_tick) {
+template <typename State>
+void AggregateRegistry::Insert(Slab<State>& slab, uint64_t key,
+                               Tick last_tick, State state) {
   bool inserted = false;
-  FindOrInsert(key, last_tick, [&] {
+  FindOrInsert(slab, key, last_tick, [&](State& slot) {
     inserted = true;
-    return std::move(aggregate);
+    slot = std::move(state);
   });
-  TDS_CHECK_MSG(inserted, "slot insert of a key that is already live");
+  TDS_CHECK_MSG(inserted, "entry insert of a key that is already live");
 }
 
 void AggregateRegistry::ReserveTable(size_t keys) {
   size_t capacity = table_.size();
   while ((keys + 1) * 10 >= capacity * 7) capacity *= 2;
-  if (capacity != table_.size()) Rehash(capacity);
+  if (capacity == table_.size()) return;
+  std::visit([&](const auto& slab) { Rehash(slab.entries, capacity); },
+             slab_);
 }
 
-void AggregateRegistry::RehashIfNeeded() {
+template <typename State>
+void AggregateRegistry::RehashIfNeeded(const Entries<State>& entries) {
   if ((live_ + tombstones_ + 1) * 10 < table_.size() * 7) return;
   // Double only when live keys drive the load; a tombstone-heavy table is
   // rebuilt at the same size to reclaim the probe chains.
   size_t capacity = table_.size();
   if ((live_ + 1) * 10 >= capacity * 7) capacity *= 2;
-  Rehash(capacity);
+  Rehash(entries, capacity);
 }
 
-void AggregateRegistry::Rehash(size_t new_capacity) {
+template <typename State>
+void AggregateRegistry::Rehash(const Entries<State>& entries,
+                               size_t new_capacity) {
   std::vector<uint32_t> old = std::move(table_);
   table_.assign(new_capacity, kEmptyEntry);
   table_mask_ = new_capacity - 1;
   tombstones_ = 0;
   for (const uint32_t entry : old) {
     if (entry == kEmptyEntry || entry == kTombEntry) continue;
-    size_t pos = SplitMix64(arena_.at(entry).key) & table_mask_;
+    size_t pos = SplitMix64(entries.at(entry).key) & table_mask_;
     while (table_[pos] != kEmptyEntry) pos = (pos + 1) & table_mask_;
     table_[pos] = entry;
   }
 }
 
-void AggregateRegistry::Evict(uint32_t index) {
+template <typename State>
+void AggregateRegistry::Evict(Entries<State>& entries, uint32_t index) {
+  const uint64_t key = entries.at(index).key;
   // The eviction must reach the next checkpoint delta so appliers drop the
-  // key too; SlotArena::Free resets the slot (dirty_epoch included), so the
-  // record has to be taken before the slot dies.
-  if (ckpt_tracking_) dead_keys_.push_back({arena_.at(index).key, ckpt_epoch_});
-  size_t pos = SplitMix64(arena_.at(index).key) & table_mask_;
+  // key too; SlotArena::Free resets the entry (dirty_epoch included), so
+  // the record has to be taken before the entry dies.
+  if (ckpt_tracking_) dead_keys_.push_back({key, ckpt_epoch_});
+  size_t pos = SplitMix64(key) & table_mask_;
   while (table_[pos] != index) {
     TDS_CHECK(table_[pos] != kEmptyEntry);
     pos = (pos + 1) & table_mask_;
   }
   table_[pos] = kTombEntry;
   ++tombstones_;
-  arena_.Free(index);
+  entries.Free(index);
   --live_;
 }
 
-void AggregateRegistry::SweepStep(size_t budget) {
-  if (expiry_age_ == kInfiniteHorizon || arena_.extent() == 0) return;
-  budget = std::min<size_t>(budget, arena_.extent());
+template <typename State>
+void AggregateRegistry::SweepStep(Entries<State>& entries, size_t budget) {
+  if (expiry_age_ == kInfiniteHorizon || entries.extent() == 0) return;
+  budget = std::min<size_t>(budget, entries.extent());
   for (size_t i = 0; i < budget; ++i) {
-    if (sweep_cursor_ >= arena_.extent()) {
+    if (sweep_cursor_ >= entries.extent()) {
       sweep_cursor_ = 0;
       ++epoch_;
     }
     const uint32_t index = sweep_cursor_++;
-    const Slot& slot = arena_.at(index);
-    if (slot.aggregate != nullptr &&
-        AgeAt(slot.last_tick, now_) > expiry_age_) {
-      Evict(index);
+    if (entries.live(index) &&
+        AgeAt(entries.at(index).last_tick, now_) > expiry_age_) {
+      Evict(entries, index);
     }
   }
 }
 
-void AggregateRegistry::SyncAllCounters() {
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    Slot& slot = arena_.at(i);
-    if (slot.aggregate == nullptr) continue;
-    AsCounter(*slot.aggregate).Sync();
+void AggregateRegistry::SyncAllStates() {
+  auto& slab = std::get<Slab<WbmhState>>(slab_);
+  for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+    if (slab.entries.live(i)) slab.entries.at(i).state.Sync(slab.params);
   }
 }
 
 void AggregateRegistry::MaybeTrimSharedLog() {
   if (layout_ == nullptr) return;
   if (layout_->OpSeq() - layout_->LogStart() <= kMaxRetainedOps) return;
-  // A counter may only be outrun by a trim after it has synced, so the
-  // policy is sync-all-then-trim (WbmhCounter::Sync CHECKs this).
-  SyncAllCounters();
+  // A state may only be outrun by a trim after it has synced, so the
+  // policy is sync-all-then-trim (WbmhState::Sync CHECKs this).
+  SyncAllStates();
   layout_->TrimLog(layout_->OpSeq());
 }
 
 void AggregateRegistry::Update(uint64_t key, Tick t, uint64_t value) {
-  TDS_CHECK_GE(t, now_);
-  now_ = t;
-  const uint32_t index = GetOrCreate(key);
-  Slot& slot = arena_.at(index);
-  slot.aggregate->Update(t, value);
-  slot.last_tick = t;
-  if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
-  SweepStep(kSweepPerRun);
-  MaybeTrimSharedLog();
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  const KeyedItem item{key, t, value};
+  UpdateBatch(std::span<const KeyedItem>(&item, 1));
 }
 
 void AggregateRegistry::UpdateBatch(std::span<const KeyedItem> items) {
@@ -349,35 +363,43 @@ void AggregateRegistry::UpdateBatch(std::span<const KeyedItem> items) {
   for (size_t i = 1; i < items.size(); ++i) {
     TDS_CHECK_GE(items[i].t, items[i - 1].t);
   }
-  // Tick-major processing keeps the shared WBMH layout's clock monotone and
-  // replays its structural ops in the same order as per-item ingestion
-  // (merge re-rounding is order-sensitive). The input is already tick-
-  // sorted, so the tick segments are contiguous as-is.
-  size_t begin = 0;
-  size_t total_runs = 0;
-  while (begin < items.size()) {
-    const Tick t = items[begin].t;
-    size_t end = begin;
-    while (end < items.size() && items[end].t == t) ++end;
-    now_ = t;
-    total_runs += IngestTickSegment(t, items.subspan(begin, end - begin));
-    begin = end;
-  }
-  SweepStep(kSweepPerRun * total_runs);
+  // One backend dispatch per batch; the segment loop below is typed.
+  std::visit(
+      [&](auto& slab) {
+        // Tick-major processing keeps the shared WBMH layout's clock
+        // monotone and replays its structural ops in the same order as
+        // per-item ingestion (merge re-rounding is order-sensitive). The
+        // input is already tick-sorted, so the tick segments are
+        // contiguous as-is.
+        size_t begin = 0;
+        size_t total_runs = 0;
+        while (begin < items.size()) {
+          const Tick t = items[begin].t;
+          size_t end = begin;
+          while (end < items.size() && items[end].t == t) ++end;
+          now_ = t;
+          total_runs +=
+              IngestTickSegment(slab, t, items.subspan(begin, end - begin));
+          begin = end;
+        }
+        SweepStep(slab.entries, kSweepPerRun * total_runs);
+      },
+      slab_);
   MaybeTrimSharedLog();
   TDS_AUDIT_MUTATION(AuditInvariants());
 }
 
-size_t AggregateRegistry::IngestTickSegment(Tick t,
-                                            std::span<const KeyedItem> segment) {
+template <typename State>
+size_t AggregateRegistry::IngestTickSegment(
+    Slab<State>& slab, Tick t, std::span<const KeyedItem> segment) {
   // Group the segment's items by key in O(n): an open-addressing scratch
   // map assigns each key a run, and per-item index chains keep that key's
   // items in encounter order. Runs then apply in first-encounter order —
   // per-key order is what per-item Update would have produced, and the
   // reordering across keys is invisible because keys are independent and
   // the shared layout state is a pure function of the (already advanced)
-  // tick. One table probe, one aggregate dispatch, and one histogram
-  // cascade per run instead of per item.
+  // tick. One table probe and one histogram cascade per run instead of
+  // per item.
   const size_t n = segment.size();
   constexpr uint32_t kNoRun = 0xffffffffu;
   size_t cap = 16;
@@ -404,74 +426,58 @@ size_t AggregateRegistry::IngestTickSegment(Tick t,
       probe = (probe + 1) & cap_mask;
     }
   }
-  // Four-stage prefetch pipeline over the run directory. A cold key costs
-  // four dependent misses: the table line, the slot it names, the
-  // aggregate object the slot points at, and the state block the object
-  // points at. While run r does real work, run r+4's table line, run r+3's
-  // slot, run r+2's aggregate object and run r+1's state are requested, so
-  // each miss has about one run's work to land. Every stage re-reads the
-  // table's first probe entry and checks the slot's key, and issues only
-  // prefetches and const reads: on a collision or a key not yet created the
-  // stage does nothing, and a rehash inside GetOrCreate can make a pending
-  // guess stale but never wrong (hints, never loads of mutable state).
+  // Three-stage prefetch pipeline over the run directory. A cold key costs
+  // three dependent misses: the table line, the entry it names (key and
+  // state inline), and the state's heap block (bucket block, cell array).
+  // While run r does real work, run r+3's table line, run r+2's entry and
+  // run r+1's block are requested, so each miss has about one run's work
+  // to land. Every stage re-reads the table's first probe entry and checks
+  // the entry's key, and issues only prefetches and const reads: on a
+  // collision or a key not yet created the stage does nothing, and a
+  // rehash inside GetOrCreate can make a pending guess stale but never
+  // wrong (hints, never loads of mutable state).
+  Entries<State>& entries = slab.entries;
   const size_t num_runs = runs_.size();
-  auto prefetch_table = [this](size_t r) {
-    TDS_PREFETCH(&table_[SplitMix64(runs_[r].key) & table_mask_]);
+  auto first_probe = [this](size_t r) {
+    return table_[SplitMix64(runs_[r].key) & table_mask_];
   };
-  auto prefetch_slot = [this](size_t r) {
-    const uint32_t entry = table_[SplitMix64(runs_[r].key) & table_mask_];
-    if (entry != kEmptyEntry && entry != kTombEntry) arena_.Prefetch(entry);
-  };
-  // The live aggregate of run r's key if the first probe finds it.
-  auto guessed_aggregate = [this](size_t r) -> const DecayedAggregate* {
-    const uint64_t key = runs_[r].key;
-    const uint32_t entry = table_[SplitMix64(key) & table_mask_];
-    if (entry == kEmptyEntry || entry == kTombEntry) return nullptr;
-    const Slot& slot = arena_.at(entry);
-    return slot.key == key ? slot.aggregate.get() : nullptr;
-  };
-  auto prefetch_aggregate = [&guessed_aggregate](size_t r) {
-    // The hot members of every aggregate sit in its first 80 bytes, which
-    // two lines cover at any 16-byte-aligned address.
-    if (const DecayedAggregate* aggregate = guessed_aggregate(r)) {
-      const auto* bytes = reinterpret_cast<const char*>(aggregate);
-      TDS_PREFETCH(bytes);
-      TDS_PREFETCH(bytes + 64);
-    }
-  };
-  auto prefetch_state = [&guessed_aggregate](size_t r) {
-    if (const DecayedAggregate* aggregate = guessed_aggregate(r)) {
-      aggregate->PrefetchState();
-    }
-  };
-  // While run r is applied, runs r+4 .. r+1 each move one stage on; the
-  // four calls before run 0 fill the pipeline.
   auto advance_pipeline = [&](size_t lead) {
-    if (lead < num_runs) prefetch_table(lead);
-    if (lead >= 1 && lead - 1 < num_runs) prefetch_slot(lead - 1);
-    if (lead >= 2 && lead - 2 < num_runs) prefetch_aggregate(lead - 2);
-    if (lead >= 3 && lead - 3 < num_runs) prefetch_state(lead - 3);
+    if (lead < num_runs) {
+      TDS_PREFETCH(&table_[SplitMix64(runs_[lead].key) & table_mask_]);
+    }
+    if (lead >= 1 && lead - 1 < num_runs) {
+      const uint32_t entry = first_probe(lead - 1);
+      if (entry != kEmptyEntry && entry != kTombEntry) entries.Prefetch(entry);
+    }
+    if constexpr (requires(const State& state) { state.Prefetch(); }) {
+      if (lead >= 2 && lead - 2 < num_runs) {
+        const uint32_t entry = first_probe(lead - 2);
+        if (entry != kEmptyEntry && entry != kTombEntry &&
+            entries.at(entry).key == runs_[lead - 2].key) {
+          entries.at(entry).state.Prefetch();
+        }
+      }
+    }
   };
-  for (size_t lead = 0; lead < 4; ++lead) advance_pipeline(lead);
+  for (size_t lead = 0; lead < 3; ++lead) advance_pipeline(lead);
   for (size_t r = 0; r < num_runs; ++r) {
-    advance_pipeline(r + 4);
+    advance_pipeline(r + 3);
     const Run& run = runs_[r];
     run_scratch_.clear();
     for (uint32_t i = run.head;; i = chain_[i]) {
       run_scratch_.push_back(StreamItem{t, segment[i].value});
       if (i == run.tail) break;
     }
-    const uint32_t index = GetOrCreate(run.key);
-    Slot& slot = arena_.at(index);
-    slot.aggregate->UpdateBatch(run_scratch_);
-    slot.last_tick = t;
-    if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
+    Entry<State>& entry = entries.at(GetOrCreate(slab, run.key));
+    entry.state.UpdateBatch(slab.params, run_scratch_);
+    entry.last_tick = t;
+    if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
   }
   return runs_.size();
 }
 
 Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
-  // Entry-only injection: past this point the per-slot loop moves state,
+  // Entry-only injection: past this point the per-entry loop moves state,
   // so a mid-loop abort could not honor "on error this registry is
   // unchanged".
   TDS_FAILPOINT_RETURN("registry.merge");
@@ -480,47 +486,55 @@ Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
       resolved_.start() != other.resolved_.start()) {
     return Status::InvalidArgument("MergeFrom: registry options mismatch");
   }
-  // Disjointness pre-check before any mutation, so a failed merge leaves
-  // both registries intact.
-  for (uint32_t i = 0; i < other.arena_.extent(); ++i) {
-    const Slot& src = other.arena_.at(i);
-    if (src.aggregate != nullptr && Find(src.key) != SlotArena<Slot>::kNone) {
-      return Status::InvalidArgument("MergeFrom: registries share a key");
-    }
-  }
-  if (layout_ != nullptr) {
-    // Layout state at a given clock is stream-independent (the paper's
-    // boundary-sharing argument), so advancing the lagging layout to the
-    // leading layout's clock makes the two structurally identical — same
-    // bucket spans, same bucket ids, same op sequence — and synced counters
-    // can move across as they are. Advancing a layout is exactly what
-    // ingesting at the later tick would have done, so the merged state
-    // stays bit-identical to a serially-fed registry.
-    const Tick layout_cut = std::max(layout_->now(), other.layout_->now());
-    layout_->AdvanceTo(layout_cut);
-    other.layout_->AdvanceTo(layout_cut);
-    SyncAllCounters();
-    other.SyncAllCounters();
-    layout_->TrimLog(layout_->OpSeq());
-    other.layout_->TrimLog(other.layout_->OpSeq());
-    if (layout_->OpSeq() != other.layout_->OpSeq() ||
-        !std::ranges::equal(layout_->Spans(), other.layout_->Spans())) {
-      return Status::FailedPrecondition(
-          "MergeFrom: shared layouts diverged at one clock");
-    }
-  }
-  // Per-key aggregates move over un-advanced: a key's state remains the
-  // pure function of its own update sequence (advancing here would insert
-  // an extra decay-and-reround step that a serially-fed registry never
-  // performs).
-  now_ = std::max(now_, other.now_);
-  ReserveTable(live_ + other.live_);
-  for (uint32_t i = 0; i < other.arena_.extent(); ++i) {
-    Slot& src = other.arena_.at(i);
-    if (src.aggregate == nullptr) continue;
-    if (layout_ != nullptr) AsCounter(*src.aggregate).RebindLayout(layout_);
-    Insert(src.key, std::move(src.aggregate), src.last_tick);
-  }
+  const Status status = std::visit(
+      [&](auto& slab) -> Status {
+        using SlabT = std::decay_t<decltype(slab)>;
+        auto& src = std::get<SlabT>(other.slab_).entries;
+        // Disjointness pre-check before any mutation, so a failed merge
+        // leaves both registries intact.
+        for (uint32_t i = 0; i < src.extent(); ++i) {
+          if (src.live(i) && FindIn(slab.entries, src.at(i).key) != kNone) {
+            return Status::InvalidArgument("MergeFrom: registries share a key");
+          }
+        }
+        if (layout_ != nullptr) {
+          // Layout state at a given clock is stream-independent (the
+          // paper's boundary-sharing argument), so advancing the lagging
+          // layout to the leading layout's clock makes the two structurally
+          // identical — same bucket spans, same bucket ids, same op
+          // sequence — and synced states can move across as they are.
+          // Advancing a layout is exactly what ingesting at the later tick
+          // would have done, so the merged state stays bit-identical to a
+          // serially-fed registry.
+          const Tick layout_cut =
+              std::max(layout_->now(), other.layout_->now());
+          layout_->AdvanceTo(layout_cut);
+          other.layout_->AdvanceTo(layout_cut);
+          SyncAllStates();
+          other.SyncAllStates();
+          layout_->TrimLog(layout_->OpSeq());
+          other.layout_->TrimLog(other.layout_->OpSeq());
+          if (layout_->OpSeq() != other.layout_->OpSeq() ||
+              !std::ranges::equal(layout_->Spans(), other.layout_->Spans())) {
+            return Status::FailedPrecondition(
+                "MergeFrom: shared layouts diverged at one clock");
+          }
+        }
+        // Per-key states move over un-advanced: a key's state remains the
+        // pure function of its own update sequence (advancing here would
+        // insert an extra decay-and-reround step that a serially-fed
+        // registry never performs).
+        now_ = std::max(now_, other.now_);
+        ReserveTable(live_ + other.live_);
+        for (uint32_t i = 0; i < src.extent(); ++i) {
+          if (!src.live(i)) continue;
+          auto& moved = src.at(i);
+          Insert(slab, moved.key, moved.last_tick, std::move(moved.state));
+        }
+        return Status::OK();
+      },
+      slab_);
+  if (!status.ok()) return status;
   TDS_AUDIT_MUTATION(AuditInvariants());
   return Status::OK();
 }
@@ -534,11 +548,11 @@ StatusOr<AggregateRegistry> AggregateRegistry::ExtractIf(
   if (!created.ok()) return created.status();
   AggregateRegistry out = std::move(created).value();
   if (layout_ != nullptr) {
-    SyncAllCounters();
+    SyncAllStates();
     layout_->TrimLog(layout_->OpSeq());
     // A fresh layout replayed to this layout's clock is structurally
     // identical (stream independence again), including bucket ids and the
-    // op sequence, so extracted counters can bind to it as they are.
+    // op sequence, so extracted states can count on it as they are.
     out.layout_->AdvanceTo(layout_->now());
     out.layout_->TrimLog(out.layout_->OpSeq());
     if (out.layout_->OpSeq() != layout_->OpSeq() ||
@@ -548,13 +562,19 @@ StatusOr<AggregateRegistry> AggregateRegistry::ExtractIf(
     }
   }
   out.now_ = now_;
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    Slot& src = arena_.at(i);
-    if (src.aggregate == nullptr || !pred(src.key)) continue;
-    if (layout_ != nullptr) AsCounter(*src.aggregate).RebindLayout(out.layout_);
-    out.Insert(src.key, std::move(src.aggregate), src.last_tick);
-    Evict(i);
-  }
+  std::visit(
+      [&](auto& slab) {
+        using SlabT = std::decay_t<decltype(slab)>;
+        auto& dst = std::get<SlabT>(out.slab_);
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (!slab.entries.live(i)) continue;
+          auto& moved = slab.entries.at(i);
+          if (!pred(moved.key)) continue;
+          out.Insert(dst, moved.key, moved.last_tick, std::move(moved.state));
+          Evict(slab.entries, i);
+        }
+      },
+      slab_);
   TDS_AUDIT_MUTATION(AuditInvariants());
   TDS_AUDIT_MUTATION(out.AuditInvariants());
   return out;
@@ -568,20 +588,29 @@ StatusOr<AggregateRegistry> AggregateRegistry::Copy() {
   copy.now_ = now_;
   copy.expiry_age_ = expiry_age_;
   if (layout_ != nullptr) {
-    // Synced counters at a trimmed log, so the copied layout needs no log
-    // and every cloned counter can rebind to it as it is.
-    SyncAllCounters();
+    // Synced states at a trimmed log, so the copied layout needs no log
+    // and every copied state counts on it as it is.
+    SyncAllStates();
     layout_->TrimLog(layout_->OpSeq());
-    copy.layout_ = std::make_shared<WbmhLayout>(*layout_);
+    copy.layout_ = std::make_unique<WbmhLayout>(*layout_);
   }
-  copy.ReserveTable(live_);
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    const Slot& slot = arena_.at(i);
-    if (slot.aggregate == nullptr) continue;
-    std::unique_ptr<DecayedAggregate> clone = slot.aggregate->Clone();
-    if (layout_ != nullptr) AsCounter(*clone).RebindLayout(copy.layout_);
-    copy.Insert(slot.key, std::move(clone), slot.last_tick);
-  }
+  std::visit(
+      [&](const auto& slab) {
+        using SlabT = std::decay_t<decltype(slab)>;
+        SlabT fresh{slab.params, {}};
+        if constexpr (kIsWbmh<typename SlabT::StateType>) {
+          fresh.params.layout = copy.layout_.get();
+        }
+        copy.slab_ = std::move(fresh);
+        auto& dst = std::get<SlabT>(copy.slab_);
+        copy.ReserveTable(live_);
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (!slab.entries.live(i)) continue;
+          const auto& entry = slab.entries.at(i);
+          copy.Insert(dst, entry.key, entry.last_tick, entry.state);
+        }
+      },
+      slab_);
   // Syncing and trimming are representation mutations of the source.
   TDS_AUDIT_MUTATION(AuditInvariants());
   TDS_AUDIT_MUTATION(copy.AuditInvariants());
@@ -591,29 +620,32 @@ StatusOr<AggregateRegistry> AggregateRegistry::Copy() {
 void AggregateRegistry::Advance(Tick now) {
   TDS_CHECK_GE(now, now_);
   now_ = now;
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    Slot& slot = arena_.at(i);
-    if (slot.aggregate == nullptr) continue;
-    slot.aggregate->Advance(now);
-    // An eager advance rewrites every aggregate's internal representation
-    // (decay, cascades, re-rounding), so every key's encoded payload
-    // changes — the whole registry is dirty for checkpoint purposes.
-    if (ckpt_tracking_) slot.dirty_epoch = ckpt_epoch_;
-  }
-  if (expiry_age_ != kInfiniteHorizon) {
-    for (uint32_t i = 0; i < arena_.extent(); ++i) {
-      const Slot& slot = arena_.at(i);
-      if (slot.aggregate != nullptr &&
-          AgeAt(slot.last_tick, now_) > expiry_age_) {
-        Evict(i);
-      }
-    }
-  }
+  std::visit(
+      [&](auto& slab) {
+        auto& entries = slab.entries;
+        for (uint32_t i = 0; i < entries.extent(); ++i) {
+          if (!entries.live(i)) continue;
+          auto& entry = entries.at(i);
+          entry.state.Advance(slab.params, now);
+          // An eager advance rewrites every key's internal representation
+          // (decay, cascades, re-rounding), so every key's encoded payload
+          // changes — the whole registry is dirty for checkpoint purposes.
+          if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
+        }
+        if (expiry_age_ == kInfiniteHorizon) return;
+        for (uint32_t i = 0; i < entries.extent(); ++i) {
+          if (entries.live(i) &&
+              AgeAt(entries.at(i).last_tick, now_) > expiry_age_) {
+            Evict(entries, i);
+          }
+        }
+      },
+      slab_);
   // The eager pass completes an epoch and restarts the lazy cursor.
   sweep_cursor_ = 0;
   ++epoch_;
   if (layout_ != nullptr) {
-    // Advance() synced every counter, so the whole log can go.
+    // Advance() synced every state, so the whole log can go.
     layout_->TrimLog(layout_->OpSeq());
   }
   TDS_AUDIT_MUTATION(AuditInvariants());
@@ -621,35 +653,83 @@ void AggregateRegistry::Advance(Tick now) {
 
 double AggregateRegistry::Query(uint64_t key, Tick now) const {
   TDS_CHECK_GE(now, now_);
-  const uint32_t index = Find(key);
-  if (index == SlotArena<Slot>::kNone) return 0.0;
-  return arena_.at(index).aggregate->Query(now);
+  return std::visit(
+      [&](const auto& slab) {
+        const uint32_t index = FindIn(slab.entries, key);
+        if (index == kNone) return 0.0;
+        return slab.entries.at(index).state.Query(slab.params, now);
+      },
+      slab_);
 }
 
 double AggregateRegistry::QueryTotal(Tick now) const {
   TDS_CHECK_GE(now, now_);
-  double total = 0.0;
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    const Slot& slot = arena_.at(i);
-    if (slot.aggregate != nullptr) total += slot.aggregate->Query(now);
-  }
-  return total;
+  return std::visit(
+      [&](const auto& slab) {
+        double total = 0.0;
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (!slab.entries.live(i)) continue;
+          total += slab.entries.at(i).state.Query(slab.params, now);
+        }
+        return total;
+      },
+      slab_);
 }
 
 bool AggregateRegistry::Contains(uint64_t key) const {
-  return Find(key) != SlotArena<Slot>::kNone;
+  return Find(key) != kNone;
+}
+
+size_t AggregateRegistry::ArenaExtent() const {
+  return std::visit(
+      [](const auto& slab) -> size_t { return slab.entries.extent(); }, slab_);
+}
+
+size_t AggregateRegistry::ArenaOccupied() const {
+  return std::visit(
+      [](const auto& slab) { return slab.entries.occupied(); }, slab_);
 }
 
 size_t AggregateRegistry::StorageBits() const {
-  size_t bits = 0;
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    const Slot& slot = arena_.at(i);
-    if (slot.aggregate != nullptr) bits += slot.aggregate->StorageBits();
-  }
+  size_t bits = std::visit(
+      [](const auto& slab) {
+        size_t sum = 0;
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (!slab.entries.live(i)) continue;
+          sum += slab.entries.at(i).state.StorageBits(slab.params);
+        }
+        return sum;
+      },
+      slab_);
   // Shared boundary storage, charged once across all keys (the paper's
   // amortization).
   if (layout_ != nullptr) bits += layout_->StorageBits();
   return bits;
+}
+
+double AggregateRegistry::KeyView::Query(Tick now) const {
+  return std::visit(
+      [&](const auto& slab) {
+        return slab.entries.at(index_).state.Query(slab.params, now);
+      },
+      registry_->slab_);
+}
+
+size_t AggregateRegistry::KeyView::StorageBits() const {
+  return std::visit(
+      [&](const auto& slab) {
+        return slab.entries.at(index_).state.StorageBits(slab.params);
+      },
+      registry_->slab_);
+}
+
+Status AggregateRegistry::KeyView::EncodeState(Encoder& encoder) const {
+  return std::visit(
+      [&](const auto& slab) {
+        return EncodePayload(slab.entries.at(index_).state, slab.params,
+                             encoder);
+      },
+      registry_->slab_);
 }
 
 Status AggregateRegistry::AuditInvariants() {
@@ -659,58 +739,59 @@ Status AggregateRegistry::AuditInvariants() {
   TDS_AUDIT_CHECK(table_mask_ == table_.size() - 1, "stale table mask");
   TDS_AUDIT_CHECK(live_ + tombstones_ < table_.size(),
                   "table has no empty entry left");
-  size_t live = 0;
-  size_t tombs = 0;
-  for (size_t pos = 0; pos < table_.size(); ++pos) {
-    const uint32_t entry = table_[pos];
-    if (entry == kEmptyEntry) continue;
-    if (entry == kTombEntry) {
-      ++tombs;
-      continue;
-    }
-    TDS_AUDIT_CHECK(entry < arena_.extent(), "table entry out of arena range");
-    const Slot& slot = arena_.at(entry);
-    TDS_AUDIT_CHECK(slot.aggregate != nullptr,
-                    "table entry points at a freed slot");
-    TDS_AUDIT_CHECK(Find(slot.key) == entry,
-                    "slot unreachable from its key's probe chain");
-    TDS_AUDIT_CHECK(slot.last_tick <= now_,
-                    "slot clock ahead of the registry clock");
-    // A key clocked past the registry would abort the next in-order
-    // update; Decode rejects such a blob through this check.
-    TDS_AUDIT_CHECK(slot.aggregate->now() <= now_,
-                    "key aggregate clock ahead of the registry clock");
-    ++live;
-  }
-  TDS_AUDIT_CHECK(live == live_, "live-count drift");
-  TDS_AUDIT_CHECK(tombs == tombstones_, "tombstone-count drift");
-  size_t arena_live = 0;
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    if (arena_.at(i).aggregate != nullptr) ++arena_live;
-  }
-  TDS_AUDIT_CHECK(arena_live == live_, "arena/table live-count mismatch");
-  TDS_AUDIT_CHECK(arena_.free_count() == arena_.extent() - live_,
-                  "arena free-list accounting drift");
-  TDS_AUDIT_CHECK(arena_.occupied() == live_,
-                  "arena occupancy / live-count drift");
   if (layout_ != nullptr) {
     const Status layout_audit = layout_->AuditInvariants();
     if (!layout_audit.ok()) return layout_audit;
   }
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    const Slot& slot = arena_.at(i);
-    if (slot.aggregate == nullptr) continue;
-    Status sub = Status::OK();
-    if (backend_ == Backend::kWbmh) {
-      // Counter-level audit: the shared layout was audited once above.
-      sub = static_cast<const WbmhCounter&>(*slot.aggregate).AuditInvariants();
-    } else if (auto* ceh = dynamic_cast<CehDecayedSum*>(slot.aggregate.get());
-               ceh != nullptr) {
-      sub = ceh->AuditInvariants();
-    }
-    if (!sub.ok()) return sub;
-  }
-  return Status::OK();
+  // One backend dispatch: the table, the slab and every key's own audit.
+  return std::visit(
+      [&](const auto& slab) -> Status {
+        const auto& entries = slab.entries;
+        if constexpr (requires { slab.params.AuditInvariants(); }) {
+          const Status params = slab.params.AuditInvariants();
+          if (!params.ok()) return params;
+        }
+        size_t live = 0;
+        size_t tombs = 0;
+        for (size_t pos = 0; pos < table_.size(); ++pos) {
+          const uint32_t index = table_[pos];
+          if (index == kEmptyEntry) continue;
+          if (index == kTombEntry) {
+            ++tombs;
+            continue;
+          }
+          TDS_AUDIT_CHECK(index < entries.extent(),
+                          "table entry out of slab range");
+          TDS_AUDIT_CHECK(entries.live(index),
+                          "table entry points at a freed entry");
+          const auto& entry = entries.at(index);
+          TDS_AUDIT_CHECK(FindIn(entries, entry.key) == index,
+                          "entry unreachable from its key's probe chain");
+          TDS_AUDIT_CHECK(entry.last_tick <= now_,
+                          "entry clock ahead of the registry clock");
+          // A key clocked past the registry would abort the next in-order
+          // update; Decode rejects such a blob through this check.
+          TDS_AUDIT_CHECK(entry.state.now(slab.params) <= now_,
+                          "key state clock ahead of the registry clock");
+          ++live;
+        }
+        TDS_AUDIT_CHECK(live == live_, "live-count drift");
+        TDS_AUDIT_CHECK(tombs == tombstones_, "tombstone-count drift");
+        size_t slab_live = 0;
+        for (uint32_t i = 0; i < entries.extent(); ++i) {
+          if (!entries.live(i)) continue;
+          ++slab_live;
+          const Status sub = entries.at(i).state.AuditInvariants(slab.params);
+          if (!sub.ok()) return sub;
+        }
+        TDS_AUDIT_CHECK(slab_live == live_, "slab/table live-count mismatch");
+        TDS_AUDIT_CHECK(entries.free_count() == entries.extent() - live_,
+                        "slab free-list accounting drift");
+        TDS_AUDIT_CHECK(entries.occupied() == live_,
+                        "slab occupancy / live-count drift");
+        return Status::OK();
+      },
+      slab_);
 }
 
 Status AggregateRegistry::EncodeState(std::string* out) {
@@ -733,26 +814,30 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
   encoder.PutSigned(now_);
   // Sorted keys: the codec's self-inverse contract (byte-identical
   // re-encode, see AuditSnapshotRoundTrip) rules out hash-order iteration.
-  // A partial encode keeps only the slots dirtied after `since`; the
+  // A partial encode keeps only the entries dirtied after `since`; the
   // header (clock, layout) is always emitted so appliers stay in lockstep
   // even across update-free stretches.
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
-  entries.reserve(partial ? 0 : live_);
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    const Slot& slot = arena_.at(i);
-    if (slot.aggregate == nullptr) continue;
-    if (partial && slot.dirty_epoch <= since) continue;
-    entries.push_back({slot.key, i});
-  }
-  std::sort(entries.begin(), entries.end());
-  *entry_count = entries.size();
-  encoder.PutVarint(entries.size());
+  std::vector<std::pair<uint64_t, uint32_t>> keys;
+  keys.reserve(partial ? 0 : live_);
+  std::visit(
+      [&](const auto& slab) {
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (!slab.entries.live(i)) continue;
+          const auto& entry = slab.entries.at(i);
+          if (partial && entry.dirty_epoch <= since) continue;
+          keys.push_back({entry.key, i});
+        }
+      },
+      slab_);
+  std::sort(keys.begin(), keys.end());
+  *entry_count = keys.size();
+  encoder.PutVarint(keys.size());
   // One scratch encoder takes every per-key payload in turn.
   Encoder scratch;
   if (layout_ != nullptr) {
-    // Layout snapshots carry no op log, so every counter must be at the
+    // Layout snapshots carry no op log, so every state must be at the
     // layout's op sequence before the log is dropped.
-    SyncAllCounters();
+    SyncAllStates();
     layout_->TrimLog(layout_->OpSeq());
     const Status status = layout_->EncodeState(scratch);
     if (!status.ok()) return status;
@@ -767,25 +852,29 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
                               decay_name);
   }
   const std::string_view prefix = envelope_prefix.view();
-  for (const auto& [key, index] : entries) {
-    Slot& slot = arena_.at(index);
-    encoder.PutVarint(key);
-    encoder.PutSigned(slot.last_tick);
-    scratch.Clear();
-    const Status status =
-        WithConcreteType(backend_, *slot.aggregate, [&scratch](auto& agg) {
-          return EncodePayload(agg, scratch);
-        });
-    if (!status.ok()) return status;
-    if (layout_ == nullptr) {
-      encoder.PutVarint(prefix.size() + VarintLength(scratch.size()) +
-                        scratch.size());
-      encoder.PutRaw(prefix);
-    }
-    encoder.PutString(scratch.view());
-  }
+  const Status status = std::visit(
+      [&](const auto& slab) -> Status {
+        for (const auto& [key, index] : keys) {
+          const auto& entry = slab.entries.at(index);
+          encoder.PutVarint(key);
+          encoder.PutSigned(entry.last_tick);
+          scratch.Clear();
+          const Status payload =
+              EncodePayload(entry.state, slab.params, scratch);
+          if (!payload.ok()) return payload;
+          if (layout_ == nullptr) {
+            encoder.PutVarint(prefix.size() + VarintLength(scratch.size()) +
+                              scratch.size());
+            encoder.PutRaw(prefix);
+          }
+          encoder.PutString(scratch.view());
+        }
+        return Status::OK();
+      },
+      slab_);
+  if (!status.ok()) return status;
   *out = encoder.Finish();
-  // Encoding syncs counters and trims the layout log — representation
+  // Encoding syncs states and trims the layout log — representation
   // mutations that deserve the same audit net as logical ones.
   TDS_AUDIT_MUTATION(AuditInvariants());
   return Status::OK();
@@ -796,10 +885,15 @@ void AggregateRegistry::EnableCheckpointTracking() {
   ckpt_tracking_ = true;
   // Stamp the present population so the first capture (since == 0) is a
   // complete snapshot no matter when tracking was switched on.
-  for (uint32_t i = 0; i < arena_.extent(); ++i) {
-    Slot& slot = arena_.at(i);
-    if (slot.aggregate != nullptr) slot.dirty_epoch = ckpt_epoch_;
-  }
+  std::visit(
+      [&](auto& slab) {
+        for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+          if (slab.entries.live(i)) {
+            slab.entries.at(i).dirty_epoch = ckpt_epoch_;
+          }
+        }
+      },
+      slab_);
 }
 
 Status AggregateRegistry::CaptureCheckpointDelta(uint64_t since,
@@ -829,7 +923,7 @@ Status AggregateRegistry::CaptureCheckpointDelta(uint64_t since,
   for (const auto& [key, epoch] : dead_keys_) {
     if (epoch <= since) continue;
     keep.push_back({key, epoch});
-    if (Find(key) == SlotArena<Slot>::kNone) out->dead_keys.push_back(key);
+    if (Find(key) == kNone) out->dead_keys.push_back(key);
   }
   dead_keys_ = std::move(keep);
   std::sort(out->dead_keys.begin(), out->dead_keys.end());
@@ -893,58 +987,57 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
   // Every entry takes at least three bytes, which bounds a hostile count.
   registry.ReserveTable(std::min<uint64_t>(count, decoder.remaining() / 3));
   const std::string_view type_name = BackendTypeName(registry.backend_);
-  uint64_t prev_key = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = 0;
-    int64_t last_tick = 0;
-    std::string_view payload;
-    if (!decoder.GetVarint(&key) || !decoder.GetSigned(&last_tick) ||
-        !decoder.GetView(&payload)) {
-      return CorruptSnapshot("registry entry");
-    }
-    if (i > 0 && key <= prev_key) {
-      return CorruptSnapshot("keys not strictly increasing");
-    }
-    prev_key = key;
-    if (last_tick > now) return CorruptSnapshot("entry clock");
-    // Injectable allocation failure: the insert below grows the arena (a
-    // decoded registry never has a freed slot to recycle). The ingest
-    // path treats allocation failure as fatal by design and evaluates no
-    // per-item failpoint.
-    TDS_FAILPOINT_RETURN("registry.arena.grow");
-    // The payload decodes into an aggregate built from the registry's own
-    // options, so each structure's DecodeState rejects state encoded under
-    // other options instead of adopting it.
-    auto aggregate = registry.NewAggregate();
-    if (!aggregate.ok()) return aggregate.status();
-    // A WBMH payload is the counter's bare state; every other one is framed
-    // in the EncodeDecayedSum envelope.
-    std::string_view body = payload;
-    if (registry.layout_ == nullptr) {
-      std::string_view type;
-      const Status envelope =
-          ParseSnapshotEnvelope(payload, decay_name, &type, &body);
-      if (!envelope.ok()) return envelope;
-      if (type != type_name) {
-        return Status::InvalidArgument("snapshot backend mismatch: " +
-                                       std::string(type));
-      }
-    }
-    Decoder sub(body);
-    const Status status = WithConcreteType(
-        registry.backend_, **aggregate,
-        [&sub](auto& concrete) { return concrete.DecodeState(sub); });
-    if (!status.ok()) return status;
-    if (registry.layout_ != nullptr) {
-      if (!sub.Done()) return CorruptSnapshot("counter trailer");
-      // Every key's counts round at the registry's one precision.
-      if (AsCounter(**aggregate).count_epsilon() !=
-          registry.resolved_.epsilon()) {
-        return CorruptSnapshot("counter count_epsilon");
-      }
-    }
-    registry.Insert(key, std::move(aggregate).value(), last_tick);
-  }
+  const Status entries = std::visit(
+      [&](auto& slab) -> Status {
+        using State = typename std::decay_t<decltype(slab)>::StateType;
+        uint64_t prev_key = 0;
+        for (uint64_t i = 0; i < count; ++i) {
+          uint64_t key = 0;
+          int64_t last_tick = 0;
+          std::string_view payload;
+          if (!decoder.GetVarint(&key) || !decoder.GetSigned(&last_tick) ||
+              !decoder.GetView(&payload)) {
+            return CorruptSnapshot("registry entry");
+          }
+          if (i > 0 && key <= prev_key) {
+            return CorruptSnapshot("keys not strictly increasing");
+          }
+          prev_key = key;
+          if (last_tick > now) return CorruptSnapshot("entry clock");
+          // Injectable allocation failure: the insert below grows the slab
+          // (a decoded registry never has a freed entry to recycle). The
+          // ingest path treats allocation failure as fatal by design and
+          // evaluates no per-item failpoint.
+          TDS_FAILPOINT_RETURN("registry.arena.grow");
+          // A WBMH payload is the state's bare encoding; every other one is
+          // framed in the EncodeDecayedSum envelope.
+          std::string_view body = payload;
+          if constexpr (!kIsWbmh<State>) {
+            std::string_view type;
+            const Status envelope =
+                ParseSnapshotEnvelope(payload, decay_name, &type, &body);
+            if (!envelope.ok()) return envelope;
+            if (type != type_name) {
+              return Status::InvalidArgument("snapshot backend mismatch: " +
+                                             std::string(type));
+            }
+          }
+          // The payload decodes under the registry's own constants, so each
+          // state's DecodeState rejects state encoded under other options
+          // (a WBMH state: another count_epsilon) instead of adopting it.
+          Decoder sub(body);
+          State state = NewState<State>(slab.params);
+          const Status status = state.DecodeState(slab.params, sub);
+          if (!status.ok()) return status;
+          if constexpr (kIsWbmh<State>) {
+            if (!sub.Done()) return CorruptSnapshot("counter trailer");
+          }
+          registry.Insert(slab, key, last_tick, std::move(state));
+        }
+        return Status::OK();
+      },
+      registry.slab_);
+  if (!entries.ok()) return entries;
   if (!decoder.Done()) return CorruptSnapshot("registry trailer");
   const Status audit = registry.AuditInvariants();
   if (!audit.ok()) {

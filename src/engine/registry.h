@@ -7,17 +7,26 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
-#include "core/decayed_aggregate.h"
+#include "core/ceh.h"
+#include "core/coarse_ceh.h"
+#include "core/ewma.h"
+#include "core/exact.h"
 #include "core/factory.h"
+#include "core/polyexp_counter.h"
+#include "core/recent_items.h"
 #include "engine/slot_arena.h"
+#include "histogram/wbmh_counter.h"
+#include "histogram/wbmh_layout.h"
 #include "util/common.h"
 #include "util/status.h"
 
 namespace tds {
 
-class WbmhLayout;
+class Encoder;
 
 /// One keyed observation for a multi-stream registry or engine.
 struct KeyedItem {
@@ -30,19 +39,27 @@ struct KeyedItem {
 /// (Section 6 telecom application): millions of per-customer summaries, one
 /// decay function, one accuracy target, maintained together.
 ///
-/// Storage design:
+/// Storage design — table -> entry -> block, no object per key:
 ///  * keys live in an open-addressing table (linear probing, tombstoned
-///    deletes, power-of-two capacity) mapping to dense 32-bit slot handles;
-///  * slots live in a chunked arena (stable addresses, recycled through a
-///    free list), each holding the key, its aggregate, and its last
-///    arrival tick;
+///    deletes, power-of-two capacity) mapping to dense 32-bit entry handles;
+///  * entries live in a chunked slab typed by the backend (stable
+///    addresses, recycled through a free list). An entry holds the key, its
+///    last arrival tick, its checkpoint epoch and the backend's per-key
+///    state inline: a CEH's EhState (bucket-block pointer, clock, first
+///    arrival, total), a WBMH's cell vector and applied op sequence, the
+///    EWMA and PolyExp registers, or a handle to an Exact or RecentItems
+///    heap block. The state's own heap block (bucket block, cell array) is
+///    the chain's last link;
+///  * the constants every key shares (decay, window, class budget, epsilon,
+///    count precision) live once, in the slab's params, and are passed to
+///    each state per call;
 ///  * for WBMH backends, all keys share ONE WbmhLayout — the paper's
 ///    boundary-sharing argument (Section 5; Section 1.1's per-customer
-///    usage profiles are this shape) — and each key's aggregate is a bare
-///    WbmhCounter on it. The registry is the layout's only owner: it owns
-///    the op-log trim policy (a counter may only outrun the log if every
-///    counter has synced, so trims happen after sync-all passes), encodes
-///    the layout once per snapshot, and charges its storage once.
+///    usage profiles are this shape). The registry is the layout's only
+///    owner: it owns the op-log trim policy (a state may only outrun the
+///    log if every state has synced, so trims happen after sync-all
+///    passes), encodes the layout once per snapshot, and charges its
+///    storage once.
 ///
 /// Idle-key expiry: a key whose newest item has decayed to (essentially)
 /// nothing is evicted. The threshold age comes from the decay function
@@ -101,15 +118,43 @@ class AggregateRegistry {
 
   bool Contains(uint64_t key) const;
 
-  /// Calls f(key, last_tick, const DecayedAggregate&) for every live key,
-  /// in arena order (not key order). Const iteration only — mutating the
-  /// registry from inside f is undefined.
+  /// One live key's state as a reader sees it: valid until the registry's
+  /// next mutation.
+  class KeyView {
+   public:
+    /// The key's decayed sum at `now` (>= the registry clock).
+    double Query(Tick now) const;
+    /// The key's paper storage metric (a WBMH key's share excludes the
+    /// shared layout).
+    size_t StorageBits() const;
+    /// The key's snapshot payload: a WBMH key's bare state (its counts on
+    /// the shared layout, which must be synced), every other backend's
+    /// structure state without the EncodeDecayedSum envelope.
+    Status EncodeState(Encoder& encoder) const;
+
+   private:
+    friend class AggregateRegistry;
+    KeyView(const AggregateRegistry& registry, uint32_t index)
+        : registry_(&registry), index_(index) {}
+
+    const AggregateRegistry* registry_;
+    uint32_t index_;
+  };
+
+  /// Calls f(key, last_tick, const KeyView&) for every live key, in arena
+  /// order (not key order). Const iteration only — mutating the registry
+  /// from inside f is undefined.
   template <typename F>
   void ForEachKey(F&& f) const {
-    for (uint32_t i = 0; i < arena_.extent(); ++i) {
-      const Slot& slot = arena_.at(i);
-      if (slot.aggregate != nullptr) f(slot.key, slot.last_tick, *slot.aggregate);
-    }
+    std::visit(
+        [&](const auto& slab) {
+          for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
+            if (!slab.entries.live(i)) continue;
+            const auto& entry = slab.entries.at(i);
+            f(entry.key, entry.last_tick, KeyView(*this, i));
+          }
+        },
+        slab_);
   }
 
   /// Absorbs every key of `other` (which must use the same decay, backend,
@@ -120,28 +165,28 @@ class AggregateRegistry {
   /// ingested both substreams serially (the cross-shard snapshot-merge
   /// guarantee). For WBMH, both shared layouts are aligned to the later
   /// layout clock (a stream-independent advance), every counter is synced,
-  /// the two layouts' spans are compared once, and the incoming counters
-  /// move over and rebind to this registry's layout.
+  /// the two layouts' spans are compared once, and the incoming states
+  /// move over onto this registry's layout.
   /// `other` is consumed; on error this registry is unchanged.
   Status MergeFrom(AggregateRegistry&& other);
 
   /// Moves every live key with pred(key) == true into a new registry with
   /// the same options and clock (the shard-migration donor path). The
-  /// extracted aggregates are not advanced, preserving bit-identity; for
+  /// extracted states are not advanced, preserving bit-identity; for
   /// WBMH the new registry's layout is advanced to this layout's clock
   /// (deterministically identical structure, checked once) and the synced
-  /// counters move over and rebind to it.
+  /// states move over onto it.
   StatusOr<AggregateRegistry> ExtractIf(
       const std::function<bool(uint64_t)>& pred);
 
   /// An independent deep copy: the same options, clock, keys, last-arrival
-  /// ticks and per-key state (DecayedAggregate::Clone), so it answers and
-  /// encodes exactly like this registry, and later updates to either one
-  /// leave the other as it was. For WBMH every counter is synced and the
+  /// ticks and per-key state (each state's copy constructor), so it answers
+  /// and encodes exactly like this registry, and later updates to either
+  /// one leave the other as it was. For WBMH every state is synced and the
   /// log trimmed first (as EncodeState does), then the layout is copied
-  /// once and every cloned counter rebinds to the copy. The copy does not
-  /// track checkpoints, like a decoded registry. Same exclusive-access
-  /// contract as EncodeState; on error this registry is unchanged.
+  /// once for the copied states to count on. The copy does not track
+  /// checkpoints, like a decoded registry. Same exclusive-access contract
+  /// as EncodeState; on error this registry is unchanged.
   StatusOr<AggregateRegistry> Copy();
 
   size_t KeyCount() const { return live_; }
@@ -159,22 +204,23 @@ class AggregateRegistry {
   /// storage is charged once (WbmhLayout::StorageBits).
   size_t StorageBits() const;
 
-  /// Slot-arena footprint: slots ever allocated (extent) and slots live
-  /// right now. extent - occupied is recyclable churn — the engine's
+  /// Entry-slab footprint: entries ever allocated (extent) and entries
+  /// live right now. extent - occupied is recyclable churn — the engine's
   /// rebalance stats report both.
-  size_t ArenaExtent() const { return arena_.extent(); }
-  size_t ArenaOccupied() const { return arena_.occupied(); }
+  size_t ArenaExtent() const;
+  size_t ArenaOccupied() const;
 
-  /// Structural invariant audit (see util/audit.h): table/arena/count
-  /// consistency, probe-chain reachability of every slot, clock bounds,
-  /// shared-layout + per-key sub-audits. Non-const only because WBMH
-  /// sub-audits may extend the layout's memoized region table.
+  /// Structural invariant audit (see util/audit.h): table/slab/count
+  /// consistency, probe-chain reachability of every entry, clock bounds,
+  /// the shared constants once (the WBMH layout, the PolyExp Pascal rows)
+  /// and every key's state audit, whatever the backend. Non-const only
+  /// because the layout audit may extend its memoized region table.
   Status AuditInvariants();
 
   /// Snapshot codec (self-inverse: decode then re-encode is
-  /// byte-identical). Non-const: WBMH counters sync and the layout log is
+  /// byte-identical). Non-const: WBMH states sync and the layout log is
   /// trimmed first. Thin wrapper over EncodeStateImpl, which runs the
-  /// audit hook after the counter sync.
+  /// audit hook after the sync.
   Status EncodeState(std::string* out);  // tds-analyze: allow(audit-hook)
   static StatusOr<AggregateRegistry> Decode(DecayPtr decay,
                                             const Options& options,
@@ -182,11 +228,11 @@ class AggregateRegistry {
 
   /// --- Incremental-checkpoint dirty tracking (engine/checkpoint_log.h) ---
   ///
-  /// When enabled, every slot mutation stamps the slot with the current
+  /// When enabled, every entry mutation stamps the entry with the current
   /// checkpoint epoch and every eviction is appended to a dead-key log, so
   /// CaptureCheckpointDelta can encode exactly the keys that changed since
   /// a given epoch. Off by default: the stamp is one store per mutated
-  /// slot, but the dead-key log grows with evictions between captures, so
+  /// entry, but the dead-key log grows with evictions between captures, so
   /// tracking only runs when someone is actually draining it.
   ///
   /// Epoch discipline: the current epoch is stamped on mutations; a capture
@@ -204,8 +250,8 @@ class AggregateRegistry {
     /// once this one is durably committed.
     uint64_t epoch = 0;
     /// Registry sub-blob ("TDSREG1", AggregateRegistry::Decode-compatible)
-    /// restricted to slots dirtied after `since`. Always carries the
-    /// registry clock (and the shared WBMH layout), even when no slot
+    /// restricted to entries dirtied after `since`. Always carries the
+    /// registry clock (and the shared WBMH layout), even when no entry
     /// qualifies — appliers need the clock to stay in lockstep.
     std::string blob;
     /// Keys evicted after `since` and not currently live, sorted + unique.
@@ -221,51 +267,74 @@ class AggregateRegistry {
   Status CaptureCheckpointDelta(uint64_t since, CheckpointDelta* out);
 
  private:
-  /// Hot-first field order: the ingest loop touches key (probe-chain
-  /// confirmation), then last_tick and the aggregate pointer, in the first
-  /// 24 bytes — with the arena's cache-line-aligned chunks, one prefetched
-  /// line covers the whole header. A cold run's chain goes on past the slot
-  /// to the aggregate object and then its state block (bucket block or
-  /// cell array); IngestTickSegment prefetches each link a run ahead of
-  /// the one before it.
-  struct Slot {
+  /// One key's entry: the key (the probe chain's confirmation), the
+  /// backend state inline, the last arrival tick, and the checkpoint epoch
+  /// of the last mutation (0 = never stamped / tracking off). The key and
+  /// the state's leading words (a bucket store's block pointer and bounds,
+  /// a cell vector's pointers) open the entry, so the one line the ingest
+  /// pipeline prefetches is the line its block prefetch reads. A freed
+  /// entry is a default-constructed one, holding no heap block.
+  template <typename State>
+  struct Entry {
     uint64_t key = 0;
+    State state;
     Tick last_tick = 0;
-    std::unique_ptr<DecayedAggregate> aggregate;  ///< null == free slot
-    /// Checkpoint epoch of the last mutation (0 = never stamped / tracking
-    /// off). Cold by design — the ingest hot loop touches it only when
-    /// tracking is enabled, and it sits past the hot 24-byte header.
     uint64_t dirty_epoch = 0;
   };
+  template <typename State>
+  using Entries = SlotArena<Entry<State>>;
+  /// A backend's constants and its entries.
+  template <typename State>
+  struct Slab {
+    using StateType = State;
+    typename State::Params params;
+    Entries<State> entries;
+  };
+  /// The one slab of this registry's backend.
+  using Slabs =
+      std::variant<Slab<ExactState>, Slab<EwmaState>, Slab<RecentItemsState>,
+                   Slab<CehState>, Slab<CoarseCehState>, Slab<WbmhState>,
+                   Slab<PolyExpState>>;
 
   static constexpr uint32_t kEmptyEntry = 0xffffffffu;
   static constexpr uint32_t kTombEntry = 0xfffffffeu;
+  static constexpr uint32_t kNone = 0xffffffffu;
 
   AggregateRegistry(DecayPtr decay, const Options& options, Backend backend,
                     AggregateOptions resolved);
 
-  StatusOr<std::unique_ptr<DecayedAggregate>> NewAggregate() const;
+  /// The slab for `backend_` with its constants built from the decay and
+  /// the resolved options (WBMH: on layout_, which must exist).
+  StatusOr<Slabs> MakeSlab() const;
+  template <typename State>
+  static StatusOr<Slabs> SlabOf(StatusOr<typename State::Params> params);
   Tick DeriveExpiryAge() const;
 
   /// Applies one same-tick segment of a batch, hash-grouped by key, with
-  /// a four-stage prefetch pipeline over the runs (table line, slot,
-  /// aggregate object, aggregate state); returns the number of (tick, key)
-  /// runs applied (the sweep budget unit).
-  size_t IngestTickSegment(Tick t, std::span<const KeyedItem> segment);
+  /// a three-stage prefetch pipeline over the runs (table line, entry,
+  /// state block); returns the number of (tick, key) runs applied (the
+  /// sweep budget unit).
+  template <typename State>
+  size_t IngestTickSegment(Slab<State>& slab, Tick t,
+                           std::span<const KeyedItem> segment);
 
+  /// The entry holding `key`, or kNone.
   uint32_t Find(uint64_t key) const;
-  /// The slot holding `key`; if it is not live, a new slot with the
-  /// aggregate make() returns and the given last-arrival tick. The one
-  /// probe loop, instantiated (and inlined) once per caller below.
-  template <typename MakeAggregate>
-  uint32_t FindOrInsert(uint64_t key, Tick last_tick, MakeAggregate&& make);
-  /// The ingest path's lookup: creates a fresh aggregate for a new key.
-  uint32_t GetOrCreate(uint64_t key);
-  /// Inserts a key that is not live, with the aggregate the caller already
-  /// holds for it (merge, extraction, decode and copy overwrite every
-  /// aggregate they insert, so they build none of their own).
-  void Insert(uint64_t key, std::unique_ptr<DecayedAggregate> aggregate,
-              Tick last_tick);
+  template <typename State>
+  uint32_t FindIn(const Entries<State>& entries, uint64_t key) const;
+  /// The entry holding `key`; if it is not live, a new entry with the
+  /// given last-arrival tick whose state init() sets. The one probe loop,
+  /// instantiated (and inlined) once per caller below.
+  template <typename State, typename Init>
+  uint32_t FindOrInsert(Slab<State>& slab, uint64_t key, Tick last_tick,
+                        Init&& init);
+  /// The ingest path's lookup: creates a fresh state for a new key.
+  template <typename State>
+  uint32_t GetOrCreate(Slab<State>& slab, uint64_t key);
+  /// Inserts a key that is not live, with the state the caller already
+  /// holds for it (merge, extraction, decode and copy).
+  template <typename State>
+  void Insert(Slab<State>& slab, uint64_t key, Tick last_tick, State state);
   /// Sizes the key table for `keys` live keys, so a bulk insert up to that
   /// many never rehashes.
   void ReserveTable(size_t keys);
@@ -276,22 +345,28 @@ class AggregateRegistry {
   Status EncodeStateImpl(std::string* out, bool partial, uint64_t since,
                          size_t* entry_count);
 
-  void RehashIfNeeded();
-  void Rehash(size_t new_capacity);
-  void Evict(uint32_t index);
-  void SweepStep(size_t budget);
+  template <typename State>
+  void RehashIfNeeded(const Entries<State>& entries);
+  template <typename State>
+  void Rehash(const Entries<State>& entries, size_t new_capacity);
+  template <typename State>
+  void Evict(Entries<State>& entries, uint32_t index);
+  template <typename State>
+  void SweepStep(Entries<State>& entries, size_t budget);
   void MaybeTrimSharedLog();
-  void SyncAllCounters();
+  /// Brings every WBMH state to the layout's op sequence (WBMH only).
+  void SyncAllStates();
 
   DecayPtr decay_;
   Options options_;
   Backend backend_ = Backend::kAuto;
   AggregateOptions resolved_;  ///< aggregate options with backend_ baked in
-  std::shared_ptr<WbmhLayout> layout_;  ///< non-null iff backend_ == kWbmh
+  /// Non-null iff backend_ == kWbmh; a WBMH slab's params point at it.
+  std::unique_ptr<WbmhLayout> layout_;
+  Slabs slab_;
 
-  std::vector<uint32_t> table_;  ///< slot handles; kEmptyEntry / kTombEntry
+  std::vector<uint32_t> table_;  ///< entry handles; kEmptyEntry / kTombEntry
   size_t table_mask_ = 0;
-  SlotArena<Slot> arena_;
   size_t live_ = 0;
   size_t tombstones_ = 0;
 

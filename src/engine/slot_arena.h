@@ -12,14 +12,12 @@
 
 namespace tds {
 
-/// Chunked slot arena backing the registry's keyed aggregates: slots live in
+/// Chunked slot arena backing the registry's per-key entries: slots live in
 /// fixed-size chunks so references stay stable across growth (no vector
-/// reallocation moves), indices are dense 32-bit handles for the open-
-/// addressing key table, and freed slots are recycled through a free list.
-///
-/// The arena does not track liveness itself — the owner distinguishes live
-/// from freed slots by their content (a freed slot is reset to a
-/// default-constructed T).
+/// reallocation moves, no entry is ever copied), indices are dense 32-bit
+/// handles for the open-addressing key table, and freed slots are recycled
+/// through a free list. A bitmap records which slots are live; a freed slot
+/// is reset to a default-constructed T, so it holds no heap block.
 template <typename T>
 class SlotArena {
  public:
@@ -29,26 +27,38 @@ class SlotArena {
   SlotArena(SlotArena&&) = default;
   SlotArena& operator=(SlotArena&&) = default;
 
-  /// Returns the index of a default-constructed slot (recycled if possible).
+  /// Returns the index of a default-constructed slot (recycled if possible)
+  /// and marks it live.
   uint32_t Allocate() {
+    uint32_t index;
     if (!free_.empty()) {
-      const uint32_t index = free_.back();
+      index = free_.back();
       free_.pop_back();
-      return index;
+    } else {
+      index = extent_;
+      TDS_CHECK_MSG(index != kNone, "slot arena exhausted");
+      if ((index >> kChunkShift) >= chunks_.size()) {
+        chunks_.push_back(std::make_unique<Chunk>());
+        live_.resize(live_.size() + kChunkWords, 0);
+      }
+      ++extent_;
     }
-    const uint32_t index = extent_;
-    TDS_CHECK_MSG(index != kNone, "slot arena exhausted");
-    if ((index >> kChunkShift) >= chunks_.size()) {
-      chunks_.push_back(std::make_unique<Chunk>());
-    }
-    ++extent_;
+    live_[index >> 6] |= uint64_t{1} << (index & 63);
     return index;
   }
 
-  /// Resets the slot to a default-constructed T and recycles its index.
+  /// Resets the slot to a default-constructed T, marks it free and recycles
+  /// its index.
   void Free(uint32_t index) {
     at(index) = T{};
+    live_[index >> 6] &= ~(uint64_t{1} << (index & 63));
     free_.push_back(index);
+  }
+
+  /// Whether the slot is handed out (index < extent()).
+  bool live(uint32_t index) const {
+    TDS_CHECK_LT(index, extent_);
+    return (live_[index >> 6] >> (index & 63)) & 1;
   }
 
   T& at(uint32_t index) {
@@ -60,8 +70,11 @@ class SlotArena {
     return chunks_[index >> kChunkShift]->slots[index & kChunkMask];
   }
 
-  /// Issues a read prefetch for the slot's first cache line. Out-of-range
-  /// indices (including kNone) are a no-op, so callers can prefetch a table
+  /// Issues a read prefetch for the slot's first cache line, where the
+  /// owner keeps the fields it reads first. One line only: on a cold-key
+  /// stream every extra prefetch competes for the same few line-fill
+  /// buffers as the misses it means to hide. Out-of-range indices
+  /// (including kNone) are a no-op, so callers can prefetch a table
   /// entry's slot handle before validating it.
   void Prefetch(uint32_t index) const {
     if (index >= extent_) return;
@@ -82,15 +95,16 @@ class SlotArena {
  private:
   static constexpr uint32_t kChunkShift = 12;  // 4096 slots per chunk
   static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
-  // Chunks are cache-line aligned so slot 0's hot fields (and every slot
-  // whose size divides 64) start on a line boundary — the prefetch in the
-  // registry's grouped-batch path pulls a whole useful line, not a straddle.
+  static constexpr size_t kChunkWords = (size_t{1} << kChunkShift) / 64;
+  // Chunks are cache-line aligned so slot 0 (and every slot whose size
+  // divides 64) starts on a line boundary.
   struct alignas(64) Chunk {
     std::array<T, 1u << kChunkShift> slots;
   };
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<uint32_t> free_;
+  std::vector<uint64_t> live_;  ///< One bit per slot, kChunkWords per chunk.
   uint32_t extent_ = 0;
 };
 

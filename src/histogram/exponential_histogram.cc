@@ -10,36 +10,38 @@
 namespace tds {
 
 // Per-class bucket budget k = ceil(1/eps) + 1 (Datar et al.): with at
-// least cap_-1 buckets per smaller class, the straddling bucket's half-count
+// least cap-1 buckets per smaller class, the straddling bucket's half-count
 // correction is at most an eps fraction of the window count, including the
 // worst case of a size-2 straddler.
-ExponentialHistogram::ExponentialHistogram(const Options& options)
-    : window_(options.window),
-      cap_(ClassBudget(options.epsilon)),
-      epsilon_(options.epsilon) {}
-
-StatusOr<ExponentialHistogram> ExponentialHistogram::Create(
-    const Options& options) {
-  if (ClassBudget(options.epsilon) == 0) {
+StatusOr<EhParams> EhParams::Create(double epsilon, Tick window) {
+  const uint64_t cap = ClassBudget(epsilon);
+  if (cap == 0) {
     return Status::InvalidArgument(
         "EH requires epsilon in (0, 1] with a per-class budget "
         "ceil(1/epsilon) + 1 of at most " +
         std::to_string(kMaxClassBudget));
   }
-  if (options.window < 1) {
+  if (window < 1) {
     return Status::InvalidArgument("EH requires window >= 1");
   }
-  return ExponentialHistogram(options);
+  return EhParams{window, cap, epsilon};
 }
 
-void ExponentialHistogram::AdvanceTo(Tick t) {
+StatusOr<ExponentialHistogram> ExponentialHistogram::Create(
+    const Options& options) {
+  auto params = EhParams::Create(options.epsilon, options.window);
+  if (!params.ok()) return params.status();
+  return ExponentialHistogram(params.value());
+}
+
+void EhState::AdvanceTo(const EhParams& params, Tick t) {
   TDS_CHECK_GE(t, now_);
   now_ = t;
-  Expire();
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  Expire(params);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void ExponentialHistogram::Add(Tick t, uint64_t value) {
+void EhState::Add(const EhParams& params, Tick t, uint64_t value) {
   TDS_CHECK_GE(t, now_);
   now_ = t;
   // Expire BEFORE inserting: the merge cascade then only ever pairs live
@@ -49,38 +51,40 @@ void ExponentialHistogram::Add(Tick t, uint64_t value) {
   // items into one Add identical to adding them one at a time: with
   // insertion first, the expiry interleaved between two adds could remove a
   // straddling bucket that the coalesced cascade would instead have merged.
-  Expire();
+  Expire(params);
   if (value != 0) {
     if (first_arrival_ == 0) first_arrival_ = t;
     total_count_ += value;
-    InsertUnits(t, value);
+    InsertUnits(params, t, value);
   }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void ExponentialHistogram::InsertUnits(Tick t, uint64_t incoming_units) {
+void EhState::InsertUnits(const EhParams& params, Tick t,
+                          uint64_t incoming_units) {
   // Sequential-insertion digit arithmetic, run by the store as a suffix
   // compaction sweep; a merged bucket keeps the newer partner's end tick.
-  store_.InsertUnits(incoming_units, t, cap_,
+  store_.InsertUnits(incoming_units, t, params.cap,
                      [](Tick /*older*/, Tick newer) { return newer; });
 }
 
-void ExponentialHistogram::Expire() {
-  if (window_ == kInfiniteHorizon || total_count_ == 0) return;
-  const Tick cutoff = now_ - window_ + 1;  // arrivals < cutoff have age > W
+void EhState::Expire(const EhParams& params) {
+  if (params.window == kInfiniteHorizon || total_count_ == 0) return;
+  // Arrivals before the cutoff have age > W.
+  const Tick cutoff = now_ - params.window + 1;
   total_count_ -=
       store_.ExpireOldest([cutoff](Tick end) { return end < cutoff; });
 }
 
-double ExponentialHistogram::Estimate() const {
-  return EstimateWindow(window_ == kInfiniteHorizon
+double EhState::Estimate(const EhParams& params) const {
+  return EstimateWindow(params.window == kInfiniteHorizon
                             ? (first_arrival_ == 0
                                    ? Tick{1}
                                    : now_ - first_arrival_ + 1)
-                            : window_);
+                            : params.window);
 }
 
-double ExponentialHistogram::EstimateWindow(Tick w) const {
+double EhState::EstimateWindow(Tick w) const {
   TDS_CHECK_GE(w, 1);
   if (total_count_ == 0) return 0.0;
   const Tick cutoff = now_ - w + 1;
@@ -110,8 +114,6 @@ double ExponentialHistogram::EstimateWindow(Tick w) const {
   return sum;
 }
 
-size_t ExponentialHistogram::BucketCount() const { return store_.size(); }
-
 std::vector<ExponentialHistogram::Bucket> ExponentialHistogram::Buckets()
     const {
   std::vector<Bucket> out;
@@ -121,10 +123,16 @@ std::vector<ExponentialHistogram::Bucket> ExponentialHistogram::Buckets()
 }
 
 Status ExponentialHistogram::MergeFrom(const ExponentialHistogram& other) {
-  if (other.epsilon_ != epsilon_ || other.window_ != window_) {
+  if (other.params_ != params_) {
     return Status::InvalidArgument(
         "cannot merge histograms with different options");
   }
+  const Status status = state_.MergeFrom(params_, other.state_);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+Status EhState::MergeFrom(const EhParams& params, const EhState& other) {
   // Gather both bucket lists and rebuild canonically. A bucket only
   // records its end timestamp, but its items are spread back to the older
   // neighbor's end; re-stamping everything at one point would bias the
@@ -137,14 +145,14 @@ Status ExponentialHistogram::MergeFrom(const ExponentialHistogram& other) {
   constexpr uint64_t kMergeChunks = 8;
   std::vector<Bucket> combined;
   combined.reserve(kMergeChunks * (BucketCount() + other.BucketCount()));
-  auto gather = [&combined](const ExponentialHistogram& source) {
+  auto gather = [&combined, &params](const EhState& source) {
     // Live buckets contain only in-window items, but the reconstructed
     // span of the oldest one reaches back to the first arrival (older
     // buckets expired wholesale); clamp to the window so chunks are not
     // spuriously expired on re-insertion.
     Tick floor = source.first_arrival();
-    if (source.window() != kInfiniteHorizon) {
-      floor = std::max(floor, source.now() - source.window() + 1);
+    if (params.window != kInfiniteHorizon) {
+      floor = std::max(floor, source.now() - params.window + 1);
     }
     Tick previous_end = floor;
     source.ForEachBucketOldestFirst([&](const Bucket& b) {
@@ -192,18 +200,18 @@ Status ExponentialHistogram::MergeFrom(const ExponentialHistogram& other) {
   now_ = 0;
   first_arrival_ = 0;
   for (const Bucket& b : combined) {
-    Add(b.end, b.count);
+    Add(params, b.end, b.count);
   }
   now_ = merged_now;
   first_arrival_ = merged_first;
-  Expire();
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  Expire(params);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
   return Status::OK();
 }
 
-void ExponentialHistogram::EncodeState(Encoder& encoder) const {
-  encoder.PutDouble(epsilon_);
-  encoder.PutSigned(window_);
+void EhState::EncodeState(const EhParams& params, Encoder& encoder) const {
+  encoder.PutDouble(params.epsilon);
+  encoder.PutSigned(params.window);
   encoder.PutSigned(now_);
   encoder.PutSigned(first_arrival_);
   encoder.PutVarint(total_count_);
@@ -222,6 +230,12 @@ void ExponentialHistogram::EncodeState(Encoder& encoder) const {
 }
 
 Status ExponentialHistogram::DecodeState(Decoder& decoder) {
+  const Status status = state_.DecodeState(params_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+Status EhState::DecodeState(const EhParams& params, Decoder& decoder) {
   double epsilon = 0.0;
   int64_t window = 0, now = 0, first_arrival = 0;
   uint64_t total = 0, class_count = 0;
@@ -230,7 +244,7 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
       !decoder.GetVarint(&total) || !decoder.GetVarint(&class_count)) {
     return CorruptSnapshot("EH header");
   }
-  if (epsilon != epsilon_ || window != window_) {
+  if (epsilon != params.epsilon || window != params.window) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
   if (class_count > 64) return CorruptSnapshot("EH class count");
@@ -245,9 +259,9 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   const bool parsed = store_.AssignFromAscendingClasses(
       class_count, [&](size_t c, std::vector<Tick>& out) {
         uint64_t buckets = 0;
-        // cap_ <= kMaxClassBudget, so the bound cannot overflow and any
+        // cap <= kMaxClassBudget, so the bound cannot overflow and any
         // class it admits fits the store's counter.
-        if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
+        if (!decoder.GetVarint(&buckets) || buckets > 2 * params.cap + 2) {
           corrupt = "EH class size";
           return false;
         }
@@ -269,15 +283,16 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   // that later trips internal CHECKs) is exactly the audit protocol: end
   // timestamps within [first_arrival, now] non-decreasing in canonical
   // order, the per-class cap, and the count checksum.
-  const Status audit = AuditInvariants();
+  const Status audit = AuditInvariants(params);
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
   }
   return Status::OK();
 }
 
-Status ExponentialHistogram::AuditInvariants() const {
-  TDS_AUDIT_CHECK(cap_ != 0 && cap_ == ClassBudget(epsilon_),
+Status EhState::AuditInvariants(const EhParams& params) const {
+  const uint64_t cap = params.cap;
+  TDS_AUDIT_CHECK(cap != 0 && cap == ClassBudget(params.epsilon),
                   "per-class budget must be ceil(1/eps) + 1, at most " +
                       std::to_string(kMaxClassBudget));
   const Status store = store_.AuditInvariants();
@@ -288,18 +303,18 @@ Status ExponentialHistogram::AuditInvariants() const {
     TDS_AUDIT_CHECK(total_count_ == 0 && BucketCount() == 0,
                     "buckets present before any arrival");
   }
-  const Tick cutoff = window_ == kInfiniteHorizon
+  const Tick cutoff = params.window == kInfiniteHorizon
                           ? std::numeric_limits<Tick>::min()
-                          : now_ - window_ + 1;
+                          : now_ - params.window + 1;
   uint64_t checksum = 0;
   Tick previous_end = std::numeric_limits<Tick>::min();
   size_t pos = store_.begin_index();
   for (size_t c = store_.num_classes(); c-- > 0;) {
     const size_t segment = store_.class_size(c);
-    TDS_AUDIT_CHECK(segment <= cap_,
+    TDS_AUDIT_CHECK(segment <= cap,
                     "class " + std::to_string(c) + " holds " +
                         std::to_string(segment) + " buckets, cap " +
-                        std::to_string(cap_));
+                        std::to_string(cap));
     const uint64_t count = uint64_t{1} << c;
     for (size_t k = 0; k < segment; ++k, ++pos) {
       const Tick end = store_.stamp(pos);
@@ -323,11 +338,12 @@ Status ExponentialHistogram::AuditInvariants() const {
   return Status::OK();
 }
 
-size_t ExponentialHistogram::StorageBits() const {
+size_t EhState::StorageBits(const EhParams& params) const {
   const Tick elapsed =
       first_arrival_ == 0 ? Tick{1} : now_ - first_arrival_ + 1;
-  const Tick n_eff =
-      window_ == kInfiniteHorizon ? elapsed : std::min(elapsed, window_);
+  const Tick n_eff = params.window == kInfiniteHorizon
+                         ? elapsed
+                         : std::min(elapsed, params.window);
   const double ts_bits =
       std::ceil(std::log2(static_cast<double>(n_eff) + 1.0));
   const double count_log =

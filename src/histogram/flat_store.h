@@ -124,14 +124,13 @@ class FlatBucketStore {
     num_classes_ = 0;
   }
 
-  /// Requests the lines an insert or expiry touches first — the directory,
-  /// the oldest live bucket and the newest — without reading the block.
+  /// Requests the block's first line — the directory, which every insert
+  /// and expiry reads first, and the front stamps — without reading the
+  /// block. One line only, like SlotArena::Prefetch: a cold-key stream is
+  /// bound by line-fill buffers, and further prefetches for the head and
+  /// tail stamps measured slower than none.
   void Prefetch() const {
-    if (block_ == nullptr) return;
-    TDS_PREFETCH(block_);
-    if (end_ == head_) return;
-    TDS_PREFETCH(stamps() + head_);
-    TDS_PREFETCH(stamps() + end_ - 1);
+    if (block_ != nullptr) TDS_PREFETCH(block_);
   }
 
   /// Calls f(stamp, count) for every live bucket, oldest to newest: a single

@@ -39,7 +39,7 @@ int BaseMantissaBits(double count_epsilon) {
 
 }  // namespace
 
-Status WbmhCounter::ValidateCountEpsilon(double count_epsilon) {
+Status WbmhParams::ValidateCountEpsilon(double count_epsilon) {
   if (!std::isfinite(count_epsilon)) {
     return Status::InvalidArgument("WBMH count_epsilon must be finite");
   }
@@ -50,38 +50,65 @@ Status WbmhCounter::ValidateCountEpsilon(double count_epsilon) {
   return Status::OK();
 }
 
-WbmhCounter::WbmhCounter(std::shared_ptr<WbmhLayout> layout,
-                         const Options& options)
-    : layout_(std::move(layout)), count_epsilon_(options.count_epsilon) {
-  TDS_CHECK(layout_ != nullptr);
-  TDS_CHECK_MSG(ValidateCountEpsilon(count_epsilon_).ok(),
+WbmhParams::WbmhParams(WbmhLayout* layout, double count_epsilon)
+    : layout(layout), count_epsilon(count_epsilon) {
+  TDS_CHECK(layout != nullptr);
+  TDS_CHECK_MSG(ValidateCountEpsilon(count_epsilon).ok(),
                 "invalid WBMH count_epsilon");
-  base_mantissa_bits_ = BaseMantissaBits(count_epsilon_);
-  applied_seq_ = layout_->OpSeq();
+  base_mantissa_bits = BaseMantissaBits(count_epsilon);
 }
 
-int WbmhCounter::MantissaBitsForLevel(uint32_t level) const {
-  if (base_mantissa_bits_ == 0) return 0;
+int WbmhParams::MantissaBitsForLevel(uint32_t level) const {
+  if (base_mantissa_bits == 0) return 0;
   // beta_i = eps / i^2 schedule (paper Section 5, unknown-N variant):
   // 2 * log2(level) extra bits at merge level `level`.
   const uint32_t l = std::max<uint32_t>(level, 1);
   const int extra =
       2 * static_cast<int>(std::ceil(std::log2(static_cast<double>(l) + 1.0)));
-  return base_mantissa_bits_ + extra;
+  return base_mantissa_bits + extra;
 }
 
-void WbmhCounter::Sync() {
-  TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
+WbmhCounter::WbmhCounter(std::shared_ptr<WbmhLayout> layout,
+                         const Options& options)
+    : layout_(std::move(layout)),
+      params_(layout_.get(), options.count_epsilon),
+      state_(params_) {}
+
+Status WbmhCounter::DecodeAdopting(WbmhParams& params, WbmhState& state,
+                                   Decoder& decoder) {
+  // count_epsilon is derived configuration: adopt the snapshot's value,
+  // then decode the state under it.
+  Decoder peek = decoder;
+  double count_epsilon = 0.0;
+  if (!peek.GetDouble(&count_epsilon)) {
+    return CorruptSnapshot("WBMH counter header");
+  }
+  if (!WbmhParams::ValidateCountEpsilon(count_epsilon).ok()) {
+    return CorruptSnapshot("WBMH counter count_epsilon");
+  }
+  params = WbmhParams(params.layout, count_epsilon);
+  return state.DecodeState(params, decoder);
+}
+
+Status WbmhCounter::DecodeState(Decoder& decoder) {
+  const Status status = DecodeAdopting(params_, state_, decoder);
+  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  return status;
+}
+
+void WbmhState::Sync(const WbmhParams& params) {
+  TDS_CHECK_MSG(applied_seq_ >= params.layout->LogStart(),
                 "layout op log was trimmed past this counter's position");
-  applied_seq_ = ReplayOps(cells_, applied_seq_);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  applied_seq_ = ReplayOps(params, cells_, applied_seq_);
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
-                                uint64_t from) const {
-  const uint64_t latest = layout_->OpSeq();
+uint64_t WbmhState::ReplayOps(const WbmhParams& params,
+                              std::vector<Cell>& cells, uint64_t from) {
+  const WbmhLayout& layout = *params.layout;
+  const uint64_t latest = layout.OpSeq();
   for (uint64_t seq = from; seq < latest; ++seq) {
-    const WbmhLayout::Op& op = layout_->OpAt(seq);
+    const WbmhLayout::Op& op = layout.OpAt(seq);
     switch (op.kind) {
       case WbmhLayout::OpKind::kSeal:
         break;  // counts materialize lazily on first Update
@@ -99,7 +126,7 @@ uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
         Cell& left = *right;
         left.level = std::max(left.level, absorbed.level) + 1;
         left.count = RoundValue(left.count + absorbed.count,
-                                MantissaBitsForLevel(left.level));
+                                params.MantissaBitsForLevel(left.level));
         break;
       }
       case WbmhLayout::OpKind::kDrop:
@@ -113,7 +140,7 @@ uint64_t WbmhCounter::ReplayOps(std::vector<Cell>& cells,
   return latest;
 }
 
-WbmhCounter::Cell& WbmhCounter::CellFor(uint64_t id) {
+WbmhState::Cell& WbmhState::CellFor(uint64_t id) {
   // Arrivals land in the open (newest) bucket or close to it.
   if (cells_.empty() || cells_.back().id < id) {
     return cells_.emplace_back(Cell{id});
@@ -123,29 +150,30 @@ WbmhCounter::Cell& WbmhCounter::CellFor(uint64_t id) {
   return *it;
 }
 
-void WbmhCounter::Update(Tick t, uint64_t value) {
-  layout_->AdvanceTo(t);
-  Sync();
+void WbmhState::Update(const WbmhParams& params, Tick t, uint64_t value) {
+  params.layout->AdvanceTo(t);
+  Sync(params);
   if (value == 0) return;
-  const uint64_t bucket = layout_->BucketForArrival(t);
+  const uint64_t bucket = params.layout->BucketForArrival(t);
   TDS_CHECK_MSG(bucket != 0, "arrival tick is before the oldest live bucket");
   // Arrivals add exactly (leaf accumulation); rounding happens once per
   // merge, one level of the paper's summation tree.
   CellFor(bucket).count += static_cast<double>(value);
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void WbmhCounter::UpdateBatch(std::span<const StreamItem> items) {
+void WbmhState::UpdateBatch(const WbmhParams& params,
+                            std::span<const StreamItem> items) {
   size_t i = 0;
   while (i < items.size()) {
     const Tick t = items[i].t;
-    layout_->AdvanceTo(t);
-    Sync();
+    params.layout->AdvanceTo(t);
+    Sync(params);
     Cell* cell = nullptr;
     for (; i < items.size() && items[i].t == t; ++i) {
       if (items[i].value == 0) continue;
       if (cell == nullptr) {
-        const uint64_t bucket = layout_->BucketForArrival(t);
+        const uint64_t bucket = params.layout->BucketForArrival(t);
         TDS_CHECK_MSG(bucket != 0,
                       "arrival tick is before the oldest live bucket");
         cell = &CellFor(bucket);
@@ -155,26 +183,19 @@ void WbmhCounter::UpdateBatch(std::span<const StreamItem> items) {
       cell->count += static_cast<double>(items[i].value);
     }
   }
-  TDS_AUDIT_MUTATION(AuditInvariants());
+  TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
-void WbmhCounter::Advance(Tick now) {
-  layout_->AdvanceTo(now);
-  Sync();
+void WbmhState::Advance(const WbmhParams& params, Tick now) {
+  params.layout->AdvanceTo(now);
+  Sync(params);
 }
 
-void WbmhCounter::RebindLayout(std::shared_ptr<WbmhLayout> layout) {
-  TDS_CHECK(layout != nullptr);
-  TDS_CHECK_EQ(applied_seq_, layout_->OpSeq());
-  TDS_CHECK_EQ(layout->OpSeq(), layout_->OpSeq());
-  layout_ = std::move(layout);
-  TDS_AUDIT_MUTATION(AuditInvariants());
-}
-
-Status WbmhCounter::AuditInvariants() const {
-  TDS_AUDIT_CHECK(applied_seq_ >= layout_->LogStart(),
+Status WbmhState::AuditInvariants(const WbmhParams& params) const {
+  const WbmhLayout& layout = *params.layout;
+  TDS_AUDIT_CHECK(applied_seq_ >= layout.LogStart(),
                   "layout op log was trimmed past this counter");
-  TDS_AUDIT_CHECK(applied_seq_ <= layout_->OpSeq(),
+  TDS_AUDIT_CHECK(applied_seq_ <= layout.OpSeq(),
                   "counter is ahead of the layout's op sequence");
   uint64_t previous_id = 0;
   for (const Cell& cell : cells_) {
@@ -184,10 +205,10 @@ Status WbmhCounter::AuditInvariants() const {
     TDS_AUDIT_CHECK(std::isfinite(cell.count) && cell.count >= 0.0,
                     "count must be finite and nonnegative");
   }
-  if (applied_seq_ == layout_->OpSeq()) {
+  if (applied_seq_ == layout.OpSeq()) {
     // Both sides are in id order: one merge-join finds every live cell.
     auto cell = cells_.begin();
-    for (const WbmhLayout::BucketSpan& span : layout_->Spans()) {
+    for (const WbmhLayout::BucketSpan& span : layout.Spans()) {
       if (cell != cells_.end() && cell->id == span.id) ++cell;
     }
     TDS_AUDIT_CHECK(cell == cells_.end(),
@@ -196,27 +217,28 @@ Status WbmhCounter::AuditInvariants() const {
   return Status::OK();
 }
 
-double WbmhCounter::Query(Tick now) const {
-  const DecayFunction& g = *layout_->decay();
+double WbmhState::Query(const WbmhParams& params, Tick now) const {
+  const WbmhLayout& layout = *params.layout;
+  const DecayFunction& g = *layout.decay();
   const Tick horizon = g.Horizon();
-  TDS_CHECK_GE(now, layout_->now());
+  TDS_CHECK_GE(now, layout.now());
   // Behind the layout: replay the pending structural ops on a local copy of
   // the cells, re-rounding exactly as Sync() would, so the estimate does
   // not depend on when this counter last synced.
   std::vector<Cell> replayed;
   const std::vector<Cell>* cells = &cells_;
-  if (applied_seq_ != layout_->OpSeq()) {
-    TDS_CHECK_MSG(applied_seq_ >= layout_->LogStart(),
+  if (applied_seq_ != layout.OpSeq()) {
+    TDS_CHECK_MSG(applied_seq_ >= layout.LogStart(),
                   "layout op log was trimmed past this counter's position");
     replayed = cells_;
-    (void)ReplayOps(replayed, applied_seq_);
+    (void)ReplayOps(params, replayed, applied_seq_);
     cells = &replayed;
   }
   // Buckets the (frozen) layout has not yet dropped may already be fully
   // past the horizon at `now`; they contribute nothing.
   double sum = 0.0;
   auto cell = cells->begin();
-  for (const WbmhLayout::BucketSpan& span : layout_->Spans()) {
+  for (const WbmhLayout::BucketSpan& span : layout.Spans()) {
     while (cell != cells->end() && cell->id < span.id) ++cell;
     if (cell == cells->end() || cell->id != span.id || cell->count == 0.0) {
       continue;
@@ -230,17 +252,18 @@ double WbmhCounter::Query(Tick now) const {
   return sum;
 }
 
-double WbmhCounter::RawTotal() const {
+double WbmhState::RawTotal() const {
   double total = 0.0;
   for (const Cell& cell : cells_) total += cell.count;
   return total;
 }
 
-Status WbmhCounter::EncodeState(Encoder& encoder) const {
-  if (applied_seq_ != layout_->OpSeq()) {
+Status WbmhState::EncodeState(const WbmhParams& params,
+                              Encoder& encoder) const {
+  if (applied_seq_ != params.layout->OpSeq()) {
     return Status::FailedPrecondition("counter not synced before encoding");
   }
-  encoder.PutDouble(count_epsilon_);
+  encoder.PutDouble(params.count_epsilon);
   encoder.PutVarint(applied_seq_);
   encoder.PutVarint(cells_.size());
   for (const Cell& cell : cells_) {
@@ -251,20 +274,20 @@ Status WbmhCounter::EncodeState(Encoder& encoder) const {
   return Status::OK();
 }
 
-Status WbmhCounter::DecodeState(Decoder& decoder) {
+Status WbmhState::DecodeState(const WbmhParams& params, Decoder& decoder) {
   double count_epsilon = 0.0;
   uint64_t applied = 0, size = 0;
   if (!decoder.GetDouble(&count_epsilon) || !decoder.GetVarint(&applied) ||
       !decoder.GetVarint(&size)) {
     return CorruptSnapshot("WBMH counter header");
   }
-  // count_epsilon is derived configuration: adopt the snapshot's value.
-  if (!ValidateCountEpsilon(count_epsilon).ok()) {
+  // Bitwise equality: a NaN never matches, and every key of a registry
+  // rounds at the registry's one precision.
+  if (!(count_epsilon == params.count_epsilon)) {
     return CorruptSnapshot("WBMH counter count_epsilon");
   }
-  count_epsilon_ = count_epsilon;
-  base_mantissa_bits_ = BaseMantissaBits(count_epsilon_);
-  if (applied != layout_->OpSeq() || applied < layout_->LogStart()) {
+  const WbmhLayout& layout = *params.layout;
+  if (applied != layout.OpSeq() || applied < layout.LogStart()) {
     return Status::FailedPrecondition(
         "counter snapshot does not match the layout's op sequence");
   }
@@ -288,14 +311,14 @@ Status WbmhCounter::DecodeState(Decoder& decoder) {
   }
   // Cross-structure validation: e.g. a hostile snapshot may carry counts
   // for bucket ids the (already decoded) layout does not hold.
-  const Status audit = AuditInvariants();
+  const Status audit = AuditInvariants(params);
   if (!audit.ok()) {
     return Status::InvalidArgument("corrupt snapshot: " + audit.message());
   }
   return Status::OK();
 }
 
-size_t WbmhCounter::StorageBits() const {
+size_t WbmhState::StorageBits(const WbmhParams& params) const {
   // Each count is bounded by the total. Exact counts take
   // ceil(log2(total + 1)) bits; a rounded one takes its mantissa plus an
   // exponent field addressing log2(total) + 1 exponents.
@@ -306,12 +329,13 @@ size_t WbmhCounter::StorageBits() const {
       static_cast<int>(std::ceil(std::log2(std::log2(max_count) + 1.0)));
   size_t bits = 0;
   for (const Cell& cell : cells_) {
-    const int mantissa = MantissaBitsForLevel(cell.level);
+    const int mantissa = params.MantissaBitsForLevel(cell.level);
     bits += static_cast<size_t>(mantissa > 0 ? mantissa + exponent_bits
                                              : exact_bits);
   }
   // One op-sequence register (clock analogue), log2 of elapsed ticks.
-  const Tick elapsed = std::max<Tick>(2, layout_->now() - layout_->start() + 1);
+  const WbmhLayout& layout = *params.layout;
+  const Tick elapsed = std::max<Tick>(2, layout.now() - layout.start() + 1);
   bits += static_cast<size_t>(
       std::ceil(std::log2(static_cast<double>(elapsed) + 1.0)));
   return bits;

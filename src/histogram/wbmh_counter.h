@@ -15,14 +15,37 @@
 
 namespace tds {
 
+/// The constants of a WBMH count vector: the layout it counts on and the
+/// count-rounding precision. A registry holds one for all its keys; the
+/// layout is borrowed, never owned.
+struct WbmhParams {
+  WbmhLayout* layout = nullptr;
+  /// Count-rounding precision: accumulated rounding drift stays below
+  /// (1 + count_epsilon). Zero or negative disables rounding (exact
+  /// counts; the CEH-vs-WBMH ablation uses this).
+  double count_epsilon = 0.0;
+  /// The mantissa width count_epsilon names; 0 when rounding is disabled.
+  int base_mantissa_bits = 0;
+
+  /// Rejects a count_epsilon whose rounding width is undefined: a
+  /// non-finite value, or one so small that the width does not fit an int.
+  static Status ValidateCountEpsilon(double count_epsilon);
+  /// CHECKs ValidateCountEpsilon(count_epsilon).
+  WbmhParams(WbmhLayout* layout, double count_epsilon);
+
+  /// Mantissa width at merge level `level` (0 when rounding is off).
+  int MantissaBitsForLevel(uint32_t level) const;
+};
+
 /// Per-stream state of a Weight-Based Merging Histogram (paper Section 5):
 /// one (approximate) count per layout bucket that has received items, in a
-/// single vector sorted by the layout's bucket id. Boundaries live in the
-/// WbmhLayout, which any number of counters may share; this object stores
-/// only counts, which is the paper's point — for 100M customer streams the
+/// single vector sorted by the layout's bucket id, plus the last layout op
+/// applied — 32 bytes and one heap array. Boundaries live in the
+/// WbmhLayout, which any number of states may share; a state stores only
+/// counts, which is the paper's point — for 100M customer streams the
 /// boundary process is amortized across all of them. AggregateRegistry
-/// keeps one counter per key on its one layout; WbmhDecayedSum wraps one
-/// counter on a private layout.
+/// keeps one state per key inline on its one layout; WbmhCounter and
+/// WbmhDecayedSum own one each.
 ///
 /// Layout ids only ever increase oldest-first (a seal takes a fresh id, a
 /// merge keeps the older id, a drop removes the oldest bucket), so id order
@@ -37,108 +60,78 @@ namespace tds {
 /// total multiplicative drift stays below (1 + eps) without knowing N in
 /// advance.
 ///
-/// As a DecayedAggregate, Update / UpdateBatch / Advance advance the
-/// (possibly shared) layout to the tick and replay its pending ops; Query
-/// is const and never touches the layout.
-class WbmhCounter : public DecayedAggregate {
+/// Update / UpdateBatch / Advance advance the (possibly shared) layout to
+/// the tick and replay its pending ops; Query is const and never touches
+/// the layout.
+class WbmhState {
  public:
-  struct Options {
-    /// Count-rounding precision: accumulated rounding drift stays below
-    /// (1 + count_epsilon). Zero or negative disables rounding (exact
-    /// counts; the CEH-vs-WBMH ablation uses this). Must be finite and not
-    /// so small that the mantissa width overflows (ValidateCountEpsilon).
-    double count_epsilon = 0.0;
-  };
+  using Params = WbmhParams;
 
-  /// Rejects a count_epsilon whose rounding width is undefined: a
-  /// non-finite value, or one so small that the width does not fit an int.
-  static Status ValidateCountEpsilon(double count_epsilon);
-
-  /// CHECKs ValidateCountEpsilon(options.count_epsilon).
-  WbmhCounter(std::shared_ptr<WbmhLayout> layout, const Options& options);
+  /// An empty state; a live one starts at its layout's op sequence.
+  WbmhState() = default;
+  explicit WbmhState(const WbmhParams& params)
+      : applied_seq_(params.layout->OpSeq()) {}
 
   /// Adds `value` unit items arriving at tick t. Advances the layout to t
   /// and replays any pending structural ops first.
-  void Update(Tick t, uint64_t value) override;
-
+  void Update(const WbmhParams& params, Tick t, uint64_t value);
   /// Batch of tick-sorted items: the layout advance / op replay / bucket
   /// lookup run once per *distinct* tick while counts are still added
   /// per item. Bit-identical to per-item Update.
-  void UpdateBatch(std::span<const StreamItem> items) override;
-
+  void UpdateBatch(const WbmhParams& params,
+                   std::span<const StreamItem> items);
   /// Advances the layout to `now` and replays the resulting ops.
-  void Advance(Tick now) override;
-
-  /// Requests the cell array's first and last lines: an op replay walks it
-  /// from the front, an arrival lands on the back.
-  void PrefetchState() const override {
-    if (cells_.empty()) return;
-    TDS_PREFETCH(cells_.data());
-    TDS_PREFETCH(&cells_.back());
-  }
+  void Advance(const WbmhParams& params, Tick now);
 
   /// Side-effect-free estimate at `now` (>= the layout's clock): evaluates
   /// the decayed sum over the bucket structure as of the layout's last
   /// advance, with true ages relative to `now`; each bucket contributes
-  /// count * g(age of its newest slot). If this counter has not
-  /// applied the layout's latest ops, they are replayed on a local copy of
-  /// the cells exactly as Sync() would, so the estimate is bit-identical
-  /// to Sync() followed by Query(). Buckets whose newest slot is past
-  /// the horizon contribute 0. Safe for concurrent readers of a quiescent
-  /// structure.
-  double Query(Tick now) const override;
+  /// count * g(age of its newest slot). If this state has not applied the
+  /// layout's latest ops, they are replayed on a local copy of the cells
+  /// exactly as Sync() would, so the estimate is bit-identical to Sync()
+  /// followed by Query(). Buckets whose newest slot is past the horizon
+  /// contribute 0. Safe for concurrent readers of a quiescent structure.
+  double Query(const WbmhParams& params, Tick now) const;
   /// The layout's clock.
-  Tick now() const override { return layout_->now(); }
+  Tick now(const WbmhParams& params) const { return params.layout->now(); }
 
   /// Storage bits under the paper's metric: per active bucket, the rounded
   /// count's mantissa+exponent (or exact log-count bits), plus one
   /// sequence register. Boundary storage is *not* charged here — it is
   /// shared across streams (WbmhLayout::StorageBits charges it once).
-  size_t StorageBits() const override;
+  size_t StorageBits(const WbmhParams& params) const;
 
-  std::string Name() const override { return "WBMH"; }
-  const DecayPtr& decay() const override { return layout_->decay(); }
-  /// Copies the cells; the copy shares this counter's layout until its
-  /// owner rebinds it (AggregateRegistry::Copy copies the layout once).
-  std::unique_ptr<DecayedAggregate> Clone() const override {
-    return std::make_unique<WbmhCounter>(*this);
+  /// Requests the cell array's first and last lines: an op replay walks it
+  /// from the front, an arrival lands on the back.
+  void Prefetch() const {
+    if (cells_.empty()) return;
+    TDS_PREFETCH(cells_.data());
+    TDS_PREFETCH(&cells_.back());
   }
 
   /// Replays structural ops up to the layout's current sequence number
   /// without adding data (call before WbmhLayout::TrimLog when sharing).
-  void Sync();
-
-  /// Points this counter at `layout`, which must hold the same buckets at
-  /// the same op sequence as its current one (AggregateRegistry compares
-  /// the two layouts once before it moves counters across). The counter
-  /// must be synced.
-  void RebindLayout(std::shared_ptr<WbmhLayout> layout);
+  void Sync(const WbmhParams& params);
 
   /// Sum of all bucket counts (no decay weighting).
   double RawTotal() const;
-
   /// Number of buckets with nonzero counts.
   size_t ActiveBuckets() const { return cells_.size(); }
-
   /// Last layout op sequence number applied.
   uint64_t AppliedSeq() const { return applied_seq_; }
 
-  double count_epsilon() const { return count_epsilon_; }
-
-  const std::shared_ptr<WbmhLayout>& layout() const { return layout_; }
-
-  /// Snapshot support. The counter must be synced to the layout's current
-  /// op sequence (Sync()) before encoding. Decoding adopts the snapshot's
-  /// count_epsilon (validated like the constructor's).
-  Status EncodeState(class Encoder& encoder) const;
-  Status DecodeState(class Decoder& decoder);
+  /// Snapshot support: the params' count_epsilon, then the state. The
+  /// state must be synced to the layout's current op sequence first.
+  /// Decoding requires the encoded count_epsilon to be the params'.
+  Status EncodeState(const WbmhParams& params, class Encoder& encoder) const;
+  Status DecodeState(const WbmhParams& params, class Decoder& decoder);
 
   /// Verifies every structural invariant (see util/audit.h): the applied
   /// sequence lies within the layout's retained log window, every count is
   /// finite and nonnegative, cell ids are nonzero and strictly increasing,
   /// and — once fully synced — every counted bucket id is live in the
   /// layout.
-  Status AuditInvariants() const;
+  Status AuditInvariants(const WbmhParams& params) const;
 
  private:
   struct Cell {
@@ -147,20 +140,68 @@ class WbmhCounter : public DecayedAggregate {
     uint32_t level = 0;  ///< Merge depth, drives the mantissa schedule.
   };
 
-  /// Mantissa width at merge level `level` (0 when rounding is off).
-  int MantissaBitsForLevel(uint32_t level) const;
   /// Applies the layout ops [from, OpSeq()) to `cells` (re-rounding each
   /// merge) and returns OpSeq(). The one replay Sync and Query share.
-  uint64_t ReplayOps(std::vector<Cell>& cells, uint64_t from) const;
+  static uint64_t ReplayOps(const WbmhParams& params, std::vector<Cell>& cells,
+                            uint64_t from);
   /// The cell of bucket `id`, created empty if absent.
   Cell& CellFor(uint64_t id);
 
-  std::shared_ptr<WbmhLayout> layout_;
-  double count_epsilon_;
-  int base_mantissa_bits_;  ///< 0 when rounding is disabled.
-
   std::vector<Cell> cells_;  ///< Sorted by id, so in layout order.
   uint64_t applied_seq_ = 0;
+};
+
+/// One WbmhState on a layout it shares with other counters (tests and
+/// examples drive several counters on one layout this way). Decoding
+/// adopts the snapshot's count_epsilon.
+class WbmhCounter : public DecayedAggregate {
+ public:
+  struct Options {
+    /// See WbmhParams::count_epsilon. Must be finite and not so small that
+    /// the mantissa width overflows (WbmhParams::ValidateCountEpsilon).
+    double count_epsilon = 0.0;
+  };
+
+  /// CHECKs WbmhParams::ValidateCountEpsilon(options.count_epsilon).
+  WbmhCounter(std::shared_ptr<WbmhLayout> layout, const Options& options);
+
+  void Update(Tick t, uint64_t value) override {
+    state_.Update(params_, t, value);
+  }
+  void UpdateBatch(std::span<const StreamItem> items) override {
+    state_.UpdateBatch(params_, items);
+  }
+  void Advance(Tick now) override { state_.Advance(params_, now); }
+  double Query(Tick now) const override { return state_.Query(params_, now); }
+  Tick now() const override { return state_.now(params_); }
+  size_t StorageBits() const override { return state_.StorageBits(params_); }
+  std::string Name() const override { return "WBMH"; }
+  const DecayPtr& decay() const override { return layout_->decay(); }
+
+  void Sync() { state_.Sync(params_); }
+  double RawTotal() const { return state_.RawTotal(); }
+  size_t ActiveBuckets() const { return state_.ActiveBuckets(); }
+  uint64_t AppliedSeq() const { return state_.AppliedSeq(); }
+  double count_epsilon() const { return params_.count_epsilon; }
+
+  Status EncodeState(class Encoder& encoder) const {
+    return state_.EncodeState(params_, encoder);
+  }
+  Status DecodeState(class Decoder& decoder);
+
+  Status AuditInvariants() const { return state_.AuditInvariants(params_); }
+
+ private:
+  friend class WbmhDecayedSum;
+
+  /// Decodes a state under the count_epsilon `decoder` names, which
+  /// replaces the one in `params` (validated first).
+  static Status DecodeAdopting(WbmhParams& params, WbmhState& state,
+                               class Decoder& decoder);
+
+  std::shared_ptr<WbmhLayout> layout_;
+  WbmhParams params_;
+  WbmhState state_;
 };
 
 }  // namespace tds

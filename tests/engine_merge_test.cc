@@ -318,10 +318,11 @@ TEST(MergedSnapshotTest, SnapshotMatchesCodecPathForEveryBackend) {
       ASSERT_NE(copy, nullptr);
       EXPECT_EQ(copy->KeyCount(), shard->KeyCount());
       EXPECT_EQ(copy->now(), shard->now());
-      shard->ForEachKey([&](uint64_t key, Tick, const DecayedAggregate&) {
-        EXPECT_EQ(copy->Query(key, t + 40), shard->Query(key, t + 40))
-            << "shard=" << s << " key=" << key;
-      });
+      shard->ForEachKey(
+          [&](uint64_t key, Tick, const AggregateRegistry::KeyView&) {
+            EXPECT_EQ(copy->Query(key, t + 40), shard->Query(key, t + 40))
+                << "shard=" << s << " key=" << key;
+          });
       decoded.push_back(std::move(shard).value());
     }
     EXPECT_LT(decoded[1].now(), decoded[0].now());

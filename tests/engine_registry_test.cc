@@ -134,7 +134,8 @@ TEST(AggregateRegistryTest, SharedLayoutAmortizesStorage) {
   registry->Advance(2000);
   EXPECT_EQ(registry->KeyCount(), customers);
   size_t counter_bits = 0;
-  registry->ForEachKey([&](uint64_t, Tick, const DecayedAggregate& counter) {
+  registry->ForEachKey([&](uint64_t, Tick,
+                           const AggregateRegistry::KeyView& counter) {
     counter_bits += counter.StorageBits();
   });
   // Per-key state is tiny compared to one full histogram with boundaries:
@@ -463,9 +464,10 @@ TEST(AggregateRegistryTest, RejectsWbmhCounterOffTheRegistryEpsilon) {
   // The one key's counter state is a substring of the blob, and its first
   // field is the count_epsilon double.
   std::string counter_bytes;
-  registry->ForEachKey([&](uint64_t, Tick, const DecayedAggregate& agg) {
+  registry->ForEachKey([&](uint64_t, Tick,
+                           const AggregateRegistry::KeyView& view) {
     Encoder encoder;
-    ASSERT_TRUE(static_cast<const WbmhCounter&>(agg).EncodeState(encoder).ok());
+    ASSERT_TRUE(view.EncodeState(encoder).ok());
     counter_bytes = encoder.Finish();
   });
   const size_t offset = blob.find(counter_bytes);
@@ -595,6 +597,7 @@ TEST(AggregateRegistryTest, CopyEncodesLikeItsSourceForEveryBackend) {
     Rng rng(17);
     Tick t = 1;
     FeedRandom(*registry, rng, 1500, &t);
+    FeedGrownKey(*registry, rng, 300, &t);
     auto copy = registry->Copy();
     ASSERT_TRUE(copy.ok()) << copy.status().ToString();
     EXPECT_EQ(MustEncode(*copy), MustEncode(*registry));
@@ -607,6 +610,8 @@ TEST(AggregateRegistryTest, CopyEncodesLikeItsSourceForEveryBackend) {
       EXPECT_EQ(copy->Query(key, t + 10), registry->Query(key, t + 10))
           << "key=" << key;
     }
+    EXPECT_EQ(copy->Query(kGrownKey, t + 10),
+              registry->Query(kGrownKey, t + 10));
     EXPECT_EQ(copy->QueryTotal(t + 10), registry->QueryTotal(t + 10));
   }
 }

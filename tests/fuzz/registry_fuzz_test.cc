@@ -7,7 +7,10 @@
 // answer must match bit-for-bit; a second driver re-enables expiry and
 // checks estimates against exact window counts instead (an
 // evicted-then-recreated key rebuilds its histogram, which is within the
-// accuracy bound but not bit-identical to an uninterrupted one).
+// accuracy bound but not bit-identical to an uninterrupted one). A third
+// driver keeps expiry on for the other backends over a finite horizon and
+// mirrors each eviction in the per-key reference, so there every answer
+// must match bit-for-bit again.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,6 +19,8 @@
 #include <vector>
 
 #include "core/factory.h"
+#include "decay/exponential.h"
+#include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
 #include "engine/registry.h"
@@ -239,6 +244,120 @@ int RunRegistryEvictionFuzz(int max_ops, FuzzInput& in) {
   return evictions_observed;
 }
 
+// Expiry on, over a decay with a finite horizon: the registry evicts keys
+// whose newest item is past the horizon, and the reference drops the same
+// keys (an evicted-then-recreated key starts from scratch on both sides),
+// so every answer must match bit-for-bit. Each eviction must also be due:
+// the key's newest item is older than the expiry age. Returns the number
+// of evictions observed.
+int RunRegistryEvictionReferenceFuzz(const DecayPtr& decay, Backend backend,
+                                     int max_ops, FuzzInput& in) {
+  AggregateRegistry::Options options;
+  options.aggregate = AggregateOptions::Builder()
+                          .backend(backend)
+                          .epsilon(0.15)
+                          .Build()
+                          .value();
+  auto registry = AggregateRegistry::Create(decay, options);
+  TDS_FUZZ_CHECK(registry.ok(), in, registry.status().ToString());
+  TDS_FUZZ_CHECK(registry->expiry_age() == decay->Horizon(), in,
+                 "expiry_age");
+  Reference reference{decay, options.aggregate, {}};
+  std::unordered_map<uint64_t, Tick> newest;
+  int evictions_observed = 0;
+  auto mirror_evictions = [&](Tick now, int op) {
+    for (auto it = reference.keys.begin(); it != reference.keys.end();) {
+      if (registry->Contains(it->first)) {
+        ++it;
+        continue;
+      }
+      TDS_FUZZ_CHECK(AgeAt(newest[it->first], now) > registry->expiry_age(),
+                     in, "op=", op, " evicted live key=", it->first);
+      ++evictions_observed;
+      it = reference.keys.erase(it);
+    }
+  };
+
+  Tick t = 1;
+  for (int op = 0; op < max_ops && !in.exhausted(); ++op) {
+    const uint64_t roll = in.Below(100);
+    if (roll < 45) {
+      t += static_cast<Tick>(in.Below(4));
+      const uint64_t key = in.Below(kKeySpace);
+      const uint64_t value = in.Below(5);
+      registry->Update(key, t, value);
+      reference.Update(key, t, value);
+      newest[key] = t;
+    } else if (roll < 70) {
+      std::vector<KeyedItem> batch;
+      const size_t size = in.Below(40);
+      for (size_t i = 0; i < size; ++i) {
+        if (in.Below(3) == 0) t += static_cast<Tick>(in.Below(2));
+        batch.push_back(KeyedItem{in.Below(kKeySpace), t, in.Below(5)});
+      }
+      registry->UpdateBatch(batch);
+      for (const KeyedItem& item : batch) {
+        reference.Update(item.key, item.t, item.value);
+        newest[item.key] = item.t;
+      }
+    } else if (roll < 85) {
+      // Long advances push whole keys past the horizon and trigger the
+      // full eviction pass.
+      t += static_cast<Tick>(in.Below(2) ? in.Below(150) : in.Below(20));
+      registry->Advance(t);
+      reference.Advance(t);
+    } else if (roll < 95) {
+      // Align clocks first, as in the no-eviction driver.
+      registry->Advance(t);
+      reference.Advance(t);
+      mirror_evictions(t, op);
+      for (int probe = 0; probe < 3; ++probe) {
+        const uint64_t key = in.Below(kKeySpace + 4);  // some absent
+        TDS_FUZZ_CHECK_DOUBLE_EQ(registry->Query(key, t),
+                                 reference.Query(key, t), in,
+                                 "op=", op, " key=", key);
+      }
+    } else {
+      std::string blob;
+      TDS_FUZZ_CHECK_OK(registry->EncodeState(&blob), in, "EncodeState");
+      auto decoded = AggregateRegistry::Decode(decay, options, blob);
+      TDS_FUZZ_CHECK(decoded.ok(), in,
+                     "op=", op, ": ", decoded.status().ToString());
+      std::string reencoded;
+      TDS_FUZZ_CHECK_OK(decoded->EncodeState(&reencoded), in, "re-encode");
+      TDS_FUZZ_CHECK(blob == reencoded, in,
+                     "snapshot not self-inverse, op=", op);
+      CheckCopyMatchesCodec(*registry, blob, t, op, in);
+    }
+    mirror_evictions(t, op);
+    if (op % 25 == 0) {
+      TDS_FUZZ_CHECK_OK(registry->AuditInvariants(), in, "op=", op);
+    }
+    TDS_FUZZ_CHECK(registry->KeyCount() == reference.keys.size(), in,
+                   "op=", op, " registry=", registry->KeyCount(),
+                   " reference=", reference.keys.size());
+  }
+  TDS_FUZZ_CHECK_OK(registry->AuditInvariants(), in, "final");
+  return evictions_observed;
+}
+
+struct BackendConfig {
+  DecayPtr decay;
+  Backend backend;
+};
+
+/// The backends the first two drivers leave out, each on a decay it
+/// serves; the finite-horizon ones also run the eviction-reference driver.
+std::vector<BackendConfig> OtherBackends() {
+  return {
+      {SlidingWindowDecay::Create(96).value(), Backend::kCoarseCeh},
+      {ExponentialDecay::Create(0.05).value(), Backend::kEwma},
+      {PolyExponentialDecay::Create(2, 0.1).value(), Backend::kPolyExp},
+      {SlidingWindowDecay::Create(96).value(), Backend::kExact},
+      {ExponentialDecay::Create(0.05).value(), Backend::kRecentItems},
+  };
+}
+
 }  // namespace
 }  // namespace tds
 
@@ -268,6 +387,37 @@ TEST(RegistryFuzzTest, MatchesPerKeyReferenceUnderFuzzedInterleavings) {
   }
 }
 
+TEST(RegistryFuzzTest, EveryBackendMatchesPerKeyReference) {
+  for (const BackendConfig& config : OtherBackends()) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "backend=" << static_cast<int>(config.backend)
+                   << " seed=" << seed);
+      FuzzInput in = FuzzInput::FromSeed(
+          seed * 1009 + static_cast<uint64_t>(config.backend), 350 * 48);
+      RunRegistryNoEvictionFuzz(config.decay, config.backend, 350, in);
+    }
+  }
+}
+
+TEST(RegistryFuzzTest, EveryHorizonBackendEvictsLikeItsReference) {
+  for (const BackendConfig& config : OtherBackends()) {
+    if (config.decay->Horizon() == kInfiniteHorizon) continue;
+    int evictions_observed = 0;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "backend=" << static_cast<int>(config.backend)
+                   << " seed=" << seed);
+      FuzzInput in = FuzzInput::FromSeed(
+          seed * 7177 + static_cast<uint64_t>(config.backend), 350 * 48);
+      evictions_observed += RunRegistryEvictionReferenceFuzz(
+          config.decay, config.backend, 350, in);
+    }
+    EXPECT_GT(evictions_observed, 0)
+        << "backend=" << static_cast<int>(config.backend);
+  }
+}
+
 TEST(RegistryFuzzTest, EvictionUnderFuzzStaysWithinWindowBounds) {
   int evictions_observed = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -286,7 +436,8 @@ TEST(RegistryFuzzTest, EvictionUnderFuzzStaysWithinWindowBounds) {
 #else  // TDS_LIBFUZZER
 
 // Coverage-guided entry point: first bytes pick the sub-driver and the
-// (decay, backend) pairing, the rest drive the op stream. (Eviction counts
+// (decay, backend) pairing (3: one of the other backends), the rest drive
+// the op stream. (Eviction counts
 // are coverage bookkeeping for the deterministic wrapper, not an invariant
 // arbitrary byte streams could promise.)
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -299,10 +450,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     tds::RunRegistryNoEvictionFuzz(
         tds::PolynomialDecay::Create(1.0).value(), tds::Backend::kWbmh,
         kMaxOps, in);
-  } else {
+  } else if (which == 2) {
     tds::RunRegistryNoEvictionFuzz(
         tds::SlidingWindowDecay::Create(96).value(), tds::Backend::kCeh,
         kMaxOps, in);
+  } else {
+    const auto configs = tds::OtherBackends();
+    const tds::BackendConfig& config = configs[in.Below(configs.size())];
+    if (config.decay->Horizon() != tds::kInfiniteHorizon && in.Below(2) == 0) {
+      (void)tds::RunRegistryEvictionReferenceFuzz(config.decay, config.backend,
+                                                  kMaxOps, in);
+    } else {
+      tds::RunRegistryNoEvictionFuzz(config.decay, config.backend, kMaxOps,
+                                     in);
+    }
   }
   return 0;
 }

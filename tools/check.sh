@@ -117,12 +117,15 @@ for stage in $STAGES; do
       # counters to the exact decayed sum, the encoding pins hold every
       # histogram's wire format to fixed hashes, and the registry batch
       # test holds the grouped prefetch path to per-item ingest across
-      # arena growth. They must run with audits armed, and must never
-      # silently vanish.
+      # arena growth. The registry fuzzers drive every backend's slab
+      # through the registry's own ingest, eviction, codec and copy paths
+      # (the registry audit reaches every per-key audit), and the copy
+      # tests hold each state's copy constructor to the codec. They must
+      # run with audits armed, and must never silently vanish.
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -155,7 +158,7 @@ for stage in $STAGES; do
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
