@@ -3,13 +3,17 @@
 // batches of 4096 items, one tick per batch) into a CEH registry over a
 // 1024-tick sliding window and a WBMH registry under 1/x decay, and prints
 // per backend the heap bytes per key (the mallinfo2 in-use delta across
-// building and feeding the registry) and StorageBits() per key.
+// building and feeding the registry) and StorageBits() per key. A third
+// row, "CEH cold", feeds the CEH registry values 1..4, which gives its keys
+// the bucket shape of the cold_keys engine workload (about 24 buckets; the
+// value-1 row holds about 13).
 //
 // Usage:
 //   registry_footprint                  2^18 keys, prints the table
 //   registry_footprint --smoke          2^14 keys; exits 1 if CEH or WBMH
 //                                       heap bytes/key exceed their bound
-//                                       (kSmokeCehBound, kSmokeWbmhBound)
+//                                       (kSmokeCehBound, kSmokeCehColdBound,
+//                                       kSmokeWbmhBound)
 //   registry_footprint --smoke --require-sanitizer-skip
 //                                       sanitizer builds: prints the skip
 //                                       banner and exits 0 (their allocator
@@ -36,11 +40,12 @@ namespace {
 constexpr int kItemsPerKey = 16;
 constexpr size_t kBatch = 4096;
 /// Gates for --smoke: heap bytes/key at 2^14 keys, measured (x86-64, glibc
-/// 2.36, gcc 12, Release) with per-key state inline in the registry's
-/// backend-typed entries, plus 10% headroom. CEH read 137.0 (255.6 with a
-/// heap aggregate object per key, 345.2 with two bucket vectors per key);
-/// WBMH read 473.9.
-constexpr double kSmokeCehBound = 151.0;
+/// 2.36, gcc 12, Release) with 32-bit EH stamp words, plus 10% headroom.
+/// CEH read 90.5 (137.0 with 64-bit stamps, 255.6 with a heap
+/// aggregate object per key, 345.2 with two bucket vectors per key), CEH
+/// cold 235.2 (333.2 with 64-bit stamps); WBMH read 473.9.
+constexpr double kSmokeCehBound = 99.5;
+constexpr double kSmokeCehColdBound = 259.0;
 constexpr double kSmokeWbmhBound = 521.0;
 
 struct Footprint {
@@ -64,8 +69,10 @@ std::vector<uint64_t> ShuffledKeys(size_t keys) {
   return order;
 }
 
+/// Feeds `order` with values drawn uniformly from 1..max_value.
 Footprint Measure(const DecayPtr& decay, Backend backend,
-                  const std::vector<uint64_t>& order, size_t keys) {
+                  const std::vector<uint64_t>& order, size_t keys,
+                  uint64_t max_value) {
   AggregateRegistry::Options options;
   options.aggregate =
       AggregateOptions::Builder().backend(backend).epsilon(0.1).Build().value();
@@ -74,12 +81,15 @@ Footprint Measure(const DecayPtr& decay, Backend backend,
   const size_t before = HeapInUse();
   AggregateRegistry registry =
       AggregateRegistry::Create(decay, options).value();
+  Rng values(0xc01d);
   Tick t = 0;
   for (size_t begin = 0; begin < order.size(); begin += kBatch) {
     ++t;
     batch.clear();
     const size_t end = std::min(order.size(), begin + kBatch);
-    for (size_t i = begin; i < end; ++i) batch.push_back({order[i], t, 1});
+    for (size_t i = begin; i < end; ++i) {
+      batch.push_back({order[i], t, 1 + values.NextBelow(max_value)});
+    }
     registry.UpdateBatch(batch);
   }
   const size_t after = HeapInUse();
@@ -134,25 +144,27 @@ int main(int argc, char** argv) {
     const char* decay_name;
     DecayPtr decay;
     Backend backend;
+    uint64_t max_value;
+    double bound;
   };
   const Case cases[] = {
       {"CEH", "sliwin:1024", SlidingWindowDecay::Create(1024).value(),
-       Backend::kCeh},
+       Backend::kCeh, 1, kSmokeCehBound},
+      {"CEH cold", "sliwin:1024", SlidingWindowDecay::Create(1024).value(),
+       Backend::kCeh, 4, kSmokeCehColdBound},
       {"WBMH", "poly:1", PolynomialDecay::Create(1.0).value(),
-       Backend::kWbmh},
+       Backend::kWbmh, 1, kSmokeWbmhBound},
   };
   bool over = false;
   for (const Case& c : cases) {
-    const Footprint f = Measure(c.decay, c.backend, order, keys);
+    const Footprint f = Measure(c.decay, c.backend, order, keys, c.max_value);
     bench::PrintRow({c.backend_name, c.decay_name,
                      bench::Fmt(f.heap_bytes_per_key, 5),
                      bench::Fmt(f.storage_bits_per_key, 5)});
-    const double bound =
-        c.backend == Backend::kCeh ? kSmokeCehBound : kSmokeWbmhBound;
-    if (smoke && f.heap_bytes_per_key > bound) {
+    if (smoke && f.heap_bytes_per_key > c.bound) {
       std::fprintf(stderr,
                    "FAIL: %s heap bytes/key %.1f exceed the gate %.1f\n",
-                   c.backend_name, f.heap_bytes_per_key, bound);
+                   c.backend_name, f.heap_bytes_per_key, c.bound);
       over = true;
     }
   }

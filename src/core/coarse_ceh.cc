@@ -53,9 +53,9 @@ void CoarseCehState::AdvanceTo(const CoarseCehParams& params, Tick t) {
   // first. That order is part of the state: the RNG words are snapshotted,
   // so a resumed structure must age its buckets in the same sequence.
   store_.ForEachSegmentAscendingClass(
-      [this, gap](size_t, size_t begin, size_t end) {
-        for (size_t k = begin; k < end; ++k) {
-          ApproxAge& age = store_.stamp(k);
+      [this, gap](size_t, const auto& segment) {
+        for (size_t k = 0; k < segment.size(); ++k) {
+          ApproxAge& age = segment[k];
           age.Advance(gap, rng_);
           max_age_seen_ = std::max(max_age_seen_, age.Estimate());
         }
@@ -120,21 +120,21 @@ Status CoarseCehState::AuditInvariants(const CoarseCehParams& params) const {
                     "class exceeds cap bound");
   }
   uint64_t checksum = 0;
-  size_t pos = store_.begin_index();
-  for (size_t c = store_.num_classes(); c-- > 0;) {
-    const uint64_t count = uint64_t{1} << c;
-    for (size_t k = 0; k < store_.class_size(c); ++k, ++pos) {
-      const double age = store_.stamp(pos).Estimate();
-      TDS_AUDIT_CHECK(std::isfinite(age) && age >= 1.0,
-                      "boundary age must be finite and >= 1");
-      TDS_AUDIT_CHECK(age <= max_age_seen_,
-                      "boundary age past the recorded maximum");
+  const char* violation = nullptr;
+  store_.ForEachOldestFirst([&](const ApproxAge& boundary, uint64_t count) {
+    if (violation != nullptr) return;
+    const double age = boundary.Estimate();
+    if (!(std::isfinite(age) && age >= 1.0)) {
+      violation = "boundary age must be finite and >= 1";
+    } else if (age > max_age_seen_) {
+      violation = "boundary age past the recorded maximum";
+    } else if (__builtin_add_overflow(checksum, count, &checksum)) {
       // A hostile snapshot can hold counts whose sum wraps back to a
       // plausible total; an overflowing sum is itself a violation.
-      TDS_AUDIT_CHECK(!__builtin_add_overflow(checksum, count, &checksum),
-                      "bucket counts overflow the total");
+      violation = "bucket counts overflow the total";
     }
-  }
+  });
+  TDS_AUDIT_CHECK(violation == nullptr, violation);
   TDS_AUDIT_CHECK(checksum == total_count_,
                   "bucket counts do not sum to the total");
   return Status::OK();
@@ -148,11 +148,11 @@ double CoarseCehState::Query(const CoarseCehParams& params, Tick now) const {
   double sum = 0.0;
   // Summed in ascending class order: a fixed floating-point summation
   // order, so a decoded copy answers bit-identically to its source.
-  store_.ForEachSegmentAscendingClass([&](size_t c, size_t begin, size_t end) {
+  store_.ForEachSegmentAscendingClass([&](size_t c, const auto& segment) {
     const auto count = static_cast<double>(uint64_t{1} << c);
-    for (size_t k = begin; k < end; ++k) {
+    for (size_t k = 0; k < segment.size(); ++k) {
       const double age_estimate =
-          std::max(1.0, store_.stamp(k).Estimate() + gap);
+          std::max(1.0, segment[k].Estimate() + gap);
       const auto age = static_cast<Tick>(std::llround(age_estimate));
       if (age > horizon) continue;
       sum += count * decay.Weight(age);
@@ -184,10 +184,10 @@ void CoarseCehState::EncodeState(const CoarseCehParams& params,
   // order; each class's buckets oldest first.
   encoder.PutVarint(store_.num_classes());
   store_.ForEachSegmentAscendingClass(
-      [this, &encoder](size_t c, size_t begin, size_t end) {
-        encoder.PutVarint(end - begin);
-        for (size_t k = begin; k < end; ++k) {
-          store_.stamp(k).EncodeTo(encoder);
+      [&encoder](size_t c, const auto& segment) {
+        encoder.PutVarint(segment.size());
+        for (size_t k = 0; k < segment.size(); ++k) {
+          segment[k].EncodeTo(encoder);
           encoder.PutVarint(uint64_t{1} << c);
         }
       });

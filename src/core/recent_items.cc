@@ -10,24 +10,41 @@ namespace tds {
 
 StatusOr<RecentItemsParams> RecentItemsParams::Create(DecayPtr decay,
                                                       double epsilon) {
+  auto params = WithCapacity(std::move(decay), 1);
+  if (!params.ok()) return params;
+  if (!(epsilon > 0.0) || epsilon >= 1.0) {
+    return Status::InvalidArgument("epsilon must be in (0, 1)");
+  }
+  const double lambda = params->lambda;
+  const double c = std::ceil(
+      std::log(1.0 / ((1.0 - std::exp(-lambda)) * epsilon)) / lambda);
+  params->capacity = static_cast<size_t>(std::max(1.0, c));
+  return params;
+}
+
+StatusOr<RecentItemsParams> RecentItemsParams::WithCapacity(DecayPtr decay,
+                                                            size_t capacity) {
   const auto* expd = dynamic_cast<const ExponentialDecay*>(decay.get());
   if (expd == nullptr) {
     return Status::InvalidArgument(
         "RecentItemsExpCounter requires ExponentialDecay");
   }
-  if (!(epsilon > 0.0) || epsilon >= 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1)");
-  }
+  if (capacity == 0) return Status::InvalidArgument("capacity must be >= 1");
   const double lambda = expd->lambda();
-  const double c = std::ceil(
-      std::log(1.0 / ((1.0 - std::exp(-lambda)) * epsilon)) / lambda);
-  const size_t capacity = static_cast<size_t>(std::max(1.0, c));
   return RecentItemsParams{std::move(decay), lambda, capacity};
 }
 
 StatusOr<std::unique_ptr<RecentItemsExpCounter>> RecentItemsExpCounter::Create(
     DecayPtr decay, const Options& options) {
   auto params = RecentItemsParams::Create(std::move(decay), options.epsilon);
+  if (!params.ok()) return params.status();
+  return std::unique_ptr<RecentItemsExpCounter>(
+      new RecentItemsExpCounter(std::move(params).value()));
+}
+
+StatusOr<std::unique_ptr<RecentItemsExpCounter>>
+RecentItemsExpCounter::CreateWithCapacity(DecayPtr decay, size_t capacity) {
+  auto params = RecentItemsParams::WithCapacity(std::move(decay), capacity);
   if (!params.ok()) return params.status();
   return std::unique_ptr<RecentItemsExpCounter>(
       new RecentItemsExpCounter(std::move(params).value()));
@@ -41,7 +58,7 @@ Status RecentItemsExpCounter::DecodeState(Decoder& decoder) {
 
 void RecentItemsState::Update(const RecentItemsParams& params, Tick t,
                               uint64_t value) {
-  Block& b = block(params);
+  Block& b = block();
   TDS_CHECK_GE(t, b.now);
   b.now = t;
   if (value == 0) return;
@@ -49,7 +66,7 @@ void RecentItemsState::Update(const RecentItemsParams& params, Tick t,
       static_cast<double>(t) +
       std::log(static_cast<double>(value)) / params.lambda;
   b.effective_times.insert(effective);
-  while (b.effective_times.size() > b.capacity) {
+  while (b.effective_times.size() > params.capacity) {
     b.effective_times.erase(b.effective_times.begin());  // smallest = oldest
   }
   TDS_AUDIT_MUTATION(AuditInvariants(params));
@@ -60,8 +77,9 @@ void RecentItemsState::UpdateBatch(const RecentItemsParams& params,
   for (const StreamItem& item : items) Update(params, item.t, item.value);
 }
 
-void RecentItemsState::Advance(const RecentItemsParams& params, Tick now) {
-  Block& b = block(params);
+void RecentItemsState::Advance(
+    [[maybe_unused]] const RecentItemsParams& params, Tick now) {
+  Block& b = block();
   TDS_CHECK_GE(now, b.now);
   b.now = now;
   TDS_AUDIT_MUTATION(AuditInvariants(params));
@@ -69,10 +87,9 @@ void RecentItemsState::Advance(const RecentItemsParams& params, Tick now) {
 
 Status RecentItemsState::AuditInvariants(
     const RecentItemsParams& params) const {
-  const size_t capacity = this->capacity(params);
-  TDS_AUDIT_CHECK(capacity >= 1, "capacity must be positive");
+  TDS_AUDIT_CHECK(params.capacity >= 1, "capacity must be positive");
   if (!block_) return Status::OK();
-  TDS_AUDIT_CHECK(block_->effective_times.size() <= capacity,
+  TDS_AUDIT_CHECK(block_->effective_times.size() <= params.capacity,
                   "retained more than C timestamps");
   for (double effective : block_->effective_times) {
     TDS_AUDIT_CHECK(std::isfinite(effective),
@@ -95,7 +112,7 @@ double RecentItemsState::Query(const RecentItemsParams& params,
 
 void RecentItemsState::EncodeState(const RecentItemsParams& params,
                                    Encoder& encoder) const {
-  encoder.PutVarint(capacity(params));
+  encoder.PutVarint(params.capacity);
   encoder.PutSigned(now(params));
   if (!block_) {
     encoder.PutVarint(0);
@@ -107,14 +124,17 @@ void RecentItemsState::EncodeState(const RecentItemsParams& params,
 
 Status RecentItemsState::DecodeState(const RecentItemsParams& params,
                                      Decoder& decoder) {
-  Block& b = block(params);
+  Block& b = block();
   uint64_t capacity = 0, size = 0;
   if (!decoder.GetVarint(&capacity) || !decoder.GetSigned(&b.now) ||
       !decoder.GetVarint(&size)) {
     return CorruptSnapshot("RecentItems header");
   }
-  if (capacity == 0) return CorruptSnapshot("RecentItems capacity");
-  b.capacity = capacity;
+  // A key kept at another C would answer with another accuracy bound (or
+  // storage) than its owner claims.
+  if (capacity != params.capacity) {
+    return Status::InvalidArgument("snapshot options mismatch");
+  }
   if (size > capacity) return CorruptSnapshot("RecentItems size");
   b.effective_times.clear();
   for (uint64_t i = 0; i < size; ++i) {

@@ -14,7 +14,7 @@
 namespace tds {
 
 /// The constants of a recent-items counter: the decay rate and the
-/// retention constant C a fresh counter starts with.
+/// retention constant C.
 struct RecentItemsParams {
   DecayPtr decay;
   double lambda = 0.0;
@@ -23,13 +23,17 @@ struct RecentItemsParams {
   /// Rejects a decay that is not ExponentialDecay and an epsilon outside
   /// (0, 1); sizes C from epsilon (Lemma 3.1).
   static StatusOr<RecentItemsParams> Create(DecayPtr decay, double epsilon);
+  /// Rejects a decay that is not ExponentialDecay and a zero capacity.
+  static StatusOr<RecentItemsParams> WithCapacity(DecayPtr decay,
+                                                  size_t capacity);
 };
 
 /// One recent-items counter's state: a handle to a heap block holding the
-/// retained effective timestamps, the clock and the counter's C (a decoded
-/// counter keeps the C its snapshot names), allocated on the first mutation
-/// or decode. RecentItemsExpCounter owns one; a RECENT_ITEMS registry keeps
-/// the handle in each key's entry. Copies are deep.
+/// retained effective timestamps and the clock, allocated on the first
+/// mutation or decode. C lives in the params alone: a snapshot naming
+/// another C does not decode. RecentItemsExpCounter owns one; a
+/// RECENT_ITEMS registry keeps the handle in each key's entry. Copies are
+/// deep.
 class RecentItemsState {
  public:
   using Params = RecentItemsParams;
@@ -55,11 +59,6 @@ class RecentItemsState {
   }
   size_t StorageBits(const RecentItemsParams& params) const;
 
-  /// The retention constant C.
-  size_t capacity(const RecentItemsParams& params) const {
-    return block_ ? block_->capacity : params.capacity;
-  }
-
   /// At most C finite effective timestamps.
   Status AuditInvariants(const RecentItemsParams& params) const;
 
@@ -74,14 +73,10 @@ class RecentItemsState {
     /// to the C largest.
     std::multiset<double> effective_times;
     Tick now = 0;
-    size_t capacity = 1;
   };
 
-  Block& block(const RecentItemsParams& params) {
-    if (!block_) {
-      block_ = std::make_unique<Block>();
-      block_->capacity = params.capacity;
-    }
+  Block& block() {
+    if (!block_) block_ = std::make_unique<Block>();
     return *block_;
   }
 
@@ -106,6 +101,10 @@ class RecentItemsExpCounter : public DecayedAggregate {
 
   static StatusOr<std::unique_ptr<RecentItemsExpCounter>> Create(
       DecayPtr decay, const Options& options);
+  /// A counter retaining `capacity` items: how a standalone snapshot, which
+  /// names C but not epsilon, is rebuilt.
+  static StatusOr<std::unique_ptr<RecentItemsExpCounter>> CreateWithCapacity(
+      DecayPtr decay, size_t capacity);
 
   void Update(Tick t, uint64_t value) override {
     state_.Update(params_, t, value);
@@ -118,7 +117,7 @@ class RecentItemsExpCounter : public DecayedAggregate {
   const DecayPtr& decay() const override { return params_.decay; }
 
   /// The retention constant C from Lemma 3.1.
-  size_t capacity() const { return state_.capacity(params_); }
+  size_t capacity() const { return params_.capacity; }
 
   /// Structural invariants: at most C finite effective timestamps.
   Status AuditInvariants() const { return state_.AuditInvariants(params_); }

@@ -121,7 +121,13 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
     status = (*created)->DecodeState(body);
     result = std::move(created).value();
   } else if (type == "RECENT_ITEMS") {
-    auto created = RecentItemsExpCounter::Create(std::move(decay), {});
+    // The payload names C, not epsilon; the counter is rebuilt at that C.
+    uint64_t capacity = 0;
+    if (!peek.GetVarint(&capacity) || capacity == 0) {
+      return CorruptSnapshot("RecentItems capacity");
+    }
+    auto created =
+        RecentItemsExpCounter::CreateWithCapacity(std::move(decay), capacity);
     if (!created.ok()) return created.status();
     status = (*created)->DecodeState(body);
     result = std::move(created).value();

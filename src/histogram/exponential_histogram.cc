@@ -218,12 +218,13 @@ void EhState::EncodeState(const EhParams& params, Encoder& encoder) const {
   // Wire order: every class, emptied ones included, in ascending class
   // order; each class's buckets oldest first as end-tick deltas.
   encoder.PutVarint(store_.num_classes());
-  store_.ForEachSegmentAscendingClass([&](size_t c, size_t begin, size_t end) {
-    encoder.PutVarint(end - begin);
+  store_.ForEachSegmentAscendingClass([&](size_t c, const auto& segment) {
+    encoder.PutVarint(segment.size());
     Tick previous = 0;
-    for (size_t k = begin; k < end; ++k) {
-      encoder.PutVarint(static_cast<uint64_t>(store_.stamp(k) - previous));
-      previous = store_.stamp(k);
+    for (size_t k = 0; k < segment.size(); ++k) {
+      const Tick end = segment[k];
+      encoder.PutVarint(static_cast<uint64_t>(end - previous));
+      previous = end;
       encoder.PutVarint(uint64_t{1} << c);
     }
   });
@@ -306,32 +307,35 @@ Status EhState::AuditInvariants(const EhParams& params) const {
   const Tick cutoff = params.window == kInfiniteHorizon
                           ? std::numeric_limits<Tick>::min()
                           : now_ - params.window + 1;
-  uint64_t checksum = 0;
-  Tick previous_end = std::numeric_limits<Tick>::min();
-  size_t pos = store_.begin_index();
-  for (size_t c = store_.num_classes(); c-- > 0;) {
+  for (size_t c = 0; c < store_.num_classes(); ++c) {
     const size_t segment = store_.class_size(c);
     TDS_AUDIT_CHECK(segment <= cap,
                     "class " + std::to_string(c) + " holds " +
                         std::to_string(segment) + " buckets, cap " +
                         std::to_string(cap));
-    const uint64_t count = uint64_t{1} << c;
-    for (size_t k = 0; k < segment; ++k, ++pos) {
-      const Tick end = store_.stamp(pos);
-      // Canonical EH ordering: walking classes oldest-to-newest, end
-      // timestamps never decrease (equal stamps are legal — one batch
-      // insert spawns buckets in several classes).
-      TDS_AUDIT_CHECK(end >= previous_end, "canonical ordering violated");
-      TDS_AUDIT_CHECK(end >= first_arrival_ && end <= now_,
-                      "bucket timestamp outside [first_arrival, now]");
-      TDS_AUDIT_CHECK(end >= cutoff, "expired bucket retained");
-      previous_end = end;
+  }
+  uint64_t checksum = 0;
+  Tick previous_end = std::numeric_limits<Tick>::min();
+  const char* violation = nullptr;
+  store_.ForEachOldestFirst([&](Tick end, uint64_t count) {
+    // Canonical EH ordering: walking classes oldest-to-newest, end
+    // timestamps never decrease (equal stamps are legal — one batch
+    // insert spawns buckets in several classes).
+    if (violation != nullptr) return;
+    if (end < previous_end) {
+      violation = "canonical ordering violated";
+    } else if (end < first_arrival_ || end > now_) {
+      violation = "bucket timestamp outside [first_arrival, now]";
+    } else if (end < cutoff) {
+      violation = "expired bucket retained";
+    } else if (__builtin_add_overflow(checksum, count, &checksum)) {
       // A hostile snapshot can hold counts whose sum wraps back to a
       // plausible total; an overflowing sum is itself a violation.
-      TDS_AUDIT_CHECK(!__builtin_add_overflow(checksum, count, &checksum),
-                      "bucket counts overflow the total");
+      violation = "bucket counts overflow the total";
     }
-  }
+    previous_end = end;
+  });
+  TDS_AUDIT_CHECK(violation == nullptr, violation);
   TDS_AUDIT_CHECK(checksum == total_count_,
                   "total_count_ " + std::to_string(total_count_) +
                       " != bucket sum " + std::to_string(checksum));

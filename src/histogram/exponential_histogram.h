@@ -78,7 +78,7 @@ class EhState {
         [&f](Tick end, uint64_t count) { f(Bucket{end, count}); });
   }
 
-  /// Requests the bucket block's first line (FlatBucketStore::Prefetch).
+  /// Requests the bucket block's first two lines (FlatBucketStore::Prefetch).
   void Prefetch() const { store_.Prefetch(); }
 
   /// See ExponentialHistogram::StorageBits.

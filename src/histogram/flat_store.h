@@ -51,40 +51,82 @@ inline uint64_t ClassBudget(double epsilon) {
 /// concatenation class N-1, ..., class 1, class 0 IS the global oldest-first
 /// order, so one array plus per-class sizes holds every class.
 ///
-/// Layout: one heap block per store, the ClassSize directory first and the
-/// stamps after it, so a cold key's buckets are one allocation and
-/// Prefetch() can request them before the key is touched:
+/// `Stamp` is the per-bucket boundary representation: an exact end tick for
+/// the EH/CEH, an ApproxAge for the coarse CEH. Tick stamps are stored as
+/// 32-bit words, offsets from a base tick in the block's header: a key's
+/// live stamps span at most its window (paper Section 4.1 charges
+/// ceil(log2(N+1)) bits per stamp). A block whose live stamps would span
+/// 2^32 ticks or more (an infinite-horizon decay across a huge tick gap)
+/// switches to 64-bit words, marked by the store's width flag, and goes back
+/// to narrow words once it empties. ApproxAge stamps are stored as they are.
 ///
-///   block_ -> [ class_size[0 .. class_capacity) | stamp[0 .. capacity) ]
-///                                                  ^head_      ^end_
+/// Layout: one heap block per store, so a cold key's buckets are one
+/// allocation and Prefetch() can request them before the key is touched:
 ///
-/// `head_` marks the oldest live bucket, so front expiry is an offset bump;
-/// a store that expiry empties rewinds to the front and reuses its block.
+///   block_ -> [ base | class_size[0 .. class_capacity) | word[0 .. capacity) ]
+///                                                       ^head_    ^end_
+///
+/// `base` (8 bytes, Tick stamps only) is the tick word 0 stands for; the
+/// directory is padded to 8 bytes; a word is 4 bytes, or 8 when `wide_` is
+/// set (a Tick store) or an ApproxAge. `head_` marks the oldest live bucket,
+/// so front expiry is an offset bump; a store that expiry empties rewinds to
+/// the front and reuses its block. Every body that touches words picks the
+/// width once per call (WithWords) and runs one templated loop; readers see
+/// full stamps.
 ///
 /// Cost model: inserts are tail writes. When the tail is full the live
-/// stamps slide over the dead prefix to the front (O(live), and only once
+/// words slide over the dead prefix to the front (O(live), and only once
 /// per tail-full); the block grows — by half, or to fit — only when the
-/// live buckets fill it. A merge cascade that reaches class A rewrites only
-/// the array suffix occupied by classes A..0 as one in-place compaction
-/// sweep. A merge at class c fires once per ~2^c inserted units, so the
-/// amortized insert cost is O(cap), with no per-bucket heap allocation.
-///
-/// `Stamp` is the per-bucket boundary representation: an exact end tick for
-/// the EH/CEH, an ApproxAge for the coarse CEH.
+/// live buckets fill it. A slide or growth copies every live word anyway,
+/// so it also rebases narrow words to the oldest live stamp; an insert the
+/// base cannot reach rebases in place first, or widens the block. Up to
+/// `cap` incoming units merge in place, in one upward sweep: each class
+/// over budget merges its oldest pairs into the end of the class above
+/// (whose segment directly precedes it) and closes the gap with one
+/// memmove of the suffix below, so a class touched costs O(live) and no
+/// scratch. Larger inserts run the digit-arithmetic cascade, O(cap * log
+/// units) plus one rebuild of the affected suffix. A merge at class c
+/// fires once per ~2^c inserted units, so the amortized insert cost is
+/// O(cap), with no per-bucket heap allocation.
 template <typename Stamp>
 class FlatBucketStore {
   static_assert(std::is_trivially_copyable_v<Stamp>,
                 "stamps move by memcpy between blocks");
 
+  /// Tick stamps are offsets from the block's base tick.
+  static constexpr bool kOffsetStamps = std::is_same_v<Stamp, Tick>;
+
  public:
+  /// One class segment's stamps, oldest first: `[k]` is the k-th stamp
+  /// (a Tick by value, or a reference to a stored ApproxAge).
+  template <typename WordPtr>
+  struct Segment {
+    WordPtr words;
+    size_t count;
+    uint64_t base;
+
+    size_t size() const { return count; }
+    decltype(auto) operator[](size_t k) const {
+      if constexpr (kOffsetStamps) {
+        return static_cast<Tick>(base + words[k]);
+      } else {
+        return (words[k]);
+      }
+    }
+  };
+
   FlatBucketStore() = default;
-  /// Copies the live buckets into an exactly-sized block.
+  /// Copies the live buckets, at the source's width and base, into an
+  /// exactly-sized block.
   FlatBucketStore(const FlatBucketStore& other)
-      : num_classes_(other.num_classes_) {
+      : num_classes_(other.num_classes_), wide_(other.wide_) {
     Allocate(RoundUpClasses(other.num_classes_),
              static_cast<uint32_t>(other.size()));
+    if (block_ == nullptr) return;
+    std::memcpy(block_, other.block_, kHeaderBytes);
     CopyN(sizes(), other.sizes(), num_classes_);
-    CopyN(stamps(), other.stamps() + other.head_, other.size());
+    CopyN(WordBytesAt(0), other.WordBytesAt(other.head_),
+          other.size() * WordBytes());
     end_ = static_cast<uint32_t>(other.size());
   }
   FlatBucketStore(FlatBucketStore&& other) noexcept { Swap(other); }
@@ -107,59 +149,69 @@ class FlatBucketStore {
   /// Live buckets (excludes the expired prefix).
   size_t size() const { return end_ - head_; }
   bool empty() const { return size() == 0; }
-  /// Stamps the block holds (live, expired prefix and free tail).
+  /// Words the block holds (live, expired prefix and free tail).
   size_t capacity() const { return capacity_; }
+  /// Whether the words are 64 bits wide (a Tick store whose live stamps
+  /// span 2^32 ticks or more; an ApproxAge store never is).
+  bool wide() const { return wide_; }
+
+  /// The tick narrow word 0 stands for (0 for a store without a block).
+  Tick base_tick() const { return static_cast<Tick>(base()); }
 
   /// Index range of the live buckets, oldest first.
   size_t begin_index() const { return head_; }
   size_t end_index() const { return end_; }
 
-  const Stamp& stamp(size_t i) const { return stamps()[i]; }
-  Stamp& stamp(size_t i) { return stamps()[i]; }
-
-  /// Empties the store; the block stays for reuse.
+  /// Empties the store; the block stays for reuse, at narrow width.
   void Clear() {
     head_ = 0;
     end_ = 0;
     num_classes_ = 0;
+    SetEmptyWidth(false);
   }
 
-  /// Requests the block's first line — the directory, which every insert
-  /// and expiry reads first, and the front stamps — without reading the
-  /// block. One line only, like SlotArena::Prefetch: a cold-key stream is
-  /// bound by line-fill buffers, and further prefetches for the head and
-  /// tail stamps measured slower than none.
+  /// Requests the block's first two lines — the header and directory, which
+  /// every insert and expiry reads first, and the words after them —
+  /// without reading the block. A 24-bucket block of narrow words is 112
+  /// bytes: on cold_keys the second line made ingest faster in 10 of 10
+  /// alternating pairs, where with 64-bit stamps (three or four lines per
+  /// block) extra prefetches for the head and tail stamps measured slower
+  /// than none. A cold-key stream is bound by line-fill buffers, so no more.
   void Prefetch() const {
-    if (block_ != nullptr) TDS_PREFETCH(block_);
+    if (block_ != nullptr) {
+      TDS_PREFETCH(block_);
+      TDS_PREFETCH(block_ + 64);
+    }
   }
 
   /// Calls f(stamp, count) for every live bucket, oldest to newest: a single
-  /// linear scan of the stamps, class segment by class segment.
+  /// linear scan of the words, class segment by class segment.
   template <typename F>
   void ForEachOldestFirst(F&& f) const {
-    const ClassSize* class_sizes = sizes();
-    const Stamp* stamp_array = stamps();
-    size_t i = head_;
-    for (size_t c = num_classes_; c-- > 0;) {
-      const uint64_t count = uint64_t{1} << c;
-      for (const size_t end = i + class_sizes[c]; i < end; ++i) {
-        f(stamp_array[i], count);
+    WithWords([&]<typename Word>(std::type_identity<Word>) {
+      const Codec<Word> codec{base()};
+      const Word* const words = Words<Word>();
+      size_t i = head_;
+      for (size_t c = num_classes_; c-- > 0;) {
+        const uint64_t count = uint64_t{1} << c;
+        for (const size_t end = i + sizes()[c]; i < end; ++i) {
+          f(codec.Load(words[i]), count);
+        }
       }
-    }
+    });
   }
 
-  /// Calls f(c, begin, end) for each class segment in ascending class order
+  /// Calls f(c, segment) for each class segment in ascending class order
   /// (class 0 — the newest segment, at the array tail — first). The codecs'
-  /// wire order and the coarse-CEH RNG sweep are defined by this order.
+  /// wire order and the coarse-CEH RNG sweep are defined by this order. The
+  /// non-const overload hands out mutable ApproxAge stamps.
   template <typename F>
   void ForEachSegmentAscendingClass(F&& f) const {
-    size_t end = end_;
-    for (size_t c = 0; c < num_classes_; ++c) {
-      const size_t begin = end - sizes()[c];
-      f(c, begin, end);
-      end = begin;
-    }
-    TDS_CHECK(end == head_);
+    VisitSegments(*this, f);
+  }
+  template <typename F>
+  void ForEachSegmentAscendingClass(F&& f) {
+    VisitSegments(*this, f);
   }
 
   /// Replaces the contents with buckets given in the codecs' wire order:
@@ -167,7 +219,8 @@ class FlatBucketStore {
   /// class c's stamps to `out`, oldest first, returning false to abort (the
   /// store is then unchanged). The stamps collect in the thread's cascade
   /// scratch (idle during a decode) and land canonically, highest class
-  /// first, in the store's block, which is replaced by an exactly-sized one
+  /// first, in the store's block — narrow, based at the lowest stamp, unless
+  /// the stamps span 2^32 ticks — which is replaced by an exactly-sized one
   /// if it is too small. Every class must hold at most 2 * kMaxClassBudget
   /// + 2 buckets (callers bound it by their own cap first). Cold path:
   /// snapshot decode.
@@ -186,20 +239,35 @@ class FlatBucketStore {
       TDS_CHECK_LE(class_sizes[c], 2 * kMaxClassBudget + 2);
     }
     Clear();
+    uint64_t base = 0;
+    if constexpr (kOffsetStamps) {
+      if (!wire.empty()) {
+        const auto [low, high] =
+            std::minmax_element(wire.begin(), wire.end());
+        base = static_cast<uint64_t>(*low);
+        if (SpanOf(*low, *high) > kNarrowSpan) SetEmptyWidth(true);
+      }
+    }
     if (num_classes > class_capacity_ || wire.size() > capacity_) {
       ::operator delete(block_);
       block_ = nullptr;
       Allocate(RoundUpClasses(num_classes), ToIndex(wire.size()));
     }
     num_classes_ = static_cast<uint8_t>(num_classes);
-    Stamp* out = stamps();
-    size_t end = wire.size();
-    for (size_t c = num_classes; c-- > 0;) {
-      sizes()[c] = static_cast<ClassSize>(class_sizes[c]);
-      end -= class_sizes[c];
-      CopyN(out, wire.data() + end, class_sizes[c]);
-      out += class_sizes[c];
-    }
+    if (block_ == nullptr) return true;
+    SetBase(base);
+    WithWords([&]<typename Word>(std::type_identity<Word>) {
+      const Codec<Word> codec{base};
+      Word* out = Words<Word>();
+      size_t end = wire.size();
+      for (size_t c = num_classes; c-- > 0;) {
+        sizes()[c] = static_cast<ClassSize>(class_sizes[c]);
+        end -= class_sizes[c];
+        for (size_t k = 0; k < class_sizes[c]; ++k) {
+          *out++ = codec.Store(wire[end + k]);
+        }
+      }
+    });
     end_ = ToIndex(wire.size());
     return true;
   }
@@ -212,51 +280,52 @@ class FlatBucketStore {
   /// bytes.
   template <typename Pred>
   uint64_t ExpireOldest(Pred&& expired) {
-    ClassSize* class_sizes = sizes();
-    const Stamp* stamp_array = stamps();
-    uint64_t removed_count = 0;
-    for (size_t c = num_classes_; c-- > 0;) {
-      while (class_sizes[c] > 0 && expired(stamp_array[head_])) {
-        removed_count += uint64_t{1} << c;
-        --class_sizes[c];
-        ++head_;
-      }
-      if (class_sizes[c] > 0) break;
+    const uint64_t removed_count =
+        WithWords([&]<typename Word>(std::type_identity<Word>) {
+          const Codec<Word> codec{base()};
+          const Word* const words = Words<Word>();
+          ClassSize* const class_sizes = sizes();
+          uint64_t removed = 0;
+          for (size_t c = num_classes_; c-- > 0;) {
+            while (class_sizes[c] > 0 && expired(codec.Load(words[head_]))) {
+              removed += uint64_t{1} << c;
+              --class_sizes[c];
+              ++head_;
+            }
+            if (class_sizes[c] > 0) break;
+          }
+          return removed;
+        });
+    if (head_ == end_) {
+      head_ = end_ = 0;
+      SetEmptyWidth(false);
     }
-    if (head_ == end_) head_ = end_ = 0;
     return removed_count;
   }
 
   /// Inserts `incoming_units` unit buckets stamped `fresh` into class 0 and
   /// runs the EH merge cascade (the two oldest buckets of a class merge into
   /// the next while the class exceeds `cap`, which is at most
-  /// kMaxClassBudget). Digit arithmetic reproduces inserting the units one
-  /// at a time in O(cap * log units) steps. `merge_stamps(older, newer)`
-  /// yields the merged bucket's stamp: the EH keeps the newer end timestamp,
-  /// the coarse variant the younger age.
+  /// kMaxClassBudget), with the result of inserting the units one at a
+  /// time. `merge_stamps(older, newer)` yields the merged bucket's stamp:
+  /// the EH keeps the newer end timestamp, the coarse variant the younger
+  /// age. A Tick merge must lie between its partners. Up to `cap` units
+  /// merge in place; more run the O(cap * log units) digit arithmetic.
   template <typename MergeStamps>
   void InsertUnits(uint64_t incoming_units, const Stamp& fresh, uint64_t cap,
                    MergeStamps&& merge_stamps) {
-    // Fast path: class 0 stays within budget — a pure tail append. Written
-    // so that nothing wraps: a huge value cannot wrap a sum into the fast
-    // path, and a decoded class 0 above cap (the coarse CEH admits up to
-    // 2 * cap + 2) goes to the cascade, which merges it back under cap.
-    const uint64_t class0 = num_classes_ == 0 ? 0 : sizes()[0];
-    if (class0 <= cap && incoming_units <= cap - class0) {
-      // Class 0 is created by the first insert, so an empty store encodes
-      // zero classes.
-      Reserve(1, incoming_units);
-      std::fill_n(stamps() + end_, incoming_units, fresh);
-      end_ += static_cast<uint32_t>(incoming_units);
-      sizes()[0] = static_cast<ClassSize>(sizes()[0] + incoming_units);
-      return;
+    TDS_CHECK_LE(cap, kMaxClassBudget);
+    if (incoming_units <= cap) {
+      InsertInPlace(incoming_units, fresh, cap, merge_stamps);
+    } else {
+      CascadeInsert(incoming_units, fresh, cap, merge_stamps);
     }
-    CascadeInsert(incoming_units, fresh, cap, merge_stamps);
   }
 
   /// The block's own invariants, for the owners' audits: head <= end <=
   /// capacity, the directory within its allocation, a block exactly when
-  /// anything is allocated, and class sizes summing to the live count.
+  /// anything is allocated, class sizes summing to the live count, and
+  /// narrow words whenever the store is empty.
   Status AuditInvariants() const {
     TDS_AUDIT_CHECK(head_ <= end_ && end_ <= capacity_,
                     "bucket range outside the block");
@@ -265,6 +334,8 @@ class FlatBucketStore {
     TDS_AUDIT_CHECK(
         (block_ != nullptr) == (capacity_ > 0 || class_capacity_ > 0),
         "block allocation disagrees with its capacity");
+    TDS_AUDIT_CHECK(!wide_ || (kOffsetStamps && !empty()),
+                    "wide words in an empty or non-tick store");
     size_t class_sum = 0;
     for (size_t c = 0; c < num_classes_; ++c) class_sum += sizes()[c];
     TDS_AUDIT_CHECK(class_sum == size(),
@@ -273,19 +344,56 @@ class FlatBucketStore {
   }
 
  private:
-  /// Directory entries per allocation step: enough to keep the stamps that
-  /// follow the directory aligned without padding.
+  /// The base tick, ahead of the directory in a Tick store's block.
+  static constexpr size_t kHeaderBytes = kOffsetStamps ? sizeof(uint64_t) : 0;
+  /// The widest span narrow words cover.
+  static constexpr uint64_t kNarrowSpan = std::numeric_limits<uint32_t>::max();
+  /// Directory entries per allocation step: enough to keep the words that
+  /// follow the directory 8-byte aligned at either width.
   static constexpr size_t kClassStep =
-      std::max<size_t>(1, alignof(Stamp) / sizeof(ClassSize));
-  /// The smallest stamp array a block is given.
+      std::max<size_t>(alignof(uint64_t), alignof(Stamp)) / sizeof(ClassSize);
+  /// The smallest word array a block is given.
   static constexpr size_t kMinStamps = 4;
+
+  /// Reads and writes one width's words: a Tick is base + word (mod 2^64),
+  /// an ApproxAge is its word.
+  template <typename Word>
+  struct Codec {
+    uint64_t base;
+
+    Stamp Load(Word word) const {
+      if constexpr (kOffsetStamps) {
+        return static_cast<Tick>(base + word);
+      } else {
+        return word;
+      }
+    }
+    Word Store(const Stamp& stamp) const {
+      if constexpr (kOffsetStamps) {
+        return static_cast<Word>(static_cast<uint64_t>(stamp) - base);
+      } else {
+        return stamp;
+      }
+    }
+  };
+
+  /// Runs f(std::type_identity<Word>{}) for the store's word type: the one
+  /// width branch of a call.
+  template <typename F>
+  decltype(auto) WithWords(F&& f) const {
+    if constexpr (kOffsetStamps) {
+      if (wide_) return f(std::type_identity<uint64_t>{});
+      return f(std::type_identity<uint32_t>{});
+    } else {
+      return f(std::type_identity<Stamp>{});
+    }
+  }
 
   static size_t RoundUpClasses(size_t classes) {
     return (classes + kClassStep - 1) / kClassStep * kClassStep;
   }
   static size_t DirectoryBytes(size_t class_capacity) {
-    const size_t bytes = class_capacity * sizeof(ClassSize);
-    return (bytes + alignof(Stamp) - 1) / alignof(Stamp) * alignof(Stamp);
+    return class_capacity * sizeof(ClassSize);
   }
   /// memcpy of n elements that tolerates the null arrays of an empty store.
   template <typename T>
@@ -296,17 +404,72 @@ class FlatBucketStore {
     TDS_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
     return static_cast<uint32_t>(n);
   }
+  /// high - low as an unsigned span (high >= low).
+  static uint64_t SpanOf(Tick low, Tick high) {
+    return static_cast<uint64_t>(high) - static_cast<uint64_t>(low);
+  }
 
-  ClassSize* sizes() { return reinterpret_cast<ClassSize*>(block_); }
-  const ClassSize* sizes() const {
-    return reinterpret_cast<const ClassSize*>(block_);
+  size_t WordBytes() const {
+    if constexpr (kOffsetStamps) return wide_ ? 8 : 4;
+    return sizeof(Stamp);
   }
-  Stamp* stamps() {
-    return reinterpret_cast<Stamp*>(block_ + DirectoryBytes(class_capacity_));
+  /// The block address `offset` bytes in, by integer arithmetic: a store
+  /// without a block yields an address nothing reads, where pointer
+  /// arithmetic on null would be undefined.
+  unsigned char* BlockAt(size_t offset) const {
+    return reinterpret_cast<unsigned char*>(
+        reinterpret_cast<uintptr_t>(block_) + offset);
   }
-  const Stamp* stamps() const {
-    return reinterpret_cast<const Stamp*>(block_ +
-                                          DirectoryBytes(class_capacity_));
+  unsigned char* WordBytesAt(size_t i) const {
+    return BlockAt(kHeaderBytes + DirectoryBytes(class_capacity_) +
+                   i * WordBytes());
+  }
+  template <typename Word>
+  Word* Words() const {
+    return reinterpret_cast<Word*>(WordBytesAt(0));
+  }
+  ClassSize* sizes() const {
+    return reinterpret_cast<ClassSize*>(BlockAt(kHeaderBytes));
+  }
+  uint64_t base() const {
+    uint64_t base = 0;
+    if (kOffsetStamps && block_ != nullptr) {
+      std::memcpy(&base, block_, kHeaderBytes);
+    }
+    return base;
+  }
+  void SetBase(uint64_t base) {
+    if (kOffsetStamps && block_ != nullptr) {
+      std::memcpy(block_, &base, kHeaderBytes);
+    }
+  }
+
+  /// Reinterprets an empty store's block at the given width; the
+  /// directory's 8-byte padding keeps the words where they were.
+  void SetEmptyWidth(bool wide) {
+    if (!kOffsetStamps || wide_ == wide) return;
+    wide_ = wide;
+    capacity_ = wide ? capacity_ / 2
+                     : static_cast<uint32_t>(std::min<uint64_t>(
+                           uint64_t{capacity_} * 2,
+                           std::numeric_limits<uint32_t>::max()));
+  }
+
+  template <typename Self, typename F>
+  static void VisitSegments(Self& self, F& f) {
+    self.WithWords([&]<typename Word>(std::type_identity<Word>) {
+      using WordPtr =
+          std::conditional_t<std::is_const_v<Self>, const Word*, Word*>;
+      const WordPtr words = self.template Words<Word>();
+      const uint64_t base = self.base();
+      size_t end = self.end_;
+      for (size_t c = 0; c < self.num_classes_; ++c) {
+        const size_t begin = end - self.sizes()[c];
+        f(c, Segment<WordPtr>{words + begin, end - begin, base});
+        end = begin;
+      }
+      TDS_CHECK(end == self.head_);
+    });
   }
 
   void Swap(FlatBucketStore& other) noexcept {
@@ -316,46 +479,109 @@ class FlatBucketStore {
     std::swap(capacity_, other.capacity_);
     std::swap(num_classes_, other.num_classes_);
     std::swap(class_capacity_, other.class_capacity_);
+    std::swap(wide_, other.wide_);
   }
 
-  /// Points the (block-less) store at a fresh block of the given shape.
+  /// Points the (block-less) store at a fresh block of the given shape, at
+  /// the store's width.
   void Allocate(size_t class_capacity, uint32_t capacity) {
     TDS_CHECK_LE(class_capacity, 64u);
     class_capacity_ = static_cast<uint8_t>(class_capacity);
     capacity_ = capacity;
     const size_t bytes =
-        DirectoryBytes(class_capacity) + size_t{capacity} * sizeof(Stamp);
+        class_capacity == 0 && capacity == 0
+            ? 0
+            : kHeaderBytes + DirectoryBytes(class_capacity) +
+                  size_t{capacity} * WordBytes();
     block_ = bytes == 0 ? nullptr
                         : static_cast<unsigned char*>(::operator new(bytes));
   }
 
-  /// Moves the directory and the live stamps (to the front) into a block of
-  /// the given shape.
-  void Reallocate(size_t class_capacity, size_t capacity) {
-    unsigned char* const old_block = block_;
-    const ClassSize* const old_sizes = sizes();
-    const Stamp* const old_live = stamps() + head_;
-    const uint32_t live = end_ - head_;
-    Allocate(class_capacity, ToIndex(capacity));
-    CopyN(sizes(), old_sizes, num_classes_);
-    CopyN(stamps(), old_live, live);
-    head_ = 0;
-    end_ = live;
-    ::operator delete(old_block);
+  /// Moves the live words to the front of `dst` (which may be the block
+  /// itself, at or before the live words) at width `dst_wide`, rebased to
+  /// `new_base` when narrow: a byte move unless the words widen or rebase.
+  void MoveLive(unsigned char* dst, bool dst_wide, uint64_t new_base) const {
+    const size_t n = size();
+    if (dst_wide == wide_ && new_base == base()) {
+      if (n != 0) std::memmove(dst, WordBytesAt(head_), n * WordBytes());
+      return;
+    }
+    if constexpr (kOffsetStamps) {
+      TDS_CHECK(!wide_);  // only an empty store narrows (SetEmptyWidth)
+      const uint32_t* const src = Words<uint32_t>() + head_;
+      if (dst_wide) {
+        auto* const out = reinterpret_cast<uint64_t*>(dst);
+        for (size_t i = 0; i < n; ++i) out[i] = src[i];
+      } else {
+        auto* const out = reinterpret_cast<uint32_t*>(dst);
+        const auto delta = static_cast<uint32_t>(base() - new_base);
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = static_cast<uint32_t>(src[i] + delta);
+        }
+      }
+    }
+  }
+
+  /// Moves the directory and the live words (to the front, rebased to
+  /// `new_base` when narrow) into a block of the given shape and width.
+  void Reallocate(size_t class_capacity, size_t capacity, bool wide,
+                  uint64_t new_base) {
+    FlatBucketStore fresh;
+    fresh.wide_ = wide;
+    fresh.Allocate(class_capacity, ToIndex(capacity));
+    fresh.num_classes_ = num_classes_;
+    CopyN(fresh.sizes(), sizes(), num_classes_);
+    MoveLive(fresh.WordBytesAt(0), wide, new_base);
+    fresh.end_ = static_cast<uint32_t>(size());
+    fresh.SetBase(wide ? base() : new_base);
+    Swap(fresh);
   }
 
   /// Extends the directory to `classes` entries (new classes empty) and
-  /// makes room for `n` stamps at the tail, with at most one allocation:
-  /// the live stamps slide over the dead prefix if that frees enough and the
+  /// makes room for `n` words at the tail, with at most one allocation:
+  /// the live words slide over the dead prefix if that frees enough and the
   /// directory fits, otherwise the block is replaced by one of the final
-  /// shape, grown by half or to fit.
-  void Reserve(size_t classes, uint64_t n) {
+  /// shape, grown by half or to fit. A Tick store also makes every stamp in
+  /// [low, high] storable: a slide or growth rebases narrow words to the
+  /// lowest stamp the block will hold, a stamp out of the base's reach
+  /// forces that rebase, and a span past 32 bits widens the words.
+  void Reserve(size_t classes, uint64_t n, const Stamp& low,
+               const Stamp& high) {
     const bool directory_fits = classes <= class_capacity_;
     const size_t live = size();
-    if (directory_fits && end_ + n <= capacity_) {
-      // The block already has the room.
-    } else if (directory_fits && live + n <= capacity_) {
-      std::memmove(stamps(), stamps() + head_, live * sizeof(Stamp));
+    const bool fits_tail = directory_fits && end_ + n <= capacity_;
+    const bool fits_block = directory_fits && live + n <= capacity_;
+    bool wide = wide_;
+    uint64_t new_base = base();
+    if constexpr (kOffsetStamps) {
+      const bool reachable =
+          live != 0 &&
+          static_cast<uint64_t>(low) - new_base <= kNarrowSpan &&
+          static_cast<uint64_t>(high) - new_base <= kNarrowSpan;
+      if (!wide_ && (!fits_tail || !reachable)) {
+        Tick lowest = low, highest = high;
+        if (live != 0) {
+          const uint32_t* const words = Words<uint32_t>();
+          uint32_t min_word = words[head_], max_word = words[head_];
+          for (size_t i = head_ + 1; i < end_; ++i) {
+            min_word = std::min(min_word, words[i]);
+            max_word = std::max(max_word, words[i]);
+          }
+          lowest = std::min(lowest, static_cast<Tick>(new_base + min_word));
+          highest = std::max(highest, static_cast<Tick>(new_base + max_word));
+        }
+        if (SpanOf(lowest, highest) <= kNarrowSpan) {
+          new_base = static_cast<uint64_t>(lowest);
+        } else {
+          wide = true;
+        }
+      }
+    }
+    const bool rebase = new_base != base();
+    if (wide == wide_ && fits_tail) {
+      if (rebase) MoveLive(WordBytesAt(head_), wide_, new_base);
+    } else if (wide == wide_ && fits_block) {
+      MoveLive(WordBytesAt(0), wide_, new_base);
       head_ = 0;
       end_ = static_cast<uint32_t>(live);
     } else {
@@ -364,12 +590,95 @@ class FlatBucketStore {
           live + n <= capacity_
               ? capacity_
               : std::max<size_t>({live + n, capacity_ + capacity_ / 2,
-                                  kMinStamps}));
+                                  kMinStamps}),
+          wide, new_base);
     }
+    if (rebase && !wide_) SetBase(new_base);
     if (classes > num_classes_) {
       std::fill(sizes() + num_classes_, sizes() + classes, ClassSize{0});
       num_classes_ = static_cast<uint8_t>(classes);
     }
+  }
+
+  /// Up to `cap` units, merged in place by one upward sweep. At each class
+  /// over `cap`, its (total - cap + 1) / 2 oldest pairs merge (the
+  /// cascade's sequential-insertion count): carry k lands in the class's
+  /// k-th slot, which extends the class above (whose segment ends where
+  /// this one begins), and one memmove closes the gap under the suffix
+  /// below. Class 0 reads the incoming units as `fresh` and writes only
+  /// those that survive, so the block needs room for the net growth alone.
+  /// As in the cascade, a merge whose newer partner was born of incoming
+  /// units yields `fresh` without calling merge_stamps.
+  template <typename MergeStamps>
+  void InsertInPlace(uint64_t incoming_units, const Stamp& fresh,
+                     uint64_t cap, MergeStamps& merge_stamps) {
+    // Class 0's merges and the class count after the sweep, from counts
+    // alone, so the directory and the room are in place before any word
+    // moves.
+    const uint64_t class0 = num_classes_ == 0 ? 0 : sizes()[0];
+    const uint64_t merges0 = class0 + incoming_units > cap
+                                 ? (class0 + incoming_units - cap + 1) / 2
+                                 : 0;
+    size_t classes = std::max<size_t>(num_classes_, 1);
+    for (size_t c = 0, total = class0 + incoming_units; total > cap; ++c) {
+      TDS_CHECK_LT(c + 1, 64u);
+      classes = std::max(classes, c + 2);
+      total = (c + 1 < num_classes_ ? sizes()[c + 1] : 0) +
+              (total - cap + 1) / 2;
+    }
+    Reserve(classes, incoming_units - std::min(incoming_units, merges0),
+            fresh, fresh);
+    WithWords([&]<typename Word>(std::type_identity<Word>) {
+      const Codec<Word> codec{base()};
+      Word* const words = Words<Word>();
+      const Word fresh_word = codec.Store(fresh);
+      ClassSize* const class_sizes = sizes();
+      // Class c holds `total` buckets: `stored` words ending at `seg_end`,
+      // then the incoming units not yet written (class 0 only). The last
+      // `fresh_born` of them were born of incoming units.
+      size_t seg_end = end_;
+      uint64_t total = class0 + incoming_units;
+      uint64_t stored = class0;
+      uint64_t fresh_born = incoming_units;
+      for (size_t c = 0;; ++c) {
+        if (total <= cap) {
+          std::fill_n(words + end_, total - stored, fresh_word);
+          end_ += static_cast<uint32_t>(total - stored);
+          class_sizes[c] = static_cast<ClassSize>(total);
+          break;
+        }
+        const size_t seg_begin = seg_end - stored;
+        const uint64_t merges = (total - cap + 1) / 2;
+        const uint64_t settled = total - fresh_born;
+        uint64_t carried_fresh_born = 0;
+        for (uint64_t k = 0; k < merges; ++k) {
+          Word merged = fresh_word;
+          if (2 * k + 1 < settled) {
+            const size_t older = seg_begin + 2 * k;
+            merged = codec.Store(merge_stamps(codec.Load(words[older]),
+                                              codec.Load(words[older + 1])));
+          } else if (2 * k >= settled) {
+            ++carried_fresh_born;
+          }
+          words[seg_begin + k] = merged;
+        }
+        // The class's stored survivors and every class below follow the
+        // carries; class 0's unwritten survivors land after them.
+        const size_t gap_end = seg_begin + std::min(2 * merges, stored);
+        std::memmove(words + seg_begin + merges, words + gap_end,
+                     (end_ - gap_end) * sizeof(Word));
+        end_ -= static_cast<uint32_t>(gap_end - (seg_begin + merges));
+        const uint64_t unwritten =
+            total - 2 * merges - (stored - (gap_end - seg_begin));
+        std::fill_n(words + end_, unwritten, fresh_word);
+        end_ += static_cast<uint32_t>(unwritten);
+        class_sizes[c] = static_cast<ClassSize>(total - 2 * merges);
+        seg_end = seg_begin + merges;
+        total = class_sizes[c + 1] + merges;
+        stored = total;
+        fresh_born = carried_fresh_born;
+      }
+    });
   }
 
   /// Per-class working state for one cascade: a pop cursor over the class's
@@ -403,15 +712,12 @@ class FlatBucketStore {
     return scratch;
   }
 
-  Stamp PopFront(ClassWork& w) const {
-    if (w.popped < w.orig_size) return stamps()[w.orig_begin + w.popped++];
-    return w.app_stamps[w.app_taken++];
-  }
-
+  /// More than `cap` units: digit arithmetic reproduces inserting them one
+  /// at a time in O(cap * log units) steps, reading the classes it reaches
+  /// in place, then rewrites the affected suffix.
   template <typename MergeStamps>
   void CascadeInsert(uint64_t incoming_units, const Stamp& fresh,
-                     uint64_t cap, MergeStamps&& merge_stamps) {
-    TDS_CHECK_LE(cap, kMaxClassBudget);
+                     uint64_t cap, MergeStamps& merge_stamps) {
     Scratch& s = TlsScratch();
     std::vector<ClassWork>& work_ = s.work;
     std::vector<size_t>& seg_offs_ = s.seg_offs;
@@ -439,80 +745,111 @@ class FlatBucketStore {
       w.app_taken = 0;
       w.app_stamps.clear();
     };
-    init_work(0);
-    // `virtual_new` tracks not-yet-materialized incoming class-i buckets
-    // (all stamped `fresh`); real carries — which may inherit older stamps —
-    // materialize eagerly.
-    uint64_t virtual_new = incoming_units;
-    size_t i = 0;
-    while (true) {
-      ClassWork& w = work_[i];
-      const uint64_t real_live =
-          (w.orig_size - w.popped) + (w.app_stamps.size() - w.app_taken);
-      const uint64_t total = real_live + virtual_new;
-      uint64_t next_virtual = 0;
-      carry_stamps_.clear();
-      if (total > cap) {
-        // Sequential-insertion semantics: a merge fires each time the class
-        // reaches cap+1 buckets, pairing its two oldest.
-        const uint64_t merges = (total - cap + 1) / 2;
-        for (uint64_t m = 0; m < merges; ++m) {
-          const size_t real =
-              (w.orig_size - w.popped) + (w.app_stamps.size() - w.app_taken);
-          if (real >= 2) {
-            const Stamp older = PopFront(w);
-            const Stamp newer = PopFront(w);
-            carry_stamps_.push_back(merge_stamps(older, newer));
-          } else if (real == 1) {
-            // One pre-existing bucket pairs with one incoming bucket.
-            (void)PopFront(w);
-            TDS_CHECK_GE(virtual_new, 1u);
-            --virtual_new;
-            carry_stamps_.push_back(fresh);
-          } else {
-            // All remaining merges pair incoming buckets with each other:
-            // pure arithmetic, closed out in one step (what keeps huge-value
-            // insertion O(log v) instead of O(v)).
-            const uint64_t remaining = merges - m;
-            TDS_CHECK_GE(virtual_new, 2 * remaining);
-            virtual_new -= 2 * remaining;
-            next_virtual += remaining;
-            break;
+    const size_t terminal =
+        WithWords([&]<typename Word>(std::type_identity<Word>) {
+          const Codec<Word> codec{base()};
+          const Word* const words = Words<Word>();
+          auto pop_front = [&](ClassWork& w) {
+            if (w.popped < w.orig_size) {
+              return codec.Load(words[w.orig_begin + w.popped++]);
+            }
+            return w.app_stamps[w.app_taken++];
+          };
+          init_work(0);
+          // `virtual_new` tracks not-yet-materialized incoming class-i
+          // buckets (all stamped `fresh`); real carries — which may inherit
+          // older stamps — materialize eagerly.
+          uint64_t virtual_new = incoming_units;
+          size_t i = 0;
+          while (true) {
+            ClassWork& w = work_[i];
+            const uint64_t real_live = (w.orig_size - w.popped) +
+                                       (w.app_stamps.size() - w.app_taken);
+            const uint64_t total = real_live + virtual_new;
+            uint64_t next_virtual = 0;
+            carry_stamps_.clear();
+            if (total > cap) {
+              // Sequential-insertion semantics: a merge fires each time the
+              // class reaches cap+1 buckets, pairing its two oldest.
+              const uint64_t merges = (total - cap + 1) / 2;
+              for (uint64_t m = 0; m < merges; ++m) {
+                const size_t real = (w.orig_size - w.popped) +
+                                    (w.app_stamps.size() - w.app_taken);
+                if (real >= 2) {
+                  const Stamp older = pop_front(w);
+                  const Stamp newer = pop_front(w);
+                  carry_stamps_.push_back(merge_stamps(older, newer));
+                } else if (real == 1) {
+                  // One pre-existing bucket pairs with one incoming bucket.
+                  (void)pop_front(w);
+                  TDS_CHECK_GE(virtual_new, 1u);
+                  --virtual_new;
+                  carry_stamps_.push_back(fresh);
+                } else {
+                  // All remaining merges pair incoming buckets with each
+                  // other: pure arithmetic, closed out in one step (what
+                  // keeps huge-value insertion O(log v) instead of O(v)).
+                  const uint64_t remaining = merges - m;
+                  TDS_CHECK_GE(virtual_new, 2 * remaining);
+                  virtual_new -= 2 * remaining;
+                  next_virtual += remaining;
+                  break;
+                }
+              }
+            }
+            // Materialize the surviving incoming buckets (newest in the
+            // class).
+            w.app_stamps.insert(w.app_stamps.end(), virtual_new, fresh);
+            if (carry_stamps_.empty() && next_virtual == 0) break;
+            init_work(i + 1);
+            // Carries were produced oldest-first and are newer than
+            // everything in class i+1, so appending preserves the ordering
+            // invariant.
+            ClassWork& up = work_[i + 1];
+            up.app_stamps.insert(up.app_stamps.end(), carry_stamps_.begin(),
+                                 carry_stamps_.end());
+            virtual_new = next_virtual;
+            ++i;
           }
-        }
-      }
-      // Materialize the surviving incoming buckets (newest in the class).
-      w.app_stamps.insert(w.app_stamps.end(), virtual_new, fresh);
-      if (carry_stamps_.empty() && next_virtual == 0) break;
-      init_work(i + 1);
-      // Carries were produced oldest-first and are newer than everything in
-      // class i+1, so appending preserves the ordering invariant.
-      ClassWork& up = work_[i + 1];
-      up.app_stamps.insert(up.app_stamps.end(), carry_stamps_.begin(),
-                           carry_stamps_.end());
-      virtual_new = next_virtual;
-      ++i;
-    }
-    // Rebuild the affected suffix (classes i..0) as one compaction sweep;
-    // every class above i kept its segment untouched.
-    const size_t terminal = i;
-    rebuild_stamps_.clear();
-    const size_t suffix_offset = work_[terminal].orig_begin - head_;
-    for (size_t c = terminal + 1; c-- > 0;) {
-      ClassWork& w = work_[c];
-      const Stamp* const orig = stamps() + w.orig_begin;
-      rebuild_stamps_.insert(rebuild_stamps_.end(), orig + w.popped,
-                             orig + w.orig_size);
-      rebuild_stamps_.insert(
-          rebuild_stamps_.end(),
-          w.app_stamps.begin() + static_cast<std::ptrdiff_t>(w.app_taken),
-          w.app_stamps.end());
-    }
+          // Rebuild the affected suffix (classes i..0) as one compaction
+          // sweep; every class above i kept its segment untouched.
+          size_t rebuilt = 0;
+          for (size_t c = 0; c <= i; ++c) {
+            const ClassWork& w = work_[c];
+            rebuilt += (w.orig_size - w.popped) +
+                       (w.app_stamps.size() - w.app_taken);
+          }
+          rebuild_stamps_.resize(rebuilt);
+          Stamp* out = rebuild_stamps_.data();
+          for (size_t c = i + 1; c-- > 0;) {
+            const ClassWork& w = work_[c];
+            for (size_t k = w.popped; k < w.orig_size; ++k) {
+              *out++ = codec.Load(words[w.orig_begin + k]);
+            }
+            out = std::copy(w.app_stamps.begin() +
+                                static_cast<std::ptrdiff_t>(w.app_taken),
+                            w.app_stamps.end(), out);
+          }
+          return i;
+        });
     // Only now may the block move: new classes and the rewritten suffix
-    // may need the tail to slide or the block to be replaced.
+    // may need the tail to slide, the words to rebase or widen, or the
+    // block to be replaced. Every rebuilt stamp is a live one, `fresh`, or
+    // a merge between two of those, so room made with the old suffix still
+    // live keeps them all storable.
+    const size_t suffix_offset = work_[terminal].orig_begin - head_;
+    const size_t rebuilt = rebuild_stamps_.size();
+    const size_t old_suffix = end_ - work_[terminal].orig_begin;
+    Reserve(terminal + 1, rebuilt - std::min(rebuilt, old_suffix), fresh,
+            fresh);
     end_ = head_ + static_cast<uint32_t>(suffix_offset);
-    Reserve(terminal + 1, rebuild_stamps_.size());
-    CopyN(stamps() + end_, rebuild_stamps_.data(), rebuild_stamps_.size());
+    WithWords([&]<typename Word>(std::type_identity<Word>) {
+      const Codec<Word> codec{base()};
+      Word* const out = Words<Word>() + end_;
+      for (size_t k = 0; k < rebuild_stamps_.size(); ++k) {
+        out[k] = codec.Store(rebuild_stamps_[k]);
+      }
+    });
     end_ += static_cast<uint32_t>(rebuild_stamps_.size());
     for (size_t c = 0; c <= terminal; ++c) {
       const ClassWork& w = work_[c];
@@ -521,14 +858,15 @@ class FlatBucketStore {
     }
   }
 
-  /// Directory then stamps (see the class comment); null until the first
-  /// insert or decode.
+  /// Header, directory, then words (see the class comment); null until the
+  /// first insert or decode.
   unsigned char* block_ = nullptr;
   uint32_t head_ = 0;      ///< Index of the oldest live bucket.
   uint32_t end_ = 0;       ///< One past the newest bucket.
-  uint32_t capacity_ = 0;  ///< Stamps the block holds.
+  uint32_t capacity_ = 0;  ///< Words the block holds.
   uint8_t num_classes_ = 0;
   uint8_t class_capacity_ = 0;  ///< Directory entries the block holds.
+  bool wide_ = false;           ///< 64-bit words (Tick stores only).
 };
 
 }  // namespace tds

@@ -88,10 +88,40 @@ TEST(ExponentialHistogramTest, CreateRejectsEpsilonWithoutClassBudget) {
   EXPECT_TRUE(AggregateOptions::Builder().epsilon(1e-4).Build().ok());
 }
 
+// Tick stores keep 32-bit offsets from a base tick. These cases walk the
+// width transitions one at a time: the rebase a slide, a growth or an
+// unreachable stamp makes, the switch to 64-bit words at a live span of
+// 2^32 ticks, the return to narrow words once the store empties, and copy
+// and decode of a wide block.
+class FlatBucketStoreTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kCap = 100;  // no merges below 101 class-0 units
+  static constexpr Tick kSpan = Tick{1} << 32;
+
+  void Insert(Tick stamp, uint64_t units = 1) {
+    store_.InsertUnits(units, stamp, kCap,
+                       [](Tick /*older*/, Tick newer) { return newer; });
+    ASSERT_TRUE(store_.AuditInvariants().ok());
+  }
+  std::vector<Tick> Stamps() const {
+    std::vector<Tick> out;
+    store_.ForEachOldestFirst(
+        [&out](Tick stamp, uint64_t) { out.push_back(stamp); });
+    return out;
+  }
+  /// Fills the tail with consecutive stamps after `*t`, stopping one short
+  /// of a full block.
+  void FillTail(Tick* t) {
+    while (store_.end_index() + 1 < store_.capacity()) Insert(++*t);
+  }
+
+  FlatBucketStore<Tick> store_;
+};
+
 // The bucket block's transitions, one by one: it grows only when its live
 // buckets fill it, slides its live buckets over an expired prefix instead of
 // growing, rewinds when expiry empties it, and copies into an exact fit.
-TEST(FlatBucketStoreTest, BlockGrowsSlidesAndIsReusedAfterExpiry) {
+TEST_F(FlatBucketStoreTest, BlockGrowsSlidesAndIsReusedAfterExpiry) {
   FlatBucketStore<Tick> store;
   const auto newer = [](Tick /*older*/, Tick newer_stamp) {
     return newer_stamp;
@@ -161,6 +191,146 @@ TEST(FlatBucketStoreTest, BlockGrowsSlidesAndIsReusedAfterExpiry) {
   for (size_t c = 0; c < store.num_classes(); ++c) {
     EXPECT_EQ(copy.class_size(c), store.class_size(c));
   }
+}
+
+TEST_F(FlatBucketStoreTest, SlideRebasesToTheOldestLiveStamp) {
+  const Tick t0 = 5 * kSpan;  // far past 32 bits: only offsets fit
+  Tick t = t0;
+  for (int i = 0; i < 20; ++i) Insert(++t);
+  EXPECT_EQ(store_.base_tick(), t0 + 1);
+  store_.ExpireOldest([t0](Tick stamp) { return stamp <= t0 + 10; });
+  const size_t capacity = store_.capacity();
+  FillTail(&t);
+  EXPECT_EQ(store_.base_tick(), t0 + 1) << "no move, no rebase";
+  Insert(++t);  // fills the block
+  Insert(++t);  // slides
+  EXPECT_EQ(store_.capacity(), capacity);
+  EXPECT_EQ(store_.begin_index(), 0u);
+  EXPECT_EQ(store_.base_tick(), t0 + 11);
+  EXPECT_FALSE(store_.wide());
+  std::vector<Tick> expected;
+  for (Tick s = t0 + 11; s <= t; ++s) expected.push_back(s);
+  EXPECT_EQ(Stamps(), expected);
+}
+
+TEST_F(FlatBucketStoreTest, GrowthRebasesToTheOldestLiveStamp) {
+  Tick t = 3 * kSpan;
+  Insert(++t);
+  const Tick first = t;
+  while (store_.size() < store_.capacity()) Insert(++t);
+  // One expired bucket frees too little for two more: the block grows.
+  store_.ExpireOldest([first](Tick stamp) { return stamp <= first; });
+  const size_t capacity = store_.capacity();
+  Insert(++t, 2);
+  EXPECT_GT(store_.capacity(), capacity);
+  EXPECT_EQ(store_.begin_index(), 0u);
+  EXPECT_EQ(store_.base_tick(), first + 1);
+  EXPECT_FALSE(store_.wide());
+  EXPECT_EQ(Stamps().front(), first + 1);
+  EXPECT_EQ(Stamps().back(), t);
+}
+
+TEST_F(FlatBucketStoreTest, UnreachableStampForcesARebaseInPlace) {
+  Insert(1);
+  Insert(2);
+  Insert(3);
+  store_.ExpireOldest([](Tick stamp) { return stamp <= 1; });
+  const size_t head = store_.begin_index();
+  const size_t capacity = store_.capacity();
+  // 2 + 2^32 - 1 is out of reach of base 1 but within 32 bits of the oldest
+  // live stamp, 2: the words rebase where they are and stay narrow.
+  const Tick far = 2 + (kSpan - 1);
+  Insert(far);
+  EXPECT_EQ(store_.base_tick(), 2);
+  EXPECT_EQ(store_.begin_index(), head);
+  EXPECT_EQ(store_.capacity(), capacity);
+  EXPECT_FALSE(store_.wide());
+  EXPECT_EQ(Stamps(), (std::vector<Tick>{2, 3, far}));
+}
+
+TEST_F(FlatBucketStoreTest, SpanOfTwoToTheThirtyTwoWidensTheWords) {
+  Insert(7);
+  Insert(7 + (kSpan - 1));  // span 2^32 - 1: the widest narrow span
+  EXPECT_FALSE(store_.wide());
+  Insert(7 + kSpan);  // span 2^32
+  EXPECT_TRUE(store_.wide());
+  EXPECT_EQ(Stamps(), (std::vector<Tick>{7, 7 + (kSpan - 1), 7 + kSpan}));
+  // Wide words hold any span, and keep merging.
+  const Tick huge = std::numeric_limits<Tick>::max() - 1;
+  Insert(huge, kCap);
+  EXPECT_TRUE(store_.wide());
+  EXPECT_EQ(store_.num_classes(), 2u);
+  EXPECT_EQ(Stamps().back(), huge);
+  // 7 merged with 7 + 2^32 - 1, and 7 + 2^32 with the first new unit.
+  std::vector<Tick> expected(kCap + 1, huge);
+  expected.front() = 7 + (kSpan - 1);
+  EXPECT_EQ(Stamps(), expected);
+  uint64_t total = 0;
+  store_.ForEachOldestFirst([&total](Tick, uint64_t count) { total += count; });
+  EXPECT_EQ(total, kCap + 3);
+}
+
+TEST_F(FlatBucketStoreTest, EmptiedStoreReturnsToNarrowWords) {
+  Insert(1);
+  Insert(1 + kSpan);
+  ASSERT_TRUE(store_.wide());
+  const size_t wide_capacity = store_.capacity();
+  store_.ExpireOldest([](Tick) { return true; });
+  EXPECT_TRUE(store_.empty());
+  EXPECT_FALSE(store_.wide());
+  EXPECT_EQ(store_.capacity(), 2 * wide_capacity) << "same block, half words";
+  ASSERT_TRUE(store_.AuditInvariants().ok());
+  Insert(3 * kSpan);
+  EXPECT_FALSE(store_.wide());
+  EXPECT_EQ(store_.base_tick(), 3 * kSpan);
+  EXPECT_EQ(Stamps(), std::vector<Tick>{3 * kSpan});
+  Insert(1 + 3 * kSpan);
+  store_.Clear();
+  EXPECT_FALSE(store_.wide());
+}
+
+TEST_F(FlatBucketStoreTest, CopyAndDecodeOfAWideBlock) {
+  for (Tick t : {Tick{5}, Tick{6}, 5 + 4 * kSpan, 5 + 9 * kSpan}) Insert(t);
+  ASSERT_TRUE(store_.wide());
+  const FlatBucketStore<Tick> copy(store_);
+  EXPECT_TRUE(copy.wide());
+  EXPECT_EQ(copy.capacity(), copy.size());
+  ASSERT_TRUE(copy.AuditInvariants().ok());
+  std::vector<Tick> copied;
+  copy.ForEachOldestFirst(
+      [&copied](Tick stamp, uint64_t) { copied.push_back(stamp); });
+  EXPECT_EQ(copied, Stamps());
+
+  // Decode picks the width from the span it is handed.
+  auto decode = [](const std::vector<std::vector<Tick>>& classes) {
+    FlatBucketStore<Tick> decoded;
+    EXPECT_TRUE(decoded.AssignFromAscendingClasses(
+        classes.size(), [&classes](size_t c, std::vector<Tick>& out) {
+          out.insert(out.end(), classes[c].begin(), classes[c].end());
+          return true;
+        }));
+    EXPECT_TRUE(decoded.AuditInvariants().ok());
+    return decoded;
+  };
+  const FlatBucketStore<Tick> wide = decode({{5 + 9 * kSpan}, {5, 6}});
+  EXPECT_TRUE(wide.wide());
+  std::vector<Tick> stamps;
+  wide.ForEachOldestFirst(
+      [&stamps](Tick stamp, uint64_t) { stamps.push_back(stamp); });
+  EXPECT_EQ(stamps, (std::vector<Tick>{5, 6, 5 + 9 * kSpan}));
+  const FlatBucketStore<Tick> narrow =
+      decode({{4 * kSpan + 9}, {4 * kSpan, 4 * kSpan + 3}});
+  EXPECT_FALSE(narrow.wide());
+  EXPECT_EQ(narrow.base_tick(), 4 * kSpan);
+  // Decoding into a wide store's block.
+  store_ = wide;
+  EXPECT_TRUE(store_.AssignFromAscendingClasses(
+      1, [](size_t, std::vector<Tick>& out) {
+        out.push_back(8);
+        return true;
+      }));
+  EXPECT_FALSE(store_.wide());
+  EXPECT_EQ(Stamps(), std::vector<Tick>{8});
 }
 
 TEST(ExponentialHistogramTest, EmptyEstimatesZero) {

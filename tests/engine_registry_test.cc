@@ -14,6 +14,7 @@
 #include "core/ceh.h"
 #include "core/coarse_ceh.h"
 #include "core/factory.h"
+#include "core/recent_items.h"
 #include "core/snapshot.h"
 #include "decay/exponential.h"
 #include "decay/polyexponential.h"
@@ -666,6 +667,22 @@ TEST(AggregateRegistryTest, DecodeRejectsKeyStateBuiltUnderOtherOptions) {
     loose.epsilon = 0.5;
     auto key = CehDecayedSum::Create(decay, loose);
     ASSERT_TRUE(key.ok());
+    for (Tick t = 1; t <= 50; ++t) (*key)->Update(t, 1);
+    auto decoded = AggregateRegistry::Decode(
+        decay, options, OneKeyBlob(*decay, options.aggregate, **key));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    // A recent-items key names its retention constant C: 531 items at
+    // epsilon 0.5 against the registry's 692 at 0.1.
+    SCOPED_TRACE("RECENT_ITEMS capacity");
+    auto decay = ExponentialDecay::Create(0.01).value();
+    const auto options = RegistryOptions(Backend::kRecentItems, 0.1);
+    RecentItemsExpCounter::Options loose;
+    loose.epsilon = 0.5;
+    auto key = RecentItemsExpCounter::Create(decay, loose);
+    ASSERT_TRUE(key.ok());
+    EXPECT_LT((*key)->capacity(), 692u);
     for (Tick t = 1; t <= 50; ++t) (*key)->Update(t, 1);
     auto decoded = AggregateRegistry::Decode(
         decay, options, OneKeyBlob(*decay, options.aggregate, **key));

@@ -71,6 +71,10 @@ struct CehFuzzConfig {
   double epsilon;
   double envelope;  ///< Base relative envelope (pre-merge).
   int max_ops;
+  /// Start just below tick 2^32 and let quiet periods jump 2^32 ticks or
+  /// more: under an infinite horizon the histogram's live stamps then span
+  /// past 32 bits and its bucket block widens.
+  bool far = false;
 };
 
 std::unique_ptr<CehDecayedSum> MakeCeh(DecayKind kind, double epsilon,
@@ -87,7 +91,7 @@ void RunCehFuzz(const CehFuzzConfig& config, FuzzInput& in) {
   std::unique_ptr<CehDecayedSum> ceh =
       MakeCeh(config.decay, config.epsilon, in);
   ExactDecayedReference exact(decay);
-  Tick now = 1;
+  Tick now = config.far ? (Tick{1} << 32) - 64 : 1;
   int merges = 0;
 
   auto check = [&](const char* op) {
@@ -110,7 +114,11 @@ void RunCehFuzz(const CehFuzzConfig& config, FuzzInput& in) {
       check("Update");
     } else if (kind < 75) {
       // Quiet period: queries alone advance the clock and expire state.
-      now += static_cast<Tick>(in.Below(150));
+      if (config.far && in.Below(4) == 0) {
+        now += (Tick{1} << 32) + static_cast<Tick>(in.Below(uint64_t{1} << 33));
+      } else {
+        now += static_cast<Tick>(in.Below(150));
+      }
       check("Advance");
     } else if (kind < 85) {
       // Full snapshot round-trip through the typed codec; continue on the
@@ -171,6 +179,7 @@ struct FuzzCase {
   double epsilon;
   double envelope;
   int ops;
+  bool far = false;
 };
 
 class CehFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
@@ -179,7 +188,8 @@ TEST_P(CehFuzzTest, InterleavedOpsKeepInvariantsAndAccuracy) {
   const FuzzCase fuzz = GetParam();
   FuzzInput in = FuzzInput::FromSeed(
       fuzz.seed, static_cast<size_t>(fuzz.ops) * 16);
-  RunCehFuzz({fuzz.decay, fuzz.epsilon, fuzz.envelope, fuzz.ops}, in);
+  RunCehFuzz({fuzz.decay, fuzz.epsilon, fuzz.envelope, fuzz.ops, fuzz.far},
+             in);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,11 +201,16 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzCase{0xce04, DecayKind::kExpd, 0.1, 0.3, 700},
         FuzzCase{0xce05, DecayKind::kPolyOne, 0.02, 0.06, 600},
         // Wide classes (cap 101): bucket blocks of hundreds of stamps.
-        FuzzCase{0xce06, DecayKind::kSliwin, 0.01, 0.015, 600}),
+        FuzzCase{0xce06, DecayKind::kSliwin, 0.01, 0.015, 600},
+        // Infinite horizons past 32 bits of ticks: widened bucket blocks.
+        FuzzCase{0xce07, DecayKind::kPolyOne, 0.1, 0.3, 900, true},
+        FuzzCase{0xce08, DecayKind::kPolyTwo, 0.1, 0.3, 700, true},
+        FuzzCase{0xce09, DecayKind::kPolyOne, 0.02, 0.06, 600, true}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return "Seed" + std::to_string(info.param.seed & 0xff) + "Decay" +
              std::to_string(static_cast<int>(info.param.decay)) + "Eps" +
-             std::to_string(static_cast<int>(info.param.epsilon * 100));
+             std::to_string(static_cast<int>(info.param.epsilon * 100)) +
+             (info.param.far ? "Far" : "");
     });
 
 }  // namespace

@@ -90,6 +90,13 @@ struct EhFuzzConfig {
   double epsilon;
   Tick window;
   int max_ops;
+  /// Start just below tick 2^32 and add jumps of 2^32 ticks or more: the
+  /// bucket block's offsets rebase, and under an infinite window its live
+  /// stamps span past 32 bits and widen the words.
+  bool far = false;
+  /// Half the Adds carry cap or cap + 1 units: the in-place merge path and
+  /// the digit-arithmetic cascade side by side.
+  bool straddle = false;
 };
 
 ExponentialHistogram MakeEh(double epsilon, Tick window,
@@ -106,7 +113,9 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
   ExponentialHistogram eh = MakeEh(config.epsilon, config.window, in);
   NaiveEh naive(config.epsilon, config.window);
   ExactWindowReference exact;
-  Tick now = 0;
+  Tick now = config.far ? (Tick{1} << 32) - 64 : 0;
+  const uint64_t cap =
+      static_cast<uint64_t>(std::ceil(1.0 / config.epsilon)) + 1;
   // MergeFrom folds in a disjoint substream; each merge widens the error
   // envelope by roughly the input histogram's own epsilon.
   int merges = 0;
@@ -167,16 +176,22 @@ void RunEhFuzz(const EhFuzzConfig& config, FuzzInput& in) {
       // values exercise the O(cap log v) digit insertion.
       now += static_cast<Tick>(in.Below(3));
       if (now == 0) now = 1;
-      const uint64_t value =
-          in.Below(20) == 0 ? 1 + in.Below(5000) : in.Below(4);
+      uint64_t value = in.Below(20) == 0 ? 1 + in.Below(5000) : in.Below(4);
+      if (config.straddle && in.Below(2) == 0) value = cap + in.Below(2);
       eh.Add(now, value);
       naive.Add(now, value);
       exact.Add(now, value);
       check("Add");
     } else if (kind < 70) {
       // Jumps larger than the window exercise wholesale expiry.
-      now += static_cast<Tick>(in.Below(
-          static_cast<uint64_t>(config.window) + config.window / 2 + 2));
+      if (config.far && in.Below(4) == 0) {
+        now += (Tick{1} << 32) + static_cast<Tick>(in.Below(uint64_t{1} << 33));
+      } else if (config.window == kInfiniteHorizon) {
+        now += static_cast<Tick>(in.Below(4096));
+      } else {
+        now += static_cast<Tick>(in.Below(
+            static_cast<uint64_t>(config.window) + config.window / 2 + 2));
+      }
       eh.AdvanceTo(now);
       naive.AdvanceTo(now);
       check("AdvanceTo");
@@ -249,6 +264,8 @@ struct FuzzCase {
   double epsilon;
   Tick window;
   int ops;
+  bool far = false;
+  bool straddle = false;
 };
 
 class EhFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
@@ -257,7 +274,8 @@ TEST_P(EhFuzzTest, InterleavedOpsKeepInvariantsAndAccuracy) {
   const FuzzCase fuzz = GetParam();
   FuzzInput in = FuzzInput::FromSeed(
       fuzz.seed, static_cast<size_t>(fuzz.ops) * 16);
-  RunEhFuzz({fuzz.epsilon, fuzz.window, fuzz.ops}, in);
+  RunEhFuzz({fuzz.epsilon, fuzz.window, fuzz.ops, fuzz.far, fuzz.straddle},
+            in);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -275,11 +293,26 @@ INSTANTIATE_TEST_SUITE_P(
                       // Wide classes (cap 101): blocks of hundreds of
                       // buckets that grow, slide and empty.
                       FuzzCase{0xe406, 0.01, 256, 900},
-                      FuzzCase{0xe407, 0.01, 2048, 900}),
+                      FuzzCase{0xe407, 0.01, 2048, 900},
+                      // Ticks past 32 bits: rebased, emptied and (under
+                      // an infinite window) widened bucket blocks.
+                      FuzzCase{0xe408, 0.1, 512, 1200, true},
+                      FuzzCase{0xe409, 0.1, kInfiniteHorizon, 1200, true},
+                      FuzzCase{0xe40a, 0.5, kInfiniteHorizon, 1200, true},
+                      // Values of cap and cap + 1: in-place merges beside
+                      // the cascade.
+                      FuzzCase{0xe40b, 0.1, 256, 1200, false, true},
+                      FuzzCase{0xe40c, 0.5, 64, 1200, false, true},
+                      FuzzCase{0xe40d, 0.25, kInfiniteHorizon, 900, true,
+                               true}),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
+      const Tick window = info.param.window;
       return "Seed" + std::to_string(info.param.seed & 0xff) + "Eps" +
              std::to_string(static_cast<int>(info.param.epsilon * 100)) +
-             "W" + std::to_string(info.param.window);
+             "W" +
+             (window == kInfiniteHorizon ? "Inf" : std::to_string(window)) +
+             (info.param.far ? "Far" : "") +
+             (info.param.straddle ? "Straddle" : "");
     });
 
 }  // namespace

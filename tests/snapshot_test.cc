@@ -195,6 +195,32 @@ TEST(SnapshotTest, MidStreamRoundTripContinuesIdentically) {
   }
 }
 
+// A standalone recent-items snapshot names its C but not its epsilon, so
+// decode rebuilds the counter at that C: a counter at epsilon 0.5 comes back
+// with its 531 items, not the 692 of the default epsilon 0.1.
+TEST(SnapshotTest, RecentItemsRoundTripKeepsItsCapacity) {
+  auto decay = ExponentialDecay::Create(0.01).value();
+  RecentItemsExpCounter::Options loose;
+  loose.epsilon = 0.5;
+  auto original = RecentItemsExpCounter::Create(decay, loose);
+  ASSERT_TRUE(original.ok());
+  for (Tick t = 1; t <= 800; ++t) (*original)->Update(t, 1 + t % 3);
+  std::string bytes;
+  ASSERT_TRUE(EncodeDecayedSum(**original, &bytes).ok());
+  auto restored = DecodeDecayedSum(decay, bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const auto* typed =
+      dynamic_cast<const RecentItemsExpCounter*>(restored->get());
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->capacity(), (*original)->capacity());
+  EXPECT_LT(typed->capacity(), 692u);
+  for (Tick t = 801; t <= 1200; ++t) {
+    (*original)->Update(t, 1);
+    (*restored)->Update(t, 1);
+  }
+  EXPECT_DOUBLE_EQ((*restored)->Query(1300), (*original)->Query(1300));
+}
+
 // The structure's copy constructor, through its concrete type.
 std::unique_ptr<DecayedAggregate> CopyOf(const DecayedAggregate& source) {
   if (const auto* p = dynamic_cast<const ExactDecayedSum*>(&source)) {

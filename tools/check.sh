@@ -125,7 +125,7 @@ for stage in $STAGES; do
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -158,7 +158,7 @@ for stage in $STAGES; do
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
