@@ -25,6 +25,12 @@ constexpr uint64_t kMaxRetainedOps = 16384;
 /// single Update is one run, so the per-item path sweeps this many entries
 /// per item, while a coalesced batch sweeps per distinct run.
 constexpr size_t kSweepPerRun = 2;
+/// Prefetch distances of the batch ingest's two passes, in runs (see
+/// IngestTickSegment): the resolve pass requests a run's table line this
+/// far ahead and its entry half as far; the apply pass requests a state
+/// block kApplyAhead runs ahead.
+constexpr size_t kResolveAhead = 16;
+constexpr size_t kApplyAhead = 8;
 
 const char* BackendTypeName(Backend backend) {
   switch (backend) {
@@ -218,10 +224,11 @@ uint32_t AggregateRegistry::FindIn(const Entries<State>& entries,
 
 template <typename State, typename Init>
 uint32_t AggregateRegistry::FindOrInsert(Slab<State>& slab, uint64_t key,
-                                         Tick last_tick, Init&& init) {
+                                         uint64_t hash, Tick last_tick,
+                                         Init&& init) {
   Entries<State>& entries = slab.entries;
   RehashIfNeeded(entries);
-  size_t pos = SplitMix64(key) & table_mask_;
+  size_t pos = hash & table_mask_;
   size_t insert_pos = table_.size();  // first tombstone on the probe path
   while (true) {
     const uint32_t entry = table_[pos];
@@ -242,7 +249,7 @@ uint32_t AggregateRegistry::FindOrInsert(Slab<State>& slab, uint64_t key,
   Entry<State>& entry = entries.at(index);
   entry.key = key;
   entry.last_tick = last_tick;
-  if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
+  MarkDirty(index);
   init(entry.state);
   table_[insert_pos] = index;
   ++live_;
@@ -250,8 +257,9 @@ uint32_t AggregateRegistry::FindOrInsert(Slab<State>& slab, uint64_t key,
 }
 
 template <typename State>
-uint32_t AggregateRegistry::GetOrCreate(Slab<State>& slab, uint64_t key) {
-  return FindOrInsert(slab, key, now_, [&slab](State& state) {
+uint32_t AggregateRegistry::GetOrCreate(Slab<State>& slab, uint64_t key,
+                                        uint64_t hash) {
+  return FindOrInsert(slab, key, hash, now_, [&slab](State& state) {
     // A freed or fresh entry already holds an empty state.
     state = NewState<State>(slab.params);
   });
@@ -261,7 +269,7 @@ template <typename State>
 void AggregateRegistry::Insert(Slab<State>& slab, uint64_t key,
                                Tick last_tick, State state) {
   bool inserted = false;
-  FindOrInsert(slab, key, last_tick, [&](State& slot) {
+  FindOrInsert(slab, key, SplitMix64(key), last_tick, [&](State& slot) {
     inserted = true;
     slot = std::move(state);
   });
@@ -305,8 +313,9 @@ template <typename State>
 void AggregateRegistry::Evict(Entries<State>& entries, uint32_t index) {
   const uint64_t key = entries.at(index).key;
   // The eviction must reach the next checkpoint delta so appliers drop the
-  // key too; SlotArena::Free resets the entry (dirty_epoch included), so
-  // the record has to be taken before the entry dies.
+  // key too; SlotArena::Free resets the entry, key included, so the record
+  // has to be taken before the entry dies. The index's dirty epoch stays
+  // behind unread: a live entry is stamped when it is created.
   if (ckpt_tracking_) dead_keys_.push_back({key, ckpt_epoch_});
   size_t pos = SplitMix64(key) & table_mask_;
   while (table_[pos] != index) {
@@ -399,7 +408,8 @@ size_t AggregateRegistry::IngestTickSegment(
   // reordering across keys is invisible because keys are independent and
   // the shared layout state is a pure function of the (already advanced)
   // tick. One table probe and one histogram cascade per run instead of
-  // per item.
+  // per item. Each key is hashed once, here; the run keeps the hash for
+  // the key table.
   const size_t n = segment.size();
   constexpr uint32_t kNoRun = 0xffffffffu;
   size_t cap = 16;
@@ -410,12 +420,13 @@ size_t AggregateRegistry::IngestTickSegment(
   const size_t cap_mask = cap - 1;
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t key = segment[i].key;
-    size_t probe = SplitMix64(key) & cap_mask;
+    const uint64_t hash = SplitMix64(key);
+    size_t probe = hash & cap_mask;
     while (true) {
       const uint32_t r = group_table_[probe];
       if (r == kNoRun) {
         group_table_[probe] = static_cast<uint32_t>(runs_.size());
-        runs_.push_back(Run{key, i, i});
+        runs_.push_back(Run{key, hash, i, i});
         break;
       }
       if (runs_[r].key == key) {
@@ -426,54 +437,58 @@ size_t AggregateRegistry::IngestTickSegment(
       probe = (probe + 1) & cap_mask;
     }
   }
-  // Three-stage prefetch pipeline over the run directory. A cold key costs
-  // three dependent misses: the table line, the entry it names (key and
-  // state inline), and the state's heap block (bucket block, cell array).
-  // While run r does real work, run r+3's table line, run r+2's entry and
-  // run r+1's block are requested, so each miss has about one run's work
-  // to land. Every stage re-reads the table's first probe entry and checks
-  // the entry's key, and issues only prefetches and const reads: on a
-  // collision or a key not yet created the stage does nothing, and a
-  // rehash inside GetOrCreate can make a pending guess stale but never
-  // wrong (hints, never loads of mutable state).
+  // A cold key costs three dependent misses: its table line, the entry that
+  // names (key and state inline), and the state's heap block (bucket block,
+  // cell array). Two passes over the run directory hide them as groups.
+  //
+  // Resolve: while run r finds or creates its entry, run r + kResolveAhead's
+  // table line and the entry run r + kResolveAhead / 2's first probe names
+  // are requested. Entry handles are slab indices, not table positions, so
+  // a rehash inside GetOrCreate invalidates none of them, and a prefetch
+  // guess it makes stale is a hint, never a load. A WBMH layout advances to
+  // t first, so a key created here starts at the op sequence its
+  // UpdateBatch would sync it to anyway.
+  //
+  // Apply: while run r updates its state, run r + kApplyAhead's state block
+  // is requested through the entry resolve brought in. Nothing probes the
+  // table again. No handle goes stale between the passes: nothing evicts
+  // inside a segment (UpdateBatch sweeps only after its last segment).
+  if constexpr (kIsWbmh<State>) slab.params.layout->AdvanceTo(t);
   Entries<State>& entries = slab.entries;
   const size_t num_runs = runs_.size();
-  auto first_probe = [this](size_t r) {
-    return table_[SplitMix64(runs_[r].key) & table_mask_];
-  };
-  auto advance_pipeline = [&](size_t lead) {
-    if (lead < num_runs) {
-      TDS_PREFETCH(&table_[SplitMix64(runs_[lead].key) & table_mask_]);
-    }
-    if (lead >= 1 && lead - 1 < num_runs) {
-      const uint32_t entry = first_probe(lead - 1);
-      if (entry != kEmptyEntry && entry != kTombEntry) entries.Prefetch(entry);
-    }
-    if constexpr (requires(const State& state) { state.Prefetch(); }) {
-      if (lead >= 2 && lead - 2 < num_runs) {
-        const uint32_t entry = first_probe(lead - 2);
-        if (entry != kEmptyEntry && entry != kTombEntry &&
-            entries.at(entry).key == runs_[lead - 2].key) {
-          entries.at(entry).state.Prefetch();
-        }
-      }
+  handles_.resize(num_runs);
+  auto prefetch_resolve = [&](size_t lead) {
+    if (lead < num_runs) TDS_PREFETCH(&table_[runs_[lead].hash & table_mask_]);
+    const size_t probed = lead - kResolveAhead / 2;
+    if (lead >= kResolveAhead / 2 && probed < num_runs) {
+      entries.Prefetch(table_[runs_[probed].hash & table_mask_]);
     }
   };
-  for (size_t lead = 0; lead < 3; ++lead) advance_pipeline(lead);
+  for (size_t lead = 0; lead < kResolveAhead; ++lead) prefetch_resolve(lead);
   for (size_t r = 0; r < num_runs; ++r) {
-    advance_pipeline(r + 3);
+    prefetch_resolve(r + kResolveAhead);
+    handles_[r] = GetOrCreate(slab, runs_[r].key, runs_[r].hash);
+  }
+  auto prefetch_apply = [&](size_t lead) {
+    if constexpr (requires(const State& state) { state.Prefetch(); }) {
+      if (lead < num_runs) entries.at(handles_[lead]).state.Prefetch();
+    }
+  };
+  for (size_t lead = 0; lead < kApplyAhead; ++lead) prefetch_apply(lead);
+  for (size_t r = 0; r < num_runs; ++r) {
+    prefetch_apply(r + kApplyAhead);
     const Run& run = runs_[r];
     run_scratch_.clear();
     for (uint32_t i = run.head;; i = chain_[i]) {
       run_scratch_.push_back(StreamItem{t, segment[i].value});
       if (i == run.tail) break;
     }
-    Entry<State>& entry = entries.at(GetOrCreate(slab, run.key));
+    Entry<State>& entry = entries.at(handles_[r]);
     entry.state.UpdateBatch(slab.params, run_scratch_);
     entry.last_tick = t;
-    if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
+    MarkDirty(handles_[r]);
   }
-  return runs_.size();
+  return num_runs;
 }
 
 Status AggregateRegistry::MergeFrom(AggregateRegistry&& other) {
@@ -625,12 +640,11 @@ void AggregateRegistry::Advance(Tick now) {
         auto& entries = slab.entries;
         for (uint32_t i = 0; i < entries.extent(); ++i) {
           if (!entries.live(i)) continue;
-          auto& entry = entries.at(i);
-          entry.state.Advance(slab.params, now);
+          entries.at(i).state.Advance(slab.params, now);
           // An eager advance rewrites every key's internal representation
           // (decay, cascades, re-rounding), so every key's encoded payload
           // changes — the whole registry is dirty for checkpoint purposes.
-          if (ckpt_tracking_) entry.dirty_epoch = ckpt_epoch_;
+          MarkDirty(i);
         }
         if (expiry_age_ == kInfiniteHorizon) return;
         for (uint32_t i = 0; i < entries.extent(); ++i) {
@@ -823,9 +837,8 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
       [&](const auto& slab) {
         for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
           if (!slab.entries.live(i)) continue;
-          const auto& entry = slab.entries.at(i);
-          if (partial && entry.dirty_epoch <= since) continue;
-          keys.push_back({entry.key, i});
+          if (partial && DirtyEpoch(i) <= since) continue;
+          keys.push_back({slab.entries.at(i).key, i});
         }
       },
       slab_);
@@ -888,9 +901,7 @@ void AggregateRegistry::EnableCheckpointTracking() {
   std::visit(
       [&](auto& slab) {
         for (uint32_t i = 0; i < slab.entries.extent(); ++i) {
-          if (slab.entries.live(i)) {
-            slab.entries.at(i).dirty_epoch = ckpt_epoch_;
-          }
+          if (slab.entries.live(i)) MarkDirty(i);
         }
       },
       slab_);

@@ -44,12 +44,12 @@ struct KeyedItem {
 ///    deletes, power-of-two capacity) mapping to dense 32-bit entry handles;
 ///  * entries live in a chunked slab typed by the backend (stable
 ///    addresses, recycled through a free list). An entry holds the key, its
-///    last arrival tick, its checkpoint epoch and the backend's per-key
-///    state inline: a CEH's EhState (bucket-block pointer, clock, first
-///    arrival, total), a WBMH's cell vector and applied op sequence, the
-///    EWMA and PolyExp registers, or a handle to an Exact or RecentItems
-///    heap block. The state's own heap block (bucket block, cell array) is
-///    the chain's last link;
+///    last arrival tick and the backend's per-key state inline (checkpoint
+///    epochs live beside the slab): a CEH's EhState (bucket-block pointer,
+///    clock, first arrival, total), a WBMH's cell vector and applied op
+///    sequence, the EWMA and PolyExp registers, or a handle to an Exact or
+///    RecentItems heap block. The state's own heap block (bucket block,
+///    cell array) is the chain's last link;
 ///  * the constants every key shares (decay, window, class budget, epsilon,
 ///    count precision) live once, in the slab's params, and are passed to
 ///    each state per call;
@@ -268,19 +268,23 @@ class AggregateRegistry {
 
  private:
   /// One key's entry: the key (the probe chain's confirmation), the
-  /// backend state inline, the last arrival tick, and the checkpoint epoch
-  /// of the last mutation (0 = never stamped / tracking off). The key and
-  /// the state's leading words (a bucket store's block pointer and bounds,
-  /// a cell vector's pointers) open the entry, so the one line the ingest
-  /// pipeline prefetches is the line its block prefetch reads. A freed
-  /// entry is a default-constructed one, holding no heap block.
+  /// backend state inline and the last arrival tick. Entries pack at their
+  /// own size into 64-byte-aligned chunks. A CEH entry is 64 bytes (key 8,
+  /// EhState 48, last_tick 8), exactly one line, so the line the resolve
+  /// pass brings in holds everything the apply pass reads and writes, the
+  /// bucket block's pointer included. Checkpoint epochs live beside the
+  /// slab (dirty_epochs_) because inline they would make it 72 bytes: slot
+  /// i would start 8 * (i % 8) bytes into a line, so every entry would
+  /// straddle two, with the state reaching the second in 6 of 8 slots, the
+  /// block pointer in 1 of 8 and last_tick in 7 of 8. A freed entry is a
+  /// default-constructed one, holding no heap block.
   template <typename State>
   struct Entry {
     uint64_t key = 0;
     State state;
     Tick last_tick = 0;
-    uint64_t dirty_epoch = 0;
   };
+  static_assert(sizeof(Entry<CehState>) == 64, "a CEH entry is one line");
   template <typename State>
   using Entries = SlotArena<Entry<State>>;
   /// A backend's constants and its entries.
@@ -310,10 +314,11 @@ class AggregateRegistry {
   static StatusOr<Slabs> SlabOf(StatusOr<typename State::Params> params);
   Tick DeriveExpiryAge() const;
 
-  /// Applies one same-tick segment of a batch, hash-grouped by key, with
-  /// a three-stage prefetch pipeline over the runs (table line, entry,
-  /// state block); returns the number of (tick, key) runs applied (the
-  /// sweep budget unit).
+  /// Applies one same-tick segment of a batch, hash-grouped by key (one
+  /// hash per item), in two passes over the runs: resolve finds or creates
+  /// every run's entry, prefetching table lines and entries ahead; apply
+  /// updates each run's state, prefetching state blocks ahead. Returns the
+  /// number of (tick, key) runs applied (the sweep budget unit).
   template <typename State>
   size_t IngestTickSegment(Slab<State>& slab, Tick t,
                            std::span<const KeyedItem> segment);
@@ -322,15 +327,16 @@ class AggregateRegistry {
   uint32_t Find(uint64_t key) const;
   template <typename State>
   uint32_t FindIn(const Entries<State>& entries, uint64_t key) const;
-  /// The entry holding `key`; if it is not live, a new entry with the
-  /// given last-arrival tick whose state init() sets. The one probe loop,
-  /// instantiated (and inlined) once per caller below.
+  /// The entry holding `key`, whose SplitMix64 is `hash`; if it is not
+  /// live, a new entry with the given last-arrival tick whose state init()
+  /// sets. The one probe loop, instantiated (and inlined) once per caller
+  /// below.
   template <typename State, typename Init>
-  uint32_t FindOrInsert(Slab<State>& slab, uint64_t key, Tick last_tick,
-                        Init&& init);
+  uint32_t FindOrInsert(Slab<State>& slab, uint64_t key, uint64_t hash,
+                        Tick last_tick, Init&& init);
   /// The ingest path's lookup: creates a fresh state for a new key.
   template <typename State>
-  uint32_t GetOrCreate(Slab<State>& slab, uint64_t key);
+  uint32_t GetOrCreate(Slab<State>& slab, uint64_t key, uint64_t hash);
   /// Inserts a key that is not live, with the state the caller already
   /// holds for it (merge, extraction, decode and copy).
   template <typename State>
@@ -340,7 +346,7 @@ class AggregateRegistry {
   void ReserveTable(size_t keys);
 
   /// Shared body of EncodeState (partial == false: every live key) and
-  /// CaptureCheckpointDelta (partial == true: keys with dirty_epoch >
+  /// CaptureCheckpointDelta (partial == true: keys whose DirtyEpoch is >
   /// `since` only). `entry_count` reports how many keys were encoded.
   Status EncodeStateImpl(std::string* out, bool partial, uint64_t since,
                          size_t* entry_count);
@@ -354,6 +360,17 @@ class AggregateRegistry {
   template <typename State>
   void SweepStep(Entries<State>& entries, size_t budget);
   void MaybeTrimSharedLog();
+  /// Stamps entry `index` with the open checkpoint epoch (tracking only).
+  void MarkDirty(uint32_t index) {
+    if (!ckpt_tracking_) return;
+    if (index >= dirty_epochs_.size()) dirty_epochs_.resize(size_t{index} + 1);
+    dirty_epochs_[index] = ckpt_epoch_;
+  }
+  /// The checkpoint epoch of live entry `index`'s last mutation (0 = never
+  /// stamped).
+  uint64_t DirtyEpoch(uint32_t index) const {
+    return index < dirty_epochs_.size() ? dirty_epochs_[index] : 0;
+  }
   /// Brings every WBMH state to the layout's op sequence (WBMH only).
   void SyncAllStates();
 
@@ -376,23 +393,29 @@ class AggregateRegistry {
   uint64_t epoch_ = 0;
 
   /// Incremental-checkpoint state (see EnableCheckpointTracking): the open
-  /// epoch, the tracking gate, and the (key, eviction epoch) log drained
-  /// and pruned by CaptureCheckpointDelta.
+  /// epoch, the tracking gate, each entry's last mutation epoch by entry
+  /// index (grown on demand, read for live entries only), and the (key,
+  /// eviction epoch) log drained and pruned by CaptureCheckpointDelta.
   uint64_t ckpt_epoch_ = 1;
   bool ckpt_tracking_ = false;
+  std::vector<uint64_t> dirty_epochs_;
   std::vector<std::pair<uint64_t, uint64_t>> dead_keys_;
 
   /// Batch regrouping scratch (IngestTickSegment): an open-addressing map
   /// from key to run id, index chains threading each key's items in
-  /// encounter order, and the run directory itself.
+  /// encounter order, the run directory itself (each run's key, its hash
+  /// and its first and last item), and each run's entry handle, which the
+  /// resolve pass fills and the apply pass reads.
   struct Run {
     uint64_t key = 0;
+    uint64_t hash = 0;  ///< SplitMix64(key), the key table's probe start
     uint32_t head = 0;
     uint32_t tail = 0;
   };
   std::vector<uint32_t> group_table_;
   std::vector<uint32_t> chain_;
   std::vector<Run> runs_;
+  std::vector<uint32_t> handles_;
   std::vector<StreamItem> run_scratch_;  ///< per-(tick, key) run buffer
 };
 

@@ -79,15 +79,19 @@ inline uint64_t ClassBudget(double epsilon) {
 /// per tail-full); the block grows — by half, or to fit — only when the
 /// live buckets fill it. A slide or growth copies every live word anyway,
 /// so it also rebases narrow words to the oldest live stamp; an insert the
-/// base cannot reach rebases in place first, or widens the block. Up to
-/// `cap` incoming units merge in place, in one upward sweep: each class
-/// over budget merges its oldest pairs into the end of the class above
-/// (whose segment directly precedes it) and closes the gap with one
-/// memmove of the suffix below, so a class touched costs O(live) and no
-/// scratch. Larger inserts run the digit-arithmetic cascade, O(cap * log
-/// units) plus one rebuild of the affected suffix. A merge at class c
-/// fires once per ~2^c inserted units, so the amortized insert cost is
-/// O(cap), with no per-bucket heap allocation.
+/// base cannot reach rebases in place first, or widens the block. Tick
+/// stamps never decrease oldest first (an insert's stamp is at least the
+/// newest, a merge keeps a stamp between its partners, and the EH decoder
+/// rejects a blob out of that order), so the first and last live words are
+/// the extremes a rebase needs, read without a scan. Up to `cap` incoming
+/// units merge in place, in one upward sweep: each class over budget merges
+/// its oldest pairs into the end of the class above (whose segment directly
+/// precedes it) and closes the gap with one memmove of the suffix below, so
+/// a class touched costs O(live) and no scratch. Larger inserts run the
+/// digit-arithmetic cascade, O(cap * log units) plus one rebuild of the
+/// affected suffix. A merge at class c fires once per ~2^c inserted units,
+/// so the amortized insert cost is O(cap), with no per-bucket heap
+/// allocation.
 template <typename Stamp>
 class FlatBucketStore {
   static_assert(std::is_trivially_copyable_v<Stamp>,
@@ -309,7 +313,8 @@ class FlatBucketStore {
   /// kMaxClassBudget), with the result of inserting the units one at a
   /// time. `merge_stamps(older, newer)` yields the merged bucket's stamp:
   /// the EH keeps the newer end timestamp, the coarse variant the younger
-  /// age. A Tick merge must lie between its partners. Up to `cap` units
+  /// age. A Tick `fresh` must be at least the newest live stamp, and a
+  /// Tick merge must lie between its partners. Up to `cap` units
   /// merge in place; more run the O(cap * log units) digit arithmetic.
   template <typename MergeStamps>
   void InsertUnits(uint64_t incoming_units, const Stamp& fresh, uint64_t cap,
@@ -559,16 +564,14 @@ class FlatBucketStore {
           static_cast<uint64_t>(low) - new_base <= kNarrowSpan &&
           static_cast<uint64_t>(high) - new_base <= kNarrowSpan;
       if (!wide_ && (!fits_tail || !reachable)) {
+        // Canonical order: the first live word is the oldest stamp and the
+        // last the newest.
         Tick lowest = low, highest = high;
         if (live != 0) {
           const uint32_t* const words = Words<uint32_t>();
-          uint32_t min_word = words[head_], max_word = words[head_];
-          for (size_t i = head_ + 1; i < end_; ++i) {
-            min_word = std::min(min_word, words[i]);
-            max_word = std::max(max_word, words[i]);
-          }
-          lowest = std::min(lowest, static_cast<Tick>(new_base + min_word));
-          highest = std::max(highest, static_cast<Tick>(new_base + max_word));
+          lowest = std::min(lowest, static_cast<Tick>(new_base + words[head_]));
+          highest =
+              std::max(highest, static_cast<Tick>(new_base + words[end_ - 1]));
         }
         if (SpanOf(lowest, highest) <= kNarrowSpan) {
           new_base = static_cast<uint64_t>(lowest);

@@ -6,13 +6,6 @@
 
 namespace tds {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t HashCombine(uint64_t a, uint64_t b) {
   return SplitMix64(a ^ (SplitMix64(b) + 0x9e3779b97f4a7c15ULL));
 }

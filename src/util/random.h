@@ -7,8 +7,14 @@ namespace tds {
 
 /// Mixes a 64-bit value through the SplitMix64 finalizer. Used both as a
 /// standalone hash (counter-based RNG for on-the-fly sketch matrices) and as
-/// the state-advance function of Rng.
-uint64_t SplitMix64(uint64_t x);
+/// the state-advance function of Rng. Inline: the registry hashes every
+/// ingested key with it.
+inline constexpr uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Hashes an arbitrary-length key tuple into 64 bits by chaining SplitMix64.
 /// Deterministic across runs and platforms: the p-stable sketch uses this to

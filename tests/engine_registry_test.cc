@@ -589,6 +589,52 @@ std::string MustEncode(AggregateRegistry& registry) {
   return blob;
 }
 
+// A batch ingests a tick segment in two passes: resolve finds or creates
+// every run's entry, then apply updates the states through the handles it
+// stored. Here one segment brings 30 keys to 330 with repeats inside it
+// (run length > 1), which doubles the key table (64 -> 128 -> 256 -> 512
+// slots at 70% load) three times in the middle of the resolve pass. Every
+// backend must still encode byte for byte like the same items fed one by
+// one.
+TEST(AggregateRegistryTest, SegmentThatRehashesMidResolveMatchesPerItem) {
+  for (const BackendCase& c : EveryBackend()) {
+    SCOPED_TRACE(c.label);
+    auto options = RegistryOptions(c.backend, 0.1);
+    options.expiry_weight_floor = -1.0;  // the sweeps differ, not the states
+    auto per_item = AggregateRegistry::Create(c.decay, options);
+    auto batched = AggregateRegistry::Create(c.decay, options);
+    ASSERT_TRUE(per_item.ok()) << per_item.status().ToString();
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    Rng rng(29);
+    std::vector<KeyedItem> warm;
+    for (uint64_t key = 0; key < 30; ++key) {
+      warm.push_back(KeyedItem{key, 1 + static_cast<Tick>(key / 10),
+                               1 + rng.NextBelow(4)});
+    }
+    std::vector<KeyedItem> segment;
+    constexpr uint64_t kFresh = 100;
+    for (uint64_t i = 0; i < 300; ++i) {
+      segment.push_back(KeyedItem{kFresh + i, 5, 1 + rng.NextBelow(4)});
+      if (rng.NextBelow(2) == 0) {
+        const uint64_t repeat = rng.NextBelow(2) == 0
+                                    ? kFresh + rng.NextBelow(i + 1)
+                                    : rng.NextBelow(30);
+        segment.push_back(KeyedItem{repeat, 5, 1 + rng.NextBelow(4)});
+      }
+    }
+    for (const auto& items : {warm, segment}) {
+      for (const KeyedItem& item : items) {
+        per_item->Update(item.key, item.t, item.value);
+      }
+      batched->UpdateBatch(items);
+    }
+    EXPECT_EQ(batched->KeyCount(), 330u);
+    EXPECT_EQ(per_item->KeyCount(), batched->KeyCount());
+    EXPECT_EQ(MustEncode(*per_item), MustEncode(*batched));
+    EXPECT_TRUE(batched->AuditInvariants().ok());
+  }
+}
+
 TEST(AggregateRegistryTest, CopyEncodesLikeItsSourceForEveryBackend) {
   for (const BackendCase& c : EveryBackend()) {
     SCOPED_TRACE(c.label);

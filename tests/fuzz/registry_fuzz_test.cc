@@ -72,8 +72,30 @@ void CheckCopyMatchesCodec(AggregateRegistry& registry, const std::string& blob,
   }
 }
 
+/// Fresh keys of the burst configuration start here, clear of the probed
+/// key space (kKeySpace + 4).
+constexpr uint64_t kFreshKeyBase = 1000;
+
+/// The key table's slot count after `keys` sequential inserts into an
+/// empty registry (initially 64 slots, doubled when an insert would bring
+/// the load to 70%; without evictions there are no tombstones).
+size_t TableSlotsAfter(size_t keys) {
+  size_t slots = 64;
+  for (size_t live = 0; live < keys; ++live) {
+    if ((live + 1) * 10 >= slots * 7) slots *= 2;
+  }
+  return slots;
+}
+
+/// With `fresh_bursts`, a quarter of the batch ops is instead one tick
+/// segment of 40..199 fresh keys with repeats mixed in, so the registry's
+/// key table doubles in the middle of a segment's resolve pass; such
+/// bursts are counted in `*rehashing_bursts`. Without it the driver draws
+/// exactly the input it always drew.
 void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
-                               int max_ops, FuzzInput& in) {
+                               int max_ops, FuzzInput& in,
+                               bool fresh_bursts = false,
+                               int* rehashing_bursts = nullptr) {
   AggregateRegistry::Options options;
   options.aggregate = AggregateOptions::Builder()
                           .backend(backend)
@@ -88,6 +110,7 @@ void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
   Reference reference{decay, options.aggregate, {}};
 
   Tick t = 1;
+  uint64_t fresh_keys = 0;
   for (int op = 0; op < max_ops && !in.exhausted(); ++op) {
     const uint64_t roll = in.Below(100);
     if (roll < 55) {
@@ -96,6 +119,33 @@ void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
       const uint64_t value = in.Below(5);
       registry->Update(key, t, value);
       reference.Update(key, t, value);
+    } else if (roll < 80 && fresh_bursts && in.Below(4) == 0) {
+      // One segment: every item at tick t, fresh keys interleaved with
+      // repeats of this burst's keys and of the common key space.
+      std::vector<KeyedItem> burst;
+      const uint64_t first_fresh = kFreshKeyBase + fresh_keys;
+      const size_t size = 40 + in.Below(160);
+      for (size_t i = 0; i < size; ++i) {
+        burst.push_back(
+            KeyedItem{kFreshKeyBase + fresh_keys++, t, in.Below(5)});
+        if (in.Below(3) == 0) {
+          const uint64_t key =
+              in.Below(2) == 0
+                  ? first_fresh + in.Below(kFreshKeyBase + fresh_keys -
+                                           first_fresh)
+                  : in.Below(kKeySpace);
+          burst.push_back(KeyedItem{key, t, in.Below(5)});
+        }
+      }
+      const size_t slots_before = TableSlotsAfter(registry->KeyCount());
+      registry->UpdateBatch(burst);
+      for (const KeyedItem& item : burst) {
+        reference.Update(item.key, item.t, item.value);
+      }
+      if (rehashing_bursts != nullptr &&
+          TableSlotsAfter(registry->KeyCount()) != slots_before) {
+        ++*rehashing_bursts;
+      }
     } else if (roll < 80) {
       std::vector<KeyedItem> batch;
       const size_t size = in.Below(40);
@@ -123,6 +173,12 @@ void RunRegistryNoEvictionFuzz(const DecayPtr& decay, Backend backend,
         TDS_FUZZ_CHECK_DOUBLE_EQ(registry->Query(key, t),
                                  reference.Query(key, t), in,
                                  "op=", op, " key=", key);
+      }
+      for (int probe = 0; fresh_keys != 0 && probe < 3; ++probe) {
+        const uint64_t key = kFreshKeyBase + in.Below(fresh_keys);
+        TDS_FUZZ_CHECK_DOUBLE_EQ(registry->Query(key, t),
+                                 reference.Query(key, t), in,
+                                 "op=", op, " fresh key=", key);
       }
     } else {
       std::string blob;
@@ -397,6 +453,32 @@ TEST(RegistryFuzzTest, EveryBackendMatchesPerKeyReference) {
           seed * 1009 + static_cast<uint64_t>(config.backend), 350 * 48);
       RunRegistryNoEvictionFuzz(config.decay, config.backend, 350, in);
     }
+  }
+}
+
+// Bursts of fresh keys inside one tick segment double the key table in the
+// middle of the batch ingest's resolve pass, for every backend; the entry
+// handles resolve already stored must survive it, so every answer still
+// matches the per-key reference bit for bit.
+TEST(RegistryFuzzTest, FreshKeyBurstsRehashMidResolve) {
+  std::vector<BackendConfig> configs = {
+      {SlidingWindowDecay::Create(96).value(), Backend::kCeh},
+      {PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
+  };
+  for (BackendConfig& config : OtherBackends()) configs.push_back(config);
+  for (const BackendConfig& config : configs) {
+    int rehashing_bursts = 0;
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "backend=" << static_cast<int>(config.backend)
+                   << " seed=" << seed);
+      FuzzInput in = FuzzInput::FromSeed(
+          seed * 0x4e5b + static_cast<uint64_t>(config.backend), 200 * 48);
+      RunRegistryNoEvictionFuzz(config.decay, config.backend, 200, in,
+                                /*fresh_bursts=*/true, &rehashing_bursts);
+    }
+    EXPECT_GT(rehashing_bursts, 0)
+        << "backend=" << static_cast<int>(config.backend);
   }
 }
 

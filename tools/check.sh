@@ -117,7 +117,8 @@ for stage in $STAGES; do
       # counters to the exact decayed sum, the encoding pins hold every
       # histogram's wire format to fixed hashes, and the registry batch
       # test holds the grouped prefetch path to per-item ingest across
-      # arena growth. The registry fuzzers drive every backend's slab
+      # arena growth, and the mid-resolve rehash test across key-table
+      # growth inside one segment. The registry fuzzers drive every backend's slab
       # through the registry's own ingest, eviction, codec and copy paths
       # (the registry audit reaches every per-key audit), and the copy
       # tests hold each state's copy constructor to the codec. They must
@@ -125,7 +126,7 @@ for stage in $STAGES; do
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -158,7 +159,7 @@ for stage in $STAGES; do
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then
