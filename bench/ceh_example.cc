@@ -87,7 +87,7 @@ int main() {
       bench::PrintRow({bench::FmtInt(t), bench::Fmt(truth),
                        bench::Fmt(estimate), bench::Fmt(rel, 2),
                        bench::FmtInt(static_cast<long long>(
-                           (*ceh)->BucketCount()))});
+                           (*ceh)->state().BucketCount()))});
     }
   }
   return 0;

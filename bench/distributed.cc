@@ -79,7 +79,7 @@ void CehRow(int sites, const Stream& stream) {
   auto coordinator = std::move(CehDecayedSum::Create(decay, options)).value();
   for (auto& site : site_summaries) {
     site->Query(end);  // advance clocks
-    coordinator->MergeFrom(*site).ok();
+    MergeFrom(*coordinator, *site).ok();
   }
   const double truth = (*exact)->Query(end);
   const double merged = coordinator->Query(end);

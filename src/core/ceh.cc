@@ -17,37 +17,33 @@ double SafeWeight(const DecayFunction& decay, Tick age) {
 
 }  // namespace
 
-StatusOr<CehParams> CehParams::Create(DecayPtr decay, double epsilon) {
+StatusOr<CehParams> CehState::MakeParams(DecayPtr decay,
+                                         const Options& options) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
   // N(g) is the window; an infinite horizon keeps everything.
-  auto eh = EhParams::Create(epsilon, decay->Horizon());
+  auto eh = EhParams::Create(options.epsilon, decay->Horizon());
   if (!eh.ok()) return eh.status();
   return CehParams{eh.value(), std::move(decay)};
 }
 
-StatusOr<std::unique_ptr<CehDecayedSum>> CehDecayedSum::Create(
-    DecayPtr decay, const Options& options) {
-  auto params = CehParams::Create(std::move(decay), options.epsilon);
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<CehDecayedSum>(
-      new CehDecayedSum(std::move(params).value()));
+StatusOr<CehParams> CehState::ReadParams(DecayPtr decay, Decoder& payload) {
+  Options options;
+  if (!payload.GetDouble(&options.epsilon)) {
+    return CorruptSnapshot("CEH options");
+  }
+  return MakeParams(std::move(decay), options);
 }
 
-Status CehDecayedSum::MergeFrom(const CehDecayedSum& other) {
-  if (other.params_.eh != params_.eh) {
+Status MergeFrom(CehDecayedSum& into, const CehDecayedSum& other) {
+  if (other.params().eh != into.params().eh) {
     return Status::InvalidArgument(
         "cannot merge histograms with different options");
   }
-  const Status status = state_.eh_.MergeFrom(params_.eh, other.state_.eh_);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
-}
-
-Status CehDecayedSum::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
+  const Status status =
+      into.state().eh_.MergeFrom(into.params().eh, other.state().eh_);
+  if (status.ok()) TDS_AUDIT_MUTATION(into.AuditInvariants());
   return status;
 }
 
@@ -86,7 +82,7 @@ double CehState::Query(const CehParams& params, Tick now) const {
   if (eh_.Empty()) return 0.0;
   const DecayFunction& decay = *params.decay;
   // Walk buckets oldest -> newest; each bucket's trapezoid partner is the
-  // end-age of its older neighbor (Eq. 4 telescoped; see CehDecayedSum).
+  // end-age of its older neighbor (Eq. 4 telescoped; see the class comment).
   // Buckets past the horizon take SafeWeight == 0, so the unswept tail a
   // const query cannot expire contributes nothing.
   double sum = 0.0;

@@ -9,39 +9,32 @@
 
 namespace tds {
 
-StatusOr<CoarseCehParams> CoarseCehParams::Create(DecayPtr decay,
-                                                  double epsilon,
-                                                  double boundary_delta,
-                                                  uint64_t seed) {
+StatusOr<CoarseCehParams> CoarseCehState::MakeParams(DecayPtr decay,
+                                                     const Options& options) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  const uint64_t cap = ClassBudget(epsilon);
+  const uint64_t cap = ClassBudget(options.epsilon);
   if (cap == 0) {
     return Status::InvalidArgument(
         "epsilon must be in (0, 1] with a per-class budget ceil(1/epsilon) "
         "+ 1 of at most " +
         std::to_string(kMaxClassBudget));
   }
-  if (!(boundary_delta > 0.0)) {
+  if (!(options.boundary_delta > 0.0)) {
     return Status::InvalidArgument("boundary_delta must be > 0");
   }
-  return CoarseCehParams{std::move(decay), epsilon, boundary_delta, seed, cap};
+  return CoarseCehParams{options, std::move(decay), cap};
 }
 
-StatusOr<std::unique_ptr<CoarseCehDecayedSum>> CoarseCehDecayedSum::Create(
-    DecayPtr decay, const Options& options) {
-  auto params = CoarseCehParams::Create(std::move(decay), options.epsilon,
-                                        options.boundary_delta, options.seed);
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<CoarseCehDecayedSum>(
-      new CoarseCehDecayedSum(std::move(params).value()));
-}
-
-Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
+StatusOr<CoarseCehParams> CoarseCehState::ReadParams(DecayPtr decay,
+                                                     Decoder& payload) {
+  Options options;
+  if (!payload.GetDouble(&options.epsilon) ||
+      !payload.GetDouble(&options.boundary_delta)) {
+    return CorruptSnapshot("CoarseCEH options");
+  }
+  return MakeParams(std::move(decay), options);
 }
 
 void CoarseCehState::AdvanceTo(const CoarseCehParams& params, Tick t) {
@@ -245,11 +238,7 @@ Status CoarseCehState::DecodeState(const CoarseCehParams& params,
   if (!parsed) return CorruptSnapshot(corrupt);
   // Hostile-snapshot funnel: reject blobs whose state fails the audit,
   // including bucket counts that do not sum to the total.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 size_t CoarseCehState::StorageBits(const CoarseCehParams& params) const {

@@ -2,13 +2,13 @@
 #define TDS_CORE_DECAYED_AGGREGATE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
 #include "decay/decay_function.h"
 #include "stream/stream.h"
 #include "util/common.h"
+#include "util/status.h"
 
 namespace tds {
 
@@ -36,11 +36,12 @@ namespace tds {
 /// model itself: one writer owns the structure; concurrent const access is
 /// safe only while no writer is active.
 ///
-/// Each implementation is a thin owner of a backend state type and its
-/// constants (e.g. CehDecayedSum holds a CehState and a CehParams). The
-/// multi-key AggregateRegistry keeps those same state types inline in its
-/// per-key entries with one copy of the constants, and no object per key;
-/// copying an implementation copies its state deeply.
+/// Each implementation owns one backend state and its constants: the
+/// Standalone<State> template (core/standalone.h; e.g. CehDecayedSum is
+/// Standalone<CehState>), or WbmhDecayedSum, which also owns its layout.
+/// The multi-key AggregateRegistry keeps those same state types inline in
+/// its per-key entries with one copy of the constants, and no object per
+/// key; copying an implementation copies its state deeply.
 class DecayedAggregate {
  public:
   virtual ~DecayedAggregate() = default;
@@ -51,18 +52,15 @@ class DecayedAggregate {
 
   /// Batch update: equivalent to calling Update(item.t, item.value) for each
   /// item in order. Items must be tick-sorted (non-decreasing) and start at
-  /// or after the last mutation tick. The default loops over Update();
-  /// backends with amortizable structural work (EH/CEH, WBMH) override it to
-  /// coalesce same-tick items and run cascades/merges once per batch — with
-  /// results bit-identical to the per-item sequence.
-  virtual void UpdateBatch(std::span<const StreamItem> items) {
-    for (const StreamItem& item : items) Update(item.t, item.value);
-  }
+  /// or after the last mutation tick. Backends with amortizable structural
+  /// work (EH/CEH, WBMH) coalesce same-tick items and run cascades/merges
+  /// once per batch — with results bit-identical to the per-item sequence.
+  virtual void UpdateBatch(std::span<const StreamItem> items) = 0;
 
   /// Explicitly advances internal clocks to `now` (>= the last mutation
   /// tick): runs expiry, merges, and register decay. Equivalent to
-  /// Update(now, 0) for every backend, which is the default.
-  virtual void Advance(Tick now) { Update(now, 0); }
+  /// Update(now, 0) for every backend.
+  virtual void Advance(Tick now) = 0;
 
   /// Estimated decayed sum at time `now` (>= the last mutation tick).
   /// Const and side-effect free; see the class comment for the contract.
@@ -79,6 +77,9 @@ class DecayedAggregate {
 
   /// The decay function being maintained.
   virtual const DecayPtr& decay() const = 0;
+
+  /// Writes the snapshot payload EncodeDecayedSum frames (core/snapshot.h).
+  virtual Status EncodeState(class Encoder& encoder) const = 0;
 };
 
 }  // namespace tds

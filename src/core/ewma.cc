@@ -9,30 +9,25 @@
 
 namespace tds {
 
-StatusOr<EwmaParams> EwmaParams::Create(DecayPtr decay, int mantissa_bits) {
+StatusOr<EwmaParams> EwmaState::MakeParams(DecayPtr decay,
+                                           const Options& options) {
   const auto* expd = dynamic_cast<const ExponentialDecay*>(decay.get());
   if (expd == nullptr) {
     return Status::InvalidArgument("EwmaCounter requires ExponentialDecay");
   }
-  if (mantissa_bits < 0) {
+  if (options.mantissa_bits < 0) {
     return Status::InvalidArgument("mantissa_bits must be >= 0");
   }
   const double lambda = expd->lambda();
-  return EwmaParams{std::move(decay), lambda, mantissa_bits};
+  return EwmaParams{std::move(decay), lambda, options.mantissa_bits};
 }
 
-StatusOr<std::unique_ptr<EwmaCounter>> EwmaCounter::Create(
-    DecayPtr decay, const Options& options) {
-  auto params = EwmaParams::Create(std::move(decay), options.mantissa_bits);
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<EwmaCounter>(
-      new EwmaCounter(std::move(params).value()));
-}
-
-Status EwmaCounter::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
+StatusOr<EwmaParams> EwmaState::ReadParams(DecayPtr decay, Decoder& payload) {
+  uint64_t mantissa = 0;
+  if (!payload.GetVarint(&mantissa)) return CorruptSnapshot("EWMA options");
+  // A width past int truncates here, then fails MakeParams (negative) or
+  // DecodeState, which compares the field whole.
+  return MakeParams(std::move(decay), Options{static_cast<int>(mantissa)});
 }
 
 void EwmaState::AdvanceTo(const EwmaParams& params, Tick t) {
@@ -128,15 +123,10 @@ Status EwmaState::DecodeState(const EwmaParams& params, Decoder& decoder) {
       !decoder.GetSigned(&first_arrival_)) {
     return CorruptSnapshot("EWMA state");
   }
-  if (static_cast<int>(mantissa) != params.mantissa_bits) {
+  if (mantissa != static_cast<uint64_t>(params.mantissa_bits)) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
-  // Hostile-snapshot funnel: reject blobs whose state fails the audit.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 size_t EwmaState::StorageBits(const EwmaParams& params) const {

@@ -8,18 +8,12 @@
 
 namespace tds {
 
-StatusOr<std::unique_ptr<ExactDecayedSum>> ExactDecayedSum::Create(
-    DecayPtr decay) {
+StatusOr<ExactParams> ExactState::MakeParams(DecayPtr decay,
+                                             const Options& /*options*/) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  return std::unique_ptr<ExactDecayedSum>(new ExactDecayedSum(std::move(decay)));
-}
-
-Status ExactDecayedSum::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
+  return ExactParams{std::move(decay)};
 }
 
 void ExactState::Prune(const ExactParams& params) {
@@ -127,11 +121,7 @@ Status ExactState::DecodeState(const ExactParams& params, Decoder& decoder) {
   }
   // Hostile-snapshot funnel: structural validation IS the audit protocol,
   // so a corrupt blob is rejected instead of installed.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 size_t ExactState::StorageBits(const ExactParams& params) const {

@@ -4,10 +4,10 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <string>
+#include <string_view>
 #include <utility>
 
-#include "core/decayed_aggregate.h"
+#include "core/standalone.h"
 #include "util/status.h"
 
 namespace tds {
@@ -17,13 +17,31 @@ struct ExactParams {
   DecayPtr decay;
 };
 
-/// One exact sum's state: a handle to a heap block holding the retained
+/// Exact reference implementation: stores every (tick, value) pair (pruning
+/// only items past the decay horizon) and evaluates S_g by direct
+/// summation. Linear storage — the paper's Lemmas 3.1/3.2 show this is
+/// unavoidable for exact answers — so it serves as ground truth for tests
+/// and benchmarks, not as a streaming algorithm.
+///
+/// One exact sum's state is a handle to a heap block holding the retained
 /// (tick, value) items and the clock, allocated on the first mutation or
 /// decode. ExactDecayedSum owns one; an EXACT registry keeps the handle in
 /// each key's entry. Copies are deep.
 class ExactState {
  public:
   using Params = ExactParams;
+  struct Options {};
+  static constexpr std::string_view kName = "EXACT";
+
+  /// Rejects a null decay.
+  static StatusOr<ExactParams> MakeParams(DecayPtr decay,
+                                          const Options& options);
+  static Options OptionsFor(const AggregateOptions&) { return {}; }
+  /// The payload holds no options.
+  static StatusOr<ExactParams> ReadParams(DecayPtr decay,
+                                          Decoder& /*payload*/) {
+    return MakeParams(std::move(decay), {});
+  }
 
   ExactState() = default;
   ExactState(const ExactState& other)
@@ -54,8 +72,8 @@ class ExactState {
   Status AuditInvariants(const ExactParams& params) const;
 
   /// Snapshot support.
-  void EncodeState(const ExactParams& params, class Encoder& encoder) const;
-  Status DecodeState(const ExactParams& params, class Decoder& decoder);
+  void EncodeState(const ExactParams& params, Encoder& encoder) const;
+  Status DecodeState(const ExactParams& params, Decoder& decoder);
 
  private:
   struct Entry {
@@ -77,45 +95,7 @@ class ExactState {
   std::unique_ptr<Block> block_;
 };
 
-/// Exact reference implementation: stores every (tick, value) pair (pruning
-/// only items past the decay horizon) and evaluates S_g by direct
-/// summation. Linear storage — the paper's Lemmas 3.1/3.2 show this is
-/// unavoidable for exact answers — so it serves as ground truth for tests
-/// and benchmarks, not as a streaming algorithm. The object owns one
-/// ExactState and its ExactParams.
-class ExactDecayedSum : public DecayedAggregate {
- public:
-  static StatusOr<std::unique_ptr<ExactDecayedSum>> Create(DecayPtr decay);
-
-  void Update(Tick t, uint64_t value) override {
-    state_.Update(params_, t, value);
-  }
-  void Advance(Tick now) override { state_.Advance(params_, now); }
-  double Query(Tick now) const override { return state_.Query(params_, now); }
-  Tick now() const override { return state_.now(params_); }
-  size_t StorageBits() const override { return state_.StorageBits(params_); }
-  std::string Name() const override { return "EXACT"; }
-  const DecayPtr& decay() const override { return params_.decay; }
-
-  /// Number of retained (tick, value) pairs.
-  size_t ItemCount() const { return state_.ItemCount(); }
-
-  /// Structural invariants: strictly increasing item ticks bounded by the
-  /// clock, positive values, and no item past a finite horizon.
-  Status AuditInvariants() const { return state_.AuditInvariants(params_); }
-
-  /// Snapshot support.
-  void EncodeState(class Encoder& encoder) const {
-    state_.EncodeState(params_, encoder);
-  }
-  Status DecodeState(class Decoder& decoder);
-
- private:
-  explicit ExactDecayedSum(DecayPtr decay) : params_{std::move(decay)} {}
-
-  ExactParams params_;
-  ExactState state_;
-};
+using ExactDecayedSum = Standalone<ExactState>;
 
 }  // namespace tds
 

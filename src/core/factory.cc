@@ -2,13 +2,7 @@
 
 #include <string>
 
-#include "core/ceh.h"
-#include "core/coarse_ceh.h"
-#include "core/ewma.h"
-#include "core/exact.h"
-#include "core/polyexp_counter.h"
-#include "core/recent_items.h"
-#include "core/wbmh.h"
+#include "core/backends.h"
 #include "decay/exponential.h"
 #include "decay/polyexponential.h"
 #include "decay/sliding_window.h"
@@ -36,13 +30,6 @@ Backend ResolveAuto(const DecayFunction& decay) {
   return Backend::kCeh;
 }
 
-template <typename T>
-StatusOr<std::unique_ptr<DecayedAggregate>> Upcast(
-    StatusOr<std::unique_ptr<T>> result) {
-  if (!result.ok()) return result.status();
-  return std::unique_ptr<DecayedAggregate>(std::move(result).value());
-}
-
 }  // namespace
 
 Backend ResolveBackend(const DecayFunction& decay, Backend requested) {
@@ -61,6 +48,9 @@ StatusOr<AggregateOptions> AggregateOptions::Builder::Build() const {
   if (options_.start_ < 1) {
     return Status::InvalidArgument("start tick must be >= 1");
   }
+  if (static_cast<size_t>(options_.backend_) > std::size(Backends::kStates)) {
+    return Status::InvalidArgument("unknown backend");
+  }
   return options_;
 }
 
@@ -69,43 +59,13 @@ StatusOr<std::unique_ptr<DecayedAggregate>> MakeDecayedSum(
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
-  const Backend backend = ResolveBackend(*decay, options.backend());
-  switch (backend) {
-    case Backend::kExact:
-      return Upcast(ExactDecayedSum::Create(std::move(decay)));
-    case Backend::kEwma: {
-      EwmaCounter::Options ewma_options;
-      return Upcast(EwmaCounter::Create(std::move(decay), ewma_options));
-    }
-    case Backend::kRecentItems: {
-      RecentItemsExpCounter::Options recent_options;
-      recent_options.epsilon = options.epsilon();
-      return Upcast(
-          RecentItemsExpCounter::Create(std::move(decay), recent_options));
-    }
-    case Backend::kCeh: {
-      CehDecayedSum::Options ceh_options;
-      ceh_options.epsilon = options.epsilon();
-      return Upcast(CehDecayedSum::Create(std::move(decay), ceh_options));
-    }
-    case Backend::kCoarseCeh: {
-      CoarseCehDecayedSum::Options coarse_options;
-      coarse_options.epsilon = options.epsilon();
-      return Upcast(
-          CoarseCehDecayedSum::Create(std::move(decay), coarse_options));
-    }
-    case Backend::kWbmh: {
-      WbmhDecayedSum::Options wbmh_options;
-      wbmh_options.epsilon = options.epsilon();
-      wbmh_options.start = options.start();
-      return Upcast(WbmhDecayedSum::Create(std::move(decay), wbmh_options));
-    }
-    case Backend::kPolyExp:
-      return Upcast(PolyExpCounter::Create(std::move(decay)));
-    case Backend::kAuto:
-      break;
-  }
-  return Status::InvalidArgument("unknown backend");
+  return VisitBackend(
+      ResolveBackend(*decay, options.backend()),
+      [&](auto id) -> StatusOr<std::unique_ptr<DecayedAggregate>> {
+        using State = typename decltype(id)::type;
+        return Upcast(Owner<State>::Create(
+            std::move(decay), Owner<State>::OptionsFor(options)));
+      });
 }
 
 StatusOr<DecayedAverage> MakeDecayedAverage(DecayPtr decay,

@@ -9,8 +9,8 @@
 namespace tds {
 namespace {
 
-PolyExpParams MakeParams(DecayPtr decay, int k, double lambda,
-                         std::vector<double> query_coeffs) {
+PolyExpParams WithPascalRows(DecayPtr decay, int k, double lambda,
+                             std::vector<double> query_coeffs) {
   PolyExpParams params{std::move(decay), k, lambda, std::move(query_coeffs),
                        {}};
   params.binomial.resize(k + 1);
@@ -27,7 +27,8 @@ PolyExpParams MakeParams(DecayPtr decay, int k, double lambda,
 
 }  // namespace
 
-StatusOr<PolyExpParams> PolyExpParams::Create(DecayPtr decay) {
+StatusOr<PolyExpParams> PolyExpState::MakeParams(DecayPtr decay,
+                                                 const Options& /*options*/) {
   if (const auto* pe =
           dynamic_cast<const PolyExponentialDecay*>(decay.get())) {
     // Monomial x^k e^{-lambda x} / k!: the query polynomial is x^k / k!.
@@ -37,14 +38,14 @@ StatusOr<PolyExpParams> PolyExpParams::Create(DecayPtr decay) {
     coeffs.back() = 1.0 / factorial;
     const int k = pe->k();
     const double lambda = pe->lambda();
-    return MakeParams(std::move(decay), k, lambda, std::move(coeffs));
+    return WithPascalRows(std::move(decay), k, lambda, std::move(coeffs));
   }
   if (const auto* gp =
           dynamic_cast<const GeneralPolyExpDecay*>(decay.get())) {
     const int k = gp->degree();
     const double lambda = gp->lambda();
     std::vector<double> coeffs = gp->coefficients();
-    return MakeParams(std::move(decay), k, lambda, std::move(coeffs));
+    return WithPascalRows(std::move(decay), k, lambda, std::move(coeffs));
   }
   return Status::InvalidArgument(
       "PolyExpCounter requires PolyExponentialDecay or GeneralPolyExpDecay");
@@ -69,33 +70,6 @@ Status PolyExpParams::AuditInvariants() const {
     }
   }
   return Status::OK();
-}
-
-StatusOr<std::unique_ptr<PolyExpCounter>> PolyExpCounter::Create(
-    DecayPtr decay) {
-  auto params = PolyExpParams::Create(std::move(decay));
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<PolyExpCounter>(
-      new PolyExpCounter(std::move(params).value()));
-}
-
-StatusOr<std::unique_ptr<PolyExpCounter>> PolyExpCounter::Create(
-    int k, double lambda) {
-  auto decay = PolyExponentialDecay::Create(k, lambda);
-  if (!decay.ok()) return decay.status();
-  return Create(decay.value());
-}
-
-Status PolyExpCounter::AuditInvariants() const {
-  const Status params = params_.AuditInvariants();
-  if (!params.ok()) return params;
-  return state_.AuditInvariants(params_);
-}
-
-Status PolyExpCounter::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
 }
 
 PolyExpState::Registers PolyExpState::RegistersAt(const PolyExpParams& params,
@@ -197,7 +171,7 @@ Status PolyExpState::DecodeState(const PolyExpParams& params,
   if (!decoder.GetVarint(&k) || !decoder.GetSigned(&now_)) {
     return CorruptSnapshot("PolyExp header");
   }
-  if (static_cast<int>(k) != params.k) {
+  if (k != static_cast<uint64_t>(params.k)) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
   for (int j = 0; j <= params.k; ++j) {
@@ -205,12 +179,7 @@ Status PolyExpState::DecodeState(const PolyExpParams& params,
       return CorruptSnapshot("PolyExp register");
     }
   }
-  // Hostile-snapshot funnel: reject blobs whose state fails the audit.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 size_t PolyExpState::StorageBits(const PolyExpParams& params) const {

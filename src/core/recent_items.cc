@@ -8,52 +8,32 @@
 
 namespace tds {
 
-StatusOr<RecentItemsParams> RecentItemsParams::Create(DecayPtr decay,
-                                                      double epsilon) {
-  auto params = WithCapacity(std::move(decay), 1);
-  if (!params.ok()) return params;
-  if (!(epsilon > 0.0) || epsilon >= 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1)");
-  }
-  const double lambda = params->lambda;
-  const double c = std::ceil(
-      std::log(1.0 / ((1.0 - std::exp(-lambda)) * epsilon)) / lambda);
-  params->capacity = static_cast<size_t>(std::max(1.0, c));
-  return params;
-}
-
-StatusOr<RecentItemsParams> RecentItemsParams::WithCapacity(DecayPtr decay,
-                                                            size_t capacity) {
+StatusOr<RecentItemsParams> RecentItemsState::MakeParams(
+    DecayPtr decay, const Options& options) {
   const auto* expd = dynamic_cast<const ExponentialDecay*>(decay.get());
   if (expd == nullptr) {
     return Status::InvalidArgument(
         "RecentItemsExpCounter requires ExponentialDecay");
   }
-  if (capacity == 0) return Status::InvalidArgument("capacity must be >= 1");
+  if (!(options.epsilon > 0.0) || options.epsilon >= 1.0) {
+    return Status::InvalidArgument("epsilon must be in (0, 1)");
+  }
   const double lambda = expd->lambda();
-  return RecentItemsParams{std::move(decay), lambda, capacity};
+  const double c = std::ceil(
+      std::log(1.0 / ((1.0 - std::exp(-lambda)) * options.epsilon)) / lambda);
+  return RecentItemsParams{std::move(decay), lambda,
+                           static_cast<size_t>(std::max(1.0, c))};
 }
 
-StatusOr<std::unique_ptr<RecentItemsExpCounter>> RecentItemsExpCounter::Create(
-    DecayPtr decay, const Options& options) {
-  auto params = RecentItemsParams::Create(std::move(decay), options.epsilon);
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<RecentItemsExpCounter>(
-      new RecentItemsExpCounter(std::move(params).value()));
-}
-
-StatusOr<std::unique_ptr<RecentItemsExpCounter>>
-RecentItemsExpCounter::CreateWithCapacity(DecayPtr decay, size_t capacity) {
-  auto params = RecentItemsParams::WithCapacity(std::move(decay), capacity);
-  if (!params.ok()) return params.status();
-  return std::unique_ptr<RecentItemsExpCounter>(
-      new RecentItemsExpCounter(std::move(params).value()));
-}
-
-Status RecentItemsExpCounter::DecodeState(Decoder& decoder) {
-  const Status status = state_.DecodeState(params_, decoder);
-  if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
-  return status;
+StatusOr<RecentItemsParams> RecentItemsState::ReadParams(DecayPtr decay,
+                                                         Decoder& payload) {
+  uint64_t capacity = 0;
+  if (!payload.GetVarint(&capacity) || capacity == 0) {
+    return CorruptSnapshot("RecentItems capacity");
+  }
+  auto params = MakeParams(std::move(decay), Options());
+  if (params.ok()) params->capacity = capacity;
+  return params;
 }
 
 void RecentItemsState::Update(const RecentItemsParams& params, Tick t,
@@ -144,12 +124,7 @@ Status RecentItemsState::DecodeState(const RecentItemsParams& params,
     }
     b.effective_times.insert(effective);
   }
-  // Hostile-snapshot funnel: reject blobs whose state fails the audit.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 size_t RecentItemsState::StorageBits(const RecentItemsParams& params) const {

@@ -4,10 +4,10 @@
 #include <memory>
 #include <set>
 #include <span>
-#include <string>
+#include <string_view>
 #include <utility>
 
-#include "core/decayed_aggregate.h"
+#include "core/standalone.h"
 #include "decay/exponential.h"
 #include "util/status.h"
 
@@ -19,24 +19,41 @@ struct RecentItemsParams {
   DecayPtr decay;
   double lambda = 0.0;
   size_t capacity = 1;
-
-  /// Rejects a decay that is not ExponentialDecay and an epsilon outside
-  /// (0, 1); sizes C from epsilon (Lemma 3.1).
-  static StatusOr<RecentItemsParams> Create(DecayPtr decay, double epsilon);
-  /// Rejects a decay that is not ExponentialDecay and a zero capacity.
-  static StatusOr<RecentItemsParams> WithCapacity(DecayPtr decay,
-                                                  size_t capacity);
 };
 
-/// One recent-items counter's state: a handle to a heap block holding the
-/// retained effective timestamps and the clock, allocated on the first
-/// mutation or decode. C lives in the params alone: a snapshot naming
-/// another C does not decode. RecentItemsExpCounter owns one; a
-/// RECENT_ITEMS registry keeps the handle in each key's entry. Copies are
-/// deep.
+/// The "C most recent items" algorithm from the upper bound of Lemma 3.1:
+/// for exponential decay it suffices to remember the timestamps of the
+///   C = ceil(lambda^{-1} * ln(1 / ((1 - e^{-lambda}) * eps)))
+/// most recent items; everything older contributes at most an eps fraction.
+/// Non-binary values are folded into shifted timestamps (the paper's
+/// footnote 3): an item of value v at tick t is treated as a unit item at
+/// effective time t + ln(v)/lambda, which has the same decayed
+/// contribution. Storage: C timestamps of log N bits each.
+///
+/// One counter's state is a handle to a heap block holding the retained
+/// effective timestamps and the clock, allocated on the first mutation or
+/// decode. C lives in the params alone: a snapshot naming another C does
+/// not decode. RecentItemsExpCounter owns one; a RECENT_ITEMS registry
+/// keeps the handle in each key's entry. Copies are deep.
 class RecentItemsState {
  public:
   using Params = RecentItemsParams;
+  struct Options {
+    /// Approximation target used to size C.
+    double epsilon = 0.1;
+  };
+  static constexpr std::string_view kName = "RECENT_ITEMS";
+
+  /// Rejects a decay that is not ExponentialDecay and an epsilon outside
+  /// (0, 1); sizes C from epsilon (Lemma 3.1).
+  static StatusOr<RecentItemsParams> MakeParams(DecayPtr decay,
+                                                const Options& options);
+  static Options OptionsFor(const AggregateOptions& options) {
+    return {options.epsilon()};
+  }
+  /// The payload names C, not epsilon: the counter is rebuilt at that C.
+  static StatusOr<RecentItemsParams> ReadParams(DecayPtr decay,
+                                                Decoder& payload);
 
   RecentItemsState() = default;
   RecentItemsState(const RecentItemsState& other)
@@ -63,9 +80,8 @@ class RecentItemsState {
   Status AuditInvariants(const RecentItemsParams& params) const;
 
   /// Snapshot support.
-  void EncodeState(const RecentItemsParams& params,
-                   class Encoder& encoder) const;
-  Status DecodeState(const RecentItemsParams& params, class Decoder& decoder);
+  void EncodeState(const RecentItemsParams& params, Encoder& encoder) const;
+  Status DecodeState(const RecentItemsParams& params, Decoder& decoder);
 
  private:
   struct Block {
@@ -83,58 +99,7 @@ class RecentItemsState {
   std::unique_ptr<Block> block_;
 };
 
-/// The "C most recent items" algorithm from the upper bound of Lemma 3.1:
-/// for exponential decay it suffices to remember the timestamps of the
-///   C = ceil(lambda^{-1} * ln(1 / ((1 - e^{-lambda}) * eps)))
-/// most recent items; everything older contributes at most an eps fraction.
-/// Non-binary values are folded into shifted timestamps (the paper's
-/// footnote 3): an item of value v at tick t is treated as a unit item at
-/// effective time t + ln(v)/lambda, which has the same decayed
-/// contribution. Storage: C timestamps of log N bits each. The object owns
-/// one RecentItemsState and its RecentItemsParams.
-class RecentItemsExpCounter : public DecayedAggregate {
- public:
-  struct Options {
-    /// Approximation target used to size C.
-    double epsilon = 0.1;
-  };
-
-  static StatusOr<std::unique_ptr<RecentItemsExpCounter>> Create(
-      DecayPtr decay, const Options& options);
-  /// A counter retaining `capacity` items: how a standalone snapshot, which
-  /// names C but not epsilon, is rebuilt.
-  static StatusOr<std::unique_ptr<RecentItemsExpCounter>> CreateWithCapacity(
-      DecayPtr decay, size_t capacity);
-
-  void Update(Tick t, uint64_t value) override {
-    state_.Update(params_, t, value);
-  }
-  void Advance(Tick now) override { state_.Advance(params_, now); }
-  double Query(Tick now) const override { return state_.Query(params_, now); }
-  Tick now() const override { return state_.now(params_); }
-  size_t StorageBits() const override { return state_.StorageBits(params_); }
-  std::string Name() const override { return "RECENT_ITEMS"; }
-  const DecayPtr& decay() const override { return params_.decay; }
-
-  /// The retention constant C from Lemma 3.1.
-  size_t capacity() const { return params_.capacity; }
-
-  /// Structural invariants: at most C finite effective timestamps.
-  Status AuditInvariants() const { return state_.AuditInvariants(params_); }
-
-  /// Snapshot support.
-  void EncodeState(class Encoder& encoder) const {
-    state_.EncodeState(params_, encoder);
-  }
-  Status DecodeState(class Decoder& decoder);
-
- private:
-  explicit RecentItemsExpCounter(RecentItemsParams params)
-      : params_(std::move(params)) {}
-
-  RecentItemsParams params_;
-  RecentItemsState state_;
-};
+using RecentItemsExpCounter = Standalone<RecentItemsState>;
 
 }  // namespace tds
 

@@ -1,62 +1,24 @@
 #include "core/snapshot.h"
 
-#include "core/ceh.h"
+#include "core/backends.h"
 #include "core/decayed_average.h"
-#include "core/coarse_ceh.h"
-#include "core/ewma.h"
-#include "core/exact.h"
-#include "core/polyexp_counter.h"
-#include "core/recent_items.h"
-#include "core/wbmh.h"
 #include "sketch/decayed_lp_norm.h"
 #include "util/audit.h"
 #include "util/codec.h"
 
 namespace tds {
 
-namespace {
-
 constexpr std::string_view kMagic = "TDS1";
-
-template <typename T>
-Status EncodePayload(T& structure, Encoder& encoder) {
-  structure.EncodeState(encoder);
-  return Status::OK();
-}
-
-// WBMH's EncodeState is itself fallible.
-Status EncodePayload(WbmhDecayedSum& structure, Encoder& encoder) {
-  return structure.EncodeState(encoder);
-}
-
-}  // namespace
 
 Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out) {
   if (out == nullptr) return Status::InvalidArgument("null output");
   Encoder payload_encoder;
-  const std::string name = aggregate.Name();
-  Status status;
-  if (auto* p = dynamic_cast<ExactDecayedSum*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<EwmaCounter*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<RecentItemsExpCounter*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<PolyExpCounter*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<CehDecayedSum*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<CoarseCehDecayedSum*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else if (auto* p = dynamic_cast<WbmhDecayedSum*>(&aggregate)) {
-    status = EncodePayload(*p, payload_encoder);
-  } else {
-    return Status::Unimplemented("no snapshot support for " + name);
-  }
+  const Status status = aggregate.EncodeState(payload_encoder);
   if (!status.ok()) return status;
 
   Encoder encoder;
-  PutSnapshotEnvelopePrefix(encoder, name, aggregate.decay()->Name());
+  PutSnapshotEnvelopePrefix(encoder, aggregate.Name(),
+                            aggregate.decay()->Name());
   encoder.PutString(payload_encoder.view());
   *out = encoder.Finish();
   return Status::OK();
@@ -99,83 +61,18 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
       ParseSnapshotEnvelope(data, decay->Name(), &type, &payload);
   if (!envelope.ok()) return envelope;
 
-  // Peek the option fields (each payload leads with them) to construct an
-  // identically-configured instance, then let DecodeState verify + load.
-  Decoder peek(payload);
-  Decoder body(payload);
-  std::unique_ptr<DecayedAggregate> result;
-  Status status;
-
-  if (type == "EXACT") {
-    auto created = ExactDecayedSum::Create(std::move(decay));
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "EWMA") {
-    uint64_t mantissa = 0;
-    if (!peek.GetVarint(&mantissa)) return CorruptSnapshot("EWMA options");
-    EwmaCounter::Options options;
-    options.mantissa_bits = static_cast<int>(mantissa);
-    auto created = EwmaCounter::Create(std::move(decay), options);
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "RECENT_ITEMS") {
-    // The payload names C, not epsilon; the counter is rebuilt at that C.
-    uint64_t capacity = 0;
-    if (!peek.GetVarint(&capacity) || capacity == 0) {
-      return CorruptSnapshot("RecentItems capacity");
-    }
-    auto created =
-        RecentItemsExpCounter::CreateWithCapacity(std::move(decay), capacity);
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "POLYEXP_PIPE") {
-    auto created = PolyExpCounter::Create(std::move(decay));
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "CEH") {
-    double epsilon = 0.0;
-    if (!peek.GetDouble(&epsilon)) return CorruptSnapshot("CEH options");
-    CehDecayedSum::Options options;
-    options.epsilon = epsilon;
-    auto created = CehDecayedSum::Create(std::move(decay), options);
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "COARSE_CEH") {
-    CoarseCehDecayedSum::Options options;
-    if (!peek.GetDouble(&options.epsilon) ||
-        !peek.GetDouble(&options.boundary_delta)) {
-      return CorruptSnapshot("CoarseCEH options");
-    }
-    auto created = CoarseCehDecayedSum::Create(std::move(decay), options);
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else if (type == "WBMH") {
-    WbmhDecayedSum::Options options;
-    int64_t start = 0;
-    if (!peek.GetDouble(&options.epsilon) || !peek.GetSigned(&start)) {
-      return CorruptSnapshot("WBMH options");
-    }
-    options.start = start;
-    // The counter payload carries its own count_epsilon; it sits after the
-    // variable-length layout payload, so construct permissively and let
-    // DecodeState adopt it.
-    options.count_epsilon = options.epsilon;
-    auto created = WbmhDecayedSum::Create(std::move(decay), options);
-    if (!created.ok()) return created.status();
-    status = (*created)->DecodeState(body);
-    result = std::move(created).value();
-  } else {
+  // Each owner rebuilds its params from the option fields its payload
+  // leads with, then DecodeState verifies and loads the state.
+  const Backend backend = BackendNamed(type);
+  if (backend == Backend::kAuto) {
     return Status::Unimplemented("unknown snapshot type: " +
                                  std::string(type));
   }
-  if (!status.ok()) return status;
-  return result;
+  return VisitBackend(
+      backend, [&](auto id) -> StatusOr<std::unique_ptr<DecayedAggregate>> {
+        using State = typename decltype(id)::type;
+        return Upcast(Owner<State>::Decode(std::move(decay), payload));
+      });
 }
 
 Status EncodeDecayedLpNorm(const DecayedLpNorm& sketch, std::string* out) {

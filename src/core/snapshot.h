@@ -18,12 +18,12 @@ namespace tds {
 /// The encoding embeds a format magic, the structure type, and the decay
 /// function's name; decoding re-binds the state to a caller-supplied decay
 /// function (weights are code, not data) and verifies the name matches.
-/// Supported types: EXACT, EWMA, RECENT_ITEMS, POLYEXP_PIPE, CEH,
-/// COARSE_CEH, and WBMH (with an owned layout).
+/// Supported types: every backend's kName (core/backends.h), WBMH with an
+/// owned layout.
 ///
 /// Shared-layout WBMH keys are snapshotted by their layout's owner,
-/// AggregateRegistry: the layout once, then each WbmhCounter's state; this
-/// API covers the self-contained structures.
+/// AggregateRegistry: the layout once, then each key's WbmhState; this API
+/// covers the self-contained structures.
 
 /// Serializes `aggregate` into `out`.
 Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out);

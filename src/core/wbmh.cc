@@ -18,17 +18,25 @@ WbmhDecayedSum::WbmhDecayedSum(const WbmhDecayedSum& other)
       params_(&layout_, other.params_.count_epsilon),
       state_(other.state_) {}
 
-StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
-    DecayPtr decay, const Options& options) {
+StatusOr<WbmhLayout> WbmhDecayedSum::MakeLayout(DecayPtr decay,
+                                                const Options& options) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
   if (options.require_admissible && !decay->IsWbmhAdmissible()) {
     return Status::FailedPrecondition(
         "decay function fails the WBMH admissibility test "
-        "(g(x)/g(x+1) must be non-increasing); use CEH instead or set "
-        "require_admissible = false");
+        "(g(x)/g(x+1) must be non-increasing); use another backend");
   }
+  WbmhLayout::Options layout_options;
+  layout_options.decay = std::move(decay);
+  layout_options.epsilon = options.epsilon;
+  layout_options.start = options.start;
+  return WbmhLayout::Create(layout_options);
+}
+
+StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
+    DecayPtr decay, const Options& options) {
   const double count_epsilon =
       options.count_epsilon < 0.0 ? options.epsilon : options.count_epsilon;
   // The option itself (-inf would otherwise pass as "tie") and the value
@@ -37,14 +45,29 @@ StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Create(
     const Status valid = WbmhParams::ValidateCountEpsilon(value);
     if (!valid.ok()) return valid;
   }
-  WbmhLayout::Options layout_options;
-  layout_options.decay = std::move(decay);
-  layout_options.epsilon = options.epsilon;
-  layout_options.start = options.start;
-  auto layout = WbmhLayout::Create(layout_options);
+  auto layout = MakeLayout(std::move(decay), options);
   if (!layout.ok()) return layout.status();
   return std::unique_ptr<WbmhDecayedSum>(
       new WbmhDecayedSum(std::move(layout).value(), count_epsilon));
+}
+
+StatusOr<std::unique_ptr<WbmhDecayedSum>> WbmhDecayedSum::Decode(
+    DecayPtr decay, std::string_view payload) {
+  Options options;
+  Decoder peek(payload);
+  if (!peek.GetDouble(&options.epsilon) || !peek.GetSigned(&options.start)) {
+    return CorruptSnapshot("WBMH options");
+  }
+  // The state payload carries its own count_epsilon after the
+  // variable-length layout payload, so construct permissively and let
+  // DecodeState adopt it.
+  options.count_epsilon = options.epsilon;
+  auto created = Create(std::move(decay), options);
+  if (!created.ok()) return created;
+  Decoder body(payload);
+  const Status status = (*created)->DecodeState(body);
+  if (!status.ok()) return status;
+  return created;
 }
 
 void WbmhDecayedSum::Update(Tick t, uint64_t value) {
@@ -92,7 +115,18 @@ Status WbmhDecayedSum::DecodeState(Decoder& decoder) {
   }
   Status status = layout_.DecodeState(decoder);
   if (!status.ok()) return status;
-  status = WbmhCounter::DecodeAdopting(params_, state_, decoder);
+  // count_epsilon is derived configuration: adopt the snapshot's value,
+  // then decode the state under it.
+  Decoder peek = decoder;
+  double count_epsilon = 0.0;
+  if (!peek.GetDouble(&count_epsilon)) {
+    return CorruptSnapshot("WBMH counter header");
+  }
+  if (!WbmhParams::ValidateCountEpsilon(count_epsilon).ok()) {
+    return CorruptSnapshot("WBMH counter count_epsilon");
+  }
+  params_ = WbmhParams(&layout_, count_epsilon);
+  status = state_.DecodeState(params_, decoder);
   if (status.ok()) TDS_AUDIT_MUTATION(AuditInvariants());
   return status;
 }

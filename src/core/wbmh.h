@@ -3,9 +3,11 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/decayed_aggregate.h"
-#include "histogram/wbmh_counter.h"
+#include "core/factory.h"
+#include "histogram/wbmh_state.h"
 #include "histogram/wbmh_layout.h"
 #include "util/status.h"
 
@@ -21,8 +23,12 @@ namespace tds {
 ///
 /// This is the single-stream form: one state on a private layout whose op
 /// log is trimmed after every mutation. Many streams share one layout
-/// through AggregateRegistry, which keeps a bare WbmhState per key.
-class WbmhDecayedSum : public DecayedAggregate {
+/// through AggregateRegistry, which keeps a bare WbmhState per key. It is
+/// the one owner written by hand rather than a Standalone<State>: it owns
+/// the layout its params point at, trims the layout's log after every
+/// mutation, audits the layout too, and frames its snapshot with the
+/// layout's options and state.
+class WbmhDecayedSum final : public DecayedAggregate {
  public:
   struct Options {
     /// Bucketing precision: weights within one bucket agree within 1+eps.
@@ -39,6 +45,19 @@ class WbmhDecayedSum : public DecayedAggregate {
 
   static StatusOr<std::unique_ptr<WbmhDecayedSum>> Create(
       DecayPtr decay, const Options& options);
+  /// The options MakeDecayedSum builds it with: counts round at the
+  /// bucketing precision.
+  static Options OptionsFor(const AggregateOptions& options) {
+    return {options.epsilon(), -1.0, options.start()};
+  }
+  /// The boundary process a WBMH under `options` counts on; refuses a decay
+  /// that fails the admissibility test if options.require_admissible.
+  static StatusOr<WbmhLayout> MakeLayout(DecayPtr decay,
+                                         const Options& options);
+  /// Rebuilds a structure from a standalone snapshot payload (see
+  /// EncodeState).
+  static StatusOr<std::unique_ptr<WbmhDecayedSum>> Decode(
+      DecayPtr decay, std::string_view payload);
 
   /// Deep copy: the layout is private, so the copy gets its own.
   WbmhDecayedSum(const WbmhDecayedSum& other);
@@ -59,14 +78,15 @@ class WbmhDecayedSum : public DecayedAggregate {
   /// boundary process is a deterministic function of (g, eps, T) and is
   /// never stored per stream (Section 5).
   size_t StorageBits() const override { return state_.StorageBits(params_); }
-  std::string Name() const override { return "WBMH"; }
+  std::string Name() const override { return std::string(WbmhState::kName); }
   const DecayPtr& decay() const override { return layout_.decay(); }
 
   const WbmhLayout& layout() const { return layout_; }
 
-  /// Snapshot support: the layout state, then the counter's.
-  Status EncodeState(class Encoder& encoder) const;
-  Status DecodeState(class Decoder& decoder);
+  /// Snapshot support: epsilon and start, the layout state, then the
+  /// state's. Decoding adopts the count_epsilon the state payload names.
+  Status EncodeState(Encoder& encoder) const override;
+  Status DecodeState(Decoder& decoder);
 
   /// Audits the layout then the counter (see util/audit.h).
   Status AuditInvariants();

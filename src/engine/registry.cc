@@ -32,44 +32,8 @@ constexpr size_t kSweepPerRun = 2;
 constexpr size_t kResolveAhead = 16;
 constexpr size_t kApplyAhead = 8;
 
-const char* BackendTypeName(Backend backend) {
-  switch (backend) {
-    case Backend::kExact:
-      return "EXACT";
-    case Backend::kEwma:
-      return "EWMA";
-    case Backend::kRecentItems:
-      return "RECENT_ITEMS";
-    case Backend::kCeh:
-      return "CEH";
-    case Backend::kCoarseCeh:
-      return "COARSE_CEH";
-    case Backend::kWbmh:
-      return "WBMH";
-    case Backend::kPolyExp:
-      return "POLYEXP_PIPE";
-    case Backend::kAuto:
-      break;
-  }
-  TDS_CHECK_MSG(false, "unresolved backend");
-  return "";
-}
-
 template <typename State>
 constexpr bool kIsWbmh = std::is_same_v<State, WbmhState>;
-
-/// The state of a key the registry creates: built from the constants when
-/// the state type starts from them (a WBMH state at the layout's op
-/// sequence, a coarse CEH's RNG at its seed), empty otherwise.
-template <typename State>
-State NewState(const typename State::Params& params) {
-  if constexpr (std::is_constructible_v<State,
-                                        const typename State::Params&>) {
-    return State(params);
-  } else {
-    return State();
-  }
-}
 
 /// EncodeState is infallible for every backend but WBMH.
 template <typename State>
@@ -110,69 +74,36 @@ StatusOr<AggregateRegistry> AggregateRegistry::Create(DecayPtr decay,
                       .Build();
   if (!resolved.ok()) return resolved.status();
   AggregateRegistry registry(decay, options, backend, resolved.value());
-  if (backend == Backend::kWbmh) {
-    if (!decay->IsWbmhAdmissible()) {
-      return Status::FailedPrecondition(
-          "decay function fails the WBMH admissibility test "
-          "(g(x)/g(x+1) must be non-increasing); use another backend");
-    }
-    WbmhLayout::Options layout_options;
-    layout_options.decay = decay;
-    layout_options.epsilon = options.aggregate.epsilon();
-    layout_options.start = options.aggregate.start();
-    auto layout = WbmhLayout::Create(layout_options);
-    if (!layout.ok()) return layout.status();
-    registry.layout_ = std::make_unique<WbmhLayout>(std::move(layout).value());
-    // A fresh layout already sits at the stream start tick; align the
-    // registry clock so an empty registry's snapshot is self-consistent
-    // (decode rejects blobs whose layout clock is ahead of the registry).
-    registry.now_ = registry.layout_->now();
-  }
-  // The constants are built (and option/decay incompatibilities surface)
-  // here, so the per-key create inside the ingest hot path cannot fail.
-  auto slab = registry.MakeSlab();
-  if (!slab.ok()) return slab.status();
-  registry.slab_ = std::move(slab).value();
+  // Each backend's constants, as MakeDecayedSum builds them for one key, are
+  // built (and option/decay incompatibilities surface) here, so the per-key
+  // create inside the ingest hot path cannot fail. A WBMH key counts on the
+  // registry's one layout and rounds at the bucketing precision.
+  const Status slab = VisitBackend(backend, [&](auto id) -> Status {
+    using State = typename decltype(id)::type;
+    auto params = [&]() -> StatusOr<typename State::Params> {
+      if constexpr (kIsWbmh<State>) {
+        auto layout = WbmhDecayedSum::MakeLayout(
+            decay, WbmhDecayedSum::OptionsFor(*resolved));
+        if (!layout.ok()) return layout.status();
+        registry.layout_ =
+            std::make_unique<WbmhLayout>(std::move(layout).value());
+        // A fresh layout already sits at the stream start tick; align the
+        // registry clock so an empty registry's snapshot is self-consistent
+        // (decode rejects blobs whose layout clock is ahead of the registry).
+        registry.now_ = registry.layout_->now();
+        return WbmhParams(registry.layout_.get(), resolved->epsilon());
+      } else {
+        return State::MakeParams(decay, State::OptionsFor(*resolved));
+      }
+    }();
+    if (!params.ok()) return params.status();
+    registry.slab_.template emplace<Slab<State>>(std::move(params).value(),
+                                                 Entries<State>());
+    return Status::OK();
+  });
+  if (!slab.ok()) return slab;
   registry.expiry_age_ = registry.DeriveExpiryAge();
   return registry;
-}
-
-template <typename State>
-StatusOr<AggregateRegistry::Slabs> AggregateRegistry::SlabOf(
-    StatusOr<typename State::Params> params) {
-  if (!params.ok()) return params.status();
-  return Slabs(std::in_place_type<Slab<State>>,
-               Slab<State>{std::move(params).value(), {}});
-}
-
-StatusOr<AggregateRegistry::Slabs> AggregateRegistry::MakeSlab() const {
-  // Each backend's constants, as MakeDecayedSum would build them for one
-  // key; a WBMH key's counts round at the bucketing precision.
-  const double epsilon = resolved_.epsilon();
-  switch (backend_) {
-    case Backend::kExact:
-      return SlabOf<ExactState>(ExactParams{decay_});
-    case Backend::kEwma:
-      return SlabOf<EwmaState>(
-          EwmaParams::Create(decay_, EwmaCounter::Options{}.mantissa_bits));
-    case Backend::kRecentItems:
-      return SlabOf<RecentItemsState>(
-          RecentItemsParams::Create(decay_, epsilon));
-    case Backend::kCeh:
-      return SlabOf<CehState>(CehParams::Create(decay_, epsilon));
-    case Backend::kCoarseCeh: {
-      const CoarseCehDecayedSum::Options defaults;
-      return SlabOf<CoarseCehState>(CoarseCehParams::Create(
-          decay_, epsilon, defaults.boundary_delta, defaults.seed));
-    }
-    case Backend::kWbmh:
-      return SlabOf<WbmhState>(WbmhParams(layout_.get(), epsilon));
-    case Backend::kPolyExp:
-      return SlabOf<PolyExpState>(PolyExpParams::Create(decay_));
-    case Backend::kAuto:
-      break;
-  }
-  return Status::InvalidArgument("unknown backend");
 }
 
 Tick AggregateRegistry::DeriveExpiryAge() const {
@@ -856,17 +787,17 @@ Status AggregateRegistry::EncodeStateImpl(std::string* out, bool partial,
     if (!status.ok()) return status;
     encoder.PutString(scratch.view());
   }
-  // Every other backend wraps each key's payload in the EncodeDecayedSum
-  // envelope, whose prefix (magic, type, decay name) is the same for every
-  // key: built once here.
-  Encoder envelope_prefix;
-  if (layout_ == nullptr) {
-    PutSnapshotEnvelopePrefix(envelope_prefix, BackendTypeName(backend_),
-                              decay_name);
-  }
-  const std::string_view prefix = envelope_prefix.view();
   const Status status = std::visit(
       [&](const auto& slab) -> Status {
+        using State = typename std::decay_t<decltype(slab)>::StateType;
+        // Every other backend wraps each key's payload in the
+        // EncodeDecayedSum envelope, whose prefix (magic, type, decay name)
+        // is the same for every key: built once here.
+        Encoder envelope_prefix;
+        if (layout_ == nullptr) {
+          PutSnapshotEnvelopePrefix(envelope_prefix, State::kName, decay_name);
+        }
+        const std::string_view prefix = envelope_prefix.view();
         for (const auto& [key, index] : keys) {
           const auto& entry = slab.entries.at(index);
           encoder.PutVarint(key);
@@ -997,7 +928,6 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
   }
   // Every entry takes at least three bytes, which bounds a hostile count.
   registry.ReserveTable(std::min<uint64_t>(count, decoder.remaining() / 3));
-  const std::string_view type_name = BackendTypeName(registry.backend_);
   const Status entries = std::visit(
       [&](auto& slab) -> Status {
         using State = typename std::decay_t<decltype(slab)>::StateType;
@@ -1028,7 +958,7 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
             const Status envelope =
                 ParseSnapshotEnvelope(payload, decay_name, &type, &body);
             if (!envelope.ok()) return envelope;
-            if (type != type_name) {
+            if (type != State::kName) {
               return Status::InvalidArgument("snapshot backend mismatch: " +
                                              std::string(type));
             }
@@ -1050,10 +980,8 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
       registry.slab_);
   if (!entries.ok()) return entries;
   if (!decoder.Done()) return CorruptSnapshot("registry trailer");
-  const Status audit = registry.AuditInvariants();
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
+  const Status audit = RefuseUnaudited(registry.AuditInvariants());
+  if (!audit.ok()) return audit;
   return registry;
 }
 

@@ -11,15 +11,9 @@
 #include <variant>
 #include <vector>
 
-#include "core/ceh.h"
-#include "core/coarse_ceh.h"
-#include "core/ewma.h"
-#include "core/exact.h"
+#include "core/backends.h"
 #include "core/factory.h"
-#include "core/polyexp_counter.h"
-#include "core/recent_items.h"
 #include "engine/slot_arena.h"
-#include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
 #include "util/common.h"
 #include "util/status.h"
@@ -295,10 +289,7 @@ class AggregateRegistry {
     Entries<State> entries;
   };
   /// The one slab of this registry's backend.
-  using Slabs =
-      std::variant<Slab<ExactState>, Slab<EwmaState>, Slab<RecentItemsState>,
-                   Slab<CehState>, Slab<CoarseCehState>, Slab<WbmhState>,
-                   Slab<PolyExpState>>;
+  using Slabs = Backends::Map<Slab>;
 
   static constexpr uint32_t kEmptyEntry = 0xffffffffu;
   static constexpr uint32_t kTombEntry = 0xfffffffeu;
@@ -307,11 +298,6 @@ class AggregateRegistry {
   AggregateRegistry(DecayPtr decay, const Options& options, Backend backend,
                     AggregateOptions resolved);
 
-  /// The slab for `backend_` with its constants built from the decay and
-  /// the resolved options (WBMH: on layout_, which must exist).
-  StatusOr<Slabs> MakeSlab() const;
-  template <typename State>
-  static StatusOr<Slabs> SlabOf(StatusOr<typename State::Params> params);
   Tick DeriveExpiryAge() const;
 
   /// Applies one same-tick segment of a batch, hash-grouped by key (one

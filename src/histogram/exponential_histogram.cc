@@ -284,11 +284,7 @@ Status EhState::DecodeState(const EhParams& params, Decoder& decoder) {
   // that later trips internal CHECKs) is exactly the audit protocol: end
   // timestamps within [first_arrival, now] non-decreasing in canonical
   // order, the per-class cap, and the count checksum.
-  const Status audit = AuditInvariants(params);
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants(params));
 }
 
 Status EhState::AuditInvariants(const EhParams& params) const {

@@ -434,11 +434,7 @@ Status WbmhLayout::DecodeState(Decoder& decoder) {
   // A hostile snapshot that passed the field-level checks must still form a
   // structurally valid layout (the audit covers cross-field invariants the
   // per-node checks cannot see, e.g. merge eligibility at the settled tick).
-  const Status audit = AuditInvariants();
-  if (!audit.ok()) {
-    return Status::InvalidArgument("corrupt snapshot: " + audit.message());
-  }
-  return Status::OK();
+  return RefuseUnaudited(AuditInvariants());
 }
 
 uint64_t WbmhLayout::BucketForArrival(Tick t) const {

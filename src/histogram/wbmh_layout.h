@@ -34,7 +34,7 @@ namespace tds {
 /// by arbitrarily many per-stream counters — the paper's storage argument:
 /// boundary values need not be stored per stream. The layout publishes a log
 /// of structural operations (seal / merge / drop) with monotone sequence
-/// numbers, and each WbmhCounter replays the suffix it has not yet applied.
+/// numbers, and each WbmhState replays the suffix it has not yet applied.
 /// Buckets are identified by stable 64-bit ids that increase oldest-first:
 /// a seal takes a fresh id, a merge keeps the older id, and a drop removes
 /// the oldest bucket. So one id-ordered array holds the buckets in layout

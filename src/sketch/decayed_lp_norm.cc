@@ -9,15 +9,13 @@
 
 namespace tds {
 
-DecayedLpNorm::DecayedLpNorm(DecayPtr decay, const Options& options,
-                             StableSampler sampler,
-                             std::vector<std::unique_ptr<CehDecayedSum>> pos,
-                             std::vector<std::unique_ptr<CehDecayedSum>> neg)
-    : decay_(std::move(decay)),
-      options_(options),
+DecayedLpNorm::DecayedLpNorm(const Options& options, StableSampler sampler,
+                             CehParams ceh)
+    : options_(options),
       sampler_(std::move(sampler)),
-      pos_(std::move(pos)),
-      neg_(std::move(neg)) {}
+      ceh_(std::move(ceh)),
+      pos_(options.rows),
+      neg_(options.rows) {}
 
 StatusOr<DecayedLpNorm> DecayedLpNorm::Create(DecayPtr decay,
                                               const Options& options) {
@@ -30,20 +28,11 @@ StatusOr<DecayedLpNorm> DecayedLpNorm::Create(DecayPtr decay,
   }
   auto sampler = StableSampler::Create(options.p);
   if (!sampler.ok()) return sampler.status();
-  CehDecayedSum::Options ceh_options;
-  ceh_options.epsilon = options.epsilon;
-  std::vector<std::unique_ptr<CehDecayedSum>> pos;
-  std::vector<std::unique_ptr<CehDecayedSum>> neg;
-  for (int row = 0; row < options.rows; ++row) {
-    auto p = CehDecayedSum::Create(decay, ceh_options);
-    if (!p.ok()) return p.status();
-    auto n = CehDecayedSum::Create(decay, ceh_options);
-    if (!n.ok()) return n.status();
-    pos.push_back(std::move(p).value());
-    neg.push_back(std::move(n).value());
-  }
-  return DecayedLpNorm(std::move(decay), options, std::move(sampler).value(),
-                       std::move(pos), std::move(neg));
+  auto ceh = CehState::MakeParams(std::move(decay),
+                                  CehState::Options{options.epsilon});
+  if (!ceh.ok()) return ceh.status();
+  return DecayedLpNorm(options, std::move(sampler).value(),
+                       std::move(ceh).value());
 }
 
 double DecayedLpNorm::ProjectionEntry(int row, uint64_t coord) const {
@@ -64,11 +53,11 @@ void DecayedLpNorm::Update(Tick t, uint64_t coord, uint64_t amount) {
         static_cast<uint64_t>(std::llround(std::fabs(projected)));
     if (magnitude == 0) continue;
     if (projected >= 0.0) {
-      pos_[row]->Update(t, magnitude);
-      neg_[row]->Update(t, 0);  // keep clocks aligned
+      pos_[row].Update(ceh_, t, magnitude);
+      neg_[row].Update(ceh_, t, 0);  // keep clocks aligned
     } else {
-      neg_[row]->Update(t, magnitude);
-      pos_[row]->Update(t, 0);
+      neg_[row].Update(ceh_, t, magnitude);
+      pos_[row].Update(ceh_, t, 0);
     }
   }
 }
@@ -78,7 +67,8 @@ double DecayedLpNorm::Query(Tick now) {
   magnitudes.reserve(pos_.size());
   for (int row = 0; row < rows(); ++row) {
     const double value =
-        (pos_[row]->Query(now) - neg_[row]->Query(now)) / options_.quantization;
+        (pos_[row].Query(ceh_, now) - neg_[row].Query(ceh_, now)) /
+        options_.quantization;
     magnitudes.push_back(std::fabs(value));
   }
   // Median of the row magnitudes; average the two central order statistics
@@ -101,8 +91,8 @@ void DecayedLpNorm::EncodeState(Encoder& encoder) const {
   encoder.PutDouble(options_.epsilon);
   encoder.PutDouble(options_.quantization);
   encoder.PutVarint(options_.seed);
-  for (const auto& row : pos_) row->EncodeState(encoder);
-  for (const auto& row : neg_) row->EncodeState(encoder);
+  for (const CehState& row : pos_) row.EncodeState(ceh_, encoder);
+  for (const CehState& row : neg_) row.EncodeState(ceh_, encoder);
 }
 
 Status DecayedLpNorm::DecodeState(Decoder& decoder) {
@@ -113,26 +103,24 @@ Status DecayedLpNorm::DecodeState(Decoder& decoder) {
       !decoder.GetVarint(&seed)) {
     return CorruptSnapshot("Lp sketch header");
   }
-  if (p != options_.p || static_cast<int>(rows) != options_.rows ||
+  if (p != options_.p || rows != static_cast<uint64_t>(options_.rows) ||
       epsilon != options_.epsilon || quantization != options_.quantization ||
       seed != options_.seed) {
     return Status::InvalidArgument("snapshot options mismatch");
   }
-  for (auto& row : pos_) {
-    Status status = row->DecodeState(decoder);
-    if (!status.ok()) return status;
-  }
-  for (auto& row : neg_) {
-    Status status = row->DecodeState(decoder);
-    if (!status.ok()) return status;
+  for (std::vector<CehState>* rows : {&pos_, &neg_}) {
+    for (CehState& row : *rows) {
+      const Status status = row.DecodeState(ceh_, decoder);
+      if (!status.ok()) return status;
+    }
   }
   return Status::OK();
 }
 
 size_t DecayedLpNorm::StorageBits() const {
   size_t bits = 0;
-  for (const auto& row : pos_) bits += row->StorageBits();
-  for (const auto& row : neg_) bits += row->StorageBits();
+  for (const CehState& row : pos_) bits += row.StorageBits(ceh_);
+  for (const CehState& row : neg_) bits += row.StorageBits(ceh_);
   // The projection matrix itself costs one seed register.
   return bits + 64;
 }

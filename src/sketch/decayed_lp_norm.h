@@ -2,7 +2,6 @@
 #define TDS_SKETCH_DECAYED_LP_NORM_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/ceh.h"
@@ -21,9 +20,9 @@ namespace tds {
 /// proposed in the paper: L rows of a p-stable projection whose entries are
 /// regenerated on the fly from (seed, row, coordinate) hashes (never
 /// stored); row values sum a_i * x(row, c_i) and are maintained *decayed*
-/// by a pair of CEH structures per row (positive and negative parts, since
+/// by a pair of CEH states per row (positive and negative parts, since
 /// the histograms hold nonnegative integer counts — contributions are
-/// quantized). The norm estimate is median_row |row value| divided by the
+/// quantized), which share one CehParams. The norm estimate is median_row |row value| divided by the
 /// median of |p-stable|.
 class DecayedLpNorm {
  public:
@@ -52,7 +51,7 @@ class DecayedLpNorm {
 
   size_t StorageBits() const;
   int rows() const { return static_cast<int>(pos_.size()); }
-  const DecayPtr& decay() const { return decay_; }
+  const DecayPtr& decay() const { return ceh_.decay; }
 
   /// Snapshot support: serializes options and all row states (projection
   /// entries are hash-derived from the seed and never stored). Restore
@@ -63,16 +62,14 @@ class DecayedLpNorm {
   const Options& options() const { return options_; }
 
  private:
-  DecayedLpNorm(DecayPtr decay, const Options& options,
-                StableSampler sampler,
-                std::vector<std::unique_ptr<CehDecayedSum>> pos,
-                std::vector<std::unique_ptr<CehDecayedSum>> neg);
+  DecayedLpNorm(const Options& options, StableSampler sampler,
+                CehParams ceh);
 
-  DecayPtr decay_;
   Options options_;
   StableSampler sampler_;
-  std::vector<std::unique_ptr<CehDecayedSum>> pos_;
-  std::vector<std::unique_ptr<CehDecayedSum>> neg_;
+  CehParams ceh_;  ///< Every row's constants.
+  std::vector<CehState> pos_;
+  std::vector<CehState> neg_;
 };
 
 }  // namespace tds

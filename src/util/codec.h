@@ -173,6 +173,13 @@ inline Status CorruptSnapshot(const char* what) {
   return Status::InvalidArgument(std::string("corrupt snapshot: ") + what);
 }
 
+/// The hostile-snapshot funnel: a decoded state whose audit fails is a
+/// corrupt snapshot, refused instead of installed.
+inline Status RefuseUnaudited(const Status& audit) {
+  if (audit.ok()) return audit;
+  return Status::InvalidArgument("corrupt snapshot: " + audit.message());
+}
+
 }  // namespace tds
 
 #endif  // TDS_UTIL_CODEC_H_

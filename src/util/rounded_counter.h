@@ -12,8 +12,8 @@ namespace tds {
 /// beta = epsilon / log N the accumulated factor is (1+beta)^{log N} <=
 /// ~(1 + epsilon) (Lemma 5.1). The unknown-N variant rounds level i with
 /// beta_i = epsilon / i^2 so that the infinite product still converges below
-/// 1 + epsilon; WbmhCounter implements that by widening `bits` as the
-/// merge level grows. EwmaCounter rounds its register the same way.
+/// 1 + epsilon; WbmhState implements that by widening `bits` as the
+/// merge level grows. EwmaState rounds its register the same way.
 ///
 /// Rounds `x` up to `bits` significant bits, so the result lies in
 /// [x, x * (1 + 2^{1-bits})); with bits >= log2(1/beta) this is the

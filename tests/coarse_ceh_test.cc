@@ -168,11 +168,11 @@ TEST(CoarseCehTest, ExpiresPastFiniteHorizon) {
   auto subject = CoarseCehDecayedSum::Create(decay, options);
   ASSERT_TRUE(subject.ok());
   for (Tick t = 1; t <= 200; ++t) (*subject)->Update(t, 1);
-  const size_t buckets_hot = (*subject)->BucketCount();
+  const size_t buckets_hot = (*subject)->state().BucketCount();
   // Query alone is const and reclaims nothing; Advance runs the expiry.
   EXPECT_NEAR((*subject)->Query(5000), 0.0, 1e-9);
   (*subject)->Advance(5000);  // everything far past the window
-  EXPECT_LT((*subject)->BucketCount(), buckets_hot);
+  EXPECT_LT((*subject)->state().BucketCount(), buckets_hot);
   EXPECT_NEAR((*subject)->Query(5000), 0.0, 1e-9);
 }
 
@@ -182,7 +182,7 @@ TEST(CoarseCehTest, BoundaryAgesTrendOldestFirst) {
   auto subject = CoarseCehDecayedSum::Create(decay, options);
   ASSERT_TRUE(subject.ok());
   for (Tick t = 1; t <= 5000; ++t) (*subject)->Update(t, 1);
-  const auto ages = (*subject)->BoundaryAges();
+  const auto ages = (*subject)->state().BoundaryAges();
   ASSERT_GT(ages.size(), 6u);
   // Stochastic aging jitters neighbors, but the trend must hold: the
   // oldest third of buckets is much older on average than the newest third.

@@ -51,7 +51,7 @@ TEST(ExactDecayedSumTest, PrunesPastHorizon) {
   auto decay = SlidingWindowDecay::Create(50).value();
   auto exact = ExactDecayedSum::Create(decay);
   for (Tick t = 1; t <= 1000; ++t) (*exact)->Update(t, 1);
-  EXPECT_LE((*exact)->ItemCount(), 51u);
+  EXPECT_LE((*exact)->state().ItemCount(), 51u);
   EXPECT_DOUBLE_EQ((*exact)->Query(1000), 50.0);
 }
 
@@ -63,7 +63,7 @@ TEST(ExactDecayedSumTest, ZeroValueUpdatePrunesExpiredEntries) {
   auto exact = ExactDecayedSum::Create(decay);
   (*exact)->Update(1, 7);
   (*exact)->Update(1000, 0);  // far past the horizon, adds nothing
-  EXPECT_EQ((*exact)->ItemCount(), 0u);
+  EXPECT_EQ((*exact)->state().ItemCount(), 0u);
   EXPECT_TRUE((*exact)->AuditInvariants().ok());
 }
 
@@ -112,7 +112,7 @@ TEST(RecentItemsTest, TracksExponentialSumWithinEpsilon) {
   const double estimate = (*counter)->Query(3000);
   EXPECT_LE(std::fabs(estimate - truth), epsilon * truth + 1e-12);
   // Capacity is a constant independent of stream length (Lemma 3.1).
-  EXPECT_LE((*counter)->capacity(), 80u);
+  EXPECT_LE((*counter)->params().capacity, 80u);
 }
 
 TEST(RecentItemsTest, ValueShiftingPreservesContributions) {
@@ -132,7 +132,8 @@ TEST(RecentItemsTest, ValueShiftingPreservesContributions) {
 
 TEST(PolyExpCounterTest, MatchesBruteForcePolyexpSum) {
   for (int k : {0, 1, 2, 3}) {
-    auto counter = PolyExpCounter::Create(k, 0.05);
+    auto counter =
+        PolyExpCounter::Create(PolyExponentialDecay::Create(k, 0.05).value());
     ASSERT_TRUE(counter.ok());
     const DecayPtr decay = (*counter)->decay();
     const Stream stream = PoissonStream(800, 0.8, 13 + k);
@@ -148,7 +149,8 @@ TEST(PolyExpCounterTest, MatchesBruteForcePolyexpSum) {
 }
 
 TEST(PolyExpCounterTest, QueryPolynomialCombinesMoments) {
-  auto counter = PolyExpCounter::Create(2, 0.1);
+  auto counter =
+      PolyExpCounter::Create(PolyExponentialDecay::Create(2, 0.1).value());
   ASSERT_TRUE(counter.ok());
   Stream stream;
   stream.push_back(StreamItem{5, 2});
@@ -162,7 +164,9 @@ TEST(PolyExpCounterTest, QueryPolynomialCombinesMoments) {
     truth += static_cast<double>(item.value) * (3.0 + 2.0 * x * x) *
              std::exp(-0.1 * x);
   }
-  EXPECT_NEAR((*counter)->QueryPolynomial({3.0, 0.0, 2.0}, now), truth, 1e-9);
+  EXPECT_NEAR((*counter)->state().QueryPolynomial((*counter)->params(),
+                                                  {3.0, 0.0, 2.0}, now),
+              truth, 1e-9);
 }
 
 struct CehParam {

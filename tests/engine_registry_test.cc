@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -20,8 +21,8 @@
 #include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
+#include "histogram/wbmh_state.h"
 #include "util/codec.h"
 #include "util/random.h"
 
@@ -58,21 +59,35 @@ TEST(AggregateRegistryTest, CreateResolvesAutoBackend) {
   EXPECT_FALSE(AggregateRegistry::Create(nullptr, options).ok());
 }
 
-// Every key equals a standalone aggregate fed its items, bit for bit. For
-// WBMH the standalone is a WbmhDecayedSum on a private layout, while the
-// registry's keys share one layout and sync to it lazily.
+// One decay per registry backend, each one the backend accepts.
+struct BackendCase {
+  const char* label;
+  DecayPtr decay;
+  Backend backend;
+};
+
+std::vector<BackendCase> EveryBackend() {
+  return {
+      {"EXACT", SlidingWindowDecay::Create(96).value(), Backend::kExact},
+      {"EWMA", ExponentialDecay::Create(0.01).value(), Backend::kEwma},
+      {"RECENT_ITEMS", ExponentialDecay::Create(0.01).value(),
+       Backend::kRecentItems},
+      {"POLYEXP_PIPE", PolyExponentialDecay::Create(2, 0.05).value(),
+       Backend::kPolyExp},
+      {"CEH", SlidingWindowDecay::Create(128).value(), Backend::kCeh},
+      {"COARSE_CEH", PolynomialDecay::Create(1.0).value(), Backend::kCoarseCeh},
+      {"WBMH", PolynomialDecay::Create(1.5).value(), Backend::kWbmh},
+  };
+}
+
+// Every key of every backend equals a standalone aggregate fed its items,
+// bit for bit: MakeDecayedSum and the registry build each backend's
+// constants the same way. For WBMH the standalone is a WbmhDecayedSum on a
+// private layout, while the registry's keys share one layout and sync to it
+// lazily.
 TEST(AggregateRegistryTest, PerKeyStateMatchesStandaloneAggregates) {
-  struct Config {
-    DecayPtr decay;
-    Backend backend;
-  };
-  const std::vector<Config> configs = {
-      {SlidingWindowDecay::Create(256).value(), Backend::kCeh},
-      {PolynomialDecay::Create(1.0).value(), Backend::kWbmh},
-  };
-  for (const Config& config : configs) {
-    SCOPED_TRACE("backend=" +
-                 std::to_string(static_cast<int>(config.backend)));
+  for (const BackendCase& config : EveryBackend()) {
+    SCOPED_TRACE(config.label);
     const auto options = RegistryOptions(config.backend, 0.1);
     auto registry = AggregateRegistry::Create(config.decay, options);
     ASSERT_TRUE(registry.ok());
@@ -486,11 +501,11 @@ TEST(AggregateRegistryTest, RejectsWbmhCounterOffTheRegistryEpsilon) {
 }
 
 // A "TDSREG1" blob with registry clock 100 holding one key (42, last tick
-// 50) whose state is `aggregate`, written field by field as EncodeState
+// 50) whose payload is `payload`, written field by field as EncodeState
 // lays it out for an owned backend.
 std::string OneKeyBlob(const DecayFunction& decay,
                        const AggregateOptions& options,
-                       DecayedAggregate& aggregate) {
+                       std::string_view payload) {
   Encoder encoder;
   encoder.PutString("TDSREG1");
   encoder.PutString(decay.Name());
@@ -501,10 +516,17 @@ std::string OneKeyBlob(const DecayFunction& decay,
   encoder.PutVarint(1);
   encoder.PutVarint(42);
   encoder.PutSigned(50);
-  std::string payload;
-  EXPECT_TRUE(EncodeDecayedSum(aggregate, &payload).ok());
   encoder.PutString(payload);
   return encoder.Finish();
+}
+
+/// The same blob with `aggregate`'s EncodeDecayedSum bytes as the payload.
+std::string OneKeyBlob(const DecayFunction& decay,
+                       const AggregateOptions& options,
+                       DecayedAggregate& aggregate) {
+  std::string payload;
+  EXPECT_TRUE(EncodeDecayedSum(aggregate, &payload).ok());
+  return OneKeyBlob(decay, options, payload);
 }
 
 // A key whose aggregate is clocked past the registry would abort the next
@@ -540,27 +562,6 @@ TEST(AggregateRegistryTest, RejectsKeyClockAheadOfRegistry) {
       }
     }
   }
-}
-
-// One decay per registry backend, each one the backend accepts.
-struct BackendCase {
-  const char* label;
-  DecayPtr decay;
-  Backend backend;
-};
-
-std::vector<BackendCase> EveryBackend() {
-  return {
-      {"EXACT", SlidingWindowDecay::Create(96).value(), Backend::kExact},
-      {"EWMA", ExponentialDecay::Create(0.01).value(), Backend::kEwma},
-      {"RECENT_ITEMS", ExponentialDecay::Create(0.01).value(),
-       Backend::kRecentItems},
-      {"POLYEXP_PIPE", PolyExponentialDecay::Create(2, 0.05).value(),
-       Backend::kPolyExp},
-      {"CEH", SlidingWindowDecay::Create(128).value(), Backend::kCeh},
-      {"COARSE_CEH", PolynomialDecay::Create(1.0).value(), Backend::kCoarseCeh},
-      {"WBMH", PolynomialDecay::Create(1.5).value(), Backend::kWbmh},
-  };
 }
 
 /// Feeds `steps` updates over 40 keys from tick `*t` on, with gaps, so
@@ -728,7 +729,7 @@ TEST(AggregateRegistryTest, DecodeRejectsKeyStateBuiltUnderOtherOptions) {
     loose.epsilon = 0.5;
     auto key = RecentItemsExpCounter::Create(decay, loose);
     ASSERT_TRUE(key.ok());
-    EXPECT_LT((*key)->capacity(), 692u);
+    EXPECT_LT((*key)->params().capacity, 692u);
     for (Tick t = 1; t <= 50; ++t) (*key)->Update(t, 1);
     auto decoded = AggregateRegistry::Decode(
         decay, options, OneKeyBlob(*decay, options.aggregate, **key));
@@ -757,6 +758,49 @@ TEST(AggregateRegistryTest, DecodeRejectsKeyStateBuiltUnderOtherOptions) {
     } else {
       EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
     }
+  }
+}
+
+// A key's option field wider than the int it configures is compared whole
+// against the registry's: 2^32 plus the registry's value is another value.
+TEST(AggregateRegistryTest, DecodeRejectsKeyOptionFieldPastInt) {
+  const uint64_t past_int = uint64_t{1} << 32;
+  auto KeyPayload = [](const DecayFunction& decay, std::string_view type,
+                       const Encoder& state) {
+    Encoder encoder;
+    PutSnapshotEnvelopePrefix(encoder, type, decay.Name());
+    encoder.PutString(state.view());
+    return encoder.Finish();
+  };
+  {
+    SCOPED_TRACE("EWMA mantissa_bits = 2^32");
+    auto decay = ExponentialDecay::Create(0.01).value();
+    const auto options = RegistryOptions(Backend::kEwma, 0.1);
+    Encoder state;
+    state.PutVarint(past_int);  // the registry's width is 0
+    state.PutDouble(1.0);       // register
+    state.PutDouble(1.0);       // max register
+    state.PutSigned(10);        // now
+    state.PutSigned(10);        // first arrival
+    auto decoded = AggregateRegistry::Decode(
+        decay, options,
+        OneKeyBlob(*decay, options.aggregate,
+                   KeyPayload(*decay, "EWMA", state)));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SCOPED_TRACE("POLYEXP_PIPE k = 2^32 + 2");
+    auto decay = PolyExponentialDecay::Create(2, 0.05).value();
+    const auto options = RegistryOptions(Backend::kPolyExp, 0.1);
+    Encoder state;
+    state.PutVarint(past_int + 2);  // the registry's degree is 2
+    state.PutSigned(10);            // now
+    for (int j = 0; j <= 2; ++j) state.PutDouble(1.0);
+    auto decoded = AggregateRegistry::Decode(
+        decay, options,
+        OneKeyBlob(*decay, options.aggregate,
+                   KeyPayload(*decay, "POLYEXP_PIPE", state)));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

@@ -149,7 +149,7 @@ void RunCehFuzz(const CehFuzzConfig& config, FuzzInput& in) {
         other_exact.Add(other_now, value);
       }
       now = std::max(now, other_now);
-      TDS_FUZZ_CHECK_OK(ceh->MergeFrom(*other), in, "MergeFrom");
+      TDS_FUZZ_CHECK_OK(MergeFrom(*ceh, *other), in, "MergeFrom");
       exact.MergeFrom(other_exact);
       ++merges;
       check("MergeFrom");

@@ -207,7 +207,7 @@ void RunRecentItemsFuzz(int max_ops, FuzzInput& in) {
     const double estimate = recent->Query(now);
     TDS_FUZZ_CHECK(estimate <= expected * (1.0 + 1e-9) + 1e-9, in,
                    "estimate=", estimate, " exceeds reference=", expected);
-    if (inserted <= recent->capacity()) {
+    if (inserted <= recent->params().capacity) {
       // Nothing has been evicted yet: the value-shifted timestamps recover
       // the sum exactly.
       TDS_FUZZ_CHECK_NEAR(estimate, expected, 1e-9 * expected + 1e-9, in,
@@ -375,10 +375,10 @@ void RunCoarseCehFuzz(bool sliding, double epsilon, uint64_t rng_seed,
 
   auto check = [&](const char* op) {
     TDS_FUZZ_CHECK_OK(coarse->AuditInvariants(), in, "after ", op);
-    const std::vector<double> ages = coarse->BoundaryAges();
+    const std::vector<double> ages = coarse->state().BoundaryAges();
     const auto expected = naive.buckets().OldestFirst();
     TDS_FUZZ_CHECK(ages.size() == expected.size() &&
-                       coarse->BucketCount() == naive.buckets().BucketCount(),
+                       coarse->state().BucketCount() == naive.buckets().BucketCount(),
                    in, "bucket count ", ages.size(), " vs reference ",
                    expected.size(), " after ", op);
     for (size_t i = 0; i < ages.size(); ++i) {
@@ -386,7 +386,7 @@ void RunCoarseCehFuzz(bool sliding, double epsilon, uint64_t rng_seed,
                      " = ", ages[i], " vs reference ",
                      expected[i].stamp.Estimate(), " after ", op);
     }
-    TDS_FUZZ_CHECK(coarse->TotalCount() == naive.buckets().TotalCount(), in,
+    TDS_FUZZ_CHECK(coarse->state().TotalCount() == naive.buckets().TotalCount(), in,
                    "total count after ", op);
     const double estimate = coarse->Query(now);
     TDS_FUZZ_CHECK(estimate == naive.Query(now), in, "estimate=", estimate,

@@ -16,7 +16,7 @@
 #include "core/snapshot.h"
 #include "decay/polynomial.h"
 #include "fuzz_util.h"
-#include "histogram/wbmh_counter.h"
+#include "histogram/wbmh_state.h"
 
 namespace tds {
 namespace {
@@ -124,8 +124,9 @@ void RunWbmhSharedLayoutFuzz(int max_ops, FuzzInput& in) {
                  "layout Create: ", layout_or.status().ToString());
   auto layout = std::make_shared<WbmhLayout>(std::move(layout_or).value());
 
-  WbmhCounter a(layout, WbmhCounter::Options{0.2});
-  WbmhCounter b(layout, WbmhCounter::Options{0.2});
+  const WbmhParams params(layout.get(), 0.2);
+  WbmhState a(params);
+  WbmhState b(params);
 
   ExactDecayedReference exact_a(decay);
   ExactDecayedReference exact_b(decay);
@@ -133,11 +134,11 @@ void RunWbmhSharedLayoutFuzz(int max_ops, FuzzInput& in) {
 
   auto check = [&](const char* op) {
     TDS_FUZZ_CHECK_OK(layout->AuditInvariants(), in, "layout after ", op);
-    TDS_FUZZ_CHECK_OK(a.AuditInvariants(), in, "a after ", op);
-    TDS_FUZZ_CHECK_OK(b.AuditInvariants(), in, "b after ", op);
-    TDS_FUZZ_CHECK_NEAR(a.Query(now), exact_a.Sum(now),
+    TDS_FUZZ_CHECK_OK(a.AuditInvariants(params), in, "a after ", op);
+    TDS_FUZZ_CHECK_OK(b.AuditInvariants(params), in, "b after ", op);
+    TDS_FUZZ_CHECK_NEAR(a.Query(params, now), exact_a.Sum(now),
                         0.5 * exact_a.Sum(now) + 0.5, in, "a after ", op);
-    TDS_FUZZ_CHECK_NEAR(b.Query(now), exact_b.Sum(now),
+    TDS_FUZZ_CHECK_NEAR(b.Query(params, now), exact_b.Sum(now),
                         0.5 * exact_b.Sum(now) + 0.5, in, "b after ", op);
   };
 
@@ -146,7 +147,7 @@ void RunWbmhSharedLayoutFuzz(int max_ops, FuzzInput& in) {
     if (kind < 45) {
       now += static_cast<Tick>(in.Below(2));
       const uint64_t value = 1 + in.Below(3);
-      a.Update(now, value);
+      a.Update(params, now, value);
       exact_a.Add(now, value);
       check("UpdateA");
     } else if (kind < 80) {
@@ -154,7 +155,7 @@ void RunWbmhSharedLayoutFuzz(int max_ops, FuzzInput& in) {
       // leaving real work for the shared-log catch-up path.
       now += static_cast<Tick>(in.Below(40));
       const uint64_t value = 1 + in.Below(10);
-      b.Update(now, value);
+      b.Update(params, now, value);
       exact_b.Add(now, value);
       check("UpdateB");
     } else if (kind < 92) {
@@ -163,8 +164,8 @@ void RunWbmhSharedLayoutFuzz(int max_ops, FuzzInput& in) {
     } else {
       // Queries replay the pending ops on a copy and apply nothing, so
       // only the ops both counters have applied may be discarded.
-      (void)a.Query(now);
-      (void)b.Query(now);
+      (void)a.Query(params, now);
+      (void)b.Query(params, now);
       layout->TrimLog(std::min(a.AppliedSeq(), b.AppliedSeq()));
       check("TrimLog");
     }

@@ -27,8 +27,9 @@
 #include "decay/sliding_window.h"
 #include "histogram/exponential_histogram.h"
 #include "histogram/flat_store.h"
-#include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
+#include "histogram/wbmh_state.h"
+#include "sketch/decayed_lp_norm.h"
 #include "stream/generators.h"
 #include "util/approx_age.h"
 #include "util/codec.h"
@@ -212,8 +213,8 @@ TEST(SnapshotTest, RecentItemsRoundTripKeepsItsCapacity) {
   const auto* typed =
       dynamic_cast<const RecentItemsExpCounter*>(restored->get());
   ASSERT_NE(typed, nullptr);
-  EXPECT_EQ(typed->capacity(), (*original)->capacity());
-  EXPECT_LT(typed->capacity(), 692u);
+  EXPECT_EQ(typed->params().capacity, (*original)->params().capacity);
+  EXPECT_LT(typed->params().capacity, 692u);
   for (Tick t = 801; t <= 1200; ++t) {
     (*original)->Update(t, 1);
     (*restored)->Update(t, 1);
@@ -412,21 +413,21 @@ TEST(SnapshotTest, CoarseCehOverfullClassZeroMergesBackUnderCap) {
   CoarseCehDecayedSum& ceh = **target;
   Decoder decoder(blob);
   ASSERT_TRUE(ceh.DecodeState(decoder).ok());
-  EXPECT_EQ(ceh.BucketCount(), overfull);
+  EXPECT_EQ(ceh.state().BucketCount(), overfull);
 
   // cap + 6 class-0 buckets: three merges leave cap in class 0, 3 in 1.
   ceh.Update(10, 1);
   ASSERT_TRUE(ceh.AuditInvariants().ok());
-  EXPECT_EQ(ceh.TotalCount(), overfull + 1);
-  EXPECT_EQ(ceh.BucketCount(), cap + 3);
+  EXPECT_EQ(ceh.state().TotalCount(), overfull + 1);
+  EXPECT_EQ(ceh.state().BucketCount(), cap + 3);
 
   const uint64_t huge = uint64_t{1} << 40;
   ceh.Update(10, huge);
   ASSERT_TRUE(ceh.AuditInvariants().ok());
-  EXPECT_EQ(ceh.TotalCount(), overfull + 1 + huge);
+  EXPECT_EQ(ceh.state().TotalCount(), overfull + 1 + huge);
   // At most cap buckets in each of the 41 classes a 2^40 + cap + 6 total
   // spans.
-  EXPECT_LE(ceh.BucketCount(), 41 * cap);
+  EXPECT_LE(ceh.state().BucketCount(), 41 * cap);
 }
 
 // The EH stores no counts, so a bucket whose count is not its class's
@@ -468,10 +469,11 @@ std::shared_ptr<WbmhLayout> MakeSharedLayout() {
 // out of order is corrupt even when every id is live in the layout.
 TEST(SnapshotTest, RejectsWbmhCounterCellsOutOfOrder) {
   auto layout = MakeSharedLayout();
-  WbmhCounter counter(layout, WbmhCounter::Options{0.5});
-  for (Tick t = 1; t <= 500; ++t) counter.Update(t, 1);
+  const WbmhParams params(layout.get(), 0.5);
+  WbmhState counter(params);
+  for (Tick t = 1; t <= 500; ++t) counter.Update(params, t, 1);
   Encoder encoder;
-  ASSERT_TRUE(counter.EncodeState(encoder).ok());
+  ASSERT_TRUE(counter.EncodeState(params, encoder).ok());
   const std::string blob = encoder.Finish();
 
   // Re-encode with the first two cells swapped.
@@ -503,9 +505,9 @@ TEST(SnapshotTest, RejectsWbmhCounterCellsOutOfOrder) {
   }
   const std::string hostile_blob = hostile.Finish();
 
-  WbmhCounter target(layout, WbmhCounter::Options{0.5});
+  WbmhState target(params);
   Decoder hostile_decoder(hostile_blob);
-  EXPECT_FALSE(target.DecodeState(hostile_decoder).ok());
+  EXPECT_FALSE(target.DecodeState(params, hostile_decoder).ok());
 }
 
 // A standalone WBMH blob adopts its counter's count_epsilon, so decode
@@ -540,6 +542,65 @@ TEST(SnapshotTest, RejectsWbmhCountEpsilonWithoutMantissaWidth) {
     hostile.replace(offset, 8, field.Finish());
     EXPECT_FALSE(DecodeDecayedSum(decay, hostile).ok())
         << "count_epsilon=" << count_epsilon;
+  }
+}
+
+// An option field wider than the int it configures is compared whole: a
+// blob naming 2^32 plus the real value would otherwise decode as that value
+// and re-encode to other bytes, breaking the self-inverse codec.
+TEST(SnapshotTest, RejectsOptionFieldPastInt) {
+  const uint64_t past_int = uint64_t{1} << 32;
+  auto Blob = [](const DecayFunction& decay, std::string_view type,
+                 const Encoder& payload) {
+    Encoder encoder;
+    PutSnapshotEnvelopePrefix(encoder, type, decay.Name());
+    encoder.PutString(payload.view());
+    return encoder.Finish();
+  };
+  {
+    SCOPED_TRACE("EWMA mantissa_bits = 2^32");
+    auto decay = ExponentialDecay::Create(0.01).value();
+    Encoder payload;
+    payload.PutVarint(past_int);
+    payload.PutDouble(1.0);  // register
+    payload.PutDouble(1.0);  // max register
+    payload.PutSigned(10);   // now
+    payload.PutSigned(10);   // first arrival
+    const auto decoded = DecodeDecayedSum(decay, Blob(*decay, "EWMA", payload));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SCOPED_TRACE("POLYEXP_PIPE k = 2^32 + 2");
+    auto decay = PolyExponentialDecay::Create(2, 0.05).value();
+    Encoder payload;
+    payload.PutVarint(past_int + 2);
+    payload.PutSigned(10);  // now
+    for (int j = 0; j <= 2; ++j) payload.PutDouble(1.0);
+    const auto decoded =
+        DecodeDecayedSum(decay, Blob(*decay, "POLYEXP_PIPE", payload));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SCOPED_TRACE("L_p sketch rows = 2^32 + 2");
+    auto decay = SlidingWindowDecay::Create(64).value();
+    DecayedLpNorm::Options options;
+    options.rows = 2;
+    auto sketch = DecayedLpNorm::Create(decay, options);
+    ASSERT_TRUE(sketch.ok());
+    Encoder state;
+    sketch->EncodeState(state);
+    // The state leads with p (8 bytes) and rows (one varint byte).
+    const std::string_view rest = state.view().substr(9);
+    Encoder payload;
+    payload.PutDouble(options.p);
+    payload.PutVarint(past_int + 2);
+    payload.PutRaw(rest);
+    Encoder blob;
+    blob.PutString("TDSLP1");
+    blob.PutString(decay->Name());
+    blob.PutString(payload.view());
+    const auto decoded = DecodeDecayedLpNorm(decay, blob.Finish());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -666,47 +727,51 @@ TEST(SnapshotTest, SharedLayoutCounterRoundTrip) {
   layout_options.epsilon = 0.5;
   auto source_layout = std::make_shared<WbmhLayout>(
       std::move(WbmhLayout::Create(layout_options)).value());
-  WbmhCounter counter_a(source_layout, WbmhCounter::Options{0.5});
-  WbmhCounter counter_b(source_layout, WbmhCounter::Options{0.5});
+  const WbmhParams source(source_layout.get(), 0.5);
+  WbmhState counter_a(source);
+  WbmhState counter_b(source);
   for (Tick t = 1; t <= 2000; ++t) {
-    counter_a.Update(t, 1);
-    if (t % 3 == 0) counter_b.Update(t, 2);
+    counter_a.Update(source, t, 1);
+    if (t % 3 == 0) counter_b.Update(source, t, 2);
   }
-  counter_a.Sync();
-  counter_b.Sync();
+  counter_a.Sync(source);
+  counter_b.Sync(source);
   source_layout->TrimLog(source_layout->OpSeq());
 
   Encoder layout_encoder;
   ASSERT_TRUE(source_layout->EncodeState(layout_encoder).ok());
   Encoder a_encoder, b_encoder;
-  ASSERT_TRUE(counter_a.EncodeState(a_encoder).ok());
-  ASSERT_TRUE(counter_b.EncodeState(b_encoder).ok());
+  ASSERT_TRUE(counter_a.EncodeState(source, a_encoder).ok());
+  ASSERT_TRUE(counter_b.EncodeState(source, b_encoder).ok());
 
   auto restored_layout = std::make_shared<WbmhLayout>(
       std::move(WbmhLayout::Create(layout_options)).value());
   std::string layout_bytes = layout_encoder.Finish();
   Decoder layout_decoder(layout_bytes);
   ASSERT_TRUE(restored_layout->DecodeState(layout_decoder).ok());
-  WbmhCounter restored_a(restored_layout, WbmhCounter::Options{0.5});
-  WbmhCounter restored_b(restored_layout, WbmhCounter::Options{0.5});
+  const WbmhParams restored(restored_layout.get(), 0.5);
+  WbmhState restored_a(restored);
+  WbmhState restored_b(restored);
   std::string a_bytes = a_encoder.Finish();
   std::string b_bytes = b_encoder.Finish();
   Decoder a_decoder(a_bytes);
   Decoder b_decoder(b_bytes);
-  ASSERT_TRUE(restored_a.DecodeState(a_decoder).ok());
-  ASSERT_TRUE(restored_b.DecodeState(b_decoder).ok());
+  ASSERT_TRUE(restored_a.DecodeState(restored, a_decoder).ok());
+  ASSERT_TRUE(restored_b.DecodeState(restored, b_decoder).ok());
 
   // Continue both worlds identically.
   for (Tick t = 2001; t <= 3000; ++t) {
-    counter_a.Update(t, 1);
-    restored_a.Update(t, 1);
+    counter_a.Update(source, t, 1);
+    restored_a.Update(restored, t, 1);
   }
-  for (WbmhCounter* counter :
-       {&counter_a, &counter_b, &restored_a, &restored_b}) {
-    counter->Advance(3000);
-  }
-  EXPECT_DOUBLE_EQ(counter_a.Query(3000), restored_a.Query(3000));
-  EXPECT_DOUBLE_EQ(counter_b.Query(3000), restored_b.Query(3000));
+  counter_a.Advance(source, 3000);
+  counter_b.Advance(source, 3000);
+  restored_a.Advance(restored, 3000);
+  restored_b.Advance(restored, 3000);
+  EXPECT_DOUBLE_EQ(counter_a.Query(source, 3000),
+                   restored_a.Query(restored, 3000));
+  EXPECT_DOUBLE_EQ(counter_b.Query(source, 3000),
+                   restored_b.Query(restored, 3000));
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "histogram/wbmh_counter.h"
 #include "histogram/wbmh_layout.h"
+#include "histogram/wbmh_state.h"
 #include "stream/generators.h"
 #include "util/codec.h"
 #include "util/random.h"
@@ -175,9 +175,10 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
       "inverse_h64");
   ASSERT_TRUE(truncated.ok());
   auto layout = MakeLayout(truncated.value(), 0.5);
-  WbmhCounter counter(layout, WbmhCounter::Options{0.5});
-  for (Tick t = 1; t <= 1000; ++t) counter.Update(t, 1 + t % 3);
-  counter.Sync();
+  const WbmhParams params(layout.get(), 0.5);
+  WbmhState counter(params);
+  for (Tick t = 1; t <= 1000; ++t) counter.Update(params, t, 1 + t % 3);
+  counter.Sync(params);
   layout->TrimLog(layout->OpSeq());
   ASSERT_GT(layout->Spans().front().start, 1);
   EXPECT_TRUE(layout->AuditInvariants().ok());
@@ -185,7 +186,7 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
   Encoder layout_encoder;
   ASSERT_TRUE(layout->EncodeState(layout_encoder).ok());
   Encoder counter_encoder;
-  ASSERT_TRUE(counter.EncodeState(counter_encoder).ok());
+  ASSERT_TRUE(counter.EncodeState(params, counter_encoder).ok());
   const std::string layout_bytes = layout_encoder.Finish();
   const std::string counter_bytes = counter_encoder.Finish();
 
@@ -193,13 +194,16 @@ TEST(WbmhLayoutTest, DroppedHeadAuditsAndRoundTrips) {
   Decoder layout_decoder(layout_bytes);
   const Status decoded = restored->DecodeState(layout_decoder);
   ASSERT_TRUE(decoded.ok()) << decoded.ToString();
-  WbmhCounter restored_counter(restored, WbmhCounter::Options{0.5});
+  const WbmhParams restored_params(restored.get(), 0.5);
+  WbmhState restored_counter(restored_params);
   Decoder counter_decoder(counter_bytes);
-  ASSERT_TRUE(restored_counter.DecodeState(counter_decoder).ok());
+  ASSERT_TRUE(
+      restored_counter.DecodeState(restored_params, counter_decoder).ok());
   Encoder reencoded;
   ASSERT_TRUE(restored->EncodeState(reencoded).ok());
   EXPECT_EQ(reencoded.Finish(), layout_bytes);
-  EXPECT_DOUBLE_EQ(restored_counter.Query(1000), counter.Query(1000));
+  EXPECT_DOUBLE_EQ(restored_counter.Query(restored_params, 1000),
+                   counter.Query(params, 1000));
 }
 
 // At epsilon 0.01 the regions of 1/x^2 are narrow, and a sealed pair can
@@ -233,26 +237,29 @@ TEST(WbmhLayoutTest, SmallEpsilonMergesAtTheEarliestEligibleTick) {
 
 TEST(WbmhCounterTest, CountsAreConservedAcrossMerges) {
   auto layout = MakeLayout(InverseSquare(), 4.0);
-  WbmhCounter counter(layout, WbmhCounter::Options{0.0});  // exact counts
+  const WbmhParams params(layout.get(), 0.0);  // exact counts
+  WbmhState counter(params);
   uint64_t total = 0;
   for (Tick t = 1; t <= 500; ++t) {
     const uint64_t value = 1 + (t % 3);
-    counter.Update(t, value);
+    counter.Update(params, t, value);
     total += value;
   }
-  counter.Sync();
+  counter.Sync(params);
   EXPECT_DOUBLE_EQ(counter.RawTotal(), static_cast<double>(total));
 }
 
 TEST(WbmhCounterTest, RoundedCountsStayWithinEpsilon) {
   auto layout = MakeLayout(InverseSquare(), 4.0);
   const double count_epsilon = 0.1;
-  WbmhCounter rounded(layout, WbmhCounter::Options{count_epsilon});
-  WbmhCounter exact(layout, WbmhCounter::Options{0.0});
+  const WbmhParams rounded_params(layout.get(), count_epsilon);
+  const WbmhParams exact_params(layout.get(), 0.0);
+  WbmhState rounded(rounded_params);
+  WbmhState exact(exact_params);
   uint64_t total = 0;
   for (Tick t = 1; t <= 4000; ++t) {
-    rounded.Update(t, 1);
-    exact.Update(t, 1);
+    rounded.Update(rounded_params, t, 1);
+    exact.Update(exact_params, t, 1);
     ++total;
   }
   // Rounding drift is one-sided (up) and bounded by (1 + eps).
@@ -266,8 +273,9 @@ TEST(WbmhCounterTest, SharedLayoutCountersAgree) {
   // behave exactly as a privately-owned structure would.
   auto decay = InverseSquare();
   auto shared = MakeLayout(decay, 1.0);
-  WbmhCounter a(shared, WbmhCounter::Options{0.0});
-  WbmhCounter b(shared, WbmhCounter::Options{0.0});
+  const WbmhParams params(shared.get(), 0.0);
+  WbmhState a(params);
+  WbmhState b(params);
   WbmhDecayedSum::Options options;
   options.epsilon = 1.0;
   options.count_epsilon = 0.0;
@@ -279,17 +287,17 @@ TEST(WbmhCounterTest, SharedLayoutCountersAgree) {
   size_t ia = 0, ib = 0;
   for (Tick t = 1; t <= 2000; ++t) {
     if (ia < stream_a.size() && stream_a[ia].t == t) {
-      a.Update(t, stream_a[ia].value);
+      a.Update(params, t, stream_a[ia].value);
       (*solo)->Update(t, stream_a[ia].value);
       ++ia;
     }
     if (ib < stream_b.size() && stream_b[ib].t == t) {
-      b.Update(t, stream_b[ib].value);
+      b.Update(params, t, stream_b[ib].value);
       ++ib;
     }
   }
-  EXPECT_DOUBLE_EQ(a.Query(2000), (*solo)->Query(2000));
-  EXPECT_GT(b.Query(2000), 0.0);
+  EXPECT_DOUBLE_EQ(a.Query(params, 2000), (*solo)->Query(2000));
+  EXPECT_GT(b.Query(params, 2000), 0.0);
 }
 
 // Arrivals add exactly; a merge re-rounds once, at the width its merge
@@ -298,15 +306,16 @@ TEST(WbmhCounterTest, AddIsExactMergeRounds) {
   // Paper example layout: slots {1,2} and {3,4} are sealed apart and merge
   // into {1..4} a few ticks later.
   auto layout = MakeLayout(InverseSquare(), 4.0);
-  WbmhCounter counter(layout, WbmhCounter::Options{0.5});
-  counter.Update(1, 1000);
-  counter.Update(1, 3);
+  const WbmhParams params(layout.get(), 0.5);
+  WbmhState counter(params);
+  counter.Update(params, 1, 1000);
+  counter.Update(params, 1, 3);
   EXPECT_DOUBLE_EQ(counter.RawTotal(), 1003.0);  // leaf adds are exact
-  counter.Update(3, 1);
+  counter.Update(params, 3, 1);
   EXPECT_EQ(counter.ActiveBuckets(), 2u);
   EXPECT_DOUBLE_EQ(counter.RawTotal(), 1004.0);
   for (Tick t = 4; counter.ActiveBuckets() == 2 && t < 20; ++t) {
-    counter.Advance(t);
+    counter.Advance(params, t);
   }
   ASSERT_EQ(counter.ActiveBuckets(), 1u);
   // Level 1 at count_epsilon 0.5: 2 base bits + 2 level bits, so the
@@ -320,14 +329,17 @@ TEST(WbmhCounterTest, StorageBitsAccounting) {
   // One sequence register: ceil(log2(elapsed + 1)) bits with elapsed
   // clamped to at least 2.
   const size_t clock_bits = 2;
-  WbmhCounter exact(layout, WbmhCounter::Options{0.0});
-  exact.Update(1, 1000);
-  EXPECT_EQ(exact.StorageBits(), 10 + clock_bits);  // ceil(log2(1001))
-  WbmhCounter rounded(layout, WbmhCounter::Options{0.01});
-  rounded.Update(1, 1000000);
+  const WbmhParams exact_params(layout.get(), 0.0);
+  WbmhState exact(exact_params);
+  exact.Update(exact_params, 1, 1000);
+  EXPECT_EQ(exact.StorageBits(exact_params),
+            10 + clock_bits);  // ceil(log2(1001))
+  const WbmhParams rounded_params(layout.get(), 0.01);
+  WbmhState rounded(rounded_params);
+  rounded.Update(rounded_params, 1, 1000000);
   // Level-0 mantissa: 8 base bits for eps 0.01 plus 2 level bits; the
   // exponent field addresses log2(1e6) + 1 exponents (5 bits).
-  EXPECT_EQ(rounded.StorageBits(), 8 + 2 + 5 + clock_bits);
+  EXPECT_EQ(rounded.StorageBits(rounded_params), 8 + 2 + 5 + clock_bits);
 }
 
 struct WbmhAccuracyParam {
@@ -454,8 +466,9 @@ TEST(WbmhLayoutTest, OpLogTrimContract) {
   EXPECT_EQ(layout->LogStart(), seq);
   // A counter created now starts at the trimmed position and never looks
   // back.
-  WbmhCounter counter(layout, WbmhCounter::Options{0.0});
-  counter.Update(100, 5);
+  const WbmhParams params(layout.get(), 0.0);
+  WbmhState counter(params);
+  counter.Update(params, 100, 5);
   EXPECT_DOUBLE_EQ(counter.RawTotal(), 5.0);
 }
 
@@ -515,17 +528,19 @@ TEST(WbmhLayoutTest, DeterministicUnderAdvancementPattern) {
 TEST(WbmhCounterTest, SyncOrderIndependence) {
   auto decay = PolynomialDecay::Create(1.0).value();
   auto shared = MakeLayout(decay, 0.8);
-  WbmhCounter eager(shared, WbmhCounter::Options{0.0});
-  WbmhCounter lazy(shared, WbmhCounter::Options{0.0});
+  const WbmhParams params(shared.get(), 0.0);
+  WbmhState eager(params);
+  WbmhState lazy(params);
   const Stream stream = BernoulliStream(3000, 0.4, 5);
   for (const StreamItem& item : stream) {
-    eager.Update(item.t, item.value);
-    eager.Sync();  // syncs after every update
-    lazy.Update(item.t, item.value);  // relies on Update's internal sync only
+    eager.Update(params, item.t, item.value);
+    eager.Sync(params);  // syncs after every update
+    // Relies on Update's internal sync only.
+    lazy.Update(params, item.t, item.value);
   }
-  eager.Advance(3000);
-  lazy.Advance(3000);
-  EXPECT_DOUBLE_EQ(eager.Query(3000), lazy.Query(3000));
+  eager.Advance(params, 3000);
+  lazy.Advance(params, 3000);
+  EXPECT_DOUBLE_EQ(eager.Query(params, 3000), lazy.Query(params, 3000));
 }
 
 // Query() on a counter behind its shared layout replays the pending
@@ -534,20 +549,22 @@ TEST(WbmhCounterTest, SyncOrderIndependence) {
 // from live registries whose counters sync lazily).
 TEST(WbmhCounterTest, EstimateBehindTheLayoutMatchesSynced) {
   auto shared = MakeLayout(PolynomialDecay::Create(1.0).value(), 0.5);
-  WbmhCounter behind(shared, WbmhCounter::Options{0.1});
-  WbmhCounter synced(shared, WbmhCounter::Options{0.1});
+  const WbmhParams params(shared.get(), 0.1);
+  WbmhState behind(params);
+  WbmhState synced(params);
   for (Tick t = 1; t <= 300; ++t) {
     const uint64_t value = 1000 + 37 * static_cast<uint64_t>(t % 11);
-    behind.Update(t, value);
-    synced.Update(t, value);
+    behind.Update(params, t, value);
+    synced.Update(params, t, value);
   }
   for (const Tick later : {Tick{400}, Tick{1000}, Tick{3000}}) {
     shared->AdvanceTo(later);
-    synced.Sync();
+    synced.Sync(params);
     EXPECT_LT(behind.AppliedSeq(), shared->OpSeq());
-    EXPECT_EQ(behind.Query(later), synced.Query(later))
+    EXPECT_EQ(behind.Query(params, later), synced.Query(params, later))
         << "later=" << later;
-    EXPECT_EQ(behind.Query(later + 50), synced.Query(later + 50))
+    EXPECT_EQ(behind.Query(params, later + 50),
+              synced.Query(params, later + 50))
         << "later=" << later;
   }
 }

@@ -121,12 +121,16 @@ for stage in $STAGES; do
       # growth inside one segment. The registry fuzzers drive every backend's slab
       # through the registry's own ingest, eviction, codec and copy paths
       # (the registry audit reaches every per-key audit), and the copy
-      # tests hold each state's copy constructor to the codec. They must
-      # run with audits armed, and must never silently vanish.
+      # tests hold each state's copy constructor to the codec. The batch
+      # differential holds every backend's UpdateBatch to per-item ingest,
+      # the Exact/EWMA/RecentItems/PolyExp fuzzers drive the Standalone
+      # owners under audits, and the per-key twin test holds every
+      # registry backend to its standalone structure. They must run with
+      # audits armed, and must never silently vanish.
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -154,12 +158,13 @@ for stage in $STAGES; do
         --no-tests=error \
         -R 'EngineFault|BackpressureTest|CheckpointLog|Standby'
       # The reference-checked histogram fuzzers, the block-transition and
-      # tiny-epsilon tests must also survive the failpoint build (the
-      # decode funnels they drive are failpoint-instrumented).
+      # tiny-epsilon tests, the batch differential, the Standalone owners'
+      # fuzzers and the per-key twin test must also survive the failpoint
+      # build (the decode funnels they drive are failpoint-instrumented).
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then

@@ -5,7 +5,10 @@ Mechanical checks for conventions the compiler cannot enforce:
 
   aggregate-coverage  Every `DecayedAggregate` implementation must declare
                       `AuditInvariants()` in its header and be exercised by
-                      name from a fuzz driver in tests/fuzz/.
+                      name from a fuzz driver in tests/fuzz/. A class
+                      template (Standalone<State>) is covered through its
+                      aliases: each `using X = Standalone<...>;` is an
+                      implementation a fuzz driver must name.
   raw-mutex           No raw `std::mutex` / `std::shared_mutex` /
                       `std::condition_variable` (or their headers / lock
                       adapters) outside src/util/mutex.h — everything else
@@ -96,8 +99,11 @@ SPIN_PATTERN = re.compile(
 )
 
 AGGREGATE_DECL_PATTERN = re.compile(
-    r"class\s+(\w+)\s*(?::\s*public\s+DecayedAggregate)"
+    r"(template\s*<[^;{]*?>\s*)?"
+    r"class\s+(\w+)\s*(?:final\s*)?:\s*public\s+DecayedAggregate"
 )
+
+AGGREGATE_ALIAS_PATTERN = re.compile(r"using\s+(\w+)\s*=\s*Standalone\s*<")
 
 AUDIT_DECL_PATTERN = re.compile(r"\bStatus\s+AuditInvariants\s*\(\s*\)")
 
@@ -231,12 +237,21 @@ def check_aggregate_coverage(root: Path, out):
         fuzz_text += path.read_text(errors="replace")
     for path in iter_source_files(root, ["src"], {".h"}):
         text = path.read_text(errors="replace")
+        # (name, line, must declare the audit hook, must be fuzzed by name):
+        # a class template's aliases are what the fuzz drivers name, and an
+        # alias inherits the template's audit hook.
+        found = []
         for match in AGGREGATE_DECL_PATTERN.finditer(text):
-            name = match.group(1)
+            is_template = match.group(1) is not None
+            line = text.count("\n", 0, match.start(2)) + 1
+            found.append((match.group(2), line, True, not is_template))
+        for match in AGGREGATE_ALIAS_PATTERN.finditer(text):
             line = text.count("\n", 0, match.start()) + 1
+            found.append((match.group(1), line, False, True))
+        for name, line, needs_audit, needs_fuzz in found:
             if allowed("aggregate-coverage", text.splitlines()[line - 1]):
                 continue
-            if not AUDIT_DECL_PATTERN.search(text):
+            if needs_audit and not AUDIT_DECL_PATTERN.search(text):
                 out.append(
                     Violation(
                         "aggregate-coverage",
@@ -246,7 +261,7 @@ def check_aggregate_coverage(root: Path, out):
                         "`Status AuditInvariants() const`",
                     )
                 )
-            if name not in fuzz_text:
+            if needs_fuzz and not re.search(rf"\b{name}\b", fuzz_text):
                 out.append(
                     Violation(
                         "aggregate-coverage",
@@ -347,6 +362,18 @@ def selftest(repo_root: Path) -> int:
         found = lint(tree)
         hits = [v for v in found if v.rule == rule]
         strays = [v for v in found if v.rule != rule]
+        # Every fixture file is one violation the rule must catch.
+        flagged = {v.path for v in hits}
+        unflagged = [
+            path for path in sorted(tree.rglob("*"))
+            if path.is_file() and path.name != ".keep" and path not in flagged
+        ]
+        for path in unflagged:
+            print(
+                f"selftest: fixture {path} did NOT trigger rule {rule}",
+                file=sys.stderr,
+            )
+            failures += 1
         if not hits:
             print(
                 f"selftest: fixture {tree.name} did NOT trigger rule {rule}",
@@ -357,7 +384,7 @@ def selftest(repo_root: Path) -> int:
             for violation in strays:
                 print(f"selftest: stray finding: {violation}", file=sys.stderr)
             failures += 1
-        if hits and not strays:
+        if hits and not strays and not unflagged:
             print(f"selftest: {rule}: fixture rejected as intended")
     real = lint(repo_root)
     if real:
