@@ -15,7 +15,8 @@
 // The gap between a backend's cold and in-cache rows is what misses on the
 // key table, the entries and the state blocks cost. A last row times a bare
 // EhState array (the in-cache shape, values 12..23), where every insert is
-// above the class budget of 11 and runs FlatBucketStore's cascade.
+// above the class budget of 11, so FlatBucketStore's merge sweep carries
+// counted new buckets up past class 0.
 //
 // Usage:
 //   registry_ingest                     prints the table (about 30 s)
@@ -141,7 +142,7 @@ double TimeRegistry(const DecayPtr& decay, Backend backend,
 }
 
 /// Median ns/item of EhState::Add on one state per key, values 12..23.
-double TimeCascade(const Shape& shape) {
+double TimeOverCap(const Shape& shape) {
   const EhParams params = EhParams::Create(kEpsilon, kWindow).value();
   std::vector<EhState> states(shape.keys);
   Stream stream(shape, 12, 23);
@@ -235,8 +236,8 @@ int main(int argc, char** argv) {
   }
   bench::PrintRow({"EhState", "sliwin:1024", bench::FmtInt(warm.keys),
                    bench::FmtInt(warm.items_per_tick),
-                   bench::Fmt(TimeCascade(warm))});
+                   bench::Fmt(TimeOverCap(warm))});
   std::printf("(EhState row: values 12..23, every insert over the class "
-              "budget, so the cascade)\n");
+              "budget, so new buckets merge among themselves)\n");
   return lost_keys ? 1 : 0;
 }

@@ -54,7 +54,7 @@ void CehState::Update(const CehParams& params, Tick t, uint64_t value) {
 
 void CehState::UpdateBatch(const CehParams& params,
                            std::span<const StreamItem> items) {
-  // Coalesce runs of equal ticks into one Add: InsertUnits' sequential-
+  // Coalesce runs of equal ticks into one Add: the store's sequential-
   // insertion semantics make Add(t, a + b) identical to Add(t, a); Add(t, b),
   // so the cascade fires once per distinct tick, not once per item.
   size_t i = 0;

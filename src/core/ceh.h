@@ -52,7 +52,7 @@ class CehState {
   void Update(const CehParams& params, Tick t, uint64_t value);
   /// Coalesces same-tick items into one histogram insertion, so the EH's
   /// merge cascade runs once per distinct tick instead of once per item.
-  /// Bit-identical to the per-item sequence (the EH's InsertUnits
+  /// Bit-identical to the per-item sequence (FlatBucketStore::InsertUnits
   /// implements sequential-insertion semantics).
   void UpdateBatch(const CehParams& params, std::span<const StreamItem> items);
   void Advance(const CehParams& params, Tick now);

@@ -61,27 +61,21 @@ void CoarseCehState::Update(const CoarseCehParams& params, Tick t,
   AdvanceTo(params, t);
   if (value == 0) return;
   total_count_ += value;
-  InsertUnits(params, value);
+  // The EH's unit insertion (EhState::Add), with approximate ages in place
+  // of timestamps: every incoming bucket is brand new (age 1), and a merge
+  // keeps the *younger* boundary.
+  store_.InsertUnits(value, ApproxAge(params.boundary_delta), params.cap,
+                     [](const ApproxAge& older, const ApproxAge& newer) {
+                       ApproxAge merged = older;
+                       merged.TakeYounger(newer);
+                       return merged;
+                     });
   TDS_AUDIT_MUTATION(AuditInvariants(params));
 }
 
 void CoarseCehState::UpdateBatch(const CoarseCehParams& params,
                                  std::span<const StreamItem> items) {
   for (const StreamItem& item : items) Update(params, item.t, item.value);
-}
-
-void CoarseCehState::InsertUnits(const CoarseCehParams& params,
-                                 uint64_t incoming_units) {
-  // Same canonical digit arithmetic as ExponentialHistogram::InsertUnits,
-  // with approximate ages in place of timestamps: all incoming buckets are
-  // brand new (age 1); a merge keeps the *younger* boundary.
-  const ApproxAge fresh_age(params.boundary_delta);
-  store_.InsertUnits(incoming_units, fresh_age, params.cap,
-                     [](const ApproxAge& older, const ApproxAge& newer) {
-                       ApproxAge merged = older;
-                       merged.TakeYounger(newer);
-                       return merged;
-                     });
 }
 
 void CoarseCehState::Expire(const CoarseCehParams& params) {

@@ -108,7 +108,6 @@ class CoarseCehState {
 
  private:
   void AdvanceTo(const CoarseCehParams& params, Tick t);
-  void InsertUnits(const CoarseCehParams& params, uint64_t units);
   void Expire(const CoarseCehParams& params);
 
   /// Bucket stamps in one array, oldest first; a bucket's stamp is its

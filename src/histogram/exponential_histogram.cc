@@ -55,17 +55,11 @@ void EhState::Add(const EhParams& params, Tick t, uint64_t value) {
   if (value != 0) {
     if (first_arrival_ == 0) first_arrival_ = t;
     total_count_ += value;
-    InsertUnits(params, t, value);
+    // A merged bucket keeps the newer partner's end tick.
+    store_.InsertUnits(value, t, params.cap,
+                       [](Tick /*older*/, Tick newer) { return newer; });
   }
   TDS_AUDIT_MUTATION(AuditInvariants(params));
-}
-
-void EhState::InsertUnits(const EhParams& params, Tick t,
-                          uint64_t incoming_units) {
-  // Sequential-insertion digit arithmetic, run by the store as a suffix
-  // compaction sweep; a merged bucket keeps the newer partner's end tick.
-  store_.InsertUnits(incoming_units, t, params.cap,
-                     [](Tick /*older*/, Tick newer) { return newer; });
 }
 
 void EhState::Expire(const EhParams& params) {

@@ -98,8 +98,6 @@ class EhState {
   Status AuditInvariants(const EhParams& params) const;
 
  private:
-  /// Inserts `count` unit items at tick t into class 0 and cascades.
-  void InsertUnits(const EhParams& params, Tick t, uint64_t count);
   /// Expires buckets whose end timestamp has left the window.
   void Expire(const EhParams& params);
 
@@ -129,8 +127,8 @@ class EhState {
 /// estimator (CEH, Section 4.2) builds on.
 ///
 /// Values v > 1 are inserted as v logical unit items sharing one timestamp.
-/// The insertion is performed with per-class digit arithmetic, so the cost
-/// is O(cap * log v) rather than O(v).
+/// The store's merge sweep counts the new buckets instead of looping over
+/// them, so the cost is O(cap * log v) rather than O(v).
 class ExponentialHistogram {
  public:
   struct Options {

@@ -83,15 +83,15 @@ inline uint64_t ClassBudget(double epsilon) {
 /// stamps never decrease oldest first (an insert's stamp is at least the
 /// newest, a merge keeps a stamp between its partners, and the EH decoder
 /// rejects a blob out of that order), so the first and last live words are
-/// the extremes a rebase needs, read without a scan. Up to `cap` incoming
-/// units merge in place, in one upward sweep: each class over budget merges
-/// its oldest pairs into the end of the class above (whose segment directly
-/// precedes it) and closes the gap with one memmove of the suffix below, so
-/// a class touched costs O(live) and no scratch. Larger inserts run the
-/// digit-arithmetic cascade, O(cap * log units) plus one rebuild of the
-/// affected suffix. A merge at class c fires once per ~2^c inserted units,
-/// so the amortized insert cost is O(cap), with no per-bucket heap
-/// allocation.
+/// the extremes a rebase needs, read without a scan. Any number of incoming
+/// units merges in place, in one upward sweep (InsertUnits): each class
+/// over budget merges its oldest pairs into the end of the class above
+/// (whose segment directly precedes it) and closes the gap with one memmove
+/// of the suffix below, so a class touched costs O(live) and no scratch.
+/// Buckets stamped `fresh` are counted, not looped over, so a value v
+/// touches O(log v) classes and writes at most `cap` survivors in each. A
+/// merge at class c fires once per ~2^c inserted units, so the amortized
+/// insert cost is O(cap), with no per-bucket heap allocation.
 template <typename Stamp>
 class FlatBucketStore {
   static_assert(std::is_trivially_copyable_v<Stamp>,
@@ -221,26 +221,24 @@ class FlatBucketStore {
   /// Replaces the contents with buckets given in the codecs' wire order:
   /// `read_class(c, out)` runs for c = 0 .. num_classes - 1 and appends
   /// class c's stamps to `out`, oldest first, returning false to abort (the
-  /// store is then unchanged). The stamps collect in the thread's cascade
-  /// scratch (idle during a decode) and land canonically, highest class
-  /// first, in the store's block — narrow, based at the lowest stamp, unless
-  /// the stamps span 2^32 ticks — which is replaced by an exactly-sized one
-  /// if it is too small. Every class must hold at most 2 * kMaxClassBudget
-  /// + 2 buckets (callers bound it by their own cap first). Cold path:
-  /// snapshot decode.
+  /// store is then unchanged). The stamps collect in a thread-local buffer,
+  /// so decoding allocates nothing per key, and land canonically, highest
+  /// class first, in the store's block — narrow, based at the lowest stamp,
+  /// unless the stamps span 2^32 ticks — which is replaced by an
+  /// exactly-sized one if it is too small. Every class must hold at most
+  /// 2 * kMaxClassBudget + 2 buckets (callers bound it by their own cap
+  /// first). Cold path: snapshot decode.
   template <typename ReadClass>
   bool AssignFromAscendingClasses(size_t num_classes, ReadClass&& read_class) {
     TDS_CHECK_LE(num_classes, 64u);
-    Scratch& s = TlsScratch();
-    std::vector<Stamp>& wire = s.rebuild_stamps;
-    std::vector<size_t>& class_sizes = s.seg_offs;
+    static thread_local std::vector<Stamp> wire;
+    ClassSize class_sizes[64] = {};
     wire.clear();
-    class_sizes.assign(num_classes, 0);
     for (size_t c = 0; c < num_classes; ++c) {
       const size_t before = wire.size();
       if (!read_class(c, wire)) return false;
-      class_sizes[c] = wire.size() - before;
-      TDS_CHECK_LE(class_sizes[c], 2 * kMaxClassBudget + 2);
+      TDS_CHECK_LE(wire.size() - before, 2 * kMaxClassBudget + 2);
+      class_sizes[c] = static_cast<ClassSize>(wire.size() - before);
     }
     Clear();
     uint64_t base = 0;
@@ -265,7 +263,7 @@ class FlatBucketStore {
       Word* out = Words<Word>();
       size_t end = wire.size();
       for (size_t c = num_classes; c-- > 0;) {
-        sizes()[c] = static_cast<ClassSize>(class_sizes[c]);
+        sizes()[c] = class_sizes[c];
         end -= class_sizes[c];
         for (size_t k = 0; k < class_sizes[c]; ++k) {
           *out++ = codec.Store(wire[end + k]);
@@ -308,23 +306,88 @@ class FlatBucketStore {
   }
 
   /// Inserts `incoming_units` unit buckets stamped `fresh` into class 0 and
-  /// runs the EH merge cascade (the two oldest buckets of a class merge into
+  /// applies the EH merge rule (the two oldest buckets of a class merge into
   /// the next while the class exceeds `cap`, which is at most
   /// kMaxClassBudget), with the result of inserting the units one at a
   /// time. `merge_stamps(older, newer)` yields the merged bucket's stamp:
   /// the EH keeps the newer end timestamp, the coarse variant the younger
   /// age. A Tick `fresh` must be at least the newest live stamp, and a
-  /// Tick merge must lie between its partners. Up to `cap` units
-  /// merge in place; more run the O(cap * log units) digit arithmetic.
+  /// Tick merge must lie between its partners.
+  ///
+  /// One upward sweep merges in place. Class c holds `settled` buckets,
+  /// stored words with stamps of their own, then `born` ones stamped
+  /// `fresh`: the incoming units at class 0, merges of two born buckets
+  /// above. Born buckets are alike, so they are counted, never looped over.
+  /// Over `cap`, the class merges its (total - cap + 1) / 2 oldest pairs,
+  /// as unit insertion would. A pair that touches a settled bucket is
+  /// written, carry k into the class's slot k, which extends the class
+  /// above (whose segment ends where this one begins), and one memmove
+  /// closes the gap under the suffix below; if its newer partner is born it
+  /// yields `fresh` without calling merge_stamps. The other pairs are class
+  /// c + 1's born buckets. A class passes born buckets up only once its
+  /// merges have used all its settled ones, so no born survivor lies above
+  /// a settled one: the born survivors are the new tail, written last in
+  /// one fill. Cost: O(cap * log units) plus the memmoves, no scratch.
   template <typename MergeStamps>
   void InsertUnits(uint64_t incoming_units, const Stamp& fresh, uint64_t cap,
                    MergeStamps&& merge_stamps) {
     TDS_CHECK_LE(cap, kMaxClassBudget);
-    if (incoming_units <= cap) {
-      InsertInPlace(incoming_units, fresh, cap, merge_stamps);
-    } else {
-      CascadeInsert(incoming_units, fresh, cap, merge_stamps);
+    // The class count and the merges from counts alone, so the directory
+    // and the net growth are in place before any word moves.
+    const auto stored = [this](size_t c) -> uint64_t {
+      return c < num_classes_ ? sizes()[c] : 0;
+    };
+    TDS_CHECK_LE(incoming_units,
+                 std::numeric_limits<uint64_t>::max() - stored(0));
+    size_t classes = std::max<size_t>(num_classes_, 1);
+    uint64_t all_merges = 0;
+    for (size_t c = 0, total = stored(0) + incoming_units; total > cap; ++c) {
+      TDS_CHECK_LT(c + 1, 64u);
+      const uint64_t merges = (total - cap + 1) / 2;
+      all_merges += merges;
+      classes = std::max(classes, c + 2);
+      total = stored(c + 1) + merges;
     }
+    Reserve(classes, incoming_units - std::min(incoming_units, all_merges),
+            fresh, fresh);
+    WithWords([&]<typename Word>(std::type_identity<Word>) {
+      const Codec<Word> codec{base()};
+      Word* const words = Words<Word>();
+      const Word fresh_word = codec.Store(fresh);
+      ClassSize* const class_sizes = sizes();
+      uint64_t born_left = 0;  // born survivors of every class
+      size_t seg_end = end_;
+      uint64_t settled = class_sizes[0];
+      uint64_t born = incoming_units;
+      for (size_t c = 0;; ++c) {
+        const uint64_t total = settled + born;
+        const uint64_t merges = total > cap ? (total - cap + 1) / 2 : 0;
+        const uint64_t paired = std::min(2 * merges, settled);
+        const uint64_t written = (paired + 1) / 2;
+        const size_t seg_begin = seg_end - settled;
+        for (uint64_t k = 0; k < written; ++k) {
+          const size_t older = seg_begin + 2 * k;
+          words[seg_begin + k] =
+              2 * k + 1 < settled
+                  ? codec.Store(merge_stamps(codec.Load(words[older]),
+                                             codec.Load(words[older + 1])))
+                  : fresh_word;
+        }
+        if (paired != 0) {
+          std::memmove(words + seg_begin + written, words + seg_begin + paired,
+                       (end_ - seg_begin - paired) * sizeof(Word));
+          end_ -= static_cast<uint32_t>(paired - written);
+        }
+        born_left += born - (2 * merges - paired);
+        class_sizes[c] = static_cast<ClassSize>(total - 2 * merges);
+        if (merges == 0) break;
+        seg_end = seg_begin + written;
+        settled = class_sizes[c + 1] + written;
+        born = merges - written;
+      }
+      std::fill_n(words + end_, born_left, fresh_word);
+      end_ += static_cast<uint32_t>(born_left);
+    });
   }
 
   /// The block's own invariants, for the owners' audits: head <= end <=
@@ -600,264 +663,6 @@ class FlatBucketStore {
     if (classes > num_classes_) {
       std::fill(sizes() + num_classes_, sizes() + classes, ClassSize{0});
       num_classes_ = static_cast<uint8_t>(classes);
-    }
-  }
-
-  /// Up to `cap` units, merged in place by one upward sweep. At each class
-  /// over `cap`, its (total - cap + 1) / 2 oldest pairs merge (the
-  /// cascade's sequential-insertion count): carry k lands in the class's
-  /// k-th slot, which extends the class above (whose segment ends where
-  /// this one begins), and one memmove closes the gap under the suffix
-  /// below. Class 0 reads the incoming units as `fresh` and writes only
-  /// those that survive, so the block needs room for the net growth alone.
-  /// As in the cascade, a merge whose newer partner was born of incoming
-  /// units yields `fresh` without calling merge_stamps.
-  template <typename MergeStamps>
-  void InsertInPlace(uint64_t incoming_units, const Stamp& fresh,
-                     uint64_t cap, MergeStamps& merge_stamps) {
-    // Class 0's merges and the class count after the sweep, from counts
-    // alone, so the directory and the room are in place before any word
-    // moves.
-    const uint64_t class0 = num_classes_ == 0 ? 0 : sizes()[0];
-    const uint64_t merges0 = class0 + incoming_units > cap
-                                 ? (class0 + incoming_units - cap + 1) / 2
-                                 : 0;
-    size_t classes = std::max<size_t>(num_classes_, 1);
-    for (size_t c = 0, total = class0 + incoming_units; total > cap; ++c) {
-      TDS_CHECK_LT(c + 1, 64u);
-      classes = std::max(classes, c + 2);
-      total = (c + 1 < num_classes_ ? sizes()[c + 1] : 0) +
-              (total - cap + 1) / 2;
-    }
-    Reserve(classes, incoming_units - std::min(incoming_units, merges0),
-            fresh, fresh);
-    WithWords([&]<typename Word>(std::type_identity<Word>) {
-      const Codec<Word> codec{base()};
-      Word* const words = Words<Word>();
-      const Word fresh_word = codec.Store(fresh);
-      ClassSize* const class_sizes = sizes();
-      // Class c holds `total` buckets: `stored` words ending at `seg_end`,
-      // then the incoming units not yet written (class 0 only). The last
-      // `fresh_born` of them were born of incoming units.
-      size_t seg_end = end_;
-      uint64_t total = class0 + incoming_units;
-      uint64_t stored = class0;
-      uint64_t fresh_born = incoming_units;
-      for (size_t c = 0;; ++c) {
-        if (total <= cap) {
-          std::fill_n(words + end_, total - stored, fresh_word);
-          end_ += static_cast<uint32_t>(total - stored);
-          class_sizes[c] = static_cast<ClassSize>(total);
-          break;
-        }
-        const size_t seg_begin = seg_end - stored;
-        const uint64_t merges = (total - cap + 1) / 2;
-        const uint64_t settled = total - fresh_born;
-        uint64_t carried_fresh_born = 0;
-        for (uint64_t k = 0; k < merges; ++k) {
-          Word merged = fresh_word;
-          if (2 * k + 1 < settled) {
-            const size_t older = seg_begin + 2 * k;
-            merged = codec.Store(merge_stamps(codec.Load(words[older]),
-                                              codec.Load(words[older + 1])));
-          } else if (2 * k >= settled) {
-            ++carried_fresh_born;
-          }
-          words[seg_begin + k] = merged;
-        }
-        // The class's stored survivors and every class below follow the
-        // carries; class 0's unwritten survivors land after them.
-        const size_t gap_end = seg_begin + std::min(2 * merges, stored);
-        std::memmove(words + seg_begin + merges, words + gap_end,
-                     (end_ - gap_end) * sizeof(Word));
-        end_ -= static_cast<uint32_t>(gap_end - (seg_begin + merges));
-        const uint64_t unwritten =
-            total - 2 * merges - (stored - (gap_end - seg_begin));
-        std::fill_n(words + end_, unwritten, fresh_word);
-        end_ += static_cast<uint32_t>(unwritten);
-        class_sizes[c] = static_cast<ClassSize>(total - 2 * merges);
-        seg_end = seg_begin + merges;
-        total = class_sizes[c + 1] + merges;
-        stored = total;
-        fresh_born = carried_fresh_born;
-      }
-    });
-  }
-
-  /// Per-class working state for one cascade: a pop cursor over the class's
-  /// original segment plus the buckets appended during the cascade (carries
-  /// from below, then materialized incoming buckets) with their own pop
-  /// cursor — later merges at the same class may consume appended carries,
-  /// so the class pops oldest first: original segment, then appended.
-  struct ClassWork {
-    size_t orig_begin = 0;
-    size_t orig_size = 0;
-    size_t popped = 0;
-    size_t app_taken = 0;
-    std::vector<Stamp> app_stamps;
-  };
-
-  /// Cascade scratch, shared thread-local rather than member-owned: a
-  /// registry holds one store per key, and per-instance scratch (especially
-  /// the nested per-class vectors) would both bloat every key by ~10 heap
-  /// blocks and drag all of them through the cache on each cold-key
-  /// cascade. One thread's scratch stays hot across every store it touches;
-  /// mutation already requires exclusive access per store, so per-thread
-  /// sharing is race-free.
-  struct Scratch {
-    std::vector<ClassWork> work;
-    std::vector<size_t> seg_offs;
-    std::vector<Stamp> carry_stamps;
-    std::vector<Stamp> rebuild_stamps;
-  };
-  static Scratch& TlsScratch() {
-    static thread_local Scratch scratch;
-    return scratch;
-  }
-
-  /// More than `cap` units: digit arithmetic reproduces inserting them one
-  /// at a time in O(cap * log units) steps, reading the classes it reaches
-  /// in place, then rewrites the affected suffix.
-  template <typename MergeStamps>
-  void CascadeInsert(uint64_t incoming_units, const Stamp& fresh,
-                     uint64_t cap, MergeStamps& merge_stamps) {
-    Scratch& s = TlsScratch();
-    std::vector<ClassWork>& work_ = s.work;
-    std::vector<size_t>& seg_offs_ = s.seg_offs;
-    std::vector<Stamp>& carry_stamps_ = s.carry_stamps;
-    std::vector<Stamp>& rebuild_stamps_ = s.rebuild_stamps;
-    // Segment offsets of the classes as they stand (class N-1 at head_).
-    seg_offs_.resize(num_classes_);
-    {
-      size_t pos = head_;
-      for (size_t c = num_classes_; c-- > 0;) {
-        seg_offs_[c] = pos;
-        pos += sizes()[c];
-      }
-    }
-    // Classes created mid-cascade sit above every existing segment and are
-    // empty, so their (vacuous) original segment is at head_. The block is
-    // left as it is until the cascade's result is known.
-    auto init_work = [this, &work_, &seg_offs_](size_t c) {
-      while (work_.size() <= c) work_.emplace_back();
-      ClassWork& w = work_[c];
-      const bool existing = c < num_classes_;
-      w.orig_begin = existing ? seg_offs_[c] : head_;
-      w.orig_size = existing ? sizes()[c] : 0;
-      w.popped = 0;
-      w.app_taken = 0;
-      w.app_stamps.clear();
-    };
-    const size_t terminal =
-        WithWords([&]<typename Word>(std::type_identity<Word>) {
-          const Codec<Word> codec{base()};
-          const Word* const words = Words<Word>();
-          auto pop_front = [&](ClassWork& w) {
-            if (w.popped < w.orig_size) {
-              return codec.Load(words[w.orig_begin + w.popped++]);
-            }
-            return w.app_stamps[w.app_taken++];
-          };
-          init_work(0);
-          // `virtual_new` tracks not-yet-materialized incoming class-i
-          // buckets (all stamped `fresh`); real carries — which may inherit
-          // older stamps — materialize eagerly.
-          uint64_t virtual_new = incoming_units;
-          size_t i = 0;
-          while (true) {
-            ClassWork& w = work_[i];
-            const uint64_t real_live = (w.orig_size - w.popped) +
-                                       (w.app_stamps.size() - w.app_taken);
-            const uint64_t total = real_live + virtual_new;
-            uint64_t next_virtual = 0;
-            carry_stamps_.clear();
-            if (total > cap) {
-              // Sequential-insertion semantics: a merge fires each time the
-              // class reaches cap+1 buckets, pairing its two oldest.
-              const uint64_t merges = (total - cap + 1) / 2;
-              for (uint64_t m = 0; m < merges; ++m) {
-                const size_t real = (w.orig_size - w.popped) +
-                                    (w.app_stamps.size() - w.app_taken);
-                if (real >= 2) {
-                  const Stamp older = pop_front(w);
-                  const Stamp newer = pop_front(w);
-                  carry_stamps_.push_back(merge_stamps(older, newer));
-                } else if (real == 1) {
-                  // One pre-existing bucket pairs with one incoming bucket.
-                  (void)pop_front(w);
-                  TDS_CHECK_GE(virtual_new, 1u);
-                  --virtual_new;
-                  carry_stamps_.push_back(fresh);
-                } else {
-                  // All remaining merges pair incoming buckets with each
-                  // other: pure arithmetic, closed out in one step (what
-                  // keeps huge-value insertion O(log v) instead of O(v)).
-                  const uint64_t remaining = merges - m;
-                  TDS_CHECK_GE(virtual_new, 2 * remaining);
-                  virtual_new -= 2 * remaining;
-                  next_virtual += remaining;
-                  break;
-                }
-              }
-            }
-            // Materialize the surviving incoming buckets (newest in the
-            // class).
-            w.app_stamps.insert(w.app_stamps.end(), virtual_new, fresh);
-            if (carry_stamps_.empty() && next_virtual == 0) break;
-            init_work(i + 1);
-            // Carries were produced oldest-first and are newer than
-            // everything in class i+1, so appending preserves the ordering
-            // invariant.
-            ClassWork& up = work_[i + 1];
-            up.app_stamps.insert(up.app_stamps.end(), carry_stamps_.begin(),
-                                 carry_stamps_.end());
-            virtual_new = next_virtual;
-            ++i;
-          }
-          // Rebuild the affected suffix (classes i..0) as one compaction
-          // sweep; every class above i kept its segment untouched.
-          size_t rebuilt = 0;
-          for (size_t c = 0; c <= i; ++c) {
-            const ClassWork& w = work_[c];
-            rebuilt += (w.orig_size - w.popped) +
-                       (w.app_stamps.size() - w.app_taken);
-          }
-          rebuild_stamps_.resize(rebuilt);
-          Stamp* out = rebuild_stamps_.data();
-          for (size_t c = i + 1; c-- > 0;) {
-            const ClassWork& w = work_[c];
-            for (size_t k = w.popped; k < w.orig_size; ++k) {
-              *out++ = codec.Load(words[w.orig_begin + k]);
-            }
-            out = std::copy(w.app_stamps.begin() +
-                                static_cast<std::ptrdiff_t>(w.app_taken),
-                            w.app_stamps.end(), out);
-          }
-          return i;
-        });
-    // Only now may the block move: new classes and the rewritten suffix
-    // may need the tail to slide, the words to rebase or widen, or the
-    // block to be replaced. Every rebuilt stamp is a live one, `fresh`, or
-    // a merge between two of those, so room made with the old suffix still
-    // live keeps them all storable.
-    const size_t suffix_offset = work_[terminal].orig_begin - head_;
-    const size_t rebuilt = rebuild_stamps_.size();
-    const size_t old_suffix = end_ - work_[terminal].orig_begin;
-    Reserve(terminal + 1, rebuilt - std::min(rebuilt, old_suffix), fresh,
-            fresh);
-    end_ = head_ + static_cast<uint32_t>(suffix_offset);
-    WithWords([&]<typename Word>(std::type_identity<Word>) {
-      const Codec<Word> codec{base()};
-      Word* const out = Words<Word>() + end_;
-      for (size_t k = 0; k < rebuild_stamps_.size(); ++k) {
-        out[k] = codec.Store(rebuild_stamps_[k]);
-      }
-    });
-    end_ += static_cast<uint32_t>(rebuild_stamps_.size());
-    for (size_t c = 0; c <= terminal; ++c) {
-      const ClassWork& w = work_[c];
-      sizes()[c] = static_cast<ClassSize>(
-          (w.orig_size - w.popped) + (w.app_stamps.size() - w.app_taken));
     }
   }
 

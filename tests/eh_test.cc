@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -394,14 +395,24 @@ TEST(ExponentialHistogramTest, ExpiryDropsOldBuckets) {
 
 TEST(ExponentialHistogramTest, ValueInsertEqualsUnitInserts) {
   // Adding v at tick t must leave exactly the same state as adding 1
-  // v times at tick t (the digit-arithmetic fast path is semantically a
-  // batch of unit insertions).
-  for (uint64_t value : {2u, 3u, 5u, 17u, 64u, 100u}) {
+  // v times at tick t (one v-unit insert is semantically a batch of unit
+  // insertions). The values straddle the class budget (cap = 5 at eps
+  // 0.25) and reach well past it; the last run jumps its ticks past 2^32
+  // halfway, so the store's words are 64 bits wide.
+  struct Run {
+    uint64_t value;
+    Tick jump;
+  };
+  for (const Run run : {Run{2, 0}, Run{3, 0}, Run{5, 0}, Run{17, 0},
+                        Run{64, 0}, Run{100, 0}, Run{4, 0}, Run{6, 0},
+                        Run{11, 0}, Run{4097, 0}, Run{11, Tick{1} << 32}}) {
+    const uint64_t value = run.value;
     ExponentialHistogram fast = MakeEh(0.25, kInfiniteHorizon);
     ExponentialHistogram slow = MakeEh(0.25, kInfiniteHorizon);
     Rng rng(value);
-    for (Tick t = 1; t <= 40; ++t) {
-      const uint64_t v = (t % 3 == 0) ? value : rng.NextBelow(3);
+    for (Tick step = 1; step <= 40; ++step) {
+      const Tick t = step + (step > 20 ? run.jump : 0);
+      const uint64_t v = (step % 3 == 0) ? value : rng.NextBelow(3);
       fast.Add(t, v);
       for (uint64_t i = 0; i < v; ++i) slow.Add(t, 1);
       slow.AdvanceTo(t);
@@ -412,6 +423,10 @@ TEST(ExponentialHistogramTest, ValueInsertEqualsUnitInserts) {
     for (size_t i = 0; i < fast_buckets.size(); ++i) {
       EXPECT_EQ(fast_buckets[i].end, slow_buckets[i].end);
       EXPECT_EQ(fast_buckets[i].count, slow_buckets[i].count);
+    }
+    if (run.jump != 0) {
+      EXPECT_GT(fast_buckets.back().end - fast_buckets.front().end, run.jump)
+          << "the live stamps must span 2^32 ticks";
     }
   }
 }
@@ -500,8 +515,8 @@ TEST(ExponentialHistogramTest, StorageGrowsPolylogarithmically) {
 }
 
 TEST(ExponentialHistogramTest, LargeValueInsertIsFast) {
-  // The digit-arithmetic path must handle single huge values without O(v)
-  // work; this just asserts it completes and preserves the count.
+  // A single huge value must take O(cap * log v) work, not O(v); this
+  // asserts it completes and preserves the count.
   ExponentialHistogram eh = MakeEh(0.1, kInfiniteHorizon);
   eh.Add(1, uint64_t{1} << 40);
   eh.Add(2, (uint64_t{1} << 40) + 12345);
@@ -509,8 +524,51 @@ TEST(ExponentialHistogramTest, LargeValueInsertIsFast) {
   const double estimate = eh.EstimateWindow(2);
   EXPECT_NEAR(estimate, static_cast<double>(eh.TotalCount()),
               0.1 * static_cast<double>(eh.TotalCount()));
-}
 
+  // 2^62 units into a histogram whose classes 0..2 are at cap (11): every
+  // stored bucket there merges, and the new units' survivors land in
+  // several classes at once, each still within cap and in canonical order.
+  const uint64_t cap = 11;
+  ExponentialHistogram full = MakeEh(0.1, kInfiniteHorizon);
+  const auto per_class = [](const ExponentialHistogram& h) {
+    std::map<uint64_t, uint64_t> sizes;
+    for (const ExponentialHistogram::Bucket& b : h.Buckets()) {
+      ++sizes[b.count];
+    }
+    return sizes;
+  };
+  Tick t = 0;
+  while (t < 10000) {
+    full.Add(++t, 1);
+    const auto sizes = per_class(full);
+    if (sizes.count(1) && sizes.at(1) == cap && sizes.count(2) &&
+        sizes.at(2) == cap && sizes.count(4) && sizes.at(4) == cap) {
+      break;
+    }
+  }
+  ASSERT_LT(t, 10000) << "classes 0..2 never all reached cap";
+  const uint64_t before = full.TotalCount();
+  full.Add(++t, uint64_t{1} << 62);
+  EXPECT_EQ(full.TotalCount(), before + (uint64_t{1} << 62));
+  ASSERT_TRUE(full.AuditInvariants().ok());
+  uint64_t total = 0;
+  std::set<uint64_t> fresh_classes;
+  const auto buckets = full.Buckets();
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    total += buckets[i].count;
+    if (buckets[i].end == t) fresh_classes.insert(buckets[i].count);
+    if (i > 0) {
+      EXPECT_LE(buckets[i].count, buckets[i - 1].count);
+      EXPECT_GE(buckets[i].end, buckets[i - 1].end);
+    }
+  }
+  EXPECT_EQ(total, full.TotalCount());
+  EXPECT_GT(fresh_classes.size(), 2u);
+  for (const auto& [size, count] : per_class(full)) EXPECT_LE(count, cap);
+  // Units that would overflow class 0's 64-bit count are refused.
+  EXPECT_DEATH(full.Add(t, std::numeric_limits<uint64_t>::max()),
+               "TDS_CHECK");
+}
 
 TEST(ExponentialHistogramTest, PerClassCapInvariant) {
   // The canonical EH invariant: at most cap = ceil(1/eps)+1 buckets per

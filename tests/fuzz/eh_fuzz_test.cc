@@ -94,8 +94,8 @@ struct EhFuzzConfig {
   /// bucket block's offsets rebase, and under an infinite window its live
   /// stamps span past 32 bits and widen the words.
   bool far = false;
-  /// Half the Adds carry cap or cap + 1 units: the in-place merge path and
-  /// the digit-arithmetic cascade side by side.
+  /// Half the Adds carry cap or cap + 1 units: at cap + 1 the new units can
+  /// merge among themselves and carry counted buckets up a class.
   bool straddle = false;
 };
 
@@ -299,8 +299,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{0xe408, 0.1, 512, 1200, true},
                       FuzzCase{0xe409, 0.1, kInfiniteHorizon, 1200, true},
                       FuzzCase{0xe40a, 0.5, kInfiniteHorizon, 1200, true},
-                      // Values of cap and cap + 1: in-place merges beside
-                      // the cascade.
+                      // Values of cap and cap + 1: new units merging with
+                      // stored buckets and among themselves.
                       FuzzCase{0xe40b, 0.1, 256, 1200, false, true},
                       FuzzCase{0xe40c, 0.5, 64, 1200, false, true},
                       FuzzCase{0xe40d, 0.25, kInfiniteHorizon, 900, true,

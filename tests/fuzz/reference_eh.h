@@ -13,8 +13,8 @@ namespace tds {
 /// buckets, class c holding buckets of count 2^c, oldest first. Units enter
 /// class 0 one at a time, and whenever a class holds more than `cap`
 /// buckets its two oldest merge into one bucket of the next class. It
-/// shares no code with the library's batched digit-arithmetic cascade, so
-/// the fuzz drivers can hold the real structures to it bucket for bucket.
+/// shares no code with the library's batched merge sweep, so the fuzz
+/// drivers can hold the real structures to it bucket for bucket.
 ///
 /// `Stamp` is the per-bucket boundary: an end tick for the EH, an ApproxAge
 /// for the coarse CEH. Callers supply the merge rule for two stamps.

@@ -125,12 +125,14 @@ for stage in $STAGES; do
       # differential holds every backend's UpdateBatch to per-item ingest,
       # the Exact/EWMA/RecentItems/PolyExp fuzzers drive the Standalone
       # owners under audits, and the per-key twin test holds every
-      # registry backend to its standalone structure. They must run with
-      # audits armed, and must never silently vanish.
+      # registry backend to its standalone structure, and the two
+      # value-insert tests hold a v-unit insert to v unit inserts and a
+      # 2^62-unit insert to the class budget. They must run with audits
+      # armed, and must never silently vanish.
       log "ASan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-asan" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone|ExponentialHistogramTest.ValueInsertEqualsUnitInserts|ExponentialHistogramTest.LargeValueInsertIsFast'
       ;;
     tsan)
       log "TSan build + ctest"
@@ -140,7 +142,7 @@ for stage in $STAGES; do
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
         -R 'ShardedEngine|SpscRing|EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|ConcurrentWriterRequests|EngineReadTest'
-      # Thread-local cascade scratch (flat_store.h) must hold under TSan.
+      # The thread-local decode buffer (flat_store.h) must hold under TSan.
       log "TSan leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
@@ -164,7 +166,7 @@ for stage in $STAGES; do
       log "faults leg: histogram reference fuzzers + batch differential present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone'
+        -R 'EhFuzz|CehFuzz|CoarseCehFuzz|FlatBucketStoreTest|CreateRejectsEpsilonWithoutClassBudget|WbmhFuzz|WbmhSharedLayoutFuzz|EncodingPin|AggregateRegistryTest.BatchMatchesPerItem|RegistryFuzzTest|AggregateRegistryTest.Cop|SnapshotTest.CloneEncodes|AggregateRegistryTest.DecodeRejects|AggregateRegistryTest.SegmentThatRehashesMidResolve|BatchDifferentialTest|ExactFuzz|EwmaFuzz|RecentItemsFuzz|PolyExpFuzz|AggregateRegistryTest.PerKeyStateMatchesStandalone|ExponentialHistogramTest.ValueInsertEqualsUnitInserts|ExponentialHistogramTest.LargeValueInsertIsFast'
       ;;
     tidy)
       if ! command -v clang-tidy >/dev/null 2>&1; then

@@ -131,4 +131,44 @@ if "$CLI" --decay=sliwin:32 --engine=2 \
   echo "expected standby decay mismatch to fail" >&2
   exit 1
 fi
+# Polyexponential decay drives its pipelined-register backend, and its
+# snapshot resumes like any other.
+"$CLI" --decay=polyexp:2:0.05 --backend=polyexp "$TMP/full.txt" \
+  > "$TMP/polyexp.txt"
+grep -q '^# POLYEXP_PIPE over ' "$TMP/polyexp.txt"
+"$CLI" --decay=polyexp:2:0.05 --backend=polyexp --save="$TMP/polyexp.tds" \
+  "$TMP/p1.txt" > /dev/null
+"$CLI" --decay=polyexp:2:0.05 --load="$TMP/polyexp.tds" "$TMP/p2.txt" \
+  | tail -1 > "$TMP/polyexp_resumed.txt"
+tail -1 "$TMP/polyexp.txt" | cmp - "$TMP/polyexp_resumed.txt"
+
+# An input line with a negative count is malformed: skipped with a warning.
+printf '1 5\n2 -3\n3 2\n' > "$TMP/negative.txt"
+"$CLI" --decay=sliwin:8 --backend=ceh "$TMP/negative.txt" \
+  > "$TMP/negative_out.txt" 2> "$TMP/negative_err.txt"
+grep -q 'malformed line 2 skipped' "$TMP/negative_err.txt"
+grep -q ': 7 items through tick 3$' "$TMP/negative_out.txt"
+
+# Numbers are read whole and in range: anything else exits 2, naming what
+# it refused, before any input is read or any shard starts.
+refuses() {
+  want="$1"
+  shift
+  set +e
+  "$CLI" "$@" "$TMP/stream.txt" > /dev/null 2> "$TMP/refused.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 2 ] || ! grep -qF -- "$want" "$TMP/refused.txt"; then
+    echo "expected $* to exit 2 naming $want (exit $status)" >&2
+    exit 1
+  fi
+}
+refuses sliwin:8x --decay=sliwin:8x
+refuses sliwin:1e30 --decay=sliwin:1e30
+refuses polyexp:2 --decay=polyexp:2
+refuses 4294967297 --engine=4294967297
+refuses 257 --engine=257
+refuses epsilon --epsilon=2
+refuses 10x --probe=10x
+refuses nope --backend=nope
 echo CLI_SMOKE_OK

@@ -17,20 +17,28 @@
 //   tds_cli --decay=exp:0.01 --backend=ewma --probe=1000 stream.txt
 //   tds_cli --decay=sliwin:4096 --save=state.tds stream_part1.txt
 //   tds_cli --decay=sliwin:4096 --load=state.tds stream_part2.txt
+//   tds_cli --decay=polyexp:2:0.05 --backend=polyexp stream.txt
 //   tds_cli --decay=sliwin:4096 --engine=4 --topk=20 keyed_stream.txt
+#include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/factory.h"
 #include "core/snapshot.h"
 #include "decay/exponential.h"
+#include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
 #include "engine/checkpoint_log.h"
@@ -47,18 +55,18 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: tds_cli [options] [input-file]\n"
-      "  --decay=KIND:PARAM   exp:<lambda> | poly:<alpha> | sliwin:<W>\n"
-      "                       (default poly:1.0)\n"
-      "  --backend=NAME       auto|exact|ewma|recent|ceh|coarse|wbmh\n"
+      "  --decay=KIND:PARAM   exp:<lambda> | poly:<alpha> | sliwin:<W> |\n"
+      "                       polyexp:<k>:<lambda> (default poly:1.0)\n"
+      "  --backend=NAME       auto|exact|ewma|recent|ceh|coarse|wbmh|polyexp\n"
       "  --epsilon=E          accuracy target (default 0.1)\n"
       "  --probe=P            print the estimate every P ticks (default 0:\n"
       "                       only the final estimate)\n"
       "  --save=FILE          write a snapshot after the stream ends\n"
       "  --load=FILE          resume from a snapshot before reading\n"
-      "  --engine=SHARDS      sharded engine mode: input lines become\n"
-      "                       \"tick key value\" triples; prints a merged\n"
-      "                       snapshot report (incompatible with\n"
-      "                       --probe/--save/--load)\n"
+      "  --engine=SHARDS      sharded engine mode (1 to 256 shards): input\n"
+      "                       lines become \"tick key value\" triples; prints\n"
+      "                       a merged snapshot report (incompatible\n"
+      "                       with --probe/--save/--load)\n"
       "  --topk=K             keys to print in the engine report\n"
       "                       (default 10)\n"
       "  --checkpoint-dir=DIR (engine mode) crash-consistent checkpoint\n"
@@ -74,44 +82,89 @@ void Usage() {
       "                       engine\n");
 }
 
+/// `text` whole as a number in [low, high]; nullopt for anything else
+/// (trailing characters, overflow, NaN).
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text, T low, T high) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !(value >= low && value <= high)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+
+/// Reads an input line's leading whitespace-separated fields into `out...`,
+/// each whole and in its type's range (so a negative count is malformed);
+/// later fields are ignored.
+template <typename... T>
+bool ReadFields(const std::string& line, T*... out) {
+  std::istringstream fields(line);
+  std::string token;
+  const auto read = [&]<typename U>(U* field) {
+    if (!(fields >> token)) return false;
+    const std::optional<U> parsed = ParseNumber<U>(
+        token, std::numeric_limits<U>::lowest(), std::numeric_limits<U>::max());
+    if (parsed) *field = *parsed;
+    return parsed.has_value();
+  };
+  return (read(out) && ...);
+}
+
 StatusOr<DecayPtr> ParseDecay(const std::string& spec) {
   const size_t colon = spec.find(':');
   if (colon == std::string::npos) {
     return Status::InvalidArgument("decay spec needs KIND:PARAM");
   }
   const std::string kind = spec.substr(0, colon);
-  const double param = std::atof(spec.c_str() + colon + 1);
-  if (kind == "exp") return ExponentialDecay::Create(param);
-  if (kind == "poly") return PolynomialDecay::Create(param);
+  const std::string_view param = std::string_view(spec).substr(colon + 1);
+  const auto bad_param = [&spec] {
+    return Status::InvalidArgument("bad decay parameter: " + spec);
+  };
   if (kind == "sliwin") {
-    return SlidingWindowDecay::Create(static_cast<Tick>(param));
+    const auto window =
+        ParseNumber<Tick>(param, 1, std::numeric_limits<Tick>::max());
+    if (!window) return bad_param();
+    return SlidingWindowDecay::Create(*window);
+  }
+  if (kind == "polyexp") {
+    const size_t split = param.find(':');
+    if (split == std::string_view::npos) return bad_param();
+    const auto k = ParseNumber<int>(param.substr(0, split), 0,
+                                    std::numeric_limits<int>::max());
+    const auto lambda =
+        ParseNumber<double>(param.substr(split + 1), -kMaxDouble, kMaxDouble);
+    if (!k || !lambda) return bad_param();
+    return PolyExponentialDecay::Create(*k, *lambda);
+  }
+  if (kind == "exp" || kind == "poly") {
+    const auto value = ParseNumber<double>(param, -kMaxDouble, kMaxDouble);
+    if (!value) return bad_param();
+    return kind == "exp" ? ExponentialDecay::Create(*value)
+                         : PolynomialDecay::Create(*value);
   }
   return Status::InvalidArgument("unknown decay kind: " + kind);
 }
 
-StatusOr<Backend> ParseBackend(const std::string& name) {
-  if (name == "auto") return Backend::kAuto;
-  if (name == "exact") return Backend::kExact;
-  if (name == "ewma") return Backend::kEwma;
-  if (name == "recent") return Backend::kRecentItems;
-  if (name == "ceh") return Backend::kCeh;
-  if (name == "coarse") return Backend::kCoarseCeh;
-  if (name == "wbmh") return Backend::kWbmh;
-  return Status::InvalidArgument("unknown backend: " + name);
-}
+/// The --backend names.
+constexpr std::pair<std::string_view, Backend> kBackendNames[] = {
+    {"auto", Backend::kAuto},         {"exact", Backend::kExact},
+    {"ewma", Backend::kEwma},         {"recent", Backend::kRecentItems},
+    {"ceh", Backend::kCeh},           {"coarse", Backend::kCoarseCeh},
+    {"wbmh", Backend::kWbmh},         {"polyexp", Backend::kPolyExp},
+};
 
 /// Sharded engine mode: "tick key value" triples -> batch ingest with
 /// periodic skew checks -> merged-snapshot report.
-int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
+int RunEngineMode(DecayPtr decay, const AggregateOptions& aggregate,
                   uint32_t shards, size_t topk,
                   const std::string& checkpoint_dir,
                   const std::string& promote_dir, std::istream& in) {
   ShardedAggregateEngine::Options options;
-  options.registry.aggregate = AggregateOptions::Builder()
-                                   .backend(backend)
-                                   .epsilon(epsilon)
-                                   .Build()
-                                   .value();
+  options.registry.aggregate = aggregate;
   options.shards = shards;
   StatusOr<std::unique_ptr<ShardedAggregateEngine>> engine =
       Status::FailedPrecondition("engine not created");
@@ -212,11 +265,10 @@ int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
     long long tick = 0;
     unsigned long long key = 0;
     unsigned long long value = 0;
-    if (!(fields >> tick >> key >> value)) {
+    if (!ReadFields(line, &tick, &key, &value)) {
       std::fprintf(stderr, "warning: malformed line %zu skipped\n",
                    line_number);
       continue;
@@ -283,7 +335,7 @@ int main(int argc, char** argv) {
   std::string checkpoint_dir, promote_dir;
   double epsilon = 0.1;
   Tick probe = 0;
-  long long engine_shards = 0;
+  uint32_t engine_shards = 0;  // 0: single-stream mode
   size_t topk = 10;
 
   for (int i = 1; i < argc; ++i) {
@@ -292,22 +344,43 @@ int main(int argc, char** argv) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // Reads a numeric option's value whole into `out` if it lies in
+    // [low, high]; false (after the error) otherwise.
+    auto number = [&arg]<typename T>(const char* v, T low, T high, T* out) {
+      const std::optional<T> parsed = ParseNumber<T>(v, low, high);
+      if (!parsed) {
+        std::fprintf(stderr, "error: bad number or out of range: %s\n",
+                     arg.c_str());
+        return false;
+      }
+      *out = *parsed;
+      return true;
+    };
     if (const char* v = value_of("--decay=")) {
       decay_spec = v;
     } else if (const char* v = value_of("--backend=")) {
       backend_name = v;
     } else if (const char* v = value_of("--epsilon=")) {
-      epsilon = std::atof(v);
+      if (!number(v, -kMaxDouble, kMaxDouble, &epsilon)) return 2;
     } else if (const char* v = value_of("--probe=")) {
-      probe = std::atoll(v);
+      if (!number(v, Tick{0}, std::numeric_limits<Tick>::max(), &probe)) {
+        return 2;
+      }
     } else if (const char* v = value_of("--save=")) {
       save_path = v;
     } else if (const char* v = value_of("--load=")) {
       load_path = v;
     } else if (const char* v = value_of("--engine=")) {
-      engine_shards = std::atoll(v);
+      // The route table's slices bound the shard count.
+      if (!number(v, uint32_t{1},
+                  ShardedAggregateEngine::Options{}.route_slices,
+                  &engine_shards)) {
+        return 2;
+      }
     } else if (const char* v = value_of("--topk=")) {
-      topk = static_cast<size_t>(std::atoll(v));
+      if (!number(v, size_t{0}, std::numeric_limits<size_t>::max(), &topk)) {
+        return 2;
+      }
     } else if (const char* v = value_of("--checkpoint-dir=")) {
       checkpoint_dir = v;
     } else if (const char* v = value_of("--promote-from=")) {
@@ -329,17 +402,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", decay.status().ToString().c_str());
     return 2;
   }
-  auto backend = ParseBackend(backend_name);
-  if (!backend.ok()) {
-    std::fprintf(stderr, "error: %s\n", backend.status().ToString().c_str());
+  const auto named = std::find_if(
+      std::begin(kBackendNames), std::end(kBackendNames),
+      [&](const auto& entry) { return entry.first == backend_name; });
+  if (named == std::end(kBackendNames)) {
+    std::fprintf(stderr, "error: unknown backend: %s\n", backend_name.c_str());
+    return 2;
+  }
+  const auto options = AggregateOptions::Builder()
+                           .backend(named->second)
+                           .epsilon(epsilon)
+                           .Build();
+  if (!options.ok()) {
+    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
     return 2;
   }
 
   if (engine_shards != 0) {
-    if (engine_shards < 1) {
-      std::fprintf(stderr, "error: --engine needs a positive shard count\n");
-      return 2;
-    }
     if (probe != 0 || !save_path.empty() || !load_path.empty()) {
       std::fprintf(stderr,
                    "error: --engine is incompatible with "
@@ -356,9 +435,8 @@ int main(int argc, char** argv) {
       }
       engine_in = &engine_file;
     }
-    return RunEngineMode(std::move(decay).value(), *backend, epsilon,
-                         static_cast<uint32_t>(engine_shards), topk,
-                         checkpoint_dir, promote_dir, *engine_in);
+    return RunEngineMode(std::move(decay).value(), *options, engine_shards,
+                         topk, checkpoint_dir, promote_dir, *engine_in);
   }
   if (!checkpoint_dir.empty() || !promote_dir.empty()) {
     std::fprintf(stderr,
@@ -384,12 +462,7 @@ int main(int argc, char** argv) {
     }
     sum = std::move(restored).value();
   } else {
-    const AggregateOptions options = AggregateOptions::Builder()
-                                     .backend(*backend)
-                                     .epsilon(epsilon)
-                                     .Build()
-                                     .value();
-    auto created = MakeDecayedSum(decay.value(), options);
+    auto created = MakeDecayedSum(decay.value(), *options);
     if (!created.ok()) {
       std::fprintf(stderr, "error: %s\n", created.status().ToString().c_str());
       return 1;
@@ -416,10 +489,9 @@ int main(int argc, char** argv) {
   while (std::getline(*in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
     long long tick = 0;
     unsigned long long value = 0;
-    if (!(fields >> tick >> value)) {
+    if (!ReadFields(line, &tick, &value)) {
       std::fprintf(stderr, "warning: malformed line %zu skipped\n",
                    line_number);
       continue;
